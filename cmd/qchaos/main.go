@@ -68,14 +68,13 @@ type node struct {
 	idx  int
 	addr string
 	seed int64
-	dir  string
 	ex   *shard.Executor
 	srv  *cluster.Server
 	fl   *faultnet.Listener
 }
 
 func (n *node) start() error {
-	srv, err := shard.NewServer(shard.NewService(n.ex, nil), n.dir)
+	srv, err := shard.NewServer(shard.NewService(n.ex, nil))
 	if err != nil {
 		return err
 	}
@@ -194,7 +193,7 @@ func main() {
 		if err := ex.AddDataset("lwfa", dir); err != nil {
 			log.Fatal(err)
 		}
-		nodes[i] = &node{idx: i, seed: *faultSeed + int64(i), dir: dir, ex: ex}
+		nodes[i] = &node{idx: i, seed: *faultSeed + int64(i), ex: ex}
 		if err := nodes[i].start(); err != nil {
 			log.Fatal(err)
 		}

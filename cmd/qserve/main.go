@@ -8,7 +8,7 @@
 //	lwfagen -out /tmp/lwfa -steps 30 -particles 200000
 //	qserve -data /tmp/lwfa -addr :8080
 //	qserve -data beam=/tmp/lwfa -data run2=/data/run2
-//	qserve -data /tmp/lwfa -admin-addr :9090 -workers host1:7070,host2:7070
+//	qserve -data /tmp/lwfa -admin-addr :9090
 //	qserve -data /tmp/lwfa -live -ingest-workers 2
 //
 // Endpoints:
@@ -111,7 +111,6 @@ func main() {
 		slo          = flag.Duration("slo", 250*time.Millisecond, "latency SLO the adaptive limiter steers p95 toward")
 		maxConc      = flag.Int("max-concurrency", 0, "cap on adaptive limit growth (0 = 8x concurrency)")
 		brownout     = flag.Bool("brownout", true, "answer eligible histograms from a degraded path under sustained overload")
-		workers      = flag.String("workers", "", "comma-separated cluster worker addresses for /v1/sweep2d")
 		obsEnabled   = flag.Bool("obs", true, "enable tracing and latency histograms (counters stay on)")
 		live         = flag.Bool("live", false, "serve datasets live: accept POST /v1/ingest and build indexes in the background")
 		ingWorkers   = flag.Int("ingest-workers", 1, "background index-builder pool size per live dataset")
@@ -266,13 +265,6 @@ func main() {
 			fatal("add dataset", "name", name, "dir", dir, "err", err)
 		}
 		logger.Info("serving dataset", "name", name, "dir", dir)
-	}
-	if *workers != "" {
-		addrs := strings.Split(*workers, ",")
-		if err := s.SetWorkers(addrs, cluster.DefaultPoolConfig()); err != nil {
-			fatal("connect workers", "workers", *workers, "err", err)
-		}
-		logger.Info("sweep workers connected", "count", len(addrs))
 	}
 	if *role == "frontend" {
 		if *shards == "" {

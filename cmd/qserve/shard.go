@@ -76,13 +76,11 @@ func shardAdmit(gate *serve.Gate) shard.AdmitFunc {
 func runShard(logger *obs.Logger, fatal func(string, ...any), datas dataFlags, opt shardOptions) {
 	ex := shard.NewExecutor(opt.fragCache)
 	defer ex.Close()
-	dir := ""
 	for _, spec := range datas {
 		name, d := splitDataSpec(spec)
 		if err := ex.AddDataset(name, d); err != nil {
 			fatal("add dataset", "name", name, "dir", d, "err", err)
 		}
-		dir = d
 		logger.Info("shard dataset", "name", name, "dir", d)
 	}
 
@@ -100,7 +98,7 @@ func runShard(logger *obs.Logger, fatal func(string, ...any), datas dataFlags, o
 		SLO:          opt.slo,
 	})
 
-	srv, err := shard.NewServer(shard.NewService(ex, shardAdmit(gate)), dir)
+	srv, err := shard.NewServer(shard.NewService(ex, shardAdmit(gate)))
 	if err != nil {
 		fatal("shard server", "err", err)
 	}

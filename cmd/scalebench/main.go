@@ -12,9 +12,8 @@
 // measured once (serially, for clean numbers) and the completion time for
 // each node count is the makespan of its assignment — a faithful model of
 // a distributed-memory machine with independent nodes, evaluated for 1 to
-// 100 nodes regardless of local core count. Pass -real-rpc to also run
-// the work over actual net/rpc worker processes for the node counts that
-// fit the local machine.
+// 100 nodes regardless of local core count. (Real multi-process execution
+// is the shard fleet: qserve -role shard/frontend, measured by bench/.)
 //
 // Usage:
 //
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/faultnet"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/query"
@@ -53,14 +51,8 @@ func main() {
 		bwMBs     = flag.Float64("io-bandwidth", 0, "modelled per-node I/O bandwidth in MB/s (0 = off)")
 		seekMs    = flag.Float64("io-seek", 0, "modelled per-seek latency in ms")
 		assignStr = flag.String("assign", "strided", "strided | blocked timestep assignment")
-		realRPC   = flag.Bool("real-rpc", false, "also execute over net/rpc workers where the node count fits")
 		schedules = flag.Bool("schedules", false, "also compare static/dynamic/LPT scheduling (ablation)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		faults    = flag.Bool("faults", false, "run the fault-injection resilience demo instead of the scaling studies")
-		faultErr  = flag.Float64("fault-err", 0.2, "with -faults: per-I/O-op injected error probability on faulty workers")
-		faultDrop = flag.Float64("fault-drop", 0.02, "with -faults: per-I/O-op connection-drop probability on faulty workers")
-		faultLat  = flag.Float64("fault-latency", 2, "with -faults: injected latency per I/O op in ms on faulty workers")
-		faultSeed = flag.Int64("fault-seed", 1, "with -faults: fault-schedule RNG seed")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -83,28 +75,15 @@ func main() {
 	}
 	b := &bench{
 		src:       src,
-		dir:       *data,
 		nodes:     nodes,
 		bins:      *bins,
 		csv:       *csv,
 		assign:    assign,
-		rpc:       *realRPC,
 		schedules: *schedules,
 		model: cluster.IOModel{
 			BandwidthBytesPerSec: *bwMBs * 1e6,
 			SeekLatency:          time.Duration(*seekMs * float64(time.Millisecond)),
 		},
-	}
-	if *faults {
-		if err := b.faultStudy(faultnet.Config{
-			Seed:     *faultSeed,
-			ErrProb:  *faultErr,
-			DropProb: *faultDrop,
-			Latency:  time.Duration(*faultLat * float64(time.Millisecond)),
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	switch *exp {
 	case "hist":
@@ -125,12 +104,10 @@ func main() {
 
 type bench struct {
 	src       *fastquery.Source
-	dir       string
 	nodes     []int
 	bins      int
 	csv       bool
 	assign    func(nTasks, nodes int) cluster.Assignment
-	rpc       bool
 	schedules bool
 	model     cluster.IOModel
 }
@@ -249,49 +226,9 @@ func (b *bench) histStudy() error {
 		return err
 	}
 	if b.schedules {
-		if err := b.scheduleTable("Ablation — scheduling strategies, FastBit conditional histograms", fastbitCondResults); err != nil {
-			return err
-		}
-	}
-	if b.rpc {
-		return b.rpcHistStudy(cond)
+		return b.scheduleTable("Ablation — scheduling strategies, FastBit conditional histograms", fastbitCondResults)
 	}
 	return nil
-}
-
-// rpcHistStudy repeats the conditional FastBit histogram sweep over real
-// net/rpc workers for the feasible node counts.
-func (b *bench) rpcHistStudy(cond query.Expr) error {
-	steps := make([]int, b.src.Steps())
-	for i := range steps {
-		steps[i] = i
-	}
-	table := report.NewTable("Fig 14 (real net/rpc execution) — FastBit conditional histograms",
-		"nodes", "wall_s")
-	for _, n := range b.nodes {
-		if n > 2*b.src.Steps() {
-			continue
-		}
-		addrs, shutdown, err := cluster.StartLocalWorkers(n, b.dir)
-		if err != nil {
-			return err
-		}
-		pool, err := cluster.Dial(addrs)
-		if err != nil {
-			shutdown()
-			return err
-		}
-		start := time.Now()
-		_, err = pool.HistogramSweep(steps, cond.String(), histPairs(b.bins)[4], fastquery.FastBit)
-		wall := time.Since(start)
-		pool.Close()
-		shutdown()
-		if err != nil {
-			return err
-		}
-		table.AddRow(fmt.Sprintf("%d", n), report.Seconds(wall))
-	}
-	return b.emit(table)
 }
 
 // trackIDSet selects ~targetHits particles at the last timestep.

@@ -21,7 +21,7 @@ import (
 // forever; Caller adds per-attempt timeouts (goroutine + select, since
 // net/rpc predates contexts), bounded retries with exponential backoff and
 // jitter, and automatic reconnection, so a slow or flapping worker cannot
-// hang a sweep.
+// hang a query.
 
 // ErrCallTimeout marks an RPC attempt abandoned after CallerConfig.Timeout.
 var ErrCallTimeout = errors.New("call timeout")
@@ -139,23 +139,13 @@ func (c *Caller) Close() error {
 	return nil
 }
 
-// Call invokes the RPC method with retries per the config.
-func (c *Caller) Call(method string, args, reply any) error {
-	_, err := c.CallWithStats(method, args, reply)
-	return err
-}
-
-// CallWithStats is Call plus an account of attempts, timeouts and
-// reconnects. Fatal errors (see fastquery.IsFatal) are returned without
-// burning retries: they are deterministic, so repeating them is waste.
-func (c *Caller) CallWithStats(method string, args, reply any) (CallStats, error) {
-	return c.CallWithStatsCtx(context.Background(), method, args, reply)
-}
-
-// CallWithStatsCtx is CallWithStats with caller-supplied cancellation: a
-// done ctx abandons the in-flight attempt, skips remaining retries, and
-// interrupts backoff sleeps, so a canceled sweep stops burning the retry
-// budget the moment nobody wants its result.
+// CallWithStatsCtx invokes the RPC method with retries per the config and
+// returns an account of attempts, timeouts and reconnects. Fatal errors
+// (see fastquery.IsFatal) are returned without burning retries: they are
+// deterministic, so repeating them is waste. A done ctx abandons the
+// in-flight attempt, skips remaining retries, and interrupts backoff
+// sleeps, so a canceled request stops burning the retry budget the moment
+// nobody wants its result.
 func (c *Caller) CallWithStatsCtx(ctx context.Context, method string, args, reply any) (CallStats, error) {
 	var cs CallStats
 	var lastErr error

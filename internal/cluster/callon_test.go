@@ -8,33 +8,80 @@ import (
 	"time"
 
 	"repro/internal/cluster/faultnet"
+	"repro/internal/fastquery"
 )
+
+// Echo is a test-only RPC service registered beside Worker.Ping on every
+// test server: it returns its argument, so concurrent calls can be told
+// apart, and fails deterministically on request, so the transport's
+// fatal-error classification can be driven without a dataset.
+type Echo struct{}
+
+type EchoArgs struct {
+	V     int
+	Fatal bool // answer with a fastquery.Fatal error
+}
+
+type EchoReply struct{ V int }
+
+func (Echo) Echo(args *EchoArgs, reply *EchoReply) error {
+	if args.Fatal {
+		return fastquery.Fatalf("echo: fatal on request")
+	}
+	reply.V = args.V
+	return nil
+}
+
+// startWorker launches one test server (Worker.Ping + Echo.Echo). wrap, if
+// non-nil, interposes on the listener the server accepts from (a faultnet
+// injector); the returned address is always the real one. The server is
+// closed at test cleanup; Close is idempotent, so tests may also kill it.
+func startWorker(t *testing.T, wrap func(net.Listener) net.Listener) (addr string, srv *Server) {
+	t.Helper()
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterName("Echo", Echo{}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveL := l
+	if wrap != nil {
+		serveL = wrap(l)
+	}
+	srv.Serve(serveL)
+	t.Cleanup(srv.Close)
+	return l.Addr().String(), srv
+}
 
 // startKillableWorkers launches n workers with individual kill switches,
 // for exercising CallOn's failover and hedging against a dead primary.
 func startKillableWorkers(t *testing.T, n int) (addrs []string, kill []func()) {
 	t.Helper()
-	dir := rpcDataset(t)
 	for i := 0; i < n; i++ {
-		srv, err := NewServer(NewWorker(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Serve(l)
-		s := srv
-		kill = append(kill, func() { s.Close() })
-		addrs = append(addrs, l.Addr().String())
+		addr, srv := startWorker(t, nil)
+		kill = append(kill, srv.Close)
+		addrs = append(addrs, addr)
 	}
-	t.Cleanup(func() {
-		for _, k := range kill {
-			k()
-		}
-	})
 	return addrs, kill
+}
+
+// startLatencyWorker launches a worker, optionally behind injected per-op
+// latency, and returns its address.
+func startLatencyWorker(t *testing.T, seed int64, lat time.Duration) string {
+	t.Helper()
+	var wrap func(net.Listener) net.Listener
+	if lat > 0 {
+		wrap = func(l net.Listener) net.Listener {
+			return faultnet.Wrap(l, faultnet.Config{Seed: seed, Latency: lat})
+		}
+	}
+	addr, _ := startWorker(t, wrap)
+	return addr
 }
 
 func callOnConfig() PoolConfig {
@@ -88,36 +135,14 @@ func TestCallOnFailover(t *testing.T) {
 }
 
 func TestCallOnHedged(t *testing.T) {
-	dir := rpcDataset(t)
-
 	// Primary behind heavy injected latency — slow, not dead — so the
 	// stagger timer fires and launches a hedge that wins the race. (A
 	// dead primary fails before the stagger and counts as failover, not
 	// a hedge.)
-	slowSrv, err := NewServer(NewWorker(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := faultnet.Wrap(sl, faultnet.Config{Seed: 3, Latency: 300 * time.Millisecond})
-	slowSrv.Serve(slow)
-	t.Cleanup(func() { slowSrv.Close() })
+	slow := startLatencyWorker(t, 3, 300*time.Millisecond)
+	fast := startLatencyWorker(t, 0, 0)
 
-	fastSrv, err := NewServer(NewWorker(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastSrv.Serve(fl)
-	t.Cleanup(func() { fastSrv.Close() })
-
-	p, err := DialConfig([]string{sl.Addr().String(), fl.Addr().String()}, callOnConfig())
+	p, err := DialConfig([]string{slow, fast}, callOnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,27 +164,6 @@ func TestCallOnHedged(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("hedged call took %v — the slow primary answered", elapsed)
 	}
-}
-
-// startLatencyWorker launches a worker, optionally behind injected per-op
-// latency, and returns its address.
-func startLatencyWorker(t *testing.T, dir string, seed int64, lat time.Duration) string {
-	t.Helper()
-	srv, err := NewServer(NewWorker(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serveL net.Listener = l
-	if lat > 0 {
-		serveL = faultnet.Wrap(l, faultnet.Config{Seed: seed, Latency: lat})
-	}
-	srv.Serve(serveL)
-	t.Cleanup(func() { srv.Close() })
-	return l.Addr().String()
 }
 
 // waitGoroutines fails unless the process goroutine count returns to the
@@ -185,9 +189,8 @@ func waitGoroutines(t *testing.T, base int, within time.Duration) {
 // must be cancelled with the race — its goroutine may not ride out the slow
 // worker's latency — and the race counts exactly one hedge.
 func TestCallOnHedgedLoserCancelled(t *testing.T) {
-	dir := rpcDataset(t)
-	slow := startLatencyWorker(t, dir, 11, 300*time.Millisecond)
-	fast := startLatencyWorker(t, dir, 0, 0)
+	slow := startLatencyWorker(t, 11, 300*time.Millisecond)
+	fast := startLatencyWorker(t, 0, 0)
 
 	p, err := DialConfig([]string{slow, fast}, callOnConfig())
 	if err != nil {
@@ -229,9 +232,8 @@ func TestCallOnHedgedLoserCancelled(t *testing.T) {
 // must propagate to both in-flight attempts — the call returns promptly and
 // neither attempt goroutine leaks.
 func TestCallOnHedgedCallerCancel(t *testing.T) {
-	dir := rpcDataset(t)
-	a := startLatencyWorker(t, dir, 21, 400*time.Millisecond)
-	b := startLatencyWorker(t, dir, 22, 400*time.Millisecond)
+	a := startLatencyWorker(t, 21, 400*time.Millisecond)
+	b := startLatencyWorker(t, 22, 400*time.Millisecond)
 
 	p, err := DialConfig([]string{a, b}, callOnConfig())
 	if err != nil {

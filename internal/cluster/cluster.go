@@ -17,6 +17,12 @@
 // An optional I/O cost model adds per-task disk time (bytes/bandwidth +
 // seeks·latency), standing in for the Lustre filesystem the paper's runs
 // read from.
+//
+// The package also holds the RPC transport the sharded serving tier rides
+// on (Caller, Pool.CallOn with failover and hedging, circuit breakers, the
+// retry budget, faultnet). What a node computes is not decided here: the
+// planner (internal/plan) cuts every operation, multi-step ones included,
+// into fragments that internal/shard serves over this transport.
 package cluster
 
 import (

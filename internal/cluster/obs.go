@@ -4,7 +4,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Package-level instruments for the RPC execution mode, registered in the
+// Package-level instruments for the RPC transport, registered in the
 // process-wide registry. The pool's own PoolStats counters remain the
 // per-pool view; these series aggregate across every pool and caller in
 // the process, which is what a scrape wants.
@@ -18,7 +18,7 @@ var (
 	metricReconnects = obs.Default().Counter("cluster_reconnects_total",
 		"Re-dials of previously working worker connections.")
 	metricFailovers = obs.Default().Counter("cluster_failovers_total",
-		"Sweep steps moved to another worker after their home worker failed.")
+		"Calls moved to another worker after their primary failed.")
 	metricProbes = obs.Default().Counter("cluster_probes_total",
 		"Health pings sent to unhealthy workers.")
 	metricRecoveries = obs.Default().Counter("cluster_recoveries_total",

@@ -1,36 +1,18 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fastquery"
-	"repro/internal/histogram"
-	"repro/internal/obs"
 )
 
-// This file implements the client side of the RPC execution mode: a pool
-// of Callers with health tracking, failover and partial-result sweeps.
-// Each step of a sweep is first sent to its strided home worker; if that
-// worker fails (after the Caller's own retries) the step fails over to the
-// next healthy worker and the failed worker is marked unhealthy until a
-// background Worker.Ping probe revives it.
-
-// PartialPolicy selects how sweeps treat per-step failures.
-type PartialPolicy int
-
-const (
-	// FailFast aborts the sweep result on the first failed step (the
-	// pre-resilience behaviour): callers get nil results and one error.
-	FailFast PartialPolicy = iota
-	// ReturnPartial returns every step that succeeded plus a *SweepError
-	// describing the ones that did not.
-	ReturnPartial
-)
+// This file implements the client side of the RPC transport: a pool of
+// Callers over one replica group with health tracking and failover. A call
+// (CallOn, callon.go) is first sent to its primary; if that worker fails
+// (after the Caller's own retries) the call fails over to the next healthy
+// worker and the failed worker is marked unhealthy until a background
+// Worker.Ping probe revives it.
 
 // PoolConfig tunes the pool's resilience machinery. The zero value means:
 // no timeouts, no retries, no failover, no probing — plain net/rpc.
@@ -39,8 +21,7 @@ type PoolConfig struct {
 	MaxRetries    int           // per-worker retries after the first attempt
 	BackoffBase   time.Duration // first retry delay (default 10ms when retrying)
 	BackoffMax    time.Duration // retry delay cap (default 1s when retrying)
-	MaxFailovers  int           // other workers to try per step: -1 = all, 0 = none
-	Partial       PartialPolicy // FailFast or ReturnPartial
+	MaxFailovers  int           // other workers to try per call: -1 = all, 0 = none
 	ProbeInterval time.Duration // unhealthy-worker ping period; 0 disables probing
 	Seed          int64         // backoff-jitter RNG seed (0 behaves as 1)
 
@@ -57,7 +38,7 @@ type PoolConfig struct {
 	RetryBudget *RetryBudget
 }
 
-// DefaultPoolConfig returns the production defaults used by Dial.
+// DefaultPoolConfig returns the production defaults.
 func DefaultPoolConfig() PoolConfig {
 	return PoolConfig{
 		CallTimeout:   30 * time.Second,
@@ -65,7 +46,6 @@ func DefaultPoolConfig() PoolConfig {
 		BackoffBase:   10 * time.Millisecond,
 		BackoffMax:    500 * time.Millisecond,
 		MaxFailovers:  -1,
-		Partial:       FailFast,
 		ProbeInterval: 200 * time.Millisecond,
 		Seed:          1,
 	}
@@ -77,54 +57,10 @@ type PoolStats struct {
 	Retries    int64 // attempts beyond the first, per worker
 	Timeouts   int64 // attempts abandoned on deadline
 	Reconnects int64 // re-dials of previously working connections
-	Failovers  int64 // steps moved to another worker
+	Failovers  int64 // calls moved to another worker
 	Hedges     int64 // extra staggered attempts raced against slow replicas
 	Probes     int64 // health pings sent to unhealthy workers
 	Recoveries int64 // workers probed back to health
-}
-
-// SweepStats describes the most recently completed sweep.
-type SweepStats struct {
-	Steps      int // steps requested
-	Failed     int // steps that returned no result
-	Attempts   int64
-	Retries    int64
-	Timeouts   int64
-	Reconnects int64
-	Failovers  int64
-	Wall       time.Duration
-}
-
-// StepError records one failed step of a partial sweep.
-type StepError struct {
-	Index int // position in the steps slice
-	Step  int // timestep number
-	Err   error
-}
-
-// SweepError is the structured multi-error returned by sweeps under
-// ReturnPartial: the successful steps are in the result slice, the failed
-// ones are listed here.
-type SweepError struct {
-	Total  int // steps requested
-	Failed []StepError
-}
-
-func (e *SweepError) Error() string {
-	if len(e.Failed) == 0 {
-		return "cluster: sweep failed (no step errors)"
-	}
-	return fmt.Sprintf("cluster: %d/%d steps failed; first: step %d: %v",
-		len(e.Failed), e.Total, e.Failed[0].Step, e.Failed[0].Err)
-}
-
-// Unwrap exposes the per-step errors to errors.Is/As.
-func (e *SweepError) Unwrap() []error {
-	errs := make([]error, len(e.Failed))
-	for i, f := range e.Failed {
-		errs[i] = f.Err
-	}
-	return errs
 }
 
 type poolCounters struct {
@@ -138,20 +74,12 @@ type Pool struct {
 	budget  *RetryBudget // shared retry budget; nil = unlimited
 	ctr     poolCounters
 
-	mu        sync.Mutex
-	lastSweep SweepStats
-
 	closeOnce sync.Once
 	stopProbe chan struct{}
 }
 
-// Dial connects to every worker address with DefaultPoolConfig.
-func Dial(addrs []string) (*Pool, error) {
-	return DialConfig(addrs, DefaultPoolConfig())
-}
-
 // DialConfig connects to every worker address, eagerly, so unreachable
-// workers fail here rather than mid-sweep.
+// workers fail here rather than mid-query.
 func DialConfig(addrs []string, cfg PoolConfig) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no worker addresses")
@@ -229,14 +157,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// LastSweepStats returns the stats of the most recently completed sweep.
-// With concurrent sweeps on one pool the attribution is approximate.
-func (p *Pool) LastSweepStats() SweepStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastSweep
-}
-
 // probeLoop pings unhealthy or breaker-open workers until the pool
 // closes, restoring them to the failover rotation — and force-closing
 // their breakers — when they answer.
@@ -267,7 +187,7 @@ func (p *Pool) probeLoop() {
 	}
 }
 
-// candidates returns the workers to try for a step, primary first, then
+// candidates returns the workers to try for a call, primary first, then
 // healthy workers in ring order, truncated per MaxFailovers. If every
 // worker is unhealthy the primary is tried anyway — better a last-ditch
 // attempt than certain failure.
@@ -278,7 +198,7 @@ func (p *Pool) candidates(primary int) []*Caller {
 		maxFo = n - 1
 	}
 	if maxFo == 0 {
-		// Failover disabled: the step lives or dies with its home worker.
+		// Failover disabled: the call lives or dies with its primary.
 		return []*Caller{p.callers[primary]}
 	}
 	cands := make([]*Caller, 0, n)
@@ -295,225 +215,4 @@ func (p *Pool) candidates(primary int) []*Caller {
 		cands = cands[:maxFo+1]
 	}
 	return cands
-}
-
-// callStep runs one step's RPC with failover across candidate workers. A
-// done ctx stops the failover walk early: trying further workers for a
-// result nobody wants is pure waste. Each candidate worker gets its own
-// "rpc-worker" span under the step's span, so failovers appear as
-// siblings in the originating trace.
-func (p *Pool) callStep(ctx context.Context, i, step int, do func(ctx context.Context, c *Caller) (CallStats, error)) error {
-	ctx, ssp := obs.StartSpan(ctx, "sweep-step")
-	ssp.SetAttr("step", strconv.Itoa(step))
-	defer ssp.End()
-	var lastErr error
-	attempted := 0
-	for k, c := range p.candidates(i % len(p.callers)) {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
-		}
-		if !c.br.Allow() {
-			// Known-dead replica: skip it in microseconds instead of paying
-			// a dial timeout; half-open probes are admitted by the breaker.
-			lastErr = fmt.Errorf("cluster: %s: %w", c.Addr(), ErrBreakerOpen)
-			continue
-		}
-		if attempted > 0 && !p.budget.Spend() {
-			// Extra attempts beyond the first spend the shared retry budget.
-			c.br.Drop()
-			return lastErr
-		}
-		wctx, wsp := obs.StartSpan(ctx, "rpc-worker")
-		wsp.SetAttr("worker", c.Addr())
-		if k > 0 {
-			p.ctr.failovers.Add(1)
-			metricFailovers.Inc()
-			wsp.SetAttr("failover", "true")
-		}
-		cs, err := do(wctx, c)
-		attempted++
-		p.ctr.calls.Add(int64(cs.Attempts))
-		p.ctr.retries.Add(int64(cs.Attempts - 1))
-		p.ctr.timeouts.Add(int64(cs.Timeouts))
-		p.ctr.reconnects.Add(int64(cs.Reconnects))
-		metricRPCCalls.Add(uint64(cs.Attempts))
-		if cs.Attempts > 1 {
-			metricRetries.Add(uint64(cs.Attempts - 1))
-		}
-		metricTimeouts.Add(uint64(cs.Timeouts))
-		metricReconnects.Add(uint64(cs.Reconnects))
-		if err != nil {
-			wsp.SetAttr("error", err.Error())
-		}
-		wsp.End()
-		c.breakerRecord(err, ctx.Err() != nil)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if fastquery.IsFatal(err) {
-			// The request itself is bad; every worker would refuse it.
-			return err
-		}
-		if fastquery.IsExhausted(err) {
-			// The deadline budget is spent; no worker can conjure more time.
-			return err
-		}
-		if ctx.Err() != nil {
-			// The attempt died because the sweep was canceled, not because
-			// the worker is sick; don't penalise its health.
-			return lastErr
-		}
-		c.SetHealthy(false)
-	}
-	return lastErr
-}
-
-// sweep runs do for every step concurrently and resolves errors per the
-// pool's PartialPolicy.
-func (p *Pool) sweep(ctx context.Context, steps []int, do func(ctx context.Context, c *Caller, i, step int) (CallStats, error)) error {
-	start := time.Now()
-	before := p.Stats()
-	errs := make([]error, len(steps))
-	var wg sync.WaitGroup
-	for i, step := range steps {
-		wg.Add(1)
-		go func(i, step int) {
-			defer wg.Done()
-			errs[i] = p.callStep(ctx, i, step, func(ctx context.Context, c *Caller) (CallStats, error) {
-				return do(ctx, c, i, step)
-			})
-		}(i, step)
-	}
-	wg.Wait()
-	after := p.Stats()
-
-	var failed []StepError
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, StepError{Index: i, Step: steps[i], Err: err})
-		}
-	}
-	p.mu.Lock()
-	p.lastSweep = SweepStats{
-		Steps:      len(steps),
-		Failed:     len(failed),
-		Attempts:   after.Calls - before.Calls,
-		Retries:    after.Retries - before.Retries,
-		Timeouts:   after.Timeouts - before.Timeouts,
-		Reconnects: after.Reconnects - before.Reconnects,
-		Failovers:  after.Failovers - before.Failovers,
-		Wall:       time.Since(start),
-	}
-	p.mu.Unlock()
-
-	if len(failed) == 0 {
-		return nil
-	}
-	if p.cfg.Partial == ReturnPartial {
-		return &SweepError{Total: len(steps), Failed: failed}
-	}
-	f := failed[0]
-	return fmt.Errorf("cluster: step %d: %w", f.Step, f.Err)
-}
-
-// HistogramSweep computes one histogram per step, strided across the
-// workers with retry and failover. Under FailFast any step failure yields
-// (nil, err); under ReturnPartial the slice holds every successful step
-// (failed entries nil) and err is a *SweepError.
-func (p *Pool) HistogramSweep(steps []int, cond string, spec histogram.Spec2D, backend fastquery.Backend) ([]*histogram.Hist2D, error) {
-	return p.HistogramSweepCtx(context.Background(), steps, cond, spec, backend)
-}
-
-// HistogramSweepCtx is HistogramSweep with caller-supplied cancellation:
-// a done ctx abandons in-flight RPCs and skips pending retries and
-// failovers across every step of the sweep.
-func (p *Pool) HistogramSweepCtx(ctx context.Context, steps []int, cond string, spec histogram.Spec2D, backend fastquery.Backend) ([]*histogram.Hist2D, error) {
-	out := make([]*histogram.Hist2D, len(steps))
-	err := p.sweep(ctx, steps, func(ctx context.Context, c *Caller, i, step int) (CallStats, error) {
-		var reply HistReply
-		cs, callErr := c.CallWithStatsCtx(ctx, "Worker.Histogram2D", &HistArgs{
-			Step: step, Cond: cond, Spec: spec, Backend: backend,
-			TraceID: obs.SpanFromContext(ctx).TraceID(),
-		}, &reply)
-		obs.SpanFromContext(ctx).AttachRemote(reply.Trace)
-		if callErr == nil {
-			out[i] = reply.Hist
-		}
-		return cs, callErr
-	})
-	if err != nil {
-		if p.cfg.Partial == ReturnPartial {
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
-// SelectSweep evaluates the query on every step, strided across the
-// workers with retry and failover, returning per-step hit positions and
-// (optionally) identifiers. Error semantics match HistogramSweep.
-func (p *Pool) SelectSweep(steps []int, q string, wantIDs bool, backend fastquery.Backend) ([]SelectReply, error) {
-	return p.SelectSweepCtx(context.Background(), steps, q, wantIDs, backend)
-}
-
-// SelectSweepCtx is SelectSweep with caller-supplied cancellation; see
-// HistogramSweepCtx.
-func (p *Pool) SelectSweepCtx(ctx context.Context, steps []int, q string, wantIDs bool, backend fastquery.Backend) ([]SelectReply, error) {
-	out := make([]SelectReply, len(steps))
-	err := p.sweep(ctx, steps, func(ctx context.Context, c *Caller, i, step int) (CallStats, error) {
-		var reply SelectReply
-		cs, callErr := c.CallWithStatsCtx(ctx, "Worker.Select", &SelectArgs{
-			Step: step, Query: q, WantIDs: wantIDs, Backend: backend,
-			TraceID: obs.SpanFromContext(ctx).TraceID(),
-		}, &reply)
-		obs.SpanFromContext(ctx).AttachRemote(reply.Trace)
-		if callErr == nil {
-			out[i] = reply
-		}
-		return cs, callErr
-	})
-	if err != nil {
-		if p.cfg.Partial == ReturnPartial {
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
-// TrackSweep locates the identifier set in every step, strided across the
-// workers with retry and failover; it returns per-step positions. Error
-// semantics match HistogramSweep.
-func (p *Pool) TrackSweep(steps []int, ids []int64, backend fastquery.Backend) ([][]uint64, error) {
-	return p.TrackSweepCtx(context.Background(), steps, ids, backend)
-}
-
-// TrackSweepCtx is TrackSweep with caller-supplied cancellation; see
-// HistogramSweepCtx.
-func (p *Pool) TrackSweepCtx(ctx context.Context, steps []int, ids []int64, backend fastquery.Backend) ([][]uint64, error) {
-	out := make([][]uint64, len(steps))
-	err := p.sweep(ctx, steps, func(ctx context.Context, c *Caller, i, step int) (CallStats, error) {
-		var reply FindReply
-		cs, callErr := c.CallWithStatsCtx(ctx, "Worker.FindIDs", &FindArgs{
-			Step: step, IDs: ids, Backend: backend,
-			TraceID: obs.SpanFromContext(ctx).TraceID(),
-		}, &reply)
-		obs.SpanFromContext(ctx).AttachRemote(reply.Trace)
-		if callErr == nil {
-			out[i] = reply.Positions
-		}
-		return cs, callErr
-	})
-	if err != nil {
-		if p.cfg.Partial == ReturnPartial {
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
 }

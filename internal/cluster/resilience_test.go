@@ -1,116 +1,74 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster/faultnet"
-	"repro/internal/fastquery"
-	"repro/internal/histogram"
 )
 
-// faultyCluster starts three workers over the shared test dataset:
-// worker 0 clean, worker 1 behind a fault injector, worker 2 behind a
-// latency injector whose Kill method simulates the node dying. It returns
-// the addresses, worker 2's listener (for killing) and a cleanup func.
-func faultyCluster(t *testing.T, w1cfg faultnet.Config) (addrs []string, victim *faultnet.Listener, cleanup func()) {
+// faultyCluster starts three workers: worker 0 clean, worker 1 behind a
+// fault injector, worker 2 behind a latency injector whose Kill method
+// simulates the node dying. It returns the addresses and worker 2's
+// listener (for killing).
+func faultyCluster(t *testing.T, w1cfg faultnet.Config) (addrs []string, victim *faultnet.Listener) {
 	t.Helper()
-	dir := rpcDataset(t)
-	var servers []*Server
-	var fls []*faultnet.Listener
-	cleanup = func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, fl := range fls {
-			fl.Kill()
-		}
-	}
-	for i := 0; i < 3; i++ {
-		srv, err := NewServer(NewWorker(dir))
-		if err != nil {
-			cleanup()
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			t.Fatal(err)
-		}
-		var l net.Listener = inner
-		switch i {
-		case 1:
-			fl := faultnet.Wrap(inner, w1cfg)
-			fls = append(fls, fl)
-			l = fl
-		case 2:
+	wraps := []func(net.Listener) net.Listener{
+		nil,
+		func(l net.Listener) net.Listener {
+			fl := faultnet.Wrap(l, w1cfg)
+			t.Cleanup(fl.Kill)
+			return fl
+		},
+		func(l net.Listener) net.Listener {
 			// Injected latency keeps worker 2's calls in flight long
-			// enough that killing it mid-sweep is deterministic.
-			fl := faultnet.Wrap(inner, faultnet.Config{Seed: 2, Latency: 10 * time.Millisecond})
-			fls = append(fls, fl)
-			victim = fl
-			l = fl
-		}
-		srv.Serve(l)
-		addrs = append(addrs, inner.Addr().String())
+			// enough that killing it mid-call is deterministic.
+			victim = faultnet.Wrap(l, faultnet.Config{Seed: 2, Latency: 10 * time.Millisecond})
+			t.Cleanup(victim.Kill)
+			return victim
+		},
 	}
-	return addrs, victim, cleanup
+	for _, wrap := range wraps {
+		addr, _ := startWorker(t, wrap)
+		addrs = append(addrs, addr)
+	}
+	return addrs, victim
 }
 
-// wantHists computes the reference histograms locally.
-func wantHists(t *testing.T, spec histogram.Spec2D) []*histogram.Hist2D {
+// echoAll issues n concurrent Echo calls through CallOn, call i against
+// primary i (ring order) carrying value i, and returns the per-call
+// errors after checking every successful reply echoes its own value.
+func echoAll(t *testing.T, ctx context.Context, p *Pool, n int) []error {
 	t.Helper()
-	src, err := fastquery.Open(rpcDataset(t))
-	if err != nil {
-		t.Fatal(err)
+	errs := make([]error, n)
+	replies := make([]EchoReply, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = p.CallOn(ctx, i, "Echo.Echo", &EchoArgs{V: i}, &replies[i], 0)
+		}(i)
 	}
-	want := make([]*histogram.Hist2D, src.Steps())
-	for s := 0; s < src.Steps(); s++ {
-		st, err := src.OpenStep(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[s], err = st.Histogram2D(nil, spec, fastquery.FastBit)
-		st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return want
-}
-
-func sameHist(a, b *histogram.Hist2D) bool {
-	if a == nil || b == nil || len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			return false
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil && replies[i].V != i {
+			t.Errorf("call %d: reply %d — a losing or late attempt leaked into the wrong reply", i, replies[i].V)
 		}
 	}
-	return true
+	return errs
 }
 
-// sweepSteps builds a ≥16-entry step list cycling over the dataset's
-// timesteps (sweeps accept repeated steps).
-func sweepSteps(n, steps int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i % steps
-	}
-	return out
-}
-
-// TestFaultySweepFailover is the acceptance scenario: a 20-step histogram
-// sweep completes with full, correct results while worker 2 is killed
-// mid-sweep and worker 1 suffers 20% injected call failures.
-func TestFaultySweepFailover(t *testing.T) {
-	addrs, victim, cleanup := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
-	defer cleanup()
+// TestFaultyCallOnFailover is the acceptance scenario: 20 concurrent calls
+// all complete with correct replies while worker 2 is killed with calls in
+// flight and worker 1 suffers 20% injected call failures.
+func TestFaultyCallOnFailover(t *testing.T) {
+	addrs, victim := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
 
 	// The short CallTimeout matters: worker 1's injected write errors make
 	// the server drop responses while leaving the conn open, so only the
@@ -121,7 +79,6 @@ func TestFaultySweepFailover(t *testing.T) {
 		BackoffBase:   2 * time.Millisecond,
 		BackoffMax:    30 * time.Millisecond,
 		MaxFailovers:  -1,
-		Partial:       FailFast,
 		ProbeInterval: 50 * time.Millisecond,
 		Seed:          1,
 	}
@@ -131,47 +88,33 @@ func TestFaultySweepFailover(t *testing.T) {
 	}
 	defer pool.Close()
 
-	steps := sweepSteps(20, 5)
-	spec := histogram.NewSpec2D("x", "px", 16, 16)
 	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
 	defer kill.Stop()
-
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	if err != nil {
-		t.Fatalf("sweep failed despite failover: %v", err)
-	}
-	want := wantHists(t, spec)
-	for i, h := range hists {
-		if !sameHist(h, want[steps[i]]) {
-			t.Fatalf("step %d (index %d): wrong or missing histogram", steps[i], i)
+	for i, err := range echoAll(t, context.Background(), pool, 20) {
+		if err != nil {
+			t.Fatalf("call %d failed despite failover: %v", i, err)
 		}
 	}
-	ss := pool.LastSweepStats()
-	if ss.Failed != 0 || ss.Steps != len(steps) {
-		t.Fatalf("sweep stats = %+v", ss)
-	}
-	if ss.Failovers == 0 {
-		t.Fatalf("expected failovers after killing a worker mid-sweep; stats = %+v", ss)
+	if st := pool.Stats(); st.Failovers == 0 {
+		t.Fatalf("expected failovers after killing a worker mid-call; stats = %+v", st)
 	}
 	if !victim.Stats().Killed {
 		t.Fatal("victim was never killed")
 	}
 }
 
-// TestFaultySweepPartial runs the same scenario with failover disabled and
-// ReturnPartial: the sweep must return every reachable step plus a
-// structured *SweepError for the steps owned by the dead worker.
-func TestFaultySweepPartial(t *testing.T) {
-	addrs, victim, cleanup := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
-	defer cleanup()
+// TestFaultyCallOnNoFailover runs the same scenario with failover
+// disabled: calls whose primary is the dead worker must fail with an
+// error, every other call must still answer correctly.
+func TestFaultyCallOnNoFailover(t *testing.T) {
+	addrs, victim := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
 
 	cfg := PoolConfig{
 		CallTimeout:  500 * time.Millisecond,
 		MaxRetries:   2,
 		BackoffBase:  2 * time.Millisecond,
 		BackoffMax:   20 * time.Millisecond,
-		MaxFailovers: 0, // no failover: dead worker's steps must fail
-		Partial:      ReturnPartial,
+		MaxFailovers: 0, // no failover: the dead worker's calls must fail
 		Seed:         1,
 	}
 	pool, err := DialConfig(addrs, cfg)
@@ -180,128 +123,66 @@ func TestFaultySweepPartial(t *testing.T) {
 	}
 	defer pool.Close()
 
-	steps := sweepSteps(20, 5)
-	spec := histogram.NewSpec2D("x", "px", 16, 16)
 	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
 	defer kill.Stop()
-
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	if err == nil {
-		t.Fatal("sweep succeeded with a dead worker and no failover")
-	}
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %T is not *SweepError: %v", err, err)
-	}
-	if se.Total != len(steps) || len(se.Failed) == 0 || len(se.Failed) >= len(steps) {
-		t.Fatalf("unexpected failure shape: %d/%d failed", len(se.Failed), se.Total)
-	}
-	failed := map[int]bool{}
-	for _, f := range se.Failed {
-		if f.Err == nil {
-			t.Fatalf("failed step %d carries nil error", f.Step)
-		}
-		failed[f.Index] = true
-	}
-	want := wantHists(t, spec)
-	for i, h := range hists {
-		if failed[i] {
-			if h != nil {
-				t.Fatalf("failed step index %d has a result", i)
-			}
+	failed := 0
+	for i, err := range echoAll(t, context.Background(), pool, 21) {
+		if err == nil {
 			continue
 		}
-		if !sameHist(h, want[steps[i]]) {
-			t.Fatalf("surviving step %d (index %d): wrong histogram", steps[i], i)
+		if i%3 == 0 {
+			t.Fatalf("call %d, homed on the clean worker, failed: %v", i, err)
 		}
+		failed++
 	}
-	if got := pool.LastSweepStats().Failed; got != len(se.Failed) {
-		t.Fatalf("stats record %d failed steps, error records %d", got, len(se.Failed))
+	if failed == 0 || failed >= 21 {
+		t.Fatalf("unexpected failure shape: %d/21 failed", failed)
+	}
+	if st := pool.Stats(); st.Failovers != 0 {
+		t.Fatalf("failovers = %d with MaxFailovers=0", st.Failovers)
 	}
 }
 
-func TestPartialSweepPerStepErrors(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	cfg := DefaultPoolConfig()
-	cfg.Partial = ReturnPartial
-	pool, err := DialConfig(addrs, cfg)
+// TestCallOnFatalNotRetried: an error the server classifies fatal (a bad
+// request fails the same way on every replica) must come back at once,
+// without burning retries or failovers.
+func TestCallOnFatalNotRetried(t *testing.T) {
+	addrs, _ := startKillableWorkers(t, 2)
+	pool, err := DialConfig(addrs, callOnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	// Step 99 is out of range: a fatal per-step failure amid good steps.
-	steps := []int{0, 99, 1}
-	spec := histogram.NewSpec2D("x", "px", 8, 8)
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %T is not *SweepError: %v", err, err)
+	var reply EchoReply
+	err = pool.CallOn(context.Background(), 0, "Echo.Echo", &EchoArgs{Fatal: true}, &reply, 0)
+	if err == nil {
+		t.Fatal("fatal echo returned nil error")
 	}
-	if len(se.Failed) != 1 || se.Failed[0].Step != 99 {
-		t.Fatalf("failed steps = %+v", se.Failed)
+	if st := pool.Stats(); st.Retries != 0 || st.Failovers != 0 || st.Calls != 1 {
+		t.Fatalf("fatal call was retried or failed over: %+v", st)
 	}
-	if hists[0] == nil || hists[1] != nil || hists[2] == nil {
-		t.Fatalf("partial results wrong: %v", hists)
-	}
-	// Fatal errors must not burn retries or failovers.
-	ss := pool.LastSweepStats()
-	if ss.Retries != 0 || ss.Failovers != 0 {
-		t.Fatalf("fatal step was retried or failed over: %+v", ss)
+	if pool.HealthyNodes() != 2 {
+		t.Fatal("a fatal reply marked its worker unhealthy")
 	}
 }
 
-func TestFailFastStepError(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	pool, err := Dial(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	if _, err := pool.HistogramSweep([]int{0, 99}, "", histogram.NewSpec2D("x", "px", 4, 4), fastquery.FastBit); err == nil {
-		t.Fatal("fail-fast sweep returned nil error")
-	}
-	// Bad queries surface through RPC as fatal, without retries.
-	if _, err := pool.SelectSweep([]int{0}, "px >", false, fastquery.FastBit); err == nil {
-		t.Fatal("bad query accepted")
-	}
-	if ss := pool.LastSweepStats(); ss.Retries != 0 {
-		t.Fatalf("parse error was retried: %+v", ss)
-	}
-}
-
-func TestSweepAgainstShutDownWorkers(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultPoolConfig()
-	cfg.MaxRetries = 1
-	cfg.BackoffBase = time.Millisecond
-	cfg.BackoffMax = 5 * time.Millisecond
+func TestCallOnAgainstShutDownWorkers(t *testing.T) {
+	addrs, kill := startKillableWorkers(t, 2)
+	cfg := callOnConfig()
 	cfg.CallTimeout = 2 * time.Second
 	pool, err := DialConfig(addrs, cfg)
 	if err != nil {
-		shutdown()
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	shutdown()
-	// Shutdown is idempotent.
-	shutdown()
-	if _, err := pool.TrackSweep([]int{0, 1}, []int64{1}, fastquery.FastBit); err == nil {
-		t.Fatal("sweep against shut-down workers succeeded")
+	for _, k := range kill {
+		k()
+		k() // Server.Close is idempotent
+	}
+	var reply PingReply
+	if err := pool.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 0); err == nil {
+		t.Fatal("call against shut-down workers succeeded")
 	}
 	if pool.HealthyNodes() != 0 {
 		t.Fatalf("healthy nodes = %d after total outage", pool.HealthyNodes())
@@ -318,13 +199,8 @@ func TestDialNeverStartedWorker(t *testing.T) {
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	pool, err := Dial(addrs)
+	addrs, _ := startKillableWorkers(t, 1)
+	pool, err := DialConfig(addrs, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,55 +208,26 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	pool.Close() // must not panic or double-close
 }
 
-func TestWorkerCloseAndReuse(t *testing.T) {
-	w := NewWorker(rpcDataset(t))
-	spec := histogram.NewSpec2D("x", "px", 4, 4)
-	var reply HistReply
-	if err := w.Histogram2D(&HistArgs{Step: 0, Spec: spec}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal("second Close failed:", err)
-	}
-	// The worker reopens its source on the next request.
-	if err := w.Histogram2D(&HistArgs{Step: 0, Spec: spec}, &reply); err != nil {
-		t.Fatalf("worker unusable after Close: %v", err)
-	}
-}
-
-func TestShutdownClosesServedConns(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
+func TestServerCloseClosesServedConns(t *testing.T) {
+	addr, srv := startWorker(t, nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		shutdown()
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	shutdown()
-	// The served connection must be closed by shutdown, not leaked: a read
+	srv.Close()
+	// The served connection must be closed by Close, not leaked: a read
 	// finishes promptly instead of blocking forever.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("read returned data after shutdown")
+		t.Fatal("read returned data after Close")
 	} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-		t.Fatal("served connection leaked: still open after shutdown")
+		t.Fatal("served connection leaked: still open after Close")
 	}
 }
 
 func TestProbeRecoversWorker(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
+	addrs, _ := startKillableWorkers(t, 2)
 	cfg := DefaultPoolConfig()
 	cfg.ProbeInterval = 10 * time.Millisecond
 	pool, err := DialConfig(addrs, cfg)
@@ -430,7 +277,7 @@ func TestCallerTimeout(t *testing.T) {
 	})
 	defer c.Close()
 	var reply PingReply
-	cs, err := c.CallWithStats("Worker.Ping", &PingArgs{}, &reply)
+	cs, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &reply)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
 	}
@@ -447,7 +294,7 @@ func TestCallerClosed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
 	}
-	if err := c.Call("Worker.Ping", &PingArgs{}, &PingReply{}); !errors.Is(err, ErrCallerClosed) {
+	if _, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &PingReply{}); !errors.Is(err, ErrCallerClosed) {
 		t.Fatalf("err = %v, want ErrCallerClosed", err)
 	}
 }

@@ -1,64 +1,20 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/rpc"
 	"sync"
-
-	"repro/internal/fastquery"
-	"repro/internal/histogram"
-	"repro/internal/obs"
-	"repro/internal/query"
 )
 
-// This file provides the server side of the real multi-process execution
-// mode: worker processes (or in-process listeners in tests) serve
-// per-timestep operations over net/rpc, standing in for the compute nodes
-// of the paper's Cray XT4 runs. All workers read the dataset from a shared
-// directory, as the paper's nodes read from Lustre.
-//
-// Worker errors are classified retryable vs fatal (fastquery.Fatal): a bad
-// query or out-of-range step fails the same way on every node, so the
-// client gives up immediately instead of retrying or failing over.
+// This file provides the server side of the RPC transport: a listener
+// lifecycle (Server) that hosts whatever services a node registers, plus
+// the one service every node carries — Worker.Ping, the heartbeat the
+// client pool probes unhealthy or breaker-open replicas with. The work a
+// node does (plan fragments) is registered on top by internal/shard.
 
-// Worker is the RPC service executed on each node.
-type Worker struct {
-	dir string
-
-	mu  sync.Mutex
-	src *fastquery.Source
-}
-
-// NewWorker creates a worker serving the given dataset directory.
-func NewWorker(dir string) *Worker { return &Worker{dir: dir} }
-
-func (w *Worker) source() (*fastquery.Source, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.src == nil {
-		src, err := fastquery.Open(w.dir)
-		if err != nil {
-			return nil, err
-		}
-		w.src = src
-	}
-	return w.src, nil
-}
-
-// Close releases the worker's cached dataset source. The worker stays
-// usable: the next request reopens the source. Close is idempotent.
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.src == nil {
-		return nil
-	}
-	err := w.src.Close()
-	w.src = nil
-	return err
-}
+// Worker is the liveness service registered on every Server.
+type Worker struct{}
 
 // PingArgs is the (empty) request of the Worker.Ping heartbeat.
 type PingArgs struct{}
@@ -70,208 +26,38 @@ type PingReply struct {
 
 // Ping is a lightweight liveness heartbeat used by the pool to probe
 // unhealthy workers back into the failover rotation.
-func (w *Worker) Ping(args *PingArgs, reply *PingReply) error {
+func (Worker) Ping(args *PingArgs, reply *PingReply) error {
 	reply.OK = true
 	return nil
 }
 
-// workerTrace starts a worker-side trace for a propagated trace ID,
-// returning a context carrying its root span. With no trace ID (or obs
-// disabled) the context is plain and the trace nil; finishTrace on a nil
-// trace is a no-op, so handlers call both unconditionally.
-func workerTrace(id, rootName string) (context.Context, *obs.Trace) {
-	if id == "" {
-		return context.Background(), nil
-	}
-	tr := obs.NewTrace(id, rootName)
-	return obs.ContextWithSpan(context.Background(), tr.Root()), tr
-}
-
-// finishTrace closes the worker-side trace and stores its snapshot in the
-// reply slot for the client to attach to the originating request's trace.
-// gob omits nil pointer fields, so an untraced reply costs nothing extra
-// on the wire.
-func finishTrace(tr *obs.Trace, slot **obs.SpanData) {
-	if tr == nil {
-		return
-	}
-	tr.Root().End()
-	*slot = tr.Data()
-}
-
-// HistArgs requests a 2D histogram of one timestep.
-type HistArgs struct {
-	Step    int
-	Cond    string // empty for unconditional
-	Spec    histogram.Spec2D
-	Backend fastquery.Backend
-	TraceID string // originating request's trace ID; "" disables tracing
-}
-
-// HistReply carries the computed histogram and I/O accounting.
-type HistReply struct {
-	Hist      *histogram.Hist2D
-	BytesRead uint64
-	Trace     *obs.SpanData // worker-side span tree when TraceID was set
-}
-
-// Histogram2D computes a histogram for one timestep.
-func (w *Worker) Histogram2D(args *HistArgs, reply *HistReply) error {
-	ctx, tr := workerTrace(args.TraceID, "worker:hist2d")
-	defer finishTrace(tr, &reply.Trace)
-	src, err := w.source()
-	if err != nil {
-		return err
-	}
-	st, err := src.OpenStep(args.Step)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	var cond query.Expr
-	if args.Cond != "" {
-		if cond, err = query.Parse(args.Cond); err != nil {
-			return fastquery.Fatal(err)
-		}
-	}
-	h, err := st.Histogram2DCtx(ctx, cond, args.Spec, args.Backend)
-	if err != nil {
-		return err
-	}
-	reply.Hist = h
-	reply.BytesRead = st.IOBytes()
-	return nil
-}
-
-// FindArgs requests the positions of identifiers in one timestep.
-type FindArgs struct {
-	Step    int
-	IDs     []int64
-	Backend fastquery.Backend
-	TraceID string // originating request's trace ID; "" disables tracing
-}
-
-// FindReply carries the matching record positions.
-type FindReply struct {
-	Positions []uint64
-	BytesRead uint64
-	Trace     *obs.SpanData // worker-side span tree when TraceID was set
-}
-
-// FindIDs locates a particle search set in one timestep.
-func (w *Worker) FindIDs(args *FindArgs, reply *FindReply) error {
-	ctx, tr := workerTrace(args.TraceID, "worker:find-ids")
-	defer finishTrace(tr, &reply.Trace)
-	src, err := w.source()
-	if err != nil {
-		return err
-	}
-	st, err := src.OpenStep(args.Step)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	pos, err := st.FindIDsCtx(ctx, args.IDs, args.Backend)
-	if err != nil {
-		return err
-	}
-	reply.Positions = pos
-	reply.BytesRead = st.IOBytes()
-	return nil
-}
-
-// SelectArgs requests a range-query selection over one timestep.
-type SelectArgs struct {
-	Step    int
-	Query   string
-	WantIDs bool
-	Backend fastquery.Backend
-	TraceID string // originating request's trace ID; "" disables tracing
-}
-
-// SelectReply carries the matching positions and (optionally) identifiers.
-type SelectReply struct {
-	Positions []uint64
-	IDs       []int64
-	BytesRead uint64
-	Trace     *obs.SpanData // worker-side span tree when TraceID was set
-}
-
-// Select evaluates a compound range query on one timestep.
-func (w *Worker) Select(args *SelectArgs, reply *SelectReply) error {
-	ctx, tr := workerTrace(args.TraceID, "worker:select")
-	defer finishTrace(tr, &reply.Trace)
-	src, err := w.source()
-	if err != nil {
-		return err
-	}
-	st, err := src.OpenStep(args.Step)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	e, err := query.Parse(args.Query)
-	if err != nil {
-		return fastquery.Fatal(err)
-	}
-	if reply.Positions, err = st.SelectCtx(ctx, e, args.Backend); err != nil {
-		return err
-	}
-	if args.WantIDs {
-		if reply.IDs, err = st.SelectIDsCtx(ctx, e, args.Backend); err != nil {
-			return err
-		}
-	}
-	reply.BytesRead = st.IOBytes()
-	return nil
-}
-
-// workerService exposes only the RPC-shaped methods of Worker, keeping
-// lifecycle methods like Close out of net/rpc registration (which would
-// otherwise log complaints about unsuitable exported methods).
-type workerService struct{ w *Worker }
-
-func (s *workerService) Ping(args *PingArgs, reply *PingReply) error { return s.w.Ping(args, reply) }
-func (s *workerService) Histogram2D(args *HistArgs, reply *HistReply) error {
-	return s.w.Histogram2D(args, reply)
-}
-func (s *workerService) FindIDs(args *FindArgs, reply *FindReply) error {
-	return s.w.FindIDs(args, reply)
-}
-func (s *workerService) Select(args *SelectArgs, reply *SelectReply) error {
-	return s.w.Select(args, reply)
-}
-
-// Server serves one Worker over any number of listeners, tracking every
-// accepted connection so Close can tear the whole node down — previously
-// in-flight ServeConn goroutines and their conns outlived the listener.
+// Server serves RPC over any number of listeners, tracking every accepted
+// connection so Close can tear the whole node down rather than leaving
+// in-flight ServeConn goroutines and their conns to outlive the listener.
 type Server struct {
-	worker *Worker
 	rpcSrv *rpc.Server
 
-	mu               sync.Mutex
-	listeners        []net.Listener
-	conns            map[net.Conn]struct{}
-	closed           bool
-	closeOnAcceptErr bool
+	mu        sync.Mutex
+	listeners []net.Listener
+	conns     map[net.Conn]struct{}
+	closed    bool
 
 	wg sync.WaitGroup
 }
 
-// NewServer registers the worker and returns a server ready to Serve.
-func NewServer(w *Worker) (*Server, error) {
+// NewServer returns a server with the Worker.Ping heartbeat registered,
+// ready to Serve.
+func NewServer() (*Server, error) {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &workerService{w: w}); err != nil {
+	if err := srv.RegisterName("Worker", Worker{}); err != nil {
 		return nil, fmt.Errorf("cluster: register worker: %w", err)
 	}
-	return &Server{worker: w, rpcSrv: srv, conns: make(map[net.Conn]struct{})}, nil
+	return &Server{rpcSrv: srv, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // RegisterName registers an additional RPC receiver on the server under
-// the given service name, so a node can serve more than one protocol over
-// the same listener — a shard worker serves both the "Worker" service
-// (whose Ping the pool's health probing relies on) and the "Shard"
-// fragment service.
+// the given service name — a shard worker serves the "Shard" fragment
+// service beside the "Worker" heartbeat over the same listener.
 func (s *Server) RegisterName(name string, rcvr any) error {
 	return s.rpcSrv.RegisterName(name, rcvr)
 }
@@ -293,9 +79,6 @@ func (s *Server) Serve(l net.Listener) {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
-				if s.closeOnAcceptErr {
-					s.closeConns()
-				}
 				return
 			}
 			if !s.track(conn) {
@@ -329,80 +112,27 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-func (s *Server) closeConns() {
+// Close stops the listeners, closes every in-flight connection and waits
+// for the serving goroutines to drain. Close is idempotent.
+func (s *Server) Close() {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	ls := s.listeners
+	s.listeners = nil
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// Close stops the listeners, closes every in-flight connection, waits for
-// the serving goroutines to drain and releases the worker's cached source.
-// Close is idempotent.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ls := s.listeners
-	s.listeners = nil
-	s.mu.Unlock()
 	for _, l := range ls {
 		l.Close()
 	}
-	s.closeConns()
+	for _, c := range conns {
+		c.Close()
+	}
 	s.wg.Wait()
-	return s.worker.Close()
-}
-
-// Serve starts an RPC worker on the listener. It returns immediately; the
-// listener owns the lifetime, and when it closes every connection it
-// accepted is closed with it.
-func Serve(l net.Listener, w *Worker) error {
-	s, err := NewServer(w)
-	if err != nil {
-		return err
-	}
-	s.closeOnAcceptErr = true
-	s.Serve(l)
-	return nil
-}
-
-// StartLocalWorkers starts n in-process RPC workers on loopback addresses
-// and returns their addresses plus a shutdown function. Shutdown closes
-// the listeners, every served connection and the workers' cached sources,
-// and is idempotent.
-func StartLocalWorkers(n int, dir string) (addrs []string, shutdown func(), err error) {
-	var servers []*Server
-	var once sync.Once
-	closeAll := func() {
-		once.Do(func() {
-			for _, s := range servers {
-				s.Close()
-			}
-		})
-	}
-	for i := 0; i < n; i++ {
-		srv, err := NewServer(NewWorker(dir))
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("cluster: listen: %w", err)
-		}
-		servers = append(servers, srv)
-		srv.Serve(l)
-		addrs = append(addrs, l.Addr().String())
-	}
-	return addrs, closeAll, nil
 }

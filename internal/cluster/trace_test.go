@@ -2,128 +2,28 @@ package cluster
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/cluster/faultnet"
-	"repro/internal/fastquery"
-	"repro/internal/histogram"
 	"repro/internal/obs"
 )
 
-// traceSpec is the histogram request used by the trace tests.
-var traceSpec = histogram.Spec2D{XVar: "x", YVar: "y", XBins: 8, YBins: 8}
-
-// tracedSweep runs one histogram sweep under a fresh trace and returns the
-// completed span tree.
-func tracedSweep(t *testing.T, p *Pool, steps []int) *obs.SpanData {
+// tracedCalls runs a round of concurrent Echo calls under a fresh trace and
+// returns the completed span tree.
+func tracedCalls(t *testing.T, p *Pool, n int) *obs.SpanData {
 	t.Helper()
 	tr := obs.NewTrace("", "request")
-	ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-	if _, err := p.HistogramSweepCtx(ctx, steps, "", traceSpec, fastquery.FastBit); err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
+	echoAll(t, obs.ContextWithSpan(context.Background(), tr.Root()), p, n)
 	tr.Root().End()
 	return tr.Data()
-}
-
-// TestTracePropagationSlowWorker is the satellite acceptance scenario: a
-// sweep over a faultnet-delayed worker must show that worker's remote span
-// — produced on the worker from the propagated trace ID — inside the
-// originating request's trace, under the slow worker's rpc-worker span.
-func TestTracePropagationSlowWorker(t *testing.T) {
-	dir := rpcDataset(t)
-	const delay = 30 * time.Millisecond
-
-	// Worker 0 plain, worker 1 behind a latency injector.
-	var addrs []string
-	var servers []*Server
-	var fls []*faultnet.Listener
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, fl := range fls {
-			fl.Kill()
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		srv, err := NewServer(NewWorker(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var l net.Listener = inner
-		if i == 1 {
-			fl := faultnet.Wrap(inner, faultnet.Config{Seed: 7, Latency: delay})
-			fls = append(fls, fl)
-			l = fl
-		}
-		srv.Serve(l)
-		addrs = append(addrs, inner.Addr().String())
-	}
-
-	cfg := DefaultPoolConfig()
-	cfg.ProbeInterval = 0
-	p, err := DialConfig(addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Steps 0 and 1 stride to workers 0 and 1 respectively.
-	d := tracedSweep(t, p, []int{0, 1})
-
-	// Both sweep steps must appear, and the slow worker's rpc-worker span
-	// must contain a remote worker:hist2d subtree with worker-side stages.
-	var slow *obs.SpanData
-	d.Walk(func(sd *obs.SpanData) {
-		if sd.Name == "rpc-worker" && sd.Attrs["worker"] == addrs[1] {
-			slow = sd
-		}
-	})
-	if slow == nil {
-		t.Fatalf("no rpc-worker span for slow worker %s in trace:\n%+v", addrs[1], d)
-	}
-	remote := slow.Find("worker:hist2d")
-	if remote == nil {
-		t.Fatal("slow worker's remote span missing from originating trace")
-	}
-	if !remote.Remote {
-		t.Error("remote worker span not marked Remote")
-	}
-	if remote.Find("gather-values") == nil {
-		t.Error("worker-side stage spans missing from remote subtree")
-	}
-	// The rpc-worker wall time must reflect the injected latency (the
-	// injector delays accept-side I/O on every connection round trip).
-	if slow.DurationMS < float64(delay/time.Millisecond) {
-		t.Errorf("slow rpc-worker span %.1fms, want >= %dms", slow.DurationMS, delay/time.Millisecond)
-	}
-	// Worker 0's remote span must also be present (trace ID propagated to
-	// every step of the sweep, not just the slow one).
-	found := 0
-	d.Walk(func(sd *obs.SpanData) {
-		if sd.Name == "worker:hist2d" {
-			found++
-		}
-	})
-	if found != 2 {
-		t.Errorf("remote worker spans = %d, want 2", found)
-	}
 }
 
 // TestTraceRetriesAreSiblingSpans verifies that when a flaky worker forces
 // retries, each attempt appears as a sibling rpc-attempt span under the
 // same rpc-worker span in the originating trace.
 func TestTraceRetriesAreSiblingSpans(t *testing.T) {
-	addrs, _, cleanup := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.3})
-	defer cleanup()
+	addrs, _ := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.3})
 
 	cfg := DefaultPoolConfig()
 	cfg.CallTimeout = 2 * time.Second
@@ -137,10 +37,10 @@ func TestTraceRetriesAreSiblingSpans(t *testing.T) {
 	}
 	defer p.Close()
 
-	// The injected 30% call-error rate makes a retry within a few sweeps
+	// The injected 30% call-error rate makes a retry within a few rounds
 	// overwhelmingly likely; scan traces until one shows sibling attempts.
 	for round := 0; round < 20; round++ {
-		d := tracedSweep(t, p, sweepSteps(12, 5))
+		d := tracedCalls(t, p, 12)
 		var siblings *obs.SpanData
 		d.Walk(func(sd *obs.SpanData) {
 			if sd.Name != "rpc-worker" {
@@ -167,10 +67,10 @@ func TestTraceRetriesAreSiblingSpans(t *testing.T) {
 			}
 			return
 		}
-		// Workers marked unhealthy mid-round would change striding; reset.
+		// Workers marked unhealthy mid-round would leave the rotation; reset.
 		for _, c := range p.Callers() {
 			c.SetHealthy(true)
 		}
 	}
-	t.Fatal("no trace showed sibling rpc-attempt spans after 20 sweeps")
+	t.Fatal("no trace showed sibling rpc-attempt spans after 20 rounds")
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -15,6 +16,7 @@ import (
 // in-process. The frontend sums the Cost fields into query totals, and
 // the explain identity tests assert the sums are exact.
 type FragProfile struct {
+	Step  int    `json:"step"`
 	Shard int    `json:"shard"`
 	Op    string `json:"op"`
 	Rows  [2]int `json:"rows"` // row range [lo, hi); [0,0] = whole step
@@ -54,14 +56,30 @@ func (p *Profile) Add(fp FragProfile) {
 	p.mu.Unlock()
 }
 
-// Fragments returns a copy of the collected fragment profiles.
+// Fragments returns a copy of the collected fragment profiles, sorted by
+// (step, shard, rows.lo, op): fragments — and, in a batch, whole steps —
+// finish in scheduler order, and an explain must not depend on it.
 func (p *Profile) Fragments() []FragProfile {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]FragProfile(nil), p.frags...)
+	out := append([]FragProfile(nil), p.frags...)
+	p.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		switch {
+		case a.Step != b.Step:
+			return a.Step < b.Step
+		case a.Shard != b.Shard:
+			return a.Shard < b.Shard
+		case a.Rows[0] != b.Rows[0]:
+			return a.Rows[0] < b.Rows[0]
+		default:
+			return a.Op < b.Op
+		}
+	})
+	return out
 }
 
 // Totals sums the collected fragment costs — by construction the exact
@@ -69,7 +87,12 @@ func (p *Profile) Fragments() []FragProfile {
 // surface exposes.
 func (p *Profile) Totals() obs.CostSnapshot {
 	var t obs.CostSnapshot
-	for _, fp := range p.Fragments() {
+	if p == nil {
+		return t
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, fp := range p.frags {
 		t.Add(fp.Cost)
 	}
 	return t

@@ -161,17 +161,22 @@ type Sweep2DBody struct {
 	Steps   []int  `json:"steps"`
 	Plan    string `json:"plan,omitempty"`
 	Backend string `json:"backend"`
-	// Mode is "cluster" when the sweep was strided across RPC workers,
-	// "local" when it ran serially in-process.
-	Mode      string        `json:"mode"`
-	XVar      string        `json:"xvar"`
-	YVar      string        `json:"yvar"`
-	Totals    []uint64      `json:"totals"` // per step, aligned with Steps
-	Total     uint64        `json:"total"`
-	Failed    []int         `json:"failed,omitempty"` // steps with no result (partial sweeps)
-	ElapsedMS float64       `json:"elapsed_ms"`
-	Trace     *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain   *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	// Mode is "scatter" when the steps were scattered across the shard
+	// fleet, "local" when they ran in-process.
+	Mode   string   `json:"mode"`
+	XVar   string   `json:"xvar"`
+	YVar   string   `json:"yvar"`
+	Totals []uint64 `json:"totals"` // per step, aligned with Steps
+	Total  uint64   `json:"total"`
+	// Partial marks a sweep in which some step merged without every shard:
+	// FailedSteps lists those steps (their totals are short), FailedShards
+	// the shards that were missing.
+	Partial      bool          `json:"partial,omitempty"`
+	FailedSteps  []int         `json:"failed_steps,omitempty"`
+	FailedShards []int         `json:"failed_shards,omitempty"`
+	ElapsedMS    float64       `json:"elapsed_ms"`
+	Trace        *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
+	Explain      *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
 }
 
 // BuildInfo is the binary/runtime identity block of /v1/stats.

@@ -110,6 +110,72 @@ func TestExplainMergeIdentity(t *testing.T) {
 	}
 }
 
+// TestExplainSweepIdentity extends the merge identity across steps: a
+// sweep's explain attributes every fragment to its step, reads back in
+// (step, shard, rows.lo) order however the concurrent steps finished, sums
+// exactly to its totals — and those totals are the sum of the per-step
+// /v1/hist2d explains. Each side runs on its own fresh fleet: costs depend
+// on what a shard already has loaded and cached, so only cold-vs-cold is
+// comparable.
+func TestExplainSweepIdentity(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		for _, backend := range []string{"fastbit", "scan"} {
+			name := fmt.Sprintf("shards=%d/%s", n, backend)
+			params := "dataset=lwfa&backend=" + backend + "&x=x&y=px&xbins=8&ybins=8&debug=explain&q=" +
+				url.QueryEscape("px > 0.0003")
+
+			_, sweepTS := frontendServer(t, startShardFleet(t, n, nil))
+			var sweep Sweep2DBody
+			p := "/v1/sweep2d?" + params
+			if code, raw := get(t, sweepTS, p, &sweep); code != 200 {
+				t.Fatalf("%s: %s: status %d: %s", name, p, code, raw)
+			}
+			checkMergeIdentity(t, name+" "+p, sweep.Explain, n)
+			if sweep.Explain.Totals.IsZero() {
+				t.Fatalf("%s: cold sweep charged zero cost", name)
+			}
+			frags := sweep.Explain.Fragments
+			perStep := map[int]obs.CostSnapshot{}
+			for i, f := range frags {
+				c := perStep[f.Step]
+				c.Add(f.Cost)
+				perStep[f.Step] = c
+				if i == 0 {
+					continue
+				}
+				prev := frags[i-1]
+				if f.Step < prev.Step || (f.Step == prev.Step && f.Shard < prev.Shard) ||
+					(f.Step == prev.Step && f.Shard == prev.Shard && f.Rows[0] < prev.Rows[0]) {
+					t.Fatalf("%s: fragments out of (step, shard, rows.lo) order at %d: %+v then %+v", name, i, prev, f)
+				}
+			}
+			if len(perStep) != len(sweep.Steps) {
+				t.Fatalf("%s: fragments name %d steps, sweep ran %d", name, len(perStep), len(sweep.Steps))
+			}
+
+			_, stepTS := frontendServer(t, startShardFleet(t, n, nil))
+			var sum obs.CostSnapshot
+			for _, step := range sweep.Steps {
+				var body explainEnvelope
+				p := fmt.Sprintf("/v1/hist2d?step=%d&%s", step, params)
+				if code, raw := get(t, stepTS, p, &body); code != 200 {
+					t.Fatalf("%s: %s: status %d: %s", name, p, code, raw)
+				}
+				checkMergeIdentity(t, name+" "+p, body.Explain, n)
+				if body.Explain.Totals != perStep[step] {
+					t.Errorf("%s: step %d: sweep fragments cost %+v, hist2d explain %+v",
+						name, step, perStep[step], body.Explain.Totals)
+				}
+				sum.Add(body.Explain.Totals)
+			}
+			if sum != sweep.Explain.Totals {
+				t.Errorf("%s: sweep totals are not the sum of the per-step explains:\n  sweep         = %+v\n  sum(hist2d)   = %+v",
+					name, sweep.Explain.Totals, sum)
+			}
+		}
+	}
+}
+
 // TestExplainMergeIdentityLocal: a single-process server (no scatter
 // client) must produce the same explain shape through the local runner.
 func TestExplainMergeIdentityLocal(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -301,51 +300,59 @@ func TestSweep2DLocal(t *testing.T) {
 	}
 }
 
-// TestSweep2DClusterTrace is the tentpole acceptance scenario: a
-// cluster-backed sweep with ?debug=trace returns a span tree whose
-// remote-worker subtrees came back over the RPC boundary.
-func TestSweep2DClusterTrace(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	addrs, shutdown, err := cluster.StartLocalWorkers(2, testDataDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	cfg := cluster.DefaultPoolConfig()
-	cfg.ProbeInterval = 0
-	if err := s.SetWorkers(addrs, cfg); err != nil {
-		t.Fatal(err)
-	}
+// TestSweep2DScatterTrace: a sweep on a scatter frontend with ?debug=trace
+// returns one span tree in which every step's fragments carry the
+// shard-side subtrees that came back over the RPC boundary — sweep-step →
+// fragment → {rpc-worker, remote shard:hist2d}.
+func TestSweep2DScatterTrace(t *testing.T) {
+	fleet := startShardFleet(t, 2, nil)
+	_, ts := frontendServer(t, fleet)
 
+	// Conditional with an explicit range: every step scatters one hist2d
+	// fragment per shard, with no min/max phase in front.
 	var body Sweep2DBody
-	code, raw := get(t, ts, "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&steps=0-3&debug=trace", &body)
+	code, raw := get(t, ts, "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&xlo=-1e12&xhi=1e12&ylo=-1e12&yhi=1e12&steps=0-3&debug=trace&q="+
+		url.QueryEscape("px > 0.0003"), &body)
 	if code != 200 {
 		t.Fatalf("sweep2d: %d %s", code, raw)
 	}
-	if body.Mode != "cluster" {
-		t.Fatalf("mode %q, want cluster", body.Mode)
-	}
-	if len(body.Failed) != 0 || body.Total == 0 {
+	if body.Mode != "scatter" || body.Partial || body.Total == 0 {
 		t.Fatalf("sweep body: %+v", body)
 	}
 	if body.Trace == nil {
 		t.Fatal("no trace echoed")
 	}
-	workers, remotes := 0, 0
-	body.Trace.Walk(func(sd *obs.SpanData) {
-		switch sd.Name {
-		case "rpc-worker":
-			workers++
-		case "worker:hist2d":
-			remotes++
-			if !sd.Remote {
-				t.Error("worker:hist2d span not marked Remote")
-			}
+	steps, frags := 0, 0
+	body.Trace.Walk(func(step *obs.SpanData) {
+		if step.Name != "sweep-step" {
+			return
 		}
+		steps++
+		step.Walk(func(frag *obs.SpanData) {
+			if frag.Name != "fragment" {
+				return
+			}
+			frags++
+			if frag.Find("rpc-worker") == nil {
+				t.Fatalf("fragment without an rpc-worker span:\n%+v", frag)
+			}
+			// The scatter client attaches the shard's subtree beside the
+			// rpc-worker span, under the fragment it answers.
+			remote := frag.Find("shard:hist2d")
+			if remote == nil {
+				t.Fatalf("fragment without the shard's remote span:\n%+v", frag)
+			}
+			if !remote.Remote {
+				t.Error("shard:hist2d span not marked Remote")
+			}
+			if remote.Find("bitmap-eval") == nil {
+				t.Error("shard-side stage spans missing from the remote subtree")
+			}
+		})
 	})
-	if workers != 4 || remotes != 4 {
-		t.Fatalf("rpc-worker spans = %d, remote worker spans = %d, want 4 and 4:\n%+v",
-			workers, remotes, body.Trace)
+	if steps != 4 || frags != 8 {
+		t.Fatalf("sweep-step spans = %d, fragment spans under them = %d, want 4 and 8:\n%+v",
+			steps, frags, body.Trace)
 	}
 }
 

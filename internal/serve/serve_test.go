@@ -165,6 +165,56 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestStepsParam table-tests the sweep/track steps parser over the 4-step
+// test dataset. The duplicate case is the fan-out bound: with repeats
+// rejected, no request can name more plans than the dataset has steps.
+func TestStepsParam(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	d, _ := s.datasetByName("lwfa")
+	cases := []struct {
+		name     string
+		raw      string
+		want     []int
+		wantCode int
+		wantSub  string
+	}{
+		{"empty means all", "", []int{0, 1, 2, 3}, 0, ""},
+		{"range", "1-3", []int{1, 2, 3}, 0, ""},
+		{"single-step range", "2-2", []int{2}, 0, ""},
+		{"list keeps order", "3, 0,2", []int{3, 0, 2}, 0, ""},
+		{"single", "1", []int{1}, 0, ""},
+		{"inverted range", "3-1", nil, 400, "bad steps range"},
+		{"range past the end", "2-4", nil, 404, "out of range"},
+		{"open range", "1-", nil, 400, "bad steps range"},
+		{"negative list entry", "0,-1", nil, 400, "bad steps range"},
+		{"list entry out of range", "0,4", nil, 404, "out of range"},
+		{"duplicate", "0,1,0", nil, 400, "listed twice"},
+		{"duplicate flood", "0" + strings.Repeat(",0", 1000), nil, 400, "listed twice"},
+		{"junk", "a,b", nil, 400, "bad steps"},
+		{"trailing comma", "0,1,", nil, 400, "bad steps"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest("GET", "/v1/sweep2d?steps="+url.QueryEscape(tc.raw), nil)
+			got, herr := stepsParam(r, d)
+			if tc.wantCode == 0 {
+				if herr != nil || !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("stepsParam(%q) = %v, %v; want %v", tc.raw, got, herr, tc.want)
+				}
+				return
+			}
+			if herr == nil || herr.status != tc.wantCode || !strings.Contains(herr.msg, tc.wantSub) {
+				t.Fatalf("stepsParam(%q) = %v, %v; want %d containing %q", tc.raw, got, herr, tc.wantCode, tc.wantSub)
+			}
+		})
+	}
+	// And over HTTP: the handlers surface the parser's rejection.
+	var e ErrorBody
+	if code, body := get(t, ts, "/v1/sweep2d?x=x&y=px&steps=1,1", &e); code != 400 {
+		t.Fatalf("sweep2d with a repeated step = %d (%s), want 400", code, body)
+	}
+}
+
 // TestBackendsAgree drives the drill-down loop over HTTP and checks the
 // fastbit and scan backends return identical results.
 func TestBackendsAgree(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -256,7 +255,6 @@ type Server struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset
 	order    []string
-	pool     *cluster.Pool // optional worker pool for /v1/sweep2d
 	shard    *shard.Client // optional scatter client: this server is a frontend
 
 	backendCalls     *obs.Counter
@@ -399,32 +397,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // listener.
 func (s *Server) SlowLog() *obs.SlowLog { return s.slowLog }
 
-// SetWorkers connects the server to a pool of cluster workers; once set,
-// /v1/sweep2d strides sweeps across them instead of looping locally.
-// Replaces (and closes) any previous pool. Pass nil cfg fields via
-// cluster.DefaultPoolConfig.
-func (s *Server) SetWorkers(addrs []string, cfg cluster.PoolConfig) error {
-	p, err := cluster.DialConfig(addrs, cfg)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	old := s.pool
-	s.pool = p
-	s.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// workerPool returns the configured cluster pool, or nil.
-func (s *Server) workerPool() *cluster.Pool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pool
-}
-
 // SetShardClient turns this server into a scatter-gather frontend: query,
 // hist1d, hist2d and sweep2d fragments are scattered to the client's shard
 // workers and the mergeable partials combined, instead of evaluating
@@ -466,7 +438,7 @@ func (s *Server) AddDataset(name, dir string) error {
 	return nil
 }
 
-// Close releases every open dataset and the worker pool, if any.
+// Close releases every open dataset and the scatter client, if any.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -475,10 +447,6 @@ func (s *Server) Close() {
 	}
 	s.datasets = map[string]*dataset{}
 	s.order = nil
-	if s.pool != nil {
-		s.pool.Close()
-		s.pool = nil
-	}
 	if s.shard != nil {
 		s.shard.Close()
 		s.shard = nil
@@ -1053,6 +1021,7 @@ func (lr localRunner) RunFragment(ctx context.Context, shardIdx int, f plan.Frag
 	start := time.Now()
 	res, err := shard.Eval(obs.WithCost(ctx, cost), st, f)
 	fp := plan.FragProfile{
+		Step:   f.Step,
 		Shard:  shardIdx,
 		Op:     f.Op.String(),
 		Rows:   [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
@@ -1067,22 +1036,72 @@ func (lr localRunner) RunFragment(ctx context.Context, shardIdx int, f plan.Frag
 	return res, err
 }
 
-// execPlan runs one planned operation: scattered across the shard fleet
-// when a scatter client is configured (merging partials, degrading to a
-// Partial answer when a shard is unreachable), locally otherwise.
-func (s *Server) execPlan(ctx context.Context, d *dataset, pq plan.Query, rows uint64) (*plan.Result, error) {
+// planTarget returns where plans run: the shard fleet when a scatter
+// client is configured (merging partials, degrading to a Partial answer
+// when a shard is unreachable), in-process as the one-shard case otherwise.
+func (s *Server) planTarget(d *dataset) (plan.ShardMap, plan.Runner, plan.PartialPolicy) {
 	if c := s.shardClient(); c != nil {
-		s.scatters.Inc()
-		res, err := plan.Execute(ctx, pq, plan.ShardMap{Shards: c.Shards()}, rows, c, plan.ReturnPartial)
-		if res != nil {
-			s.scatterFrags.Add(uint64(res.Fragments))
-			if res.Partial {
-				s.partials.Inc()
-			}
-		}
-		return res, err
+		return plan.ShardMap{Shards: c.Shards()}, c, plan.ReturnPartial
 	}
-	return plan.Execute(ctx, pq, plan.ShardMap{Shards: 1}, rows, localRunner{s: s, d: d}, plan.FailFast)
+	return plan.ShardMap{Shards: 1}, localRunner{s: s, d: d}, plan.FailFast
+}
+
+// noteScatter counts one plan executed through the scatter client.
+func (s *Server) noteScatter(res *plan.Result) {
+	if s.shardClient() == nil {
+		return
+	}
+	s.scatters.Inc()
+	if res != nil {
+		s.scatterFrags.Add(uint64(res.Fragments))
+		if res.Partial {
+			s.partials.Inc()
+		}
+	}
+}
+
+// execPlan runs one planned operation on the plan target.
+func (s *Server) execPlan(ctx context.Context, d *dataset, pq plan.Query, rows uint64) (*plan.Result, error) {
+	m, r, policy := s.planTarget(d)
+	res, err := plan.Execute(ctx, pq, m, rows, r, policy)
+	s.noteScatter(res)
+	return res, err
+}
+
+// execPlans runs a multi-step operation — a sweep, a track, a temporal
+// view — as one batch on the plan target, steps overlapping up to the
+// planner's in-flight cap. Beside the per-query results (aligned with pqs)
+// it returns their plan.Summary, which marks the response and feeds its
+// explain and slow-log note exactly like a single plan's Result does.
+func (s *Server) execPlans(ctx context.Context, d *dataset, pqs []plan.Query) ([]*plan.Result, *plan.Result, error) {
+	rows := make([]uint64, len(pqs))
+	for i, pq := range pqs {
+		st, err := d.step(pq.Step)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows[i] = st.Rows()
+	}
+	m, r, policy := s.planTarget(d)
+	results, err := plan.ExecuteAll(ctx, pqs, m, rows, r, policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, res := range results {
+		s.noteScatter(res)
+	}
+	return results, plan.Summary(results), nil
+}
+
+// partialSteps lists the steps whose plan merged without every shard.
+func partialSteps(pqs []plan.Query, results []*plan.Result) []int {
+	var out []int
+	for i, res := range results {
+		if res.Partial {
+			out = append(out, pqs[i].Step)
+		}
+	}
+	return out
 }
 
 // markPartial mirrors a partial merge in the response headers, the way
@@ -1426,7 +1445,10 @@ func (s *Server) serveHist2D(w http.ResponseWriter, r *http.Request, req *reques
 }
 
 // stepsParam parses the steps parameter for sweeps: "" (all steps),
-// "a-b" (inclusive range), or a comma-separated list.
+// "a-b" (inclusive range), or a comma-separated list. A step may be named
+// once: every listed step is one concurrent plan, so repeats would let a
+// single request fan out without bound; rejecting them caps any sweep or
+// track at the dataset's step count.
 func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 	n := d.src.Steps()
 	raw := r.FormValue("steps")
@@ -1462,6 +1484,7 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 		return out, nil
 	}
 	var out []int
+	seen := make(map[int]bool)
 	for _, f := range strings.Split(raw, ",") {
 		t, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
@@ -1470,15 +1493,19 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 		if herr := check(t); herr != nil {
 			return nil, herr
 		}
+		if seen[t] {
+			return nil, errf(http.StatusBadRequest, "step %d listed twice in steps", t)
+		}
+		seen[t] = true
 		out = append(out, t)
 	}
 	return out, nil
 }
 
 // handleSweep2D computes one conditional 2D histogram per timestep — the
-// paper's temporal-evolution view. With a worker pool configured the
-// steps are strided across cluster nodes (and their trace subtrees appear
-// in this request's trace); otherwise each step runs locally in turn.
+// paper's temporal-evolution view. The steps run as one batch through the
+// planner: in-process here, scattered step × row-range across the shard
+// fleet on a frontend, steps overlapping either way.
 func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, herr := s.parseRequest(r, false)
@@ -1510,78 +1537,49 @@ func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 		ctx = plan.WithProfile(ctx, req.prof)
 	}
 
-	var hists []*histogram.Hist2D
-	var err error
-	mode := "local"
-	if p := s.workerPool(); p != nil {
-		mode = "cluster"
-		hists, err = p.HistogramSweepCtx(ctx, steps, req.src, spec, req.backend)
-	} else {
-		if s.shardClient() != nil {
-			mode = "scatter"
-		}
-		hists, err = s.planSweep(ctx, req, steps, spec)
+	pqs := make([]plan.Query, len(steps))
+	for i, t := range steps {
+		pqs[i] = req.planQuery(plan.OpHist2D)
+		pqs[i].Step = t
+		pqs[i].Spec2 = spec
 	}
+	results, sum, err := s.execPlans(ctx, req.d, pqs)
 	if err != nil {
 		s.writeExecError(w, err)
 		return
 	}
+	mode := "local"
+	if s.shardClient() != nil {
+		mode = "scatter"
+	}
 	body := Sweep2DBody{
-		Dataset:   req.d.name,
-		Steps:     steps,
-		Plan:      req.plan,
-		Backend:   req.backend.String(),
-		Mode:      mode,
-		XVar:      spec.XVar,
-		YVar:      spec.YVar,
-		Totals:    make([]uint64, len(hists)),
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Trace:     traceEcho(r),
+		Dataset:      req.d.name,
+		Steps:        steps,
+		Plan:         req.plan,
+		Backend:      req.backend.String(),
+		Mode:         mode,
+		XVar:         spec.XVar,
+		YVar:         spec.YVar,
+		Totals:       make([]uint64, len(results)),
+		Partial:      sum.Partial,
+		FailedSteps:  partialSteps(pqs, results),
+		FailedShards: sum.Failed,
+		Trace:        traceEcho(r),
 	}
-	for i, h := range hists {
-		if h == nil { // partial sweep result
-			body.Failed = append(body.Failed, steps[i])
-			continue
-		}
-		body.Totals[i] = h.Total()
-		body.Total += h.Total()
+	for i, res := range results {
+		body.Totals[i] = res.Hist2.Total()
+		body.Total += body.Totals[i]
 	}
-	s.noteExplain(r, req, nil, Computed, "")
+	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	s.noteExplain(r, req, sum, Computed, "")
+	markPartial(w, sum)
 	if req.explain {
 		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "sweep2d", nil, Computed, "", start)
+		body.Explain = s.buildExplain(ctx, r, req, "sweep2d", sum, Computed, "", start)
 		if req.explainOnly {
 			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
 			return
 		}
 	}
 	writeBody(r, w, body)
-}
-
-// planSweep runs the per-step histograms serially through the planner,
-// each under its own sweep-step span to mirror the cluster path's trace
-// shape. Without a scatter client every step evaluates in-process; with
-// one, each step scatters across the shard fleet in turn.
-func (s *Server) planSweep(ctx context.Context, req *request, steps []int, spec histogram.Spec2D) ([]*histogram.Hist2D, error) {
-	out := make([]*histogram.Hist2D, len(steps))
-	for i, t := range steps {
-		st, err := req.d.step(t)
-		if err != nil {
-			return nil, err
-		}
-		sctx, sp := obs.StartSpan(ctx, "sweep-step")
-		sp.SetAttr("step", strconv.Itoa(t))
-		pq := req.planQuery(plan.OpHist2D)
-		pq.Step = t
-		pq.Spec2 = spec
-		res, err := s.execPlan(sctx, req.d, pq, st.Rows())
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, err
-		}
-		sp.End()
-		out[i] = res.Hist2
-	}
-	return out, nil
 }

@@ -507,6 +507,7 @@ func (s *Server) handleSessionTrack(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	var sum *plan.Result // nil when there were no IDs to follow
 	body := SessionTrackBody{
 		Session: sid, Name: sel.Name, Dataset: d.name,
 		Step: sel.Step, Backend: sel.Backend, IDVar: st.IDVar(),
@@ -520,29 +521,20 @@ func (s *Server) handleSessionTrack(w http.ResponseWriter, r *http.Request) {
 			fids[i] = float64(id)
 		}
 		body.Expr = query.Canonical(query.NewIn(st.IDVar(), fids)).String()
+		pqs := make([]plan.Query, len(steps))
 		for i, t := range steps {
-			stT, err := d.step(t)
-			if err != nil {
-				s.writeExecError(w, err)
-				return
-			}
-			sctx, sp := obs.StartSpan(ctx, "track-step")
-			pq := plan.Query{Op: plan.OpCount, Dataset: d.name, Step: t,
+			pqs[i] = plan.Query{Op: plan.OpCount, Dataset: d.name, Step: t,
 				Query: body.Expr, Backend: req.backend}
-			res, err := s.execPlan(sctx, d, pq, stT.Rows())
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				s.writeExecError(w, err)
-				return
-			}
-			sp.End()
-			body.Counts[i] = res.Count
-			if res.Partial {
-				body.Partial = true
-				body.FailedSteps = append(body.FailedSteps, t)
-			}
 		}
+		var results []*plan.Result
+		if results, sum, err = s.execPlans(ctx, d, pqs); err != nil {
+			s.writeExecError(w, err)
+			return
+		}
+		for i, res := range results {
+			body.Counts[i] = res.Count
+		}
+		body.Partial, body.FailedSteps = sum.Partial, partialSteps(pqs, results)
 	}
 	if body.Partial {
 		// Store-or-reject, same rule as select: a track missing a shard's
@@ -563,10 +555,10 @@ func (s *Server) handleSessionTrack(w http.ResponseWriter, r *http.Request) {
 		body.Stored = true
 	}
 	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.noteExplain(r, req, nil, Computed, "")
+	s.noteExplain(r, req, sum, Computed, "")
 	if req.explain {
 		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "session-track", nil, Computed, "", start)
+		body.Explain = s.buildExplain(ctx, r, req, "session-track", sum, Computed, "", start)
 		if req.explainOnly {
 			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
 			return
@@ -687,27 +679,27 @@ func (s *Server) handleSessionViews(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		partial := false
-		for si, t := range steps {
-			stT, err := d.step(t)
-			if err != nil {
-				s.writeExecError(w, err)
-				return
-			}
-			hists := make([]*histogram.Hist2D, len(axes)-1)
-			for i := 0; i < len(axes)-1; i++ {
+		// One plan per (step, adjacent axis pair), step-major.
+		pairs := len(axes) - 1
+		pqs := make([]plan.Query, 0, len(steps)*pairs)
+		for _, t := range steps {
+			for i := 0; i < pairs; i++ {
 				spec := histogram.NewSpec2D(axes[i].Var, axes[i+1].Var, bins, bins)
 				spec.XLo, spec.XHi = axes[i].Min, axes[i].Max
 				spec.YLo, spec.YHi = axes[i+1].Min, axes[i+1].Max
-				pq := plan.Query{Op: plan.OpHist2D, Dataset: d.name, Step: t,
-					Query: pred, Backend: backend, Spec2: spec}
-				res, err := s.execPlan(ctx, d, pq, stT.Rows())
-				if err != nil {
-					s.writeExecError(w, err)
-					return
-				}
-				partial = partial || res.Partial
-				hists[i] = res.Hist2
+				pqs = append(pqs, plan.Query{Op: plan.OpHist2D, Dataset: d.name, Step: t,
+					Query: pred, Backend: backend, Spec2: spec})
+			}
+		}
+		results, sum, err := s.execPlans(ctx, d, pqs)
+		if err != nil {
+			s.writeExecError(w, err)
+			return
+		}
+		for si := range steps {
+			hists := make([]*histogram.Hist2D, pairs)
+			for i := range hists {
+				hists[i] = results[si*pairs+i].Hist2
 			}
 			layer := &pcoords.HistLayer{Hists: hists, Color: layerPalette[si%len(layerPalette)]}
 			if err := plot.AddHistLayer(layer); err != nil {
@@ -720,9 +712,7 @@ func (s *Server) handleSessionViews(w http.ResponseWriter, r *http.Request) {
 			s.writeExecError(w, err)
 			return
 		}
-		if partial {
-			w.Header().Set("X-Partial", "1")
-		}
+		markPartial(w, sum)
 		w.Header().Set("Content-Type", "image/png")
 		canvas.EncodePNG(w) //nolint:errcheck // client gone; nothing to do
 		return

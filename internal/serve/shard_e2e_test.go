@@ -50,7 +50,7 @@ func startShardFleet(t *testing.T, n int, wrap func(i int, l net.Listener) (net.
 			fleet.Close()
 			t.Fatal(err)
 		}
-		srv, err := shard.NewServer(shard.NewService(ex, nil), testDataDir(t))
+		srv, err := shard.NewServer(shard.NewService(ex, nil))
 		if err != nil {
 			ex.Close()
 			fleet.Close()
@@ -198,6 +198,32 @@ func TestFrontendPartialOnShardDeath(t *testing.T) {
 	// as if complete.
 	if !pb.Partial {
 		t.Fatal("cached partial replayed")
+	}
+
+	// A sweep crossing the dead shard is marked the same three ways —
+	// header, body, explain — with the short steps and the missing shard
+	// named; its totals are the survivors', never passed off as complete.
+	sweep := "/v1/sweep2d?dataset=lwfa&x=x&y=px&xbins=8&ybins=8&debug=explain&q=" + url.QueryEscape("px > 0.0005")
+	var sb Sweep2DBody
+	if code, body := get(t, fts, sweep, &sb); code != http.StatusOK {
+		t.Fatalf("post-kill sweep status %d: %s", code, body)
+	}
+	if _, hdr, _ := getFull(t, fts, sweep); hdr != "1" {
+		t.Fatalf("sweep X-Partial = %q, want 1", hdr)
+	}
+	if !sb.Partial || !reflect.DeepEqual(sb.FailedShards, []int{1}) || !reflect.DeepEqual(sb.FailedSteps, sb.Steps) {
+		t.Fatalf("sweep body = %+v, want partial on every step with failed_shards [1]", sb)
+	}
+	if sb.Explain == nil || !sb.Explain.Partial || !reflect.DeepEqual(sb.Explain.FailedShards, []int{1}) {
+		t.Fatalf("sweep explain = %+v, want partial with failed_shards [1]", sb.Explain)
+	}
+	var full Sweep2DBody
+	_, bts := testServer(t, Config{})
+	if code, body := get(t, bts, sweep, &full); code != http.StatusOK {
+		t.Fatalf("baseline sweep status %d: %s", code, body)
+	}
+	if sb.Total >= full.Total {
+		t.Fatalf("partial sweep total %d not short of the complete %d", sb.Total, full.Total)
 	}
 }
 

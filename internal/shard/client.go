@@ -78,6 +78,7 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 			return
 		}
 		profile.Add(plan.FragProfile{
+			Step:      f.Step,
 			Shard:     shard,
 			Op:        f.Op.String(),
 			Rows:      [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
@@ -148,6 +149,7 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 			// An older worker (or one restarted mid-rollout) that does not
 			// fill profiles still accounts for the fragment, with zero cost.
 			fp = &plan.FragProfile{
+				Step:   f.Step,
 				Op:     f.Op.String(),
 				Rows:   [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
 				Cached: reply.Cached,

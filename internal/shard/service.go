@@ -89,9 +89,10 @@ func NewService(ex *Executor, admit AdmitFunc) *Service {
 	return &Service{ex: ex, admit: admit}
 }
 
-// shardTrace mirrors the cluster package's worker-side trace bootstrap: a
-// propagated trace ID starts a shard-side trace whose snapshot rides back
-// in the reply for the frontend to attach under its fragment span.
+// shardTrace starts a shard-side trace for a propagated trace ID; its
+// snapshot rides back in the reply for the frontend to attach under its
+// fragment span. With no trace ID the context is plain and the trace nil;
+// finishTrace on a nil trace is a no-op, so Exec calls both unconditionally.
 func shardTrace(id, rootName string) (context.Context, *obs.Trace) {
 	if id == "" {
 		return context.Background(), nil
@@ -124,6 +125,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 			return nil
 		}
 		return &plan.FragProfile{
+			Step:     args.Frag.Step,
 			Op:       args.Frag.Op.String(),
 			Rows:     [2]int{int(args.Frag.Rows.Lo), int(args.Frag.Rows.Hi)},
 			BudgetMS: args.BudgetMS,
@@ -218,13 +220,11 @@ func (s *Service) Metrics(args *MetricsArgs, reply *MetricsReply) error {
 	return nil
 }
 
-// NewServer builds a cluster RPC server that serves both the "Shard"
-// fragment service and the standard "Worker" service (for Ping health
-// probes) over the same listeners. dir is the dataset directory the
-// embedded Worker would serve sweep RPCs from; shard workers reuse the
-// executor's first dataset directory.
-func NewServer(svc *Service, dir string) (*cluster.Server, error) {
-	srv, err := cluster.NewServer(cluster.NewWorker(dir))
+// NewServer builds a cluster RPC server that serves the "Shard" fragment
+// service beside the standard "Worker" service (for Ping health probes)
+// over the same listeners.
+func NewServer(svc *Service) (*cluster.Server, error) {
+	srv, err := cluster.NewServer()
 	if err != nil {
 		return nil, err
 	}
@@ -236,8 +236,8 @@ func NewServer(svc *Service, dir string) (*cluster.Server, error) {
 
 // StartLocalShards starts n in-process shard workers over the given
 // datasets (name -> directory), one replica each, and returns the
-// per-shard address groups plus an idempotent shutdown. Tests and the
-// local walkthrough use it the way StartLocalWorkers serves sweeps.
+// per-shard address groups plus an idempotent shutdown, for tests and the
+// benchmark harness.
 func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shards [][]string, shutdown func(), err error) {
 	var servers []*cluster.Server
 	var executors []*Executor
@@ -252,7 +252,6 @@ func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shar
 			}
 		})
 	}
-	dir := ""
 	for i := 0; i < n; i++ {
 		ex := NewExecutor(cacheEntries)
 		for name, d := range datasets {
@@ -260,10 +259,9 @@ func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shar
 				closeAll()
 				return nil, nil, err
 			}
-			dir = d
 		}
 		executors = append(executors, ex)
-		srv, err := NewServer(NewService(ex, nil), dir)
+		srv, err := NewServer(NewService(ex, nil))
 		if err != nil {
 			closeAll()
 			return nil, nil, err
