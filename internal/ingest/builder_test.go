@@ -121,8 +121,9 @@ func TestBuilderFatalErrorNoRetry(t *testing.T) {
 		Backoff:     time.Millisecond,
 		OnFailed:    func(step int, err error) { failed.Add(1); wg.Done() },
 	})
+	// Start enqueues the committed-but-unindexed step itself; enqueueing it
+	// again here could land after a worker took it and build it twice.
 	b.Start()
-	b.Enqueue(0)
 	waitTimeout(t, &wg, 10*time.Second)
 	b.Stop()
 	if failed.Load() != 1 {
@@ -164,8 +165,7 @@ func TestBuilderRetriesTransientThenFails(t *testing.T) {
 		Backoff:     time.Millisecond,
 		OnFailed:    func(step int, err error) { lastErr = err; wg.Done() },
 	})
-	b.Start()
-	b.Enqueue(0)
+	b.Start() // enqueues the pending step itself, as above
 	waitTimeout(t, &wg, 10*time.Second)
 	b.Stop()
 	_, retries, failures := b.Stats()

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,6 +16,11 @@ type Column struct {
 	Float []float64 `json:"float,omitempty"`
 	Int   []int64   `json:"int,omitempty"`
 }
+
+// ErrInvalid marks a step AppendStep refused because its columns do not
+// fit the dataset's schema — the producer's fault. Every other AppendStep
+// error is a storage failure on this side and leaves the step uncommitted.
+var ErrInvalid = errors.New("ingest: invalid step")
 
 // Writer appends timesteps to a live dataset. One Writer owns the append
 // path of its catalog: AppendStep serializes internally, lands the raw
@@ -47,10 +53,10 @@ func (w *Writer) AppendStep(cols []Column) (StepEntry, uint64, error) {
 	for i := range cols {
 		c := &cols[i]
 		if (c.Float == nil) == (c.Int == nil) {
-			return StepEntry{}, 0, fmt.Errorf("ingest: column %q must set exactly one of float/int", c.Name)
+			return StepEntry{}, 0, fmt.Errorf("%w: column %q must set exactly one of float/int", ErrInvalid, c.Name)
 		}
 		if _, dup := byName[c.Name]; dup {
-			return StepEntry{}, 0, fmt.Errorf("ingest: duplicate column %q", c.Name)
+			return StepEntry{}, 0, fmt.Errorf("%w: duplicate column %q", ErrInvalid, c.Name)
 		}
 		byName[c.Name] = c
 	}
@@ -61,12 +67,12 @@ func (w *Writer) AppendStep(cols []Column) (StepEntry, uint64, error) {
 		if first {
 			rows, first = n, false
 		} else if n != rows {
-			return StepEntry{}, 0, fmt.Errorf("ingest: column %q has %d rows, others have %d", c.Name, len(c.Float)+len(c.Int), rows)
+			return StepEntry{}, 0, fmt.Errorf("%w: column %q has %d rows, others have %d", ErrInvalid, c.Name, len(c.Float)+len(c.Int), rows)
 		}
 	}
 	for _, v := range man.Variables {
 		if _, ok := byName[v]; !ok {
-			return StepEntry{}, 0, fmt.Errorf("ingest: missing declared variable %q", v)
+			return StepEntry{}, 0, fmt.Errorf("%w: missing declared variable %q", ErrInvalid, v)
 		}
 	}
 	if len(byName) != len(man.Variables) {
@@ -79,7 +85,7 @@ func (w *Writer) AppendStep(cols []Column) (StepEntry, uint64, error) {
 				}
 			}
 			if !known {
-				return StepEntry{}, 0, fmt.Errorf("ingest: unknown column %q (declared: %v)", name, man.Variables)
+				return StepEntry{}, 0, fmt.Errorf("%w: unknown column %q (declared: %v)", ErrInvalid, name, man.Variables)
 			}
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"time"
 
+	"repro/internal/fastquery"
 	"repro/internal/obs"
 )
 
@@ -110,4 +112,26 @@ func WithProfile(ctx context.Context, p *Profile) context.Context {
 func ProfileFromContext(ctx context.Context) *Profile {
 	p, _ := ctx.Value(profileCtxKey{}).(*Profile)
 	return p
+}
+
+// NewFragProfile starts the profile of fragment f dispatched to shard.
+func NewFragProfile(shard int, f Fragment) FragProfile {
+	return FragProfile{
+		Step:  f.Step,
+		Shard: shard,
+		Op:    f.Op.String(),
+		Rows:  [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
+	}
+}
+
+// Done records how the fragment's evaluation ended: what it charged, how
+// long it ran and, when it failed, why — budget exhaustion told apart from
+// every other error.
+func (fp *FragProfile) Done(cost obs.CostSnapshot, eval time.Duration, err error) {
+	fp.Cost = cost
+	fp.EvalMS = float64(eval) / float64(time.Millisecond)
+	if err != nil {
+		fp.Err = err.Error()
+		fp.Exhausted = fastquery.IsExhausted(err)
+	}
 }

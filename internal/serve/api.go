@@ -73,6 +73,34 @@ type VarsBody struct {
 	Vars    []VarInfo `json:"vars"`
 }
 
+// ResponseMeta is the part of a response the request pipeline fills in, the
+// same way for every endpoint that embeds it: how the answer was obtained
+// and how far it can be trusted.
+type ResponseMeta struct {
+	// Outcome is the result-cache disposition (computed | hit | coalesced);
+	// absent on endpoints that bypass the result cache.
+	Outcome string `json:"outcome,omitempty"`
+	// Degraded marks a brownout answer: the server was overloaded and
+	// responded from DegradedMode ("coarse-cache": a cached coarser
+	// resolution of the same request; "index-only": an approximate
+	// histogram computed from bitmaps alone, counts an upper bound). The
+	// X-Degraded response header carries the same mode.
+	Degraded     bool   `json:"degraded,omitempty"`
+	DegradedMode string `json:"degraded_mode,omitempty"`
+	// Partial marks a degraded scatter-gather answer: the shards in
+	// FailedShards were unreachable and the response merges only the
+	// survivors (FailedSteps: the steps of a multi-step operation that
+	// came up short). The X-Partial response header mirrors it.
+	Partial      bool    `json:"partial,omitempty"`
+	FailedSteps  []int   `json:"failed_steps,omitempty"`
+	FailedShards []int   `json:"failed_shards,omitempty"`
+	ElapsedMS    float64 `json:"elapsed_ms"`
+	// Trace is the request's span tree, included when ?debug=trace is set;
+	// Explain the execution profile, when ?debug=explain is.
+	Trace   *obs.SpanData `json:"trace,omitempty"`
+	Explain *ExplainBody  `json:"explain,omitempty"`
+}
+
 // QueryBody is the /v1/query response: the selection summary for a
 // compound range query.
 type QueryBody struct {
@@ -84,17 +112,7 @@ type QueryBody struct {
 	Rows        uint64  `json:"rows"`
 	Matches     uint64  `json:"matches"`
 	Selectivity float64 `json:"selectivity"`
-	Outcome     string  `json:"outcome"` // computed | hit | coalesced
-	// Partial marks a degraded scatter-gather answer: one or more shards
-	// were unreachable and the response merges only the survivors listed
-	// absent from FailedShards. The X-Partial response header mirrors it.
-	Partial      bool    `json:"partial,omitempty"`
-	FailedShards []int   `json:"failed_shards,omitempty"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	// Trace is the request's span tree, included when ?debug=trace is set.
-	Trace *obs.SpanData `json:"trace,omitempty"`
-	// Explain is the execution profile, included when ?debug=explain is set.
-	Explain *ExplainBody `json:"explain,omitempty"`
+	ResponseMeta
 }
 
 // Hist1DBody is the /v1/hist1d response.
@@ -108,21 +126,7 @@ type Hist1DBody struct {
 	Edges   []float64 `json:"edges"`
 	Counts  []uint64  `json:"counts"`
 	Total   uint64    `json:"total"`
-	Outcome string    `json:"outcome"`
-	// Degraded marks a brownout answer: the server was overloaded and
-	// responded from DegradedMode ("coarse-cache": a cached coarser
-	// resolution of the same request; "index-only": an approximate
-	// histogram computed from bitmaps alone, counts an upper bound). The
-	// X-Degraded response header carries the same mode.
-	Degraded     bool   `json:"degraded,omitempty"`
-	DegradedMode string `json:"degraded_mode,omitempty"`
-	// Partial marks a scatter-gather answer merged without the shards in
-	// FailedShards; see QueryBody.
-	Partial      bool          `json:"partial,omitempty"`
-	FailedShards []int         `json:"failed_shards,omitempty"`
-	ElapsedMS    float64       `json:"elapsed_ms"`
-	Trace        *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain      *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	ResponseMeta
 }
 
 // Hist2DBody is the /v1/hist2d response. Counts are row-major:
@@ -139,17 +143,7 @@ type Hist2DBody struct {
 	YEdges  []float64 `json:"yedges"`
 	Counts  []uint64  `json:"counts"`
 	Total   uint64    `json:"total"`
-	Outcome string    `json:"outcome"`
-	// Degraded and DegradedMode mark a brownout answer; see Hist1DBody.
-	Degraded     bool   `json:"degraded,omitempty"`
-	DegradedMode string `json:"degraded_mode,omitempty"`
-	// Partial marks a scatter-gather answer merged without the shards in
-	// FailedShards; see QueryBody.
-	Partial      bool          `json:"partial,omitempty"`
-	FailedShards []int         `json:"failed_shards,omitempty"`
-	ElapsedMS    float64       `json:"elapsed_ms"`
-	Trace        *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain      *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	ResponseMeta
 }
 
 // Sweep2DBody is the /v1/sweep2d response: one conditional 2D histogram
@@ -168,15 +162,9 @@ type Sweep2DBody struct {
 	YVar   string   `json:"yvar"`
 	Totals []uint64 `json:"totals"` // per step, aligned with Steps
 	Total  uint64   `json:"total"`
-	// Partial marks a sweep in which some step merged without every shard:
-	// FailedSteps lists those steps (their totals are short), FailedShards
-	// the shards that were missing.
-	Partial      bool          `json:"partial,omitempty"`
-	FailedSteps  []int         `json:"failed_steps,omitempty"`
-	FailedShards []int         `json:"failed_shards,omitempty"`
-	ElapsedMS    float64       `json:"elapsed_ms"`
-	Trace        *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain      *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	// On a Partial sweep FailedSteps lists the steps that merged without
+	// every shard (their totals are short), FailedShards the shards missing.
+	ResponseMeta
 }
 
 // BuildInfo is the binary/runtime identity block of /v1/stats.
@@ -301,13 +289,7 @@ type SessionSelectBody struct {
 	// stored selection's accounted memory.
 	SizeBytes int64 `json:"size_bytes,omitempty"`
 	Stored    bool  `json:"stored"`
-	// Partial marks a scatter-gather answer merged without the shards in
-	// FailedShards; see QueryBody. Mirrored by X-Partial.
-	Partial      bool          `json:"partial,omitempty"`
-	FailedShards []int         `json:"failed_shards,omitempty"`
-	ElapsedMS    float64       `json:"elapsed_ms"`
-	Trace        *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain      *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	ResponseMeta
 }
 
 // SessionTrackBody is the POST /v1/session/{id}/track response: the
@@ -327,12 +309,8 @@ type SessionTrackBody struct {
 	Counts []uint64 `json:"counts"`
 	// Stored is false when the track was refused storage because a step in
 	// FailedSteps merged without every shard (store-or-reject).
-	Stored      bool          `json:"stored"`
-	Partial     bool          `json:"partial,omitempty"`
-	FailedSteps []int         `json:"failed_steps,omitempty"`
-	ElapsedMS   float64       `json:"elapsed_ms"`
-	Trace       *obs.SpanData `json:"trace,omitempty"`   // set with ?debug=trace
-	Explain     *ExplainBody  `json:"explain,omitempty"` // set with ?debug=explain
+	Stored bool `json:"stored"`
+	ResponseMeta
 }
 
 // ViewPanel is one conditional 1D histogram panel of a views response.
@@ -355,14 +333,12 @@ type SessionViewsBody struct {
 	// effective expression, or the tracked ID-membership predicate once
 	// the selection has been tracked (Temporal true, Steps the tracked
 	// steps).
-	Expr      string        `json:"expr"`
-	Vars      []string      `json:"vars"`
-	Steps     []int         `json:"steps"`
-	Temporal  bool          `json:"temporal"`
-	Panels    []ViewPanel   `json:"panels"`
-	Partial   bool          `json:"partial,omitempty"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-	Trace     *obs.SpanData `json:"trace,omitempty"` // set with ?debug=trace
+	Expr     string      `json:"expr"`
+	Vars     []string    `json:"vars"`
+	Steps    []int       `json:"steps"`
+	Temporal bool        `json:"temporal"`
+	Panels   []ViewPanel `json:"panels"`
+	ResponseMeta
 }
 
 // IngestResponse acknowledges a durably committed timestep.

@@ -1,14 +1,6 @@
 package serve
 
-import (
-	"context"
-	"net/http"
-	"strings"
-
-	"repro/internal/fastquery"
-	"repro/internal/histogram"
-	"repro/internal/plan"
-)
+import "repro/internal/plan"
 
 // Brownout: under sustained overload, an eligible histogram request that
 // would otherwise be shed is answered from a degraded path instead — the
@@ -41,104 +33,40 @@ const (
 	degradedIndexOnly = "index-only"
 )
 
-// brownoutEligible reports whether a shed histogram request may be
-// rescued: brownout enabled and armed (sustained pressure), the client
-// did not insist on exactness, and the binning is uniform (adaptive
-// binning changes edges with the data, so a coarser cached entry is not
-// a resolution ladder of the same histogram).
-func (s *Server) brownoutEligible(r *http.Request, binning histogram.Binning) bool {
-	return s.cfg.Brownout &&
-		r.FormValue("exact") != "1" &&
-		binning == histogram.Uniform &&
-		s.gate.BrownoutActive()
+// rescuable reports whether a failed admission may be answered degraded:
+// the request was shed (not abandoned), its op offers a ladder, and
+// brownout is enabled and armed by sustained pressure.
+func (s *Server) rescuable(o *op, aerr error) bool {
+	return shedErr(aerr) && o.coarser != nil && s.cfg.Brownout && s.gate.BrownoutActive()
 }
 
-// brownoutRescue runs the index-only rung under the worker bound; it
-// returns false (declining the rescue) when all brownout workers are
-// busy or the computation fails — the caller sheds as usual.
-func (s *Server) brownoutRescue(r *http.Request, key string, fn func(ctx context.Context) (any, error)) (any, Outcome, bool) {
-	select {
-	case s.brownoutSem <- struct{}{}:
-	default:
-		return nil, Computed, false
-	}
-	defer func() { <-s.brownoutSem }()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	val, outcome, err := s.cacheDo(ctx, key, fn)
-	if err != nil {
-		return nil, outcome, false
-	}
-	return val, outcome, true
-}
-
-// tryBrownoutHist1D attempts a degraded answer for a shed 1D histogram
-// request; it reports whether a response was written.
-func (s *Server) tryBrownoutHist1D(r *http.Request, req *request, spec histogram.Spec1D, respond func(val any, outcome Outcome, degraded string)) bool {
-	if !s.brownoutEligible(r, spec.Binning) {
-		return false
-	}
-	for bins := spec.Bins / 2; bins >= brownoutMinBins; bins /= 2 {
-		coarse := spec
-		coarse.Bins = bins
-		if val, ok := s.cache.Peek(req.cacheKey(hist1DSpecKey(coarse))); ok {
-			s.metrics.degraded(degradedCoarse).Inc()
-			respond(val, Hit, degradedCoarse)
-			return true
+// rescue walks the op's brownout ladder for a shed request and reports
+// whether x now holds a degraded answer. It declines — the caller sheds as
+// usual — when no coarser entry is resident and the index-only rung is not
+// offered (scan backend), all brownout workers are busy, or it fails.
+func (s *Server) rescue(o *op, x *run) bool {
+	o.coarser(func(key string) bool {
+		if val, ok := s.cache.Peek(key); ok {
+			x.res, x.outcome, x.degraded = val.(*plan.Result), Hit, degradedCoarse
 		}
-	}
-	if req.backend != fastquery.FastBit {
-		return false
-	}
-	key := req.cacheKey(strings.Join([]string{"hist1d-approx", spec.Var}, "|"))
-	val, outcome, ok := s.brownoutRescue(r, key, func(ctx context.Context) (any, error) {
-		s.backendCalls.Inc()
-		h, err := req.st.Histogram1DIndexOnlyCtx(ctx, req.expr, spec.Var)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Result{Hist1: h, Mode: "local", Fragments: 1}, nil
+		return x.degraded == ""
 	})
-	if !ok {
-		return false
-	}
-	s.metrics.degraded(degradedIndexOnly).Inc()
-	respond(val, outcome, degradedIndexOnly)
-	return true
-}
-
-// tryBrownoutHist2D is tryBrownoutHist1D for 2D histograms: the coarse
-// rung halves both axes in lockstep before falling back to the bitmap
-// AND-count grid at the two indexes' native resolutions.
-func (s *Server) tryBrownoutHist2D(r *http.Request, req *request, spec histogram.Spec2D, respond func(val any, outcome Outcome, degraded string)) bool {
-	if !s.brownoutEligible(r, spec.Binning) {
-		return false
-	}
-	for xb, yb := spec.XBins/2, spec.YBins/2; xb >= brownoutMinBins && yb >= brownoutMinBins; xb, yb = xb/2, yb/2 {
-		coarse := spec
-		coarse.XBins, coarse.YBins = xb, yb
-		if val, ok := s.cache.Peek(req.cacheKey(hist2DSpecKey(coarse))); ok {
-			s.metrics.degraded(degradedCoarse).Inc()
-			respond(val, Hit, degradedCoarse)
-			return true
+	if x.degraded == "" && o.indexOnly != nil {
+		select {
+		case s.brownoutSem <- struct{}{}:
+		default:
+			return false
 		}
-	}
-	if req.backend != fastquery.FastBit {
-		return false
-	}
-	key := req.cacheKey(strings.Join([]string{"hist2d-approx", spec.XVar, spec.YVar}, "|"))
-	val, outcome, ok := s.brownoutRescue(r, key, func(ctx context.Context) (any, error) {
-		s.backendCalls.Inc()
-		h, err := req.st.Histogram2DIndexOnlyCtx(ctx, req.expr, spec.XVar, spec.YVar)
+		defer func() { <-s.brownoutSem }()
+		res, outcome, err := s.cacheDo(x.ctx, o.approxKey, o.indexOnly)
 		if err != nil {
-			return nil, err
+			return false
 		}
-		return &plan.Result{Hist2: h, Mode: "local", Fragments: 1}, nil
-	})
-	if !ok {
+		x.res, x.outcome, x.degraded = res, outcome, degradedIndexOnly
+	}
+	if x.degraded == "" {
 		return false
 	}
-	s.metrics.degraded(degradedIndexOnly).Inc()
-	respond(val, outcome, degradedIndexOnly)
+	s.metrics.degraded(x.degraded).Inc()
 	return true
 }

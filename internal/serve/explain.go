@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -68,95 +67,57 @@ func parseExplain(r *http.Request) (explain, only bool) {
 	return only || r.FormValue("debug") == "explain", only
 }
 
-// buildExplain assembles the explain body for one request from the
-// profile collector and the plan result (nil when the answer came from a
-// cache and no plan ran). ctx is the execution context when one was
-// derived (its deadline yields the remaining budget); nil on cache-peek
-// paths that never executed.
-func (s *Server) buildExplain(ctx context.Context, r *http.Request, req *request, endpoint string, res *plan.Result, outcome Outcome, degraded string, start time.Time) *ExplainBody {
+// cacheSource names where a no-work answer came from; "" means the plan
+// actually executed.
+func (x *run) cacheSource() string {
+	switch {
+	case x.degraded == degradedCoarse:
+		return "coarse"
+	case x.outcome == Hit:
+		return "result"
+	case x.outcome == Coalesced:
+		return "coalesced"
+	}
+	return ""
+}
+
+// buildExplain assembles the explain body for one request from its run and
+// the fragments its profile collected (planned fragments and profiled
+// frontend-local work alike, so Totals is their exact sum).
+func (s *Server) buildExplain(r *http.Request, x *run, frags []plan.FragProfile) *ExplainBody {
 	eb := &ExplainBody{
-		Endpoint:        endpoint,
-		Shards:          1,
-		Outcome:         outcome.String(),
-		AdmissionWaitMS: req.waitMS,
-		ElapsedMS:       float64(time.Since(start)) / float64(time.Millisecond),
+		Endpoint:        x.endpoint,
+		Shards:          x.shards,
+		Outcome:         x.outcome.String(),
+		CacheSource:     x.cacheSource(),
+		Fragments:       frags,
+		FragmentCount:   len(frags),
+		CachedFragments: x.cachedFrags,
+		Totals:          x.prof.Totals(),
+		AdmissionWaitMS: x.waitMS,
+		Degraded:        x.degraded,
+		ElapsedMS:       msSince(x.start),
 	}
 	if sp := obs.SpanFromContext(r.Context()); sp != nil {
 		eb.TraceID = sp.TraceID()
 	}
 	if c := s.shardClient(); c != nil {
-		eb.Shards = c.Shards()
 		eb.Replicas = c.ReplicaStates()
 	}
-	switch {
-	case degraded == degradedCoarse:
-		eb.CacheSource = "coarse"
-	case outcome == Hit:
-		eb.CacheSource = "result"
-	case outcome == Coalesced:
-		eb.CacheSource = "coalesced"
-	}
-	eb.Degraded = degraded
-	if ctx != nil {
-		if dl, ok := ctx.Deadline(); ok {
+	if x.ctx != nil { // nil: a cache peek answered, nothing executed
+		if dl, ok := x.ctx.Deadline(); ok {
 			if left := time.Until(dl); left > 0 {
 				eb.BudgetLeftMS = float64(left) / float64(time.Millisecond)
 			}
 		}
 	}
-	if res != nil {
-		eb.Mode = res.Mode
-		eb.Partial = res.Partial
-		eb.FailedShards = res.Failed
-		eb.BudgetExhausted = res.BudgetExhausted
-	}
-	if req.prof != nil {
-		eb.Fragments = req.prof.Fragments()
-		eb.FragmentCount = len(eb.Fragments)
-		eb.Totals = req.prof.Totals()
-		for _, fp := range eb.Fragments {
-			if fp.Cached {
-				eb.CachedFragments++
-			}
-		}
+	if x.res != nil {
+		eb.Mode = x.res.Mode
+		eb.Partial = x.res.Partial
+		eb.FailedShards = x.res.Failed
+		eb.BudgetExhausted = x.res.BudgetExhausted
 	}
 	return eb
-}
-
-// noteExplain records the request's plan shape in the slow-query note so
-// slow entries carry shard/fragment counts and degradation markers even
-// when no explain was requested. The note is written by the handler and
-// read by the middleware's finish on the same goroutine, so no lock.
-func (s *Server) noteExplain(r *http.Request, req *request, res *plan.Result, outcome Outcome, degraded string) {
-	n := noteFromContext(r.Context())
-	if n == nil {
-		return
-	}
-	n.shards = 1
-	if c := s.shardClient(); c != nil {
-		n.shards = c.Shards()
-	}
-	if res != nil {
-		n.fragments = res.Fragments
-		n.partial = res.Partial
-		n.budgetExhausted = res.BudgetExhausted
-	}
-	n.degraded = degraded
-	switch {
-	case degraded == degradedCoarse:
-		n.cacheSource = "coarse"
-	case outcome == Hit:
-		n.cacheSource = "result"
-	case outcome == Coalesced:
-		n.cacheSource = "coalesced"
-	}
-	if req.prof != nil {
-		for _, fp := range req.prof.Fragments() {
-			if fp.Cached {
-				n.cachedFrags++
-			}
-		}
-	}
 }
 
 // MetricsHandler returns the server's /metrics handler — federated

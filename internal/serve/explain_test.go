@@ -238,27 +238,6 @@ func TestExplainPartialMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestExplainOnly: ?explain=only returns the profile instead of the
-// answer — the body carries the explain document and nothing else.
-func TestExplainOnly(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	p := "/v1/query?explain=only&q=" + url.QueryEscape("px > 0.0005")
-	var body map[string]any
-	if code, raw := get(t, ts, p, &body); code != 200 {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	if len(body) != 1 {
-		t.Fatalf("explain=only body has keys %v, want just explain", body)
-	}
-	var typed explainEnvelope
-	if code, _ := get(t, ts, p, &typed); code != 200 {
-		t.Fatal("second fetch failed")
-	}
-	if typed.Explain == nil || typed.Explain.Endpoint != "query" {
-		t.Fatalf("explain=only missing profile: %+v", typed.Explain)
-	}
-}
-
 // TestExplainCacheSources: a result-cache hit reports cache_source
 // "result" with zero fragments and zero totals — no work, no cost.
 func TestExplainCacheSources(t *testing.T) {
@@ -285,6 +264,29 @@ func TestExplainCacheSources(t *testing.T) {
 	}
 	if s.explains.Load() == 0 {
 		t.Error("serve_explain_total not incremented")
+	}
+
+	// A brownout answer from a coarser cached resolution did no work either
+	// — cache_source "coarse", zero fragments — but unlike the peek hit it
+	// went through admission and holds an execution context, so it still
+	// reports the budget it had left.
+	s, ts = overloadedServer(t)
+	if code, raw := get(t, ts, "/v1/hist1d?var=px&bins=8&q="+q, nil); code != 200 {
+		t.Fatalf("warm coarse: %d %s", code, raw)
+	}
+	forceBrownout(s, true)
+	defer occupySlot(t, s)()
+	var coarse explainEnvelope
+	if code, raw := get(t, ts, "/v1/hist1d?var=px&bins=16&debug=explain&q="+q, &coarse); code != 200 {
+		t.Fatalf("coarse: %d %s", code, raw)
+	}
+	eb = coarse.Explain
+	if eb == nil || eb.CacheSource != "coarse" || eb.Degraded != degradedCoarse {
+		t.Fatalf("coarse brownout explain: %+v", eb)
+	}
+	if eb.FragmentCount != 0 || !eb.Totals.IsZero() || eb.BudgetLeftMS <= 0 {
+		t.Fatalf("coarse brownout explain: fragments %d totals %+v budget_left_ms %v",
+			eb.FragmentCount, eb.Totals, eb.BudgetLeftMS)
 	}
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/ingest"
+	"repro/internal/plan"
 )
 
 // MaxIngestBody bounds one POST /v1/ingest request body. A timestep of
@@ -221,77 +224,82 @@ func (d *dataset) indexState(t int, st *fastquery.Step) string {
 	}
 }
 
-// handleIngest is POST /v1/ingest: append one timestep to a live dataset.
+// ingestOp is POST /v1/ingest: append one timestep to a live dataset.
 // The columns land through colstore.Writer (atomic temp+fsync+rename),
 // the catalog commit makes the step durable and immediately queryable via
 // the scan backend, and the background builder upgrades it to fastbit.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+//
+// Ingest is the lowest admission class: producers buffer and retry, so
+// under pressure appends shed (with a Retry-After sized to the drain rate)
+// before any read traffic does — and before the body is even read, which
+// is why decoding and the dataset lookup run under the gate slot, not in
+// the builder.
+func (s *Server) ingestOp(r *http.Request) (*op, *httpError) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+		return nil, errf(http.StatusMethodNotAllowed, "POST only")
 	}
-	// Ingest is the lowest admission class: producers buffer and retry, so
-	// under pressure appends shed (with a Retry-After sized to the drain
-	// rate) before any read traffic does.
-	release, aerr := s.admit(r, ClassIngest)
-	if aerr != nil {
-		s.writeShed(w, ClassIngest, aerr)
-		return
-	}
-	defer release()
-	var body IngestBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxIngestBody))
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decode body: %v", err)
-		return
-	}
-	name := body.Dataset
-	if name == "" {
-		name = r.URL.Query().Get("dataset")
-	}
-	s.mu.RLock()
-	var d *dataset
-	if name == "" && len(s.order) == 1 {
-		d = s.datasets[s.order[0]]
-	} else {
-		d = s.datasets[name]
-	}
-	s.mu.RUnlock()
-	if d == nil {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
-		return
-	}
-	if d.live == nil {
-		writeError(w, http.StatusConflict, "dataset %q is not live (start with -live)", d.name)
-		return
-	}
-	cols := make([]ingest.Column, len(body.Columns))
-	for i, c := range body.Columns {
-		cols[i] = ingest.Column{Name: c.Name, Float: c.Float, Int: c.Int}
-	}
-	// One append at a time per dataset: steps are strictly ordered and the
-	// writer validates against the committed count.
-	d.live.ingestMu.Lock()
-	entry, gen, err := d.live.writer.AppendStep(cols)
-	if err == nil {
-		s.refreshLive(d)
-	}
-	d.live.ingestMu.Unlock()
-	if err != nil {
-		// Validation failures are the client's; anything else is ours.
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	d.live.builder.Enqueue(entry.Step)
-	s.cfg.Logger.Info("step ingested",
-		"dataset", d.name, "step", entry.Step, "rows", entry.Rows, "gen", gen)
-	writeJSON(w, http.StatusOK, IngestResponse{
-		Dataset:    d.name,
-		Step:       entry.Step,
-		Rows:       entry.Rows,
-		Bytes:      entry.DataBytes,
-		Generation: gen,
-		Steps:      entry.Step + 1,
-	})
+	// The body is the step, whatever Content-Type the producer sent (curl -d
+	// says form-urlencoded): take it off r, so that no r.FormValue
+	// downstream parses it away as a form before exec decodes it.
+	payload := http.MaxBytesReader(nil, r.Body, MaxIngestBody)
+	r.Body = http.NoBody
+	var ack IngestResponse
+	return &op{
+		class: ClassIngest,
+		exec: func(context.Context) (*plan.Result, error) {
+			var body IngestBody
+			if err := json.NewDecoder(payload).Decode(&body); err != nil {
+				return nil, errf(http.StatusBadRequest, "decode body: %v", err)
+			}
+			name := body.Dataset
+			if name == "" {
+				name = r.URL.Query().Get("dataset")
+			}
+			s.mu.RLock()
+			var d *dataset
+			if name == "" && len(s.order) == 1 {
+				d = s.datasets[s.order[0]]
+			} else {
+				d = s.datasets[name]
+			}
+			s.mu.RUnlock()
+			if d == nil {
+				return nil, errf(http.StatusNotFound, "unknown dataset %q", name)
+			}
+			if d.live == nil {
+				return nil, errf(http.StatusConflict, "dataset %q is not live (start with -live)", d.name)
+			}
+			cols := make([]ingest.Column, len(body.Columns))
+			for i, c := range body.Columns {
+				cols[i] = ingest.Column{Name: c.Name, Float: c.Float, Int: c.Int}
+			}
+			// One append at a time per dataset: steps are strictly ordered and
+			// the writer validates against the committed count.
+			d.live.ingestMu.Lock()
+			entry, gen, err := d.live.writer.AppendStep(cols)
+			if err == nil {
+				s.refreshLive(d)
+			}
+			d.live.ingestMu.Unlock()
+			if errors.Is(err, ingest.ErrInvalid) {
+				return nil, errf(http.StatusBadRequest, "%v", err)
+			}
+			if err != nil {
+				return nil, err // a storage failure is ours: 500, the producer retries
+			}
+			d.live.builder.Enqueue(entry.Step)
+			s.cfg.Logger.Info("step ingested",
+				"dataset", d.name, "step", entry.Step, "rows", entry.Rows, "gen", gen)
+			ack = IngestResponse{
+				Dataset:    d.name,
+				Step:       entry.Step,
+				Rows:       entry.Rows,
+				Bytes:      entry.DataBytes,
+				Generation: gen,
+				Steps:      entry.Step + 1,
+			}
+			return nil, nil
+		},
+		body: func(*plan.Result, ResponseMeta) any { return ack },
+	}, nil
 }

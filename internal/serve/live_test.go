@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,12 @@ func liveSimConfig(steps int) sim.Config {
 // totalSteps run (pre-indexed, lwfagen-style) and serves it live.
 func liveServer(t *testing.T, seedSteps, totalSteps int, lc LiveConfig) (*Server, *httptest.Server, *sim.Simulation) {
 	t.Helper()
+	return liveServerCfg(t, Config{Concurrency: 8}, seedSteps, totalSteps, lc)
+}
+
+// liveServerCfg is liveServer under a caller-chosen server configuration.
+func liveServerCfg(t *testing.T, cfg Config, seedSteps, totalSteps int, lc LiveConfig) (*Server, *httptest.Server, *sim.Simulation) {
+	t.Helper()
 	dir := t.TempDir()
 	seedCfg := liveSimConfig(seedSteps)
 	if _, err := sim.WriteDataset(dir, seedCfg, sim.WriteOptions{
@@ -37,7 +44,7 @@ func liveServer(t *testing.T, seedSteps, totalSteps int, lc LiveConfig) (*Server
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Concurrency: 8})
+	s := New(cfg)
 	if err := s.AddLiveDataset("live", dir, lc); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +323,7 @@ func TestLiveRecoversUnindexedSeed(t *testing.T) {
 }
 
 func TestLiveIngestValidation(t *testing.T) {
-	_, ts, simRun := liveServer(t, 2, 4, LiveConfig{})
+	s, ts, simRun := liveServer(t, 2, 4, LiveConfig{})
 
 	// GET is not allowed.
 	resp, err := http.Get(ts.URL + "/v1/ingest")
@@ -324,8 +331,8 @@ func TestLiveIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/ingest: %d, want 405", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /v1/ingest: %d Allow %q, want 405 Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 
 	// Unknown dataset.
@@ -345,6 +352,40 @@ func TestLiveIngestValidation(t *testing.T) {
 	get(t, ts, "/v1/steps", &steps)
 	if steps.Steps != 2 {
 		t.Fatalf("rejected ingest committed a step: %+v", steps)
+	}
+
+	// A storage failure is the server's fault, not the producer's — and a
+	// producer drops a step on 4xx but retries it on 5xx. A directory
+	// squatting on the next step's file fails the append: 500, nothing
+	// committed, and once the fault clears the same step ingests.
+	squat := s.datasets["live"].live.cat.StepPath(2)
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := postJSON(t, ts, "/v1/ingest", stepBody(t, simRun, 2), nil); code != http.StatusInternalServerError {
+		t.Fatalf("append onto a squatted path: %d (%s), want 500", code, msg)
+	}
+	if get(t, ts, "/v1/steps", &steps); steps.Steps != 2 {
+		t.Fatalf("failed ingest committed a step: %+v", steps)
+	}
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	// The retry arrives the way `curl -d @step.json` sends it, labelled as a
+	// form: the body is still the step, not request parameters.
+	buf, err := json.Marshal(stepBody(t, simRun, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/ingest?debug=trace", "application/x-www-form-urlencoded", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack IngestResponse
+	err = jsonDecode(resp, &ack)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || ack.Step != 2 {
+		t.Fatalf("ingest after the fault cleared: %d %v %+v", resp.StatusCode, err, ack)
 	}
 
 	// A static dataset must refuse ingest.

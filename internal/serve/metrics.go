@@ -9,29 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// reqNote is the per-request execution note handlers fill in (via
-// noteExplain) and the middleware folds into slow-query entries: the
-// fields that distinguish a slow partial scatter from a clean slow scan.
-// Handler and middleware run on the same goroutine, so no lock.
-type reqNote struct {
-	shards          int
-	fragments       int
-	cachedFrags     int
-	partial         bool
-	budgetExhausted bool
-	degraded        string
-	cacheSource     string
-}
-
-type noteCtxKey struct{}
-
-// noteFromContext returns the request's execution note, or nil outside
-// the instrumented middleware.
-func noteFromContext(ctx context.Context) *reqNote {
-	n, _ := ctx.Value(noteCtxKey{}).(*reqNote)
-	return n
-}
-
 // serverMetrics binds the server's instruments to its registry. Request
 // counters are labelled by endpoint and status code; registration is
 // idempotent, so the per-request lookup in requests() resolves to an
@@ -183,8 +160,12 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 			w.Header().Set("X-Trace-Id", tr.ID)
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), tr.Root()))
 		}
-		note := &reqNote{}
-		r = r.WithContext(context.WithValue(r.Context(), noteCtxKey{}, note))
+		// The run rides the context so the pipeline fills in the very record
+		// finish folds into a slow-query entry: what distinguishes a slow
+		// partial scatter from a clean slow scan. Handler and finish run on
+		// the same goroutine, so no lock.
+		x := &run{endpoint: endpoint, start: start, outcome: Computed}
+		r = r.WithContext(context.WithValue(r.Context(), runCtxKey{}, x))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		s.metrics.inflight.Add(1)
 		finished := false
@@ -214,7 +195,7 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 			tr.Root().End()
 			if s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold {
 				s.metrics.slowQueries.Inc()
-				s.slowLog.Add(obs.SlowEntry{
+				entry := obs.SlowEntry{
 					Time:       time.Now(),
 					TraceID:    tr.ID,
 					Endpoint:   endpoint,
@@ -223,14 +204,15 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 					Detail:     r.URL.RawQuery,
 					Trace:      tr.Data(),
 
-					Shards:          note.shards,
-					Fragments:       note.fragments,
-					CachedFrags:     note.cachedFrags,
-					Partial:         note.partial,
-					Degraded:        note.degraded,
-					BudgetExhausted: note.budgetExhausted,
-					CacheSource:     note.cacheSource,
-				})
+					Shards:      x.shards,
+					CachedFrags: x.cachedFrags,
+					Degraded:    x.degraded,
+					CacheSource: x.cacheSource(),
+				}
+				if x.res != nil {
+					entry.Fragments, entry.Partial, entry.BudgetExhausted = x.res.Fragments, x.res.Partial, x.res.BudgetExhausted
+				}
+				s.slowLog.Add(entry)
 				s.logger.Info("slow query",
 					"endpoint", endpoint, "trace_id", tr.ID,
 					"duration", dur, "status", code, "query", r.URL.RawQuery)

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/plan"
 )
 
 // HTTP-facing robustness behaviour: readiness vs liveness, execution
@@ -35,37 +39,31 @@ func TestReadyzFlipsWhileDraining(t *testing.T) {
 	}
 }
 
-func TestExecTimeoutAnswers504(t *testing.T) {
-	// A deadline too short for any backend work: every query must come
-	// back 504 with the counter bumped, never hang or 200.
-	_, ts := testServer(t, Config{ExecTimeout: time.Nanosecond})
-	var e ErrorBody
-	code, _ := get(t, ts, "/v1/query?q=px+%3E+0", &e)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d (%s), want 504", code, e.Error)
-	}
-	var st StatsBody
-	get(t, ts, "/v1/stats", &st)
-	if st.ExecTimeouts == 0 {
-		t.Fatalf("exec_timeouts = 0 after a 504; stats %+v", st)
-	}
-}
-
+// TestWriteExecErrorMapsStatuses walks every branch of the pipeline's one
+// error mapper, wrapped errors included.
 func TestWriteExecErrorMapsStatuses(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	for _, tc := range []struct {
-		err  error
-		want int
+		err        error
+		want       int
+		retryAfter bool
 	}{
-		{context.Canceled, 499},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{errFake, http.StatusInternalServerError},
+		{err: errf(http.StatusConflict, "stale"), want: http.StatusConflict},
+		{err: fmt.Errorf("step 3: %w", errf(http.StatusRequestEntityTooLarge, "too big")), want: http.StatusRequestEntityTooLarge},
+		{err: ErrQueueFull, want: http.StatusTooManyRequests, retryAfter: true},
+		{err: ErrQueueTimeout, want: http.StatusServiceUnavailable, retryAfter: true},
+		{err: fmt.Errorf("scatter: %w", context.Canceled), want: 499},
+		{err: context.DeadlineExceeded, want: http.StatusGatewayTimeout},
+		{err: errors.New("backend exploded"), want: http.StatusInternalServerError},
 	} {
 		rec := httptest.NewRecorder()
-		s.writeExecError(rec, tc.err)
+		s.writeExecError(rec, ClassSweep, tc.err)
 		if rec.Code != tc.want {
 			t.Errorf("%v -> %d, want %d", tc.err, rec.Code, tc.want)
+		}
+		if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
+			t.Errorf("%v: Retry-After present = %v, want %v", tc.err, got, tc.retryAfter)
 		}
 	}
 	if s.canceled.Load() != 1 || s.execTimeouts.Load() != 1 {
@@ -73,8 +71,6 @@ func TestWriteExecErrorMapsStatuses(t *testing.T) {
 			s.canceled.Load(), s.execTimeouts.Load())
 	}
 }
-
-var errFake = &httpError{status: 500, msg: "backend exploded"}
 
 func TestPanicRecoveryAnswers500(t *testing.T) {
 	s, ts := testServer(t, Config{})
@@ -97,19 +93,19 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 	}
 }
 
-// TestClientDisconnectCountsCanceled drives a real client disconnect: the
-// request context dies with the connection, the handler's work stops, and
-// the canceled counter (the 499 path) increments.
+// TestClientDisconnectCountsCanceled drives a real client disconnect
+// through the pipeline: the execution context dies with the connection,
+// the op's work stops, and the canceled counter (the 499 path) increments.
 func TestClientDisconnectCountsCanceled(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	entered := make(chan struct{})
-	s.mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := s.requestCtx(r)
-		defer cancel()
-		close(entered)
-		<-ctx.Done() // backend work interrupted by the disconnect
-		s.writeExecError(w, ctx.Err())
-	})
+	s.mux.HandleFunc("/slow", s.pipelined("slow", func(*http.Request) (*op, *httpError) {
+		return &op{class: ClassDrill, exec: func(ctx context.Context) (*plan.Result, error) {
+			close(entered)
+			<-ctx.Done() // backend work interrupted by the disconnect
+			return nil, ctx.Err()
+		}}, nil
+	}))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/slow", nil)

@@ -170,7 +170,7 @@ func TestHandlerErrors(t *testing.T) {
 // rejected, no request can name more plans than the dataset has steps.
 func TestStepsParam(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	d, _ := s.datasetByName("lwfa")
+	d := s.datasets["lwfa"]
 	cases := []struct {
 		name     string
 		raw      string

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -377,11 +376,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/datasets", s.instrumented("datasets", s.handleDatasets))
 	s.mux.HandleFunc("/v1/steps", s.instrumented("steps", s.handleSteps))
 	s.mux.HandleFunc("/v1/vars", s.instrumented("vars", s.handleVars))
-	s.mux.HandleFunc("/v1/query", s.instrumented("query", s.handleQuery))
-	s.mux.HandleFunc("/v1/hist1d", s.instrumented("hist1d", s.handleHist1D))
-	s.mux.HandleFunc("/v1/hist2d", s.instrumented("hist2d", s.handleHist2D))
-	s.mux.HandleFunc("/v1/sweep2d", s.instrumented("sweep2d", s.handleSweep2D))
-	s.mux.HandleFunc("/v1/ingest", s.instrumented("ingest", s.handleIngest))
+	s.mux.HandleFunc("/v1/query", s.pipelined("query", s.queryOp))
+	s.mux.HandleFunc("/v1/hist1d", s.pipelined("hist1d", s.hist1DOp))
+	s.mux.HandleFunc("/v1/hist2d", s.pipelined("hist2d", s.hist2DOp))
+	s.mux.HandleFunc("/v1/sweep2d", s.pipelined("sweep2d", s.sweep2DOp))
+	s.mux.HandleFunc("/v1/ingest", s.pipelined("ingest", s.ingestOp))
 	s.mux.HandleFunc("/v1/stats", s.instrumented("stats", s.handleStats))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.Handle("/v1/debug/slow", s.slowLog.Handler())
@@ -482,92 +481,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
-}
-
-// requestCtx derives the execution context for one request: the client
-// connection (canceled on disconnect) bounded by ExecTimeout.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.ExecTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.ExecTimeout)
-	}
-	return context.WithCancel(r.Context())
-}
-
-// writeExecError maps an execution error to a response: client
-// cancellation to 499 (nginx's convention), deadline expiry to 504, and
-// everything else to 500, with distinct counters for the first two.
-func (s *Server) writeExecError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.Canceled):
-		s.canceled.Inc()
-		writeError(w, 499, "client canceled: %v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.execTimeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout, "execution timeout: %v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-// admit acquires a gate slot for a heavy request under its priority
-// class, tracing the wait as "admission-wait" so queueing shows up in
-// span trees. On success it returns an idempotent release closure that
-// reports the slot's hold time back to the limiter.
-func (s *Server) admit(r *http.Request, class Class) (release func(), err error) {
-	_, sp := obs.StartSpan(r.Context(), "admission-wait")
-	sp.SetAttr("class", class.String())
-	err = s.gate.Acquire(r.Context(), class)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	held := time.Now()
-	var once sync.Once
-	return func() {
-		once.Do(func() { s.gate.Release(time.Since(held)) })
-	}, nil
-}
-
-// writeShed maps an admission failure to a response: immediate shed to
-// 429, queue-deadline expiry to 503 — both carrying a Retry-After derived
-// from the gate's measured drain rate — and client disconnect to 499.
-func (s *Server) writeShed(w http.ResponseWriter, class Class, err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter(class)))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrQueueTimeout):
-		w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter(class)))
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	default: // client went away
-		s.canceled.Inc()
-		writeError(w, 499, "client canceled: %v", err)
-	}
-}
-
-// shedErr reports whether an admission error is load shedding (as opposed
-// to the client going away) — the only failures brownout may rescue.
-func shedErr(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQueueTimeout)
-}
-
-// peekBypass answers a request whose exact cache key is already resident
-// without consuming a gate slot: the cached-key probe class. One map
-// lookup cannot meaningfully load the server, so probes stay instant even
-// when every slot is busy — the property that keeps an exploration
-// client's redraws responsive under overload.
-func (s *Server) peekBypass(r *http.Request, key string) (any, bool) {
-	_, sp := obs.StartSpan(r.Context(), "cache-peek")
-	val, ok := s.cache.Peek(key)
-	sp.SetAttr("hit", strconv.FormatBool(ok))
-	sp.End()
-	if ok {
-		s.probeBypass.Inc()
-	}
-	return val, ok
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -796,11 +709,6 @@ type request struct {
 	src     string     // query text as received
 	plan    string     // canonical rendering, "" when expr == nil
 	backend fastquery.Backend
-
-	explain     bool          // ?debug=explain: attach an execution profile
-	explainOnly bool          // ?explain=only: return the profile instead of the answer
-	prof        *plan.Profile // per-fragment collector, nil unless explain
-	waitMS      float64       // frontend admission wait, for the profile
 }
 
 // parseRequest resolves dataset, step, condition and backend, validating
@@ -820,9 +728,6 @@ func (s *Server) parseRequest(r *http.Request, requireQuery bool) (*request, *ht
 		return nil, errf(http.StatusInternalServerError, "%v", err)
 	}
 	req := &request{d: d, st: st, t: t, gen: d.stepGen(t), src: r.FormValue("q")}
-	if req.explain, req.explainOnly = parseExplain(r); req.explain {
-		req.prof = plan.NewProfile()
-	}
 	if req.src == "" && requireQuery {
 		return nil, errf(http.StatusBadRequest, "missing q parameter")
 	}
@@ -939,49 +844,6 @@ func floatParam(r *http.Request, name string) (float64, *httpError) {
 	return v, nil
 }
 
-// cacheDo runs the cache lookup under a "cache-lookup" span recording how
-// the result was satisfied (computed, hit, coalesced). The flight context
-// is detached from the initiating request's cancellation (see Cache.Do)
-// but inherits its deadline: the deadline is what the scatter client
-// carves per-fragment budgets from, and work that cannot finish by the
-// first requester's deadline should not run unbounded for coalesced
-// waiters either.
-func (s *Server) cacheDo(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, Outcome, error) {
-	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
-	run := fn
-	dl, hasDL := ctx.Deadline()
-	prof := plan.ProfileFromContext(ctx)
-	if hasDL || prof != nil {
-		run = func(fctx context.Context) (any, error) {
-			if hasDL {
-				var cancel context.CancelFunc
-				fctx, cancel = context.WithDeadline(fctx, dl)
-				defer cancel()
-			}
-			if prof != nil {
-				// The flight context is detached from the request, which
-				// drops context values: re-attach the initiating request's
-				// profile collector so the fragments the flight runs are
-				// attributed to it. Coalesced waiters never reach here, so
-				// they report zero fragments with cache_source "coalesced".
-				fctx = plan.WithProfile(fctx, prof)
-			}
-			return fn(fctx)
-		}
-	}
-	val, outcome, err := s.cache.Do(ctx, key, run)
-	sp.SetAttr("outcome", outcome.String())
-	sp.End()
-	return val, outcome, err
-}
-
-// writeBody serializes a success response under a "serialize" span.
-func writeBody(r *http.Request, w http.ResponseWriter, body any) {
-	_, sp := obs.StartSpan(r.Context(), "serialize")
-	writeJSON(w, http.StatusOK, body)
-	sp.End()
-}
-
 // planQuery builds the planner input for this request. The query text is
 // already canonical (parseRequest), so equal requests produce equal
 // fragments and fragment-cache keys across the fleet.
@@ -1010,29 +872,11 @@ func (lr localRunner) RunFragment(ctx context.Context, shardIdx int, f plan.Frag
 		return nil, err
 	}
 	lr.s.backendCalls.Inc()
-	profile := plan.ProfileFromContext(ctx)
-	if profile == nil {
-		return shard.Eval(ctx, st, f)
-	}
-	// Profiled request: charge the fragment's evaluation to a fresh cost
-	// accumulator, exactly the way a shard worker does, so local and
-	// scattered explains carry the same per-fragment breakdown.
-	cost := &obs.Cost{}
-	start := time.Now()
-	res, err := shard.Eval(obs.WithCost(ctx, cost), st, f)
-	fp := plan.FragProfile{
-		Step:   f.Step,
-		Shard:  shardIdx,
-		Op:     f.Op.String(),
-		Rows:   [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
-		Cost:   cost.Snapshot(),
-		EvalMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if err != nil {
-		fp.Err = err.Error()
-		fp.Exhausted = fastquery.IsExhausted(err)
-	}
-	profile.Add(fp)
+	var res *plan.FragmentResult
+	err = evalProfiled(ctx, plan.NewFragProfile(shardIdx, f), func(ctx context.Context) (err error) {
+		res, err = shard.Eval(ctx, st, f)
+		return err
+	})
 	return res, err
 }
 
@@ -1104,98 +948,112 @@ func partialSteps(pqs []plan.Query, results []*plan.Result) []int {
 	return out
 }
 
-// markPartial mirrors a partial merge in the response headers, the way
-// X-Degraded marks brownout answers.
-func markPartial(w http.ResponseWriter, res *plan.Result) {
-	if res.Partial {
-		w.Header().Set("X-Partial", "1")
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// queryOp is /v1/query: the match count of a compound range query.
+func (s *Server) queryOp(r *http.Request) (*op, *httpError) {
 	req, herr := s.parseRequest(r, true)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
-	key := req.cacheKey("count")
-	var execCtx context.Context // set once execution starts; nil on peek hits
-	respond := func(val any, outcome Outcome) {
-		res := val.(*plan.Result)
-		rows := req.st.Rows()
-		sel := 0.0
-		if rows > 0 {
-			sel = float64(res.Count) / float64(rows)
-		}
-		s.noteExplain(r, req, res, outcome, "")
-		markPartial(w, res)
-		body := QueryBody{
-			Dataset:      req.d.name,
-			Step:         req.t,
-			Query:        req.src,
-			Plan:         req.plan,
-			Backend:      req.backend.String(),
-			Rows:         rows,
-			Matches:      res.Count,
-			Selectivity:  sel,
-			Outcome:      outcome.String(),
-			Partial:      res.Partial,
-			FailedShards: res.Failed,
-			ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-			Trace:        traceEcho(r),
-		}
-		if req.explain {
-			s.explains.Inc()
-			body.Explain = s.buildExplain(execCtx, r, req, "query", res, outcome, "", start)
-			if req.explainOnly {
-				writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-				return
+	rows := req.st.Rows()
+	return &op{
+		class: ClassDrill,
+		key:   req.cacheKey("count"),
+		exec: func(ctx context.Context) (*plan.Result, error) {
+			return s.execPlan(ctx, req.d, req.planQuery(plan.OpCount), rows)
+		},
+		body: func(res *plan.Result, m ResponseMeta) any {
+			sel := 0.0
+			if rows > 0 {
+				sel = float64(res.Count) / float64(rows)
 			}
-		}
-		writeBody(r, w, body)
-	}
-	if val, ok := s.peekBypass(r, key); ok {
-		respond(val, Hit)
-		return
-	}
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassDrill)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		s.writeShed(w, ClassDrill, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
-	}
-	execCtx = ctx
-	val, outcome, err := s.cacheDo(ctx, key, func(ctx context.Context) (any, error) {
-		return s.execPlan(ctx, req.d, req.planQuery(plan.OpCount), req.st.Rows())
-	})
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	respond(val, outcome)
+			return QueryBody{
+				Dataset:      req.d.name,
+				Step:         req.t,
+				Query:        req.src,
+				Plan:         req.plan,
+				Backend:      req.backend.String(),
+				Rows:         rows,
+				Matches:      res.Count,
+				Selectivity:  sel,
+				ResponseMeta: m,
+			}
+		},
+	}, nil
 }
 
-func (s *Server) handleHist1D(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// degradable reports whether a histogram request may offer the pipeline a
+// brownout ladder: the client did not insist on exactness, and the binning
+// is uniform — adaptive edges move with the data, so a coarser cached entry
+// is then not a resolution ladder of the same histogram.
+func degradable(r *http.Request, binning histogram.Binning) bool {
+	return r.FormValue("exact") != "1" && binning == histogram.Uniform
+}
+
+// indexOnly builds an op's index-only brownout rung from eval, which fills
+// the approximate histogram into the Result it is handed. The rung needs
+// the index, so scan-backend requests get none.
+func (s *Server) indexOnly(req *request, eval func(ctx context.Context, res *plan.Result) error) func(context.Context) (*plan.Result, error) {
+	if req.backend != fastquery.FastBit {
+		return nil
+	}
+	return func(ctx context.Context) (*plan.Result, error) {
+		s.backendCalls.Inc()
+		res := &plan.Result{Mode: "local", Fragments: 1}
+		return res, evalProfiled(ctx, plan.FragProfile{Step: req.t, Op: degradedIndexOnly},
+			func(ctx context.Context) error { return eval(ctx, res) })
+	}
+}
+
+// hist1DOp is /v1/hist1d: one conditional 1D histogram.
+func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 	req, herr := s.parseRequest(r, false)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	spec, herr := hist1DSpec(r, req.d)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
-	s.serveHist1D(w, r, req, spec, start)
+	o := &op{
+		class: ClassDrill,
+		key:   req.cacheKey(hist1DSpecKey(spec)),
+		exec: func(ctx context.Context) (*plan.Result, error) {
+			pq := req.planQuery(plan.OpHist1D)
+			pq.Spec1 = spec
+			return s.execPlan(ctx, req.d, pq, req.st.Rows())
+		},
+		body: func(res *plan.Result, m ResponseMeta) any {
+			h := res.Hist1
+			return Hist1DBody{
+				Dataset:      req.d.name,
+				Step:         req.t,
+				Plan:         req.plan,
+				Backend:      req.backend.String(),
+				Var:          spec.Var,
+				Binning:      spec.Binning.String(),
+				Edges:        h.Edges,
+				Counts:       h.Counts,
+				Total:        h.Total(),
+				ResponseMeta: m,
+			}
+		},
+	}
+	if degradable(r, spec.Binning) {
+		o.coarser = func(yield func(key string) bool) {
+			coarse := spec
+			for coarse.Bins /= 2; coarse.Bins >= brownoutMinBins; coarse.Bins /= 2 {
+				if !yield(req.cacheKey(hist1DSpecKey(coarse))) {
+					return
+				}
+			}
+		}
+		o.approxKey = req.cacheKey("hist1d-approx|" + spec.Var)
+		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) (err error) {
+			res.Hist1, err = req.st.Histogram1DIndexOnlyCtx(ctx, req.expr, spec.Var)
+			return err
+		})
+	}
+	return o, nil
 }
 
 // hist1DSpec parses the 1D histogram parameters.
@@ -1235,92 +1093,6 @@ func hist1DSpecKey(spec histogram.Spec1D) string {
 		"hist1d", spec.Var, strconv.Itoa(spec.Bins), spec.Binning.String(),
 		fmtG(spec.Lo), fmtG(spec.Hi), fmtG(spec.MinDensity),
 	}, "|")
-}
-
-func (s *Server) serveHist1D(w http.ResponseWriter, r *http.Request, req *request, spec histogram.Spec1D, start time.Time) {
-	var execCtx context.Context // set once execution starts; nil on peek/brownout hits
-	respond := func(val any, outcome Outcome, degraded string) {
-		res := val.(*plan.Result)
-		h := res.Hist1
-		body := Hist1DBody{
-			Dataset:      req.d.name,
-			Step:         req.t,
-			Plan:         req.plan,
-			Backend:      req.backend.String(),
-			Var:          spec.Var,
-			Binning:      spec.Binning.String(),
-			Edges:        h.Edges,
-			Counts:       h.Counts,
-			Total:        h.Total(),
-			Outcome:      outcome.String(),
-			Degraded:     degraded != "",
-			DegradedMode: degraded,
-			Partial:      res.Partial,
-			FailedShards: res.Failed,
-			ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-			Trace:        traceEcho(r),
-		}
-		if degraded != "" {
-			w.Header().Set("X-Degraded", degraded)
-		}
-		s.noteExplain(r, req, res, outcome, degraded)
-		markPartial(w, res)
-		if req.explain {
-			s.explains.Inc()
-			body.Explain = s.buildExplain(execCtx, r, req, "hist1d", res, outcome, degraded, start)
-			if req.explainOnly {
-				writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-				return
-			}
-		}
-		writeBody(r, w, body)
-	}
-	if val, ok := s.peekBypass(r, req.cacheKey(hist1DSpecKey(spec))); ok {
-		respond(val, Hit, "")
-		return
-	}
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassDrill)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		if shedErr(aerr) && s.tryBrownoutHist1D(r, req, spec, respond) {
-			return
-		}
-		s.writeShed(w, ClassDrill, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
-	}
-	execCtx = ctx
-	val, outcome, err := s.cacheDo(ctx, req.cacheKey(hist1DSpecKey(spec)), func(ctx context.Context) (any, error) {
-		pq := req.planQuery(plan.OpHist1D)
-		pq.Spec1 = spec
-		return s.execPlan(ctx, req.d, pq, req.st.Rows())
-	})
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	respond(val, outcome, "")
-}
-
-func (s *Server) handleHist2D(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, herr := s.parseRequest(r, false)
-	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
-	}
-	spec, herr := hist2DSpec(r, req.d)
-	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
-	}
-	s.serveHist2D(w, r, req, spec, start)
 }
 
 // hist2DSpec parses the 2D histogram parameters.
@@ -1371,77 +1143,62 @@ func hist2DSpecKey(spec histogram.Spec2D) string {
 	}, "|")
 }
 
-func (s *Server) serveHist2D(w http.ResponseWriter, r *http.Request, req *request, spec histogram.Spec2D, start time.Time) {
-	var execCtx context.Context // set once execution starts; nil on peek/brownout hits
-	respond := func(val any, outcome Outcome, degraded string) {
-		res := val.(*plan.Result)
-		h := res.Hist2
-		body := Hist2DBody{
-			Dataset:      req.d.name,
-			Step:         req.t,
-			Plan:         req.plan,
-			Backend:      req.backend.String(),
-			XVar:         spec.XVar,
-			YVar:         spec.YVar,
-			Binning:      spec.Binning.String(),
-			XEdges:       h.XEdges,
-			YEdges:       h.YEdges,
-			Counts:       h.Counts,
-			Total:        h.Total(),
-			Outcome:      outcome.String(),
-			Degraded:     degraded != "",
-			DegradedMode: degraded,
-			Partial:      res.Partial,
-			FailedShards: res.Failed,
-			ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-			Trace:        traceEcho(r),
-		}
-		if degraded != "" {
-			w.Header().Set("X-Degraded", degraded)
-		}
-		s.noteExplain(r, req, res, outcome, degraded)
-		markPartial(w, res)
-		if req.explain {
-			s.explains.Inc()
-			body.Explain = s.buildExplain(execCtx, r, req, "hist2d", res, outcome, degraded, start)
-			if req.explainOnly {
-				writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-				return
+// hist2DOp is /v1/hist2d: one conditional 2D histogram. Its brownout
+// ladder halves both axes in lockstep before falling back to the bitmap
+// AND-count grid at the two indexes' native resolutions.
+func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
+	req, herr := s.parseRequest(r, false)
+	if herr != nil {
+		return nil, herr
+	}
+	spec, herr := hist2DSpec(r, req.d)
+	if herr != nil {
+		return nil, herr
+	}
+	o := &op{
+		class: ClassDrill,
+		key:   req.cacheKey(hist2DSpecKey(spec)),
+		exec: func(ctx context.Context) (*plan.Result, error) {
+			pq := req.planQuery(plan.OpHist2D)
+			pq.Spec2 = spec
+			return s.execPlan(ctx, req.d, pq, req.st.Rows())
+		},
+		body: func(res *plan.Result, m ResponseMeta) any {
+			h := res.Hist2
+			return Hist2DBody{
+				Dataset:      req.d.name,
+				Step:         req.t,
+				Plan:         req.plan,
+				Backend:      req.backend.String(),
+				XVar:         spec.XVar,
+				YVar:         spec.YVar,
+				Binning:      spec.Binning.String(),
+				XEdges:       h.XEdges,
+				YEdges:       h.YEdges,
+				Counts:       h.Counts,
+				Total:        h.Total(),
+				ResponseMeta: m,
+			}
+		},
+	}
+	if degradable(r, spec.Binning) {
+		o.coarser = func(yield func(key string) bool) {
+			coarse := spec
+			for {
+				coarse.XBins, coarse.YBins = coarse.XBins/2, coarse.YBins/2
+				if coarse.XBins < brownoutMinBins || coarse.YBins < brownoutMinBins ||
+					!yield(req.cacheKey(hist2DSpecKey(coarse))) {
+					return
+				}
 			}
 		}
-		writeBody(r, w, body)
+		o.approxKey = req.cacheKey("hist2d-approx|" + spec.XVar + "|" + spec.YVar)
+		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) (err error) {
+			res.Hist2, err = req.st.Histogram2DIndexOnlyCtx(ctx, req.expr, spec.XVar, spec.YVar)
+			return err
+		})
 	}
-	if val, ok := s.peekBypass(r, req.cacheKey(hist2DSpecKey(spec))); ok {
-		respond(val, Hit, "")
-		return
-	}
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassDrill)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		if shedErr(aerr) && s.tryBrownoutHist2D(r, req, spec, respond) {
-			return
-		}
-		s.writeShed(w, ClassDrill, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
-	}
-	execCtx = ctx
-	val, outcome, err := s.cacheDo(ctx, req.cacheKey(hist2DSpecKey(spec)), func(ctx context.Context) (any, error) {
-		pq := req.planQuery(plan.OpHist2D)
-		pq.Spec2 = spec
-		return s.execPlan(ctx, req.d, pq, req.st.Rows())
-	})
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	respond(val, outcome, "")
+	return o, nil
 }
 
 // stepsParam parses the steps parameter for sweeps: "" (all steps),
@@ -1502,84 +1259,57 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 	return out, nil
 }
 
-// handleSweep2D computes one conditional 2D histogram per timestep — the
+// sweep2DOp is /v1/sweep2d: one conditional 2D histogram per timestep — the
 // paper's temporal-evolution view. The steps run as one batch through the
 // planner: in-process here, scattered step × row-range across the shard
 // fleet on a frontend, steps overlapping either way.
-func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+func (s *Server) sweep2DOp(r *http.Request) (*op, *httpError) {
 	req, herr := s.parseRequest(r, false)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	spec, herr := hist2DSpec(r, req.d)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	steps, herr := stepsParam(r, req.d)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassSweep)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		s.writeShed(w, ClassSweep, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
-	}
-
 	pqs := make([]plan.Query, len(steps))
 	for i, t := range steps {
 		pqs[i] = req.planQuery(plan.OpHist2D)
 		pqs[i].Step = t
 		pqs[i].Spec2 = spec
 	}
-	results, sum, err := s.execPlans(ctx, req.d, pqs)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	mode := "local"
-	if s.shardClient() != nil {
-		mode = "scatter"
-	}
-	body := Sweep2DBody{
-		Dataset:      req.d.name,
-		Steps:        steps,
-		Plan:         req.plan,
-		Backend:      req.backend.String(),
-		Mode:         mode,
-		XVar:         spec.XVar,
-		YVar:         spec.YVar,
-		Totals:       make([]uint64, len(results)),
-		Partial:      sum.Partial,
-		FailedSteps:  partialSteps(pqs, results),
-		FailedShards: sum.Failed,
-		Trace:        traceEcho(r),
-	}
-	for i, res := range results {
-		body.Totals[i] = res.Hist2.Total()
-		body.Total += body.Totals[i]
-	}
-	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.noteExplain(r, req, sum, Computed, "")
-	markPartial(w, sum)
-	if req.explain {
-		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "sweep2d", sum, Computed, "", start)
-		if req.explainOnly {
-			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-			return
-		}
-	}
-	writeBody(r, w, body)
+	var results []*plan.Result
+	return &op{
+		class: ClassSweep,
+		exec: func(ctx context.Context) (sum *plan.Result, err error) {
+			results, sum, err = s.execPlans(ctx, req.d, pqs)
+			return sum, err
+		},
+		body: func(_ *plan.Result, m ResponseMeta) any {
+			m.FailedSteps = partialSteps(pqs, results)
+			body := Sweep2DBody{
+				Dataset:      req.d.name,
+				Steps:        steps,
+				Plan:         req.plan,
+				Backend:      req.backend.String(),
+				Mode:         "local",
+				XVar:         spec.XVar,
+				YVar:         spec.YVar,
+				Totals:       make([]uint64, len(results)),
+				ResponseMeta: m,
+			}
+			if s.shardClient() != nil {
+				body.Mode = "scatter"
+			}
+			for i, res := range results {
+				body.Totals[i] = res.Hist2.Total()
+				body.Total += body.Totals[i]
+			}
+			return body
+		},
+	}, nil
 }

@@ -36,7 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/fastquery"
@@ -45,6 +44,7 @@ import (
 	"repro/internal/pcoords"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/render"
 	"repro/internal/session"
 )
 
@@ -93,9 +93,9 @@ func (s *Server) registerSessions() {
 	s.mux.HandleFunc("GET /v1/session", s.instrumented("session", s.handleSessionList))
 	s.mux.HandleFunc("GET /v1/session/{id}", s.instrumented("session", s.handleSessionGet))
 	s.mux.HandleFunc("DELETE /v1/session/{id}", s.instrumented("session", s.handleSessionDelete))
-	s.mux.HandleFunc("POST /v1/session/{id}/select", s.instrumented("session-select", s.handleSessionSelect))
-	s.mux.HandleFunc("POST /v1/session/{id}/track", s.instrumented("session-track", s.handleSessionTrack))
-	s.mux.HandleFunc("GET /v1/session/{id}/views", s.instrumented("session-views", s.handleSessionViews))
+	s.mux.HandleFunc("POST /v1/session/{id}/select", s.pipelined("session-select", s.selectOp))
+	s.mux.HandleFunc("POST /v1/session/{id}/track", s.pipelined("session-track", s.trackOp))
+	s.mux.HandleFunc("GET /v1/session/{id}/views", s.pipelined("session-views", s.viewsOp))
 }
 
 // sessionName validates a client-supplied session or selection name:
@@ -199,12 +199,16 @@ func refineAtPositions(ctx context.Context, req *request, prev *bitmap.Vector, m
 	pos := prev.Positions()
 	vars := query.Vars(req.expr)
 	cols := make(map[string][]float64, len(vars))
-	for _, v := range vars {
-		vals, err := req.st.ValuesAtCtx(sctx, v, pos)
-		if err != nil {
-			return nil, err
+	err := evalProfiled(sctx, plan.FragProfile{Step: req.t, Op: "refine-at-selection"}, func(ctx context.Context) (err error) {
+		for _, v := range vars {
+			if cols[v], err = req.st.ValuesAtCtx(ctx, v, pos); err != nil {
+				return err
+			}
 		}
-		cols[v] = vals
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	idx := 0
 	rowf := func(name string) float64 { return cols[name][idx] }
@@ -220,142 +224,107 @@ func refineAtPositions(ctx context.Context, req *request, prev *bitmap.Vector, m
 	return bitmap.FromPositions(req.st.Rows(), keep)
 }
 
-// handleSessionSelect evaluates a predicate into a named selection, or
-// refines the stored one. A refinement whose stored bitmap is still valid
-// (same catalog generation, same row count) evaluates only the delta
-// predicate — for and/andnot at just the selected positions, for or over
-// the domain followed by a bitmap union — otherwise the folded chain
-// re-evaluates from scratch. Select deliberately bypasses the result
-// cache: the session is the cache, and each refinement's predicate is
-// novel anyway.
-func (s *Server) handleSessionSelect(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// putSelection stores sel; a selection over the store's byte budget is the
+// client's 413, any other refusal the error mapper's 500.
+func (s *Server) putSelection(sid string, sel session.Selection) error {
+	err := s.sessions.Put(sid, sel)
+	if errors.Is(err, session.ErrTooLarge) {
+		return errf(http.StatusRequestEntityTooLarge, "%v", err)
+	}
+	return err
+}
+
+// selectOp is POST /v1/session/{id}/select: evaluate a predicate into a
+// named selection, or refine the stored one. A refinement whose stored
+// bitmap is still valid (same catalog generation, same row count)
+// evaluates only the delta predicate — for and/andnot at just the selected
+// positions, for or over the domain followed by a bitmap union — otherwise
+// the folded chain re-evaluates from scratch. Select deliberately bypasses
+// the result cache: the session is the cache, and each refinement's
+// predicate is novel anyway.
+func (s *Server) selectOp(r *http.Request) (*op, *httpError) {
 	sid, herr := sessionID(r)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	name, herr := selectionName(r)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	req, herr := s.parseRequest(r, true)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
-	mode := r.FormValue("refine")
-	switch mode {
-	case "", "and", "or", "andnot":
-	default:
-		writeError(w, http.StatusBadRequest, "unknown refine mode %q (and | or | andnot)", mode)
-		return
-	}
-	var prev session.Selection
-	if mode != "" {
-		var ok bool
-		prev, ok = s.sessions.Selection(sid, name)
-		if !ok {
-			writeError(w, http.StatusNotFound,
-				"session %q has no selection %q to refine; select without refine first", sid, name)
-			return
-		}
-		if prev.Dataset != req.d.name || prev.Step != req.t {
-			writeError(w, http.StatusConflict,
-				"selection %q is over %s step %d, request names %s step %d",
-				name, prev.Dataset, prev.Step, req.d.name, req.t)
-			return
-		}
-	}
-
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassDrill)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		s.writeShed(w, ClassDrill, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
-	}
-
 	rows := req.st.Rows()
-	effective := req.plan
-	// reused: the stored bitmap is still authoritative (generation and row
-	// count unchanged), so only the delta predicate needs evaluating.
-	reused := false
-	if mode != "" {
-		eff, err := refineExpr(prev.Expr, req.expr, mode)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "refine %q: %v", prev.Expr, err)
-			return
-		}
-		effective = eff
-		reused = prev.Bits != nil && prev.Gen == req.gen && prev.Rows == rows
-	}
-	var res *plan.Result
-	var bits *bitmap.Vector
-	var err error
-	if reused && mode != "or" {
-		// and / andnot with a valid stored bitmap: evaluate the delta only
-		// at the selected positions, no scatter at all.
-		bits, err = refineAtPositions(ctx, req, prev.Bits, mode)
-		if err != nil {
-			s.writeExecError(w, err)
-			return
-		}
-	} else {
-		pq := req.planQuery(plan.OpSelect)
-		if mode != "" && !reused {
-			pq.Query = effective
-		}
-		res, err = s.execPlan(ctx, req.d, pq, rows)
-		if err != nil {
-			s.writeExecError(w, err)
-			return
-		}
-	}
-
 	body := SessionSelectBody{
 		Session: sid, Name: name,
 		Dataset: req.d.name, Step: req.t,
-		Query: req.src, Plan: req.plan, Expr: effective,
-		Backend: req.backend.String(), Refine: mode,
-		Rows: rows, Reused: reused,
-		Trace: traceEcho(r),
+		Query: req.src, Plan: req.plan, Expr: req.plan,
+		Backend: req.backend.String(), Refine: r.FormValue("refine"),
+		Rows: rows,
 	}
-	if res != nil {
-		body.Partial, body.FailedShards = res.Partial, res.Failed
+	mode := body.Refine
+	var prev session.Selection
+	switch mode {
+	case "":
+	case "and", "or", "andnot":
+		var ok bool
+		if prev, ok = s.sessions.Selection(sid, name); !ok {
+			return nil, errf(http.StatusNotFound,
+				"session %q has no selection %q to refine; select without refine first", sid, name)
+		}
+		if prev.Dataset != req.d.name || prev.Step != req.t {
+			return nil, errf(http.StatusConflict,
+				"selection %q is over %s step %d, request names %s step %d",
+				name, prev.Dataset, prev.Step, req.d.name, req.t)
+		}
+		var err error
+		if body.Expr, err = refineExpr(prev.Expr, req.expr, mode); err != nil {
+			return nil, errf(http.StatusInternalServerError, "refine %q: %v", prev.Expr, err)
+		}
+		// Reused: the stored bitmap is still authoritative (generation and
+		// row count unchanged), so only the delta predicate needs evaluating.
+		body.Reused = prev.Bits != nil && prev.Gen == req.gen && prev.Rows == rows
+	default:
+		return nil, errf(http.StatusBadRequest, "unknown refine mode %q (and | or | andnot)", mode)
 	}
-	if body.Partial {
-		// Store-or-reject: a selection merged without every shard must
-		// never become the authoritative brush other refinements and
-		// tracks build on.
-		s.sessions.NotePartialReject()
-		body.Matches = uint64(len(res.Sel))
-	} else {
-		if bits == nil {
-			bits, err = bitmap.FromPositions(rows, res.Sel)
-			if err != nil {
-				s.writeExecError(w, err)
-				return
+	exec := func(ctx context.Context) (res *plan.Result, err error) {
+		var bits *bitmap.Vector
+		if body.Reused && mode != "or" {
+			// and / andnot with a valid stored bitmap: evaluate the delta only
+			// at the selected positions, no scatter at all.
+			if bits, err = refineAtPositions(ctx, req, prev.Bits, mode); err != nil {
+				return nil, err
 			}
-			if mode != "" && reused {
+		} else {
+			pq := req.planQuery(plan.OpSelect)
+			if !body.Reused {
+				pq.Query = body.Expr
+			}
+			if res, err = s.execPlan(ctx, req.d, pq, rows); err != nil {
+				return nil, err
+			}
+			if res.Partial {
+				// Store-or-reject: a selection merged without every shard must
+				// never become the authoritative brush other refinements and
+				// tracks build on.
+				s.sessions.NotePartialReject()
+				body.Matches = uint64(len(res.Sel))
+				return res, nil
+			}
+			if bits, err = bitmap.FromPositions(rows, res.Sel); err != nil {
+				return nil, err
+			}
+			if body.Reused {
 				// or: the delta had to be evaluated over the whole domain,
 				// but the stored bitmap still spares the folded chain.
-				bits, err = session.Combine(prev.Bits, bits, mode)
-				if err != nil {
-					s.writeExecError(w, err)
-					return
+				if bits, err = session.Combine(prev.Bits, bits, mode); err != nil {
+					return nil, err
 				}
 			}
 		}
 		if mode != "" {
-			if reused {
+			if body.Reused {
 				s.sessions.NoteReuse()
 			} else {
 				s.sessions.NoteScratch()
@@ -364,47 +333,23 @@ func (s *Server) handleSessionSelect(w http.ResponseWriter, r *http.Request) {
 		}
 		sel := session.Selection{
 			Name: name, Dataset: req.d.name, Step: req.t,
-			Gen: req.gen, Backend: req.backend.String(),
-			Expr: effective, Bits: bits,
+			Gen: req.gen, Backend: body.Backend,
+			Expr: body.Expr, Bits: bits,
 			Count: bits.Count(), Rows: rows, Refines: body.Refines,
 		}
-		if perr := s.sessions.Put(sid, sel); perr != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(perr, session.ErrTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, "%v", perr)
-			return
+		if err := s.putSelection(sid, sel); err != nil {
+			return nil, err
 		}
-		body.Stored = true
-		body.Matches = sel.Count
-		body.SizeBytes = sel.SizeBytes()
+		body.Stored, body.Matches, body.SizeBytes = true, sel.Count, sel.SizeBytes()
+		return res, nil
 	}
-	if rows > 0 {
-		body.Selectivity = float64(body.Matches) / float64(rows)
-	}
-	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.noteExplain(r, req, res, Computed, "")
-	if res != nil {
-		markPartial(w, res)
-	}
-	if req.explain {
-		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "session-select", res, Computed, "", start)
-		if req.explainOnly {
-			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-			return
+	return &op{class: ClassDrill, exec: exec, body: func(_ *plan.Result, m ResponseMeta) any {
+		if rows > 0 {
+			body.Selectivity = float64(body.Matches) / float64(rows)
 		}
-	}
-	writeBody(r, w, body)
-}
-
-// datasetByName resolves a stored selection's dataset.
-func (s *Server) datasetByName(name string) (*dataset, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.datasets[name]
-	return d, ok
+		body.ResponseMeta = m
+		return body
+	}}, nil
 }
 
 // selBackend maps a stored selection's backend string back to the enum.
@@ -415,156 +360,122 @@ func selBackend(b string) fastquery.Backend {
 	return fastquery.Scan
 }
 
-// fetchSelection resolves {id} + name to the stored selection and its
-// dataset, writing the error response itself on failure.
-func (s *Server) fetchSelection(w http.ResponseWriter, r *http.Request) (string, session.Selection, *dataset, bool) {
-	sid, herr := sessionID(r)
-	if herr == nil {
-		var name string
-		if name, herr = selectionName(r); herr == nil {
-			sel, ok := s.sessions.Selection(sid, name)
-			if !ok {
-				writeError(w, http.StatusNotFound, "session %q has no selection %q", sid, name)
-				return "", session.Selection{}, nil, false
-			}
-			d, ok := s.datasetByName(sel.Dataset)
-			if !ok {
-				writeError(w, http.StatusNotFound, "selection %q names unknown dataset %q", name, sel.Dataset)
-				return "", session.Selection{}, nil, false
-			}
-			return sid, sel, d, true
-		}
-	}
-	writeError(w, herr.status, "%s", herr.msg)
-	return "", session.Selection{}, nil, false
-}
-
-// handleSessionTrack follows a selection's particles across timesteps:
-// the selected positions materialize into the ID column's values once,
-// then every requested step is counted under one canonical `id in (...)`
-// membership predicate — the cross-timestep query of paper Section III-B,
-// batched as a single call. Runs at sweep priority; a partial step means
-// the track is reported but not stored.
-func (s *Server) handleSessionTrack(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sid, sel, d, ok := s.fetchSelection(w, r)
-	if !ok {
+// fetchSelection resolves {id} + name to the stored selection, its dataset
+// and the open step it was brushed on.
+func (s *Server) fetchSelection(r *http.Request) (sid string, sel session.Selection, d *dataset, st *fastquery.Step, herr *httpError) {
+	if sid, herr = sessionID(r); herr != nil {
 		return
 	}
-	steps, herr := stepsParam(r, d)
+	name, herr := selectionName(r)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
+		return
+	}
+	var ok bool
+	if sel, ok = s.sessions.Selection(sid, name); !ok {
+		herr = errf(http.StatusNotFound, "session %q has no selection %q", sid, name)
+		return
+	}
+	s.mu.RLock()
+	d = s.datasets[sel.Dataset]
+	s.mu.RUnlock()
+	if d == nil {
+		herr = errf(http.StatusNotFound, "selection %q names unknown dataset %q", name, sel.Dataset)
 		return
 	}
 	st, err := d.step(sel.Step)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		herr = errf(http.StatusInternalServerError, "%v", err)
 	}
-	req := &request{d: d, st: st, t: sel.Step, gen: sel.Gen, plan: sel.Expr, backend: selBackend(sel.Backend)}
-	if req.explain, req.explainOnly = parseExplain(r); req.explain {
-		req.prof = plan.NewProfile()
-	}
+	return
+}
 
-	admitStart := time.Now()
-	release, aerr := s.admit(r, ClassSweep)
-	req.waitMS = float64(time.Since(admitStart)) / float64(time.Millisecond)
-	if aerr != nil {
-		s.writeShed(w, ClassSweep, aerr)
-		return
+// trackOp is POST /v1/session/{id}/track: follow a selection's particles
+// across timesteps. The selected positions materialize into the ID
+// column's values once, then every requested step is counted under one
+// canonical `id in (...)` membership predicate — the cross-timestep query
+// of paper Section III-B, batched as a single call. Runs at sweep priority;
+// a partial step means the track is reported but not stored.
+func (s *Server) trackOp(r *http.Request) (*op, *httpError) {
+	sid, sel, d, st, herr := s.fetchSelection(r)
+	if herr != nil {
+		return nil, herr
 	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if req.prof != nil {
-		ctx = plan.WithProfile(ctx, req.prof)
+	steps, herr := stepsParam(r, d)
+	if herr != nil {
+		return nil, herr
 	}
-
-	ids := sel.IDs
-	if len(ids) == 0 && sel.Count > 0 {
-		// Materialize the ID set from the stored positions. Positions are
-		// only meaningful at the generation the bitmap was built against;
-		// once an ingest moved the step, the selection must be re-run.
-		if sel.Gen != d.stepGen(sel.Step) {
-			writeError(w, http.StatusConflict,
-				"selection %q is stale (step %d generation moved); re-run select", sel.Name, sel.Step)
-			return
-		}
-		if sel.Count > maxTrackIDs {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"selection has %d particles, tracking caps at %d; refine further", sel.Count, maxTrackIDs)
-			return
-		}
-		if herr := checkVars(d, st.IDVar()); herr != nil {
-			writeError(w, http.StatusBadRequest,
-				"dataset %q has no identifier column (%q); tracking needs one", d.name, st.IDVar())
-			return
-		}
-		ids, err = st.IDsAtCtx(ctx, sel.Bits.Positions())
-		if err != nil {
-			s.writeExecError(w, err)
-			return
-		}
+	// The ID set materializes from the stored positions, which are only
+	// meaningful at the generation the bitmap was built against; once an
+	// ingest moved the step, the selection must be re-run.
+	materialize := len(sel.IDs) == 0 && sel.Count > 0
+	switch {
+	case !materialize:
+	case sel.Gen != d.stepGen(sel.Step):
+		return nil, errf(http.StatusConflict,
+			"selection %q is stale (step %d generation moved); re-run select", sel.Name, sel.Step)
+	case sel.Count > maxTrackIDs:
+		return nil, errf(http.StatusRequestEntityTooLarge,
+			"selection has %d particles, tracking caps at %d; refine further", sel.Count, maxTrackIDs)
+	case checkVars(d, st.IDVar()) != nil:
+		return nil, errf(http.StatusBadRequest,
+			"dataset %q has no identifier column (%q); tracking needs one", d.name, st.IDVar())
 	}
-
-	var sum *plan.Result // nil when there were no IDs to follow
 	body := SessionTrackBody{
 		Session: sid, Name: sel.Name, Dataset: d.name,
 		Step: sel.Step, Backend: sel.Backend, IDVar: st.IDVar(),
-		IDs: len(ids), Steps: steps,
-		Counts: make([]uint64, len(steps)),
-		Trace:  traceEcho(r),
+		Steps: steps, Counts: make([]uint64, len(steps)),
 	}
-	if len(ids) > 0 {
-		fids := make([]float64, len(ids))
-		for i, id := range ids {
-			fids[i] = float64(id)
+	var failedSteps []int
+	exec := func(ctx context.Context) (sum *plan.Result, err error) {
+		ids := sel.IDs
+		if materialize {
+			err = evalProfiled(ctx, plan.FragProfile{Step: sel.Step, Op: "ids-at-selection"}, func(ctx context.Context) (err error) {
+				ids, err = st.IDsAtCtx(ctx, sel.Bits.Positions())
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		body.Expr = query.Canonical(query.NewIn(st.IDVar(), fids)).String()
-		pqs := make([]plan.Query, len(steps))
-		for i, t := range steps {
-			pqs[i] = plan.Query{Op: plan.OpCount, Dataset: d.name, Step: t,
-				Query: body.Expr, Backend: req.backend}
+		body.IDs = len(ids)
+		if len(ids) > 0 { // otherwise nothing to follow: no plan runs
+			fids := make([]float64, len(ids))
+			for i, id := range ids {
+				fids[i] = float64(id)
+			}
+			body.Expr = query.Canonical(query.NewIn(st.IDVar(), fids)).String()
+			pqs := make([]plan.Query, len(steps))
+			for i, t := range steps {
+				pqs[i] = plan.Query{Op: plan.OpCount, Dataset: d.name, Step: t,
+					Query: body.Expr, Backend: selBackend(sel.Backend)}
+			}
+			var results []*plan.Result
+			if results, sum, err = s.execPlans(ctx, d, pqs); err != nil {
+				return nil, err
+			}
+			for i, res := range results {
+				body.Counts[i] = res.Count
+			}
+			if failedSteps = partialSteps(pqs, results); sum.Partial {
+				// Store-or-reject, same rule as select: a track missing a
+				// shard's rows on any step is not an authoritative trajectory.
+				s.sessions.NotePartialReject()
+				return sum, nil
+			}
 		}
-		var results []*plan.Result
-		if results, sum, err = s.execPlans(ctx, d, pqs); err != nil {
-			s.writeExecError(w, err)
-			return
-		}
-		for i, res := range results {
-			body.Counts[i] = res.Count
-		}
-		body.Partial, body.FailedSteps = sum.Partial, partialSteps(pqs, results)
-	}
-	if body.Partial {
-		// Store-or-reject, same rule as select: a track missing a shard's
-		// rows on any step is not an authoritative trajectory.
-		s.sessions.NotePartialReject()
-		w.Header().Set("X-Partial", "1")
-	} else {
 		sel.IDs = ids
 		sel.Track = &session.Track{Steps: steps, Counts: body.Counts, Expr: body.Expr}
-		if perr := s.sessions.Put(sid, sel); perr != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(perr, session.ErrTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, "%v", perr)
-			return
+		if err := s.putSelection(sid, sel); err != nil {
+			return nil, err
 		}
 		body.Stored = true
+		return sum, nil
 	}
-	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.noteExplain(r, req, sum, Computed, "")
-	if req.explain {
-		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "session-track", sum, Computed, "", start)
-		if req.explainOnly {
-			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
-			return
-		}
-	}
-	writeBody(r, w, body)
+	return &op{class: ClassSweep, exec: exec, body: func(_ *plan.Result, m ResponseMeta) any {
+		m.FailedSteps = failedSteps
+		body.ResponseMeta = m
+		return body
+	}}, nil
 }
 
 // viewVars resolves the axis variables for a views request: an explicit
@@ -610,91 +521,92 @@ var layerPalette = []color.RGBA{
 	{240, 240, 130, 255}, // yellow
 }
 
-// handleSessionViews renders a stored selection: JSON conditional 1D
-// histogram panels per axis variable by default, or (format=png) a
-// histogram-based parallel coordinates plot — temporal, one layer per
-// tracked timestep, once the selection has been tracked.
-func (s *Server) handleSessionViews(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sid, sel, d, ok := s.fetchSelection(w, r)
-	if !ok {
-		return
-	}
-	st, err := d.step(sel.Step)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+// viewsOp is GET /v1/session/{id}/views: render a stored selection as JSON
+// conditional 1D histogram panels per axis variable by default, or
+// (format=png) as a histogram-based parallel coordinates plot — temporal,
+// one layer per tracked timestep, once the selection has been tracked.
+// Either way the panels are one planner batch.
+func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
+	sid, sel, d, st, herr := s.fetchSelection(r)
+	if herr != nil {
+		return nil, herr
 	}
 	vars, herr := viewVars(r, d, st.IDVar())
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	bins, herr := intParam(r, "bins", 32, 2, 512)
 	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
+		return nil, herr
 	}
 	format := r.FormValue("format")
 	if format != "" && format != "json" && format != "png" {
-		writeError(w, http.StatusBadRequest, "unknown format %q (json | png)", format)
-		return
+		return nil, errf(http.StatusBadRequest, "unknown format %q (json | png)", format)
 	}
-	backend := selBackend(sel.Backend)
-
-	release, aerr := s.admit(r, ClassSweep)
-	if aerr != nil {
-		s.writeShed(w, ClassSweep, aerr)
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-
-	// Axis ranges come from the step's variable metadata so histogram
-	// edges and plot axes agree exactly.
-	axes := make([]pcoords.Axis, len(vars))
-	for i, v := range vars {
-		lo, hi, err := st.MinMax(v)
-		if err != nil {
-			s.writeExecError(w, err)
-			return
-		}
-		if !(hi > lo) {
-			hi = lo + 1
-		}
-		axes[i] = pcoords.Axis{Var: v, Min: lo, Max: hi}
-	}
-
 	// Temporal views follow the tracked ID membership predicate across the
 	// tracked steps; an untracked selection renders its own step only.
 	steps, pred := []int{sel.Step}, sel.Expr
 	if sel.Track != nil && sel.Track.Expr != "" {
 		steps, pred = sel.Track.Steps, sel.Track.Expr
 	}
-
-	if format == "png" {
+	body := SessionViewsBody{
+		Session: sid, Name: sel.Name, Dataset: d.name,
+		Step: sel.Step, Backend: sel.Backend, Expr: pred,
+		Vars: vars, Steps: steps, Temporal: sel.Track != nil,
+	}
+	var canvas *render.Canvas
+	exec := func(ctx context.Context) (*plan.Result, error) {
+		// Axis ranges come from the step's variable metadata so histogram
+		// edges and plot axes agree exactly.
+		axes := make([]pcoords.Axis, len(vars))
+		for i, v := range vars {
+			lo, hi, err := st.MinMax(v)
+			if err != nil {
+				return nil, err
+			}
+			if !(hi > lo) {
+				hi = lo + 1
+			}
+			axes[i] = pcoords.Axis{Var: v, Min: lo, Max: hi}
+		}
+		pq := plan.Query{Dataset: d.name, Step: sel.Step, Query: sel.Expr, Backend: selBackend(sel.Backend)}
+		if format != "png" {
+			pqs := make([]plan.Query, len(axes))
+			for i, ax := range axes {
+				pqs[i] = pq
+				pqs[i].Op, pqs[i].Spec1 = plan.OpHist1D, histogram.NewSpec1D(ax.Var, bins)
+				pqs[i].Spec1.Lo, pqs[i].Spec1.Hi = ax.Min, ax.Max
+			}
+			results, sum, err := s.execPlans(ctx, d, pqs)
+			if err != nil {
+				return nil, err
+			}
+			for i, res := range results {
+				body.Panels = append(body.Panels, ViewPanel{
+					Var: vars[i], Edges: res.Hist1.Edges, Counts: res.Hist1.Counts, Total: res.Hist1.Total(),
+				})
+			}
+			return sum, nil
+		}
 		plot, err := pcoords.New(axes, pcoords.DefaultOptions())
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
 		// One plan per (step, adjacent axis pair), step-major.
 		pairs := len(axes) - 1
 		pqs := make([]plan.Query, 0, len(steps)*pairs)
+		pq.Op, pq.Query = plan.OpHist2D, pred
 		for _, t := range steps {
 			for i := 0; i < pairs; i++ {
-				spec := histogram.NewSpec2D(axes[i].Var, axes[i+1].Var, bins, bins)
-				spec.XLo, spec.XHi = axes[i].Min, axes[i].Max
-				spec.YLo, spec.YHi = axes[i+1].Min, axes[i+1].Max
-				pqs = append(pqs, plan.Query{Op: plan.OpHist2D, Dataset: d.name, Step: t,
-					Query: pred, Backend: backend, Spec2: spec})
+				pq.Step, pq.Spec2 = t, histogram.NewSpec2D(axes[i].Var, axes[i+1].Var, bins, bins)
+				pq.Spec2.XLo, pq.Spec2.XHi = axes[i].Min, axes[i].Max
+				pq.Spec2.YLo, pq.Spec2.YHi = axes[i+1].Min, axes[i+1].Max
+				pqs = append(pqs, pq)
 			}
 		}
 		results, sum, err := s.execPlans(ctx, d, pqs)
 		if err != nil {
-			s.writeExecError(w, err)
-			return
+			return nil, err
 		}
 		for si := range steps {
 			hists := make([]*histogram.Hist2D, pairs)
@@ -703,47 +615,17 @@ func (s *Server) handleSessionViews(w http.ResponseWriter, r *http.Request) {
 			}
 			layer := &pcoords.HistLayer{Hists: hists, Color: layerPalette[si%len(layerPalette)]}
 			if err := plot.AddHistLayer(layer); err != nil {
-				s.writeExecError(w, err)
-				return
+				return nil, err
 			}
 		}
-		canvas, err := plot.Render()
-		if err != nil {
-			s.writeExecError(w, err)
-			return
+		canvas, err = plot.Render()
+		return sum, err
+	}
+	return &op{class: ClassSweep, exec: exec, body: func(_ *plan.Result, m ResponseMeta) any {
+		if canvas != nil {
+			return pngBody{canvas}
 		}
-		markPartial(w, sum)
-		w.Header().Set("Content-Type", "image/png")
-		canvas.EncodePNG(w) //nolint:errcheck // client gone; nothing to do
-		return
-	}
-
-	body := SessionViewsBody{
-		Session: sid, Name: sel.Name, Dataset: d.name,
-		Step: sel.Step, Backend: sel.Backend, Expr: pred,
-		Vars: vars, Steps: steps, Temporal: sel.Track != nil,
-		Trace: traceEcho(r),
-	}
-	for i, v := range vars {
-		spec := histogram.NewSpec1D(v, bins)
-		spec.Lo, spec.Hi = axes[i].Min, axes[i].Max
-		pq := plan.Query{Op: plan.OpHist1D, Dataset: d.name, Step: sel.Step,
-			Query: sel.Expr, Backend: backend, Spec1: spec}
-		res, err := s.execPlan(ctx, d, pq, st.Rows())
-		if err != nil {
-			s.writeExecError(w, err)
-			return
-		}
-		if res.Partial {
-			body.Partial = true
-		}
-		body.Panels = append(body.Panels, ViewPanel{
-			Var: v, Edges: res.Hist1.Edges, Counts: res.Hist1.Counts, Total: res.Hist1.Total(),
-		})
-	}
-	if body.Partial {
-		w.Header().Set("X-Partial", "1")
-	}
-	body.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeBody(r, w, body)
+		body.ResponseMeta = m
+		return body
+	}}, nil
 }

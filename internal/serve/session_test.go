@@ -86,11 +86,18 @@ func TestSessionBrushRefineTrackViews(t *testing.T) {
 	// Refine (and): only the delta predicate evaluates; the stored bitmap
 	// combines. The result must equal the full conjunction from scratch.
 	var ref SessionSelectBody
-	if code, raw, _ := sessPost(t, ts, selectPath(sid, step, "y < 0.5", "refine=and"), &ref); code != 200 {
+	if code, raw, _ := sessPost(t, ts, selectPath(sid, step, "y < 0.5", "refine=and&debug=explain"), &ref); code != 200 {
 		t.Fatalf("refine: %d %s", code, raw)
 	}
 	if !ref.Stored || !ref.Reused || ref.Refines != 1 {
 		t.Fatalf("refine not reused: %+v", ref)
+	}
+	// A reused refine runs no plan, but its gather at the selected
+	// positions is still work the explain must account for.
+	checkMergeIdentity(t, "reused refine", ref.Explain, 1)
+	if ref.Explain.Totals.ValuesRead == 0 || ref.Explain.BudgetLeftMS <= 0 {
+		t.Fatalf("reused refine explain: values_read %d, budget_left_ms %v",
+			ref.Explain.Totals.ValuesRead, ref.Explain.BudgetLeftMS)
 	}
 	if want := queryCount(t, ts, step, "px > 0.05 && y < 0.5"); ref.Matches != want {
 		t.Fatalf("refine=and matches %d, conjunction oracle %d", ref.Matches, want)
@@ -111,11 +118,25 @@ func TestSessionBrushRefineTrackViews(t *testing.T) {
 	// Track: follow the selected IDs across every timestep. At the brush
 	// step every selected particle is present by construction.
 	var tr SessionTrackBody
-	if code, raw, _ := sessPost(t, ts, "/v1/session/"+sid+"/track", &tr); code != 200 {
+	if code, raw, _ := sessPost(t, ts, "/v1/session/"+sid+"/track?debug=explain", &tr); code != 200 {
 		t.Fatalf("track: %d %s", code, raw)
 	}
 	if !tr.Stored || tr.Partial || tr.IDVar != "id" {
 		t.Fatalf("track: %+v", tr)
+	}
+	// The ID gather is one explain entry beside the per-step counts.
+	checkMergeIdentity(t, "track", tr.Explain, 1)
+	gathers := 0
+	for _, fp := range tr.Explain.Fragments {
+		if fp.Op == "ids-at-selection" {
+			gathers++
+			if fp.Step != step || fp.Cost.IsZero() {
+				t.Fatalf("track's ID gather not charged at the brush step: %+v", fp)
+			}
+		}
+	}
+	if gathers != 1 {
+		t.Fatalf("track explain has %d ID-gather entries, want 1: %+v", gathers, tr.Explain.Fragments)
 	}
 	if len(tr.Steps) != 4 || len(tr.Counts) != 4 {
 		t.Fatalf("track steps: %+v", tr)
@@ -132,11 +153,15 @@ func TestSessionBrushRefineTrackViews(t *testing.T) {
 
 	// Views (JSON): conditional histogram panels under the selection.
 	var views SessionViewsBody
-	if code, raw := get(t, ts, "/v1/session/"+sid+"/views?vars=px,y", &views); code != 200 {
+	if code, raw := get(t, ts, "/v1/session/"+sid+"/views?vars=px,y&debug=explain", &views); code != 200 {
 		t.Fatalf("views: %d %s", code, raw)
 	}
 	if len(views.Panels) != 2 || !views.Temporal {
 		t.Fatalf("views: %+v", views)
+	}
+	checkMergeIdentity(t, "views", views.Explain, 1)
+	if views.Explain.Endpoint != "session-views" || views.Explain.Totals.IsZero() {
+		t.Fatalf("views explain: %+v", views.Explain)
 	}
 	for _, p := range views.Panels {
 		if p.Total == 0 || len(p.Counts) != 32 {

@@ -73,18 +73,13 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 	// transport failures) so the explain surface accounts for every
 	// fragment the plan attempted.
 	profile := plan.ProfileFromContext(ctx)
-	fail := func(err error, exhausted bool) {
+	fail := func(err error) {
 		if profile == nil {
 			return
 		}
-		profile.Add(plan.FragProfile{
-			Step:      f.Step,
-			Shard:     shard,
-			Op:        f.Op.String(),
-			Rows:      [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
-			Exhausted: exhausted,
-			Err:       err.Error(),
-		})
+		fp := plan.NewFragProfile(shard, f)
+		fp.Done(obs.CostSnapshot{}, 0, err)
+		profile.Add(fp)
 	}
 	args := &ExecArgs{Frag: f, TraceID: obs.SpanFromContext(ctx).TraceID(), Profile: profile != nil}
 	callCtx := ctx
@@ -99,7 +94,7 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 			metricBudgetSkips.Inc()
 			err := fastquery.Exhaustedf("shard %d: %v of deadline budget left, slack %v",
 				shard, time.Until(dl).Round(time.Millisecond), c.slack)
-			fail(err, true)
+			fail(err)
 			return nil, err
 		}
 		args.BudgetMS = int64(budget / time.Millisecond)
@@ -121,15 +116,15 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 			// so the planner merges a marked partial instead of a 504.
 			metricBudgetSkips.Inc()
 			err = fastquery.Exhausted(err)
-			fail(err, true)
+			fail(err)
 			return nil, err
 		}
-		fail(err, fastquery.IsExhausted(err))
+		fail(err)
 		return nil, err
 	}
 	if reply.Result == nil {
 		err := fmt.Errorf("shard: shard %d returned no result", shard)
-		fail(err, false)
+		fail(err)
 		return nil, err
 	}
 	if reply.SumOK {
@@ -139,7 +134,7 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 		if sum, ok := resultSum(reply.Result); ok && sum != reply.Sum {
 			metricReplyCorrupt.Inc()
 			err := fmt.Errorf("shard: shard %d reply failed checksum: transport corruption", shard)
-			fail(err, false)
+			fail(err)
 			return nil, err
 		}
 	}
@@ -148,12 +143,9 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 		if fp == nil {
 			// An older worker (or one restarted mid-rollout) that does not
 			// fill profiles still accounts for the fragment, with zero cost.
-			fp = &plan.FragProfile{
-				Step:   f.Step,
-				Op:     f.Op.String(),
-				Rows:   [2]int{int(f.Rows.Lo), int(f.Rows.Hi)},
-				Cached: reply.Cached,
-			}
+			np := plan.NewFragProfile(shard, f)
+			np.Cached = reply.Cached
+			fp = &np
 		}
 		fp.Shard = shard
 		profile.Add(*fp)

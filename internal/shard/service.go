@@ -124,12 +124,9 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		if !args.Profile {
 			return nil
 		}
-		return &plan.FragProfile{
-			Step:     args.Frag.Step,
-			Op:       args.Frag.Op.String(),
-			Rows:     [2]int{int(args.Frag.Rows.Lo), int(args.Frag.Rows.Hi)},
-			BudgetMS: args.BudgetMS,
-		}
+		fp := plan.NewFragProfile(0, args.Frag) // the client fills in the shard
+		fp.BudgetMS = args.BudgetMS
+		return &fp
 	}
 	if res, ok := s.ex.Peek(args.Frag); ok {
 		// A cached answer costs a map lookup; serve it even on a spent
@@ -176,8 +173,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 	evalStart := time.Now()
 	res, cached, err := s.ex.RunCached(ctx, args.Frag)
 	if fp != nil {
-		fp.EvalMS = float64(time.Since(evalStart)) / float64(time.Millisecond)
-		fp.Cost = cost.Snapshot()
+		fp.Done(cost.Snapshot(), time.Since(evalStart), err)
 		if cached {
 			fp.Cached, fp.CacheSource = true, "fragment"
 		}
