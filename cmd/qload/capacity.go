@@ -64,14 +64,14 @@ func (opt capacityOptions) sustained(r *openResult) bool {
 }
 
 // findCapacity runs the ramp against this loadgen's server.
-func (lg *loadgen) findCapacity(opt capacityOptions, paths openLoopPaths, feeder *ingestFeeder) (*capacityRun, error) {
+func (lg *loadgen) findCapacity(opt capacityOptions, paths openLoopPaths) (*capacityRun, error) {
 	run := &capacityRun{URL: lg.base}
 	rate := opt.start
 	for rate <= opt.max {
 		o := opt.open
 		o.rate = rate
 		o.duration = opt.phase
-		res, err := lg.runOpenLoop(o, paths, feeder)
+		res, err := lg.runOpenLoop(o, paths)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func (lg *loadgen) findCapacity(opt capacityOptions, paths openLoopPaths, feeder
 		o := opt.open
 		o.rate = 2 * run.FoundQPS
 		o.duration = opt.phase
-		over, err := lg.runOpenLoop(o, paths, feeder)
+		over, err := lg.runOpenLoop(o, paths)
 		if err != nil {
 			return nil, err
 		}

@@ -16,10 +16,9 @@ import (
 
 // Request kinds the open-loop mix can contain.
 const (
-	kindProbe  = "probe"  // repeated cached-key histogram (bypasses admission)
-	kindDrill  = "drill"  // unique fine-resolution hist2d (backend work)
-	kindSweep  = "sweep"  // temporal sweep across all steps (cold, heavy)
-	kindIngest = "ingest" // POST /v1/ingest append (lowest priority class)
+	kindProbe = "probe" // repeated cached-key histogram (bypasses admission)
+	kindDrill = "drill" // unique fine-resolution hist2d (backend work)
+	kindSweep = "sweep" // temporal sweep across all steps (cold, heavy)
 )
 
 // arrivalGap draws one inter-arrival gap for the named process with the
@@ -46,7 +45,7 @@ type reqMix struct {
 // parseMix parses "probe=0.3,drill=0.5,sweep=0.2" into a reqMix. Weights
 // are normalized, so they need not sum to 1.
 func parseMix(s string) (*reqMix, error) {
-	valid := map[string]bool{kindProbe: true, kindDrill: true, kindSweep: true, kindIngest: true}
+	valid := map[string]bool{kindProbe: true, kindDrill: true, kindSweep: true}
 	m := &reqMix{}
 	total := 0.0
 	for _, part := range strings.Split(s, ",") {
@@ -60,7 +59,7 @@ func parseMix(s string) (*reqMix, error) {
 		}
 		kind := strings.TrimSpace(kv[0])
 		if !valid[kind] {
-			return nil, fmt.Errorf("mix entry %q: unknown kind (probe | drill | sweep | ingest)", part)
+			return nil, fmt.Errorf("mix entry %q: unknown kind (probe | drill | sweep)", part)
 		}
 		w, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
 		if err != nil || w < 0 {
@@ -95,16 +94,6 @@ func (m *reqMix) pick(rng *rand.Rand) string {
 		i = len(m.kinds) - 1
 	}
 	return m.kinds[i]
-}
-
-// has reports whether the mix contains a kind.
-func (m *reqMix) has(kind string) bool {
-	for _, k := range m.kinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }
 
 func (m *reqMix) String() string {

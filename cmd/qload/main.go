@@ -1,32 +1,28 @@
-// Command qload replays an interactive drill-down session against a
-// running qserve instance and reports serving-side latency percentiles and
-// cache effectiveness — the first serving-layer BENCH numbers.
+// Command qload offers open-loop load to a running qserve instance:
+// arrivals fire on a schedule independent of response times, drawn from a
+// weighted mix of request kinds, and latency percentiles are
+// coordinated-omission corrected (openloop.go).
 //
-// Each session is the paper's refinement loop over HTTP:
+// It has two modes:
 //
-//  1. /v1/query     coarse momentum cut
-//  2. /v1/hist2d    conditional histogram at coarse resolution
-//  3. /v1/query     refined compound cut (momentum + position)
-//  4. /v1/hist2d    conditional histogram at fine resolution
+//   - -rate R -duration D    one measurement phase at R arrivals/sec;
+//   - -capacity              the found-capacity sweep (capacity.go): ramp
+//     the rate until the corrected p99 breaks the -slo, then probe 2× the
+//     found rate to show the server sheds instead of collapsing.
 //
-// Sessions alternate the operand order of the compound cut, so a healthy
-// plan cache (canonicalized keys) turns half the refined queries into
-// hits. Run with concurrency above the server's -concurrency limit to see
-// admission control shed load with 429s. With -cancel-frac > 0 a share of
-// requests is abandoned mid-flight — the impatient-analyst pattern — and
-// the report includes the server's 499 and abandoned-waiter deltas, which
-// confirm cancellation actually reached the backend.
+// Throughput, latency, resource and identity measurements of the serving
+// stack are bench/'s job (bash bench/run.sh); qload is the tool for what
+// bench/ leaves out — overload and admission shedding.
 //
 // Usage:
 //
 //	qserve -data /tmp/lwfa -addr :8080 &
-//	qload -url http://127.0.0.1:8080 -sessions 100 -concurrency 16
+//	qload -url http://127.0.0.1:8080 -rate 50 -duration 10s
+//	qload -url http://127.0.0.1:8080 -capacity -slo 250ms
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,11 +31,8 @@ import (
 	"net/url"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -48,41 +41,24 @@ func main() {
 	log.SetPrefix("qload: ")
 
 	var (
-		base        = flag.String("url", "", "qserve base URL (required)")
-		dataset     = flag.String("dataset", "", "dataset name (default: the first served)")
-		step        = flag.Int("step", -1, "timestep (-1 = last)")
-		sessions    = flag.Int("sessions", 50, "drill-down sessions to replay")
-		concurrency = flag.Int("concurrency", 8, "concurrent sessions")
-		backend     = flag.String("backend", "", "backend parameter (fastbit | scan; empty = server default)")
-		xvar        = flag.String("x", "x", "histogram X variable")
-		yvar        = flag.String("y", "px", "histogram Y variable / cut variable")
-		coarse      = flag.Int("coarse", 32, "coarse hist2d bins per axis")
-		fine        = flag.Int("fine", 256, "fine hist2d bins per axis")
-		cancelFrac  = flag.Float64("cancel-frac", 0, "fraction of requests abandoned mid-flight (0..1), exercising server-side cancellation")
-		traceEvery  = flag.Int("trace-sample", 8, "request ?debug=trace on every Nth session for the per-stage breakdown (0 = off)")
-		out         = flag.String("out", "", "benchmark JSON output path (default BENCH_serve.json, or BENCH_ingest.json with -ingest-steps; \"-\" = skip)")
+		base    = flag.String("url", "", "qserve base URL (required)")
+		dataset = flag.String("dataset", "", "dataset name (default: the first served)")
+		step    = flag.Int("step", -1, "timestep (-1 = last)")
+		backend = flag.String("backend", "", "backend parameter (fastbit | scan; empty = server default)")
+		xvar    = flag.String("x", "x", "histogram X variable")
+		yvar    = flag.String("y", "px", "histogram Y variable / cut variable")
+		fine    = flag.Int("fine", 256, "drill hist2d bins per axis")
+		out     = flag.String("out", "", "report JSON output path (default BENCH_openloop.json, or BENCH_capacity.json with -capacity; \"-\" = skip)")
 
-		// Read-while-ingest mode: replay the same sessions twice — once
-		// quiet, once while streaming new timesteps into POST /v1/ingest —
-		// and report the latency delta plus the index-upgrade lag.
-		ingSteps     = flag.Int("ingest-steps", 0, "timesteps to ingest during the measured phase (0 = ingest mode off)")
-		ingInterval  = flag.Duration("ingest-interval", 200*time.Millisecond, "pause between ingested steps")
-		ingParticles = flag.Int("ingest-particles", 50000, "sim background particles per step (must match the served run)")
-		ingBeam      = flag.Int("ingest-beam", 600, "sim particles per beam (must match the served run)")
-		ingDim       = flag.Int("ingest-dim", 2, "sim dimensionality (must match the served run)")
-		ingSeed      = flag.Uint64("ingest-seed", 0x5eed, "sim seed (must match the served run)")
+		rate     = flag.Float64("rate", 0, "offered arrivals/sec for one open-loop phase")
+		duration = flag.Duration("duration", 30*time.Second, "open-loop measurement duration")
+		arrival  = flag.String("arrival", "poisson", "inter-arrival process: poisson | uniform | fixed")
+		mixFlag  = flag.String("mix", "probe=0.3,drill=0.6,sweep=0.1", "request mix, kind=weight,... (probe | drill | sweep)")
+		seed     = flag.Int64("seed", 1, "RNG seed for arrivals and mix picks")
+		maxOut   = flag.Int("max-outstanding", 256, "max in-flight requests; a full window delays sends and the delay lands in corrected latency")
 
-		// Open-loop mode (-rate > 0) and the found-capacity sweep
-		// (-capacity): arrivals fire on a schedule independent of response
-		// times, and percentiles are coordinated-omission corrected.
-		rate        = flag.Float64("rate", 0, "open-loop offered arrivals/sec (0 = closed-loop session replay)")
-		duration    = flag.Duration("duration", 30*time.Second, "open-loop measurement duration")
-		arrival     = flag.String("arrival", "poisson", "inter-arrival process: poisson | uniform | fixed")
-		mixFlag     = flag.String("mix", "probe=0.3,drill=0.6,sweep=0.1", "open-loop request mix, kind=weight,... (probe | drill | sweep | ingest)")
-		seed        = flag.Int64("seed", 1, "open-loop RNG seed")
-		maxOut      = flag.Int("max-outstanding", 256, "max in-flight open-loop requests; a full window delays sends and the delay lands in corrected latency")
+		capacity    = flag.Bool("capacity", false, "run the found-capacity sweep instead of a single -rate phase")
 		slo         = flag.Duration("slo", 250*time.Millisecond, "corrected-p99 target defining sustainable capacity")
-		capacity    = flag.Bool("capacity", false, "run the found-capacity sweep and write BENCH_capacity.json")
 		capStart    = flag.Float64("cap-start", 5, "capacity sweep starting rate (qps)")
 		capGrowth   = flag.Float64("cap-growth", 1.5, "capacity sweep geometric ramp factor")
 		capPhase    = flag.Duration("cap-phase", 10*time.Second, "capacity sweep per-rate phase duration")
@@ -90,193 +66,94 @@ func main() {
 		capShed     = flag.Float64("cap-shed-frac", 0.02, "tolerated non-200 fraction while a rate counts as sustained")
 		baselineURL = flag.String("baseline-url", "", "second qserve (conventionally a fixed gate) to sweep for comparison")
 		capEnforce  = flag.Bool("cap-enforce", false, "exit non-zero when adaptive found capacity < baseline found capacity")
-
-		// Shard comparison (-shard-bench): replay the drill mix against a
-		// sharded frontend (-url) and a single-process baseline
-		// (-baseline-url) over the same dataset, asserting identical
-		// responses; writes BENCH_shard.json with per-target percentiles
-		// and the frontend's fan-out stats.
-		shardBench = flag.Bool("shard-bench", false, "compare a sharded frontend against -baseline-url for identity and latency")
-
-		// Session comparison (-session-bench): replay brush → refine → track
-		// chains through /v1/session twice — once with incremental refine=and
-		// deltas (server-side bitmap reuse), once re-sending the folded
-		// conjunction from scratch — and write BENCH_session.json with both
-		// arms' refinement percentiles.
-		sessionBench   = flag.Bool("session-bench", false, "benchmark incremental session refinement against from-scratch evaluation")
-		sessionRefines = flag.Int("session-refines", 5, "refinement steps per session in -session-bench")
 	)
 	flag.Parse()
-	if *base == "" {
+	if *base == "" || (!*capacity && *rate <= 0) {
+		fmt.Fprintln(flag.CommandLine.Output(), "qload: need -url and one of -rate R (single phase) or -capacity (sweep)")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *cancelFrac < 0 || *cancelFrac > 1 {
-		log.Fatal("-cancel-frac must be in [0, 1]")
-	}
-	lg := &loadgen{
-		base:       *base,
-		backend:    *backend,
-		cancelFrac: *cancelFrac,
-		traceEvery: *traceEvery,
-		// The latency distribution uses the same obs histogram machinery
-		// the server exports, so BENCH buckets line up with /metrics ones.
-		latHist: obs.NewRegistry().Histogram("qload_request_seconds",
-			"Client-observed request latency.", nil),
-		stages: map[string]*stageAgg{},
-		worst:  newWorstTracker(3),
-		client: &http.Client{Timeout: 30 * time.Second},
-	}
-	if *capacity || *rate > 0 {
-		// Open-loop transports must not serialize on a handful of pooled
-		// connections, or pool exhaustion would masquerade as server latency.
-		lg.client = &http.Client{
-			Timeout: 60 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        *maxOut + 16,
-				MaxIdleConnsPerHost: *maxOut + 16,
-			},
-		}
-	}
-	if err := lg.setup(*dataset, *step, *xvar, *yvar); err != nil {
+	mix, err := parseMix(*mixFlag)
+	if err != nil {
 		log.Fatal(err)
 	}
+	// The transport must not serialize on a handful of pooled connections,
+	// or pool exhaustion would masquerade as server latency.
+	client := &http.Client{
+		Timeout: 60 * time.Second,
+		Transport: &http.Transport{
+			MaxIdleConns:        *maxOut + 16,
+			MaxIdleConnsPerHost: *maxOut + 16,
+		},
+	}
+	// target discovers one server's dataset and builds its request templates.
+	target := func(base string) (*loadgen, openLoopPaths) {
+		lg := &loadgen{base: base, backend: *backend, client: client}
+		if err := lg.setup(*dataset, *step, *xvar, *yvar); err != nil {
+			log.Fatal(err)
+		}
+		return lg, lg.buildPaths(*xvar, *yvar, *fine)
+	}
+	open := openLoopOptions{
+		rate:           *rate,
+		duration:       *duration,
+		arrival:        *arrival,
+		mix:            mix,
+		maxOutstanding: *maxOut,
+		seed:           *seed,
+	}
+	lg, paths := target(*base)
+
 	var report interface {
 		print(io.Writer)
 	}
 	var exitErr string // deferred fatal: the report is written first
-	switch {
-	case *capacity, *rate > 0:
-		mix, err := parseMix(*mixFlag)
-		if err != nil {
+	if *capacity {
+		copt := capacityOptions{
+			start:    *capStart,
+			growth:   *capGrowth,
+			phase:    *capPhase,
+			max:      *capMax,
+			shedFrac: *capShed,
+			slo:      *slo,
+			open:     open,
+		}
+		rep := &capacityReport{
+			SLOMS:    float64(*slo) / float64(time.Millisecond),
+			ShedFrac: *capShed,
+			Arrival:  *arrival,
+			Mix:      mix.String(),
+			PhaseS:   capPhase.Seconds(),
+		}
+		if rep.Adaptive, err = lg.findCapacity(copt, paths); err != nil {
 			log.Fatal(err)
 		}
-		open := openLoopOptions{
-			rate:           *rate,
-			duration:       *duration,
-			arrival:        *arrival,
-			mix:            mix,
-			maxOutstanding: *maxOut,
-			seed:           *seed,
-		}
-		ingOpt := ingestOptions{particles: *ingParticles, beam: *ingBeam, dim: *ingDim, seed: *ingSeed}
-		paths, feeder, err := lg.openLoopSetup(mix, ingOpt, *xvar, *yvar, *fine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *capacity {
-			copt := capacityOptions{
-				start:    *capStart,
-				growth:   *capGrowth,
-				phase:    *capPhase,
-				max:      *capMax,
-				shedFrac: *capShed,
-				slo:      *slo,
-				open:     open,
-			}
-			rep := &capacityReport{
-				SLOMS:    float64(*slo) / float64(time.Millisecond),
-				ShedFrac: *capShed,
-				Arrival:  *arrival,
-				Mix:      mix.String(),
-				PhaseS:   capPhase.Seconds(),
-			}
-			if rep.Adaptive, err = lg.findCapacity(copt, paths, feeder); err != nil {
+		if *baselineURL != "" {
+			blg, bpaths := target(*baselineURL)
+			if rep.Baseline, err = blg.findCapacity(copt, bpaths); err != nil {
 				log.Fatal(err)
 			}
-			if *baselineURL != "" {
-				blg := &loadgen{base: *baselineURL, backend: *backend, client: lg.client,
-					latHist: lg.latHist, stages: map[string]*stageAgg{}}
-				if err := blg.setup(*dataset, *step, *xvar, *yvar); err != nil {
-					log.Fatal(err)
-				}
-				bpaths, bfeeder, err := blg.openLoopSetup(mix, ingOpt, *xvar, *yvar, *fine)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if rep.Baseline, err = blg.findCapacity(copt, bpaths, bfeeder); err != nil {
-					log.Fatal(err)
-				}
-				if rep.Baseline.FoundQPS > 0 {
-					rep.Speedup = rep.Adaptive.FoundQPS / rep.Baseline.FoundQPS
-				}
-				if *capEnforce && rep.Adaptive.FoundQPS < rep.Baseline.FoundQPS {
-					exitErr = fmt.Sprintf("capacity regression: adaptive %.1f qps < baseline %.1f qps",
-						rep.Adaptive.FoundQPS, rep.Baseline.FoundQPS)
-				}
+			if rep.Baseline.FoundQPS > 0 {
+				rep.Speedup = rep.Adaptive.FoundQPS / rep.Baseline.FoundQPS
 			}
-			report = rep
-			if *out == "" {
-				*out = "BENCH_capacity.json"
+			if *capEnforce && rep.Adaptive.FoundQPS < rep.Baseline.FoundQPS {
+				exitErr = fmt.Sprintf("capacity regression: adaptive %.1f qps < baseline %.1f qps",
+					rep.Adaptive.FoundQPS, rep.Baseline.FoundQPS)
 			}
-		} else {
-			res, err := lg.runOpenLoop(open, paths, feeder)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report = res
-			if *out == "" {
-				*out = "BENCH_openloop.json"
-			}
-		}
-	case *shardBench:
-		if *baselineURL == "" {
-			log.Fatal("-shard-bench requires -baseline-url")
-		}
-		blg := &loadgen{base: *baselineURL, backend: *backend, client: lg.client,
-			latHist: lg.latHist, stages: map[string]*stageAgg{}}
-		if err := blg.setup(*dataset, *step, *xvar, *yvar); err != nil {
-			log.Fatal(err)
-		}
-		rep, err := lg.runShardBench(blg, *sessions, *concurrency, *xvar, *yvar, *coarse, *fine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rep.Mismatches > 0 {
-			exitErr = fmt.Sprintf("%d response mismatches between frontend and baseline", rep.Mismatches)
 		}
 		report = rep
 		if *out == "" {
-			*out = "BENCH_shard.json"
+			*out = "BENCH_capacity.json"
 		}
-	case *sessionBench:
-		rep, err := lg.runSessionBench(*sessions, *concurrency, *sessionRefines, *xvar, *yvar)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rep.Refine.P95MS >= rep.Scratch.P95MS {
-			log.Printf("warning: refine p95 %.3fms not below scratch p95 %.3fms",
-				rep.Refine.P95MS, rep.Scratch.P95MS)
-		}
-		report = rep
-		if *out == "" {
-			*out = "BENCH_session.json"
-		}
-	case *ingSteps > 0:
-		ires, err := lg.runIngestBench(ingestOptions{
-			steps:     *ingSteps,
-			interval:  *ingInterval,
-			particles: *ingParticles,
-			beam:      *ingBeam,
-			dim:       *ingDim,
-			seed:      *ingSeed,
-		}, *sessions, *concurrency, *xvar, *yvar, *coarse, *fine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report = ires
-		if *out == "" {
-			*out = "BENCH_ingest.json"
-		}
-	default:
-		res, err := lg.run(*sessions, *concurrency, *xvar, *yvar, *coarse, *fine)
+	} else {
+		res, err := lg.runOpenLoop(open, paths)
 		if err != nil {
 			log.Fatal(err)
 		}
 		report = res
 		if *out == "" {
-			*out = "BENCH_serve.json"
+			*out = "BENCH_openloop.json"
 		}
 	}
 	report.print(os.Stdout)
@@ -295,208 +172,48 @@ func main() {
 	}
 }
 
-// openLoopSetup builds the request templates and, when the mix streams
-// appends, the ingest feeder (requiring a live target dataset).
-func (lg *loadgen) openLoopSetup(mix *reqMix, ingOpt ingestOptions, xvar, yvar string, fine int) (openLoopPaths, *ingestFeeder, error) {
-	paths := lg.buildPaths(xvar, yvar, fine)
-	if !mix.has(kindIngest) {
-		return paths, nil, nil
-	}
-	sb, err := lg.stepsDetail()
-	if err != nil {
-		return paths, nil, err
-	}
-	if !sb.Live {
-		return paths, nil, fmt.Errorf("mix includes ingest but dataset %q is not live — start qserve with -live", lg.dataset)
-	}
-	feeder, err := newIngestFeeder(sb.Steps, ingOpt)
-	return paths, feeder, err
-}
-
+// loadgen is one target server: where it is and what setup discovered.
 type loadgen struct {
-	base       string
-	backend    string
-	cancelFrac float64
-	traceEvery int
-	latHist    *obs.Histogram
-	client     *http.Client
+	base    string
+	backend string
+	client  *http.Client
 
 	dataset  string
 	step     int
 	yLo, yHi float64
 	xLo, xHi float64
-
-	reqSeq atomic.Uint64 // request counter driving the cancel stride
-	worst  *worstTracker // slowest requests per kind, nil when not reported
-
-	stageMu sync.Mutex
-	stages  map[string]*stageAgg // per-span-name totals from sampled traces
-}
-
-// stageAgg accumulates one query stage's time across sampled traces.
-type stageAgg struct {
-	count   uint64
-	totalMS float64
-}
-
-// recordTrace folds one sampled span tree into the per-stage breakdown.
-// The root span (the endpoint) is skipped: request totals are already the
-// latency distribution's job.
-func (lg *loadgen) recordTrace(root *obs.SpanData) {
-	if root == nil {
-		return
-	}
-	lg.stageMu.Lock()
-	defer lg.stageMu.Unlock()
-	root.Walk(func(sd *obs.SpanData) {
-		if sd == root {
-			return
-		}
-		a := lg.stages[sd.Name]
-		if a == nil {
-			a = &stageAgg{}
-			lg.stages[sd.Name] = a
-		}
-		a.count++
-		a.totalMS += sd.DurationMS
-	})
-}
-
-// shouldCancel deterministically marks a cancelFrac share of requests for
-// mid-flight abandonment: request n is canceled when the running total
-// floor(n*frac) advances. A stride, not a coin flip, so runs are
-// reproducible and the share is exact.
-func (lg *loadgen) shouldCancel() bool {
-	if lg.cancelFrac <= 0 {
-		return false
-	}
-	n := lg.reqSeq.Add(1) - 1
-	return uint64(float64(n+1)*lg.cancelFrac) > uint64(float64(n)*lg.cancelFrac)
-}
-
-// getCanceled issues the request and abandons it almost immediately,
-// simulating a user who navigated away mid-histogram. Returns true if the
-// request was actually canceled (a fast cache hit may win the race).
-func (lg *loadgen) getCanceled(path string) (bool, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(2*time.Millisecond, cancel)
-	defer timer.Stop()
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, lg.base+path, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := lg.client.Do(req)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return true, nil
-		}
-		return false, err
-	}
-	defer resp.Body.Close()
-	_, err = io.Copy(io.Discard, resp.Body)
-	if errors.Is(err, context.Canceled) {
-		return true, nil
-	}
-	return false, nil // completed before the cancel fired
 }
 
 // getJSON fetches path (already query-encoded) and decodes into out.
-func (lg *loadgen) getJSON(path string, out any) (int, error) {
-	code, _, err := lg.getJSONTrace(path, out)
-	return code, err
-}
-
-// getJSONTrace is getJSON additionally returning the X-Trace-Id the
-// server stamped on the response, so the worst-latency report can name
-// concrete requests to pull out of the server's slow log or spans.
-func (lg *loadgen) getJSONTrace(path string, out any) (int, string, error) {
+func (lg *loadgen) getJSON(path string, out any) error {
 	resp, err := lg.client.Get(lg.base + path)
 	if err != nil {
-		return 0, "", err
+		return err
 	}
 	defer resp.Body.Close()
-	traceID := resp.Header.Get("X-Trace-Id")
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, traceID, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, traceID, fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, body)
+		return fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, body)
 	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			return resp.StatusCode, traceID, fmt.Errorf("GET %s: decode: %w", path, err)
-		}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("GET %s: decode: %w", path, err)
 	}
-	return resp.StatusCode, traceID, nil
+	return nil
 }
 
-// WorstRequest identifies one of the slowest requests of a kind: the
-// latency this client observed and the trace ID the server assigned, the
-// handle that joins BENCH numbers to /v1/debug/slow entries and explain
-// profiles on the serving side.
-type WorstRequest struct {
-	TraceID    string  `json:"trace_id"`
-	DurationMS float64 `json:"duration_ms"`
-	Path       string  `json:"path,omitempty"`
-}
-
-// worstTracker keeps the top-N worst-latency requests per request kind.
-// Nil-safe: loadgens that don't report worst requests skip tracking.
-type worstTracker struct {
-	mu sync.Mutex
-	n  int
-	m  map[string][]WorstRequest
-}
-
-func newWorstTracker(n int) *worstTracker {
-	return &worstTracker{n: n, m: map[string][]WorstRequest{}}
-}
-
-func (wt *worstTracker) add(kind, traceID, path string, d time.Duration) {
-	if wt == nil || traceID == "" {
-		return
-	}
-	e := WorstRequest{TraceID: traceID, Path: path,
-		DurationMS: float64(d) / float64(time.Millisecond)}
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	l := append(wt.m[kind], e)
-	sort.Slice(l, func(i, j int) bool { return l[i].DurationMS > l[j].DurationMS })
-	if len(l) > wt.n {
-		l = l[:wt.n]
-	}
-	wt.m[kind] = l
-}
-
-func (wt *worstTracker) snapshot() map[string][]WorstRequest {
-	if wt == nil {
-		return nil
-	}
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	if len(wt.m) == 0 {
-		return nil
-	}
-	out := make(map[string][]WorstRequest, len(wt.m))
-	for k, l := range wt.m {
-		out[k] = append([]WorstRequest(nil), l...)
-	}
-	return out
-}
-
-// setup discovers the dataset, step and variable ranges the session
-// template needs.
+// setup discovers the dataset, step and variable ranges the request
+// templates need.
 func (lg *loadgen) setup(dataset string, step int, xvar, yvar string) error {
 	var dss []serve.DatasetInfo
-	if _, err := lg.getJSON("/v1/datasets", &dss); err != nil {
+	if err := lg.getJSON("/v1/datasets", &dss); err != nil {
 		return err
 	}
 	if len(dss) == 0 {
 		return fmt.Errorf("server has no datasets")
 	}
-	lg.dataset = dataset
 	var info *serve.DatasetInfo
 	for i := range dss {
 		if dataset == "" || dss[i].Name == dataset {
@@ -514,7 +231,7 @@ func (lg *loadgen) setup(dataset string, step int, xvar, yvar string) error {
 	}
 	var vars serve.VarsBody
 	path := fmt.Sprintf("/v1/vars?dataset=%s&step=%d", url.QueryEscape(lg.dataset), lg.step)
-	if _, err := lg.getJSON(path, &vars); err != nil {
+	if err := lg.getJSON(path, &vars); err != nil {
 		return err
 	}
 	seen := 0
@@ -532,279 +249,6 @@ func (lg *loadgen) setup(dataset string, step int, xvar, yvar string) error {
 		return fmt.Errorf("dataset %q lacks variables %q/%q", lg.dataset, xvar, yvar)
 	}
 	return nil
-}
-
-func (lg *loadgen) stats() (serve.StatsBody, error) {
-	var st serve.StatsBody
-	_, err := lg.getJSON("/v1/stats", &st)
-	return st, err
-}
-
-// result is the BENCH_serve.json shape.
-type result struct {
-	Sessions    int     `json:"sessions"`
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	ElapsedS    float64 `json:"elapsed_s"`
-	RPS         float64 `json:"rps"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MaxMS       float64 `json:"max_ms"`
-	MeanMS      float64 `json:"mean_ms"`
-	// LatencyHistogram is the full client-observed latency distribution
-	// in cumulative Prometheus-style buckets.
-	LatencyHistogram []latBucket `json:"latency_histogram,omitempty"`
-	// Stages is the per-query-stage breakdown from ?debug=trace sampling:
-	// span name -> aggregate across sampled requests.
-	Stages map[string]stageStat `json:"stages,omitempty"`
-	// WorstByKind lists, per request kind, the slowest requests this run
-	// observed with their server-assigned trace IDs — the handles to look
-	// up in /v1/debug/slow or a flight-recorder capture.
-	WorstByKind map[string][]WorstRequest `json:"worst_by_kind,omitempty"`
-	Shed429     int                       `json:"shed_429"`
-	Shed503     int                       `json:"shed_503"`
-	Errors      int                       `json:"errors"`
-	HitRate     float64                   `json:"cache_hit_rate"`
-	Backend     uint64                    `json:"backend_calls"`
-	// Cancellation exercise (-cancel-frac): requests this client abandoned
-	// mid-flight, and the server's 499/abandoned-waiter deltas confirming
-	// the backend observed the disconnects.
-	CancelFrac     float64 `json:"cancel_frac,omitempty"`
-	Canceled       int     `json:"canceled_client,omitempty"`
-	ServerCanceled uint64  `json:"server_canceled_499,omitempty"`
-	Abandoned      uint64  `json:"cache_abandoned,omitempty"`
-}
-
-// latBucket is one cumulative latency bucket (upper bound in ms).
-type latBucket struct {
-	LEMS  float64 `json:"le_ms"`
-	Count uint64  `json:"count"`
-}
-
-// stageStat summarizes one traced query stage.
-type stageStat struct {
-	Count   uint64  `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-}
-
-func (r *result) print(w io.Writer) {
-	fmt.Fprintf(w, "sessions %d  requests %d  concurrency %d  elapsed %.2fs  %.1f req/s\n",
-		r.Sessions, r.Requests, r.Concurrency, r.ElapsedS, r.RPS)
-	fmt.Fprintf(w, "latency ms  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f  mean %.2f\n",
-		r.P50MS, r.P95MS, r.P99MS, r.MaxMS, r.MeanMS)
-	fmt.Fprintf(w, "cache hit rate %.1f%%  backend calls %d  shed 429 %d  shed 503 %d  errors %d\n",
-		100*r.HitRate, r.Backend, r.Shed429, r.Shed503, r.Errors)
-	if r.CancelFrac > 0 {
-		fmt.Fprintf(w, "canceled client-side %d (frac %.2f)  server 499s %d  cache waiters abandoned %d\n",
-			r.Canceled, r.CancelFrac, r.ServerCanceled, r.Abandoned)
-	}
-	if len(r.Stages) > 0 {
-		names := make([]string, 0, len(r.Stages))
-		for name := range r.Stages {
-			names = append(names, name)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			return r.Stages[names[i]].TotalMS > r.Stages[names[j]].TotalMS
-		})
-		fmt.Fprintf(w, "stage breakdown (sampled traces):\n")
-		for _, name := range names {
-			s := r.Stages[name]
-			fmt.Fprintf(w, "  %-20s n=%-5d mean %.3fms  total %.1fms\n",
-				name, s.Count, s.MeanMS, s.TotalMS)
-		}
-	}
-	if len(r.WorstByKind) > 0 {
-		kinds := make([]string, 0, len(r.WorstByKind))
-		for kind := range r.WorstByKind {
-			kinds = append(kinds, kind)
-		}
-		sort.Strings(kinds)
-		fmt.Fprintf(w, "worst requests by kind (trace IDs):\n")
-		for _, kind := range kinds {
-			for _, wr := range r.WorstByKind[kind] {
-				fmt.Fprintf(w, "  %-14s %8.2fms  %s\n", kind, wr.DurationMS, wr.TraceID)
-			}
-		}
-	}
-}
-
-// sessionOutcome carries one session's request latencies and shed counts.
-type sessionOutcome struct {
-	latencies []time.Duration
-	shed429   int
-	shed503   int
-	errs      int
-	canceled  int
-}
-
-func (lg *loadgen) run(sessions, concurrency int, xvar, yvar string, coarse, fine int) (*result, error) {
-	before, err := lg.stats()
-	if err != nil {
-		return nil, err
-	}
-
-	// Thresholds of the paper's refinement: a momentum cut, then a
-	// compound momentum+position cut.
-	t1 := lg.yLo + 0.6*(lg.yHi-lg.yLo)
-	t2 := lg.yLo + 0.8*(lg.yHi-lg.yLo)
-	xmid := (lg.xLo + lg.xHi) / 2
-	q1 := fmt.Sprintf("%s > %g", yvar, t1)
-	// Two equivalent spellings of the refined query; the plan cache should
-	// treat them as one.
-	q2a := fmt.Sprintf("%s > %g && %s > %g", yvar, t2, xvar, xmid)
-	q2b := fmt.Sprintf("%s > %g && %s > %g", xvar, xmid, yvar, t2)
-
-	jobs := make(chan int)
-	outcomes := make(chan sessionOutcome, sessions)
-	for w := 0; w < concurrency; w++ {
-		go func() {
-			for i := range jobs {
-				outcomes <- lg.session(i, q1, q2a, q2b, xvar, yvar, coarse, fine)
-			}
-		}()
-	}
-	start := time.Now()
-	go func() {
-		for i := 0; i < sessions; i++ {
-			jobs <- i
-		}
-		close(jobs)
-	}()
-
-	var all []time.Duration
-	res := &result{Sessions: sessions, Concurrency: concurrency, CancelFrac: lg.cancelFrac}
-	for i := 0; i < sessions; i++ {
-		o := <-outcomes
-		all = append(all, o.latencies...)
-		res.Shed429 += o.shed429
-		res.Shed503 += o.shed503
-		res.Errors += o.errs
-		res.Canceled += o.canceled
-	}
-	elapsed := time.Since(start)
-
-	after, err := lg.stats()
-	if err != nil {
-		return nil, err
-	}
-	res.ServerCanceled = after.Canceled - before.Canceled
-	res.Abandoned = after.Cache.Abandoned - before.Cache.Abandoned
-	res.Requests = len(all) + res.Shed429 + res.Shed503 + res.Errors + res.Canceled
-	res.ElapsedS = elapsed.Seconds()
-	if res.ElapsedS > 0 {
-		res.RPS = float64(res.Requests) / res.ElapsedS
-	}
-	res.MeanMS = meanMS(all)
-	res.P50MS = percentileMS(all, 50)
-	res.P95MS = percentileMS(all, 95)
-	res.P99MS = percentileMS(all, 99)
-	for _, d := range all {
-		if ms := float64(d) / float64(time.Millisecond); ms > res.MaxMS {
-			res.MaxMS = ms
-		}
-		lg.latHist.Observe(d.Seconds())
-	}
-	upper, cum := lg.latHist.Buckets()
-	for i := range upper {
-		res.LatencyHistogram = append(res.LatencyHistogram,
-			latBucket{LEMS: upper[i] * 1000, Count: cum[i]})
-	}
-	lg.stageMu.Lock()
-	if len(lg.stages) > 0 {
-		res.Stages = map[string]stageStat{}
-		for name, a := range lg.stages {
-			res.Stages[name] = stageStat{
-				Count:   a.count,
-				TotalMS: a.totalMS,
-				MeanMS:  a.totalMS / float64(a.count),
-			}
-		}
-	}
-	lg.stageMu.Unlock()
-	res.WorstByKind = lg.worst.snapshot()
-	hits := after.Cache.Hits - before.Cache.Hits
-	lookups := hits + (after.Cache.Misses - before.Cache.Misses) + (after.Cache.Coalesced - before.Cache.Coalesced)
-	if lookups > 0 {
-		res.HitRate = float64(hits) / float64(lookups)
-	}
-	res.Backend = after.BackendCalls - before.BackendCalls
-	return res, nil
-}
-
-// session replays one drill-down; i alternates the refined-query spelling.
-func (lg *loadgen) session(i int, q1, q2a, q2b, xvar, yvar string, coarse, fine int) sessionOutcome {
-	q2 := q2a
-	if i%2 == 1 {
-		q2 = q2b
-	}
-	common := fmt.Sprintf("dataset=%s&step=%d", url.QueryEscape(lg.dataset), lg.step)
-	if lg.backend != "" {
-		common += "&backend=" + url.QueryEscape(lg.backend)
-	}
-	paths := []string{
-		fmt.Sprintf("/v1/query?%s&q=%s", common, url.QueryEscape(q1)),
-		fmt.Sprintf("/v1/hist2d?%s&x=%s&y=%s&xbins=%d&ybins=%d&q=%s",
-			common, url.QueryEscape(xvar), url.QueryEscape(yvar), coarse, coarse, url.QueryEscape(q1)),
-		fmt.Sprintf("/v1/query?%s&q=%s", common, url.QueryEscape(q2)),
-		fmt.Sprintf("/v1/hist2d?%s&x=%s&y=%s&xbins=%d&ybins=%d&q=%s",
-			common, url.QueryEscape(xvar), url.QueryEscape(yvar), fine, fine, url.QueryEscape(q2)),
-	}
-	kinds := []string{"query-coarse", "hist2d-coarse", "query-fine", "hist2d-fine"}
-	// Sampled sessions ask the server to echo each request's span tree,
-	// feeding the per-stage breakdown.
-	sample := lg.traceEvery > 0 && i%lg.traceEvery == 0
-	var o sessionOutcome
-	for pi, p := range paths {
-		if lg.shouldCancel() {
-			canceled, err := lg.getCanceled(p)
-			switch {
-			case err != nil:
-				o.errs++
-			case canceled:
-				o.canceled++
-			}
-			// A request that completed before its cancel fired contributes
-			// nothing: its latency is contaminated by the cancel race.
-			continue
-		}
-		var out any
-		var tb struct {
-			Trace *obs.SpanData `json:"trace"`
-		}
-		if sample {
-			p += "&debug=trace"
-			out = &tb
-		}
-		start := time.Now()
-		code, traceID, err := lg.getJSONTrace(p, out)
-		lat := time.Since(start)
-		lg.recordTrace(tb.Trace)
-		switch {
-		case code == http.StatusTooManyRequests:
-			o.shed429++
-		case code == http.StatusServiceUnavailable:
-			o.shed503++
-		case err != nil:
-			o.errs++
-		default:
-			o.latencies = append(o.latencies, lat)
-			lg.worst.add(kinds[pi], traceID, p, lat)
-		}
-	}
-	return o
-}
-
-func meanMS(ds []time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return float64(sum) / float64(len(ds)) / float64(time.Millisecond)
 }
 
 func percentileMS(ds []time.Duration, p int) float64 {

@@ -15,18 +15,14 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
+	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // openLoopOptions configures one open-loop measurement phase.
@@ -37,7 +33,6 @@ type openLoopOptions struct {
 	mix            *reqMix
 	maxOutstanding int
 	seed           int64
-	quiet          bool // suppress the per-phase progress line
 }
 
 // kindStat aggregates one request kind's outcomes.
@@ -129,46 +124,6 @@ func (rec *recorder) record(kind string, status int, degraded bool, corrected, s
 	}
 }
 
-// ingestFeeder produces successive sim timesteps for the ingest kind.
-type ingestFeeder struct {
-	mu   sync.Mutex
-	run  *sim.Simulation
-	next int
-}
-
-func newIngestFeeder(startStep int, opt ingestOptions) (*ingestFeeder, error) {
-	cfg := sim.DefaultConfig()
-	cfg.Steps = startStep + 1<<20 // effectively unbounded
-	cfg.Dim = opt.dim
-	cfg.BackgroundPerStep = opt.particles
-	cfg.BeamParticles = opt.beam
-	cfg.Seed = opt.seed
-	run, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ingestFeeder{run: run, next: startStep}, nil
-}
-
-// body builds the next timestep's ingest payload.
-func (f *ingestFeeder) body(dataset string) (serve.IngestBody, error) {
-	f.mu.Lock()
-	t := f.next
-	f.next++
-	f.mu.Unlock()
-	ps, err := f.run.Step(t)
-	if err != nil {
-		return serve.IngestBody{}, err
-	}
-	body := serve.IngestBody{Dataset: dataset}
-	cols := ps.Columns()
-	for _, v := range sim.Variables {
-		body.Columns = append(body.Columns, serve.IngestColumn{Name: v, Float: cols[v]})
-	}
-	body.Columns = append(body.Columns, serve.IngestColumn{Name: sim.IDVar, Int: ps.ID})
-	return body, nil
-}
-
 // openLoopPaths builds the per-kind request templates once per run.
 type openLoopPaths struct {
 	probe  string
@@ -206,7 +161,7 @@ func (lg *loadgen) buildPaths(xvar, yvar string, fine int) openLoopPaths {
 
 // doOpen issues one open-loop request and reports status, degraded
 // marker and completion time.
-func (lg *loadgen) doOpen(kind string, paths openLoopPaths, feeder *ingestFeeder, i int) (status int, degraded bool, err error) {
+func (lg *loadgen) doOpen(kind string, paths openLoopPaths, i int) (status int, degraded bool, err error) {
 	var resp *http.Response
 	switch kind {
 	case kindProbe:
@@ -215,16 +170,6 @@ func (lg *loadgen) doOpen(kind string, paths openLoopPaths, feeder *ingestFeeder
 		resp, err = lg.client.Get(lg.base + paths.drills[i%len(paths.drills)])
 	case kindSweep:
 		resp, err = lg.client.Get(lg.base + paths.sweep)
-	case kindIngest:
-		var body serve.IngestBody
-		if body, err = feeder.body(lg.dataset); err != nil {
-			return 0, false, err
-		}
-		var buf []byte
-		if buf, err = json.Marshal(body); err != nil {
-			return 0, false, err
-		}
-		resp, err = lg.client.Post(lg.base+"/v1/ingest", "application/json", bytes.NewReader(buf))
 	default:
 		return 0, false, fmt.Errorf("unknown kind %q", kind)
 	}
@@ -240,12 +185,9 @@ func (lg *loadgen) doOpen(kind string, paths openLoopPaths, feeder *ingestFeeder
 }
 
 // runOpenLoop drives one phase at the configured offered rate.
-func (lg *loadgen) runOpenLoop(opt openLoopOptions, paths openLoopPaths, feeder *ingestFeeder) (*openResult, error) {
+func (lg *loadgen) runOpenLoop(opt openLoopOptions, paths openLoopPaths) (*openResult, error) {
 	if opt.rate <= 0 {
 		return nil, fmt.Errorf("open loop needs -rate > 0")
-	}
-	if opt.mix.has(kindIngest) && feeder == nil {
-		return nil, fmt.Errorf("mix includes ingest but the target dataset is not live")
 	}
 	mean := time.Duration(float64(time.Second) / opt.rate)
 	rng := rand.New(rand.NewSource(opt.seed))
@@ -280,7 +222,7 @@ func (lg *loadgen) runOpenLoop(opt openLoopOptions, paths openLoopPaths, feeder 
 			defer wg.Done()
 			defer func() { <-window }()
 			sent := time.Now()
-			status, degraded, err := lg.doOpen(kind, paths, feeder, i)
+			status, degraded, err := lg.doOpen(kind, paths, i)
 			done := time.Now()
 			rec.record(kind, status, degraded, done.Sub(scheduled), done.Sub(sent), err)
 		}()
@@ -326,7 +268,14 @@ func (r *openResult) print(w io.Writer) {
 	fmt.Fprintf(w, "corrected ms  p50 %.2f  p95 %.2f  p99 %.2f   (service p50 %.2f  p95 %.2f  p99 %.2f)\n",
 		r.CorrectedP50MS, r.CorrectedP95MS, r.CorrectedP99MS,
 		r.ServiceP50MS, r.ServiceP95MS, r.ServiceP99MS)
-	for kind, s := range r.ByKind {
+	// Sorted, so two reports of the same run read the same.
+	kinds := make([]string, 0, len(r.ByKind))
+	for kind := range r.ByKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		s := r.ByKind[kind]
 		fmt.Fprintf(w, "  %-6s sent %-6d ok %-6d degraded %-5d 429 %-5d 503 %-5d err %d\n",
 			kind, s.Sent, s.OK, s.Degraded, s.Shed429, s.Shed503, s.Errors)
 	}

@@ -107,7 +107,7 @@ func main() {
 		queueWait    = flag.Duration("queue-timeout", 2*time.Second, "max time a request waits for admission")
 		execTimeout  = flag.Duration("exec-timeout", 30*time.Second, "per-request execution deadline, answered 504 (0 = no deadline)")
 		slowThresh   = flag.Duration("slow-threshold", 250*time.Millisecond, "latency beyond which a request enters the slow-query log (0 = off)")
-		limitMode    = flag.String("limit-mode", "aimd", "admission limiter: fixed | aimd | gradient")
+		limitMode    = flag.String("limit-mode", "aimd", "admission limiter: fixed | aimd")
 		slo          = flag.Duration("slo", 250*time.Millisecond, "latency SLO the adaptive limiter steers p95 toward")
 		maxConc      = flag.Int("max-concurrency", 0, "cap on adaptive limit growth (0 = 8x concurrency)")
 		brownout     = flag.Bool("brownout", true, "answer eligible histograms from a degraded path under sustained overload")

@@ -360,7 +360,7 @@ func TestServeDrainOnSIGTERM(t *testing.T) {
 
 // TestQueryService drives the HTTP serving layer end to end: qserve as a
 // real subprocess, a drill-down over HTTP with both backends agreeing,
-// cache hits on repeat, and qload producing BENCH_serve.json.
+// cache hits on repeat, and one open-loop qload pass answered in full.
 func TestQueryService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -472,10 +472,11 @@ func TestQueryService(t *testing.T) {
 		t.Fatalf("stats before %+v after %+v", st0, st1)
 	}
 
-	// qload replays sessions and writes the benchmark JSON.
-	benchPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	cmd := exec.Command(filepath.Join(bin, "qload"),
-		"-url", base, "-sessions", "12", "-concurrency", "4", "-out", benchPath)
+	// One open-loop qload pass writes its report: every arrival answered
+	// 200, corrected percentiles ordered, only the mix's kinds present.
+	benchPath := filepath.Join(t.TempDir(), "BENCH_openloop.json")
+	cmd := exec.Command(filepath.Join(bin, "qload"), "-url", base,
+		"-rate", "40", "-duration", "2s", "-mix", "probe=0.3,drill=0.6,sweep=0.1", "-out", benchPath)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("qload: %v\n%s", err, out)
 	}
@@ -484,50 +485,29 @@ func TestQueryService(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bench struct {
-		Requests int     `json:"requests"`
-		P50MS    float64 `json:"p50_ms"`
-		P99MS    float64 `json:"p99_ms"`
-		HitRate  float64 `json:"cache_hit_rate"`
-		Errors   int     `json:"errors"`
+		Sent   int                        `json:"sent"`
+		OK     int                        `json:"ok"`
+		Errors int                        `json:"errors"`
+		P50MS  float64                    `json:"corrected_p50_ms"`
+		P99MS  float64                    `json:"corrected_p99_ms"`
+		ByKind map[string]json.RawMessage `json:"by_kind"`
 	}
 	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("BENCH_serve.json: %v\n%s", err, raw)
+		t.Fatalf("BENCH_openloop.json: %v\n%s", err, raw)
 	}
-	if bench.Requests != 12*4 || bench.Errors != 0 || bench.P50MS <= 0 || bench.P99MS < bench.P50MS {
-		t.Fatalf("bench looks wrong: %s", raw)
+	if bench.Sent == 0 || bench.Errors != 0 || bench.OK != bench.Sent ||
+		bench.P50MS <= 0 || bench.P99MS < bench.P50MS {
+		t.Fatalf("open-loop report looks wrong: %s", raw)
 	}
-	// 12 sessions share 2 distinct plans x 2 endpoints: most must hit.
-	if bench.HitRate < 0.5 {
-		t.Fatalf("cache hit rate %.2f, want >= 0.5\n%s", bench.HitRate, raw)
+	for kind := range bench.ByKind {
+		if kind != "probe" && kind != "drill" && kind != "sweep" {
+			t.Fatalf("by_kind has %q, not in the mix: %s", kind, raw)
+		}
 	}
-
-	// A cancellation-heavy pass: abandoned requests must not fail the run
-	// or poison the server for the requests that remain.
-	cancelBench := filepath.Join(t.TempDir(), "BENCH_cancel.json")
-	cmd = exec.Command(filepath.Join(bin, "qload"),
-		"-url", base, "-sessions", "12", "-concurrency", "4",
-		"-cancel-frac", "0.5", "-out", cancelBench)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("qload -cancel-frac: %v\n%s", err, out)
-	}
-	raw, err = os.ReadFile(cancelBench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb struct {
-		Canceled int `json:"canceled_client"`
-		Errors   int `json:"errors"`
-	}
-	if err := json.Unmarshal(raw, &cb); err != nil {
-		t.Fatalf("BENCH_cancel.json: %v\n%s", err, raw)
-	}
-	if cb.Errors != 0 {
-		t.Fatalf("cancellation pass had %d errors: %s", cb.Errors, raw)
-	}
-	// Server stayed healthy through the churn.
+	// Server stayed healthy through the load.
 	resp, err := client.Get(base + "/readyz")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz after cancel pass: %v %v", err, resp)
+		t.Fatalf("readyz after qload: %v %v", err, resp)
 	}
 	resp.Body.Close()
 }

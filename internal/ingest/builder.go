@@ -66,7 +66,7 @@ type Builder struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []int        // deduplicated work list, step order
-	queued  map[int]bool // membership for pending
+	queued  map[int]bool // steps in pending or being built right now
 	stopped bool
 
 	wg       sync.WaitGroup
@@ -147,7 +147,6 @@ func (b *Builder) next() (int, bool) {
 	}
 	t := b.pending[0]
 	b.pending = b.pending[1:]
-	delete(b.queued, t)
 	metricIndexBacklog.Set(float64(len(b.pending)))
 	return t, true
 }
@@ -162,6 +161,12 @@ func (b *Builder) worker() {
 		b.building.Add(1)
 		b.buildWithRetry(t)
 		b.building.Add(-1)
+		// The step stays marked until its build is over: an Enqueue(t)
+		// arriving mid-build must not hand t to a second worker, which
+		// would publish the sidecar and fire OnPublished twice.
+		b.mu.Lock()
+		delete(b.queued, t)
+		b.mu.Unlock()
 	}
 }
 

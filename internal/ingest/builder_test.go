@@ -85,6 +85,53 @@ func TestBuilderPublishesAndUpgrades(t *testing.T) {
 	}
 }
 
+// TestBuilderEnqueueDedupWhileBuilding holds a step in flight (its
+// OnPublished hook blocks) and enqueues it three more times: the step is
+// still the first worker's, so the idle second worker must not take it.
+func TestBuilderEnqueueDedupWhileBuilding(t *testing.T) {
+	cat, w := newLive(t)
+	if _, _, err := w.AppendStep(mkColumns(0, 200)); err != nil {
+		t.Fatal(err)
+	}
+	var published atomic.Int32
+	inFlight := make(chan struct{}, 2) // room for the second build a regression would make
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	b := NewBuilder(cat, BuilderConfig{
+		Workers: 2,
+		OnPublished: func(int) {
+			published.Add(1)
+			inFlight <- struct{}{}
+			<-release
+		},
+	})
+	b.Start() // enqueues step 0 from the catalog
+	defer b.Stop()
+	defer unblock() // a failing run must not leave Stop waiting on the hook
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("step 0 never reached OnPublished")
+	}
+	for i := 0; i < 3; i++ {
+		b.Enqueue(0)
+	}
+	if n := b.Backlog(); n != 1 {
+		t.Fatalf("backlog with step 0 in flight = %d, want 1", n)
+	}
+	unblock()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Backlog() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog stuck at %d", b.Backlog())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if built, _, _ := b.Stats(); built != 1 || published.Load() != 1 {
+		t.Fatalf("built %d, OnPublished calls %d; want exactly one each", built, published.Load())
+	}
+}
+
 func TestBuilderRecoversPendingOnStart(t *testing.T) {
 	cat, w := newLive(t)
 	for i := 0; i < 2; i++ {

@@ -35,10 +35,6 @@ const (
 	// while the gate is saturated, and multiplicatively backs off (×3/4)
 	// when the windowed p95 breaches the SLO or the queue builds.
 	LimitAIMD
-	// LimitGradient scales the limit toward limit × (SLO / p95), clamped,
-	// following the gradient of observed latency — faster to converge than
-	// AIMD, slightly noisier.
-	LimitGradient
 )
 
 // ParseLimitMode maps a -limit-mode flag value to a LimitMode.
@@ -48,8 +44,6 @@ func ParseLimitMode(s string) (LimitMode, error) {
 		return LimitFixed, nil
 	case "aimd":
 		return LimitAIMD, nil
-	case "gradient":
-		return LimitGradient, nil
 	}
 	return LimitFixed, errors.New("serve: unknown limit mode " + s)
 }
@@ -58,8 +52,6 @@ func (m LimitMode) String() string {
 	switch m {
 	case LimitAIMD:
 		return "aimd"
-	case LimitGradient:
-		return "gradient"
 	default:
 		return "fixed"
 	}
@@ -124,7 +116,7 @@ type waiter struct {
 
 // Gate bounds the number of requests executing heavy work concurrently.
 // The limit is static (LimitFixed) or self-tuning against a latency SLO
-// (LimitAIMD, LimitGradient). Beyond the limit, requests wait FIFO in a
+// (LimitAIMD). Beyond the limit, requests wait FIFO in a
 // bounded queue whose effective depth shrinks with priority class, so
 // under pressure ingest and sweeps shed before interactive drill-downs.
 // Sustained pressure arms brownout, which the HTTP layer uses to answer
@@ -364,40 +356,13 @@ func (g *Gate) adjustLocked(now time.Time) {
 	g.saturated = false
 	g.pressured = false
 
-	switch g.mode {
-	case LimitAIMD:
-		if breach {
-			g.setLimitLocked(g.limit * 3 / 4)
-		} else if saturated {
-			g.setLimitLocked(g.limit + 1)
-		}
-	case LimitGradient:
-		if samples == 0 || p95 <= 0 {
-			if breach {
-				g.setLimitLocked(g.limit * 3 / 4)
-			}
-			return
-		}
-		ratio := sloS / p95
-		if ratio < 0.5 {
-			ratio = 0.5
-		}
-		target := int(math.Floor(float64(g.limit) * ratio))
-		switch {
-		case breach && target < g.limit:
-			g.setLimitLocked(target)
-		case breach:
-			g.setLimitLocked(g.limit * 3 / 4)
-		case saturated && ratio > 1:
-			// Grow half-way toward the gradient target, at least one slot:
-			// latency headroom says capacity exists, but creep toward it.
-			step := (target - g.limit) / 2
-			if step < 1 {
-				step = 1
-			}
-			g.setLimitLocked(g.limit + step)
-		}
-	default: // LimitFixed
+	if g.mode != LimitAIMD {
+		return // LimitFixed
+	}
+	if breach {
+		g.setLimitLocked(g.limit * 3 / 4)
+	} else if saturated {
+		g.setLimitLocked(g.limit + 1)
 	}
 }
 

@@ -347,26 +347,6 @@ func TestGateFixedModeNeverMoves(t *testing.T) {
 	}
 }
 
-func TestGateGradientTracksSLORatio(t *testing.T) {
-	clk := newFakeClock()
-	g := clockedGate(GateConfig{
-		Limit: 8, MaxLimit: 32, QueueDepth: 4, QueueTimeout: time.Minute,
-		Mode: LimitGradient, SLO: 100 * time.Millisecond, AdjustEvery: 100 * time.Millisecond,
-	}, clk)
-	// p95 at 400ms = 4x the SLO: the gradient should shrink toward
-	// limit*(slo/p95) = 2 in one step (clamped at half).
-	if err := churn(g, 400*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(150 * time.Millisecond)
-	if err := churn(g, 400*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if lim := g.Limit(); lim > 6 {
-		t.Fatalf("limit = %d, want gradient shrink below 8", lim)
-	}
-}
-
 func TestGateBrownoutArmsAfterSustainedPressure(t *testing.T) {
 	clk := newFakeClock()
 	g := clockedGate(GateConfig{

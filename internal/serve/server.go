@@ -65,7 +65,7 @@ type Config struct {
 	Logger *obs.Logger
 
 	// LimitMode selects the admission limiter: "fixed" (default, the
-	// static gate), "aimd", or "gradient" (self-tuning against SLO).
+	// static gate) or "aimd" (self-tuning against SLO).
 	LimitMode string
 	// SLO is the latency target the adaptive limiter steers the windowed
 	// p95 toward. 0 means the gate default (250ms).
