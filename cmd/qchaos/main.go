@@ -335,7 +335,6 @@ func newFrontend(dir string, groups [][]string, breakers bool, cooldown time.Dur
 		cfg.Breaker = cluster.DefaultBreakerConfig()
 		cfg.Breaker.Cooldown = cooldown
 		cfg.RetryBudgetRatio = 0.1
-		cfg.RetryBudgetBurst = 20
 	}
 	c, err := shard.DialShards(groups, cfg, 0)
 	if err != nil {

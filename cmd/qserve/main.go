@@ -41,31 +41,39 @@
 // trace-ID exemplars to latency buckets.
 //
 // The server grades every request against -slo and exports the SLO
-// burn rate over two windows (-burn-fast / -burn-slow); when both
-// cross -burn-threshold, a breach fires and — with -profile-dir set —
-// the flight recorder spools CPU/heap profiles plus the slow-query
-// ring into a bounded capture directory for post-hoc analysis.
+// burn rate over two windows (-burn-fast / -burn-slow); when both reach
+// 1, a breach fires and — with -profile-dir set — the flight recorder
+// spools CPU/heap profiles plus the slow-query ring into a bounded
+// capture directory for post-hoc analysis.
 //
 // On SIGTERM/SIGINT the server flips /readyz to 503, drains in-flight
-// requests (deadline covering -exec-timeout), and exits 0.
+// requests (deadline covering the 30s execution deadline), and exits 0.
+//
+// The flags are the deployment's settings (what to serve, where, in
+// which role) plus the few overload and SLO parameters that CI and the
+// walkthroughs actually vary; README.md has the one table. Every other
+// constant — cache size, queue depth, timeouts, session bounds, retry
+// budget — is the default of the component that reads it.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/fastbit"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -89,249 +97,186 @@ func splitDataSpec(spec string) (name, dir string) {
 	return filepath.Base(filepath.Clean(spec)), spec
 }
 
+// settings is what the command line decides, already in the shape the
+// components take. A field no flag sets stays zero, which every component
+// reads as "my own default" — a constant without a flag is not spelled here.
+type settings struct {
+	role      string
+	datas     dataFlags
+	addr      string
+	adminAddr string
+	rpcAddr   string
+
+	serve serve.Config      // local, frontend: the server; shard: its GateConfig
+	live  *serve.LiveConfig // local role with -live, else nil
+
+	// Frontend role.
+	groups [][]string // shard replica groups
+	pool   cluster.PoolConfig
+	hedge  time.Duration
+}
+
+// roleFlags lists, per role, the flags that role reads. A flag given to a
+// role that would ignore it is a usage error, not a silent no-op.
+var roleFlags = func() map[string][]string {
+	common := []string{"data", "role", "admin-addr", "concurrency", "limit-mode", "slo"}
+	server := []string{"addr", "brownout", "burn-fast", "burn-slow", "burn-cooldown", "profile-dir", "profile-cpu"}
+	return map[string][]string{
+		"local":    slices.Concat(common, server, []string{"live", "ingest-workers"}),
+		"frontend": slices.Concat(common, server, []string{"shards", "replicas", "hedge"}),
+		"shard":    slices.Concat(common, []string{"rpc-addr"}),
+	}
+}()
+
+// parseFlags resolves a command line into settings. Flag-package errors
+// (and -h) have already been reported on stderr when it returns them;
+// the caller prints any other error and exits 2.
+func parseFlags(args []string, stderr io.Writer) (*settings, error) {
+	set := &settings{}
+	fs := flag.NewFlagSet("qserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Var(&set.datas, "data", "dataset to serve, as dir or name=dir (repeatable)")
+	fs.StringVar(&set.addr, "addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
+	fs.StringVar(&set.adminAddr, "admin-addr", "", "admin listener for /metrics, pprof and /v1/debug/slow (off when empty)")
+
+	// Serving roles. A shard worker evaluates plan fragments over RPC; a
+	// frontend scatters fragments across shard replica groups and merges
+	// the partials; local (default) is the one-shard case of the same
+	// planner path, in-process.
+	fs.StringVar(&set.role, "role", "local", "serving role: local | frontend | shard")
+	fs.StringVar(&set.rpcAddr, "rpc-addr", "127.0.0.1:7071", "shard role: fragment RPC listen address (host:0 picks a free port)")
+	shards := fs.String("shards", "", "frontend role: comma-separated shard worker addresses; consecutive -replicas addresses form one shard's replica group")
+	replicas := fs.Int("replicas", 1, "frontend role: replica addresses per shard in -shards")
+	fs.DurationVar(&set.hedge, "hedge", 0, "frontend role: hedged-dispatch stagger across a shard's replicas (0 = first-healthy only)")
+	live := fs.Bool("live", false, "local role: accept POST /v1/ingest and build indexes in the background")
+	ingWorkers := fs.Int("ingest-workers", 1, "with -live: background index-builder pool size per dataset")
+
+	// Overload control and the SLO it steers toward.
+	cfg := &set.serve
+	fs.IntVar(&cfg.Concurrency, "concurrency", 8, "requests (shard role: fragments) doing backend work at once; the adaptive limiter starts here")
+	fs.StringVar(&cfg.LimitMode, "limit-mode", "aimd", "admission limiter: fixed | aimd")
+	fs.DurationVar(&cfg.SLO, "slo", 250*time.Millisecond, "latency SLO: the adaptive limiter steers p95 toward it and the burn monitor grades requests against it")
+	fs.BoolVar(&cfg.Brownout, "brownout", true, "answer eligible histograms from a degraded path under sustained overload")
+	fs.DurationVar(&cfg.BurnFast, "burn-fast", 5*time.Minute, "fast SLO burn-rate window")
+	fs.DurationVar(&cfg.BurnSlow, "burn-slow", time.Hour, "slow SLO burn-rate window")
+	fs.DurationVar(&cfg.BurnCooldown, "burn-cooldown", 0, "minimum gap between burn-rate breach firings (0 = slow window)")
+	fs.StringVar(&cfg.ProfileDir, "profile-dir", "", "flight-recorder spool: each SLO breach captures pprof profiles + the slow-query ring here (off when empty)")
+	fs.DurationVar(&cfg.ProfileCPU, "profile-cpu", 2*time.Second, "CPU-profile sampling window per flight-recorder capture")
+
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	allowed, ok := roleFlags[set.role]
+	if !ok {
+		return nil, fmt.Errorf("bad -role %q: want local | frontend | shard", set.role)
+	}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(allowed, f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+		if f.Name == "ingest-workers" && !*live {
+			stray = append(stray, "-ingest-workers (without -live)")
+		}
+	})
+	if len(stray) > 0 {
+		return nil, fmt.Errorf("%s: not read by -role %s", strings.Join(stray, ", "), set.role)
+	}
+	if len(set.datas) == 0 {
+		return nil, errors.New("at least one -data is required")
+	}
+	if _, err := serve.ParseLimitMode(cfg.LimitMode); err != nil {
+		return nil, fmt.Errorf("bad -limit-mode: %w", err)
+	}
+	if *live {
+		set.live = &serve.LiveConfig{IngestWorkers: *ingWorkers}
+	}
+	if set.role == "frontend" {
+		if *shards == "" {
+			return nil, errors.New("-role frontend requires -shards")
+		}
+		var err error
+		if set.groups, err = shardGroups(strings.Split(*shards, ","), *replicas); err != nil {
+			return nil, fmt.Errorf("bad -shards %q with -replicas %d: %w", *shards, *replicas, err)
+		}
+		// The resilience control plane is always on: per-replica circuit
+		// breakers, and a fleet-wide retry budget refilled at one token
+		// per ten successful calls.
+		set.pool = cluster.DefaultPoolConfig()
+		set.pool.Breaker = cluster.DefaultBreakerConfig()
+		set.pool.RetryBudgetRatio = 0.1
+	}
+	return set, nil
+}
+
+// HTTP-server bounds. Both must exceed the per-request execution deadline
+// (serve.Config.ExecTimeout's default, 30s): a shorter write timeout would
+// cut off a legitimately slow histogram before its 504 fires, and a
+// shorter drain would kill requests that were going to finish in budget.
+const (
+	writeTimeout = 60 * time.Second
+	drainTimeout = 35 * time.Second
+)
+
 func main() {
 	logger := obs.NewLogger(os.Stderr, "qserve")
 	fatal := func(msg string, kv ...any) {
 		logger.Error(msg, kv...)
 		os.Exit(1)
 	}
-
-	var datas dataFlags
-	flag.Var(&datas, "data", "dataset to serve, as dir or name=dir (repeatable)")
-	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
-		adminAddr    = flag.String("admin-addr", "", "admin listener for /metrics, pprof and /v1/debug/slow (off when empty)")
-		cacheEntries = flag.Int("cache-entries", 256, "result cache size in entries (0 disables storage)")
-		concurrency  = flag.Int("concurrency", 8, "max requests doing backend work at once")
-		queueDepth   = flag.Int("queue", -1, "admission queue depth (-1 = 2x concurrency, 0 = no queue)")
-		queueWait    = flag.Duration("queue-timeout", 2*time.Second, "max time a request waits for admission")
-		execTimeout  = flag.Duration("exec-timeout", 30*time.Second, "per-request execution deadline, answered 504 (0 = no deadline)")
-		slowThresh   = flag.Duration("slow-threshold", 250*time.Millisecond, "latency beyond which a request enters the slow-query log (0 = off)")
-		limitMode    = flag.String("limit-mode", "aimd", "admission limiter: fixed | aimd")
-		slo          = flag.Duration("slo", 250*time.Millisecond, "latency SLO the adaptive limiter steers p95 toward")
-		maxConc      = flag.Int("max-concurrency", 0, "cap on adaptive limit growth (0 = 8x concurrency)")
-		brownout     = flag.Bool("brownout", true, "answer eligible histograms from a degraded path under sustained overload")
-		obsEnabled   = flag.Bool("obs", true, "enable tracing and latency histograms (counters stay on)")
-		live         = flag.Bool("live", false, "serve datasets live: accept POST /v1/ingest and build indexes in the background")
-		ingWorkers   = flag.Int("ingest-workers", 1, "background index-builder pool size per live dataset")
-		catalogPoll  = flag.Duration("catalog-poll", 500*time.Millisecond, "how often a live dataset re-reads its catalog for external commits (0 disables)")
-		indexBins    = flag.Int("index-bins", 256, "bitmap index bins per variable for live-built indexes")
-
-		// Sharded serving roles. A shard worker evaluates plan fragments
-		// over RPC; a frontend scatters fragments across shard replica
-		// groups and merges the partials; local (default) is the one-shard
-		// case of the same planner path, in-process.
-		role      = flag.String("role", "local", "serving role: local | frontend | shard")
-		rpcAddr   = flag.String("rpc-addr", "127.0.0.1:7071", "shard role: fragment RPC listen address (host:0 picks a free port)")
-		shards    = flag.String("shards", "", "frontend role: comma-separated shard worker addresses; consecutive -replicas addresses form one shard's replica group")
-		replicas  = flag.Int("replicas", 1, "frontend role: replica addresses per shard in -shards")
-		hedge     = flag.Duration("hedge", 0, "frontend role: hedged-dispatch stagger across a shard's replicas (0 = first-healthy only)")
-		fragCache = flag.Int("frag-cache", 1024, "shard role: fragment result cache entries (0 disables)")
-
-		// SLO burn-rate monitoring and breach-triggered profile capture.
-		burnBudget    = flag.Float64("burn-budget", 0.05, "tolerated bad-request fraction (error budget) for the SLO burn monitor")
-		burnFast      = flag.Duration("burn-fast", 5*time.Minute, "fast burn-rate window")
-		burnSlow      = flag.Duration("burn-slow", time.Hour, "slow burn-rate window")
-		burnThreshold = flag.Float64("burn-threshold", 1, "burn rate both windows must reach to fire a breach")
-		burnCooldown  = flag.Duration("burn-cooldown", 0, "minimum gap between breach firings (0 = slow window)")
-		profileDir    = flag.String("profile-dir", "", "flight-recorder spool: each SLO breach captures pprof profiles + the slow-query ring here (off when empty)")
-		profileCaps   = flag.Int("profile-captures", 8, "flight-recorder spool bound (capture directories kept)")
-		profileCPU    = flag.Duration("profile-cpu", 2*time.Second, "CPU-profile sampling window per flight-recorder capture")
-
-		// Analysis sessions (server-side selections).
-		sessionTTL      = flag.Duration("session-ttl", 15*time.Minute, "evict analysis sessions idle longer than this (0 = never)")
-		sessionMax      = flag.Int("session-max", 64, "max live analysis sessions, LRU-evicted (0 = unbounded)")
-		sessionMaxBytes = flag.Int64("session-max-bytes", 64<<20, "max bytes of stored selections across sessions (0 = unbounded)")
-
-		// Resilience control plane (frontend role).
-		breaker     = flag.Bool("breaker", true, "frontend role: per-replica circuit breakers on shard RPCs")
-		retryBudget = flag.Float64("retry-budget", 0.1, "frontend role: global retry budget refill ratio — retry tokens granted per successful call (0 disables)")
-		retryBurst  = flag.Int("retry-budget-burst", 20, "frontend role: retry budget bucket size")
-		budgetSlack = flag.Duration("budget-slack", shard.DefaultBudgetSlack, "frontend role: deadline headroom reserved per fragment dispatch (negative disables deadline budgets)")
-	)
-	flag.Parse()
-	if len(datas) == 0 {
-		flag.Usage()
+	set, err := parseFlags(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "qserve: %v (see qserve -h)\n", err)
 		os.Exit(2)
 	}
-	obs.SetEnabled(*obsEnabled)
-	if _, err := serve.ParseLimitMode(*limitMode); err != nil {
-		fatal("bad -limit-mode", "mode", *limitMode, "err", err)
-	}
-	switch *role {
-	case "local", "frontend", "shard":
-	default:
-		fatal("bad -role", "role", *role, "want", "local | frontend | shard")
-	}
-	// Live ingestion mutates the catalog in one process; shard workers and
-	// frontends share a static dataset directory (the parallel-filesystem
-	// model), so the roles are mutually exclusive for now.
-	if *role != "local" && *live {
-		fatal("-live requires -role local", "role", *role)
-	}
-	if *role != "frontend" && *shards != "" {
-		fatal("-shards requires -role frontend", "role", *role)
-	}
-	if *role == "shard" {
-		runShard(logger, fatal, datas, shardOptions{
-			rpcAddr:      *rpcAddr,
-			adminAddr:    *adminAddr,
-			fragCache:    *fragCache,
-			concurrency:  *concurrency,
-			queueDepth:   *queueDepth,
-			queueTimeout: *queueWait,
-			limitMode:    *limitMode,
-			slo:          *slo,
-			maxConc:      *maxConc,
-		})
+	if set.role == "shard" {
+		runShard(logger, fatal, set)
 		return
 	}
 
-	cfg := serve.Config{
-		CacheEntries:   *cacheEntries,
-		Concurrency:    *concurrency,
-		QueueTimeout:   *queueWait,
-		ExecTimeout:    *execTimeout,
-		SlowThreshold:  *slowThresh,
-		Logger:         logger.With("serve"),
-		LimitMode:      *limitMode,
-		SLO:            *slo,
-		MaxConcurrency: *maxConc,
-		Brownout:       *brownout,
-
-		BurnBudget:      *burnBudget,
-		BurnFast:        *burnFast,
-		BurnSlow:        *burnSlow,
-		BurnThreshold:   *burnThreshold,
-		BurnCooldown:    *burnCooldown,
-		ProfileDir:      *profileDir,
-		ProfileCaptures: *profileCaps,
-		ProfileCPU:      *profileCPU,
-
-		SessionTTL:      *sessionTTL,
-		SessionMax:      *sessionMax,
-		SessionMaxBytes: *sessionMaxBytes,
-	}
-	// Flag semantics: 0 disables a session bound; Config expresses that as
-	// a negative value (its zero means "use the default").
-	if *sessionTTL <= 0 {
-		cfg.SessionTTL = -1
-	}
-	if *sessionMax <= 0 {
-		cfg.SessionMax = -1
-	}
-	if *sessionMaxBytes <= 0 {
-		cfg.SessionMaxBytes = -1
-	}
-	// Flag semantics: 0 disables the deadline; Config expresses that as a
-	// negative value (its own zero means "use the default").
-	if *execTimeout <= 0 {
-		cfg.ExecTimeout = -1
-	}
-	if *slowThresh <= 0 {
-		cfg.SlowThreshold = -1
-	}
-	// Flag semantics differ from Config zero-value semantics: translate
-	// "0 = off" into Config's "negative = off".
-	if *cacheEntries <= 0 {
-		cfg.CacheEntries = -1
-	}
-	switch {
-	case *queueDepth > 0:
-		cfg.QueueDepth = *queueDepth
-	case *queueDepth == 0:
-		cfg.QueueDepth = -1
-	}
-	s := serve.New(cfg)
+	set.serve.Logger = logger.With("serve")
+	s := serve.New(set.serve)
 	defer s.Close()
-	for _, spec := range datas {
+	for _, spec := range set.datas {
 		name, dir := splitDataSpec(spec)
-		if *live {
-			lc := serve.LiveConfig{
-				IngestWorkers: *ingWorkers,
-				CatalogPoll:   *catalogPoll,
-				Index:         fastbit.IndexOptions{Bins: *indexBins},
-			}
-			if *catalogPoll <= 0 {
-				lc.CatalogPoll = -1
-			}
-			if err := s.AddLiveDataset(name, dir, lc); err != nil {
-				fatal("add live dataset", "name", name, "dir", dir, "err", err)
-			}
-			logger.Info("serving dataset live", "name", name, "dir", dir)
-			continue
+		if set.live != nil {
+			err = s.AddLiveDataset(name, dir, *set.live)
+		} else {
+			err = s.AddDataset(name, dir)
 		}
-		if err := s.AddDataset(name, dir); err != nil {
-			fatal("add dataset", "name", name, "dir", dir, "err", err)
+		if err != nil {
+			fatal("add dataset", "name", name, "dir", dir, "live", set.live != nil, "err", err)
 		}
-		logger.Info("serving dataset", "name", name, "dir", dir)
+		logger.Info("serving dataset", "name", name, "dir", dir, "live", set.live != nil)
 	}
-	if *role == "frontend" {
-		if *shards == "" {
-			fatal("-role frontend requires -shards")
-		}
-		groups, err := shardGroups(strings.Split(*shards, ","), *replicas)
+	if set.role == "frontend" {
+		c, err := shard.DialShards(set.groups, set.pool, set.hedge)
 		if err != nil {
-			fatal("bad -shards", "shards", *shards, "replicas", *replicas, "err", err)
+			fatal("dial shards", "shards", set.groups, "err", err)
 		}
-		pc := cluster.DefaultPoolConfig()
-		if *breaker {
-			pc.Breaker = cluster.DefaultBreakerConfig()
-		}
-		pc.RetryBudgetRatio = *retryBudget
-		pc.RetryBudgetBurst = *retryBurst
-		c, err := shard.DialShards(groups, pc, *hedge)
-		if err != nil {
-			fatal("dial shards", "shards", *shards, "err", err)
-		}
-		c.SetBudgetSlack(*budgetSlack)
 		s.SetShardClient(c)
 		logger.Info("shard fleet connected",
-			"shards", len(groups), "replicas", *replicas, "hedge", hedge.String(),
-			"breakers", *breaker, "retry_budget", *retryBudget, "budget_slack", budgetSlack.String())
+			"shards", len(set.groups), "replicas", len(set.groups[0]), "hedge", set.hedge.String())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", set.addr)
 	if err != nil {
-		fatal("listen", "addr", *addr, "err", err)
+		fatal("listen", "addr", set.addr, "err", err)
 	}
 	// The actual address matters with port 0; print it where scripts and
 	// tests can parse it.
 	fmt.Printf("qserve: listening on %s\n", ln.Addr())
-
-	// The admin surface gets its own mux (and listener): pprof handlers
-	// must never be reachable from the query port, and a scrape storm on
-	// /metrics must not compete with queries for the accept queue.
-	if *adminAddr != "" {
-		adm := http.NewServeMux()
-		adm.Handle("/metrics", s.MetricsHandler())
-		adm.Handle("/v1/debug/slow", s.SlowLog().Handler())
-		adm.HandleFunc("/debug/pprof/", pprof.Index)
-		adm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		adm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		adm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		adm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		aln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			fatal("admin listen", "addr", *adminAddr, "err", err)
-		}
-		fmt.Printf("qserve: admin on %s\n", aln.Addr())
-		go func() {
-			asrv := &http.Server{Handler: adm, ReadHeaderTimeout: 10 * time.Second}
-			if err := asrv.Serve(aln); err != nil && err != http.ErrServerClosed {
-				logger.Error("admin server", "err", err)
-			}
-		}()
-	}
+	serveAdmin(logger, fatal, set.adminAddr, s.MetricsHandler(), s.SlowLog().Handler())
 
 	// Slow-client protection: a reader that trickles its request header or
 	// never drains its response must not pin a connection (and its handler)
-	// forever. WriteTimeout must cover the execution deadline, or the server
-	// would cut off legitimately slow histograms before their 504 fires.
-	writeTimeout := cfg.ExecTimeout + 30*time.Second
-	if cfg.ExecTimeout < 0 {
-		writeTimeout = 0 // deadline disabled: don't reintroduce one here
-	}
+	// forever.
 	srv := &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -342,27 +287,58 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-done:
 		fatal("server exited", "err", err)
-	case <-sig:
+	case <-shutdownSignal():
 		// Graceful drain: flip /readyz to 503 so load balancers stop
-		// routing here, then let in-flight requests finish. The drain
-		// deadline must exceed the execution deadline so no request is
-		// killed by shutdown that would have completed within its budget.
+		// routing here, then let in-flight requests finish.
 		logger.Info("draining")
 		s.SetDraining(true)
-		drain := 10 * time.Second
-		if cfg.ExecTimeout > 0 && cfg.ExecTimeout+5*time.Second > drain {
-			drain = cfg.ExecTimeout + 5*time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			logger.Error("shutdown", "err", err)
 		}
 		logger.Info("drained, exiting")
 	}
+}
+
+// shutdownSignal delivers the first SIGINT/SIGTERM.
+func shutdownSignal() <-chan os.Signal {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	return sig
+}
+
+// serveAdmin starts the operational listener when addr is set. The admin
+// surface gets its own mux and listener: pprof handlers must never be
+// reachable from the query port, and a scrape storm on /metrics must not
+// compete with queries for the accept queue. slow is nil on a shard
+// worker, which keeps no slow-query log.
+func serveAdmin(logger *obs.Logger, fatal func(string, ...any), addr string, metrics, slow http.Handler) {
+	if addr == "" {
+		return
+	}
+	adm := http.NewServeMux()
+	adm.Handle("/metrics", metrics)
+	if slow != nil {
+		adm.Handle("/v1/debug/slow", slow)
+	}
+	adm.HandleFunc("/debug/pprof/", pprof.Index)
+	adm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	adm.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	adm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	adm.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	aln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal("admin listen", "addr", addr, "err", err)
+	}
+	fmt.Printf("qserve: admin on %s\n", aln.Addr())
+	go func() {
+		asrv := &http.Server{Handler: adm, ReadHeaderTimeout: 10 * time.Second}
+		if err := asrv.Serve(aln); err != nil && err != http.ErrServerClosed {
+			logger.Error("admin server", "err", err)
+		}
+	}()
 }

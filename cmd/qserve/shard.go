@@ -12,12 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -25,19 +20,8 @@ import (
 	"repro/internal/shard"
 )
 
-// shardOptions is the shard role's wiring, carved out of the main flag
-// set.
-type shardOptions struct {
-	rpcAddr      string
-	adminAddr    string
-	fragCache    int
-	concurrency  int
-	queueDepth   int
-	queueTimeout time.Duration
-	limitMode    string
-	slo          time.Duration
-	maxConc      int
-}
+// fragCacheEntries bounds a shard worker's fragment result cache.
+const fragCacheEntries = 1024
 
 // shardGroups splits a flat worker address list into per-shard replica
 // groups of size replicas, in order: with -replicas 2, addresses
@@ -72,11 +56,13 @@ func shardAdmit(gate *serve.Gate) shard.AdmitFunc {
 	}
 }
 
-// runShard serves the shard-worker role until SIGTERM/SIGINT.
-func runShard(logger *obs.Logger, fatal func(string, ...any), datas dataFlags, opt shardOptions) {
-	ex := shard.NewExecutor(opt.fragCache)
+// runShard serves the shard-worker role until SIGTERM/SIGINT. The gate in
+// front of the fragment RPCs and the admin listener are the ones the HTTP
+// roles use.
+func runShard(logger *obs.Logger, fatal func(string, ...any), set *settings) {
+	ex := shard.NewExecutor(fragCacheEntries)
 	defer ex.Close()
-	for _, spec := range datas {
+	for _, spec := range set.datas {
 		name, d := splitDataSpec(spec)
 		if err := ex.AddDataset(name, d); err != nil {
 			fatal("add dataset", "name", name, "dir", d, "err", err)
@@ -84,52 +70,20 @@ func runShard(logger *obs.Logger, fatal func(string, ...any), datas dataFlags, o
 		logger.Info("shard dataset", "name", name, "dir", d)
 	}
 
-	mode, _ := serve.ParseLimitMode(opt.limitMode) // validated by main
-	qd := opt.queueDepth
-	if qd < 0 {
-		qd = 2 * opt.concurrency
-	}
-	gate := serve.NewGate(serve.GateConfig{
-		Limit:        opt.concurrency,
-		MaxLimit:     opt.maxConc,
-		QueueDepth:   qd,
-		QueueTimeout: opt.queueTimeout,
-		Mode:         mode,
-		SLO:          opt.slo,
-	})
-
+	gate := serve.NewGate(set.serve.GateConfig())
 	srv, err := shard.NewServer(shard.NewService(ex, shardAdmit(gate)))
 	if err != nil {
 		fatal("shard server", "err", err)
 	}
-	l, err := net.Listen("tcp", opt.rpcAddr)
+	l, err := net.Listen("tcp", set.rpcAddr)
 	if err != nil {
-		fatal("rpc listen", "addr", opt.rpcAddr, "err", err)
+		fatal("rpc listen", "addr", set.rpcAddr, "err", err)
 	}
 	fmt.Printf("qserve: shard rpc on %s\n", l.Addr())
 	srv.Serve(l)
+	serveAdmin(logger, fatal, set.adminAddr, obs.Handler(obs.Default()), nil)
 
-	if opt.adminAddr != "" {
-		adm := http.NewServeMux()
-		adm.Handle("/metrics", obs.Handler(obs.Default()))
-		adm.HandleFunc("/debug/pprof/", pprof.Index)
-		adm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		aln, err := net.Listen("tcp", opt.adminAddr)
-		if err != nil {
-			fatal("admin listen", "addr", opt.adminAddr, "err", err)
-		}
-		fmt.Printf("qserve: admin on %s\n", aln.Addr())
-		go func() {
-			asrv := &http.Server{Handler: adm, ReadHeaderTimeout: 10 * time.Second}
-			if err := asrv.Serve(aln); err != nil && err != http.ErrServerClosed {
-				logger.Error("admin server", "err", err)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-shutdownSignal()
 	logger.Info("shard shutting down")
 	srv.Close()
 }

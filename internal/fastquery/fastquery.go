@@ -519,30 +519,8 @@ func (st *Step) Histogram2DIndexOnlyCtx(ctx context.Context, cond query.Expr, xv
 	return ev.Histogram2DFromBitmapsCtx(ctx, cond, xvar, yvar)
 }
 
-// Histogram2DParallel computes a conditional 2D histogram with the SMP
-// data-parallel algorithm (rows sharded across workers, partial histograms
-// merged — scan.ParallelHistogram2D). It always runs on the scan path;
-// the index-accelerated path parallelises across timesteps instead.
-func (st *Step) Histogram2DParallel(cond query.Expr, spec histogram.Spec2D, workers int) (*histogram.Hist2D, error) {
-	return st.Histogram2DParallelCtx(context.Background(), cond, spec, workers)
-}
-
-// Histogram2DParallelCtx is Histogram2DParallel with cooperative
-// cancellation: every shard worker observes ctx independently.
-func (st *Step) Histogram2DParallelCtx(ctx context.Context, cond query.Expr, spec histogram.Spec2D, workers int) (*histogram.Hist2D, error) {
-	cols, err := st.loadScanColumns(ctx, cond, spec.XVar, spec.YVar)
-	if err != nil {
-		return nil, err
-	}
-	xe, ye, err := resolveEdges(ctx, cols, cond, spec)
-	if err != nil {
-		return nil, err
-	}
-	return scan.ParallelHistogram2DCtx(ctx, cols, spec.XVar, spec.YVar, cond, xe, ye, workers)
-}
-
 // resolveEdges derives the bin edges a spec implies for the given columns
-// and condition (shared by the serial and parallel scan paths).
+// and condition.
 func resolveEdges(ctx context.Context, cols scan.Columns, cond query.Expr, spec histogram.Spec2D) (xe, ye []float64, err error) {
 	xs, ys := cols[spec.XVar], cols[spec.YVar]
 	selX, selY := xs, ys

@@ -378,35 +378,3 @@ func TestMinMaxPrefersIndex(t *testing.T) {
 		t.Fatal("unknown column accepted")
 	}
 }
-
-func TestHistogram2DParallelMatchesSerial(t *testing.T) {
-	src := testSource(t)
-	st, err := src.OpenStep(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cond := query.MustParse("px > 1e9")
-	spec := histogram.NewSpec2D("x", "px", 32, 32)
-	serial, err := st.Histogram2D(cond, spec, Scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		par, err := st.Histogram2DParallel(cond, spec, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Total() != serial.Total() {
-			t.Fatalf("workers=%d: total %d vs %d", workers, par.Total(), serial.Total())
-		}
-		for i := range serial.Counts {
-			if par.Counts[i] != serial.Counts[i] {
-				t.Fatalf("workers=%d: bin %d differs", workers, i)
-			}
-		}
-	}
-	if _, err := st.Histogram2DParallel(query.MustParse("zz > 0"), spec, 2); err == nil {
-		t.Fatal("bad condition accepted")
-	}
-}

@@ -3,6 +3,7 @@ package fastquery
 import (
 	"fmt"
 
+	"repro/internal/colstore"
 	"repro/internal/fastbit"
 )
 
@@ -32,56 +33,66 @@ func BuildIndexes(dir string, opt IndexOptions) error {
 	if err != nil {
 		return err
 	}
-	idVar := opt.IDVar
-	if idVar == "" {
-		idVar = "id"
-	}
+	ds := src.dataset()
 	for t := 0; t < src.Steps(); t++ {
-		if src.dataset().HasIndex(t) && !opt.Force {
-			if opt.Progress != nil {
-				opt.Progress(t, src.Steps(), -1)
-			}
-			continue
-		}
-		f, err := src.dataset().OpenStep(t)
-		if err != nil {
-			return err
-		}
-		vars := opt.Vars
-		if vars == nil {
-			for _, name := range f.Columns() {
-				if name != idVar {
-					vars = append(vars, name)
-				}
-			}
-		}
-		cols := map[string][]float64{}
-		for _, name := range vars {
-			col, err := f.ReadAsFloat64(name)
+		size := -1
+		if !ds.HasIndex(t) || opt.Force {
+			size, err = BuildStepIndex(ds.StepPath(t), ds.IndexPath(t), opt.Vars, opt.IDVar, opt.Index)
 			if err != nil {
-				f.Close()
 				return fmt.Errorf("fastquery: step %d: %w", t, err)
 			}
-			cols[name] = col
-		}
-		var ids []int64
-		if f.HasColumn(idVar) {
-			if ids, err = f.ReadInt64(idVar); err != nil {
-				f.Close()
-				return fmt.Errorf("fastquery: step %d: %w", t, err)
-			}
-		}
-		f.Close()
-		si, err := fastbit.BuildStepIndex(cols, ids, idVar, opt.Index)
-		if err != nil {
-			return fmt.Errorf("fastquery: step %d: %w", t, err)
-		}
-		if err := si.WriteFile(src.dataset().IndexPath(t)); err != nil {
-			return err
 		}
 		if opt.Progress != nil {
-			opt.Progress(t, src.Steps(), si.SizeBytes())
+			opt.Progress(t, src.Steps(), size)
 		}
 	}
 	return nil
+}
+
+// BuildStepIndex is the one index-build routine, shared by BuildIndexes
+// and the live ingest builder: read the vars columns of the timestep file
+// at dataPath (nil: every column except idVar; "" means "id"), build their
+// bitmap indexes plus the identifier index, and write the sidecar to
+// indexPath. It returns the index size in bytes. Failures that would
+// repeat identically on every retry — a missing column, bad build
+// parameters or shapes — are marked Fatal.
+func BuildStepIndex(dataPath, indexPath string, vars []string, idVar string, opt fastbit.IndexOptions) (int, error) {
+	f, err := colstore.Open(dataPath)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close() //nolint:errcheck // read-only handle
+	if idVar == "" {
+		idVar = "id"
+	}
+	if vars == nil {
+		for _, name := range f.Columns() {
+			if name != idVar {
+				vars = append(vars, name)
+			}
+		}
+	}
+	cols := map[string][]float64{}
+	for _, name := range vars {
+		if !f.HasColumn(name) {
+			return 0, Fatalf("no column %q", name)
+		}
+		if cols[name], err = f.ReadAsFloat64(name); err != nil {
+			return 0, err
+		}
+	}
+	var ids []int64
+	if f.HasColumn(idVar) {
+		if ids, err = f.ReadInt64(idVar); err != nil {
+			return 0, err
+		}
+	}
+	si, err := fastbit.BuildStepIndex(cols, ids, idVar, opt)
+	if err != nil {
+		return 0, Fatal(err)
+	}
+	if err := si.WriteFile(indexPath); err != nil {
+		return 0, err
+	}
+	return si.SizeBytes(), nil
 }

@@ -41,9 +41,6 @@ func TestCanceledContextStopsQueries(t *testing.T) {
 			t.Errorf("%s Histogram2DCtx: err = %v, want context.Canceled", name, err)
 		}
 	}
-	if _, err := st.Histogram2DParallelCtx(ctx, e, histogram.NewSpec2D("x", "px", 16, 16), 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("Histogram2DParallelCtx: err = %v, want context.Canceled", err)
-	}
 
 	// The same calls with a live context still work: cancellation checks
 	// must not have broken the happy path.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/colstore"
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/obs"
@@ -269,53 +268,11 @@ func (b *Builder) BuildStep(t int) (int64, error) {
 		return 0, fastquery.Fatalf("ingest: step %d data file mismatch (have %d bytes crc %08x, manifest %d bytes crc %08x)",
 			t, size, crc, entry.DataBytes, entry.DataCRC)
 	}
-	f, err := colstore.Open(b.cat.StepPath(t))
+	idxBytes, err := fastquery.BuildStepIndex(b.cat.StepPath(t), b.cat.IndexPath(t), b.cfg.IndexVars, man.IDVar, b.cfg.Index)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("ingest: step %d: %w", t, err)
 	}
-	idVar := man.IDVar
-	if idVar == "" {
-		idVar = "id"
-	}
-	vars := b.cfg.IndexVars
-	if vars == nil {
-		for _, name := range f.Columns() {
-			if name != idVar {
-				vars = append(vars, name)
-			}
-		}
-	}
-	cols := map[string][]float64{}
-	for _, name := range vars {
-		if !f.HasColumn(name) {
-			// Deterministic: the column will be missing on every retry.
-			f.Close()
-			return 0, fastquery.Fatalf("ingest: step %d: no column %q", t, name)
-		}
-		col, err := f.ReadAsFloat64(name)
-		if err != nil {
-			f.Close()
-			return 0, fmt.Errorf("ingest: step %d: %w", t, err)
-		}
-		cols[name] = col
-	}
-	var ids []int64
-	if f.HasColumn(idVar) {
-		if ids, err = f.ReadInt64(idVar); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("ingest: step %d: %w", t, err)
-		}
-	}
-	f.Close()
-	si, err := fastbit.BuildStepIndex(cols, ids, idVar, b.cfg.Index)
-	if err != nil {
-		// Build-parameter and shape problems are deterministic.
-		return 0, fastquery.Fatal(fmt.Errorf("ingest: step %d: %w", t, err))
-	}
-	if err := si.WriteFile(b.cat.IndexPath(t)); err != nil {
-		return 0, err
-	}
-	st := int64(si.SizeBytes())
+	st := int64(idxBytes)
 	if _, err := b.cat.MarkIndexed(t, st); err != nil {
 		return 0, err
 	}

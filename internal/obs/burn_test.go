@@ -191,3 +191,22 @@ func TestFlightRecorderNilAndErrors(t *testing.T) {
 		t.Fatal("empty dir accepted")
 	}
 }
+
+// TestComponentDefaults pins what zero arguments mean — the values every
+// qserve runs with, since no flag sets them.
+func TestComponentDefaults(t *testing.T) {
+	b := NewBurnMonitor(BurnConfig{}).cfg
+	if b.Budget != 0.05 || b.Threshold != 1 || b.Fast != 5*time.Minute || b.Slow != time.Hour || b.Cooldown != time.Hour {
+		t.Errorf("burn monitor defaults: %+v", b)
+	}
+	fr, err := NewFlightRecorder(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.max != 8 || fr.cpuDur != 2*time.Second {
+		t.Errorf("flight recorder defaults: %d captures, %v cpu", fr.max, fr.cpuDur)
+	}
+	if l := NewSlowLog(0); l.max != 128 {
+		t.Errorf("slow log default = %d entries, want 128", l.max)
+	}
+}

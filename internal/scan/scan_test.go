@@ -182,79 +182,3 @@ func TestFindIDsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestParallelHistogram2DMatchesSerial(t *testing.T) {
-	c := testColumns(20000, 9)
-	xe := histogram.UniformEdges(0, 10, 64)
-	ye := histogram.UniformEdges(-1, 1, 64)
-	cond := query.MustParse("px > 0")
-	want, err := ConditionalHistogram2D(c, "x", "y", cond, xe, ye)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-		got, err := ParallelHistogram2D(c, "x", "y", cond, xe, ye, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Total() != want.Total() {
-			t.Fatalf("workers=%d: total %d vs %d", workers, got.Total(), want.Total())
-		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("workers=%d: bin %d differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelHistogram2DMoreWorkersThanRows(t *testing.T) {
-	c := testColumns(50, 11)
-	xe := histogram.UniformEdges(0, 10, 4)
-	ye := histogram.UniformEdges(-1, 1, 4)
-	h, err := ParallelHistogram2D(c, "x", "y", nil, xe, ye, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 50 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestParallelHistogram2DValidation(t *testing.T) {
-	c := testColumns(100, 10)
-	xe := histogram.UniformEdges(0, 10, 4)
-	ye := histogram.UniformEdges(-1, 1, 4)
-	if _, err := ParallelHistogram2D(c, "zz", "y", nil, xe, ye, 2); err == nil {
-		t.Fatal("unknown x accepted")
-	}
-	if _, err := ParallelHistogram2D(c, "x", "zz", nil, xe, ye, 2); err == nil {
-		t.Fatal("unknown y accepted")
-	}
-	if _, err := ParallelHistogram2D(c, "x", "y", query.MustParse("zz > 0"), xe, ye, 2); err == nil {
-		t.Fatal("bad condition accepted")
-	}
-	bad := Columns{"x": {1, 2}, "y": {1}}
-	if _, err := ParallelHistogram2D(bad, "x", "y", nil, xe, ye, 2); err == nil {
-		t.Fatal("ragged columns accepted")
-	}
-}
-
-// Property: for any worker count the parallel histogram conserves mass.
-func TestParallelHistogramMassProperty(t *testing.T) {
-	f := func(seed int64, workersRaw uint8) bool {
-		workers := int(workersRaw%8) + 1
-		c := testColumns(1000, seed)
-		xe := histogram.UniformEdges(0, 10, 8)
-		ye := histogram.UniformEdges(-1, 1, 8)
-		h, err := ParallelHistogram2D(c, "x", "y", nil, xe, ye, workers)
-		if err != nil {
-			return false
-		}
-		// All x values lie in [0,10); y in [-1,1): total equals rows.
-		return h.Total() == 1000
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}

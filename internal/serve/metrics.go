@@ -55,24 +55,12 @@ func newServerMetrics(reg *obs.Registry, cache *Cache, gate *Gate) *serverMetric
 		"Result-cache computations currently in flight.",
 		func() float64 { return float64(cache.Stats().Inflight) })
 
-	reg.CounterFunc("serve_admission_admitted_total",
-		"Requests admitted past the concurrency gate.",
-		func() uint64 { return gate.Stats().Admitted })
-	reg.CounterFunc("serve_admission_rejected_full_total",
-		"Requests shed immediately because the wait queue was full (429).",
-		func() uint64 { return gate.Stats().RejectedFull })
-	reg.CounterFunc("serve_admission_rejected_deadline_total",
-		"Requests that waited out the queue deadline (503).",
-		func() uint64 { return gate.Stats().RejectedDeadline })
 	reg.GaugeFunc("serve_admission_in_flight",
 		"Requests currently holding a concurrency slot.",
 		func() float64 { return float64(gate.Stats().InFlight) })
 	reg.GaugeFunc("serve_admission_queued",
 		"Requests currently waiting for a slot.",
 		func() float64 { return float64(gate.Stats().Queued) })
-	reg.GaugeFunc("serve_admission_limit",
-		"Configured concurrency limit.",
-		func() float64 { return float64(gate.Stats().Limit) })
 
 	// Adaptive overload-control instruments. serve_limit is the live
 	// (possibly self-tuned) concurrency limit; per-class shed counters and

@@ -1,6 +1,6 @@
 // Guard benchmark for observability overhead: the instrumented request
 // path (traces, exemplar histograms, burn accounting, profile plumbing)
-// must stay within 2% of the -obs=false path at p95. The guard protects
+// must stay within 2% of the obs.SetEnabled(false) path at p95. The guard protects
 // the "~0% overhead" claim as the explain machinery grows — a regression
 // here usually means per-request work crept outside the nil-check fast
 // paths.

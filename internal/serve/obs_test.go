@@ -413,7 +413,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		// serve layer
 		"serve_requests_total{", "serve_inflight_requests", "serve_request_seconds_bucket{",
-		"serve_cache_hits_total", "serve_admission_admitted_total",
+		"serve_cache_hits_total", "serve_admitted_total{",
 		// fastbit / scan layer
 		"fastbit_eval_rows_total", "fastbit_candidate_check_fraction",
 		"fastbit_eval_seconds_bucket{", "scan_rows_total", "scan_seconds_bucket{",

@@ -57,9 +57,6 @@ type Config struct {
 	// the slow-query log and counted by serve_slow_queries_total. 0 means
 	// the default (250ms); negative disables slow-query capture.
 	SlowThreshold time.Duration
-	// SlowLogEntries bounds the in-memory slow-query ring served at
-	// /v1/debug/slow. 0 means the default (128).
-	SlowLogEntries int
 	// Logger receives the server's structured JSON-lines log output.
 	// Nil means a logger writing to stderr.
 	Logger *obs.Logger
@@ -70,8 +67,6 @@ type Config struct {
 	// SLO is the latency target the adaptive limiter steers the windowed
 	// p95 toward. 0 means the gate default (250ms).
 	SLO time.Duration
-	// MaxConcurrency caps adaptive limit growth. 0 means 8× Concurrency.
-	MaxConcurrency int
 	// AdjustEvery is the limiter's minimum adjustment interval. 0 means
 	// the gate default (250ms).
 	AdjustEvery time.Duration
@@ -80,12 +75,9 @@ type Config struct {
 	// instead of shedding.
 	Brownout bool
 
-	// BurnBudget is the tolerated bad-request fraction for the SLO
-	// burn-rate monitor (0 means the monitor default, 5%). A request is
-	// "bad" when it returns a 5xx or takes longer than SLO.
-	BurnBudget float64
-	// BurnFast and BurnSlow are the multi-window burn-rate lookbacks.
-	// Zero means the monitor defaults (5m / 1h).
+	// BurnFast and BurnSlow are the lookbacks of the SLO burn-rate
+	// monitor, which counts a request "bad" when it returns a 5xx or takes
+	// longer than SLO. Zero means the monitor defaults (5m / 1h).
 	BurnFast, BurnSlow time.Duration
 	// BurnThreshold is the burn rate both windows must reach to fire a
 	// breach (0 means 1.0 — consuming budget exactly as fast as it
@@ -104,16 +96,6 @@ type Config struct {
 	// ProfileCPU is the CPU-profile sampling window per capture (0 means
 	// 2s).
 	ProfileCPU time.Duration
-
-	// SessionTTL evicts analysis sessions idle longer than this (0 means
-	// 15m; negative disables TTL eviction).
-	SessionTTL time.Duration
-	// SessionMax bounds live analysis sessions, LRU-evicted (0 means 64;
-	// negative unbounded).
-	SessionMax int
-	// SessionMaxBytes bounds total stored selection bytes across sessions
-	// (0 means 64 MiB; negative unbounded).
-	SessionMaxBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -143,9 +125,6 @@ func (c Config) withDefaults() Config {
 		c.SlowThreshold = 250 * time.Millisecond
 	case c.SlowThreshold < 0:
 		c.SlowThreshold = 0
-	}
-	if c.SlowLogEntries == 0 {
-		c.SlowLogEntries = 128
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NewLogger(os.Stderr, "serve")
@@ -273,26 +252,36 @@ type Server struct {
 	brownoutSem chan struct{}
 }
 
+// GateConfig is the admission gate this configuration describes, defaults
+// applied. New builds the HTTP gate from it; a shard worker builds the
+// gate in front of its fragment RPCs from the same call.
+func (c Config) GateConfig() GateConfig {
+	c = c.withDefaults()
+	mode, _ := ParseLimitMode(c.LimitMode) // unknown modes fall back to fixed
+	return GateConfig{
+		Limit:        c.Concurrency,
+		QueueDepth:   c.QueueDepth,
+		QueueTimeout: c.QueueTimeout,
+		Mode:         mode,
+		SLO:          c.SLO,
+		AdjustEvery:  c.AdjustEvery,
+	}
+}
+
 // New creates a Server with no datasets.
 func New(cfg Config) *Server {
+	// From the raw config: withDefaults turns "negative = off" into 0, which
+	// a second application would read as "use the default".
+	gate := NewGate(cfg.GateConfig())
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
-	mode, _ := ParseLimitMode(cfg.LimitMode) // unknown modes fall back to fixed
 	s := &Server{
-		cfg:   cfg,
-		cache: NewCache(cfg.CacheEntries),
-		gate: NewGate(GateConfig{
-			Limit:        cfg.Concurrency,
-			MaxLimit:     cfg.MaxConcurrency,
-			QueueDepth:   cfg.QueueDepth,
-			QueueTimeout: cfg.QueueTimeout,
-			Mode:         mode,
-			SLO:          cfg.SLO,
-			AdjustEvery:  cfg.AdjustEvery,
-		}),
+		cfg:         cfg,
+		cache:       NewCache(cfg.CacheEntries),
+		gate:        gate,
 		mux:         http.NewServeMux(),
 		reg:         reg,
-		slowLog:     obs.NewSlowLog(cfg.SlowLogEntries),
+		slowLog:     obs.NewSlowLog(0),
 		logger:      cfg.Logger,
 		started:     time.Now(),
 		datasets:    map[string]*dataset{},
@@ -336,7 +325,6 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.burn = obs.NewBurnMonitor(obs.BurnConfig{
-		Budget:    cfg.BurnBudget,
 		Fast:      cfg.BurnFast,
 		Slow:      cfg.BurnSlow,
 		Threshold: cfg.BurnThreshold,

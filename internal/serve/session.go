@@ -56,11 +56,7 @@ const maxTrackIDs = 100000
 // registerSessions builds the session manager, its metrics, and the
 // /v1/session routes. Called once from New.
 func (s *Server) registerSessions() {
-	s.sessions = session.NewManager(session.Config{
-		TTL:         s.cfg.SessionTTL,
-		MaxSessions: s.cfg.SessionMax,
-		MaxBytes:    s.cfg.SessionMaxBytes,
-	})
+	s.sessions = session.NewManager(session.Config{})
 	stats := func(f func(session.Stats) float64) func() float64 {
 		return func() float64 { return f(s.sessions.Stats()) }
 	}

@@ -235,7 +235,7 @@ func TestFrontendPartialOnShardDeath(t *testing.T) {
 // the same partial rather than replay it as if complete).
 func TestBudgetPartialNotCached(t *testing.T) {
 	fleet := startShardFleet(t, 3, nil)
-	// ExecTimeout below shard.DefaultBudgetSlack (25ms): the per-fragment
+	// ExecTimeout below the scatter client's budget slack (25ms): the per-fragment
 	// budget is negative at dispatch, so the shed is deterministic and no
 	// shard RPC is ever made.
 	s, fts := frontendServerCfg(t, fleet, Config{ExecTimeout: 20 * time.Millisecond})

@@ -225,3 +225,12 @@ func TestCreateAssignsUniqueIDs(t *testing.T) {
 		t.Fatalf("stats after Create: %+v", st)
 	}
 }
+
+// TestConfigDefaults pins the bounds a zero Config takes — the ones every
+// qserve runs with, since no flag sets them.
+func TestConfigDefaults(t *testing.T) {
+	d := Config{}.withDefaults()
+	if d.TTL != 15*time.Minute || d.MaxSessions != 64 || d.MaxBytes != 64<<20 {
+		t.Fatalf("zero-value defaults: TTL %v, %d sessions, %d bytes", d.TTL, d.MaxSessions, d.MaxBytes)
+	}
+}

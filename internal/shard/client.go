@@ -12,11 +12,11 @@ import (
 	"repro/internal/plan"
 )
 
-// DefaultBudgetSlack is the deadline headroom the scatter client reserves
-// per fragment dispatch: time for the RPC round trip plus the frontend's
+// budgetSlack is the deadline headroom the scatter client reserves per
+// fragment dispatch: time for the RPC round trip plus the frontend's
 // merge and serialization, so a budget-exhausted shard still settles into
 // a marked-partial response before the request deadline fires a 504.
-const DefaultBudgetSlack = 25 * time.Millisecond
+const budgetSlack = 25 * time.Millisecond
 
 // Client is the frontend's scatter client: one cluster pool per shard,
 // each pool holding that shard's replicas with the usual retry/backoff,
@@ -24,7 +24,6 @@ const DefaultBudgetSlack = 25 * time.Millisecond
 type Client struct {
 	pools []*cluster.Pool
 	hedge time.Duration
-	slack time.Duration // budget headroom per dispatch; < 0 disables budgets
 }
 
 // DialShards connects to every shard's replica group. shards[i] lists the
@@ -41,7 +40,7 @@ func DialShards(shards [][]string, cfg cluster.PoolConfig, hedge time.Duration) 
 	if cfg.RetryBudget == nil && cfg.RetryBudgetRatio > 0 {
 		cfg.RetryBudget = cluster.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
 	}
-	c := &Client{hedge: hedge, slack: DefaultBudgetSlack}
+	c := &Client{hedge: hedge}
 	for i, addrs := range shards {
 		p, err := cluster.DialConfig(addrs, cfg)
 		if err != nil {
@@ -52,10 +51,6 @@ func DialShards(shards [][]string, cfg cluster.PoolConfig, hedge time.Duration) 
 	}
 	return c, nil
 }
-
-// SetBudgetSlack overrides the deadline headroom reserved per fragment.
-// A negative slack disables deadline-budget propagation entirely.
-func (c *Client) SetBudgetSlack(d time.Duration) { c.slack = d }
 
 // Shards returns the number of shards.
 func (c *Client) Shards() int { return len(c.pools) }
@@ -83,17 +78,17 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 	}
 	args := &ExecArgs{Frag: f, TraceID: obs.SpanFromContext(ctx).TraceID(), Profile: profile != nil}
 	callCtx := ctx
-	if dl, ok := ctx.Deadline(); ok && c.slack >= 0 {
+	if dl, ok := ctx.Deadline(); ok {
 		// Carve this fragment's sub-budget from the request deadline: the
 		// time left minus the slack reserved for the round trip and the
 		// frontend's merge. A fragment that cannot fit is refused without
 		// an RPC, and the sub-budget rides in ExecArgs so the shard sheds
 		// the work the moment it can no longer finish in time.
-		budget := time.Until(dl) - c.slack
+		budget := time.Until(dl) - budgetSlack
 		if budget <= 0 {
 			metricBudgetSkips.Inc()
 			err := fastquery.Exhaustedf("shard %d: %v of deadline budget left, slack %v",
-				shard, time.Until(dl).Round(time.Millisecond), c.slack)
+				shard, time.Until(dl).Round(time.Millisecond), budgetSlack)
 			fail(err)
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -35,8 +34,7 @@ var (
 // frontend by Shard.Stats so /v1/stats can aggregate the fleet.
 type ExecStats struct {
 	Datasets     int
-	Steps        int // total steps across datasets
-	Generation   uint64
+	Steps        int    // total steps across datasets
 	Evals        uint64 // fragments evaluated (cache misses that ran)
 	CacheHits    uint64
 	CacheMisses  uint64
@@ -44,15 +42,14 @@ type ExecStats struct {
 }
 
 // Executor evaluates plan fragments over locally opened datasets, with a
-// shard-local LRU of fragment results keyed by (canonical fragment key,
-// shard generation). Hot steps — repeated drill-downs over the same
+// shard-local LRU of fragment results keyed by the canonical fragment
+// key. Hot steps — repeated drill-downs over the same
 // fragment — are answered without touching the data at all.
 type Executor struct {
 	mu       sync.Mutex
 	datasets map[string]*exDataset
 
 	cache *fragCache
-	gen   atomic.Uint64
 
 	evals, hits, misses atomic.Uint64
 }
@@ -103,13 +100,6 @@ func (e *Executor) Datasets() (names []string, steps []int) {
 	return names, steps
 }
 
-// Generation returns the shard's data generation. Cached fragment results
-// are keyed by it, so Bump atomically invalidates them all.
-func (e *Executor) Generation() uint64 { return e.gen.Load() }
-
-// Bump advances the generation, invalidating every cached fragment.
-func (e *Executor) Bump() { e.gen.Add(1) }
-
 // step returns a cached open step handle for the dataset.
 func (e *Executor) step(dataset string, t int) (*fastquery.Step, error) {
 	e.mu.Lock()
@@ -131,15 +121,11 @@ func (e *Executor) step(dataset string, t int) (*fastquery.Step, error) {
 	return st, nil
 }
 
-func (e *Executor) cacheKey(f plan.Fragment) string {
-	return strconv.FormatUint(e.gen.Load(), 10) + "\x1f" + f.Key()
-}
-
 // Peek returns a cached result for the fragment without evaluating
 // anything; the RPC service uses it to answer hot fragments ahead of
 // admission control, mirroring the serve layer's cached-probe bypass.
 func (e *Executor) Peek(f plan.Fragment) (*plan.FragmentResult, bool) {
-	res, ok := e.cache.get(e.cacheKey(f))
+	res, ok := e.cache.get(f.Key())
 	if ok {
 		e.hits.Add(1)
 		metricFragHits.Inc()
@@ -159,7 +145,7 @@ func (e *Executor) Run(ctx context.Context, f plan.Fragment) (*plan.FragmentResu
 // cache, so the explain surface can mark cache-served fragments (which
 // correctly charged zero cost).
 func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, bool, error) {
-	key := e.cacheKey(f)
+	key := f.Key()
 	if res, ok := e.cache.get(key); ok {
 		e.hits.Add(1)
 		metricFragHits.Inc()
@@ -192,7 +178,6 @@ func (e *Executor) Stats() ExecStats {
 	return ExecStats{
 		Datasets:     datasets,
 		Steps:        steps,
-		Generation:   e.gen.Load(),
 		Evals:        e.evals.Load(),
 		CacheHits:    e.hits.Load(),
 		CacheMisses:  e.misses.Load(),

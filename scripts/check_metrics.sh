@@ -50,7 +50,7 @@ done < <(grep -v '^#' "$OUT" | grep -v '^$' | sed 's/[{ ].*//' | sort -u)
 # 3. Required instruments, at least one per layer of the stack.
 for metric in \
   serve_requests_total serve_request_seconds_bucket serve_inflight_requests \
-  serve_cache_hits_total serve_admission_admitted_total \
+  serve_cache_hits_total serve_admitted_total \
   serve_limit serve_brownout_active serve_degraded_total \
   fastbit_eval_rows_total fastbit_eval_seconds_bucket fastbit_candidate_check_fraction \
   scan_rows_total scan_seconds_bucket \
