@@ -189,7 +189,7 @@ func main() {
 	// Shard fleet, every listener behind seeded fault injection.
 	nodes := make([]*node, numShards)
 	for i := range nodes {
-		ex := shard.NewExecutor(1024)
+		ex := shard.NewExecutor(shard.FragCacheBytes)
 		if err := ex.AddDataset("lwfa", dir); err != nil {
 			log.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fastbit"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // TestFlaglessDefaults is the guard that a qserve started with no tuning
@@ -88,8 +89,8 @@ func TestFlaglessDefaults(t *testing.T) {
 	}
 
 	// Values with no flag that are visible from here.
-	if fragCacheEntries != 1024 {
-		t.Errorf("shard fragment cache = %d entries, want 1024", fragCacheEntries)
+	if shard.FragCacheBytes != 64<<20 {
+		t.Errorf("shard fragment cache = %d bytes, want 64 MiB", shard.FragCacheBytes)
 	}
 	if fastbit.DefaultBins != 256 {
 		t.Errorf("live index bins default = %d, want 256", fastbit.DefaultBins)

@@ -20,9 +20,6 @@ import (
 	"repro/internal/shard"
 )
 
-// fragCacheEntries bounds a shard worker's fragment result cache.
-const fragCacheEntries = 1024
-
 // shardGroups splits a flat worker address list into per-shard replica
 // groups of size replicas, in order: with -replicas 2, addresses
 // a,b,c,d become shard 0 = {a,b}, shard 1 = {c,d}.
@@ -60,7 +57,7 @@ func shardAdmit(gate *serve.Gate) shard.AdmitFunc {
 // front of the fragment RPCs and the admin listener are the ones the HTTP
 // roles use.
 func runShard(logger *obs.Logger, fatal func(string, ...any), set *settings) {
-	ex := shard.NewExecutor(fragCacheEntries)
+	ex := shard.NewExecutor(shard.FragCacheBytes)
 	defer ex.Close()
 	for _, spec := range set.datas {
 		name, d := splitDataSpec(spec)

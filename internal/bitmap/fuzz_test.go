@@ -1,0 +1,176 @@
+package bitmap
+
+import (
+	"bytes"
+	"testing"
+)
+
+// fuzzMaxBits caps each fuzzed vector so the []bool oracle stays small.
+const fuzzMaxBits = 1 << 16
+
+// fuzzVectors decodes data into 2–4 vectors and their []bool oracles. The
+// first byte picks the count; every further byte extends vector i%k, by
+// its top two bits:
+//
+//	00  six literal bits, LSB first
+//	01  a run of 1–64 ones
+//	10  a run of 1–64 zeros
+//	11  a long run, bit 5 its value, (low five bits + 1) × 496 bits
+//
+// so lengths differ, are rarely multiples of 31, and fills span many
+// groups from unaligned starts.
+func fuzzVectors(data []byte) ([]*Vector, [][]bool) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	k := 2 + int(data[0]%3)
+	vs := make([]*Vector, k)
+	refs := make([][]bool, k)
+	for i := range vs {
+		vs[i] = New(0)
+	}
+	for i, b := range data[1:] {
+		v, ref := vs[i%k], &refs[i%k]
+		if v.Len() > fuzzMaxBits {
+			continue
+		}
+		run := func(bit bool, n int) {
+			v.AppendRun(bit, uint64(n))
+			for j := 0; j < n; j++ {
+				*ref = append(*ref, bit)
+			}
+		}
+		switch b >> 6 {
+		case 0:
+			for j := 0; j < 6; j++ {
+				bit := b&(1<<j) != 0
+				v.AppendBit(bit)
+				*ref = append(*ref, bit)
+			}
+		case 1:
+			run(true, int(b&63)+1)
+		case 2:
+			run(false, int(b&63)+1)
+		default:
+			run(b&32 != 0, (int(b&31)+1)*16*groupBits)
+		}
+	}
+	return vs, refs
+}
+
+// checkBits compares v with its oracle in one pass and checks that v
+// survives the strict reader.
+func checkBits(t *testing.T, what string, v *Vector, ref []bool) {
+	t.Helper()
+	if v.Len() != uint64(len(ref)) {
+		t.Fatalf("%s: Len = %d, want %d", what, v.Len(), len(ref))
+	}
+	var want []uint64
+	for i, b := range ref {
+		if b {
+			want = append(want, uint64(i))
+		}
+	}
+	got := v.Positions()
+	if uint64(len(got)) != v.Count() || len(got) != len(want) {
+		t.Fatalf("%s: %d positions, Count %d, want %d", what, len(got), v.Count(), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: position %d = %d, want %d", what, i, got[i], want[i])
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := v.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back Vector
+	if _, err := back.ReadFrom(&buf); err != nil {
+		t.Fatalf("%s: result rejected by ReadFrom: %v", what, err)
+	}
+}
+
+func boolOp(a, b []bool, f func(x, y bool) bool) []bool {
+	n := max(len(a), len(b))
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = f(i < len(a) && a[i], i < len(b) && b[i])
+	}
+	return out
+}
+
+// FuzzWAHOps checks every Boolean operation, both OrAll strategies
+// included, against the []bool oracle on vectors of unequal, unaligned
+// lengths, and BitSet's Or against OrAll. Seeds: testdata/fuzz/FuzzWAHOps.
+func FuzzWAHOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vs, refs := fuzzVectors(data)
+		if len(vs) == 0 {
+			return
+		}
+		a, b, ra, rb := vs[0], vs[1], refs[0], refs[1]
+		checkBits(t, "And", a.And(b), boolOp(ra, rb, func(x, y bool) bool { return x && y }))
+		checkBits(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }))
+		checkBits(t, "AndNot", a.AndNot(b), boolOp(ra, rb, func(x, y bool) bool { return x && !y }))
+		checkBits(t, "Xor", a.Xor(b), boolOp(ra, rb, func(x, y bool) bool { return x != y }))
+		checkBits(t, "Not", a.Not(), boolOp(ra, ra, func(x, _ bool) bool { return !x }))
+		if got, want := a.AndCount(b), a.And(b).Count(); got != want {
+			t.Fatalf("AndCount = %d, And().Count() = %d", got, want)
+		}
+
+		var union []bool
+		var n uint64
+		set := NewBitSet(0)
+		for i, v := range vs {
+			union = boolOp(union, refs[i], func(x, y bool) bool { return x || y })
+			n = max(n, v.Len())
+			set = set.Or(VectorToBitSet(v))
+		}
+		checkBits(t, "OrAll", OrAll(vs), union)
+		checkBits(t, "orAllDense", orAllDense(vs, n), union)
+		checkBits(t, "orAllTree", orAllTree(vs), union)
+		if !set.ToVector().Equal(OrAll(vs)) {
+			t.Fatal("OrAll differs from BitSet Or")
+		}
+	})
+}
+
+// FuzzVectorReadFrom: any byte stream either fails to decode or yields a
+// vector that writes back to exactly the bytes read and whose Count
+// matches its positions. Reading allocates in proportion to the bytes the
+// stream holds, whatever its header claims. Seeds: what WriteTo makes of a
+// few vectors, and the hand-built ones in testdata/fuzz/FuzzVectorReadFrom.
+func FuzzVectorReadFrom(f *testing.F) {
+	for _, v := range []*Vector{New(0), FromBools([]bool{true, false, true}), ones(100), ones(62)} {
+		var buf bytes.Buffer
+		if _, err := v.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v Vector
+		read, err := v.ReadFrom(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := v.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data[:read]) {
+			t.Fatalf("round trip differs:\n got % x\nwant % x", buf.Bytes(), data[:read])
+		}
+		if v.Len() <= fuzzMaxBits {
+			if got := uint64(len(v.Positions())); got != v.Count() {
+				t.Fatalf("Count = %d, %d positions", v.Count(), got)
+			}
+		}
+	})
+}
+
+func ones(n uint64) *Vector {
+	v := New(n)
+	v.AppendRun(true, n)
+	return v
+}

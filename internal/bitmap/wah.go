@@ -8,7 +8,8 @@
 // a fill word (MSB set, bit 30 holds the fill bit, low 30 bits count how
 // many consecutive identical groups the fill spans). Boolean operations
 // work directly on the compressed form, skipping over fills without
-// decompressing them.
+// decompressing them; only OrAll over many literal-heavy inputs decodes
+// them into one uncompressed accumulator instead.
 //
 // The package also provides an uncompressed BitSet with the same Boolean
 // interface, used as the ablation baseline for the WAH design choice.

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -319,6 +320,53 @@ func TestSerializationRejectsCorruptHeader(t *testing.T) {
 	var short Vector
 	if _, err := short.ReadFrom(bytes.NewReader(b[:4])); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// rawVector hand-builds the serialized bytes of a vector.
+func rawVector(n uint64, nact uint8, act uint32, nwords uint32, words ...uint32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, n)
+	b = append(b, nact)
+	b = binary.LittleEndian.AppendUint32(b, act)
+	b = binary.LittleEndian.AppendUint32(b, nwords)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+func TestReadFromRejectsGroupCountMismatch(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"fill too long":      rawVector(62, 0, 0, 1, makeFill(true, 3)),
+		"literals too few":   rawVector(93, 0, 0, 2, 5, 7),
+		"nact is not n%31":   rawVector(62, 3, 0, 2, 5, 7),
+		"fill of zero width": rawVector(31, 0, 0, 1, makeFill(false, 0)),
+	} {
+		var v Vector
+		if _, err := v.ReadFrom(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var ok Vector
+	if _, err := ok.ReadFrom(bytes.NewReader(rawVector(65, 3, 5, 2, 9, makeFill(false, 1)))); err != nil {
+		t.Fatalf("consistent vector rejected: %v", err)
+	}
+}
+
+func TestReadFromRejectsActBitsPastNact(t *testing.T) {
+	var v Vector
+	if _, err := v.ReadFrom(bytes.NewReader(rawVector(34, 3, 0b1001, 1, makeFill(true, 1)))); err == nil {
+		t.Fatal("act with bit 3 set accepted for nact=3")
+	}
+}
+
+// TestReadFromBoundsAllocation: a header promising 2^32-1 words over a
+// stream of none fails on the missing bytes instead of allocating 16 GiB.
+func TestReadFromBoundsAllocation(t *testing.T) {
+	n := uint64(1) << 40
+	var v Vector
+	if _, err := v.ReadFrom(bytes.NewReader(rawVector(n, uint8(n%groupBits), 0, 1<<32-1))); err == nil {
+		t.Fatal("truncated word stream accepted")
 	}
 }
 

@@ -5,7 +5,8 @@
 //
 // Each indexed column gets one compressed bitmap per bin; a bit is 1 when
 // the record's value falls in that bin. Range conditions OR the bitmaps of
-// fully covered bins and resolve the (at most two) boundary bins with a
+// fully covered bins (or complement the OR of the other bins, when those
+// carry fewer words) and resolve the (at most two) boundary bins with a
 // candidate check against the raw values — the standard binned-bitmap
 // evaluation strategy of Wu, Stockinger and Shoshani ("Breaking the curse
 // of cardinality on bitmap indexes", SSDBM 2008).

@@ -140,66 +140,15 @@ func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.Vector, Eva
 // EvaluateCtx is Evaluate with cooperative cancellation: the candidate
 // check loop observes ctx every checkpointRows records.
 func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
-	var st EvalStats
-	nb := ix.Bins()
-	min, max := ix.Min(), ix.Max()
-
-	// Entirely outside the data range.
-	if iv.Hi < min || (iv.Hi == min && iv.HiOpen) || iv.Lo > max || (iv.Lo == max && iv.LoOpen) {
-		v := bitmap.New(ix.N)
-		v.AppendRun(false, ix.N)
-		return v, st, nil
-	}
-	// Entire data range covered.
-	if iv.Contains(min) && iv.Contains(max) {
-		v := bitmap.New(ix.N)
-		v.AppendRun(true, ix.N)
-		st.FullBins = nb
-		return v, st, nil
-	}
-
-	var full []*bitmap.Vector
-	var boundary []int
-	for b := 0; b < nb; b++ {
-		blo, bhi := ix.Bounds[b], ix.Bounds[b+1]
-		last := b == nb-1
-		if !binOverlaps(iv, blo, bhi, last) {
-			continue
-		}
-		switch {
-		case binInside(iv, blo, bhi, last):
-			full = append(full, ix.Bitmaps[b])
-		case ix.binResolvedByGranule(iv, b):
-			// The bin's actual value range decides the bin without
-			// touching raw data.
-			if iv.Contains(ix.BinMin[b]) {
-				full = append(full, ix.Bitmaps[b])
-			}
-			// Otherwise no actual value matches: skip the bin entirely.
-		default:
-			boundary = append(boundary, b)
-		}
-	}
-	st.FullBins = len(full)
-	st.BoundaryBins = len(boundary)
-
-	result := bitmap.OrAll(full)
-	if result.Len() == 0 {
-		result = bitmap.New(ix.N)
-		result.AppendRun(false, ix.N)
-	}
-	if len(boundary) == 0 {
+	cls, st := ix.classify(iv)
+	result := ix.union(cls, binFull)
+	if st.BoundaryBins == 0 {
 		return result, st, nil
 	}
 	if raw == nil {
 		return nil, st, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
 	}
-	cand := make([]*bitmap.Vector, len(boundary))
-	for i, b := range boundary {
-		cand[i] = ix.Bitmaps[b]
-	}
-	candBits := bitmap.OrAll(cand)
-	positions := candBits.Positions()
+	positions := ix.union(cls, binBoundary).Positions()
 	st.CandidateChecks = uint64(len(positions))
 	values, err := raw(positions)
 	if err != nil {
@@ -231,28 +180,48 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 // how many records were admitted without being checked (0 means the
 // result happens to be exact).
 func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bitmap.Vector, EvalStats, error) {
-	var st EvalStats
 	if err := ctx.Err(); err != nil {
-		return nil, st, err
+		return nil, EvalStats{}, err
 	}
+	cls, st := ix.classify(iv)
+	for b, c := range cls {
+		if c == binBoundary {
+			st.ApproxRows += ix.Bitmaps[b].Count()
+		}
+	}
+	return ix.union(cls, binFull|binBoundary), st, nil
+}
+
+// binClass is how an interval resolves one bin; the zero class means no
+// record in the bin matches.
+type binClass uint8
+
+const (
+	binFull     binClass = 1 << iota // every record in the bin matches
+	binBoundary                      // the interval cuts the bin: candidate check
+)
+
+// classify resolves every bin against iv, the one pass behind both the
+// exact and the approximate evaluation. st counts the full and boundary
+// bins; which bins those are does not depend on how they are combined.
+func (ix *Index) classify(iv query.Interval) ([]binClass, EvalStats) {
+	var st EvalStats
 	nb := ix.Bins()
+	cls := make([]binClass, nb)
 	min, max := ix.Min(), ix.Max()
-
-	// The two trivial cases are exact even here.
+	// Entirely outside the data range.
 	if iv.Hi < min || (iv.Hi == min && iv.HiOpen) || iv.Lo > max || (iv.Lo == max && iv.LoOpen) {
-		v := bitmap.New(ix.N)
-		v.AppendRun(false, ix.N)
-		return v, st, nil
+		return cls, st
 	}
+	// Entire data range covered.
 	if iv.Contains(min) && iv.Contains(max) {
-		v := bitmap.New(ix.N)
-		v.AppendRun(true, ix.N)
+		for b := range cls {
+			cls[b] = binFull
+		}
 		st.FullBins = nb
-		return v, st, nil
+		return cls, st
 	}
-
-	var full []*bitmap.Vector
-	for b := 0; b < nb; b++ {
+	for b := range cls {
 		blo, bhi := ix.Bounds[b], ix.Bounds[b+1]
 		last := b == nb-1
 		if !binOverlaps(iv, blo, bhi, last) {
@@ -260,26 +229,56 @@ func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bit
 		}
 		switch {
 		case binInside(iv, blo, bhi, last):
-			full = append(full, ix.Bitmaps[b])
-			st.FullBins++
+			cls[b] = binFull
 		case ix.binResolvedByGranule(iv, b):
+			// The bin's actual value range decides the bin without
+			// touching raw data; when no actual value matches, it stays out.
 			if iv.Contains(ix.BinMin[b]) {
-				full = append(full, ix.Bitmaps[b])
-				st.FullBins++
+				cls[b] = binFull
 			}
 		default:
-			// Boundary bin: take it wholesale instead of checking raw values.
-			full = append(full, ix.Bitmaps[b])
+			cls[b] = binBoundary
+		}
+		switch cls[b] {
+		case binFull:
+			st.FullBins++
+		case binBoundary:
 			st.BoundaryBins++
-			st.ApproxRows += ix.Bitmaps[b].Count()
 		}
 	}
-	result := bitmap.OrAll(full)
-	if result.Len() == 0 {
-		result = bitmap.New(ix.N)
-		result.AppendRun(false, ix.N)
+	return cls, st
+}
+
+// union returns the OR, over ix.N rows, of the bins whose class is in
+// admit. The bins partition the rows, so that set is also the complement
+// of every other bin's OR; union ORs whichever side carries fewer encoded
+// words — for a wide range, the few bins it leaves out.
+func (ix *Index) union(cls []binClass, admit binClass) *bitmap.Vector {
+	var in, out []*bitmap.Vector
+	var inWords, outWords int
+	for b, bm := range ix.Bitmaps {
+		if cls[b]&admit != 0 {
+			in = append(in, bm)
+			inWords += bm.Words()
+		} else {
+			out = append(out, bm)
+			outWords += bm.Words()
+		}
 	}
-	return result, st, nil
+	if inWords > outWords {
+		return ix.orRows(out).Not()
+	}
+	return ix.orRows(in)
+}
+
+// orRows is bitmap.OrAll over ix.N rows: no bitmaps OR to N zeros.
+func (ix *Index) orRows(vs []*bitmap.Vector) *bitmap.Vector {
+	if len(vs) == 0 {
+		v := bitmap.New(ix.N)
+		v.AppendRun(false, ix.N)
+		return v
+	}
+	return bitmap.OrAll(vs)
 }
 
 // binResolvedByGranule reports whether bin b's actual min/max values

@@ -3,11 +3,14 @@ package fastbit
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bitmap"
 )
 
 // Serialized index files may arrive truncated or corrupted (partial
@@ -108,6 +111,31 @@ func TestOpenLazyTruncatedFile(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("no section access failed despite truncated body")
+	}
+}
+
+// TestDecodeColumnRejectsBitmapLength: a column section whose bitmap is
+// well formed but sized for another row count is rejected at decode time
+// — version-2 files carry no CRC, and a CRC only proves the writer's bytes.
+func TestDecodeColumnRejectsBitmapLength(t *testing.T) {
+	var buf bytes.Buffer
+	writeU32(&buf, 0) // precision
+	writeU32(&buf, 2) // bounds
+	// Bounds, BinMin, BinMax.
+	for _, f := range []float64{0, 1, 0, 1} {
+		writeU64(&buf, math.Float64bits(f))
+	}
+	writeU32(&buf, 1) // bitmaps
+	bm := bitmap.New(31)
+	bm.AppendRun(true, 31)
+	if _, err := bm.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeColumn("x", 31, buf.Bytes()); err != nil {
+		t.Fatalf("bitmap of N bits rejected: %v", err)
+	}
+	if _, err := decodeColumn("x", 62, buf.Bytes()); err == nil {
+		t.Fatal("31-bit bitmap accepted for a 62-row index")
 	}
 }
 

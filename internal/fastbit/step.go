@@ -180,6 +180,9 @@ func decodeColumn(name string, n uint64, data []byte) (*Index, error) {
 		if _, err := bm.ReadFrom(r); err != nil {
 			return nil, fmt.Errorf("fastbit: index %q bitmap %d: %w", name, i, err)
 		}
+		if bm.Len() != n {
+			return nil, fmt.Errorf("fastbit: index %q bitmap %d: %d bits for %d rows", name, i, bm.Len(), n)
+		}
 		ix.Bitmaps = append(ix.Bitmaps, bm)
 	}
 	return ix, nil

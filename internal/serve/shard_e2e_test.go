@@ -44,7 +44,7 @@ func startShardFleet(t *testing.T, n int, wrap func(i int, l net.Listener) (net.
 	t.Helper()
 	fleet := &shardFleet{}
 	for i := 0; i < n; i++ {
-		ex := shard.NewExecutor(128)
+		ex := shard.NewExecutor(shard.FragCacheBytes)
 		if err := ex.AddDataset("lwfa", testDataDir(t)); err != nil {
 			ex.Close()
 			fleet.Close()

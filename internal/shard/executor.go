@@ -61,12 +61,15 @@ type exDataset struct {
 	steps map[int]*fastquery.Step
 }
 
-// NewExecutor creates an executor whose fragment cache holds up to
-// cacheEntries results (0 disables caching).
-func NewExecutor(cacheEntries int) *Executor {
+// FragCacheBytes is a shard worker's fragment cache budget.
+const FragCacheBytes = 64 << 20
+
+// NewExecutor creates an executor whose fragment cache holds results up
+// to cacheBytes in total (0 disables caching).
+func NewExecutor(cacheBytes int) *Executor {
 	return &Executor{
 		datasets: map[string]*exDataset{},
-		cache:    newFragCache(cacheEntries),
+		cache:    newFragCache(cacheBytes),
 	}
 }
 
@@ -207,23 +210,49 @@ func (e *Executor) Close() error {
 	return first
 }
 
-// fragCache is a small mutex-guarded LRU of fragment results. It has no
-// singleflight — the frontend's result cache already coalesces identical
-// client requests, so duplicate fragment evaluations are rare.
+// fragCache is a small mutex-guarded LRU of fragment results, bounded by
+// the bytes its entries hold rather than their number: one dense 1024²
+// histogram weighs as much as sixteen 256² ones. It has no singleflight —
+// the frontend's result cache already coalesces identical client
+// requests, so duplicate fragment evaluations are rare.
 type fragCache struct {
 	mu      sync.Mutex
-	max     int
+	max     int // byte budget
+	bytes   int // sum of the entries' sizes
 	ll      *list.List
 	entries map[string]*list.Element
 }
 
 type fragEntry struct {
-	key string
-	res *plan.FragmentResult
+	key  string
+	res  *plan.FragmentResult
+	size int
 }
 
-func newFragCache(max int) *fragCache {
-	return &fragCache{max: max, ll: list.New(), entries: map[string]*list.Element{}}
+func newFragCache(maxBytes int) *fragCache {
+	return &fragCache{max: maxBytes, ll: list.New(), entries: map[string]*list.Element{}}
+}
+
+// fragEntryOverhead is the fixed cost of one entry, whatever its payload:
+// the list element, the map slot, the fragEntry and FragmentResult structs
+// and the histogram and slice headers. Without it a stream of count-only
+// fragments, charged ~50 key bytes apiece, would admit a million entries.
+const fragEntryOverhead = 256
+
+// fragSize is what an entry costs against the budget: the fixed overhead,
+// its key, counts, edges and positions.
+func fragSize(key string, res *plan.FragmentResult) int {
+	n := fragEntryOverhead + len(key) + 8*len(res.Sel)
+	for _, r := range res.MinMax {
+		n += len(r.Var) + 3*8 // Lo, Hi, N
+	}
+	if h := res.Hist1; h != nil {
+		n += 8 * (len(h.Counts) + len(h.Edges))
+	}
+	if h := res.Hist2; h != nil {
+		n += 8 * (len(h.Counts) + len(h.XEdges) + len(h.YEdges))
+	}
+	return n
 }
 
 func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
@@ -240,22 +269,30 @@ func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
 	return el.Value.(*fragEntry).res, true
 }
 
+// put caches res under key, evicting least recently used entries while
+// over budget. A result larger than the whole budget is not cached.
 func (c *fragCache) put(key string, res *plan.FragmentResult) {
-	if c.max <= 0 {
+	size := fragSize(key, res)
+	if c.max <= 0 || size > c.max {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*fragEntry).res = res
-		return
+		e := el.Value.(*fragEntry)
+		c.bytes += size - e.size
+		e.res, e.size = res, size
+	} else {
+		c.entries[key] = c.ll.PushFront(&fragEntry{key: key, res: res, size: size})
+		c.bytes += size
 	}
-	c.entries[key] = c.ll.PushFront(&fragEntry{key: key, res: res})
-	for c.ll.Len() > c.max {
+	for c.bytes > c.max {
 		el := c.ll.Back()
+		e := el.Value.(*fragEntry)
 		c.ll.Remove(el)
-		delete(c.entries, el.Value.(*fragEntry).key)
+		delete(c.entries, e.key)
+		c.bytes -= e.size
 	}
 }
 

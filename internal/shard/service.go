@@ -231,10 +231,10 @@ func NewServer(svc *Service) (*cluster.Server, error) {
 }
 
 // StartLocalShards starts n in-process shard workers over the given
-// datasets (name -> directory), one replica each, and returns the
-// per-shard address groups plus an idempotent shutdown, for tests and the
-// benchmark harness.
-func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shards [][]string, shutdown func(), err error) {
+// datasets (name -> directory), one replica each, each with a fragment
+// cache of cacheBytes, and returns the per-shard address groups plus an
+// idempotent shutdown, for tests and the benchmark harness.
+func StartLocalShards(n int, datasets map[string]string, cacheBytes int) (shards [][]string, shutdown func(), err error) {
 	var servers []*cluster.Server
 	var executors []*Executor
 	var once sync.Once
@@ -249,7 +249,7 @@ func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shar
 		})
 	}
 	for i := 0; i < n; i++ {
-		ex := NewExecutor(cacheEntries)
+		ex := NewExecutor(cacheBytes)
 		for name, d := range datasets {
 			if err := ex.AddDataset(name, d); err != nil {
 				closeAll()

@@ -61,7 +61,7 @@ func TestMain(m *testing.M) {
 
 func testExecutor(t *testing.T) *shard.Executor {
 	t.Helper()
-	ex := shard.NewExecutor(256)
+	ex := shard.NewExecutor(shard.FragCacheBytes)
 	if err := ex.AddDataset("lwfa", testDataDir(t)); err != nil {
 		ex.Close()
 		t.Fatal(err)
