@@ -48,6 +48,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/faultnet"
 	"repro/internal/fastbit"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -133,6 +134,11 @@ type phaseReport struct {
 	P50MS      float64 `json:"p50_ms"`
 	P99MS      float64 `json:"p99_ms"`
 	RecoveryMS float64 `json:"recovery_ms"` // heal -> first exact answer with breakers closed
+	// CorruptWrites counts the shard replies the fault layer corrupted
+	// during the phase; ChecksumRejects those the scatter client then
+	// rejected on the content checksum (the rest failed gob decoding).
+	CorruptWrites   int64  `json:"corrupt_writes"`
+	ChecksumRejects uint64 `json:"checksum_rejects"`
 }
 
 type killShardReport struct {
@@ -238,12 +244,22 @@ func main() {
 	}
 	totalViolations := 0
 	var totalReqs, totalExact, totalOK int
+	rejects := obs.Default().Counter("shard_reply_corrupt_total", "")
+	corruptWrites := func() (n int64) {
+		for _, nd := range nodes {
+			n += nd.fl.Stats().Corrupts
+		}
+		return n
+	}
 	for _, ph := range schedule {
 		log.Printf("phase %s: injecting", ph.name)
+		writes0, rejects0 := corruptWrites(), rejects.Load()
 		ph.inject()
 		res := h.drive(frontTS, *perPhase)
+		writes, rejected := corruptWrites()-writes0, rejects.Load()-rejects0
 		ph.heal()
 		rep := h.classify(ph.name, res)
+		rep.CorruptWrites, rep.ChecksumRejects = writes, rejected
 		rec, err := h.waitRecovered(frontTS, frontClient)
 		if err != nil {
 			log.Printf("phase %s: RECOVERY FAILED: %v", ph.name, err)
@@ -255,8 +271,9 @@ func main() {
 				rep.Exact, rep.Requests)
 			rep.Violations++
 		}
-		log.Printf("phase %s: %d requests, %d exact, %d partial, %d errors, %d violations, p99 %.1fms, recovery %.0fms",
-			ph.name, rep.Requests, rep.Exact, rep.Partial, rep.Errors, rep.Violations, rep.P99MS, rep.RecoveryMS)
+		log.Printf("phase %s: %d requests, %d exact, %d partial, %d errors, %d violations, p99 %.1fms, recovery %.0fms, %d corrupt writes, %d checksum rejects",
+			ph.name, rep.Requests, rep.Exact, rep.Partial, rep.Errors, rep.Violations, rep.P99MS, rep.RecoveryMS,
+			rep.CorruptWrites, rep.ChecksumRejects)
 		totalViolations += rep.Violations
 		totalReqs += rep.Requests
 		totalExact += rep.Exact

@@ -346,6 +346,13 @@ func (file *File) readDirectory() error {
 		var chunkRows uint64
 		for j := uint32(0); j < nchunks && r.err == nil; j++ {
 			ch := chunkInfo{offset: r.u64(), rows: r.u32(), crc: r.u32()}
+			// Every chunk lies between the header and the directory, so
+			// reads never need to re-check the file size.
+			if r.err == nil && (ch.offset < 8 || ch.offset > dirOffset ||
+				uint64(ch.rows) > (dirOffset-ch.offset)/8) {
+				return fmt.Errorf("colstore: %s: column %q chunk %d [%d, +%d rows) outside the data region [8, %d)",
+					file.path, name, j, ch.offset, ch.rows, dirOffset)
+			}
 			chunkRows += uint64(ch.rows)
 			ci.chunks = append(ci.chunks, ch)
 		}
@@ -420,16 +427,12 @@ func (file *File) HasColumn(name string) bool {
 	return ok
 }
 
-// readChunk reads and CRC-verifies one chunk of a column. cost, when
+// readChunk reads and CRC-verifies one chunk of a column; Open has
+// already checked that it lies inside the data region. cost, when
 // non-nil, is charged the bytes actually read — the per-query view of
 // the same I/O the file-level ioBytes counter accumulates globally.
 func (file *File) readChunk(ci *ColumnInfo, idx int, cost *obs.Cost) ([]byte, error) {
 	ch := ci.chunks[idx]
-	if st, err := file.f.Stat(); err == nil {
-		if ch.offset+8*uint64(ch.rows) > uint64(st.Size()) {
-			return nil, fmt.Errorf("colstore: %q chunk %d extends beyond file", ci.Name, idx)
-		}
-	}
 	buf := make([]byte, 8*int(ch.rows))
 	if _, err := file.f.ReadAt(buf, int64(ch.offset)); err != nil {
 		return nil, fmt.Errorf("colstore: read %q chunk %d: %w", ci.Name, idx, err)
@@ -443,6 +446,44 @@ func (file *File) readChunk(ci *ColumnInfo, idx int, cost *obs.Cost) ([]byte, er
 	return buf, nil
 }
 
+// column looks up a column and checks that its type is one of want.
+func (file *File) column(name string, want ...ColumnType) (*ColumnInfo, error) {
+	ci, ok := file.cols[name]
+	if !ok {
+		return nil, fmt.Errorf("colstore: no column %q", name)
+	}
+	for _, t := range want {
+		if ci.Type == t {
+			return ci, nil
+		}
+	}
+	if len(want) == 1 {
+		return nil, fmt.Errorf("colstore: column %q is %s, not %s", name, ci.Type, want[0])
+	}
+	return nil, fmt.Errorf("colstore: column %q has unknown type", name)
+}
+
+// readRange reads the chunks of ci that overlap rows [lo, hi) and hands
+// fn each one's bytes clipped to the range, in row order. It charges the
+// chunk bytes and the hi-lo values to cost. The caller has checked
+// lo <= hi <= rows.
+func (file *File) readRange(ci *ColumnInfo, lo, hi uint64, cost *obs.Cost, fn func(words []byte)) error {
+	var base uint64
+	for idx := 0; idx < len(ci.chunks) && base < hi && lo < hi; idx++ {
+		end := base + uint64(ci.chunks[idx].rows)
+		if end > lo {
+			buf, err := file.readChunk(ci, idx, cost)
+			if err != nil {
+				return err
+			}
+			fn(buf[8*(max(lo, base)-base) : 8*(min(hi, end)-base)])
+		}
+		base = end
+	}
+	cost.AddValues(hi - lo)
+	return nil
+}
+
 // ReadFloat64 reads a whole float64 column.
 func (file *File) ReadFloat64(name string) ([]float64, error) {
 	return file.ReadFloat64Cost(name, nil)
@@ -451,25 +492,10 @@ func (file *File) ReadFloat64(name string) ([]float64, error) {
 // ReadFloat64Cost is ReadFloat64 charging bytes and values into cost
 // (nil-safe) for per-query attribution.
 func (file *File) ReadFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
-	ci, ok := file.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("colstore: no column %q", name)
+	if _, err := file.column(name, Float64); err != nil {
+		return nil, err
 	}
-	if ci.Type != Float64 {
-		return nil, fmt.Errorf("colstore: column %q is %s, not float64", name, ci.Type)
-	}
-	out := make([]float64, 0, file.rows)
-	for i := range ci.chunks {
-		buf, err := file.readChunk(ci, i, cost)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j+8 <= len(buf); j += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[j:])))
-		}
-	}
-	cost.AddValues(uint64(len(out)))
-	return out, nil
+	return file.ReadAsFloat64RangeCost(name, 0, file.rows, cost)
 }
 
 // ReadInt64 reads a whole int64 column.
@@ -479,24 +505,19 @@ func (file *File) ReadInt64(name string) ([]int64, error) {
 
 // ReadInt64Cost is ReadInt64 charging bytes and values into cost.
 func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
-	ci, ok := file.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("colstore: no column %q", name)
-	}
-	if ci.Type != Int64 {
-		return nil, fmt.Errorf("colstore: column %q is %s, not int64", name, ci.Type)
+	ci, err := file.column(name, Int64)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int64, 0, file.rows)
-	for i := range ci.chunks {
-		buf, err := file.readChunk(ci, i, cost)
-		if err != nil {
-			return nil, err
+	err = file.readRange(ci, 0, file.rows, cost, func(words []byte) {
+		for j := 0; j+8 <= len(words); j += 8 {
+			out = append(out, int64(binary.LittleEndian.Uint64(words[j:])))
 		}
-		for j := 0; j+8 <= len(buf); j += 8 {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[j:])))
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	cost.AddValues(uint64(len(out)))
 	return out, nil
 }
 
@@ -509,26 +530,38 @@ func (file *File) ReadAsFloat64(name string) ([]float64, error) {
 
 // ReadAsFloat64Cost is ReadAsFloat64 charging bytes and values into cost.
 func (file *File) ReadAsFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
-	ci, ok := file.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("colstore: no column %q", name)
+	return file.ReadAsFloat64RangeCost(name, 0, file.rows, cost)
+}
+
+// ReadAsFloat64RangeCost reads rows [lo, hi) of any column as float64,
+// touching only the chunks that overlap the range, and charges the read
+// to cost. It is the access path of a shard fragment, which owns one
+// contiguous row range of the step.
+func (file *File) ReadAsFloat64RangeCost(name string, lo, hi uint64, cost *obs.Cost) ([]float64, error) {
+	ci, err := file.column(name, Float64, Int64)
+	if err != nil {
+		return nil, err
 	}
-	switch ci.Type {
-	case Float64:
-		return file.ReadFloat64Cost(name, cost)
-	case Int64:
-		iv, err := file.ReadInt64Cost(name, cost)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(iv))
-		for i, v := range iv {
-			out[i] = float64(v)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("colstore: column %q has unknown type", name)
+	if lo > hi || hi > file.rows {
+		return nil, fmt.Errorf("colstore: %q: row range [%d, %d) outside [0, %d)", name, lo, hi, file.rows)
 	}
+	out := make([]float64, 0, hi-lo)
+	decode := func(words []byte) {
+		for j := 0; j+8 <= len(words); j += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(words[j:])))
+		}
+	}
+	if ci.Type == Int64 {
+		decode = func(words []byte) {
+			for j := 0; j+8 <= len(words); j += 8 {
+				out = append(out, float64(int64(binary.LittleEndian.Uint64(words[j:]))))
+			}
+		}
+	}
+	if err := file.readRange(ci, lo, hi, cost, decode); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ReadFloat64At gathers the float64 values at the given sorted row
@@ -542,12 +575,9 @@ func (file *File) ReadFloat64At(name string, positions []uint64) ([]float64, err
 // ReadFloat64AtCost is ReadFloat64At charging chunk bytes and gathered
 // values into cost for per-query attribution.
 func (file *File) ReadFloat64AtCost(name string, positions []uint64, cost *obs.Cost) ([]float64, error) {
-	ci, ok := file.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("colstore: no column %q", name)
-	}
-	if ci.Type != Float64 && ci.Type != Int64 {
-		return nil, fmt.Errorf("colstore: column %q has unknown type", name)
+	ci, err := file.column(name, Float64, Int64)
+	if err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(positions); i++ {
 		if positions[i] < positions[i-1] {

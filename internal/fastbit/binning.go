@@ -51,7 +51,8 @@ const (
 	precisionDecadeSpan = 8
 )
 
-// uniformBounds returns nb+1 equal-width boundaries over [lo, hi].
+// uniformBounds returns nb+1 equal-width boundaries over [lo, hi], or
+// fewer when the span is too narrow or too wide for nb distinct edges.
 func uniformBounds(lo, hi float64, nb int) []float64 {
 	if nb < 1 {
 		nb = 1
@@ -59,13 +60,18 @@ func uniformBounds(lo, hi float64, nb int) []float64 {
 	if hi <= lo {
 		hi = lo + math.Max(math.Abs(lo)*1e-9, 1e-12)
 	}
-	out := make([]float64, nb+1)
+	// Edges that round onto their neighbour (a span of a few subnormals)
+	// or past hi (a span beyond MaxFloat64) are dropped: fewer bins, but
+	// strictly increasing bounds.
+	out := make([]float64, 1, nb+1)
+	out[0] = lo
 	step := (hi - lo) / float64(nb)
-	for i := 0; i <= nb; i++ {
-		out[i] = lo + float64(i)*step
+	for i := 1; i < nb; i++ {
+		if e := lo + float64(i)*step; e > out[len(out)-1] && e < hi {
+			out = append(out, e)
+		}
 	}
-	out[nb] = hi
-	return out
+	return append(out, hi)
 }
 
 // precisionBounds returns all boundaries with at most p significant

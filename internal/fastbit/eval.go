@@ -71,6 +71,14 @@ type Evaluator struct {
 	LookupID func() (*IDIndex, error)
 	Raw      RawReader
 
+	// win, set only for the duration of a SelectCtx call, windows the
+	// evaluation to rows [win[0], win[1]); nil means the whole step.
+	// Candidate checks read only boundary records inside the window, so
+	// the bitmap is exact there and unspecified outside it: every bitmap
+	// operation is per-row, so the rows inside stay exact through any
+	// And, Or and Not. SelectCtx clips its positions to the window.
+	win *[2]uint64
+
 	// Approx switches evaluation to the index-only approximate path:
 	// boundary bins are admitted wholesale instead of candidate-checked,
 	// yielding a superset bitmap without touching raw data. Set before the
@@ -94,6 +102,49 @@ func (ev *Evaluator) index(name string) (*Index, error) {
 		return ev.LookupIndex(name)
 	}
 	return nil, fmt.Errorf("fastbit: no index for variable %q", name)
+}
+
+// window returns the evaluation's row window [lo, hi).
+func (ev *Evaluator) window() (lo, hi uint64) {
+	if ev.win == nil {
+		return 0, ev.N
+	}
+	return ev.win[0], ev.win[1]
+}
+
+// positionsIn returns v's set positions in [lo, hi), in order.
+func positionsIn(v *bitmap.Vector, lo, hi uint64) []uint64 {
+	if lo == 0 && hi >= v.Len() {
+		return v.Positions()
+	}
+	var out []uint64
+	v.Iterate(func(p uint64) bool {
+		if p >= hi {
+			return false
+		}
+		if p >= lo {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
+}
+
+// noneInWindow reports whether v has no set bit inside the window.
+func (ev *Evaluator) noneInWindow(v *bitmap.Vector) bool {
+	lo, hi := ev.window()
+	if lo == 0 && hi >= v.Len() {
+		return v.Count() == 0
+	}
+	none := true
+	v.Iterate(func(p uint64) bool {
+		if p < lo {
+			return true
+		}
+		none = p >= hi
+		return false
+	})
+	return none
 }
 
 // idIndex resolves the identifier index, or nil when unavailable.
@@ -187,7 +238,7 @@ func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr) (*bitmap.V
 		} else {
 			acc = acc.And(v)
 		}
-		if acc.Count() == 0 {
+		if ev.noneInWindow(acc) {
 			// Preserve the full record length for downstream ops.
 			empty := bitmap.New(ev.N)
 			empty.AppendRun(false, ev.N)
@@ -244,7 +295,8 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 	if ev.Approx {
 		v, st, err = ix.EvaluateApproxCtx(cctx, iv)
 	} else {
-		v, st, err = ix.EvaluateCtx(cctx, iv, ev.rawFor(c.Var))
+		lo, hi := ev.window()
+		v, st, err = ix.EvaluateCtx(cctx, iv, ev.rawFor(c.Var), lo, hi)
 	}
 	if csp != nil {
 		csp.SetAttr("checks", strconv.FormatUint(st.CandidateChecks, 10))
@@ -312,7 +364,8 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, 
 		ev.Stats.ApproxRows += v.Count()
 		return v, nil
 	}
-	positions := bitmap.OrAll(cand).Positions()
+	lo, hi := ev.window()
+	positions := positionsIn(bitmap.OrAll(cand), lo, hi)
 	ev.Stats.CandidateChecks += uint64(len(positions))
 	values, err := ev.rawFor(in.Var)(positions)
 	if err != nil {
@@ -364,16 +417,23 @@ func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error)
 
 // Select returns the sorted record positions matching e.
 func (ev *Evaluator) Select(e query.Expr) ([]uint64, error) {
-	return ev.SelectCtx(context.Background(), e)
+	return ev.SelectCtx(context.Background(), e, 0, ev.N)
 }
 
-// SelectCtx is Select with cooperative cancellation.
-func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr) ([]uint64, error) {
+// SelectCtx returns the sorted positions in rows [lo, hi) matching e,
+// with cooperative cancellation; the whole step is [0, N). Candidate
+// checks read only the boundary records inside [lo, hi).
+func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64) ([]uint64, error) {
+	if lo > hi || hi > ev.N {
+		return nil, fmt.Errorf("fastbit: row range [%d, %d) outside [0, %d)", lo, hi, ev.N)
+	}
+	ev.win = &[2]uint64{lo, hi}
+	defer func() { ev.win = nil }()
 	v, err := ev.EvalCtx(ctx, e)
 	if err != nil {
 		return nil, err
 	}
-	return v.Positions(), nil
+	return positionsIn(v, lo, hi), nil
 }
 
 // SelectIDs returns the identifiers of records matching e, read from the
@@ -384,7 +444,7 @@ func (ev *Evaluator) SelectIDs(e query.Expr) ([]int64, error) {
 
 // SelectIDsCtx is SelectIDs with cooperative cancellation.
 func (ev *Evaluator) SelectIDsCtx(ctx context.Context, e query.Expr) ([]int64, error) {
-	pos, err := ev.SelectCtx(ctx, e)
+	pos, err := ev.SelectCtx(ctx, e, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}

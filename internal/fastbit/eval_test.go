@@ -1,6 +1,7 @@
 package fastbit
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -89,6 +90,50 @@ func TestEvaluatorMatchesScanOnCompoundQueries(t *testing.T) {
 				t.Fatalf("%q: position %d differs: %d vs %d", q, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestEvaluatorSelectWindow: a windowed SelectCtx returns the whole-step
+// selection clipped to [lo, hi), rejects ranges outside [0, N), and leaves
+// no window behind for a later Count.
+func TestEvaluatorSelectWindow(t *testing.T) {
+	si, mem, _ := buildTestStep(t, 2000, 22, IndexOptions{Bins: 32})
+	ev := si.Evaluator(mem)
+	e := query.MustParse("px > 0 && !(y > 1e-5)")
+	all, err := ev.Select(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]uint64{{0, 2000}, {0, 0}, {700, 701}, {31, 1337}, {1999, 2000}} {
+		got, err := ev.SelectCtx(context.Background(), e, r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, p := range all {
+			if p >= r[0] && p < r[1] {
+				want = append(want, p)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%d, %d): %d hits, want %d", r[0], r[1], len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("[%d, %d): position %d is %d, want %d", r[0], r[1], i, got[i], want[i])
+			}
+		}
+	}
+	for _, r := range [][2]uint64{{5, 4}, {0, 2001}} {
+		if _, err := ev.SelectCtx(context.Background(), e, r[0], r[1]); err == nil {
+			t.Errorf("range [%d, %d) accepted", r[0], r[1])
+		}
+	}
+	if _, err := ev.SelectCtx(context.Background(), e, 31, 40); err != nil {
+		t.Fatal(err)
+	}
+	if cnt, err := ev.Count(e); err != nil || cnt != uint64(len(all)) {
+		t.Fatalf("Count after a windowed select = %d, %v; want %d", cnt, err, len(all))
 	}
 }
 

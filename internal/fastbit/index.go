@@ -134,12 +134,15 @@ type EvalStats struct {
 // consulted only for records in boundary bins; it may be nil when the
 // interval is aligned with bin boundaries.
 func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
-	return ix.EvaluateCtx(context.Background(), iv, raw)
+	return ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 }
 
-// EvaluateCtx is Evaluate with cooperative cancellation: the candidate
-// check loop observes ctx every checkpointRows records.
-func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
+// EvaluateCtx is Evaluate over the row window [lo, hi), with cooperative
+// cancellation: the candidate check loop observes ctx every
+// checkpointRows records. Only boundary-bin records inside the window are
+// candidate-checked, so the returned bitmap is exact for rows in the
+// window; outside it, unchecked boundary records read as non-matching.
+func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.Vector, EvalStats, error) {
 	cls, st := ix.classify(iv)
 	result := ix.union(cls, binFull)
 	if st.BoundaryBins == 0 {
@@ -148,7 +151,7 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 	if raw == nil {
 		return nil, st, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
 	}
-	positions := ix.union(cls, binBoundary).Positions()
+	positions := positionsIn(ix.union(cls, binBoundary), lo, hi)
 	st.CandidateChecks = uint64(len(positions))
 	values, err := raw(positions)
 	if err != nil {

@@ -455,3 +455,20 @@ func TestExactIndexAdjacentFloats(t *testing.T) {
 		t.Fatalf("adjacent float equality: count=%d checks=%d", got.Count(), st.CandidateChecks)
 	}
 }
+
+// TestBuildIndexExtremeSpans: a column spanning a few subnormals, or
+// nearly the whole float range, indexes with fewer bins instead of
+// failing on duplicate edges, and evaluates exactly.
+func TestBuildIndexExtremeSpans(t *testing.T) {
+	for _, vals := range [][]float64{
+		{0, 5e-324, 0, 5e-324, 0},
+		{-1.5e308, 0, 1.5e308, 1, -1},
+	} {
+		ix, err := BuildIndex("v", vals, IndexOptions{Bins: 8})
+		if err != nil {
+			t.Fatalf("%v: %v", vals, err)
+		}
+		evalBoth(t, ix, vals, query.Interval{Lo: 0, Hi: math.Inf(1), LoOpen: true})
+		evalBoth(t, ix, vals, query.Interval{Lo: -1, Hi: 1})
+	}
+}

@@ -251,6 +251,13 @@ func (st *Step) ReadIDs() ([]int64, error) {
 	return st.file.ReadInt64(st.idVar())
 }
 
+// ValuesInRangeCtx reads rows [lo, hi) of a column, touching only the
+// chunks that overlap them and charging the read to the context's cost
+// accumulator: the access path of an unconditional shard fragment.
+func (st *Step) ValuesInRangeCtx(ctx context.Context, name string, lo, hi uint64) ([]float64, error) {
+	return st.file.ReadAsFloat64RangeCost(name, lo, hi, obs.CostFromContext(ctx))
+}
+
 // ValuesAt gathers a column's values at the given sorted row positions,
 // reading only the chunks that contain them. This is the shard executor's
 // access path: a fragment evaluates over its row range of the step, which
@@ -316,10 +323,10 @@ func (st *Step) evaluator(ctx context.Context) (*fastbit.Evaluator, error) {
 	return st.index.CostEvaluator(reader{f: st.file, cost: c}, c), nil
 }
 
-// loadScanColumns reads the columns needed to scan-evaluate e plus any
-// extra variables, recording the read as a "read-columns" span on the
-// active trace.
-func (st *Step) loadScanColumns(ctx context.Context, e query.Expr, extra ...string) (scan.Columns, error) {
+// loadScanColumns reads rows [lo, hi) of the columns needed to
+// scan-evaluate e plus any extra variables, recording the read as a
+// "read-columns" span on the active trace.
+func (st *Step) loadScanColumns(ctx context.Context, lo, hi uint64, e query.Expr, extra ...string) (scan.Columns, error) {
 	_, sp := obs.StartSpan(ctx, "read-columns")
 	defer sp.End()
 	need := map[string]bool{}
@@ -340,7 +347,7 @@ func (st *Step) loadScanColumns(ctx context.Context, e query.Expr, extra ...stri
 	cost := obs.CostFromContext(ctx)
 	cols := scan.Columns{}
 	for _, v := range names {
-		col, err := st.file.ReadAsFloat64Cost(v, cost)
+		col, err := st.file.ReadAsFloat64RangeCost(v, lo, hi, cost)
 		if err != nil {
 			return nil, err
 		}
@@ -349,28 +356,45 @@ func (st *Step) loadScanColumns(ctx context.Context, e query.Expr, extra ...stri
 	return cols, nil
 }
 
-// Select returns the sorted record positions matching e.
+// Select returns the sorted record positions matching e over the whole
+// step.
 func (st *Step) Select(e query.Expr, b Backend) ([]uint64, error) {
-	return st.SelectCtx(context.Background(), e, b)
+	return st.SelectCtx(context.Background(), e, b, 0, st.Rows())
 }
 
-// SelectCtx is Select with cooperative cancellation: both backends observe
-// ctx at periodic checkpoints, so a canceled query stops within one
-// checkpoint interval (scan.CheckpointRows rows).
-func (st *Step) SelectCtx(ctx context.Context, e query.Expr, b Backend) ([]uint64, error) {
+// SelectCtx returns the sorted positions in rows [lo, hi) matching e; the
+// whole step is [0, Rows). The work is proportional to the range: FastBit
+// candidate-checks only the boundary-bin rows inside it, and Scan reads
+// and scans only the chunks that overlap it. Both backends observe ctx at
+// periodic checkpoints, so a canceled query stops within one checkpoint
+// interval (scan.CheckpointRows rows).
+func (st *Step) SelectCtx(ctx context.Context, e query.Expr, b Backend, lo, hi uint64) ([]uint64, error) {
+	if lo > hi || hi > st.Rows() {
+		return nil, Fatalf("fastquery: step %d: row range [%d, %d) outside [0, %d)", st.t, lo, hi, st.Rows())
+	}
 	switch b {
 	case FastBit:
 		ev, err := st.evaluator(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return ev.SelectCtx(ctx, e)
+		if lo == hi {
+			return nil, nil
+		}
+		return ev.SelectCtx(ctx, e, lo, hi)
 	case Scan:
-		cols, err := st.loadScanColumns(ctx, e)
+		cols, err := st.loadScanColumns(ctx, lo, hi, e)
 		if err != nil {
 			return nil, err
 		}
-		return scan.SelectCtx(ctx, cols, e)
+		pos, err := scan.SelectCtx(ctx, cols, e)
+		if err != nil {
+			return nil, err
+		}
+		for i := range pos {
+			pos[i] += lo
+		}
+		return pos, nil
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}
@@ -383,7 +407,7 @@ func (st *Step) Count(e query.Expr, b Backend) (uint64, error) {
 
 // CountCtx is Count with cooperative cancellation.
 func (st *Step) CountCtx(ctx context.Context, e query.Expr, b Backend) (uint64, error) {
-	pos, err := st.SelectCtx(ctx, e, b)
+	pos, err := st.SelectCtx(ctx, e, b, 0, st.Rows())
 	if err != nil {
 		return 0, err
 	}
@@ -397,7 +421,7 @@ func (st *Step) SelectIDs(e query.Expr, b Backend) ([]int64, error) {
 
 // SelectIDsCtx is SelectIDs with cooperative cancellation.
 func (st *Step) SelectIDsCtx(ctx context.Context, e query.Expr, b Backend) ([]int64, error) {
-	pos, err := st.SelectCtx(ctx, e, b)
+	pos, err := st.SelectCtx(ctx, e, b, 0, st.Rows())
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +480,7 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 		}
 		return ev.Histogram2DCtx(ctx, cond, spec)
 	case Scan:
-		cols, err := st.loadScanColumns(ctx, cond, spec.XVar, spec.YVar)
+		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.XVar, spec.YVar)
 		if err != nil {
 			return nil, err
 		}
@@ -481,7 +505,7 @@ func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histog
 		}
 		return ev.Histogram1DCtx(ctx, cond, spec)
 	case Scan:
-		cols, err := st.loadScanColumns(ctx, cond, spec.Var)
+		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.Var)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,201 @@
+package fastquery
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/colstore"
+	"repro/internal/fastbit"
+	"repro/internal/query"
+)
+
+// fuzzPalette is what fuzzed column values and query constants are drawn
+// from: few distinct values, so bins hold several and comparisons tie,
+// signed zeros, and extremes. Query constants and the indexed columns take
+// the finite entries (the parser admits no others); the scan-only column
+// c also takes NaN and ±Inf, which an index cannot hold.
+var fuzzPalette = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2.5, -3, 7, 1e300, -1e300, 5e-324,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+const fuzzFinite = 10 // fuzzPalette[:fuzzFinite] are finite
+
+// fuzzBytes hands out the fuzz input a byte at a time, zeros once spent.
+type fuzzBytes struct {
+	b []byte
+	i int
+}
+
+func (f *fuzzBytes) next() int {
+	if f.i >= len(f.b) {
+		return 0
+	}
+	f.i++
+	return int(f.b[f.i-1])
+}
+
+// fuzzStep writes a step of rows rows in chunks of chunkRows: indexed
+// columns a and b, scan-only column c and an id column, with values
+// picked from the palette by the input bytes.
+func fuzzStep(t *testing.T, in *fuzzBytes, rows uint64, chunkRows, bins int) *Step {
+	t.Helper()
+	dir := t.TempDir()
+	data, index := filepath.Join(dir, "step.col"), filepath.Join(dir, "step.idx")
+	cols := map[string][]float64{"a": nil, "b": nil, "c": nil}
+	ids := make([]int64, rows)
+	for r := range ids {
+		ids[r] = int64(3*r + 1)
+		for _, name := range []string{"a", "b", "c"} {
+			n := fuzzFinite
+			if name == "c" {
+				n = len(fuzzPalette)
+			}
+			cols[name] = append(cols[name], fuzzPalette[in.next()%n])
+		}
+	}
+	w, err := colstore.NewWriter(data, rows, chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := w.AddFloat64(name, cols[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.AddInt64("id", ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildStepIndex(data, index, []string{"a", "b"}, "id", fastbit.IndexOptions{Bins: bins}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := colstore.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := fastbit.OpenLazy(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &Step{file: f, index: ls}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// fuzzExpr builds a random query over a, b, c and id: comparisons with
+// every operator including !=, IN lists (the only predicate the ID index
+// serves), and &&, || and ! nodes.
+func fuzzExpr(in *fuzzBytes, depth int) query.Expr {
+	vars := []string{"a", "b", "a", "b", "c", "id"}
+	k := in.next()
+	if depth <= 0 {
+		k %= 3
+	}
+	switch k % 6 {
+	case 0, 1:
+		name := vars[in.next()%(len(vars)-1)]
+		v := fuzzPalette[in.next()%fuzzFinite]
+		return &query.Compare{Var: name, Op: query.Op(in.next() % 6), Value: v}
+	case 2:
+		name := vars[in.next()%len(vars)]
+		vs := make([]float64, 1+in.next()%4)
+		for i := range vs {
+			if name == "id" {
+				vs[i] = float64(in.next() % 64)
+			} else {
+				vs[i] = fuzzPalette[in.next()%fuzzFinite]
+			}
+		}
+		return query.NewIn(name, vs)
+	case 3:
+		return &query.Not{Term: fuzzExpr(in, depth-1)}
+	case 4:
+		return &query.And{Terms: []query.Expr{fuzzExpr(in, depth-1), fuzzExpr(in, depth-1)}}
+	default:
+		return &query.Or{Terms: []query.Expr{fuzzExpr(in, depth-1), fuzzExpr(in, depth-1)}}
+	}
+}
+
+// fuzzRange picks a row window: empty, a single row, arbitrary, on
+// chunk edges, or the whole step.
+func fuzzRange(in *fuzzBytes, rows uint64, chunkRows int) (lo, hi uint64) {
+	pick := func() uint64 { return uint64(in.next()<<8|in.next()) % (rows + 1) }
+	switch in.next() % 5 {
+	case 0:
+		lo = pick()
+		return lo, lo
+	case 1:
+		lo = pick() % rows
+		return lo, lo + 1
+	case 2:
+		lo, hi = pick(), pick()
+	case 3:
+		c := uint64(chunkRows)
+		lo, hi = min(pick()/c*c, rows), min(pick()/c*c, rows)
+	default:
+		return 0, rows
+	}
+	return min(lo, hi), max(lo, hi)
+}
+
+// clip returns the positions of sorted pos inside [lo, hi).
+func clip(pos []uint64, lo, hi uint64) []uint64 {
+	var out []uint64
+	for _, p := range pos {
+		if p >= lo && p < hi {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// FuzzSelectRange is the differential oracle for range selection: over a
+// multi-chunk step, a select over [lo, hi) equals the whole-step select
+// clipped to the window on each backend, and FastBit equals Scan. The
+// FastBit window candidate-checks only boundary rows inside it and keeps
+// the Boolean algebra full-length, so the ! and != seeds are the ones
+// that prove rows outside the window cannot leak in. The seed corpus is
+// testdata/fuzz/FuzzSelectRange.
+func FuzzSelectRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzBytes{b: data}
+		rows := uint64(1 + in.next()%97)
+		chunkRows := 1 + in.next()%13
+		st := fuzzStep(t, in, rows, chunkRows, 1+in.next()%8)
+		e := query.Canonical(fuzzExpr(in, 3))
+		lo, hi := fuzzRange(in, rows, chunkRows)
+		what := fmt.Sprintf("%d rows, chunks of %d, %q over [%d, %d)", rows, chunkRows, e, lo, hi)
+
+		ctx := context.Background()
+		backends := []Backend{Scan, FastBit}
+		if slices.Contains(query.Vars(e), "c") {
+			backends = backends[:1] // unindexed: an index cannot hold NaN or ±Inf
+		}
+		var got [][]uint64
+		for _, b := range backends {
+			whole, err := st.SelectCtx(ctx, e, b, 0, rows)
+			if err != nil {
+				t.Fatalf("%s: %v whole step: %v", what, b, err)
+			}
+			part, err := st.SelectCtx(ctx, e, b, lo, hi)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", what, b, err)
+			}
+			if want := clip(whole, lo, hi); !reflect.DeepEqual(part, want) && len(part)+len(want) > 0 {
+				t.Fatalf("%s: %v selects %v, whole step clipped is %v", what, b, part, want)
+			}
+			got = append(got, part)
+		}
+		if len(got) == 2 && !reflect.DeepEqual(got[0], got[1]) && len(got[0])+len(got[1]) > 0 {
+			t.Fatalf("%s: scan selects %v, fastbit %v", what, got[0], got[1])
+		}
+	})
+}

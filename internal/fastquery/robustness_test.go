@@ -34,7 +34,7 @@ func TestCanceledContextStopsQueries(t *testing.T) {
 		if _, err := st.CountCtx(ctx, e, b); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s CountCtx: err = %v, want context.Canceled", name, err)
 		}
-		if _, err := st.SelectCtx(ctx, e, b); !errors.Is(err, context.Canceled) {
+		if _, err := st.SelectCtx(ctx, e, b, 0, st.Rows()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s SelectCtx: err = %v, want context.Canceled", name, err)
 		}
 		if _, err := st.Histogram2DCtx(ctx, e, histogram.NewSpec2D("x", "px", 16, 16), b); !errors.Is(err, context.Canceled) {

@@ -118,8 +118,12 @@ func NewLocator(edges []float64) (*Locator, error) {
 			break
 		}
 	}
-	if l.uniform && step > 0 {
-		l.inv = 1 / step
+	l.inv = 1 / step
+	// A step of ±Inf (edges spanning more than MaxFloat64) or one whose
+	// reciprocal overflows (subnormal) would turn (v-lo)*inv into NaN:
+	// such edges are located by search instead.
+	if math.IsInf(step, 0) || math.IsInf(l.inv, 0) {
+		l.uniform = false
 	}
 	return l, nil
 }

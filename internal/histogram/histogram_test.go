@@ -476,3 +476,26 @@ func TestHist2DWriteCSV(t *testing.T) {
 		t.Fatalf("header = %q", lines[0])
 	}
 }
+
+// TestLocatorExtremeSteps: edges whose uniform step is subnormal (its
+// reciprocal overflows) or whose span overflows must still locate every
+// value — the reciprocal fast path would compute NaN and index out of
+// range.
+func TestLocatorExtremeSteps(t *testing.T) {
+	for _, edges := range [][]float64{
+		{0, 5e-324},
+		{-1e-323, 0, 1e-323},
+		{-1.5e308, 0, 1.5e308},
+	} {
+		l, err := NewLocator(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range edges {
+			want := min(i, len(edges)-2)
+			if got := l.Bin(e); got != want {
+				t.Errorf("edges %v: Bin(%g) = %d, want %d", edges, e, got, want)
+			}
+		}
+	}
+}

@@ -70,10 +70,13 @@ func checkMergeIdentity(t *testing.T, path string, eb *ExplainBody, wantShards i
 }
 
 // TestExplainMergeIdentity is the acceptance property: across shard
-// splits {1, 2, 3, 5} and both backends, ?debug=explain returns a
+// splits {1, 2, 3, 5, 7} and both backends, ?debug=explain returns a
 // per-fragment breakdown whose costs sum exactly to the query totals.
+// Fragments divide the work: on fastbit, a fresh count candidate-checks
+// the same rows in total however many shards split it.
 func TestExplainMergeIdentity(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5} {
+	checks := map[int]uint64{}
+	for _, n := range []int{1, 2, 3, 5, 7} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			fleet := startShardFleet(t, n, nil)
 			_, fts := frontendServer(t, fleet)
@@ -105,8 +108,19 @@ func TestExplainMergeIdentity(t *testing.T) {
 				if fresh.Explain.Totals.IsZero() {
 					t.Errorf("%s: fresh %s query charged zero cost: %+v", p, backend, fresh.Explain)
 				}
+				if backend == "fastbit" {
+					checks[n] = fresh.Explain.Totals.CandidateChecks
+				}
 			}
 		})
+	}
+	for n, c := range checks {
+		if c != checks[1] {
+			t.Errorf("%d shards candidate-check %d rows in total, one shard %d", n, c, checks[1])
+		}
+	}
+	if checks[1] == 0 {
+		t.Error("a fresh fastbit count candidate-checked nothing; the sum property is vacuous")
 	}
 }
 

@@ -122,16 +122,14 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 		fail(err)
 		return nil, err
 	}
-	if reply.SumOK {
-		// Verify the content checksum: gob decodes a byte-flipped float or
-		// count without complaint, and a corrupted partial would merge into
-		// a silently wrong — and unmarked — answer.
-		if sum, ok := resultSum(reply.Result); ok && sum != reply.Sum {
-			metricReplyCorrupt.Inc()
-			err := fmt.Errorf("shard: shard %d reply failed checksum: transport corruption", shard)
-			fail(err)
-			return nil, err
-		}
+	// Verify the content checksum: gob decodes a byte-flipped float or
+	// count without complaint, and a corrupted partial would merge into a
+	// silently wrong — and unmarked — answer.
+	if resultSum(reply.Result) != reply.Sum {
+		metricReplyCorrupt.Inc()
+		err := fmt.Errorf("shard: shard %d reply failed checksum: transport corruption", shard)
+		fail(err)
+		return nil, err
 	}
 	if profile != nil {
 		fp := reply.Prof

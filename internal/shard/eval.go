@@ -14,7 +14,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
@@ -26,12 +25,15 @@ import (
 // Eval evaluates one fragment against one step. It is the executor's
 // kernel and is deliberately a free function over *fastquery.Step so the
 // serving layer can run the identical code in-process for the one-shard
-// case.
+// case. Every ranged fragment costs work proportional to its row range:
+// selections are evaluated over the range only, and an unconditional
+// fragment reads the range's values directly.
 func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.FragmentResult, error) {
 	expr, err := parseQuery(f.Query)
 	if err != nil {
 		return nil, err
 	}
+	lo, hi := rangeOf(st, f.Rows)
 	switch f.Op {
 	case plan.FragWhole1D:
 		h, err := st.Histogram1DCtx(ctx, expr, f.Spec1, f.Backend)
@@ -49,32 +51,65 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 
 	case plan.FragCount:
 		if expr == nil {
-			return &plan.FragmentResult{Count: rangeSize(st, f.Rows)}, nil
+			return &plan.FragmentResult{Count: hi - lo}, nil
 		}
-		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
+		pos, err := st.SelectCtx(ctx, expr, f.Backend, lo, hi)
 		if err != nil {
 			return nil, err
 		}
 		return &plan.FragmentResult{Count: uint64(len(pos))}, nil
 
 	case plan.FragSelect:
-		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
-		if err != nil {
+		var sel []uint64
+		if expr == nil {
+			sel = make([]uint64, hi-lo)
+			for i := range sel {
+				sel[i] = lo + uint64(i)
+			}
+		} else if sel, err = st.SelectCtx(ctx, expr, f.Backend, lo, hi); err != nil {
 			return nil, err
 		}
-		// Clone: selectRange may return a sub-slice of a shared buffer, and
-		// cached fragment results must not alias each other's backing arrays.
-		sel := append([]uint64(nil), pos...)
 		return &plan.FragmentResult{Sel: sel, Count: uint64(len(sel))}, nil
 
-	case plan.FragMinMax:
-		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
-		if err != nil {
-			return nil, err
+	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
+		rows := rowSet{all: expr == nil, lo: lo, hi: hi}
+		if expr != nil {
+			if rows.pos, err = st.SelectCtx(ctx, expr, f.Backend, lo, hi); err != nil {
+				return nil, err
+			}
 		}
+		return evalOver(ctx, st, f, rows)
+
+	default:
+		return nil, fastquery.Fatalf("shard: unknown fragment op %v", f.Op)
+	}
+}
+
+// rowSet is what a min/max or histogram fragment reads its values over:
+// the matching positions of a conditional fragment, or every row of
+// [lo, hi) for an unconditional one.
+type rowSet struct {
+	pos    []uint64
+	all    bool
+	lo, hi uint64
+}
+
+// values reads a column at the set's rows.
+func (r rowSet) values(ctx context.Context, st *fastquery.Step, name string) ([]float64, error) {
+	if r.all {
+		return st.ValuesInRangeCtx(ctx, name, r.lo, r.hi)
+	}
+	return st.ValuesAtCtx(ctx, name, r.pos)
+}
+
+// evalOver computes a FragMinMax, FragHist1D or FragHist2D fragment over
+// rows already selected.
+func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows rowSet) (*plan.FragmentResult, error) {
+	switch f.Op {
+	case plan.FragMinMax:
 		res := &plan.FragmentResult{}
 		for _, v := range f.Vars {
-			vs, err := st.ValuesAtCtx(ctx, v, pos)
+			vs, err := rows.values(ctx, st, v)
 			if err != nil {
 				return nil, err
 			}
@@ -84,11 +119,7 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		return res, nil
 
 	case plan.FragHist1D:
-		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
-		if err != nil {
-			return nil, err
-		}
-		vs, err := st.ValuesAtCtx(ctx, f.Spec1.Var, pos)
+		vs, err := rows.values(ctx, st, f.Spec1.Var)
 		if err != nil {
 			return nil, err
 		}
@@ -103,15 +134,11 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		return &plan.FragmentResult{Hist1: h}, nil
 
 	case plan.FragHist2D:
-		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
+		xs, err := rows.values(ctx, st, f.Spec2.XVar)
 		if err != nil {
 			return nil, err
 		}
-		xs, err := st.ValuesAtCtx(ctx, f.Spec2.XVar, pos)
-		if err != nil {
-			return nil, err
-		}
-		ys, err := st.ValuesAtCtx(ctx, f.Spec2.YVar, pos)
+		ys, err := rows.values(ctx, st, f.Spec2.YVar)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +151,7 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		return &plan.FragmentResult{Hist2: h}, nil
 
 	default:
-		return nil, fastquery.Fatalf("shard: unknown fragment op %v", f.Op)
+		return nil, fastquery.Fatalf("shard: fragment op %v does not read selected rows", f.Op)
 	}
 }
 
@@ -141,47 +168,13 @@ func parseQuery(src string) (query.Expr, error) {
 	return query.Canonical(e), nil
 }
 
-// rangeSize returns the number of rows a range covers on this step.
-func rangeSize(st *fastquery.Step, rr plan.RowRange) uint64 {
+// rangeOf resolves a fragment's row range to [lo, hi) on this step: the
+// whole step for the zero range, clamped to the step's rows, and empty
+// when Hi <= Lo.
+func rangeOf(st *fastquery.Step, rr plan.RowRange) (lo, hi uint64) {
 	if rr.Whole() {
-		return st.Rows()
+		return 0, st.Rows()
 	}
-	if rr.Hi <= rr.Lo {
-		return 0
-	}
-	return rr.Hi - rr.Lo
-}
-
-// selectRange returns the sorted matching row positions clipped to the
-// fragment's row range. With no condition it is every position in the
-// range. Both backends return ascending positions, so the clip is two
-// binary searches.
-func selectRange(ctx context.Context, st *fastquery.Step, expr query.Expr, b fastquery.Backend, rr plan.RowRange) ([]uint64, error) {
-	if expr == nil {
-		lo, hi := rr.Lo, rr.Hi
-		if rr.Whole() {
-			hi = st.Rows()
-		}
-		if hi > st.Rows() {
-			hi = st.Rows()
-		}
-		if hi <= lo {
-			return nil, nil
-		}
-		pos := make([]uint64, hi-lo)
-		for i := range pos {
-			pos[i] = lo + uint64(i)
-		}
-		return pos, nil
-	}
-	pos, err := st.SelectCtx(ctx, expr, b)
-	if err != nil {
-		return nil, err
-	}
-	if rr.Whole() {
-		return pos, nil
-	}
-	lo := sort.Search(len(pos), func(i int) bool { return pos[i] >= rr.Lo })
-	hi := sort.Search(len(pos), func(i int) bool { return pos[i] >= rr.Hi })
-	return pos[lo:hi], nil
+	hi = min(rr.Hi, st.Rows())
+	return min(rr.Lo, hi), hi
 }

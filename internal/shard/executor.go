@@ -162,12 +162,57 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	}
 	e.evals.Add(1)
 	metricFragments.Inc()
-	res, err := Eval(ctx, st, f)
+	var res *plan.FragmentResult
+	if sf, ok := selectionOf(f); ok {
+		// The two phases of a histogram select the same rows: both read
+		// them from one FragSelect entry, which a session select over the
+		// same range shares too. An evicted entry is just recomputed.
+		var sel *plan.FragmentResult
+		if sel, err = e.selection(ctx, st, sf); err == nil {
+			lo, hi := rangeOf(st, f.Rows)
+			res, err = evalOver(ctx, st, f, rowSet{pos: sel.Sel, lo: lo, hi: hi})
+		}
+	} else {
+		res, err = Eval(ctx, st, f)
+	}
 	if err != nil {
 		return nil, false, err
 	}
 	e.cache.put(key, res)
 	return res, false, nil
+}
+
+// selection answers the shared FragSelect sf from the fragment cache or
+// evaluates it there. It is not a requested fragment, so it moves none of
+// the hit, miss and evaluation counters.
+func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fragment) (*plan.FragmentResult, error) {
+	key := sf.Key()
+	if res, ok := e.cache.get(key); ok {
+		return res, nil
+	}
+	res, err := Eval(ctx, st, sf)
+	if err != nil {
+		return nil, err
+	}
+	e.cache.put(key, res)
+	return res, nil
+}
+
+// selectionOf returns the FragSelect fragment whose positions a
+// conditional, ranged min/max or histogram fragment reads its values at.
+func selectionOf(f plan.Fragment) (plan.Fragment, bool) {
+	switch f.Op {
+	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
+	default:
+		return plan.Fragment{}, false
+	}
+	if f.Query == "" || f.Rows.Whole() {
+		return plan.Fragment{}, false
+	}
+	return plan.Fragment{
+		Op: plan.FragSelect, Dataset: f.Dataset, Step: f.Step,
+		Rows: f.Rows, Query: f.Query, Backend: f.Backend,
+	}, true
 }
 
 // Stats snapshots the executor counters.

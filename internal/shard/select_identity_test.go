@@ -58,7 +58,7 @@ func TestSelectScatterIdentity(t *testing.T) {
 			if want.Partial || len(want.Sel) == 0 && src == "" {
 				t.Fatalf("baseline select %q: %+v", q, want)
 			}
-			for _, shards := range []int{2, 3, 5} {
+			for _, shards := range []int{1, 2, 3, 5, 7} {
 				got := execSelect(t, shards, q, b, 1)
 				if !reflect.DeepEqual(got.Sel, want.Sel) {
 					t.Fatalf("%v %q: %d-shard selection diverges from 1-shard (%d vs %d positions)",
@@ -75,7 +75,7 @@ func TestSelectScatterIdentity(t *testing.T) {
 // TestTrackedIDSetIdentity follows the session track path across shard
 // splits: positions selected at one step materialize into particle IDs,
 // and the resulting `id in (…)` membership predicate must select and
-// count identically over {1} and {2,3,5} shard splits on every step and
+// count identically over {1, 2, 3, 5, 7} shard splits on every step and
 // both backends.
 func TestTrackedIDSetIdentity(t *testing.T) {
 	med := pxMedian(t)
@@ -108,7 +108,7 @@ func TestTrackedIDSetIdentity(t *testing.T) {
 			if step == 0 && want.Count != uint64(len(ids)) {
 				t.Fatalf("%v: at the brush step the ID set selects %d of its %d particles", b, want.Count, len(ids))
 			}
-			for _, shards := range []int{2, 3, 5} {
+			for _, shards := range []int{1, 2, 3, 5, 7} {
 				got := execSelect(t, shards, inQ, b, step)
 				if !reflect.DeepEqual(got.Sel, want.Sel) || got.Count != want.Count {
 					t.Fatalf("%v step %d: %d-shard tracked selection diverges (%d vs %d)",

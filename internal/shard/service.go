@@ -2,9 +2,10 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -49,23 +50,103 @@ type ExecReply struct {
 	// It rides the reply, never the cacheable Result, so a cache-served
 	// fragment correctly reports zero cost.
 	Prof *plan.FragProfile
-	// Sum is a content checksum over Result (SumOK marks it present).
-	// net/rpc's gob stream carries no payload integrity of its own: a
-	// flipped byte inside a float or count payload decodes "successfully"
-	// and would merge into a silently wrong answer. The client recomputes
-	// the sum and treats a mismatch as transport corruption.
-	Sum   uint32
-	SumOK bool
+	// Sum is a content checksum over Result. net/rpc's gob stream
+	// carries no payload integrity of its own: a flipped byte inside a
+	// float or count payload decodes "successfully" and would merge into
+	// a silently wrong answer. The client recomputes the sum and treats a
+	// mismatch as transport corruption.
+	Sum uint32
 }
 
-// resultSum checksums a fragment result over its canonical JSON encoding
-// (deterministic: sorted map keys, fixed struct field order on both ends).
-func resultSum(res *plan.FragmentResult) (uint32, bool) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return 0, false
+// resultSum checksums a fragment result: the CRC-32 (IEEE) of a fixed
+// little-endian layout of every field, in declaration order — Count; the
+// MinMax entries (Var, Lo, Hi, N); a presence word, then Var, Edges and
+// Counts of Hist1; the same for Hist2 (XVar, YVar, XEdges, YEdges,
+// Counts); Sel. A string or slice is its length followed by its bytes or
+// 8-byte words, and a float is its IEEE-754 bits, so NaN sums like any
+// other value and nil and empty slices sum alike, as gob delivers them.
+func resultSum(res *plan.FragmentResult) uint32 {
+	var w sumWriter
+	w.u64(res.Count)
+	w.u64(uint64(len(res.MinMax)))
+	for _, r := range res.MinMax {
+		w.str(r.Var)
+		w.u64(math.Float64bits(r.Lo))
+		w.u64(math.Float64bits(r.Hi))
+		w.u64(r.N)
 	}
-	return crc32.ChecksumIEEE(b), true
+	if h := res.Hist1; h != nil {
+		w.u64(1)
+		w.str(h.Var)
+		w.floats(h.Edges)
+		w.words(h.Counts)
+	} else {
+		w.u64(0)
+	}
+	if h := res.Hist2; h != nil {
+		w.u64(1)
+		w.str(h.XVar)
+		w.str(h.YVar)
+		w.floats(h.XEdges)
+		w.floats(h.YEdges)
+		w.words(h.Counts)
+	} else {
+		w.u64(0)
+	}
+	w.words(res.Sel)
+	return w.sum()
+}
+
+// sumWriter feeds resultSum's layout to the CRC through a small block
+// buffer, so a 1024² histogram never materializes as bytes.
+type sumWriter struct {
+	crc uint32
+	buf [4096]byte
+	n   int
+}
+
+func (w *sumWriter) flush() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *sumWriter) u64(v uint64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+func (w *sumWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		k := copy(w.buf[w.n:], s)
+		w.n += k
+		s = s[k:]
+	}
+}
+
+func (w *sumWriter) words(vs []uint64) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.u64(v)
+	}
+}
+
+func (w *sumWriter) floats(vs []float64) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.u64(math.Float64bits(v))
+	}
+}
+
+func (w *sumWriter) sum() uint32 {
+	w.flush()
+	return w.crc
 }
 
 // StatsArgs is the (empty) request of Shard.Stats.
@@ -132,7 +213,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		// A cached answer costs a map lookup; serve it even on a spent
 		// budget — it is faster than explaining the shed.
 		reply.Result, reply.Cached = res, true
-		reply.Sum, reply.SumOK = resultSum(res)
+		reply.Sum = resultSum(res)
 		if fp := prof(); fp != nil {
 			fp.Cached, fp.CacheSource = true, "fragment"
 			reply.Prof = fp
@@ -189,7 +270,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		return err
 	}
 	reply.Result = res
-	reply.Sum, reply.SumOK = resultSum(res)
+	reply.Sum = resultSum(res)
 	return nil
 }
 

@@ -185,7 +185,7 @@ func TestScatterIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					for _, shards := range []int{2, 3, 5, 8} {
+					for _, shards := range []int{2, 3, 5, 7, 8} {
 						ex := testExecutor(t)
 						got, err := plan.Execute(context.Background(), q,
 							plan.ShardMap{Shards: shards}, rows, execRunner{ex}, plan.FailFast)
