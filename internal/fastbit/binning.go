@@ -186,7 +186,7 @@ func boundsFor(values []float64, opt IndexOptions) ([]float64, error) {
 		return nil, fmt.Errorf("fastbit: cannot index empty column")
 	}
 	lo, hi := values[0], values[0]
-	for _, v := range values[1:] {
+	for _, v := range values {
 		if math.IsNaN(v) {
 			return nil, fmt.Errorf("fastbit: NaN value in column")
 		}

@@ -3,6 +3,7 @@ package fastbit
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,21 @@ func TestBuildIndexRejectsBadInput(t *testing.T) {
 	}
 	if _, err := BuildIndex("x", []float64{1, math.NaN()}, IndexOptions{}); err == nil {
 		t.Fatal("NaN accepted")
+	}
+}
+
+// TestBuildIndexNaNAtAnyRow: a NaN is reported as such in the first row,
+// mid-column and in the last row, under every binning — not as a later
+// "edges not strictly increasing".
+func TestBuildIndexNaNAtAnyRow(t *testing.T) {
+	nan := math.NaN()
+	for _, vs := range [][]float64{{nan, 1, 2, 3}, {1, 2, nan, 3}, {1, 2, 3, nan}} {
+		for _, opt := range []IndexOptions{{}, {Exact: true}, {Precision: 2}} {
+			_, err := BuildIndex("x", vs, opt)
+			if err == nil || !strings.Contains(err.Error(), "NaN value in column") {
+				t.Errorf("BuildIndex(%v, %+v) = %v; want the NaN named", vs, opt, err)
+			}
+		}
 	}
 }
 

@@ -207,6 +207,89 @@ func (n *Not) walk(fn func(Expr)) {
 	n.Term.walk(fn)
 }
 
+// Bind compiles e against its columns once, for evaluating it row after
+// row: the returned predicate reports e.Eval for the record whose values
+// are cols[v][row]. Its semantics are Eval's exactly — the same float
+// comparisons (NaN fails all but !=, −0 equals 0), IN through Contains,
+// and a variable missing from cols reads as 0 — without Eval's closure
+// and map lookup per variable per row. Every referenced column must hold
+// more than row values.
+func Bind(e Expr, cols map[string][]float64) func(row int) bool {
+	switch x := e.(type) {
+	case *Compare:
+		col, ok := cols[x.Var]
+		if !ok {
+			c := x.Eval(func(string) float64 { return 0 })
+			return func(int) bool { return c }
+		}
+		v := x.Value
+		switch x.Op {
+		case LT:
+			return func(r int) bool { return col[r] < v }
+		case LE:
+			return func(r int) bool { return col[r] <= v }
+		case GT:
+			return func(r int) bool { return col[r] > v }
+		case GE:
+			return func(r int) bool { return col[r] >= v }
+		case EQ:
+			return func(r int) bool { return col[r] == v }
+		case NE:
+			return func(r int) bool { return col[r] != v }
+		default:
+			return func(int) bool { return false }
+		}
+	case *In:
+		col, ok := cols[x.Var]
+		if !ok {
+			c := x.Contains(0)
+			return func(int) bool { return c }
+		}
+		return func(r int) bool { return x.Contains(col[r]) }
+	case *And:
+		fs := bindTerms(x.Terms, cols)
+		if len(fs) == 2 {
+			a, b := fs[0], fs[1]
+			return func(r int) bool { return a(r) && b(r) }
+		}
+		return func(r int) bool {
+			for _, f := range fs {
+				if !f(r) {
+					return false
+				}
+			}
+			return true
+		}
+	case *Or:
+		fs := bindTerms(x.Terms, cols)
+		if len(fs) == 2 {
+			a, b := fs[0], fs[1]
+			return func(r int) bool { return a(r) || b(r) }
+		}
+		return func(r int) bool {
+			for _, f := range fs {
+				if f(r) {
+					return true
+				}
+			}
+			return false
+		}
+	case *Not:
+		f := Bind(x.Term, cols)
+		return func(r int) bool { return !f(r) }
+	default:
+		panic(fmt.Sprintf("query: Bind of unknown expression %T", e))
+	}
+}
+
+func bindTerms(terms []Expr, cols map[string][]float64) []func(int) bool {
+	fs := make([]func(int) bool, len(terms))
+	for i, t := range terms {
+		fs[i] = Bind(t, cols)
+	}
+	return fs
+}
+
 func joinTerms(terms []Expr, sep string) string {
 	parts := make([]string, len(terms))
 	for i, t := range terms {

@@ -15,6 +15,7 @@ package scan
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -57,19 +58,6 @@ func (c Columns) rows() (int, error) {
 	return n, nil
 }
 
-// getter returns a row-value accessor for the query evaluator. Missing
-// variables read as NaN-free zero, which fails every strict comparison —
-// callers should validate variables beforehand via ValidateVars.
-func (c Columns) getter(row int) func(string) float64 {
-	return func(name string) float64 {
-		col, ok := c[name]
-		if !ok {
-			return 0
-		}
-		return col[row]
-	}
-}
-
 // ValidateVars checks that every variable referenced by e is present.
 func ValidateVars(c Columns, e query.Expr) error {
 	for _, v := range query.Vars(e) {
@@ -78,6 +66,18 @@ func ValidateVars(c Columns, e query.Expr) error {
 		}
 	}
 	return nil
+}
+
+// bindCond compiles an optional histogram condition against c; nil for an
+// unconditional histogram.
+func bindCond(c Columns, cond query.Expr) (func(row int) bool, error) {
+	if cond == nil {
+		return nil, nil
+	}
+	if err := ValidateVars(c, cond); err != nil {
+		return nil, err
+	}
+	return query.Bind(cond, c), nil
 }
 
 // Select returns the sorted row positions matching the expression, by
@@ -98,13 +98,14 @@ func SelectCtx(ctx context.Context, c Columns, e query.Expr) ([]uint64, error) {
 	}
 	ctx, sp := startScanSpan(ctx, "scan-select", n)
 	start := time.Now()
+	match := query.Bind(e, c)
 	var out []uint64
 	for row := 0; row < n; row++ {
 		if err := checkpoint(ctx, row); err != nil {
 			sp.End()
 			return nil, err
 		}
-		if e.Eval(c.getter(row)) {
+		if match(row) {
 			out = append(out, uint64(row))
 		}
 	}
@@ -129,13 +130,14 @@ func CountCtx(ctx context.Context, c Columns, e query.Expr) (uint64, error) {
 	}
 	ctx, sp := startScanSpan(ctx, "scan-count", n)
 	start := time.Now()
+	match := query.Bind(e, c)
 	var cnt uint64
 	for row := 0; row < n; row++ {
 		if err := checkpoint(ctx, row); err != nil {
 			sp.End()
 			return 0, err
 		}
-		if e.Eval(c.getter(row)) {
+		if match(row) {
 			cnt++
 		}
 	}
@@ -171,10 +173,9 @@ func ConditionalHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("scan: column length mismatch %d vs %d", len(xs), len(ys))
 	}
-	if cond != nil {
-		if err := ValidateVars(c, cond); err != nil {
-			return nil, err
-		}
+	match, err := bindCond(c, cond)
+	if err != nil {
+		return nil, err
 	}
 	lx, err := histogram.NewLocator(xEdges)
 	if err != nil {
@@ -196,7 +197,7 @@ func ConditionalHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string
 			sp.End()
 			return nil, err
 		}
-		if cond != nil && !cond.Eval(c.getter(row)) {
+		if match != nil && !match(row) {
 			continue
 		}
 		ix := lx.Bin(xs[row])
@@ -234,10 +235,9 @@ func Histogram1DCtx(ctx context.Context, c Columns, v string, cond query.Expr, e
 	if !ok {
 		return nil, fmt.Errorf("scan: unknown variable %q", v)
 	}
-	if cond != nil {
-		if err := ValidateVars(c, cond); err != nil {
-			return nil, err
-		}
+	match, err := bindCond(c, cond)
+	if err != nil {
+		return nil, err
 	}
 	loc, err := histogram.NewLocator(edges)
 	if err != nil {
@@ -251,7 +251,7 @@ func Histogram1DCtx(ctx context.Context, c Columns, v string, cond query.Expr, e
 			sp.End()
 			return nil, err
 		}
-		if cond != nil && !cond.Eval(c.getter(row)) {
+		if match != nil && !match(row) {
 			continue
 		}
 		if i := loc.Bin(vs[row]); i >= 0 {
@@ -263,13 +263,24 @@ func Histogram1DCtx(ctx context.Context, c Columns, v string, cond query.Expr, e
 	return h, nil
 }
 
-// MinMax returns the minimum and maximum of a column by full scan.
+// MinMax returns the minimum and maximum of a column by full scan. NaN
+// values are skipped wherever they sit; an all-NaN column gives (NaN,
+// NaN) and an empty one (0, 0).
 func MinMax(values []float64) (lo, hi float64) {
 	if len(values) == 0 {
 		return 0, 0
 	}
-	lo, hi = values[0], values[0]
-	for _, v := range values[1:] {
+	first := 0
+	for first < len(values) && math.IsNaN(values[first]) {
+		first++
+	}
+	if first == len(values) {
+		return math.NaN(), math.NaN()
+	}
+	// Past the first number every comparison with a NaN is false, so the
+	// loop skips NaN without testing for it.
+	lo, hi = values[first], values[first]
+	for _, v := range values[first+1:] {
 		if v < lo {
 			lo = v
 		}

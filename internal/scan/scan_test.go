@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,27 @@ func TestMinMax(t *testing.T) {
 	lo, hi = MinMax(nil)
 	if lo != 0 || hi != 0 {
 		t.Fatalf("empty MinMax = %g, %g", lo, hi)
+	}
+}
+
+// TestMinMaxSkipsNaNAnywhere: a NaN is skipped wherever it sits — the
+// first row included, which once made the range (NaN, NaN) — so a
+// data-derived histogram range cannot depend on row order. Only an
+// all-NaN column has no range.
+func TestMinMaxSkipsNaNAnywhere(t *testing.T) {
+	nan := math.NaN()
+	for _, vs := range [][]float64{
+		{nan, 3, -1, 5},
+		{3, -1, nan, 5},
+		{3, -1, 5, nan},
+		{nan, nan, 5, -1, 3, nan},
+	} {
+		if lo, hi := MinMax(vs); lo != -1 || hi != 5 {
+			t.Errorf("MinMax(%v) = %g, %g; want -1, 5", vs, lo, hi)
+		}
+	}
+	if lo, hi := MinMax([]float64{nan, nan}); !math.IsNaN(lo) || !math.IsNaN(hi) {
+		t.Errorf("all-NaN MinMax = %g, %g; want NaN, NaN", lo, hi)
 	}
 }
 

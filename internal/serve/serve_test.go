@@ -165,6 +165,55 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestHistogramRangeParams: a histogram's fixed range is a pair of finite
+// bounds with lo ≤ hi, on hist1d, hist2d and sweep2d and on both
+// backends. A non-finite bound, a span past float64, half a pair or an
+// inverted pair is the client's 400 — never a 500 from the edges, never
+// silently ignored or narrowed. lo == hi stays legal (the edges widen it).
+func TestHistogramRangeParams(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	ops := []struct{ path, lo, hi string }{
+		{"/v1/hist1d?var=px&bins=8", "lo", "hi"},
+		{"/v1/hist2d?x=px&y=x&xbins=8&ybins=8", "xlo", "xhi"},
+		{"/v1/hist2d?x=px&y=x&xbins=8&ybins=8", "ylo", "yhi"},
+		{"/v1/sweep2d?x=px&y=x&xbins=8&ybins=8&steps=0-1", "xlo", "xhi"},
+		{"/v1/hist2d?x=px&y=x&xbins=8&ybins=8&backend=scan", "xlo", "xhi"},
+	}
+	cases := []struct {
+		name     string
+		lo, hi   string // "" leaves the parameter out
+		wantCode int
+		wantSub  string
+	}{
+		{"-inf lo", "-inf", "5", 400, "bad"},
+		{"+inf hi", "0", "inf", 400, "bad"},
+		{"nan lo", "nan", "5", 400, "bad"},
+		{"span past float64", "-1e308", "1e308", 400, "wider than float64"},
+		{"lo alone", "5", "", 400, "must be given together"},
+		{"hi alone", "", "5", 400, "must be given together"},
+		{"inverted", "5", "1", 400, "above"},
+		{"equal bounds widen", "5", "5", 200, ""},
+		{"ordinary range", "-1", "1e12", 200, ""},
+		{"neither", "", "", 200, ""},
+	}
+	for _, o := range ops {
+		for _, c := range cases {
+			path := o.path
+			if c.lo != "" {
+				path += "&" + o.lo + "=" + url.QueryEscape(c.lo)
+			}
+			if c.hi != "" {
+				path += "&" + o.hi + "=" + url.QueryEscape(c.hi)
+			}
+			var e ErrorBody
+			code, body := get(t, ts, path, &e)
+			if code != c.wantCode || !strings.Contains(e.Error, c.wantSub) {
+				t.Errorf("%s: GET %s = %d %s; want %d %q", c.name, path, code, body, c.wantCode, c.wantSub)
+			}
+		}
+	}
+}
+
 // TestStepsParam table-tests the sweep/track steps parser over the 4-step
 // test dataset. The duplicate case is the fan-out bound: with repeats
 // rejected, no request can name more plans than the dataset has steps.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -471,11 +470,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// writeJSON encodes body before it commits to a status, so a body that
+// cannot be encoded (a NaN float) is a 500 naming the error rather than a
+// 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	buf, err := encodeBody(body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		buf, _ = encodeBody(ErrorBody{Error: fmt.Sprintf("encode response: %v", err)}) // a lone string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(body) //nolint:errcheck // client gone; nothing to do
+	w.Write(buf) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -819,17 +825,41 @@ func intParam(r *http.Request, name string, def, min, max int) (int, *httpError)
 	return v, nil
 }
 
-// floatParam parses a float parameter; NaN when absent.
+// floatParam parses a finite float parameter; NaN when absent.
 func floatParam(r *http.Request, name string) (float64, *httpError) {
 	raw := r.FormValue(name)
 	if raw == "" {
 		return math.NaN(), nil
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(v) {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, errf(http.StatusBadRequest, "bad %s %q", name, raw)
 	}
 	return v, nil
+}
+
+// rangeParams parses a histogram's fixed value range, the lo and hi
+// parameters as a pair: both absent (NaN, NaN: derive it from the data),
+// or both finite with lo ≤ hi and a span float64 can hold. lo == hi is
+// allowed and widened by histogram.UniformEdges.
+func rangeParams(r *http.Request, lo, hi string) (float64, float64, *httpError) {
+	l, herr := floatParam(r, lo)
+	if herr != nil {
+		return 0, 0, herr
+	}
+	h, herr := floatParam(r, hi)
+	if herr != nil {
+		return 0, 0, herr
+	}
+	switch {
+	case math.IsNaN(l) != math.IsNaN(h):
+		return 0, 0, errf(http.StatusBadRequest, "%s and %s must be given together", lo, hi)
+	case l > h:
+		return 0, 0, errf(http.StatusBadRequest, "%s %g above %s %g", lo, l, hi, h)
+	case math.IsInf(h-l, 0):
+		return 0, 0, errf(http.StatusBadRequest, "range [%g, %g] wider than float64 can span", l, h)
+	}
+	return l, h, nil
 }
 
 // planQuery builds the planner input for this request. The query text is
@@ -1059,10 +1089,7 @@ func hist1DSpec(r *http.Request, d *dataset) (histogram.Spec1D, *httpError) {
 	if spec.Binning, herr = binningParam(r); herr != nil {
 		return zero, herr
 	}
-	if spec.Lo, herr = floatParam(r, "lo"); herr != nil {
-		return zero, herr
-	}
-	if spec.Hi, herr = floatParam(r, "hi"); herr != nil {
+	if spec.Lo, spec.Hi, herr = rangeParams(r, "lo", "hi"); herr != nil {
 		return zero, herr
 	}
 	if spec.MinDensity, herr = floatParam(r, "mindensity"); herr != nil {
@@ -1101,18 +1128,14 @@ func hist2DSpec(r *http.Request, d *dataset) (histogram.Spec2D, *httpError) {
 	if spec.Binning, herr = binningParam(r); herr != nil {
 		return zero, herr
 	}
-	bounds := []struct {
-		name string
-		dst  *float64
-	}{
-		{"xlo", &spec.XLo}, {"xhi", &spec.XHi},
-		{"ylo", &spec.YLo}, {"yhi", &spec.YHi},
-		{"mindensity", &spec.MinDensity},
+	if spec.XLo, spec.XHi, herr = rangeParams(r, "xlo", "xhi"); herr != nil {
+		return zero, herr
 	}
-	for _, b := range bounds {
-		if *b.dst, herr = floatParam(r, b.name); herr != nil {
-			return zero, herr
-		}
+	if spec.YLo, spec.YHi, herr = rangeParams(r, "ylo", "yhi"); herr != nil {
+		return zero, herr
+	}
+	if spec.MinDensity, herr = floatParam(r, "mindensity"); herr != nil {
+		return zero, herr
 	}
 	if math.IsNaN(spec.MinDensity) {
 		spec.MinDensity = 0

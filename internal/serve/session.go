@@ -206,13 +206,11 @@ func refineAtPositions(ctx context.Context, req *request, prev *bitmap.Vector, m
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	rowf := func(name string) float64 { return cols[name][idx] }
-	want := mode == "and" // andnot keeps the rows the delta does NOT match
+	match := query.Bind(req.expr, cols) // cols[v][i] is v at pos[i]
+	want := mode == "and"               // andnot keeps the rows the delta does NOT match
 	keep := make([]uint64, 0, len(pos))
 	for i, p := range pos {
-		idx = i
-		if req.expr.Eval(rowf) == want {
+		if match(i) == want {
 			keep = append(keep, p)
 		}
 	}
