@@ -2,9 +2,10 @@ package repro
 
 // Benchmark harness: one benchmark family per figure of the paper's
 // evaluation section, plus ablations for the design choices DESIGN.md
-// calls out. The cmd/histbench and cmd/scalebench executables produce the
+// calls out. `figures serial` and `figures scale` produce the
 // paper-formatted tables; these testing.B benchmarks regenerate the same
-// measurements under `go test -bench`.
+// measurements under `go test -bench`. The rendering figures (2, 3/4)
+// are benchmarked beside the driver that draws them, in cmd/figures.
 //
 // The shared dataset is generated once per process into a temp directory
 // (generation time is not benchmarked).
@@ -22,7 +23,6 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
@@ -263,24 +263,45 @@ func BenchmarkFig14ParallelHistograms(b *testing.B) {
 
 // --- Figs. 16/17: parallel particle tracking --------------------------------
 
+// The paper's tracking task: locate one identifier set in every timestep.
 func BenchmarkFig16ParallelTracking(b *testing.B) {
-	dir := benchDataset(b)
-	ex, err := core.Open(dir)
+	src, err := fastquery.Open(benchDataset(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	last := ex.Steps() - 1
-	_, hi, err := ex.VarRange(last, "px")
+	last, err := src.OpenStep(benchSteps - 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sel, err := ex.Select(last, fmt.Sprintf("px > %g", 0.75*hi))
+	_, hi, err := last.MinMax("px")
 	if err != nil {
 		b.Fatal(err)
 	}
-	ids := sel.IDs()
+	ids, err := last.SelectIDs(&query.Compare{Var: "px", Op: query.GT, Value: 0.75 * hi}, fastquery.FastBit)
+	last.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
 	if len(ids) == 0 {
 		b.Fatal("no particles selected")
+	}
+	makeTasks := func(backend fastquery.Backend) []cluster.Task {
+		tasks := make([]cluster.Task, src.Steps())
+		for t := range tasks {
+			t := t
+			tasks[t] = cluster.Task{Step: t, Run: func() (uint64, int, error) {
+				step, err := src.OpenStep(t)
+				if err != nil {
+					return 0, 0, err
+				}
+				defer step.Close()
+				if _, err := step.FindIDs(ids, backend); err != nil {
+					return 0, 0, err
+				}
+				return step.IOBytes(), 1, nil
+			}}
+		}
+		return tasks
 	}
 	workers := runtime.GOMAXPROCS(0)
 	for _, variant := range []struct {
@@ -291,82 +312,8 @@ func BenchmarkFig16ParallelTracking(b *testing.B) {
 		{"Custom", fastquery.Scan},
 	} {
 		b.Run(fmt.Sprintf("%s/ids=%d/workers=%d", variant.name, len(ids), workers), func(b *testing.B) {
-			ex.SetBackend(variant.backend)
-			defer ex.SetBackend(fastquery.FastBit)
 			for i := 0; i < b.N; i++ {
-				if _, err := ex.TrackIDs(ids, 0, last, core.TrackOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Fig. 2: rendering modes -------------------------------------------------
-
-func BenchmarkFig02Rendering(b *testing.B) {
-	dir := benchDataset(b)
-	ex, err := core.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	step := benchSteps / 2
-	vars := []string{"x", "y", "px", "py"}
-	opt := core.DefaultPlotOptions()
-
-	b.Run("HistogramBased/bins=700", func(b *testing.B) {
-		o := opt
-		o.ContextBins = 700
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.ContextFocusPlot(step, vars, "", "", o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HistogramBased/bins=80", func(b *testing.B) {
-		o := opt
-		o.ContextBins = 80
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.ContextFocusPlot(step, vars, "", "", o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("LineBased/subset", func(b *testing.B) {
-		// Polyline rendering cost is proportional to record count, so the
-		// paper only uses it for subsets; benchmark it on the accelerated
-		// tail.
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.LinePlot(step, vars, "px > 1e9", 0.35, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Figs. 3/4: uniform vs adaptive binning ---------------------------------
-
-func BenchmarkFig04AdaptiveVsUniform(b *testing.B) {
-	dir := benchDataset(b)
-	ex, err := core.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	step := benchSteps / 2
-	vars := []string{"x", "y", "px", "py"}
-	for _, variant := range []struct {
-		name    string
-		binning histogram.Binning
-	}{
-		{"Uniform32", histogram.Uniform},
-		{"Adaptive32", histogram.Adaptive},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			o := core.DefaultPlotOptions()
-			o.ContextBins = 32
-			o.Binning = variant.binning
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.ContextFocusPlot(step, vars, "", "", o); err != nil {
+				if _, err := cluster.Run(makeTasks(variant.backend), workers, cluster.IOModel{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,21 +1,24 @@
-// Command figures regenerates the paper's qualitative figures (2, 3/4, 5,
-// 9 and the 10b density substitute) as PNGs from a dataset, producing a
-// gallery that mirrors the paper's rendering comparisons:
+// Command figures is the one driver for the paper's evaluation: every
+// figure and table of Figs. 2–17 regenerates through one of its
+// subcommands, all calling the query layer (fastquery) and the drawing
+// packages directly.
 //
-//	fig02a_lines.png        traditional polyline parallel coordinates
-//	fig02b_hist700.png      histogram-based, 700 bins/axis
-//	fig02c_lowgamma.png     same, low gamma (sparse bins culled)
-//	fig02d_hist80.png       same, 80 bins/axis
-//	fig04a_uniform32.png    32x32 uniform binning
-//	fig04b_adaptive32.png   32x32 adaptive (equal-weight) binning
-//	fig05_selection.png     context + focus beam selection
-//	fig09_temporal.png      temporal parallel coordinates
-//	fig10b_density.png      particle density + selection (volume-rendering
-//	                        substitute)
+//	render   the qualitative gallery: Figs. 2, 3/4, 5, 9 and 10b as PNGs
+//	usecase  the Section IV beam analysis on its own synthetic run
+//	         (Figs. 5–8; -3d for Fig. 10)
+//	track    select, trace by identifier and report beam quality per step
+//	serial   the serial study, FastBit vs the scan baseline (Figs. 11–13)
+//	scale    the modelled parallel study (Figs. 14–17)
+//	info     per-timestep record counts and data/index sizes
+//	report   one self-contained HTML page: the gallery plus the serial and
+//	         scale tables
 //
 // Usage:
 //
-//	figures -data data/lwfa -out figures/
+//	lwfagen -out data/lwfa -steps 8 -particles 200000
+//	figures render -data data/lwfa -out figures/
+//	figures serial -data data/lwfa -exp all
+//	figures <subcommand> -h
 package main
 
 import (
@@ -23,106 +26,91 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
-	"repro/internal/core"
-	"repro/internal/histogram"
-	"repro/internal/render"
+	"repro/internal/fastquery"
+	"repro/internal/report"
 )
+
+type subcommand struct {
+	name, summary string
+	run           func(args []string) error
+}
+
+var subcommands = []subcommand{
+	{"render", "qualitative gallery, Figs. 2, 3/4, 5, 9, 10b", runRender},
+	{"usecase", "Section IV beam analysis on a generated run, Figs. 5-8 (-3d: Fig. 10)", runUsecase},
+	{"track", "select, trace by identifier, beam quality per step", runTrack},
+	{"serial", "serial histogram and identifier study, Figs. 11-13", runSerial},
+	{"scale", "modelled parallel histogram and tracking study, Figs. 14-17", runScale},
+	{"info", "per-timestep records and data/index sizes", runInfo},
+	{"report", "self-contained HTML report: gallery plus serial and scale tables", runReport},
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: figures <subcommand> [flags]")
+	for _, c := range subcommands {
+		fmt.Fprintf(os.Stderr, "  %-8s %s\n", c.name, c.summary)
+	}
+	os.Exit(2)
+}
 
 func main() {
 	log.SetFlags(0)
-	log.SetPrefix("figures: ")
+	if len(os.Args) < 2 {
+		usage()
+	}
+	for _, c := range subcommands {
+		if c.name == os.Args[1] {
+			log.SetPrefix("figures " + c.name + ": ")
+			if err := c.run(os.Args[2:]); err != nil {
+				log.Fatal(err)
+			}
+			return
+		}
+	}
+	usage()
+}
 
-	var (
-		data  = flag.String("data", "", "dataset directory (required)")
-		out   = flag.String("out", "figures", "output directory")
-		step  = flag.Int("step", -1, "timestep for the static figures (-1 = last)")
-		focus = flag.String("focus", "", "beam selection query (default: derived px threshold)")
-	)
-	flag.Parse()
+// flags returns the flag set of one subcommand and its -data flag, which
+// every subcommand but usecase (it generates its own run) requires.
+func flags(name string) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("figures "+name, flag.ExitOnError)
+	return fs, fs.String("data", "", "dataset directory (required)")
+}
+
+// openData parses args and opens the -data dataset, exiting with the
+// usage text when it is missing.
+func openData(fs *flag.FlagSet, data *string, args []string) (*fastquery.Source, error) {
+	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if *data == "" {
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
+	return fastquery.Open(*data)
+}
+
+// parseBackend maps the -backend flag to a backend; "custom" is the
+// paper's name for the sequential-scan baseline.
+func parseBackend(s string) (fastquery.Backend, error) {
+	switch s {
+	case "fastbit":
+		return fastquery.FastBit, nil
+	case "custom", "scan":
+		return fastquery.Scan, nil
 	}
-	ex, err := core.Open(*data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t := *step
-	if t < 0 {
-		t = ex.Steps() - 1
-	}
-	sel := *focus
-	if sel == "" {
-		_, hi, err := ex.VarRange(t, "px")
-		if err != nil {
-			log.Fatal(err)
+	return 0, fmt.Errorf("unknown backend %q", s)
+}
+
+// emit prints tables aligned, or as CSV.
+func emit(csv bool, tables ...*report.Table) error {
+	for _, t := range tables {
+		print := t.Fprint
+		if csv {
+			print = t.FprintCSV
 		}
-		sel = fmt.Sprintf("px > %g", 0.5*hi)
-	}
-	vars := []string{"x", "y", "px", "py"}
-
-	save := func(name string, c *render.Canvas, err error) {
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := print(os.Stdout); err != nil {
+			return err
 		}
-		path := filepath.Join(*out, name)
-		if err := c.SavePNG(path); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
 	}
-
-	// Fig. 2a: traditional line-based parallel coordinates of the focus
-	// subset (polylines over everything would saturate, which is the
-	// paper's point; the subset keeps the figure legible).
-	c, err := ex.LinePlot(t, vars, sel, 0.3, core.DefaultPlotOptions())
-	save("fig02a_lines.png", c, err)
-
-	// Fig. 2b: histogram-based, high resolution.
-	opt := core.DefaultPlotOptions()
-	opt.ContextBins = 700
-	c, err = ex.ContextFocusPlot(t, vars, "", "", opt)
-	save("fig02b_hist700.png", c, err)
-
-	// Fig. 2c: same with low gamma — sparse bins culled.
-	opt.Gamma = 0.35
-	c, err = ex.ContextFocusPlot(t, vars, "", "", opt)
-	save("fig02c_lowgamma.png", c, err)
-
-	// Fig. 2d: 80 bins per axis.
-	opt = core.DefaultPlotOptions()
-	opt.ContextBins = 80
-	c, err = ex.ContextFocusPlot(t, vars, "", "", opt)
-	save("fig02d_hist80.png", c, err)
-
-	// Figs. 3/4: 32x32 uniform vs adaptive binning.
-	opt = core.DefaultPlotOptions()
-	opt.ContextBins = 32
-	c, err = ex.ContextFocusPlot(t, vars, "", sel, opt)
-	save("fig04a_uniform32.png", c, err)
-	opt.Binning = histogram.Adaptive
-	c, err = ex.ContextFocusPlot(t, vars, "", sel, opt)
-	save("fig04b_adaptive32.png", c, err)
-
-	// Fig. 5: beam selection, context + focus at full resolution.
-	c, err = ex.ContextFocusPlot(t, vars, "", sel, core.DefaultPlotOptions())
-	save("fig05_selection.png", c, err)
-
-	// Fig. 9: temporal parallel coordinates of the selection over the
-	// second half of the run.
-	var steps []int
-	for s := ex.Steps() / 2; s < ex.Steps(); s += 2 {
-		steps = append(steps, s)
-	}
-	c, err = ex.TemporalPlot(steps, []string{"x", "xrel", "px", "y"}, sel, core.DefaultPlotOptions())
-	save("fig09_temporal.png", c, err)
-
-	// Fig. 10b substitute: particle density heat map with the selection.
-	c, err = ex.DensityPlot(t, "x", "y", 256, sel, core.DefaultScatterOptions())
-	save("fig10b_density.png", c, err)
+	return nil
 }

@@ -5,6 +5,8 @@
 // accelerator particle data.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); executables live under cmd/, runnable walkthroughs under
-// examples/, and the per-figure benchmark harness in bench_test.go.
+// inventory) and executables under cmd/. Every figure and table of the
+// paper's evaluation regenerates through one driver, cmd/figures; the
+// per-figure benchmark harness is bench_test.go, with the rendering
+// figures' benchmarks beside the driver.
 package repro

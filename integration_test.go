@@ -2,8 +2,8 @@ package repro
 
 // End-to-end integration tests: drive the whole stack the way a user
 // would — generate a dataset, open it, query it through both backends,
-// render every plot type, track particles, and run the command-line tools
-// as real subprocesses.
+// track particles, and run the command-line tools (every figure the
+// paper's evaluation draws) as real subprocesses.
 
 import (
 	"bufio"
@@ -13,17 +13,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
-	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/sim"
 )
@@ -46,121 +45,80 @@ func integrationDataset(t *testing.T) string {
 
 func TestEndToEndWorkflow(t *testing.T) {
 	dir := integrationDataset(t)
-	ex, err := core.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := ex.Steps() - 1
-
-	// 1. Interactive selection with both backends, identical results.
-	const q = "px > 5e10 && y > -1e-3"
-	fbSel, err := ex.Select(last, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.SetBackend(fastquery.Scan)
-	scSel, err := ex.Select(last, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.SetBackend(fastquery.FastBit)
-	if fbSel.Count() == 0 || fbSel.Count() != scSel.Count() {
-		t.Fatalf("selection counts: fastbit %d, scan %d", fbSel.Count(), scSel.Count())
-	}
-
-	// 2. Conditional histograms at two resolutions conserve the selection.
-	for _, bins := range []int{32, 512} {
-		h, err := ex.Histogram2D(last, q, histogram.NewSpec2D("x", "px", bins, bins))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Total() != uint64(fbSel.Count()) {
-			t.Fatalf("bins=%d: histogram total %d != selection %d", bins, h.Total(), fbSel.Count())
-		}
-	}
-
-	// 3. Track the beam through the full run and verify world lines only
-	// strengthen forward in x.
-	tracks, err := ex.TrackIDs(fbSel.IDs(), 0, last, core.TrackOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tracks) != fbSel.Count() {
-		t.Fatalf("tracked %d of %d", len(tracks), fbSel.Count())
-	}
-
-	// 4. Every plot type renders and saves.
-	outDir := t.TempDir()
-	plots := map[string]func() error{
-		"pcoords.png": func() error {
-			c, err := ex.ContextFocusPlot(last, []string{"x", "y", "px"}, "", q, core.DefaultPlotOptions())
-			if err != nil {
-				return err
-			}
-			return c.SavePNG(filepath.Join(outDir, "pcoords.png"))
-		},
-		"temporal.png": func() error {
-			c, err := ex.TemporalPlot([]int{4, 6, 7}, []string{"x", "px"}, "px > 1e9", core.DefaultPlotOptions())
-			if err != nil {
-				return err
-			}
-			return c.SavePNG(filepath.Join(outDir, "temporal.png"))
-		},
-		"scatter.png": func() error {
-			c, err := ex.ScatterPlot(last, "x", "y", "px", q, core.DefaultScatterOptions())
-			if err != nil {
-				return err
-			}
-			return c.SavePNG(filepath.Join(outDir, "scatter.png"))
-		},
-		"traces.png": func() error {
-			sub := tracks
-			if len(sub) > 10 {
-				sub = sub[:10]
-			}
-			c, err := ex.TracePlot(sub, last, core.ColorByPx, core.DefaultScatterOptions())
-			if err != nil {
-				return err
-			}
-			return c.SavePNG(filepath.Join(outDir, "traces.png"))
-		},
-	}
-	for name, fn := range plots {
-		if err := fn(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		st, err := os.Stat(filepath.Join(outDir, name))
-		if err != nil || st.Size() == 0 {
-			t.Fatalf("%s missing or empty: %v", name, err)
-		}
-	}
-
-	// 5. Pipeline with contracts over the same dataset.
 	src, err := fastquery.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := &pipeline.SelectionStage{Query: query.MustParse(q), WantIDs: true}
-	hist := &pipeline.HistogramStage{Specs: []histogram.Spec2D{histogram.NewSpec2D("x", "px", 16, 16)}}
-	pl, err := pipeline.New(src, fastquery.FastBit, sel, hist)
+	lastStep := src.Steps() - 1
+	last, err := src.OpenStep(lastStep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Run(last); err != nil {
+	defer last.Close()
+
+	// 1. Interactive selection with both backends, identical results.
+	q := query.MustParse("px > 5e10 && y > -1e-3")
+	pos, err := last.Select(q, fastquery.FastBit)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.IDs) != fbSel.Count() {
-		t.Fatalf("pipeline selected %d, explorer %d", len(sel.IDs), fbSel.Count())
+	scanPos, err := last.Select(q, fastquery.Scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pos) == 0 || !reflect.DeepEqual(pos, scanPos) {
+		t.Fatalf("selection: fastbit %d rows, scan %d rows", len(pos), len(scanPos))
+	}
+
+	// 2. Conditional histograms at two resolutions conserve the selection.
+	for _, bins := range []int{32, 512} {
+		h, err := last.Histogram2D(q, histogram.NewSpec2D("x", "px", bins, bins), fastquery.FastBit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Total() != uint64(len(pos)) {
+			t.Fatalf("bins=%d: histogram total %d != selection %d", bins, h.Total(), len(pos))
+		}
+	}
+
+	// 3. Track the beam through the full run by identifier: every step
+	// finds a subset of the set, the last step finds all of it, and both
+	// backends find the same records.
+	ids, err := last.SelectIDs(q, fastquery.FastBit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step <= lastStep; step++ {
+		st, err := src.OpenStep(step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found, err := st.FindIDs(ids, fastquery.FastBit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanFound, err := st.FindIDs(ids, fastquery.Scan)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(found, scanFound) || len(found) > len(ids) {
+			t.Fatalf("step %d: fastbit found %d, scan %d of %d ids", step, len(found), len(scanFound), len(ids))
+		}
+		if step == lastStep && len(found) != len(ids) {
+			t.Fatalf("tracked %d of %d at the selection step", len(found), len(ids))
+		}
 	}
 }
 
-// TestCommandLineTools builds and runs the real executables end to end.
+// TestCommandLineTools builds and runs the real executables end to end:
+// the dataset tools and every subcommand of the figures driver.
 func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"lwfagen", "indexgen", "dsinfo", "pcplot", "trace", "beamstats", "histbench", "scalebench", "figures", "mkreport"} {
+	for _, tool := range []string{"lwfagen", "indexgen", "figures"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -183,43 +141,52 @@ func TestCommandLineTools(t *testing.T) {
 		t.Fatalf("lwfagen output: %s", out)
 	}
 
-	png := filepath.Join(t.TempDir(), "plot.png")
-	run("pcplot", "-data", data, "-step", "4", "-vars", "x,y,px", "-focus", "px > 1e10", "-out", png)
-	if st, err := os.Stat(png); err != nil || st.Size() == 0 {
-		t.Fatalf("pcplot produced no image: %v", err)
+	// The gallery: polyline, histogram, adaptive, temporal and density
+	// renderings of one dataset.
+	figDir := filepath.Join(t.TempDir(), "figs")
+	out = run("figures", "render", "-data", data, "-out", figDir)
+	matches, err := filepath.Glob(filepath.Join(figDir, "*.png"))
+	if err != nil || len(matches) != 9 {
+		t.Fatalf("render produced %d PNGs: %v\n%s", len(matches), err, out)
 	}
-	run("pcplot", "-data", data, "-steps", "2,3,4", "-vars", "x,px", "-focus", "px > 1e9",
-		"-binning", "adaptive", "-out", png)
-	run("pcplot", "-data", data, "-step", "4", "-vars", "x,px", "-mode", "lines",
-		"-focus", "px > 1e10", "-out", png)
-
-	out = run("trace", "-data", data, "-query", "px > 1e10", "-show", "2")
-	if !strings.Contains(out, "traced") {
-		t.Fatalf("trace output: %s", out)
-	}
-	out = run("trace", "-data", data, "-query", "px > 1e10", "-backend", "custom", "-show", "1")
-	if !strings.Contains(out, "traced") {
-		t.Fatalf("trace custom output: %s", out)
-	}
-
-	out = run("histbench", "-data", data, "-step", "3", "-exp", "fig13", "-runs", "1")
-	if !strings.Contains(out, "Fig 13") {
-		t.Fatalf("histbench output: %s", out)
-	}
-	out = run("histbench", "-data", data, "-step", "3", "-exp", "fig11", "-runs", "1", "-csv")
-	if !strings.Contains(out, "fastbit_regular_s") {
-		t.Fatalf("histbench csv output: %s", out)
-	}
-
-	out = run("scalebench", "-data", data, "-exp", "all", "-nodes", "1,2,5", "-bins", "64", "-track-hits", "20")
-	for _, want := range []string{"Fig 14", "Fig 15", "Fig 16", "Fig 17"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("scalebench output missing %s:\n%s", want, out)
+	for _, m := range matches {
+		if st, err := os.Stat(m); err != nil || st.Size() == 0 {
+			t.Fatalf("%s missing or empty: %v", m, err)
 		}
 	}
-	out = run("scalebench", "-data", data, "-exp", "track", "-nodes", "1,2", "-assign", "blocked", "-csv")
+
+	out = run("figures", "track", "-data", data, "-query", "px > 1e10", "-show", "2")
+	if !strings.Contains(out, "traced") || !strings.Contains(out, "mean_px") {
+		t.Fatalf("track output: %s", out)
+	}
+	out = run("figures", "track", "-data", data, "-query", "px > 1e10", "-backend", "custom", "-show", "1")
+	if !strings.Contains(out, "traced") {
+		t.Fatalf("track custom output: %s", out)
+	}
+	csvPath := filepath.Join(t.TempDir(), "tracks.csv")
+	run("figures", "track", "-data", data, "-query", "px > 1e10", "-show", "1", "-csv", csvPath)
+	if st, err := os.Stat(csvPath); err != nil || st.Size() == 0 {
+		t.Fatalf("track -csv produced nothing: %v", err)
+	}
+
+	out = run("figures", "serial", "-data", data, "-step", "3", "-exp", "fig13", "-runs", "1")
+	if !strings.Contains(out, "Fig 13") {
+		t.Fatalf("serial output: %s", out)
+	}
+	out = run("figures", "serial", "-data", data, "-step", "3", "-exp", "fig11", "-runs", "1", "-csv")
+	if !strings.Contains(out, "fastbit_regular_s") {
+		t.Fatalf("serial csv output: %s", out)
+	}
+
+	out = run("figures", "scale", "-data", data, "-exp", "all", "-nodes", "1,2,5", "-bins", "64", "-track-hits", "20")
+	for _, want := range []string{"Fig 14", "Fig 15", "Fig 16", "Fig 17"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("scale output missing %s:\n%s", want, out)
+		}
+	}
+	out = run("figures", "scale", "-data", data, "-exp", "track", "-nodes", "1,2", "-assign", "blocked", "-csv")
 	if !strings.Contains(out, "nodes,") {
-		t.Fatalf("scalebench csv output: %s", out)
+		t.Fatalf("scale csv output: %s", out)
 	}
 
 	// indexgen: regenerate indexes from scratch for a dataset written
@@ -230,40 +197,38 @@ func TestCommandLineTools(t *testing.T) {
 	if !strings.Contains(out, "done") {
 		t.Fatalf("indexgen output: %s", out)
 	}
-	out = run("dsinfo", "-data", data2)
+	out = run("figures", "info", "-data", data2)
 	if !strings.Contains(out, "total:") || !strings.Contains(out, "index_mb") {
-		t.Fatalf("dsinfo output: %s", out)
+		t.Fatalf("info output: %s", out)
 	}
-	out = run("trace", "-data", data2, "-query", "px > 1e9", "-show", "1")
+	out = run("figures", "track", "-data", data2, "-query", "px > 1e9", "-show", "1")
 	if !strings.Contains(out, "traced") {
-		t.Fatalf("trace after indexgen: %s", out)
+		t.Fatalf("track after indexgen: %s", out)
 	}
 
-	// beamstats with CSV trajectory export via trace.
-	out = run("beamstats", "-data", data, "-query", "px > 1e10", "-csv")
-	if !strings.Contains(out, "mean_px") {
-		t.Fatalf("beamstats output: %s", out)
+	// The Section IV use case on its own generated run.
+	useDir := t.TempDir()
+	out = run("figures", "usecase", "-out", useDir)
+	if !strings.Contains(out, "beam refinement") || !strings.Contains(out, "beam evolution") {
+		t.Fatalf("usecase output: %s", out)
 	}
-	csvPath := filepath.Join(t.TempDir(), "tracks.csv")
-	run("trace", "-data", data, "-query", "px > 1e10", "-show", "1", "-csv", csvPath)
-	if st, err := os.Stat(csvPath); err != nil || st.Size() == 0 {
-		t.Fatalf("trace -csv produced nothing: %v", err)
-	}
-
-	// figures gallery.
-	figDir := filepath.Join(t.TempDir(), "figs")
-	out = run("figures", "-data", data, "-out", figDir)
-	matches, err := filepath.Glob(filepath.Join(figDir, "*.png"))
-	if err != nil || len(matches) < 8 {
-		t.Fatalf("figures produced %d PNGs: %v\n%s", len(matches), err, out)
+	if matches, _ := filepath.Glob(filepath.Join(useDir, "beam_*.png")); len(matches) != 4 {
+		t.Fatalf("usecase wrote %d PNGs:\n%s", len(matches), out)
 	}
 
-	// mkreport HTML.
+	// The HTML report.
 	htmlPath := filepath.Join(t.TempDir(), "report.html")
-	run("mkreport", "-data", data, "-out", htmlPath, "-bins", "64")
+	run("figures", "report", "-data", data, "-out", htmlPath, "-bins", "64")
 	html, err := os.ReadFile(htmlPath)
-	if err != nil || !strings.Contains(string(html), "data:image/png;base64,") {
-		t.Fatalf("mkreport output invalid: %v", err)
+	if err != nil || !strings.Contains(string(html), "data:image/png;base64,") || !strings.Contains(string(html), "Fig 17") {
+		t.Fatalf("report output invalid: %v", err)
+	}
+
+	// A missing subcommand or -data is a usage error.
+	for _, args := range [][]string{nil, {"nope"}, {"render"}} {
+		if err := exec.Command(filepath.Join(bin, "figures"), args...).Run(); err == nil {
+			t.Fatalf("figures %v succeeded", args)
+		}
 	}
 }
 

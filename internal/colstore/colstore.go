@@ -320,7 +320,7 @@ func (file *File) readDirectory() error {
 		return fmt.Errorf("colstore: %s: unsupported version %d", file.path, v)
 	}
 	dirOffset := binary.LittleEndian.Uint64(trailer[:8])
-	if dirOffset >= uint64(st.Size()) {
+	if dirOffset < 8 || dirOffset > uint64(st.Size())-12 {
 		return fmt.Errorf("colstore: %s: directory offset out of range", file.path)
 	}
 	dir := make([]byte, uint64(st.Size())-12-dirOffset)
@@ -353,7 +353,14 @@ func (file *File) readDirectory() error {
 				return fmt.Errorf("colstore: %s: column %q chunk %d [%d, +%d rows) outside the data region [8, %d)",
 					file.path, name, j, ch.offset, ch.rows, dirOffset)
 			}
-			chunkRows += uint64(ch.rows)
+			// Chunks of one column are disjoint, so together they fit the
+			// data region too: overlapping extents must not let a column
+			// claim more rows than the file holds, which every full read
+			// would allocate up front.
+			if chunkRows += uint64(ch.rows); chunkRows > (dirOffset-8)/8 {
+				return fmt.Errorf("colstore: %s: column %q chunks hold more rows than the %d-byte data region",
+					file.path, name, dirOffset-8)
+			}
 			ci.chunks = append(ci.chunks, ch)
 		}
 		if r.err == nil && chunkRows != file.rows {

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -42,13 +44,24 @@ func TestBudgetExhaustionPartials(t *testing.T) {
 	// exhaustion there must also settle as a marked-partial empty answer.
 	adaptiveQ := Query{Op: OpHist1D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
 		Spec1: histogram.Spec1D{Var: "x", Bins: 8, Lo: 0, Hi: 1, Binning: histogram.Adaptive}}
+	// Without an explicit range the wholesale fallback has no spec edges
+	// to reuse: it must still answer finite, encodable edges.
+	unrangedAdaptiveQ := Query{Op: OpHist1D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
+		Spec1: histogram.Spec1D{Var: "x", Bins: 8, Lo: math.NaN(), Hi: math.NaN(), Binning: histogram.Adaptive}}
+	unrangedH1Q := Query{Op: OpHist1D, Dataset: "d", Backend: fastquery.Scan,
+		Spec1: histogram.NewSpec1D("x", 16)}
+	unrangedH2Q := Query{Op: OpHist2D, Dataset: "d", Backend: fastquery.Scan,
+		Spec2: histogram.NewSpec2D("x", "y", 4, 4)}
+	wholesale := map[string]bool{"adaptive-wholesale": true, "unranged-adaptive": true,
+		"unranged-hist1d": true, "unranged-hist2d": true}
 
 	for _, policy := range []PartialPolicy{FailFast, ReturnPartial} {
 		for name, q := range map[string]Query{
 			"count": countQ, "hist1d": h1Q, "hist2d": h2Q, "adaptive-wholesale": adaptiveQ,
+			"unranged-adaptive": unrangedAdaptiveQ, "unranged-hist1d": unrangedH1Q, "unranged-hist2d": unrangedH2Q,
 		} {
 			exhaust := map[int]bool{2: true}
-			if name == "adaptive-wholesale" {
+			if wholesale[name] {
 				// Wholesale runs only on the home shard; exhaust every
 				// shard so the single fragment is hit regardless of home.
 				exhaust = map[int]bool{0: true, 1: true, 2: true, 3: true}
@@ -61,13 +74,26 @@ func TestBudgetExhaustionPartials(t *testing.T) {
 			if !res.Partial || len(res.Failed) == 0 {
 				t.Fatalf("%s/policy=%d: res = %+v, want marked partial", name, policy, res)
 			}
-			if name == "hist1d" || name == "adaptive-wholesale" {
+			var edges []float64
+			switch q.Op {
+			case OpHist1D:
 				if res.Hist1 == nil {
 					t.Fatalf("%s/policy=%d: partial without histogram", name, policy)
 				}
+				edges = res.Hist1.Edges
+			case OpHist2D:
+				if res.Hist2 == nil {
+					t.Fatalf("%s/policy=%d: partial without histogram", name, policy)
+				}
+				edges = append(append(edges, res.Hist2.XEdges...), res.Hist2.YEdges...)
 			}
-			if name == "hist2d" && res.Hist2 == nil {
-				t.Fatalf("%s/policy=%d: partial without histogram", name, policy)
+			for _, e := range edges {
+				if math.IsNaN(e) || math.IsInf(e, 0) {
+					t.Fatalf("%s/policy=%d: non-finite edge in %v", name, policy, edges)
+				}
+			}
+			if _, err := json.Marshal(res); err != nil {
+				t.Fatalf("%s/policy=%d: partial answer does not encode: %v", name, policy, err)
 			}
 		}
 	}

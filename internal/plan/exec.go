@@ -509,9 +509,10 @@ func (res *Result) addFailed(shards []int) {
 
 // mergeHist1 folds 1D partials bin-wise. The first partial is cloned so
 // merging never mutates a shard-cached value. When every partial is nil
-// (all shards failed — runTasks only lets that through when it returned
-// an error, so this is defensive) an empty histogram over the spec's
-// edges is returned.
+// (all shards failed, or the one wholesale fragment exhausted its
+// budget) an empty histogram over the spec's edges is returned; an unset
+// range falls back to [0, 0], as mergeRanges reports for an empty
+// selection, so the edges stay finite and encodable.
 func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
 	var merged *histogram.Hist1D
 	for _, p := range parts {
@@ -531,6 +532,9 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 		}
 	}
 	if merged == nil {
+		if !spec.HasRange() {
+			spec.Lo, spec.Hi = 0, 0
+		}
 		merged = &histogram.Hist1D{
 			Var:    spec.Var,
 			Edges:  histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins),
@@ -562,6 +566,12 @@ func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist
 		}
 	}
 	if merged == nil {
+		if !spec.HasXRange() {
+			spec.XLo, spec.XHi = 0, 0
+		}
+		if !spec.HasYRange() {
+			spec.YLo, spec.YHi = 0, 0
+		}
 		merged = &histogram.Hist2D{
 			XVar:   spec.XVar,
 			YVar:   spec.YVar,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full reproduction pipeline: generate datasets, run the serial and
-# parallel studies, regenerate the qualitative figures and produce the
+# Full reproduction pipeline: generate datasets, then run every subcommand
+# of the figures driver — the serial and parallel studies, the qualitative
+# gallery, the Section IV use case, the beam-quality history and the
 # self-contained HTML report. Outputs land in ./out (override with $OUT).
 #
 # Usage:  scripts/reproduce.sh [small|full]
@@ -29,32 +30,41 @@ full)
 esac
 
 echo "== building tools"
-go build ./...
+BIN="$OUT/bin"
+mkdir -p "$BIN"
+go build -o "$BIN/" ./cmd/lwfagen ./cmd/figures
 
 echo "== generating serial dataset ($SERIAL_STEPS x $SERIAL_PARTICLES particles)"
-go run ./cmd/lwfagen -out "$OUT/serial" -steps "$SERIAL_STEPS" \
+"$BIN/lwfagen" -out "$OUT/serial" -steps "$SERIAL_STEPS" \
     -particles "$SERIAL_PARTICLES" -beam "$SERIAL_BEAM" -q
 
 echo "== generating scaling dataset ($SCALE_STEPS x $SCALE_PARTICLES particles)"
-go run ./cmd/lwfagen -out "$OUT/scaling" -steps "$SCALE_STEPS" \
+"$BIN/lwfagen" -out "$OUT/scaling" -steps "$SCALE_STEPS" \
     -particles "$SCALE_PARTICLES" -beam "$SCALE_BEAM" -q
 
+echo "== dataset summary"
+"$BIN/figures" info -data "$OUT/serial" | tee "$OUT/info.txt"
+
 echo "== serial study (Figs. 11-13)"
-go run ./cmd/histbench -data "$OUT/serial" -exp all -runs 3 \
+"$BIN/figures" serial -data "$OUT/serial" -exp all -runs 3 \
     | tee "$OUT/serial_results.txt"
 
 echo "== scaling study (Figs. 14-17 + scheduling ablation)"
-go run ./cmd/scalebench -data "$OUT/scaling" -exp all \
+"$BIN/figures" scale -data "$OUT/scaling" -exp all \
     -track-hits "$TRACK_HITS" -schedules | tee "$OUT/scaling_results.txt"
 
 echo "== qualitative figures (Figs. 2/4/5/9/10b)"
-go run ./cmd/figures -data "$OUT/serial" -out "$OUT/figures"
+"$BIN/figures" render -data "$OUT/serial" -out "$OUT/figures"
 
-echo "== beam quality history"
-go run ./cmd/beamstats -data "$OUT/serial" -query "px > 5e10" \
-    | tee "$OUT/beamstats.txt"
+echo "== Section IV use case (Figs. 5-8, then Fig. 10 in 3D)"
+"$BIN/figures" usecase -out "$OUT/usecase" | tee "$OUT/usecase.txt"
+"$BIN/figures" usecase -3d -out "$OUT/usecase3d" | tee "$OUT/usecase3d.txt"
+
+echo "== tracking and beam quality history"
+"$BIN/figures" track -data "$OUT/serial" -query "px > 5e10" \
+    | tee "$OUT/track.txt"
 
 echo "== HTML report"
-go run ./cmd/mkreport -data "$OUT/serial" -out "$OUT/report.html"
+"$BIN/figures" report -data "$OUT/serial" -out "$OUT/report.html"
 
 echo "== done; artifacts in $OUT/"
