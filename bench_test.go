@@ -590,7 +590,8 @@ func BenchmarkAblationHistogramStrategy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := si.Evaluator(fastbit.MemReader{"px": px, "y": y})
+	mem := fastbit.MemReader{"px": px, "y": y}
+	ev := si.Evaluator(mem)
 	for _, sel := range []struct {
 		name string
 		cond string
@@ -600,10 +601,18 @@ func BenchmarkAblationHistogramStrategy(b *testing.B) {
 	} {
 		cond := query.MustParse(sel.cond)
 		b.Run("TwoStepGather/"+sel.name, func(b *testing.B) {
-			spec := histogram.NewSpec1D("px", 256)
-			spec.Lo, spec.Hi = si.Columns["px"].Min(), si.Columns["px"].Max()
+			// Select the matching rows, gather their values, bin them.
+			edges := histogram.UniformEdges(si.Columns["px"].Min(), si.Columns["px"].Max(), 256)
 			for i := 0; i < b.N; i++ {
-				if _, err := ev.Histogram1D(cond, spec); err != nil {
+				pos, err := ev.Select(cond)
+				if err != nil {
+					b.Fatal(err)
+				}
+				vs, err := mem.ValuesAt("px", pos)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := histogram.Compute1D("px", vs, edges); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -370,7 +370,7 @@ type harness struct {
 }
 
 // pathFor rotates across the query surface — count, 1D and 2D conditional
-// histograms, wholesale and two-phase routing — with parameters varied by
+// histograms, home-shard and two-phase routing — with parameters varied by
 // index so shard-side fragment caches cannot mask the fault path.
 func pathFor(i int) string {
 	step := i % 3
@@ -577,8 +577,8 @@ func (h *harness) killOneShard(dir string, groups [][]string, victim *node, main
 		Requests:         recorded,
 	}
 	// Invariant 1 still holds under the dead shard: an unmarked 200 must
-	// match the baseline exactly (wholesale-routed histograms whose home
-	// shard survived legitimately stay complete); anything else must be
+	// match the baseline exactly (whole-step histograms whose home shard
+	// survived legitimately stay complete); anything else must be
 	// marked partial or fail cleanly.
 	for _, r := range append(onRes, offRes...) {
 		if r.err != nil || r.code != http.StatusOK || r.partial {

@@ -17,13 +17,10 @@ import (
 // check loops: ctx is tested once every checkpointRows records.
 const checkpointRows = 64 * 1024
 
-// RawReader provides access to the base data for candidate checks and for
-// the value-gather step of conditional histograms.
+// RawReader provides access to the base data for candidate checks.
 type RawReader interface {
 	// ValuesAt returns the values of a column at sorted record positions.
 	ValuesAt(name string, positions []uint64) ([]float64, error)
-	// Column returns the whole column.
-	Column(name string) ([]float64, error)
 }
 
 // MemReader is a RawReader over in-memory columns, used by tests and by
@@ -44,15 +41,6 @@ func (m MemReader) ValuesAt(name string, positions []uint64) ([]float64, error) 
 		out[i] = col[p]
 	}
 	return out, nil
-}
-
-// Column implements RawReader.
-func (m MemReader) Column(name string) ([]float64, error) {
-	col, ok := m[name]
-	if !ok {
-		return nil, fmt.Errorf("fastbit: no column %q", name)
-	}
-	return col, nil
 }
 
 // Evaluator resolves query expressions to record bitmaps using the

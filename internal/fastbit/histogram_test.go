@@ -4,161 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/histogram"
 	"repro/internal/query"
 	"repro/internal/scan"
 )
-
-func TestUnconditionalHistogram2DMatchesScan(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 6000, 31, IndexOptions{Bins: 64})
-	ev := si.Evaluator(mem)
-	spec := histogram.NewSpec2D("x", "px", 32, 32)
-	got, err := ev.Histogram2D(nil, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scan.Histogram2D(scanColumns(mem), "x", "px", got.XEdges, got.YEdges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total() != want.Total() || got.Total() != 6000 {
-		t.Fatalf("totals: fastbit %d scan %d", got.Total(), want.Total())
-	}
-	for i := range got.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, got.Counts[i], want.Counts[i])
-		}
-	}
-}
-
-func TestConditionalHistogram2DMatchesScan(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 6000, 32, IndexOptions{Bins: 64})
-	ev := si.Evaluator(mem)
-	cond := query.MustParse("px > 1e9")
-	spec := histogram.NewSpec2D("x", "px", 16, 16).WithXRange(0, 1e-3).WithYRange(1e9, 1e11)
-	got, err := ev.Histogram2D(cond, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scan.ConditionalHistogram2D(scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, got.Counts[i], want.Counts[i])
-		}
-	}
-	if got.Total() == 0 {
-		t.Fatal("conditional histogram empty — test data has no accelerated tail?")
-	}
-}
-
-func TestConditionalHistogramDerivedRange(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 4000, 33, IndexOptions{Bins: 32})
-	ev := si.Evaluator(mem)
-	cond := query.MustParse("px > 1e9")
-	spec := histogram.NewSpec2D("x", "px", 8, 8) // ranges derived from selection
-	h, err := ev.Histogram2D(cond, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, err := ev.Count(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Derived ranges cover the selected values exactly, so no mass is lost.
-	if h.Total() != cnt {
-		t.Fatalf("histogram total %d != selection count %d", h.Total(), cnt)
-	}
-	if h.YEdges[0] <= 1e9 {
-		// The derived Y range must come from the selected values only.
-		t.Fatalf("derived y range starts at %g, expected above threshold", h.YEdges[0])
-	}
-}
-
-func TestAdaptiveHistogram2D(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 8000, 34, IndexOptions{Bins: 64})
-	ev := si.Evaluator(mem)
-	spec := histogram.NewSpec2D("x", "px", 16, 16).WithBinning(histogram.Adaptive)
-	h, err := ev.Histogram2D(nil, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 8000 {
-		t.Fatalf("adaptive histogram total %d", h.Total())
-	}
-	// Equal-weight property along each axis (marginals roughly balanced).
-	mx := h.MarginalX()
-	target := float64(mx.Total()) / float64(mx.Bins())
-	for i, c := range mx.Counts {
-		if float64(c) > 4*target {
-			t.Errorf("adaptive x bin %d holds %d, target %.0f", i, c, target)
-		}
-	}
-	// Edges strictly increasing, non-uniform in general.
-	for i := 1; i < len(h.XEdges); i++ {
-		if !(h.XEdges[i] > h.XEdges[i-1]) {
-			t.Fatal("adaptive x edges not increasing")
-		}
-	}
-}
-
-func TestHistogram1DFromIndexCounts(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 5000, 35, IndexOptions{Bins: 32})
-	ev := si.Evaluator(mem)
-	spec := histogram.NewSpec1D("px", 32) // matches index bins exactly
-	h, err := ev.Histogram1D(nil, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scan.Histogram1D(scanColumns(mem), "px", nil, h.Edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range h.Counts {
-		if h.Counts[i] != want.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, h.Counts[i], want.Counts[i])
-		}
-	}
-	if h.Total() != 5000 {
-		t.Fatalf("total %d", h.Total())
-	}
-}
-
-func TestHistogram1DConditionalAndAdaptive(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 5000, 36, IndexOptions{Bins: 32})
-	ev := si.Evaluator(mem)
-	cond := query.MustParse("px > 0")
-	spec := histogram.Spec1D{Var: "px", Bins: 10, Binning: histogram.Adaptive,
-		Lo: 0, Hi: si.Columns["px"].Max()}
-	h, err := ev.Histogram1D(cond, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, _ := ev.Count(cond)
-	// Values equal to 0 are excluded by the condition but lie on the low
-	// edge; totals must still match the selection size.
-	if h.Total() != cnt {
-		t.Fatalf("1D conditional total %d != count %d", h.Total(), cnt)
-	}
-	// Unknown variable errors.
-	if _, err := ev.Histogram1D(nil, histogram.NewSpec1D("zz", 8)); err == nil {
-		t.Fatal("unknown variable accepted")
-	}
-}
-
-func TestHistogramRequiresRawReader(t *testing.T) {
-	si, mem, _ := buildTestStep(t, 100, 37, IndexOptions{Bins: 8})
-	ev := si.Evaluator(mem)
-	ev.Raw = nil
-	if _, err := ev.Histogram2D(nil, histogram.NewSpec2D("x", "px", 4, 4)); err == nil {
-		t.Fatal("nil raw reader accepted")
-	}
-	if _, err := ev.Histogram1D(nil, histogram.NewSpec1D("x", 4)); err == nil {
-		t.Fatal("nil raw reader accepted")
-	}
-}
 
 func TestStepIndexSerializationRoundTrip(t *testing.T) {
 	si, mem, ids := buildTestStep(t, 3000, 38, IndexOptions{Bins: 24})

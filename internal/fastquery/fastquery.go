@@ -251,13 +251,6 @@ func (st *Step) ReadIDs() ([]int64, error) {
 	return st.file.ReadInt64(st.idVar())
 }
 
-// ValuesInRangeCtx reads rows [lo, hi) of a column, touching only the
-// chunks that overlap them and charging the read to the context's cost
-// accumulator: the access path of an unconditional shard fragment.
-func (st *Step) ValuesInRangeCtx(ctx context.Context, name string, lo, hi uint64) ([]float64, error) {
-	return st.file.ReadAsFloat64RangeCost(name, lo, hi, obs.CostFromContext(ctx))
-}
-
 // ValuesAt gathers a column's values at the given sorted row positions,
 // reading only the chunks that contain them. This is the shard executor's
 // access path: a fragment evaluates over its row range of the step, which
@@ -307,10 +300,6 @@ type reader struct {
 
 func (r reader) ValuesAt(name string, positions []uint64) ([]float64, error) {
 	return r.f.ReadFloat64AtCost(name, positions, r.cost)
-}
-
-func (r reader) Column(name string) ([]float64, error) {
-	return r.f.ReadAsFloat64Cost(name, r.cost)
 }
 
 // evaluator returns a fastbit evaluator for this step, wired to charge
@@ -470,21 +459,39 @@ func (st *Step) Histogram2D(cond query.Expr, spec histogram.Spec2D, b Backend) (
 	return st.Histogram2DCtx(context.Background(), cond, spec, b)
 }
 
-// Histogram2DCtx is Histogram2D with cooperative cancellation.
+// Histogram2DCtx is Histogram2D with cooperative cancellation. FastBit is
+// the paper's two-step conditional histogram (Section V-A2): the index
+// selects the matching rows, then Histogram2DOver gathers their values
+// into an array of one element per hit and bins it — which is why it wins
+// for selective conditions and loses to a scan once the selection nears
+// the whole step. Scan is the paper's Custom kernel (Figs. 11-13): one
+// fused pass that tests the condition and bins each matching row.
 func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec2D, b Backend) (*histogram.Hist2D, error) {
 	switch b {
 	case FastBit:
-		ev, err := st.evaluator(ctx)
+		rows, err := st.indexed(ctx, cond)
 		if err != nil {
 			return nil, err
 		}
-		return ev.Histogram2DCtx(ctx, cond, spec)
+		return st.Histogram2DOver(ctx, rows, spec)
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.XVar, spec.YVar)
 		if err != nil {
 			return nil, err
 		}
-		return scanHistogram2D(ctx, cols, cond, spec)
+		xs, ys := cols[spec.XVar], cols[spec.YVar]
+		if cond != nil {
+			pos, err := scan.SelectCtx(ctx, cols, cond)
+			if err != nil {
+				return nil, err
+			}
+			xs, ys = gather(xs, pos), gather(ys, pos)
+		}
+		xe, ye, err := edges2D(xs, ys, spec)
+		if err != nil {
+			return nil, err
+		}
+		return scan.ConditionalHistogram2DCtx(ctx, cols, spec.XVar, spec.YVar, cond, xe, ye)
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}
@@ -495,24 +502,60 @@ func (st *Step) Histogram1D(cond query.Expr, spec histogram.Spec1D, b Backend) (
 	return st.Histogram1DCtx(context.Background(), cond, spec, b)
 }
 
-// Histogram1DCtx is Histogram1D with cooperative cancellation.
+// Histogram1DCtx is Histogram1D with cooperative cancellation; the
+// backends split as in Histogram2DCtx.
 func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
 	switch b {
 	case FastBit:
-		ev, err := st.evaluator(ctx)
+		rows, err := st.indexed(ctx, cond)
 		if err != nil {
 			return nil, err
 		}
-		return ev.Histogram1DCtx(ctx, cond, spec)
+		return st.Histogram1DOver(ctx, rows, spec, FastBit)
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.Var)
 		if err != nil {
 			return nil, err
 		}
-		return scanHistogram1D(ctx, cols, cond, spec)
+		vs := cols[spec.Var]
+		if cond != nil {
+			pos, err := scan.SelectCtx(ctx, cols, cond)
+			if err != nil {
+				return nil, err
+			}
+			vs = gather(vs, pos)
+		}
+		edges, err := edges1D(vs, spec)
+		if err != nil {
+			return nil, err
+		}
+		return scan.Histogram1DCtx(ctx, cols, spec.Var, cond, edges)
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}
+}
+
+// indexed returns the rows a FastBit histogram over cond bins: the
+// index's selection over the whole step, or every row when cond is nil.
+func (st *Step) indexed(ctx context.Context, cond query.Expr) (Rows, error) {
+	if st.index == nil {
+		return Rows{}, st.noIndexError()
+	}
+	if cond == nil {
+		return Rows{All: true, Hi: st.Rows()}, nil
+	}
+	pos, err := st.SelectCtx(ctx, cond, FastBit, 0, st.Rows())
+	return Rows{Pos: pos}, err
+}
+
+// gather returns vals at the sorted positions pos: the selected values
+// the fused scan resolves its edges from.
+func gather(vals []float64, pos []uint64) []float64 {
+	out := make([]float64, len(pos))
+	for i, p := range pos {
+		out[i] = vals[p]
+	}
+	return out
 }
 
 // Histogram1DIndexOnlyCtx computes an approximate conditional 1D
@@ -541,84 +584,6 @@ func (st *Step) Histogram2DIndexOnlyCtx(ctx context.Context, cond query.Expr, xv
 	}
 	ev.Approx = true
 	return ev.Histogram2DFromBitmapsCtx(ctx, cond, xvar, yvar)
-}
-
-// resolveEdges derives the bin edges a spec implies for the given columns
-// and condition.
-func resolveEdges(ctx context.Context, cols scan.Columns, cond query.Expr, spec histogram.Spec2D) (xe, ye []float64, err error) {
-	xs, ys := cols[spec.XVar], cols[spec.YVar]
-	selX, selY := xs, ys
-	if cond != nil {
-		pos, err := scan.SelectCtx(ctx, cols, cond)
-		if err != nil {
-			return nil, nil, err
-		}
-		selX = gather(xs, pos)
-		selY = gather(ys, pos)
-	}
-	xlo, xhi := spec.XLo, spec.XHi
-	if !spec.HasXRange() {
-		xlo, xhi = scan.MinMax(selX)
-	}
-	ylo, yhi := spec.YLo, spec.YHi
-	if !spec.HasYRange() {
-		ylo, yhi = scan.MinMax(selY)
-	}
-	if spec.Binning == histogram.Adaptive {
-		if xe, err = histogram.AdaptiveEdges(selX, xlo, xhi, spec.XBins, spec.MinDensity); err != nil {
-			return nil, nil, err
-		}
-		if ye, err = histogram.AdaptiveEdges(selY, ylo, yhi, spec.YBins, spec.MinDensity); err != nil {
-			return nil, nil, err
-		}
-		return xe, ye, nil
-	}
-	return histogram.UniformEdges(xlo, xhi, spec.XBins), histogram.UniformEdges(ylo, yhi, spec.YBins), nil
-}
-
-// scanHistogram2D resolves spec ranges/edges against scan columns. Range
-// derivation and adaptive edges see only the selected values, like the
-// FastBit path, so both backends produce identical histograms.
-func scanHistogram2D(ctx context.Context, cols scan.Columns, cond query.Expr, spec histogram.Spec2D) (*histogram.Hist2D, error) {
-	xe, ye, err := resolveEdges(ctx, cols, cond, spec)
-	if err != nil {
-		return nil, err
-	}
-	return scan.ConditionalHistogram2DCtx(ctx, cols, spec.XVar, spec.YVar, cond, xe, ye)
-}
-
-func scanHistogram1D(ctx context.Context, cols scan.Columns, cond query.Expr, spec histogram.Spec1D) (*histogram.Hist1D, error) {
-	vs := cols[spec.Var]
-	sel := vs
-	if cond != nil {
-		pos, err := scan.SelectCtx(ctx, cols, cond)
-		if err != nil {
-			return nil, err
-		}
-		sel = gather(vs, pos)
-	}
-	lo, hi := spec.Lo, spec.Hi
-	if !spec.HasRange() {
-		lo, hi = scan.MinMax(sel)
-	}
-	var edges []float64
-	var err error
-	if spec.Binning == histogram.Adaptive {
-		if edges, err = histogram.AdaptiveEdges(sel, lo, hi, spec.Bins, spec.MinDensity); err != nil {
-			return nil, err
-		}
-	} else {
-		edges = histogram.UniformEdges(lo, hi, spec.Bins)
-	}
-	return scan.Histogram1DCtx(ctx, cols, spec.Var, cond, edges)
-}
-
-func gather(vals []float64, pos []uint64) []float64 {
-	out := make([]float64, len(pos))
-	for i, p := range pos {
-		out[i] = vals[p]
-	}
-	return out
 }
 
 // MinMax returns the value range of a column, preferring the index's

@@ -134,9 +134,10 @@ func (l *Locator) Bins() int { return l.n }
 // Edges returns the edge slice (not a copy; callers must not mutate).
 func (l *Locator) Edges() []float64 { return l.edges }
 
-// Bin returns the bin index for v, or -1 when v lies outside [lo, hi].
+// Bin returns the bin index for v, or -1 when v lies outside [lo, hi]
+// or is NaN.
 func (l *Locator) Bin(v float64) int {
-	if v < l.lo || v > l.hi {
+	if !(v >= l.lo && v <= l.hi) {
 		return -1
 	}
 	if v == l.hi {

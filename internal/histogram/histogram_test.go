@@ -46,7 +46,7 @@ func TestLocatorUniform(t *testing.T) {
 		want int
 	}{
 		{-0.001, -1}, {0, 0}, {0.5, 0}, {1, 1}, {9.999, 9},
-		{10, 9}, {10.001, -1}, {5, 5},
+		{10, 9}, {10.001, -1}, {5, 5}, {math.NaN(), -1},
 	}
 	for _, c := range cases {
 		if got := loc.Bin(c.v); got != c.want {
@@ -65,6 +65,7 @@ func TestLocatorNonUniform(t *testing.T) {
 		want int
 	}{
 		{0, 0}, {0.9, 0}, {1, 1}, {9.99, 1}, {10, 2}, {100, 2}, {101, -1}, {-1, -1},
+		{math.NaN(), -1},
 	}
 	for _, c := range cases {
 		if got := loc.Bin(c.v); got != c.want {

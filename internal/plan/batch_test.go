@@ -198,7 +198,7 @@ func TestProfileFragmentsSorted(t *testing.T) {
 		{Step: 0, Shard: 1, Rows: [2]int{50, 100}, Op: "hist2d"},
 		{Step: 1, Shard: 0, Rows: [2]int{0, 60}, Op: "hist2d"},
 		{Step: 1, Shard: 0, Rows: [2]int{60, 90}, Op: "hist2d"},
-		{Step: 2, Shard: 2, Op: "whole2d"},
+		{Step: 2, Shard: 2, Op: "hist2d"},
 	}
 	p := NewProfile()
 	for _, i := range []int{4, 2, 5, 0, 3, 1} {

@@ -41,11 +41,12 @@ type Runner interface {
 //
 // Routing preserves bit-identity with single-process execution:
 //
-//   - Adaptive binning is not mergeable (edges depend on the global data
-//     distribution), and unconditional histograms with no explicit range
-//     have index-resolution fast paths that a scatter would bypass — both
-//     run "wholesale": the original spec evaluated over the whole step on
-//     the key's home shard.
+//   - A histogram that cannot scatter — one shard, a zero-row step,
+//     adaptive binning (edges depend on the global data distribution), or
+//     unconditional with no explicit range — is one FragHist fragment
+//     over the whole step with the client's spec, on the key's home
+//     shard; the shard resolves the edges from the rows it bins, exactly
+//     as a single process does.
 //   - Uniform histograms with explicit ranges scatter directly; partials
 //     share deterministically recomputed edges and merge bin-wise.
 //   - Conditional uniform histograms with data-derived ranges run in two
@@ -154,7 +155,7 @@ type task struct {
 
 // scatterTasks builds one fragment per non-empty shard row range. An
 // empty task list (zero-row step) signals the caller to fall back to a
-// single wholesale fragment.
+// single whole-step fragment.
 func scatterTasks(m ShardMap, rows uint64, mk func(RowRange) Fragment) []task {
 	tasks := make([]task, 0, m.Shards)
 	for i := 0; i < m.Shards; i++ {
@@ -168,12 +169,12 @@ func scatterTasks(m ShardMap, rows uint64, mk func(RowRange) Fragment) []task {
 }
 
 // runTasks scatters the tasks concurrently and collects partials. It
-// returns the per-task results (nil where a task failed), the sorted
-// distinct failed shard indices, whether any failure was deadline-budget
-// exhaustion, and an error when the operation cannot proceed: context
-// canceled, a fatal (non-retryable) fragment error, every task failed,
-// or any task failed under FailFast.
-func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy) ([]*FragmentResult, []int, bool, error) {
+// returns the per-task results (nil where a task failed) and folds the
+// attempt into res: the fragment count, the failed shards and whether any
+// failure was deadline-budget exhaustion. It returns an error when the
+// operation cannot proceed: context canceled, a fatal (non-retryable)
+// fragment error, every task failed, or any task failed under FailFast.
+func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy, res *Result) ([]*FragmentResult, error) {
 	sctx, scatterSpan := obs.StartSpan(ctx, "scatter")
 	scatterSpan.SetAttr("fragments", strconv.Itoa(len(tasks)))
 	if len(tasks) > 0 {
@@ -203,7 +204,7 @@ func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy)
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	var firstErr error
 	var exhausted bool
@@ -213,7 +214,7 @@ func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy)
 			continue
 		}
 		if fastquery.IsFatal(err) {
-			return nil, nil, false, err
+			return nil, err
 		}
 		failed[tasks[i].shard] = true
 		if fastquery.IsExhausted(err) {
@@ -230,35 +231,27 @@ func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy)
 		}
 	}
 	if firstErr != nil && (policy == FailFast || len(failed) >= len(tasks)) {
-		return nil, nil, false, firstErr
+		return nil, firstErr
 	}
 	shards := make([]int, 0, len(failed))
 	for s := range failed {
 		shards = append(shards, s)
 	}
-	sort.Ints(shards)
-	return results, shards, exhausted, nil
+	res.Fragments += len(tasks)
+	res.addFailed(shards)
+	res.BudgetExhausted = res.BudgetExhausted || exhausted
+	return results, nil
 }
 
-// runWholesale executes a single whole-step fragment on its home shard.
-// There is nothing to merge, so a failure is an error regardless of
-// policy (the runner has already exhausted that shard's replicas) —
-// except deadline-budget exhaustion, which the exec* callers convert
-// into a marked-partial empty result.
-func runWholesale(ctx context.Context, m ShardMap, r Runner, f Fragment) (*FragmentResult, int, error) {
-	home := m.Home(f.Key())
-	fctx, span := obs.StartSpan(ctx, "fragment")
-	span.SetAttr("shard", strconv.Itoa(home))
-	span.SetAttr("op", f.Op.String())
-	res, err := r.RunFragment(fctx, home, f)
-	if err != nil {
-		span.SetAttr("error", err.Error())
+// homeTask is a histogram that cannot scatter: one fragment over the
+// whole step, on the key's home shard so that shard's cache absorbs
+// repeats. It returns the plan mode with the task.
+func homeTask(m ShardMap, f Fragment) (string, []task) {
+	mode := "wholesale"
+	if m.Shards <= 1 {
+		mode = "local"
 	}
-	span.End()
-	if err != nil {
-		return nil, home, err
-	}
-	return res, home, nil
+	return mode, []task{{shard: m.Home(f.Key()), frag: f}}
 }
 
 func (q Query) fragment(op FragOp, rr RowRange) Fragment {
@@ -282,13 +275,10 @@ func execCount(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, 
 	if len(tasks) == 0 {
 		tasks = []task{{shard: 0, frag: q.fragment(FragCount, RowRange{})}}
 	}
-	parts, failedShards, exhausted, err := runTasks(ctx, r, tasks, policy)
+	res := &Result{Mode: mode}
+	parts, err := runTasks(ctx, r, tasks, policy, res)
 	if err != nil {
 		return nil, err
-	}
-	res := &Result{
-		Mode: mode, Fragments: len(tasks), Failed: failedShards,
-		Partial: len(failedShards) > 0, BudgetExhausted: exhausted,
 	}
 	for _, p := range parts {
 		if p != nil {
@@ -317,13 +307,10 @@ func execSelect(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner,
 	if len(tasks) == 0 { // zero-row step: nothing to select
 		return &Result{Mode: mode}, nil
 	}
-	parts, failedShards, exhausted, err := runTasks(ctx, r, tasks, policy)
+	res := &Result{Mode: mode}
+	parts, err := runTasks(ctx, r, tasks, policy, res)
 	if err != nil {
 		return nil, err
-	}
-	res := &Result{
-		Mode: mode, Fragments: len(tasks), Failed: failedShards,
-		Partial: len(failedShards) > 0, BudgetExhausted: exhausted,
 	}
 	total := 0
 	for _, p := range parts {
@@ -343,125 +330,74 @@ func execSelect(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner,
 
 func execHist1D(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
 	spec := q.Spec1
-	wholesale := m.Shards <= 1 || rows == 0 ||
-		spec.Binning == histogram.Adaptive ||
-		(q.Query == "" && !spec.HasRange())
-	if wholesale {
-		f := q.fragment(FragWhole1D, RowRange{})
-		mode := "wholesale"
-		if m.Shards <= 1 {
-			mode = "local"
-		}
-		part, home, err := runWholesale(ctx, m, r, f)
-		if err != nil {
-			if fastquery.IsExhausted(err) {
-				// Nothing survived to merge, but the contract holds under
-				// both policies: a spent budget yields a marked-partial
-				// empty histogram, never an error (which would be a 504).
-				res := &Result{Mode: mode, Fragments: 1, BudgetExhausted: true}
-				res.addFailed([]int{home})
-				res.Hist1, _ = mergeHist1(spec, nil)
-				return res, nil
-			}
-			return nil, err
-		}
-		return &Result{Hist1: part.Hist1, Mode: mode, Fragments: 1}, nil
-	}
-
 	res := &Result{Mode: "scatter"}
-	if !spec.HasRange() {
-		vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, []string{spec.Var})
-		if err != nil {
-			return nil, err
+	var tasks []task
+	if m.Shards <= 1 || rows == 0 || spec.Binning == histogram.Adaptive || (q.Query == "" && !spec.HasRange()) {
+		res.Mode, tasks = homeTask(m, q.fragment(FragHist1D, RowRange{}))
+	} else {
+		if !spec.HasRange() {
+			vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, []string{spec.Var})
+			if err != nil {
+				return nil, err
+			}
+			spec.Lo, spec.Hi = vr[spec.Var].Lo, vr[spec.Var].Hi
 		}
-		spec.Lo, spec.Hi = vr[spec.Var].Lo, vr[spec.Var].Hi
+		tasks = scatterTasks(m, rows, func(rr RowRange) Fragment {
+			f := q.fragment(FragHist1D, rr)
+			f.Spec1 = spec
+			return f
+		})
 	}
-	tasks := scatterTasks(m, rows, func(rr RowRange) Fragment {
-		f := q.fragment(FragHist1D, rr)
-		f.Spec1 = spec
-		return f
-	})
-	parts, failedShards, exhausted, err := runTasks(ctx, r, tasks, policy)
+	parts, err := runTasks(ctx, r, tasks, policy, res)
 	if err != nil {
 		return nil, err
 	}
-	res.Fragments += len(tasks)
-	res.addFailed(failedShards)
-	res.BudgetExhausted = res.BudgetExhausted || exhausted
-	merged, err := mergeHist1(spec, parts)
-	if err != nil {
+	if res.Hist1, err = mergeHist1(spec, parts); err != nil {
 		return nil, err
 	}
-	res.Hist1 = merged
 	return res, nil
 }
 
 func execHist2D(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
 	spec := q.Spec2
 	needX, needY := !spec.HasXRange(), !spec.HasYRange()
-	wholesale := m.Shards <= 1 || rows == 0 ||
-		spec.Binning == histogram.Adaptive ||
-		(q.Query == "" && (needX || needY))
-	if wholesale {
-		f := q.fragment(FragWhole2D, RowRange{})
-		mode := "wholesale"
-		if m.Shards <= 1 {
-			mode = "local"
-		}
-		part, home, err := runWholesale(ctx, m, r, f)
-		if err != nil {
-			if fastquery.IsExhausted(err) {
-				res := &Result{Mode: mode, Fragments: 1, BudgetExhausted: true}
-				res.addFailed([]int{home})
-				res.Hist2, _ = mergeHist2(spec, nil)
-				return res, nil
-			}
-			return nil, err
-		}
-		return &Result{Hist2: part.Hist2, Mode: mode, Fragments: 1}, nil
-	}
-
 	res := &Result{Mode: "scatter"}
-	if needX || needY {
-		var vars []string
-		if needX {
-			vars = append(vars, spec.XVar)
-		}
-		if needY && spec.YVar != spec.XVar {
-			vars = append(vars, spec.YVar)
-		}
-		vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, vars)
-		if err != nil {
-			return nil, err
-		}
-		if needX {
-			spec.XLo, spec.XHi = vr[spec.XVar].Lo, vr[spec.XVar].Hi
-		}
-		if needY {
-			y := vr[spec.YVar]
-			if spec.YVar == spec.XVar {
-				y = vr[spec.XVar]
+	var tasks []task
+	if m.Shards <= 1 || rows == 0 || spec.Binning == histogram.Adaptive || (q.Query == "" && (needX || needY)) {
+		res.Mode, tasks = homeTask(m, q.fragment(FragHist2D, RowRange{}))
+	} else {
+		if needX || needY {
+			var vars []string
+			if needX {
+				vars = append(vars, spec.XVar)
 			}
-			spec.YLo, spec.YHi = y.Lo, y.Hi
+			if needY && spec.YVar != spec.XVar {
+				vars = append(vars, spec.YVar)
+			}
+			vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, vars)
+			if err != nil {
+				return nil, err
+			}
+			if needX {
+				spec.XLo, spec.XHi = vr[spec.XVar].Lo, vr[spec.XVar].Hi
+			}
+			if needY {
+				spec.YLo, spec.YHi = vr[spec.YVar].Lo, vr[spec.YVar].Hi
+			}
 		}
+		tasks = scatterTasks(m, rows, func(rr RowRange) Fragment {
+			f := q.fragment(FragHist2D, rr)
+			f.Spec2 = spec
+			return f
+		})
 	}
-	tasks := scatterTasks(m, rows, func(rr RowRange) Fragment {
-		f := q.fragment(FragHist2D, rr)
-		f.Spec2 = spec
-		return f
-	})
-	parts, failedShards, exhausted, err := runTasks(ctx, r, tasks, policy)
+	parts, err := runTasks(ctx, r, tasks, policy, res)
 	if err != nil {
 		return nil, err
 	}
-	res.Fragments += len(tasks)
-	res.addFailed(failedShards)
-	res.BudgetExhausted = res.BudgetExhausted || exhausted
-	merged, err := mergeHist2(spec, parts)
-	if err != nil {
+	if res.Hist2, err = mergeHist2(spec, parts); err != nil {
 		return nil, err
 	}
-	res.Hist2 = merged
 	return res, nil
 }
 
@@ -475,13 +411,10 @@ func minmaxPhase(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner
 		f.Vars = vars
 		return f
 	})
-	parts, failedShards, exhausted, err := runTasks(ctx, r, tasks, policy)
+	parts, err := runTasks(ctx, r, tasks, policy, res)
 	if err != nil {
 		return nil, err
 	}
-	res.Fragments += len(tasks)
-	res.addFailed(failedShards)
-	res.BudgetExhausted = res.BudgetExhausted || exhausted
 	_, span := obs.StartSpan(ctx, "merge-range")
 	merged := mergeRanges(vars, parts)
 	span.End()
@@ -507,25 +440,31 @@ func (res *Result) addFailed(shards []int) {
 	res.Partial = true
 }
 
-// mergeHist1 folds 1D partials bin-wise. The first partial is cloned so
-// merging never mutates a shard-cached value. When every partial is nil
-// (all shards failed, or the one wholesale fragment exhausted its
-// budget) an empty histogram over the spec's edges is returned; an unset
-// range falls back to [0, 0], as mergeRanges reports for an empty
-// selection, so the edges stay finite and encodable.
+// mergeHist1 folds 1D partials bin-wise. Partials are read-only (a shard
+// may have cached them): a lone partial is the answer as it is, and the
+// first is cloned before a second merges into it. When every partial is
+// nil (all shards failed, or the one home fragment exhausted its budget)
+// an empty histogram over the spec's edges is returned; an unset range
+// falls back to [0, 0], as mergeRanges reports for an empty selection, so
+// the edges stay finite and encodable.
 func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
 	var merged *histogram.Hist1D
+	owned := false
 	for _, p := range parts {
 		if p == nil || p.Hist1 == nil {
 			continue
 		}
 		if merged == nil {
-			merged = &histogram.Hist1D{
-				Var:    p.Hist1.Var,
-				Edges:  append([]float64(nil), p.Hist1.Edges...),
-				Counts: append([]uint64(nil), p.Hist1.Counts...),
-			}
+			merged = p.Hist1
 			continue
+		}
+		if !owned {
+			merged = &histogram.Hist1D{
+				Var:    merged.Var,
+				Edges:  append([]float64(nil), merged.Edges...),
+				Counts: append([]uint64(nil), merged.Counts...),
+			}
+			owned = true
 		}
 		if err := merged.Merge(p.Hist1); err != nil {
 			return nil, fmt.Errorf("plan: merge 1d partials: %w", err)
@@ -547,19 +486,24 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 // mergeHist2 is mergeHist1 for 2D partials.
 func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist2D, error) {
 	var merged *histogram.Hist2D
+	owned := false
 	for _, p := range parts {
 		if p == nil || p.Hist2 == nil {
 			continue
 		}
 		if merged == nil {
-			merged = &histogram.Hist2D{
-				XVar:   p.Hist2.XVar,
-				YVar:   p.Hist2.YVar,
-				XEdges: append([]float64(nil), p.Hist2.XEdges...),
-				YEdges: append([]float64(nil), p.Hist2.YEdges...),
-				Counts: append([]uint64(nil), p.Hist2.Counts...),
-			}
+			merged = p.Hist2
 			continue
+		}
+		if !owned {
+			merged = &histogram.Hist2D{
+				XVar:   merged.XVar,
+				YVar:   merged.YVar,
+				XEdges: append([]float64(nil), merged.XEdges...),
+				YEdges: append([]float64(nil), merged.YEdges...),
+				Counts: append([]uint64(nil), merged.Counts...),
+			}
+			owned = true
 		}
 		if err := merged.Merge(p.Hist2); err != nil {
 			return nil, fmt.Errorf("plan: merge 2d partials: %w", err)

@@ -59,18 +59,14 @@ const (
 	// inside the fragment's row range (phase one of a two-phase
 	// histogram whose bin range is derived from the data).
 	FragMinMax
-	// FragHist1D bins matching rows inside the row range against a spec
-	// whose range is fully resolved; partials merge bin-wise.
+	// FragHist1D bins matching rows inside the row range against its
+	// spec. A scattered fragment carries a fully resolved uniform spec, so
+	// partials merge bin-wise; a histogram that cannot scatter is one
+	// fragment over the whole step with the client's spec, its edges
+	// resolved from the rows it bins.
 	FragHist1D
 	// FragHist2D is FragHist1D over a variable pair.
 	FragHist2D
-	// FragWhole1D evaluates the original 1D spec over the whole step on
-	// one shard. Used when the result is not mergeable (adaptive edges)
-	// or when a full-step evaluation has a cheaper path than a scatter
-	// (the index-aligned fast path for unconditional histograms).
-	FragWhole1D
-	// FragWhole2D is FragWhole1D for 2D specs.
-	FragWhole2D
 	// FragSelect returns the sorted matching row positions inside the
 	// fragment's row range. Shard ranges are contiguous and disjoint, so
 	// partials merge by concatenation in shard order and the union is
@@ -88,10 +84,6 @@ func (o FragOp) String() string {
 		return "hist1d"
 	case FragHist2D:
 		return "hist2d"
-	case FragWhole1D:
-		return "whole1d"
-	case FragWhole2D:
-		return "whole2d"
 	case FragSelect:
 		return "select"
 	default:
@@ -133,8 +125,8 @@ type Fragment struct {
 	Query   string
 	Backend fastquery.Backend
 	Vars    []string         // FragMinMax: variables needing ranges
-	Spec1   histogram.Spec1D // FragHist1D / FragWhole1D
-	Spec2   histogram.Spec2D // FragHist2D / FragWhole2D
+	Spec1   histogram.Spec1D // FragHist1D
+	Spec2   histogram.Spec2D // FragHist2D
 }
 
 // fmtG formats a float the way cache keys elsewhere in the system do:
@@ -159,11 +151,11 @@ func (f Fragment) Key() string {
 	switch f.Op {
 	case FragMinMax:
 		parts = append(parts, strings.Join(f.Vars, ","))
-	case FragHist1D, FragWhole1D:
+	case FragHist1D:
 		parts = append(parts, f.Spec1.Var,
 			strconv.Itoa(f.Spec1.Bins), f.Spec1.Binning.String(),
 			fmtG(f.Spec1.Lo), fmtG(f.Spec1.Hi), fmtG(f.Spec1.MinDensity))
-	case FragHist2D, FragWhole2D:
+	case FragHist2D:
 		parts = append(parts, f.Spec2.XVar, f.Spec2.YVar,
 			strconv.Itoa(f.Spec2.XBins), strconv.Itoa(f.Spec2.YBins),
 			f.Spec2.Binning.String(),
@@ -187,8 +179,8 @@ type VarRange struct {
 type FragmentResult struct {
 	Count  uint64            // FragCount / FragSelect (position count)
 	MinMax []VarRange        // FragMinMax
-	Hist1  *histogram.Hist1D // FragHist1D / FragWhole1D
-	Hist2  *histogram.Hist2D // FragHist2D / FragWhole2D
+	Hist1  *histogram.Hist1D // FragHist1D
+	Hist2  *histogram.Hist2D // FragHist2D
 	Sel    []uint64          // FragSelect: sorted global row positions
 }
 
@@ -265,14 +257,17 @@ func minU64(a, b uint64) uint64 {
 }
 
 // mergeRanges folds per-shard min/max partials into one range per
-// requested variable. Parts with N == 0 (no selected rows on that shard)
-// are skipped; when no shard selected any rows the merged range collapses
-// to (0, 0), matching scan.MinMax on an empty slice — which is what the
+// requested variable, the way scan.MinMax folds values: in row order
+// (shard order), skipping parts with N == 0 (no selected rows on that
+// shard) and all-NaN parts, and replacing an extreme only by a strictly
+// smaller or larger one, so a tie between -0 and +0 keeps the sign seen
+// first. When no shard selected any rows the merged range collapses to
+// (0, 0), matching scan.MinMax on an empty slice — which is what the
 // single-process path computes in that case.
 func mergeRanges(vars []string, parts []*FragmentResult) map[string]VarRange {
 	out := make(map[string]VarRange, len(vars))
 	for _, v := range vars {
-		merged := VarRange{Var: v, Lo: math.Inf(1), Hi: math.Inf(-1)}
+		merged := VarRange{Var: v}
 		for _, p := range parts {
 			if p == nil {
 				continue
@@ -281,13 +276,17 @@ func mergeRanges(vars []string, parts []*FragmentResult) map[string]VarRange {
 				if vr.Var != v || vr.N == 0 {
 					continue
 				}
-				merged.Lo = math.Min(merged.Lo, vr.Lo)
-				merged.Hi = math.Max(merged.Hi, vr.Hi)
+				if merged.N == 0 || math.IsNaN(merged.Lo) {
+					merged.Lo, merged.Hi = vr.Lo, vr.Hi
+				}
+				if vr.Lo < merged.Lo {
+					merged.Lo = vr.Lo
+				}
+				if vr.Hi > merged.Hi {
+					merged.Hi = vr.Hi
+				}
 				merged.N += vr.N
 			}
-		}
-		if merged.N == 0 {
-			merged.Lo, merged.Hi = 0, 0
 		}
 		out[v] = merged
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
+	"repro/internal/scan"
 )
 
 func TestShardMapRangePartition(t *testing.T) {
@@ -96,7 +98,7 @@ func TestFragmentKey(t *testing.T) {
 	f.Spec1.Hi = 2
 	mutations["hi"] = f
 	f = base
-	f.Op = FragWhole1D
+	f.Op = FragMinMax
 	mutations["op"] = f
 	for name, m := range mutations {
 		k := m.Key()
@@ -118,6 +120,31 @@ func TestMergeRanges(t *testing.T) {
 	want := VarRange{Var: "x", Lo: -3, Hi: 2, N: 14}
 	if got != want {
 		t.Fatalf("merged = %+v, want %+v", got, want)
+	}
+
+	// A tie between -0 and +0 keeps the sign seen first in row order, as
+	// scan.MinMax does: selected values [-1, -0 | 0] split over two shards
+	// merge to hi = -0, not +0.
+	negZero := math.Copysign(0, -1)
+	signed := mergeRanges([]string{"x"}, []*FragmentResult{
+		{MinMax: []VarRange{{Var: "x", Lo: -1, Hi: negZero, N: 2}}},
+		{MinMax: []VarRange{{Var: "x", Lo: 0, Hi: 0, N: 1}}},
+	})["x"]
+	if signed.Lo != -1 || signed.Hi != 0 || !math.Signbit(signed.Hi) || signed.N != 3 {
+		t.Fatalf("signed-zero merge = %+v (hi sign bit %v), want hi = -0", signed, math.Signbit(signed.Hi))
+	}
+	if _, hi := scan.MinMax([]float64{-1, negZero, 0}); !math.Signbit(hi) {
+		t.Fatal("scan.MinMax no longer keeps the first zero's sign")
+	}
+
+	// A shard whose selected values are all NaN reports (NaN, NaN); like a
+	// NaN value in scan.MinMax it does not poison the merge.
+	nan := mergeRanges([]string{"x"}, []*FragmentResult{
+		{MinMax: []VarRange{{Var: "x", Lo: math.NaN(), Hi: math.NaN(), N: 2}}},
+		{MinMax: []VarRange{{Var: "x", Lo: 1, Hi: 3, N: 2}}},
+	})["x"]
+	if nan.Lo != 1 || nan.Hi != 3 || nan.N != 4 {
+		t.Fatalf("merge past an all-NaN part = %+v", nan)
 	}
 
 	// All-empty collapses to (0, 0), matching scan.MinMax on no rows.
@@ -159,13 +186,13 @@ func (r *fakeRunner) RunFragment(_ context.Context, shard int, f Fragment) (*Fra
 			mm = append(mm, VarRange{Var: v, Lo: float64(shard), Hi: float64(shard + 10), N: 1})
 		}
 		return &FragmentResult{MinMax: mm}, nil
-	case FragHist1D, FragWhole1D:
+	case FragHist1D:
 		return &FragmentResult{Hist1: &histogram.Hist1D{
 			Var:    f.Spec1.Var,
 			Edges:  histogram.UniformEdges(f.Spec1.Lo, f.Spec1.Hi, f.Spec1.Bins),
 			Counts: make([]uint64, f.Spec1.Bins),
 		}}, nil
-	case FragHist2D, FragWhole2D:
+	case FragHist2D:
 		return &FragmentResult{Hist2: &histogram.Hist2D{
 			XVar:   f.Spec2.XVar,
 			YVar:   f.Spec2.YVar,
@@ -208,17 +235,20 @@ func TestRoutingWholesale(t *testing.T) {
 		if res.Mode != "wholesale" || res.Fragments != 1 {
 			t.Fatalf("%s: mode=%q fragments=%d, want wholesale/1", name, res.Mode, res.Fragments)
 		}
-		if got := r.ops(); len(got) != 1 || got[0] != FragWhole1D {
-			t.Fatalf("%s: ops = %v", name, got)
+		if got := r.ops(); len(got) != 1 || got[0] != FragHist1D {
+			t.Fatalf("%s: ops = %v, want one hist1d", name, got)
 		}
 		r.mu.Lock()
 		f, home := r.calls[0], r.callShards[0]
 		r.mu.Unlock()
-		if !f.Rows.Whole() {
-			t.Fatalf("%s: wholesale fragment rows = %+v, want whole step", name, f.Rows)
+		if f.Rows != (RowRange{}) {
+			t.Fatalf("%s: home fragment rows = %+v, want the whole step", name, f.Rows)
+		}
+		if fmt.Sprint(f.Spec1) != fmt.Sprint(q.Spec1) { // NaN marks an unset range
+			t.Fatalf("%s: home fragment spec = %+v, want the client's %+v", name, f.Spec1, q.Spec1)
 		}
 		if want := m.Home(f.Key()); home != want {
-			t.Fatalf("%s: wholesale landed on shard %d, want home %d", name, home, want)
+			t.Fatalf("%s: home fragment landed on shard %d, want home %d", name, home, want)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // Every shard worker opens the same dataset directory (the paper's
 // parallel-filesystem deployment), so the shard map assigns work rather
 // than data: a fragment names a row range, and any worker could evaluate
-// any fragment. Whole-step fragments are routed to a stable home shard so
-// its cache absorbs repeats.
+// any fragment. Whole-step histogram fragments are routed to a stable home
+// shard so its cache absorbs repeats.
 package shard
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/fastquery"
-	"repro/internal/histogram"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/scan"
@@ -35,20 +34,6 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 	}
 	lo, hi := rangeOf(st, f.Rows)
 	switch f.Op {
-	case plan.FragWhole1D:
-		h, err := st.Histogram1DCtx(ctx, expr, f.Spec1, f.Backend)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.FragmentResult{Hist1: h}, nil
-
-	case plan.FragWhole2D:
-		h, err := st.Histogram2DCtx(ctx, expr, f.Spec2, f.Backend)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.FragmentResult{Hist2: h}, nil
-
 	case plan.FragCount:
 		if expr == nil {
 			return &plan.FragmentResult{Count: hi - lo}, nil
@@ -72,9 +57,9 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		return &plan.FragmentResult{Sel: sel, Count: uint64(len(sel))}, nil
 
 	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
-		rows := rowSet{all: expr == nil, lo: lo, hi: hi}
+		rows := fastquery.Rows{All: expr == nil, Lo: lo, Hi: hi}
 		if expr != nil {
-			if rows.pos, err = st.SelectCtx(ctx, expr, f.Backend, lo, hi); err != nil {
+			if rows.Pos, err = st.SelectCtx(ctx, expr, f.Backend, lo, hi); err != nil {
 				return nil, err
 			}
 		}
@@ -85,31 +70,18 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 	}
 }
 
-// rowSet is what a min/max or histogram fragment reads its values over:
-// the matching positions of a conditional fragment, or every row of
-// [lo, hi) for an unconditional one.
-type rowSet struct {
-	pos    []uint64
-	all    bool
-	lo, hi uint64
-}
-
-// values reads a column at the set's rows.
-func (r rowSet) values(ctx context.Context, st *fastquery.Step, name string) ([]float64, error) {
-	if r.all {
-		return st.ValuesInRangeCtx(ctx, name, r.lo, r.hi)
-	}
-	return st.ValuesAtCtx(ctx, name, r.pos)
-}
-
 // evalOver computes a FragMinMax, FragHist1D or FragHist2D fragment over
-// rows already selected.
-func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows rowSet) (*plan.FragmentResult, error) {
+// rows already selected. Histograms go through the one fastquery kernel,
+// which resolves the spec's edges from the rows it bins: a scattered
+// fragment's resolved spec yields the same UniformEdges on every shard
+// (and at the merging frontend), and a whole-step fragment's spec
+// resolves exactly as a single process would.
+func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows fastquery.Rows) (*plan.FragmentResult, error) {
 	switch f.Op {
 	case plan.FragMinMax:
 		res := &plan.FragmentResult{}
 		for _, v := range f.Vars {
-			vs, err := rows.values(ctx, st, v)
+			vs, err := st.Values(ctx, rows, v)
 			if err != nil {
 				return nil, err
 			}
@@ -119,32 +91,14 @@ func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows row
 		return res, nil
 
 	case plan.FragHist1D:
-		vs, err := rows.values(ctx, st, f.Spec1.Var)
-		if err != nil {
-			return nil, err
-		}
-		// Edges are recomputed from the resolved spec rather than
-		// shipped: UniformEdges is deterministic, so every shard (and
-		// the merging frontend) derives bit-identical boundaries.
-		edges := histogram.UniformEdges(f.Spec1.Lo, f.Spec1.Hi, f.Spec1.Bins)
-		h, err := histogram.Compute1DCtx(ctx, f.Spec1.Var, vs, edges)
+		h, err := st.Histogram1DOver(ctx, rows, f.Spec1, f.Backend)
 		if err != nil {
 			return nil, err
 		}
 		return &plan.FragmentResult{Hist1: h}, nil
 
 	case plan.FragHist2D:
-		xs, err := rows.values(ctx, st, f.Spec2.XVar)
-		if err != nil {
-			return nil, err
-		}
-		ys, err := rows.values(ctx, st, f.Spec2.YVar)
-		if err != nil {
-			return nil, err
-		}
-		xe := histogram.UniformEdges(f.Spec2.XLo, f.Spec2.XHi, f.Spec2.XBins)
-		ye := histogram.UniformEdges(f.Spec2.YLo, f.Spec2.YHi, f.Spec2.YBins)
-		h, err := histogram.Compute2DCtx(ctx, f.Spec2.XVar, f.Spec2.YVar, xs, ys, xe, ye)
+		h, err := st.Histogram2DOver(ctx, rows, f.Spec2)
 		if err != nil {
 			return nil, err
 		}

@@ -169,8 +169,7 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 		// same range shares too. An evicted entry is just recomputed.
 		var sel *plan.FragmentResult
 		if sel, err = e.selection(ctx, st, sf); err == nil {
-			lo, hi := rangeOf(st, f.Rows)
-			res, err = evalOver(ctx, st, f, rowSet{pos: sel.Sel, lo: lo, hi: hi})
+			res, err = evalOver(ctx, st, f, fastquery.Rows{Pos: sel.Sel})
 		}
 	} else {
 		res, err = Eval(ctx, st, f)

@@ -1,0 +1,233 @@
+package shard_test
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/colstore"
+	"repro/internal/fastbit"
+	"repro/internal/fastquery"
+	"repro/internal/histogram"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/shard"
+)
+
+// planPalette is what fuzzed column values and constants are drawn from:
+// few distinct values, so bins hold several and comparisons tie, signed
+// zeros, and extremes. Query constants, ranges and the indexed columns a
+// and b take the finite entries; the scan-only column c also takes NaN
+// and ±Inf, which an index cannot hold.
+var planPalette = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2.5, -3, 7, 1e300, -1e300, 5e-324,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+const planFinite = 10 // planPalette[:planFinite] are finite
+
+// planBytes hands out the fuzz input a byte at a time, zeros once spent.
+type planBytes struct {
+	b []byte
+	i int
+}
+
+func (p *planBytes) next() int {
+	if p.i >= len(p.b) {
+		return 0
+	}
+	p.i++
+	return int(p.b[p.i-1])
+}
+
+func (p *planBytes) finite() float64 { return planPalette[p.next()%planFinite] }
+
+// planDataset writes a one-step dataset of rows rows in chunks of
+// chunkRows: columns a, b and c and an id column, with a and b indexed
+// into bins bins. A zero-row step has no index (there is nothing to bin).
+func planDataset(t *testing.T, in *planBytes, rows uint64, chunkRows, bins int) string {
+	t.Helper()
+	dir := t.TempDir()
+	ds, err := colstore.CreateDataset(dir, colstore.DatasetMeta{
+		Name: "fuzz", Steps: 1, Variables: []string{"a", "b", "c", "id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := map[string][]float64{}
+	ids := make([]int64, rows)
+	for r := range ids {
+		ids[r] = int64(3*r + 1)
+		for _, name := range []string{"a", "b", "c"} {
+			n := planFinite
+			if name == "c" {
+				n = len(planPalette)
+			}
+			cols[name] = append(cols[name], planPalette[in.next()%n])
+		}
+	}
+	w, err := colstore.NewWriter(ds.StepPath(0), rows, chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := w.AddFloat64(name, cols[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.AddInt64("id", ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows > 0 {
+		if _, err := fastquery.BuildStepIndex(ds.StepPath(0), ds.IndexPath(0), []string{"a", "b"}, "id",
+			fastbit.IndexOptions{Bins: bins}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// planExpr builds a random condition over a, b, c and id: comparisons
+// with every operator, IN lists (the only predicate the ID index serves),
+// and &&, || and ! nodes.
+func planExpr(in *planBytes, depth int) query.Expr {
+	vars := []string{"a", "b", "c", "id"}
+	k := in.next()
+	if depth <= 0 {
+		k %= 3
+	}
+	switch k % 6 {
+	case 0, 1:
+		return &query.Compare{Var: vars[in.next()%(len(vars)-1)], Op: query.Op(in.next() % 6), Value: in.finite()}
+	case 2:
+		name := vars[in.next()%len(vars)]
+		vs := make([]float64, 1+in.next()%3)
+		for i := range vs {
+			if name == "id" {
+				vs[i] = float64(in.next() % 64)
+			} else {
+				vs[i] = in.finite()
+			}
+		}
+		return query.NewIn(name, vs)
+	case 3:
+		return &query.Not{Term: planExpr(in, depth-1)}
+	case 4:
+		return &query.And{Terms: []query.Expr{planExpr(in, depth-1), planExpr(in, depth-1)}}
+	default:
+		return &query.Or{Terms: []query.Expr{planExpr(in, depth-1), planExpr(in, depth-1)}}
+	}
+}
+
+// planRange returns an explicit [lo, hi] from the finite palette, or the
+// unset (NaN, NaN) range when its first byte is even.
+func planRange(in *planBytes) (lo, hi float64) {
+	if in.next()%2 == 0 {
+		return math.NaN(), math.NaN()
+	}
+	lo, hi = in.finite(), in.finite()
+	return min(lo, hi), max(lo, hi)
+}
+
+// planQuery builds one operation: count, select, hist1d or hist2d over
+// a, b or c, conditional or not, uniform or adaptive, ranged or not.
+func planQuery(in *planBytes) plan.Query {
+	vars := []string{"a", "b", "c"}
+	q := plan.Query{Op: plan.Op(in.next() % 4), Dataset: "fuzz"}
+	if in.next()%2 == 1 {
+		q.Query = query.Canonical(planExpr(in, 2)).String()
+	}
+	binning := histogram.Binning(in.next() % 2)
+	switch q.Op {
+	case plan.OpHist1D:
+		q.Spec1 = histogram.NewSpec1D(vars[in.next()%3], 1+in.next()%8)
+		q.Spec1.Binning = binning
+		q.Spec1.Lo, q.Spec1.Hi = planRange(in)
+	case plan.OpHist2D:
+		q.Spec2 = histogram.NewSpec2D(vars[in.next()%3], vars[in.next()%3], 1+in.next()%8, 1+in.next()%8)
+		q.Spec2.Binning = binning
+		q.Spec2.XLo, q.Spec2.XHi = planRange(in)
+		q.Spec2.YLo, q.Spec2.YHi = planRange(in)
+	}
+	return q
+}
+
+// planAnswer renders a result's answer as the client sees it: its JSON,
+// or, for an answer JSON cannot carry (a NaN or infinite edge), every
+// value printed exactly, signed zeros included.
+func planAnswer(res *plan.Result, err error) string {
+	if err != nil {
+		return "error"
+	}
+	answer := struct {
+		Count uint64
+		Sel   []uint64
+		Hist1 *histogram.Hist1D
+		Hist2 *histogram.Hist2D
+	}{res.Count, res.Sel, res.Hist1, res.Hist2}
+	if b, err := json.Marshal(answer); err == nil {
+		return string(b)
+	}
+	s := fmt.Sprint(answer.Count, answer.Sel)
+	if h := answer.Hist1; h != nil {
+		s += fmt.Sprint(h.Var, h.Edges, h.Counts)
+	}
+	if h := answer.Hist2; h != nil {
+		s += fmt.Sprint(h.XVar, h.YVar, h.XEdges, h.YEdges, h.Counts)
+	}
+	return s
+}
+
+// FuzzPlanSplits is the plan-level differential oracle: one fuzzed
+// multi-chunk step, one count, select, hist1d or hist2d, run through
+// plan.Execute on shard executors at splits {1, 2, 3, 5, 7} and on both
+// backends. Every split answers byte-for-byte what one shard does, and
+// FastBit answers what Scan does (FastBit is skipped when the condition
+// names the NaN/±Inf column c, which no index holds, and on a zero-row
+// step, which has no index). The seed corpus is testdata/fuzz.
+func FuzzPlanSplits(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &planBytes{b: data}
+		rows := uint64(in.next() % 97)
+		chunkRows := 1 + in.next()%13
+		dir := planDataset(t, in, rows, chunkRows, 1+in.next()%8)
+		q := planQuery(in)
+		backends := []fastquery.Backend{fastquery.Scan, fastquery.FastBit}
+		if rows == 0 || q.Query != "" && slices.Contains(query.Vars(query.MustParse(q.Query)), "c") {
+			backends = backends[:1]
+		}
+		var first string
+		for _, b := range backends {
+			q.Backend = b
+			var want string
+			for _, shards := range []int{1, 2, 3, 5, 7} {
+				// A fresh executor per split, so no fragment cache
+				// carries an answer from one topology to the next.
+				ex := shard.NewExecutor(shard.FragCacheBytes)
+				if err := ex.AddDataset("fuzz", dir); err != nil {
+					t.Fatal(err)
+				}
+				got := planAnswer(plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows,
+					execRunner{ex}, plan.FailFast))
+				ex.Close()
+				if shards == 1 {
+					want = got
+				} else if got != want {
+					t.Fatalf("%d rows, chunks of %d, %v %v %q %+v %+v: %d shards answer\n%s\none shard\n%s",
+						rows, chunkRows, b, q.Op, q.Query, q.Spec1, q.Spec2, shards, got, want)
+				}
+			}
+			if first == "" {
+				first = want
+			} else if want != first {
+				t.Fatalf("%d rows, chunks of %d, %v %q %+v %+v: fastbit answers\n%s\nscan\n%s",
+					rows, chunkRows, q.Op, q.Query, q.Spec1, q.Spec2, want, first)
+			}
+		}
+	})
+}

@@ -6,16 +6,6 @@ import (
 	"repro/internal/stats"
 )
 
-func ExampleSummarize() {
-	s, err := stats.Summarize([]float64{1, 2, 3, 4, 100})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(s.N, s.Min, s.Max, s.Median)
-	// Output:
-	// 5 1 100 3
-}
-
 func ExampleBeam() {
 	// A mono-energetic, perfectly collimated beam has zero spread and
 	// zero emittance.

@@ -1,193 +1,13 @@
 // Package stats provides the "more traditional data analysis techniques"
-// the paper's conclusion proposes coupling with the visual analysis:
-// summary statistics over selections, histogram-derived quantiles, beam
-// quality figures (relative energy spread, RMS emittance proxy) and
-// correlation matrices over variable sets.
+// the paper's conclusion proposes coupling with the visual analysis: beam
+// quality figures (relative energy spread, RMS emittance proxy) over a
+// selection.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"repro/internal/histogram"
 )
-
-// Summary holds the standard single-variable statistics.
-type Summary struct {
-	N         int
-	Min, Max  float64
-	Mean, Std float64
-	Median    float64
-	Q25, Q75  float64
-}
-
-// Summarize computes summary statistics of values.
-func Summarize(values []float64) (Summary, error) {
-	if len(values) == 0 {
-		return Summary{}, fmt.Errorf("stats: empty input")
-	}
-	s := Summary{N: len(values), Min: values[0], Max: values[0]}
-	var sum float64
-	for _, v := range values {
-		if math.IsNaN(v) {
-			return Summary{}, fmt.Errorf("stats: NaN input")
-		}
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, v := range values {
-		d := v - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.Q25 = quantileSorted(sorted, 0.25)
-	s.Q75 = quantileSorted(sorted, 0.75)
-	return s, nil
-}
-
-// quantileSorted interpolates the q-quantile of a sorted slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// Quantile computes the q-quantile (0..1) of values.
-func Quantile(values []float64, q float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("stats: empty input")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
-// HistQuantile estimates the q-quantile from a histogram by linear
-// interpolation within the containing bin — the statistics-over-histograms
-// approach the paper's network-analysis predecessors used to avoid
-// touching raw data.
-func HistQuantile(h *histogram.Hist1D, q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0,1]", q)
-	}
-	total := h.Total()
-	if total == 0 {
-		return 0, fmt.Errorf("stats: empty histogram")
-	}
-	target := q * float64(total)
-	var acc float64
-	for i, c := range h.Counts {
-		next := acc + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - acc) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return h.Edges[i] + frac*(h.Edges[i+1]-h.Edges[i]), nil
-		}
-		acc = next
-	}
-	return h.Edges[len(h.Edges)-1], nil
-}
-
-// HistMean estimates the mean from a histogram using bin midpoints.
-func HistMean(h *histogram.Hist1D) (float64, error) {
-	total := h.Total()
-	if total == 0 {
-		return 0, fmt.Errorf("stats: empty histogram")
-	}
-	var sum float64
-	for i, c := range h.Counts {
-		mid := (h.Edges[i] + h.Edges[i+1]) / 2
-		sum += mid * float64(c)
-	}
-	return sum / float64(total), nil
-}
-
-// Correlation returns the Pearson correlation coefficient of two columns.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: need at least 2 points")
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	n := float64(len(xs))
-	mx /= n
-	my /= n
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, fmt.Errorf("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// CorrelationMatrix computes the pairwise Pearson correlations of named
-// columns, returned in the order of names (row-major).
-func CorrelationMatrix(cols map[string][]float64, names []string) ([][]float64, error) {
-	m := make([][]float64, len(names))
-	for i := range m {
-		m[i] = make([]float64, len(names))
-		m[i][i] = 1
-	}
-	for i := 0; i < len(names); i++ {
-		xi, ok := cols[names[i]]
-		if !ok {
-			return nil, fmt.Errorf("stats: missing column %q", names[i])
-		}
-		for j := i + 1; j < len(names); j++ {
-			xj, ok := cols[names[j]]
-			if !ok {
-				return nil, fmt.Errorf("stats: missing column %q", names[j])
-			}
-			r, err := Correlation(xi, xj)
-			if err != nil {
-				// Constant columns correlate as zero rather than failing
-				// the whole matrix.
-				r = 0
-			}
-			m[i][j], m[j][i] = r, r
-		}
-	}
-	return m, nil
-}
 
 // BeamQuality holds the accelerator-physics figures of merit the paper's
 // collaborators read off the selections.
