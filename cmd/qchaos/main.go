@@ -211,7 +211,7 @@ func main() {
 
 	// Baseline: single-process server over the same data, never faulted.
 	// Its answers define "exact" for every scatter response.
-	baseSrv := serve.New(serve.Config{CacheEntries: -1})
+	baseSrv := serve.New(serve.Config{CacheBytes: -1})
 	if err := baseSrv.AddDataset("lwfa", dir); err != nil {
 		log.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func ratio(a, b int) float64 {
 // newFrontend builds a scatter frontend over the fleet. The result cache
 // is disabled so every request really exercises the fault path.
 func newFrontend(dir string, groups [][]string, breakers bool, cooldown time.Duration) (*serve.Server, *httptest.Server, *shard.Client) {
-	s := serve.New(serve.Config{CacheEntries: -1, ExecTimeout: execTimeout})
+	s := serve.New(serve.Config{CacheBytes: -1, ExecTimeout: execTimeout})
 	if err := s.AddDataset("lwfa", dir); err != nil {
 		log.Fatal(err)
 	}

@@ -434,19 +434,67 @@ func (file *File) HasColumn(name string) bool {
 	return ok
 }
 
-// readChunk reads and CRC-verifies one chunk of a column; Open has
-// already checked that it lies inside the data region. cost, when
-// non-nil, is charged the bytes actually read — the per-query view of
-// the same I/O the file-level ioBytes counter accumulates globally.
+// chunkBufBytes is the size of a free-listed chunk buffer: one
+// DefaultChunkRows chunk.
+const chunkBufBytes = 8 * DefaultChunkRows
+
+// freeBufs is the free list of chunk read buffers, so that a read reuses
+// a buffer instead of allocating (and zeroing) one per chunk. It holds
+// only buffers of exactly chunkBufBytes, at most 16 of them: 8 MiB, and
+// one for each chunk read in flight when a server runs twice its default
+// 8 concurrent requests (a read holds one buffer at a time). A
+// channel rather than a sync.Pool: a pool is emptied by every GC, a
+// channel keeps what a read allocates independent of when the collector
+// runs. The buffers carry nothing from one read to the next: every read
+// fills its buffer from the file and checks the CRC before anyone sees a
+// byte.
+var freeBufs = make(chan []byte, 16)
+
+// getChunkBuf returns an n-byte buffer: a free-listed one when n fits and
+// the list is not empty, else a fresh one of exactly n bytes, as a read
+// allocated before the list existed. Only a fresh chunkBufBytes buffer
+// joins the list later, so a chunk larger than that (a custom or hostile
+// file's) cannot grow what the list keeps.
+func getChunkBuf(n int) []byte {
+	if n <= chunkBufBytes {
+		select {
+		case b := <-freeBufs:
+			return b[:n]
+		default:
+		}
+	}
+	return make([]byte, n)
+}
+
+// putChunkBuf hands buf back to the free list if it is a full-chunk
+// buffer and the list has room.
+func putChunkBuf(buf []byte) {
+	if cap(buf) != chunkBufBytes {
+		return
+	}
+	select {
+	case freeBufs <- buf:
+	default:
+	}
+}
+
+// readChunk reads and CRC-verifies one chunk of a column into a
+// free-listed buffer; Open has already checked that it lies inside the
+// data region. The caller hands the buffer back with putChunkBuf once it
+// has decoded it. cost, when non-nil, is charged the bytes actually read —
+// the per-query view of the same I/O the file-level ioBytes counter
+// accumulates globally.
 func (file *File) readChunk(ci *ColumnInfo, idx int, cost *obs.Cost) ([]byte, error) {
 	ch := ci.chunks[idx]
-	buf := make([]byte, 8*int(ch.rows))
+	buf := getChunkBuf(8 * int(ch.rows))
 	if _, err := file.f.ReadAt(buf, int64(ch.offset)); err != nil {
+		putChunkBuf(buf)
 		return nil, fmt.Errorf("colstore: read %q chunk %d: %w", ci.Name, idx, err)
 	}
 	file.ioBytes.Add(uint64(len(buf)))
 	cost.AddDataBytes(uint64(len(buf)))
 	if crc := crc32.ChecksumIEEE(buf); crc != ch.crc {
+		putChunkBuf(buf)
 		return nil, fmt.Errorf("colstore: %q chunk %d: CRC mismatch (stored %08x, computed %08x)",
 			ci.Name, idx, ch.crc, crc)
 	}
@@ -474,6 +522,9 @@ func (file *File) column(name string, want ...ColumnType) (*ColumnInfo, error) {
 // fn each one's bytes clipped to the range, in row order. It charges the
 // chunk bytes and the hi-lo values to cost. The caller has checked
 // lo <= hi <= rows.
+//
+// fn must not keep words, or any slice of it: the bytes live in a
+// free-listed buffer that the next chunk read overwrites.
 func (file *File) readRange(ci *ColumnInfo, lo, hi uint64, cost *obs.Cost, fn func(words []byte)) error {
 	var base uint64
 	for idx := 0; idx < len(ci.chunks) && base < hi && lo < hi; idx++ {
@@ -484,6 +535,7 @@ func (file *File) readRange(ci *ColumnInfo, lo, hi uint64, cost *obs.Cost, fn fu
 				return err
 			}
 			fn(buf[8*(max(lo, base)-base) : 8*(min(hi, end)-base)])
+			putChunkBuf(buf)
 		}
 		base = end
 	}
@@ -516,11 +568,14 @@ func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, 0, file.rows)
+	out := make([]int64, file.rows)
+	next := out
 	err = file.readRange(ci, 0, file.rows, cost, func(words []byte) {
-		for j := 0; j+8 <= len(words); j += 8 {
-			out = append(out, int64(binary.LittleEndian.Uint64(words[j:])))
+		dst := next[:len(words)/8]
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
 		}
+		next = next[len(dst):]
 	})
 	if err != nil {
 		return nil, err
@@ -528,9 +583,16 @@ func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 	return out, nil
 }
 
+// MaxExactInt bounds the int64 values a float64 carries exactly: every
+// integer in [-2^53, 2^53] fits the 53-bit mantissa, and 2^53+1 is the
+// first that does not.
+const MaxExactInt = 1 << 53
+
 // ReadAsFloat64 reads any column as float64, converting int64 values.
 // Particle identifiers fit in the 53-bit mantissa, so the conversion is
-// exact for this system's data.
+// exact for this system's data: the ID gathers of tracking and ID
+// selection read identifiers this way, and ingest refuses any int value
+// beyond ±MaxExactInt rather than let it be tracked as its neighbour.
 func (file *File) ReadAsFloat64(name string) ([]float64, error) {
 	return file.ReadAsFloat64Cost(name, nil)
 }
@@ -552,20 +614,22 @@ func (file *File) ReadAsFloat64RangeCost(name string, lo, hi uint64, cost *obs.C
 	if lo > hi || hi > file.rows {
 		return nil, fmt.Errorf("colstore: %q: row range [%d, %d) outside [0, %d)", name, lo, hi, file.rows)
 	}
-	out := make([]float64, 0, hi-lo)
-	decode := func(words []byte) {
-		for j := 0; j+8 <= len(words); j += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(words[j:])))
-		}
-	}
-	if ci.Type == Int64 {
-		decode = func(words []byte) {
-			for j := 0; j+8 <= len(words); j += 8 {
-				out = append(out, float64(int64(binary.LittleEndian.Uint64(words[j:]))))
+	out := make([]float64, hi-lo)
+	next := out
+	err = file.readRange(ci, lo, hi, cost, func(words []byte) {
+		dst := next[:len(words)/8]
+		if ci.Type == Int64 {
+			for i := range dst {
+				dst[i] = float64(int64(binary.LittleEndian.Uint64(words[8*i:])))
+			}
+		} else {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
 			}
 		}
-	}
-	if err := file.readRange(ci, lo, hi, cost, decode); err != nil {
+		next = next[len(dst):]
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -612,6 +676,7 @@ func (file *File) ReadFloat64AtCost(name string, positions []uint64, cost *obs.C
 				}
 				pi++
 			}
+			putChunkBuf(buf)
 		}
 		rowBase = chunkEnd
 		if pi == len(positions) {

@@ -26,8 +26,11 @@ func FuzzColstoreOpen(f *testing.F) {
 		}
 		defer file.Close()
 		size := uint64(len(data))
-		// A column read allocates its answer plus one chunk buffer per
-		// chunk, each bounded by the data region.
+		// A column read allocates its answer, plus a buffer for each chunk
+		// the free list cannot serve (the list is empty, or the chunk is
+		// larger than a free-listed buffer), each bounded by the data
+		// region; the budget holds for the worst case, a list that
+		// serves none.
 		budget := 3*size + 1<<16
 		var ms runtime.MemStats
 		check := func(what string, n int, err error, before uint64) {

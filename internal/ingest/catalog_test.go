@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +97,9 @@ func TestWriterValidatesSchema(t *testing.T) {
 		{"dup", append(mkColumns(0, 2), Column{Name: "x", Float: []float64{1, 2}}), "duplicate column"},
 		{"ragged", []Column{{Name: "x", Float: []float64{1}}, {Name: "px", Float: []float64{1, 2}}, {Name: "id", Int: []int64{1}}}, "rows"},
 		{"both set", []Column{{Name: "x", Float: []float64{1}, Int: []int64{1}}, {Name: "px", Float: []float64{1}}, {Name: "id", Int: []int64{1}}}, "exactly one"},
+		{"id past 2^53", withID(colstore.MaxExactInt + 1), "2^53"},
+		{"id before -2^53", withID(-colstore.MaxExactInt - 1), "2^53"},
+		{"id max int64", withID(math.MaxInt64), "2^53"},
 	}
 	for _, tc := range cases {
 		if _, _, err := w.AppendStep(tc.cols); err == nil {
@@ -109,6 +115,43 @@ func TestWriterValidatesSchema(t *testing.T) {
 	man := w.cat.Snapshot()
 	if len(man.Steps) != 1 {
 		t.Fatalf("committed steps = %d, want 1", len(man.Steps))
+	}
+}
+
+// withID is a valid two-row step whose second identifier is id.
+func withID(id int64) []Column {
+	cols := mkColumns(0, 2)
+	cols[2].Int[1] = id
+	return cols
+}
+
+// TestWriterKeepsIDsExact: identifiers are gathered as float64 when a
+// selection is tracked, so AppendStep takes Int values only as wide as
+// float64 carries exactly (TestWriterValidatesSchema has the refusals).
+// ±2^53, the widest accepted, are gathered back unchanged.
+func TestWriterKeepsIDsExact(t *testing.T) {
+	cat, w := newLive(t)
+	cols := mkColumns(0, 3)
+	cols[2].Int[0], cols[2].Int[2] = -colstore.MaxExactInt, colstore.MaxExactInt
+	if _, _, err := w.AppendStep(cols); err != nil {
+		t.Fatal(err)
+	}
+	src, err := fastquery.Open(cat.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	st, err := src.OpenStep(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ids, err := st.IDsAtCtx(context.Background(), []uint64{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cols[2].Int; !slices.Equal(ids, want) {
+		t.Fatalf("gathered ids %v, want %v", ids, want)
 	}
 }
 

@@ -43,7 +43,9 @@ func NewWriter(cat *Catalog, chunkRows int) *Writer {
 // AppendStep validates cols against the dataset's declared variables,
 // writes the next step's data file, and commits it. Every declared
 // variable must be present exactly once with the same row count; unknown
-// columns are rejected (the schema is fixed at catalog creation).
+// columns are rejected (the schema is fixed at catalog creation). Int
+// values must lie within ±colstore.MaxExactInt: identifiers are gathered
+// as float64, and a larger one would be read back as a different particle.
 func (w *Writer) AppendStep(cols []Column) (StepEntry, uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -54,6 +56,12 @@ func (w *Writer) AppendStep(cols []Column) (StepEntry, uint64, error) {
 		c := &cols[i]
 		if (c.Float == nil) == (c.Int == nil) {
 			return StepEntry{}, 0, fmt.Errorf("%w: column %q must set exactly one of float/int", ErrInvalid, c.Name)
+		}
+		for _, v := range c.Int {
+			if v > colstore.MaxExactInt || v < -colstore.MaxExactInt {
+				return StepEntry{}, 0, fmt.Errorf("%w: column %q value %d is beyond ±2^53, which float64 reads cannot carry exactly",
+					ErrInvalid, c.Name, v)
+			}
 		}
 		if _, dup := byName[c.Name]; dup {
 			return StepEntry{}, 0, fmt.Errorf("%w: duplicate column %q", ErrInvalid, c.Name)

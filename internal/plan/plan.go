@@ -184,6 +184,40 @@ type FragmentResult struct {
 	Sel    []uint64          // FragSelect: sorted global row positions
 }
 
+// CacheEntryOverhead is the fixed cost of one cached answer, whatever its
+// payload: the list element, the map slot, the entry and result structs and
+// the histogram and slice headers. Without it a stream of count-only
+// answers, charged ~50 key bytes apiece, would admit a million entries.
+const CacheEntryOverhead = 256
+
+// cacheBytes is what a cached answer costs against a byte budget: the
+// fixed overhead, its key, counts, edges and positions. The serving
+// layer's result cache and a shard's fragment cache both charge by it.
+func cacheBytes(key string, h1 *histogram.Hist1D, h2 *histogram.Hist2D, sel []uint64) int {
+	n := CacheEntryOverhead + len(key) + 8*len(sel)
+	if h1 != nil {
+		n += 8 * (len(h1.Counts) + len(h1.Edges))
+	}
+	if h2 != nil {
+		n += 8 * (len(h2.Counts) + len(h2.XEdges) + len(h2.YEdges))
+	}
+	return n
+}
+
+// CacheBytes is what r costs cached under key, min/max partials included.
+func (r *FragmentResult) CacheBytes(key string) int {
+	n := cacheBytes(key, r.Hist1, r.Hist2, r.Sel)
+	for _, v := range r.MinMax {
+		n += len(v.Var) + 3*8 // Lo, Hi, N
+	}
+	return n
+}
+
+// CacheBytes is what r costs cached under key.
+func (r *Result) CacheBytes(key string) int {
+	return cacheBytes(key, r.Hist1, r.Hist2, r.Sel)
+}
+
 // Result is the merged answer the planner returns to the serving layer.
 type Result struct {
 	Count uint64

@@ -45,13 +45,16 @@ type CacheStats struct {
 	Abandoned uint64 `json:"abandoned"` // waiters that left before the flight finished
 	Inflight  int    `json:"inflight"`
 	Entries   int    `json:"entries"`
+	Bytes     int    `json:"bytes"` // what the entries are charged, see entrySize
 }
 
-// Cache is a size-bounded LRU result cache with request coalescing: when
+// Cache is a byte-bounded LRU result cache with request coalescing: when
 // several goroutines ask for the same key concurrently, exactly one runs
 // the compute function and the rest wait for its result. Results are
 // cached only on success; errors propagate to every waiter and leave no
-// entry behind.
+// entry behind. Each stored result is charged its entrySize, and least
+// recently used entries go while the total is over the budget: one dense
+// 4096² histogram weighs as much as 256 panels of 256².
 //
 // Flights are detached from their initiating request: fn runs in its own
 // goroutine under a flight-owned context, so one waiter's cancellation
@@ -60,18 +63,20 @@ type CacheStats struct {
 // it — that is what lets a disconnected client release backend capacity
 // without poisoning anyone else.
 type Cache struct {
-	mu         sync.Mutex
-	maxEntries int
-	ll         *list.List // front = most recently used
-	items      map[string]*list.Element
-	flights    map[string]*flight
+	mu       sync.Mutex
+	maxBytes int
+	bytes    int        // sum of the entries' sizes
+	ll       *list.List // front = most recently used
+	items    map[string]*list.Element
+	flights  map[string]*flight
 
 	hits, misses, evictions, coalesced, abandoned uint64
 }
 
 type cacheEntry struct {
-	key string
-	val any
+	key  string
+	val  any
+	size int
 }
 
 // flight is one in-progress computation. waiters counts the requests that
@@ -86,15 +91,25 @@ type flight struct {
 	err      error
 }
 
-// NewCache creates a cache bounded to maxEntries results. maxEntries <= 0
-// disables storage (coalescing still works).
-func NewCache(maxEntries int) *Cache {
+// NewCache creates a cache holding results up to maxBytes in total.
+// maxBytes <= 0 disables storage (coalescing still works).
+func NewCache(maxBytes int) *Cache {
 	return &Cache{
-		maxEntries: maxEntries,
-		ll:         list.New(),
-		items:      map[string]*list.Element{},
-		flights:    map[string]*flight{},
+		maxBytes: maxBytes,
+		ll:       list.New(),
+		items:    map[string]*list.Element{},
+		flights:  map[string]*flight{},
 	}
+}
+
+// entrySize is what val costs stored under key: plan.Result.CacheBytes,
+// the rule a shard's fragment cache charges by, or the fixed overhead and
+// the key for any other value.
+func entrySize(key string, val any) int {
+	if res, ok := val.(*plan.Result); ok {
+		return res.CacheBytes(key)
+	}
+	return plan.CacheEntryOverhead + len(key)
 }
 
 // Do returns the cached result for key, or computes it with fn. Identical
@@ -155,27 +170,43 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(ctx con
 	f.finished = true
 	f.val, f.err = val, err
 	delete(c.flights, key)
-	if err == nil && c.maxEntries > 0 && cacheable(val) {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-		for c.ll.Len() > c.maxEntries {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*cacheEntry).key)
-			c.evictions++
-		}
+	if err == nil && cacheable(val) {
+		c.store(key, val)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	f.cancel() // release the flight context's resources
 }
 
+// store adds val under key, evicting least recently used entries while
+// over budget. A result larger than the whole budget is served to its
+// waiters but not stored. c.mu is held; no entry exists under key, since
+// only the key's one flight stores it.
+func (c *Cache) store(key string, val any) {
+	size := entrySize(key, val)
+	if size > c.maxBytes {
+		return
+	}
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, size: size})
+	c.bytes += size
+	for c.bytes > c.maxBytes {
+		oldest := c.ll.Back()
+		e := oldest.Value.(*cacheEntry)
+		c.ll.Remove(oldest)
+		delete(c.items, e.key)
+		c.bytes -= e.size
+		c.evictions++
+	}
+}
+
 // cacheable reports whether a computed value may be stored. Partial
 // scatter answers — merged without every shard — are served to their
 // waiters but never cached: the next identical request should try the full
-// fleet again rather than repeat a degraded result.
+// fleet again rather than repeat a degraded result. Nor is a nil result,
+// which has nothing to serve a hit with.
 func cacheable(val any) bool {
 	res, ok := val.(*plan.Result)
-	return !ok || !res.Partial
+	return !ok || res != nil && !res.Partial
 }
 
 // wait blocks until the flight finishes or ctx is done. A caller that
@@ -209,5 +240,6 @@ func (c *Cache) Stats() CacheStats {
 		Abandoned: c.abandoned,
 		Inflight:  len(c.flights),
 		Entries:   c.ll.Len(),
+		Bytes:     c.bytes,
 	}
 }

@@ -4,14 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/histogram"
+	"repro/internal/plan"
 )
 
+// oneByteKeys is the budget that holds n entries of one-byte keys whose
+// values are not plan results: each costs the fixed overhead and its key.
+func oneByteKeys(n int) int { return n * (plan.CacheEntryOverhead + 1) }
+
 func TestCacheHitAndEvict(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(oneByteKeys(2))
 	get := func(key string) (any, Outcome) {
 		v, o, err := c.Do(context.Background(), key, func(context.Context) (any, error) { return "v:" + key, nil })
 		if err != nil {
@@ -37,7 +45,7 @@ func TestCacheHitAndEvict(t *testing.T) {
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(oneByteKeys(2))
 	do := func(key string) Outcome {
 		_, o, _ := c.Do(context.Background(), key, func(context.Context) (any, error) { return key, nil })
 		return o
@@ -55,7 +63,7 @@ func TestCacheLRUOrder(t *testing.T) {
 }
 
 func TestCacheErrorNotStored(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(oneByteKeys(4))
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), "k", func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -70,7 +78,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // TestCacheSingleflight proves identical concurrent requests collapse to
 // one compute call.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(oneByteKeys(4))
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -129,7 +137,7 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheStorageDisabled: maxEntries <= 0 must never store results,
+// TestCacheStorageDisabled: maxBytes <= 0 must never store results,
 // only coalesce.
 func TestCacheStorageDisabled(t *testing.T) {
 	c := NewCache(0)
@@ -149,7 +157,7 @@ func TestCacheStorageDisabled(t *testing.T) {
 // cancels must get its own ctx error immediately, while the flight keeps
 // running for the remaining waiter and delivers (and caches) the result.
 func TestCacheAbandonedWaiterDoesNotPoisonFlight(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(oneByteKeys(4))
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var flightCanceled atomic.Bool
@@ -213,7 +221,7 @@ func TestCacheAbandonedWaiterDoesNotPoisonFlight(t *testing.T) {
 // TestCacheLastWaiterCancelsFlight: when every waiter abandons, the flight
 // context must be canceled so the backend stops working for nobody.
 func TestCacheLastWaiterCancelsFlight(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(oneByteKeys(4))
 	started := make(chan struct{})
 	fnDone := make(chan error, 1)
 
@@ -247,7 +255,7 @@ func TestCacheLastWaiterCancelsFlight(t *testing.T) {
 // TestCacheConcurrentKeys hammers the cache from many goroutines under
 // -race.
 func TestCacheConcurrentKeys(t *testing.T) {
-	c := NewCache(8)
+	c := NewCache(oneByteKeys(8))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -263,4 +271,122 @@ func TestCacheConcurrentKeys(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// hist2 is a dense n×n histogram answer: 8 bytes a bin and an edge.
+func hist2(n int) *plan.Result {
+	return &plan.Result{Hist2: &histogram.Hist2D{
+		XVar: "x", YVar: "px",
+		XEdges: make([]float64, n+1), YEdges: make([]float64, n+1),
+		Counts: make([]uint64, n*n),
+	}}
+}
+
+// storedBytes sums the sizes of the entries the cache holds.
+func storedBytes(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.size != entrySize(e.key, e.val) {
+			panic("entry charged a stale size")
+		}
+		n += e.size
+	}
+	return n
+}
+
+// TestCacheBytesNeverExceedBudget: across a random stream of counts,
+// selections and histograms, some larger than the whole budget, the bytes
+// stored never pass the budget and always equal the sum of the entries'
+// sizes, and every answer is served whether or not it was stored.
+func TestCacheBytesNeverExceedBudget(t *testing.T) {
+	const budget = 1 << 20
+	c := NewCache(budget)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		var res *plan.Result
+		switch rng.Intn(4) {
+		case 0:
+			res = &plan.Result{Count: uint64(i)}
+		case 1:
+			res = &plan.Result{Sel: make([]uint64, rng.Intn(20000))}
+		case 2:
+			res = hist2([]int{16, 64, 256}[rng.Intn(3)])
+		default:
+			res = hist2(512) // 2 MiB: over the budget
+		}
+		key := fmt.Sprintf("k%d", rng.Intn(150))
+		v, _, err := c.Do(context.Background(), key, func(context.Context) (any, error) { return res, nil })
+		if err != nil || v == nil {
+			t.Fatalf("request %d: %v %v", i, v, err)
+		}
+		st := c.Stats()
+		if st.Bytes > budget || st.Bytes != storedBytes(c) {
+			t.Fatalf("request %d: %d bytes stored (entries sum to %d), budget %d", i, st.Bytes, storedBytes(c), budget)
+		}
+	}
+	if st := c.Stats(); st.Entries == 0 || st.Evictions == 0 {
+		t.Fatalf("stream neither filled nor cycled the cache: %+v", st)
+	}
+}
+
+// TestCacheServesButSkipsOversized: at the server's default budget, a
+// 4096² answer (MaxBins2D per axis, 128 MiB of counts) is served to its
+// caller but not stored, and storing it evicts nothing — while the 48
+// 256² panels of a dashboard all stay resident.
+func TestCacheServesButSkipsOversized(t *testing.T) {
+	c := NewCache(Config{}.withDefaults().CacheBytes)
+	do := func(key string, res *plan.Result) (any, Outcome) {
+		t.Helper()
+		v, o, err := c.Do(context.Background(), key, func(context.Context) (any, error) { return res, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, o
+	}
+	const panels = 48
+	for i := 0; i < panels; i++ {
+		do(fmt.Sprintf("panel %d", i), hist2(256))
+	}
+	huge := hist2(MaxBins2D)
+	if v, o := do("huge", huge); o != Computed || v != huge {
+		t.Fatalf("oversized answer: outcome %v, served %v", o, v == huge)
+	}
+	if _, ok := c.Peek("huge"); ok {
+		t.Fatal("a 4096² answer was stored")
+	}
+	want := 0
+	for i := 0; i < panels; i++ {
+		key := fmt.Sprintf("panel %d", i)
+		if _, o := do(key, nil); o != Hit {
+			t.Fatalf("%s: outcome %v, want Hit", key, o)
+		}
+		want += hist2(256).CacheBytes(key)
+	}
+	if st := c.Stats(); st.Entries != panels || st.Evictions != 0 || st.Bytes != want {
+		t.Fatalf("stats %+v, want %d entries of %d bytes in all", st, panels, want)
+	}
+}
+
+// TestCacheChargesOnlyServableResults: an error, a typed-nil *plan.Result
+// and a partial answer are served as they are but neither stored nor
+// charged.
+func TestCacheChargesOnlyServableResults(t *testing.T) {
+	c := NewCache(oneByteKeys(64))
+	for key, fn := range map[string]func(context.Context) (any, error){
+		"error":     func(context.Context) (any, error) { return nil, errors.New("boom") },
+		"typed nil": func(context.Context) (any, error) { return (*plan.Result)(nil), nil },
+		"partial":   func(context.Context) (any, error) { return &plan.Result{Partial: true, Failed: []int{1}}, nil },
+	} {
+		c.Do(context.Background(), key, fn)
+		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("%s: stats %+v, want nothing stored", key, st)
+		}
+	}
+	c.Do(context.Background(), "ok", func(context.Context) (any, error) { return &plan.Result{Count: 3}, nil })
+	if st, want := c.Stats(), (&plan.Result{}).CacheBytes("ok"); st.Entries != 1 || st.Bytes != want {
+		t.Fatalf("stats %+v, want one entry of %d bytes", st, want)
+	}
 }

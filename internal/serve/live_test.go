@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,6 +348,14 @@ func TestLiveIngestValidation(t *testing.T) {
 	bad.Columns = bad.Columns[:2] // missing declared variables
 	if code, msg := postJSON(t, ts, "/v1/ingest", bad, nil); code != http.StatusBadRequest {
 		t.Fatalf("partial columns: %d (%s), want 400", code, msg)
+	}
+	// So does an identifier float64 cannot carry exactly: tracking gathers
+	// IDs as float64, and 2^53+1 would be followed as particle 2^53.
+	inexact := stepBody(t, simRun, 2)
+	ids := inexact.Columns[len(inexact.Columns)-1].Int
+	ids[len(ids)/2] = 1<<53 + 1
+	if code, msg := postJSON(t, ts, "/v1/ingest", inexact, nil); code != http.StatusBadRequest || !strings.Contains(msg, "2^53") {
+		t.Fatalf("id 2^53+1: %d (%s), want 400 naming 2^53", code, msg)
 	}
 	var steps StepsBody
 	get(t, ts, "/v1/steps", &steps)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/fastbit"
+	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -510,16 +511,16 @@ func TestScanOnlyFallback(t *testing.T) {
 // TestStatsEndpointShape sanity-checks counter plumbing end to end.
 func TestConfigDefaults(t *testing.T) {
 	d := Config{}.withDefaults()
-	if d.CacheEntries != 256 || d.Concurrency != 8 || d.QueueDepth != 16 || d.QueueTimeout != 2*time.Second ||
+	if d.CacheBytes != shard.FragCacheBytes || d.Concurrency != 8 || d.QueueDepth != 16 || d.QueueTimeout != 2*time.Second ||
 		d.ExecTimeout != 30*time.Second || d.SlowThreshold != 250*time.Millisecond {
 		t.Fatalf("zero-value defaults: %+v", d)
 	}
 	if l := (LiveConfig{}).withDefaults(); l.IngestWorkers != 1 || l.CatalogPoll != 500*time.Millisecond {
 		t.Fatalf("zero-value live defaults: %+v", l)
 	}
-	off := Config{CacheEntries: -1, QueueDepth: -1}.withDefaults()
-	if off.CacheEntries >= 0 {
-		t.Fatalf("CacheEntries -1 should stay negative (storage off), got %d", off.CacheEntries)
+	off := Config{CacheBytes: -1, QueueDepth: -1}.withDefaults()
+	if off.CacheBytes >= 0 {
+		t.Fatalf("CacheBytes -1 should stay negative (storage off), got %d", off.CacheBytes)
 	}
 	if off.QueueDepth != 0 {
 		t.Fatalf("QueueDepth -1 should become 0 (no queue), got %d", off.QueueDepth)

@@ -35,9 +35,11 @@ const (
 // defaults; pass a negative value to turn a bounded feature off
 // entirely.
 type Config struct {
-	// CacheEntries bounds the result cache. 0 means the default (256);
-	// negative disables storage (coalescing still applies).
-	CacheEntries int
+	// CacheBytes bounds the bytes the result cache stores, each result
+	// charged by plan.Result.CacheBytes. 0 means the default
+	// (shard.FragCacheBytes, 64 MiB); negative disables storage
+	// (coalescing still applies).
+	CacheBytes int
 	// Concurrency is the number of requests allowed to run backend work
 	// at once. Default 8.
 	Concurrency int
@@ -98,8 +100,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
+	if c.CacheBytes == 0 {
+		c.CacheBytes = shard.FragCacheBytes
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
@@ -276,7 +278,7 @@ func New(cfg Config) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:         cfg,
-		cache:       NewCache(cfg.CacheEntries),
+		cache:       NewCache(cfg.CacheBytes),
 		gate:        gate,
 		mux:         http.NewServeMux(),
 		reg:         reg,

@@ -262,7 +262,7 @@ func (e *Executor) Close() error {
 type fragCache struct {
 	mu      sync.Mutex
 	max     int // byte budget
-	bytes   int // sum of the entries' sizes
+	bytes   int // sum of the entries' sizes, each FragmentResult.CacheBytes
 	ll      *list.List
 	entries map[string]*list.Element
 }
@@ -275,28 +275,6 @@ type fragEntry struct {
 
 func newFragCache(maxBytes int) *fragCache {
 	return &fragCache{max: maxBytes, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-// fragEntryOverhead is the fixed cost of one entry, whatever its payload:
-// the list element, the map slot, the fragEntry and FragmentResult structs
-// and the histogram and slice headers. Without it a stream of count-only
-// fragments, charged ~50 key bytes apiece, would admit a million entries.
-const fragEntryOverhead = 256
-
-// fragSize is what an entry costs against the budget: the fixed overhead,
-// its key, counts, edges and positions.
-func fragSize(key string, res *plan.FragmentResult) int {
-	n := fragEntryOverhead + len(key) + 8*len(res.Sel)
-	for _, r := range res.MinMax {
-		n += len(r.Var) + 3*8 // Lo, Hi, N
-	}
-	if h := res.Hist1; h != nil {
-		n += 8 * (len(h.Counts) + len(h.Edges))
-	}
-	if h := res.Hist2; h != nil {
-		n += 8 * (len(h.Counts) + len(h.XEdges) + len(h.YEdges))
-	}
-	return n
 }
 
 func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
@@ -316,7 +294,7 @@ func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
 // put caches res under key, evicting least recently used entries while
 // over budget. A result larger than the whole budget is not cached.
 func (c *fragCache) put(key string, res *plan.FragmentResult) {
-	size := fragSize(key, res)
+	size := res.CacheBytes(key)
 	if c.max <= 0 || size > c.max {
 		return
 	}

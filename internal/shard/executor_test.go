@@ -17,7 +17,7 @@ func sel(n int) *plan.FragmentResult {
 // than the budget, and re-putting a key replaces its size exactly.
 func TestFragCacheByteBudget(t *testing.T) {
 	// Keys of one byte: an entry of n positions costs size(n).
-	size := func(n int) int { return fragEntryOverhead + 1 + 8*n }
+	size := func(n int) int { return plan.CacheEntryOverhead + 1 + 8*n }
 	c := newFragCache(size(100) + size(100) + size(50))
 	c.put("a", sel(100))
 	c.put("b", sel(100))
@@ -74,7 +74,7 @@ func TestFragCacheBoundsCountOnlyEntries(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.put(fmt.Sprintf("count\x1fstep=%d\x1fpx > %d && y < %d", i%12, i, i+7), &plan.FragmentResult{Count: uint64(i)})
 	}
-	if most := budget / fragEntryOverhead; c.len() == 0 || c.len() > most || c.bytes > budget {
+	if most := budget / plan.CacheEntryOverhead; c.len() == 0 || c.len() > most || c.bytes > budget {
 		t.Fatalf("%d count-only entries, %d bytes; want 1..%d entries within %d bytes", c.len(), c.bytes, most, budget)
 	}
 }
