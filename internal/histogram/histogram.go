@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -172,11 +173,14 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Hist1D is a one-dimensional histogram.
+// Hist1D is a one-dimensional histogram. One decoded from the wire holds
+// its non-zero cells instead of Counts until it is merged (see wire.go).
 type Hist1D struct {
 	Var    string    // variable name, e.g. "px"
 	Edges  []float64 // len Bins+1, strictly increasing
-	Counts []uint64  // len Bins
+	Counts []uint64  // len Bins; nil in a decoded partial
+
+	cells []byte // a decoded partial's compact count encoding
 }
 
 // Bins returns the number of bins.
@@ -215,15 +219,57 @@ func (h *Hist1D) Density(i int) float64 {
 	return float64(h.Counts[i]) / w
 }
 
-// Merge adds another histogram with identical edges into h.
+// Merge adds another histogram with identical edges into the dense h. A
+// decoded partial o adds only its non-zero cells.
 func (h *Hist1D) Merge(o *Hist1D) error {
 	if len(h.Edges) != len(o.Edges) {
 		return fmt.Errorf("histogram: merge edge count mismatch %d vs %d", len(h.Edges), len(o.Edges))
 	}
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
+	return mergeCounts(h.Counts, h.cells, o.Counts, o.cells)
+}
+
+// Clone returns a dense copy of h that shares nothing with it; a decoded
+// partial is expanded.
+func (h *Hist1D) Clone() *Hist1D {
+	return &Hist1D{Var: h.Var, Edges: slices.Clone(h.Edges), Counts: cloneCounts(h.Counts, h.cells, len(h.Edges)-1)}
+}
+
+// Dense returns h when its counts are dense, else its expansion.
+func (h *Hist1D) Dense() *Hist1D {
+	if h.cells == nil {
+		return h
+	}
+	return h.Clone()
+}
+
+// mergeCounts adds the counts of o (dense ocounts, or a decoded partial's
+// ocells) into the dense hcounts.
+func mergeCounts(hcounts []uint64, hcells []byte, ocounts []uint64, ocells []byte) error {
+	if hcells != nil {
+		return fmt.Errorf("histogram: merge into a decoded partial")
+	}
+	if ocells != nil {
+		addCells(hcounts, ocells)
+		return nil
+	}
+	if len(ocounts) != len(hcounts) {
+		return fmt.Errorf("histogram: merge count mismatch %d vs %d", len(hcounts), len(ocounts))
+	}
+	for i := range hcounts {
+		hcounts[i] += ocounts[i]
 	}
 	return nil
+}
+
+// cloneCounts returns a dense copy of counts, or the expansion of the
+// decoded cells of a histogram of bins cells.
+func cloneCounts(counts []uint64, cells []byte, bins int) []uint64 {
+	if cells == nil {
+		return slices.Clone(counts)
+	}
+	out := make([]uint64, bins)
+	addCells(out, cells)
+	return out
 }
 
 // Compute1D builds a 1D histogram of values over the given edges. Values
@@ -255,11 +301,15 @@ func Compute1DCtx(ctx context.Context, name string, values []float64, edges []fl
 }
 
 // Hist2D is a two-dimensional histogram over an (X, Y) variable pair.
-// Counts are stored row-major: Counts[iy*XBins + ix].
+// Counts are stored row-major: Counts[iy*XBins + ix]. One decoded from the
+// wire holds its non-zero cells instead of Counts until it is merged (see
+// wire.go).
 type Hist2D struct {
 	XVar, YVar     string
 	XEdges, YEdges []float64
-	Counts         []uint64
+	Counts         []uint64 // nil in a decoded partial
+
+	cells []byte // a decoded partial's compact count encoding
 }
 
 // XBins returns the number of bins along X.
@@ -332,16 +382,32 @@ func (h *Hist2D) NonEmpty(fn func(ix, iy int, count uint64)) {
 	}
 }
 
-// Merge adds another histogram with identical edges into h.
+// Merge adds another histogram with identical edges into the dense h. A
+// decoded partial o adds only its non-zero cells.
 func (h *Hist2D) Merge(o *Hist2D) error {
 	if len(h.XEdges) != len(o.XEdges) || len(h.YEdges) != len(o.YEdges) {
 		return fmt.Errorf("histogram: merge shape mismatch (%d,%d) vs (%d,%d)",
 			len(h.XEdges), len(h.YEdges), len(o.XEdges), len(o.YEdges))
 	}
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
+	return mergeCounts(h.Counts, h.cells, o.Counts, o.cells)
+}
+
+// Clone returns a dense copy of h that shares nothing with it; a decoded
+// partial is expanded.
+func (h *Hist2D) Clone() *Hist2D {
+	return &Hist2D{
+		XVar: h.XVar, YVar: h.YVar,
+		XEdges: slices.Clone(h.XEdges), YEdges: slices.Clone(h.YEdges),
+		Counts: cloneCounts(h.Counts, h.cells, h.XBins()*h.YBins()),
 	}
-	return nil
+}
+
+// Dense returns h when its counts are dense, else its expansion.
+func (h *Hist2D) Dense() *Hist2D {
+	if h.cells == nil {
+		return h
+	}
+	return h.Clone()
 }
 
 // MarginalX sums the 2D histogram along Y, yielding the X marginal.

@@ -1,0 +1,323 @@
+package histogram
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// uv concatenates minimal uvarints.
+func uv(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// wire1 assembles a 1D payload over bins uniform bins with the given
+// count encoding.
+func wire1(bins int, cells ...byte) []byte {
+	b := appendFloats(appendString(nil, "x"), UniformEdges(0, 1, bins))
+	return append(b, cells...)
+}
+
+// wire2 assembles a 2D payload over nx×ny uniform bins.
+func wire2(nx, ny int, cells ...byte) []byte {
+	b := appendString(appendString(nil, "x"), "px")
+	b = appendFloats(appendFloats(b, UniformEdges(0, 1, nx)), UniformEdges(-1, 1, ny))
+	return append(b, cells...)
+}
+
+// malformedWire is every way a payload can be refused, with the decoder
+// (1 or 2 dimensions) that must refuse it.
+var malformedWire = []struct {
+	name string
+	dims int
+	data []byte
+}{
+	{"empty", 1, nil},
+	{"empty 2d", 2, nil},
+	{"more cells than the grid", 1, wire1(2, uv(2, 1, 1, 1, 1, 1, 1)...)},
+	{"index past the grid", 1, wire1(4, uv(4, 5, 1)...)},
+	{"repeated index", 1, wire1(4, uv(4, 2, 1, 0, 3)...)},
+	{"zero count", 1, wire1(4, uv(4, 1, 0)...)},
+	{"trailing byte", 1, append(wire1(4, uv(4, 1, 3)...), 7)},
+	{"cell count is not the bins", 1, wire1(4, uv(5)...)},
+	{"no cell count", 1, wire1(4)},
+	{"non-minimal uvarint", 1, wire1(4, 4, 0x81, 0x00, 1)},
+	{"one edge", 1, append(appendFloats(appendString(nil, "x"), []float64{0}), uv(0)...)},
+	{"1d bins over the cap", 1, append(appendString(nil, "x"), uv(MaxBins1D+2)...)},
+	{"2d bins over the cap", 2, append(appendString(appendString(nil, "x"), "y"), uv(MaxBins2D+2)...)},
+	{"edges past the payload", 2, append(appendString(appendString(nil, "x"), "y"), uv(5, 0)...)},
+	{"string past the payload", 1, uv(9, 'x')},
+	{"2d index past the grid", 2, wire2(2, 3, uv(6, 6, 1, 1, 1)...)},
+}
+
+// FuzzHistWire: arbitrary bytes either fail to decode or decode to a
+// histogram that re-encodes to exactly those bytes, never panicking and
+// never allocating more than the payload implies; and a histogram built
+// from the bytes survives encode → decode → merge into zeros with its
+// counts intact.
+func FuzzHistWire(f *testing.F) {
+	for _, c := range malformedWire {
+		f.Add(c.data)
+	}
+	f.Add(wire1(4, uv(4, 1, 3, 2, 200)...))
+	f.Add(wire2(3, 2, uv(6, 2, 1, 4, 1<<40)...))
+	f.Add(wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D)...)) // a declared 4096² grid, no cells
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, h := range []interface {
+			GobDecode([]byte) error
+			GobEncode() ([]byte, error)
+		}{&Hist1D{}, &Hist2D{}} {
+			if alloc := decodeAlloc(h.GobDecode, data); alloc > uint64(2*len(data)+4096) {
+				t.Fatalf("%T: decoding %d bytes allocated %d", h, len(data), alloc)
+			}
+			if h.GobDecode(data) != nil {
+				continue
+			}
+			got, err := h.GobEncode()
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%T: decoded %x re-encodes to %x (%v)", h, data, got, err)
+			}
+		}
+
+		// A histogram drawn from the bytes: most cells zero, counts of
+		// every uvarint length.
+		magnitudes := []uint64{1, 127, 128, 16383, 16384, 1 << 40, math.MaxUint64}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for _, b := range data {
+			rng.Seed(rng.Int63() ^ int64(b))
+		}
+		nx, ny := 1+rng.Intn(40), 1+rng.Intn(40)
+		h := &Hist2D{XVar: "x", YVar: "y", XEdges: UniformEdges(0, 1, nx), YEdges: UniformEdges(0, 1, ny),
+			Counts: make([]uint64, nx*ny)}
+		density := rng.Intn(101)
+		for i := range h.Counts {
+			if rng.Intn(100) < density {
+				h.Counts[i] = magnitudes[rng.Intn(len(magnitudes))] - uint64(rng.Intn(2))
+			}
+		}
+		enc, err := h.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec Hist2D
+		if err := dec.GobDecode(enc); err != nil {
+			t.Fatalf("%d×%d: %v", nx, ny, err)
+		}
+		zero := &Hist2D{XEdges: h.XEdges, YEdges: h.YEdges, Counts: make([]uint64, nx*ny)}
+		if err := zero.Merge(&dec); err != nil || !slices.Equal(zero.Counts, h.Counts) {
+			t.Fatalf("%d×%d: merged counts differ (%v)", nx, ny, err)
+		}
+	})
+}
+
+// decodeAlloc returns the bytes one decode of data allocates: the least
+// of three measurements, as the process-wide counter also sees what other
+// goroutines (the fuzzing engine's among them) allocate meanwhile.
+func decodeAlloc(decode func([]byte) error, data []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode(data)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+func TestHistWireRejectsMalformed(t *testing.T) {
+	for _, c := range malformedWire {
+		var err error
+		if c.dims == 1 {
+			err = new(Hist1D).GobDecode(c.data)
+		} else {
+			err = new(Hist2D).GobDecode(c.data)
+		}
+		if err == nil {
+			t.Errorf("%s: decoded", c.name)
+		}
+	}
+}
+
+// TestHistWireRoundTrip: a decoded partial holds only its cells, sums and
+// re-encodes as the dense original, merges in as the dense original, and
+// expands back to it.
+func TestHistWireRoundTrip(t *testing.T) {
+	h1 := &Hist1D{Var: "x", Edges: []float64{math.Inf(-1), math.Copysign(0, -1), math.NaN(), 3},
+		Counts: []uint64{0, 300, math.MaxUint64}}
+	h2 := &Hist2D{XVar: "x", YVar: "px", XEdges: UniformEdges(0, 1, 3), YEdges: UniformEdges(-1, 1, 2),
+		Counts: []uint64{0, 1, 0, 0, 1 << 40, 7}}
+	enc1, err := h1.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc2, err := h2.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d1 Hist1D
+	var d2 Hist2D
+	if err := d1.GobDecode(enc1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.GobDecode(enc2); err != nil {
+		t.Fatal(err)
+	}
+	if d1.Counts != nil || d2.Counts != nil {
+		t.Fatal("a decoded partial holds dense counts")
+	}
+	for name, pair := range map[string][2][]byte{
+		"1d counts": {countBytes(h1), countBytes(&d1)},
+		"2d counts": {countBytes(h2), countBytes(&d2)},
+		"2d wire":   {enc2, must(d2.GobEncode())},
+		"1d wire":   {enc1, must(d1.GobEncode())},
+	} {
+		if !bytes.Equal(pair[0], pair[1]) {
+			t.Errorf("%s: dense %x, decoded %x", name, pair[0], pair[1])
+		}
+	}
+	if want := uv(6, 2, 1, 3, 1<<40, 1, 7); !bytes.Equal(countBytes(h2), want) {
+		t.Errorf("2d counts encode as %x, want %x", countBytes(h2), want)
+	}
+
+	if got := d2.Dense(); !slices.Equal(got.Counts, h2.Counts) {
+		t.Fatalf("Dense: %v, want %v", got.Counts, h2.Counts)
+	}
+	if got := h2.Dense(); got != h2 {
+		t.Fatal("Dense copied a dense histogram")
+	}
+	acc := h2.Clone()
+	if err := acc.Merge(&d2); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range acc.Counts {
+		if c != 2*h2.Counts[i] {
+			t.Fatalf("merge: %v", acc.Counts)
+		}
+	}
+	if err := d2.Merge(h2); err == nil {
+		t.Fatal("merged into a decoded partial")
+	}
+	acc1 := d1.Clone()
+	if err := acc1.Merge(&d1); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
+		t.Fatalf("1d merge: %v %v", acc1.Counts, err)
+	}
+
+	// Past 4 KiB, WriteCounts writes in blocks; the bytes are the one
+	// encoding, which the decoder reads back.
+	big := &Hist1D{Var: "x", Edges: UniformEdges(0, 1, 5000), Counts: make([]uint64, 5000)}
+	for i := range big.Counts {
+		big.Counts[i] = uint64(i * 131)
+	}
+	var w blockWriter
+	if err := big.WriteCounts(&w); err != nil || w.blocks < 2 {
+		t.Fatalf("WriteCounts: %d blocks (%v)", w.blocks, err)
+	}
+	var db Hist1D
+	if err := db.GobDecode(must(big.GobEncode())); err != nil || !bytes.Equal(countBytes(&db), w.Bytes()) {
+		t.Fatalf("blocked encoding does not round trip (%v)", err)
+	}
+	if got := db.Dense(); !slices.Equal(got.Counts, big.Counts) {
+		t.Fatal("blocked encoding expands to other counts")
+	}
+}
+
+// blockWriter counts the writes it is given.
+type blockWriter struct {
+	bytes.Buffer
+	blocks int
+}
+
+func (w *blockWriter) Write(p []byte) (int, error) {
+	w.blocks++
+	return w.Buffer.Write(p)
+}
+
+// countBytes is h's compact count encoding.
+func countBytes(h interface{ WriteCounts(io.Writer) error }) []byte {
+	var b bytes.Buffer
+	if err := h.WriteCounts(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestHistWireEmptyGridStaysSmall: a 4096² grid with no cells decodes to a
+// partial of a few tens of KiB (its edges), not 128 MiB of zeros.
+func TestHistWireEmptyGridStaysSmall(t *testing.T) {
+	data := wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D)...)
+	var h Hist2D
+	if err := h.GobDecode(data); err != nil {
+		t.Fatal(err)
+	}
+	if alloc := decodeAlloc(h.GobDecode, data); alloc > 2*uint64(len(data)) {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+	}
+}
+
+func TestHistEncodeRejectsShape(t *testing.T) {
+	for _, h := range []interface{ GobEncode() ([]byte, error) }{
+		&Hist1D{Var: "x", Edges: []float64{0, 1}, Counts: []uint64{1, 2}},
+		&Hist1D{Var: "x"},
+		&Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{0, 1, 2}, Counts: []uint64{1}},
+		&Hist2D{XEdges: UniformEdges(0, 1, MaxBins2D+1), YEdges: []float64{0, 1}, Counts: make([]uint64, MaxBins2D+1)},
+	} {
+		if _, err := h.GobEncode(); err == nil {
+			t.Errorf("%T %+v encoded", h, h)
+		}
+	}
+}
+
+// BenchmarkHistWire encodes and decodes a 1 %-occupied 256² partial, the
+// shape of a selective explore fragment, and a fully dense 1024² one.
+func BenchmarkHistWire(b *testing.B) {
+	for _, c := range []struct {
+		bins, every int
+	}{{256, 100}, {1024, 1}} {
+		h := &Hist2D{XVar: "x", YVar: "px", XEdges: UniformEdges(-1, 1, c.bins), YEdges: UniformEdges(-2, 2, c.bins),
+			Counts: make([]uint64, c.bins*c.bins)}
+		for i := 0; i < len(h.Counts); i += c.every {
+			h.Counts[i] = uint64(1 + i*7%1000)
+		}
+		enc, err := h.GobEncode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%dx%d-%dpct", c.bins, c.bins, 100/c.every)
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := h.GobEncode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				var d Hist2D
+				if err := d.GobDecode(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

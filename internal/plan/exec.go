@@ -440,13 +440,15 @@ func (res *Result) addFailed(shards []int) {
 	res.Partial = true
 }
 
-// mergeHist1 folds 1D partials bin-wise. Partials are read-only (a shard
-// may have cached them): a lone partial is the answer as it is, and the
-// first is cloned before a second merges into it. When every partial is
-// nil (all shards failed, or the one home fragment exhausted its budget)
-// an empty histogram over the spec's edges is returned; an unset range
-// falls back to [0, 0], as mergeRanges reports for an empty selection, so
-// the edges stay finite and encodable.
+// mergeHist1 folds 1D partials bin-wise into one dense histogram.
+// Partials are read-only (a shard may have cached them): a lone dense
+// partial is the answer as it is, a lone decoded one is expanded once, and
+// otherwise the first is cloned into the one dense accumulator the others
+// merge into — a decoded partial adds only its non-zero cells. When every
+// partial is nil (all shards failed, or the one home fragment exhausted
+// its budget) an empty histogram over the spec's edges is returned; an
+// unset range falls back to [0, 0], as mergeRanges reports for an empty
+// selection, so the edges stay finite and encodable.
 func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
 	var merged *histogram.Hist1D
 	owned := false
@@ -459,28 +461,23 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 			continue
 		}
 		if !owned {
-			merged = &histogram.Hist1D{
-				Var:    merged.Var,
-				Edges:  append([]float64(nil), merged.Edges...),
-				Counts: append([]uint64(nil), merged.Counts...),
-			}
-			owned = true
+			merged, owned = merged.Clone(), true
 		}
 		if err := merged.Merge(p.Hist1); err != nil {
 			return nil, fmt.Errorf("plan: merge 1d partials: %w", err)
 		}
 	}
-	if merged == nil {
-		if !spec.HasRange() {
-			spec.Lo, spec.Hi = 0, 0
-		}
-		merged = &histogram.Hist1D{
-			Var:    spec.Var,
-			Edges:  histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins),
-			Counts: make([]uint64, spec.Bins),
-		}
+	if merged != nil {
+		return merged.Dense(), nil
 	}
-	return merged, nil
+	if !spec.HasRange() {
+		spec.Lo, spec.Hi = 0, 0
+	}
+	return &histogram.Hist1D{
+		Var:    spec.Var,
+		Edges:  histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins),
+		Counts: make([]uint64, spec.Bins),
+	}, nil
 }
 
 // mergeHist2 is mergeHist1 for 2D partials.
@@ -496,33 +493,26 @@ func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist
 			continue
 		}
 		if !owned {
-			merged = &histogram.Hist2D{
-				XVar:   merged.XVar,
-				YVar:   merged.YVar,
-				XEdges: append([]float64(nil), merged.XEdges...),
-				YEdges: append([]float64(nil), merged.YEdges...),
-				Counts: append([]uint64(nil), merged.Counts...),
-			}
-			owned = true
+			merged, owned = merged.Clone(), true
 		}
 		if err := merged.Merge(p.Hist2); err != nil {
 			return nil, fmt.Errorf("plan: merge 2d partials: %w", err)
 		}
 	}
-	if merged == nil {
-		if !spec.HasXRange() {
-			spec.XLo, spec.XHi = 0, 0
-		}
-		if !spec.HasYRange() {
-			spec.YLo, spec.YHi = 0, 0
-		}
-		merged = &histogram.Hist2D{
-			XVar:   spec.XVar,
-			YVar:   spec.YVar,
-			XEdges: histogram.UniformEdges(spec.XLo, spec.XHi, spec.XBins),
-			YEdges: histogram.UniformEdges(spec.YLo, spec.YHi, spec.YBins),
-			Counts: make([]uint64, spec.XBins*spec.YBins),
-		}
+	if merged != nil {
+		return merged.Dense(), nil
 	}
-	return merged, nil
+	if !spec.HasXRange() {
+		spec.XLo, spec.XHi = 0, 0
+	}
+	if !spec.HasYRange() {
+		spec.YLo, spec.YHi = 0, 0
+	}
+	return &histogram.Hist2D{
+		XVar:   spec.XVar,
+		YVar:   spec.YVar,
+		XEdges: histogram.UniformEdges(spec.XLo, spec.XHi, spec.XBins),
+		YEdges: histogram.UniformEdges(spec.YLo, spec.YHi, spec.YBins),
+		Counts: make([]uint64, spec.XBins*spec.YBins),
+	}, nil
 }

@@ -350,7 +350,7 @@ func TestCacheServesButSkipsOversized(t *testing.T) {
 	for i := 0; i < panels; i++ {
 		do(fmt.Sprintf("panel %d", i), hist2(256))
 	}
-	huge := hist2(MaxBins2D)
+	huge := hist2(histogram.MaxBins2D)
 	if v, o := do("huge", huge); o != Computed || v != huge {
 		t.Fatalf("oversized answer: outcome %v, served %v", o, v == huge)
 	}

@@ -24,13 +24,6 @@ import (
 	"repro/internal/shard"
 )
 
-// Limits on requested histogram resolution; beyond them a request is
-// rejected with 400 rather than allocating unbounded bin arrays.
-const (
-	MaxBins1D = 1 << 20
-	MaxBins2D = 4096 // per axis
-)
-
 // Config parameterises a Server. Zero values take the documented
 // defaults; pass a negative value to turn a bounded feature off
 // entirely.
@@ -1083,7 +1076,7 @@ func hist1DSpec(r *http.Request, d *dataset) (histogram.Spec1D, *httpError) {
 	if herr := checkVars(d, v); herr != nil {
 		return zero, herr
 	}
-	bins, herr := intParam(r, "bins", 64, 1, MaxBins1D)
+	bins, herr := intParam(r, "bins", 64, 1, histogram.MaxBins1D)
 	if herr != nil {
 		return zero, herr
 	}
@@ -1121,10 +1114,10 @@ func hist2DSpec(r *http.Request, d *dataset) (histogram.Spec2D, *httpError) {
 	}
 	spec := histogram.NewSpec2D(xv, yv, 0, 0)
 	var herr *httpError
-	if spec.XBins, herr = intParam(r, "xbins", 64, 1, MaxBins2D); herr != nil {
+	if spec.XBins, herr = intParam(r, "xbins", 64, 1, histogram.MaxBins2D); herr != nil {
 		return zero, herr
 	}
-	if spec.YBins, herr = intParam(r, "ybins", 64, 1, MaxBins2D); herr != nil {
+	if spec.YBins, herr = intParam(r, "ybins", 64, 1, histogram.MaxBins2D); herr != nil {
 		return zero, herr
 	}
 	if spec.Binning, herr = binningParam(r); herr != nil {

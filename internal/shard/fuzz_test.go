@@ -1,7 +1,9 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -183,13 +185,47 @@ func planAnswer(res *plan.Result, err error) string {
 	return s
 }
 
+// wireRunner runs each fragment as a shard worker answers it over RPC:
+// through Service.Exec, with the reply gob-encoded and decoded and its
+// checksum verified, so the planner merges decoded partials as the
+// frontend does.
+type wireRunner struct {
+	t   *testing.T
+	svc *shard.Service
+}
+
+func (r wireRunner) RunFragment(_ context.Context, _ int, f plan.Fragment) (*plan.FragmentResult, error) {
+	var reply shard.ExecReply
+	if err := r.svc.Exec(&shard.ExecArgs{Frag: f}, &reply); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	var got shard.ExecReply
+	err := gob.NewEncoder(&buf).Encode(&reply)
+	if err == nil {
+		err = gob.NewDecoder(&buf).Decode(&got)
+	}
+	if err == nil && shard.ResultSum(got.Result) != got.Sum {
+		err = fmt.Errorf("sent sum %08x, received result sums %08x", got.Sum, shard.ResultSum(got.Result))
+	}
+	if err != nil {
+		// Fragments may run off the test goroutine: report, and let the
+		// failed fragment fail the answer.
+		r.t.Errorf("reply over the wire: %v", err)
+		return nil, err
+	}
+	return got.Result, nil
+}
+
 // FuzzPlanSplits is the plan-level differential oracle: one fuzzed
 // multi-chunk step, one count, select, hist1d or hist2d, run through
-// plan.Execute on shard executors at splits {1, 2, 3, 5, 7} and on both
-// backends. Every split answers byte-for-byte what one shard does, and
-// FastBit answers what Scan does (FastBit is skipped when the condition
-// names the NaN/±Inf column c, which no index holds, and on a zero-row
-// step, which has no index). The seed corpus is testdata/fuzz.
+// plan.Execute on shard workers at splits {1, 2, 3, 5, 7} and on both
+// backends, every partial crossing the wire (wireRunner). Every split
+// answers byte-for-byte what one shard does, one shard answers what the
+// in-process executor does, and FastBit answers what Scan does (FastBit
+// is skipped when the condition names the NaN/±Inf column c, which no
+// index holds, and on a zero-row step, which has no index). The seed
+// corpus is testdata/fuzz.
 func FuzzPlanSplits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &planBytes{b: data}
@@ -213,14 +249,20 @@ func FuzzPlanSplits(f *testing.F) {
 					t.Fatal(err)
 				}
 				got := planAnswer(plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows,
-					execRunner{ex}, plan.FailFast))
-				ex.Close()
+					wireRunner{t, shard.NewService(ex, nil)}, plan.FailFast))
 				if shards == 1 {
 					want = got
+					local := planAnswer(plan.Execute(context.Background(), q, plan.ShardMap{Shards: 1}, rows,
+						execRunner{ex}, plan.FailFast))
+					if local != want {
+						t.Fatalf("%d rows, chunks of %d, %v %v %q %+v %+v: over the wire\n%s\nin process\n%s",
+							rows, chunkRows, b, q.Op, q.Query, q.Spec1, q.Spec2, want, local)
+					}
 				} else if got != want {
 					t.Fatalf("%d rows, chunks of %d, %v %v %q %+v %+v: %d shards answer\n%s\none shard\n%s",
 						rows, chunkRows, b, q.Op, q.Query, q.Spec1, q.Spec2, shards, got, want)
 				}
+				ex.Close()
 			}
 			if first == "" {
 				first = want

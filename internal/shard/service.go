@@ -61,10 +61,13 @@ type ExecReply struct {
 // resultSum checksums a fragment result: the CRC-32 (IEEE) of a fixed
 // little-endian layout of every field, in declaration order — Count; the
 // MinMax entries (Var, Lo, Hi, N); a presence word, then Var, Edges and
-// Counts of Hist1; the same for Hist2 (XVar, YVar, XEdges, YEdges,
-// Counts); Sel. A string or slice is its length followed by its bytes or
-// 8-byte words, and a float is its IEEE-754 bits, so NaN sums like any
-// other value and nil and empty slices sum alike, as gob delivers them.
+// counts of Hist1; the same for Hist2 (XVar, YVar, XEdges, YEdges,
+// counts); Sel. A string or slice is its length followed by its bytes or
+// 8-byte words, a float is its IEEE-754 bits, and a histogram's counts are
+// their compact wire encoding (WriteCounts) — so NaN sums like
+// any other value, nil and empty slices sum alike as gob delivers them,
+// and a shard's dense partial sums as the frontend's decoded copy does
+// without the frontend touching a zero cell.
 func resultSum(res *plan.FragmentResult) uint32 {
 	var w sumWriter
 	w.u64(res.Count)
@@ -79,7 +82,7 @@ func resultSum(res *plan.FragmentResult) uint32 {
 		w.u64(1)
 		w.str(h.Var)
 		w.floats(h.Edges)
-		w.words(h.Counts)
+		h.WriteCounts(&w)
 	} else {
 		w.u64(0)
 	}
@@ -89,7 +92,7 @@ func resultSum(res *plan.FragmentResult) uint32 {
 		w.str(h.YVar)
 		w.floats(h.XEdges)
 		w.floats(h.YEdges)
-		w.words(h.Counts)
+		h.WriteCounts(&w)
 	} else {
 		w.u64(0)
 	}
@@ -98,7 +101,7 @@ func resultSum(res *plan.FragmentResult) uint32 {
 }
 
 // sumWriter feeds resultSum's layout to the CRC through a small block
-// buffer, so a 1024² histogram never materializes as bytes.
+// buffer.
 type sumWriter struct {
 	crc uint32
 	buf [4096]byte
@@ -142,6 +145,14 @@ func (w *sumWriter) floats(vs []float64) {
 	for _, v := range vs {
 		w.u64(math.Float64bits(v))
 	}
+}
+
+// Write sums p directly, after what is buffered: the block-wise compact
+// count encoding arrives through it.
+func (w *sumWriter) Write(p []byte) (int, error) {
+	w.flush()
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	return len(p), nil
 }
 
 func (w *sumWriter) sum() uint32 {
