@@ -135,8 +135,9 @@ type phaseReport struct {
 	P99MS      float64 `json:"p99_ms"`
 	RecoveryMS float64 `json:"recovery_ms"` // heal -> first exact answer with breakers closed
 	// CorruptWrites counts the shard replies the fault layer corrupted
-	// during the phase; ChecksumRejects those the scatter client then
-	// rejected on the content checksum (the rest failed gob decoding).
+	// during the phase; ChecksumRejects those whose result frame the
+	// scatter client then refused at decode, on its CRC or its validation
+	// (shard_reply_corrupt_total; the rest broke gob's own framing).
 	CorruptWrites   int64  `json:"corrupt_writes"`
 	ChecksumRejects uint64 `json:"checksum_rejects"`
 }

@@ -1,10 +1,8 @@
 package histogram
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 )
@@ -18,46 +16,49 @@ const (
 	MaxBins2D = 4096 // per axis
 )
 
-// The compact count encoding is a histogram's counts as they cross the
-// wire and are checksummed: the cell count, then one (gap, count) pair per
-// non-zero cell in ascending cell order, every number a minimal uvarint,
-// to the end of the encoding. A gap is the distance from the previous
-// non-zero cell, the first measured from cell -1, so every gap is ≥ 1.
-// The encoding is canonical: a given set of counts has exactly one.
+// A histogram's wire form is its variable name(s), its edges (as IEEE-754
+// bits) and the compact count encoding of its counts: the cell count, then
+// one (gap, count) pair per non-zero cell in ascending cell order, then a
+// zero gap ending it, every number a minimal uvarint. A gap is the
+// distance from the previous non-zero cell, the first measured from cell
+// -1, so every gap of a cell is ≥ 1. The encoding is canonical: a given
+// set of counts has exactly one.
 //
 // A histogram decoded from the wire keeps this validated encoding instead
 // of dense Counts (Counts is nil), so it costs what it holds, not the size
 // of its grid. Merge adds it into a dense histogram in O(non-zero), and
 // Clone or Dense expand it; it re-encodes to the bytes it came from.
 
-// wireHead is what GobEncode reserves beyond the names and edges: their
-// lengths, and one block of cells, all a selective partial needs.
-const wireHead = 32 + cellBlock
+// wireHead is what AppendWire reserves beyond the names and edges: their
+// lengths, and 4 KiB of cells, all a selective partial needs. Past it
+// appendCells doubles the buffer.
+const wireHead = 32 + 4096
 
-// cellBlock is the size of the blocks writeCells writes.
-const cellBlock = 4096
-
-// writeCells writes the compact encoding of dense counts to w in blocks of
-// about 4 KiB, so checksumming a large grid never materializes it.
-func writeCells(w io.Writer, counts []uint64) error {
-	buf := binary.AppendUvarint(make([]byte, 0, cellBlock+3*binary.MaxVarintLen64), uint64(len(counts)))
+// appendCells appends the compact encoding of dense counts.
+func appendCells(dst []byte, counts []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(counts)))
 	prev := -1
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
-		if len(buf) >= cellBlock {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+		if cap(dst)-len(dst) < 2*binary.MaxVarintLen64 {
+			dst = slices.Grow(dst, cap(dst))
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-prev))
-		buf = binary.AppendUvarint(buf, c)
+		dst = binary.AppendUvarint(dst, uint64(i-prev))
+		dst = binary.AppendUvarint(dst, c)
 		prev = i
 	}
-	_, err := w.Write(buf)
-	return err
+	return append(dst, 0)
+}
+
+// appendCounts appends a decoded partial's cells as they are, or encodes
+// dense counts.
+func appendCounts(dst []byte, counts []uint64, cells []byte) []byte {
+	if cells != nil {
+		return append(dst, cells...)
+	}
+	return appendCells(dst, counts)
 }
 
 // addCells adds the cells of a validated compact encoding into dst, which
@@ -65,205 +66,216 @@ func writeCells(w io.Writer, counts []uint64) error {
 func addCells(dst []uint64, enc []byte) {
 	_, n := binary.Uvarint(enc)
 	enc = enc[n:]
-	for i := -1; len(enc) > 0; {
+	for i := -1; ; {
 		gap, n := binary.Uvarint(enc)
-		enc = enc[n:]
-		c, n := binary.Uvarint(enc)
-		enc = enc[n:]
+		if gap == 0 {
+			return
+		}
+		c, m := binary.Uvarint(enc[n:])
+		enc = enc[n+m:]
 		i += int(gap)
 		dst[i] += c
 	}
 }
 
-// WriteCounts writes the compact encoding of h's counts to w.
-func (h *Hist1D) WriteCounts(w io.Writer) error { return writeCounts(w, h.Counts, h.cells) }
-
-// WriteCounts writes the compact encoding of h's counts to w.
-func (h *Hist2D) WriteCounts(w io.Writer) error { return writeCounts(w, h.Counts, h.cells) }
-
-// writeCounts writes a decoded partial's cells as they are, or encodes
-// dense counts.
-func writeCounts(w io.Writer, counts []uint64, cells []byte) error {
-	if cells != nil {
-		_, err := w.Write(cells)
-		return err
-	}
-	return writeCells(w, counts)
-}
-
-// GobEncode writes h as its variable name, its edges (as IEEE-754 bits)
-// and the compact encoding of its counts.
-func (h *Hist1D) GobEncode() ([]byte, error) {
+// AppendWire appends h's wire form to dst.
+func (h *Hist1D) AppendWire(dst []byte) ([]byte, error) {
 	bins := len(h.Edges) - 1
 	if bins < 1 || bins > MaxBins1D || h.cells == nil && len(h.Counts) != bins {
 		return nil, fmt.Errorf("histogram: encode 1d: %d edges, %d counts", len(h.Edges), len(h.Counts))
 	}
-	b := appendString(make([]byte, 0, wireHead+len(h.Var)+8*len(h.Edges)), h.Var)
-	buf := bytes.NewBuffer(appendFloats(b, h.Edges))
-	err := h.WriteCounts(buf)
-	return buf.Bytes(), err
+	dst = slices.Grow(dst, wireHead+len(h.Var)+8*len(h.Edges))
+	dst = appendFloats(AppendString(dst, h.Var), h.Edges)
+	return appendCounts(dst, h.Counts, h.cells), nil
 }
 
-// GobDecode reads what GobEncode writes, validating all of it. The counts
-// stay in their compact encoding.
-func (h *Hist1D) GobDecode(data []byte) error {
-	r := wireReader{b: data}
-	name := r.str()
-	edges := r.edges(MaxBins1D)
-	cells := r.cells(len(edges) - 1)
-	if r.err != nil {
-		return fmt.Errorf("histogram: decode 1d: %w", r.err)
-	}
-	*h = Hist1D{Var: name, Edges: edges, cells: cells}
-	return nil
-}
-
-// GobEncode writes h as its variable names, its X and Y edges (as IEEE-754
-// bits) and the compact encoding of its counts.
-func (h *Hist2D) GobEncode() ([]byte, error) {
+// AppendWire appends h's wire form to dst: X then Y.
+func (h *Hist2D) AppendWire(dst []byte) ([]byte, error) {
 	nx, ny := len(h.XEdges)-1, len(h.YEdges)-1
 	if nx < 1 || nx > MaxBins2D || ny < 1 || ny > MaxBins2D || h.cells == nil && len(h.Counts) != nx*ny {
 		return nil, fmt.Errorf("histogram: encode 2d: %d×%d edges, %d counts", len(h.XEdges), len(h.YEdges), len(h.Counts))
 	}
-	b := appendString(make([]byte, 0, wireHead+len(h.XVar)+len(h.YVar)+8*(len(h.XEdges)+len(h.YEdges))), h.XVar)
-	b = appendString(b, h.YVar)
-	b = appendFloats(b, h.XEdges)
-	buf := bytes.NewBuffer(appendFloats(b, h.YEdges))
-	err := h.WriteCounts(buf)
-	return buf.Bytes(), err
+	dst = slices.Grow(dst, wireHead+len(h.XVar)+len(h.YVar)+8*(len(h.XEdges)+len(h.YEdges)))
+	dst = AppendString(AppendString(dst, h.XVar), h.YVar)
+	dst = appendFloats(appendFloats(dst, h.XEdges), h.YEdges)
+	return appendCounts(dst, h.Counts, h.cells), nil
 }
 
-// GobDecode reads what GobEncode writes, validating all of it. The counts
-// stay in their compact encoding.
-func (h *Hist2D) GobDecode(data []byte) error {
-	r := wireReader{b: data}
-	xvar, yvar := r.str(), r.str()
-	xedges := r.edges(MaxBins2D)
-	yedges := r.edges(MaxBins2D)
-	cells := r.cells((len(xedges) - 1) * (len(yedges) - 1))
-	if r.err != nil {
-		return fmt.Errorf("histogram: decode 2d: %w", r.err)
-	}
-	*h = Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: cells}
-	return nil
-}
-
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as its length and its bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// AppendFloat appends v as its IEEE-754 bits, little-endian.
+func AppendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 func appendFloats(dst []byte, vs []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		dst = AppendFloat(dst, v)
 	}
 	return dst
 }
 
-// wireReader consumes a wire encoding front to back. The first failure
-// sticks in err: every later read returns a zero value.
-type wireReader struct {
+// WireReader consumes a wire encoding front to back, validating as it
+// goes. The first failure sticks, and Close reports it; what is read after
+// it is meaningless. It never panics, and it allocates only what the bytes
+// left can back.
+type WireReader struct {
 	b   []byte
 	err error
 }
 
-func (r *wireReader) fail(format string, args ...any) {
+// NewWireReader reads b.
+func NewWireReader(b []byte) *WireReader { return &WireReader{b: b} }
+
+// Fail records a validation failure, unless one is recorded already.
+func (r *WireReader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("malformed: "+format, args...)
 	}
 }
 
-// uvarint reads one minimal uvarint.
-func (r *wireReader) uvarint() uint64 {
+// Close returns the first failure, or an error when bytes are left over.
+func (r *WireReader) Close() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.Fail("%d bytes left over", len(r.b))
+	}
+	return r.err
+}
+
+// Uvarint reads one minimal uvarint.
+func (r *WireReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.fail("bad uvarint")
+	if !minimal(r.b, n) {
+		r.Fail("bad uvarint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *wireReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
+// Len reads the length of a list whose items take at least width bytes
+// each, refusing one the bytes left cannot hold, so the list can be
+// allocated before it is read.
+func (r *WireReader) Len(width int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)/width) {
+		r.Fail("%d items of ≥ %d bytes, %d bytes left", n, width, len(r.b))
+		return 0
 	}
-	if n > uint64(len(r.b)) {
-		r.fail("string of %d bytes, %d left", n, len(r.b))
-		return ""
-	}
+	return int(n)
+}
+
+// Str reads what AppendString writes.
+func (r *WireReader) Str() string {
+	n := r.Len(1)
 	s := string(r.b[:n])
 	r.b = r.b[n:]
 	return s
 }
 
-// edges reads the edges of an axis of 1..maxBins bins; the payload must
-// hold them before they are allocated.
-func (r *wireReader) edges(maxBins int) []float64 {
-	n := r.uvarint()
+// Float reads what AppendFloat writes.
+func (r *WireReader) Float() float64 {
+	if len(r.b) < 8 {
+		r.Fail("float past the end")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// Hist1D reads what Hist1D.AppendWire writes; nil after a failure. The
+// counts stay in their compact encoding.
+func (r *WireReader) Hist1D() *Hist1D {
+	name := r.Str()
+	edges := r.edges(MaxBins1D)
+	cells := r.cells(len(edges) - 1)
 	if r.err != nil {
 		return nil
 	}
-	if n < 2 || n > uint64(maxBins)+1 {
-		r.fail("%d edges, want 2..%d", n, maxBins+1)
+	return &Hist1D{Var: name, Edges: edges, cells: cells}
+}
+
+// Hist2D reads what Hist2D.AppendWire writes; nil after a failure. The
+// counts stay in their compact encoding.
+func (r *WireReader) Hist2D() *Hist2D {
+	xvar, yvar := r.Str(), r.Str()
+	xedges := r.edges(MaxBins2D)
+	yedges := r.edges(MaxBins2D)
+	cells := r.cells((len(xedges) - 1) * (len(yedges) - 1))
+	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.b))/8 {
-		r.fail("%d edges, %d bytes left", n, len(r.b))
+	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: cells}
+}
+
+// edges reads the edges of an axis of 1..maxBins bins.
+func (r *WireReader) edges(maxBins int) []float64 {
+	n := r.Len(8)
+	if r.err != nil {
+		return nil
+	}
+	if n < 2 || n > maxBins+1 {
+		r.Fail("%d edges, want 2..%d", n, maxBins+1)
 		return nil
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
+		vs[i] = r.Float()
 	}
-	r.b = r.b[8*n:]
 	return vs
 }
 
-// cells validates the compact count encoding of n cells that ends the
-// payload and returns a copy of it: the cell count must be n, and the
-// non-zero cells strictly ascending, inside the grid and non-zero, with no
-// byte left over (a trailing byte is an incomplete pair).
-func (r *wireReader) cells(n int) []byte {
+// cells validates the compact count encoding of n cells and returns a
+// copy of it: the cell count must be n, and the non-zero cells strictly
+// ascending, inside the grid and non-zero, up to the zero gap that ends
+// them.
+func (r *WireReader) cells(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
 	start := r.b
-	if got := r.uvarint(); r.err == nil && got != uint64(n) {
-		r.fail("%d cells, want %d", got, n)
+	if got := r.Uvarint(); r.err == nil && got != uint64(n) {
+		r.Fail("%d cells, want %d", got, n)
 		return nil
 	}
 	// The per-cell loop reads its uvarints inline: it is the frontend's
 	// cost per non-zero cell of every partial.
-	b := r.b
-	next := uint64(0) // the lowest index the next cell may take
-	for k := 0; len(b) > 0; k++ {
+	for b, next := r.b, uint64(0); ; { // next: the lowest index the next cell may take
 		gap, n1 := binary.Uvarint(b)
-		if n1 <= 0 || n1 > 1 && b[n1-1] == 0 {
-			r.fail("cell %d: bad gap uvarint", k)
+		if !minimal(b, n1) {
+			r.Fail("bad gap uvarint after index %d", int64(next)-1)
 			return nil
+		}
+		if gap == 0 {
+			r.b = b[n1:]
+			return slices.Clone(start[:len(start)-len(r.b)])
 		}
 		c, n2 := binary.Uvarint(b[n1:])
-		if n2 <= 0 || n2 > 1 && b[n1+n2-1] == 0 {
-			r.fail("cell %d: bad count uvarint", k)
-			return nil
-		}
 		switch {
-		case gap == 0 || gap > uint64(n)-next:
-			r.fail("cell %d: gap %d after index %d of %d", k, gap, int64(next)-1, n)
-			return nil
+		case !minimal(b[n1:], n2):
+			r.Fail("bad count uvarint after index %d", int64(next)-1)
+		case gap > uint64(n)-next:
+			r.Fail("gap %d after index %d of %d", gap, int64(next)-1, n)
 		case c == 0:
-			r.fail("cell %d: zero count", k)
+			r.Fail("zero count after index %d", int64(next)-1)
+		}
+		if r.err != nil {
 			return nil
 		}
 		next += gap
 		b = b[n1+n2:]
 	}
-	r.b = b
-	return slices.Clone(start[:len(start)-len(r.b)])
 }
+
+// minimal reports whether binary.Uvarint read a minimal uvarint of n
+// bytes from b.
+func minimal(b []byte, n int) bool { return n == 1 || n > 1 && b[n-1] != 0 }

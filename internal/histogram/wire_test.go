@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -24,13 +23,13 @@ func uv(vs ...uint64) []byte {
 // wire1 assembles a 1D payload over bins uniform bins with the given
 // count encoding.
 func wire1(bins int, cells ...byte) []byte {
-	b := appendFloats(appendString(nil, "x"), UniformEdges(0, 1, bins))
+	b := appendFloats(AppendString(nil, "x"), UniformEdges(0, 1, bins))
 	return append(b, cells...)
 }
 
 // wire2 assembles a 2D payload over nx×ny uniform bins.
 func wire2(nx, ny int, cells ...byte) []byte {
-	b := appendString(appendString(nil, "x"), "px")
+	b := AppendString(AppendString(nil, "x"), "px")
 	b = appendFloats(appendFloats(b, UniformEdges(0, 1, nx)), UniformEdges(-1, 1, ny))
 	return append(b, cells...)
 }
@@ -44,20 +43,36 @@ var malformedWire = []struct {
 }{
 	{"empty", 1, nil},
 	{"empty 2d", 2, nil},
-	{"more cells than the grid", 1, wire1(2, uv(2, 1, 1, 1, 1, 1, 1)...)},
-	{"index past the grid", 1, wire1(4, uv(4, 5, 1)...)},
-	{"repeated index", 1, wire1(4, uv(4, 2, 1, 0, 3)...)},
-	{"zero count", 1, wire1(4, uv(4, 1, 0)...)},
-	{"trailing byte", 1, append(wire1(4, uv(4, 1, 3)...), 7)},
-	{"cell count is not the bins", 1, wire1(4, uv(5)...)},
+	{"more cells than the grid", 1, wire1(2, uv(2, 1, 1, 1, 1, 1, 1, 0)...)},
+	{"index past the grid", 1, wire1(4, uv(4, 5, 1, 0)...)},
+	{"zero gap before a cell", 1, wire1(4, uv(4, 2, 1, 0, 3)...)},
+	{"zero count", 1, wire1(4, uv(4, 1, 0, 0)...)},
+	{"trailing byte", 1, append(wire1(4, uv(4, 1, 3, 0)...), 7)},
+	{"cell count is not the bins", 1, wire1(4, uv(5, 0)...)},
 	{"no cell count", 1, wire1(4)},
-	{"non-minimal uvarint", 1, wire1(4, 4, 0x81, 0x00, 1)},
-	{"one edge", 1, append(appendFloats(appendString(nil, "x"), []float64{0}), uv(0)...)},
-	{"1d bins over the cap", 1, append(appendString(nil, "x"), uv(MaxBins1D+2)...)},
-	{"2d bins over the cap", 2, append(appendString(appendString(nil, "x"), "y"), uv(MaxBins2D+2)...)},
-	{"edges past the payload", 2, append(appendString(appendString(nil, "x"), "y"), uv(5, 0)...)},
+	{"non-minimal uvarint", 1, wire1(4, 4, 0x81, 0x00, 1, 0)},
+	{"one edge", 1, append(appendFloats(AppendString(nil, "x"), []float64{0}), uv(0)...)},
+	{"1d bins over the cap", 1, append(AppendString(nil, "x"), uv(MaxBins1D+2)...)},
+	{"2d bins over the cap", 2, append(AppendString(AppendString(nil, "x"), "y"), uv(MaxBins2D+2)...)},
+	{"edges past the payload", 2, append(AppendString(AppendString(nil, "x"), "y"), uv(5, 0)...)},
 	{"string past the payload", 1, uv(9, 'x')},
-	{"2d index past the grid", 2, wire2(2, 3, uv(6, 6, 1, 1, 1)...)},
+	{"2d index past the grid", 2, wire2(2, 3, uv(6, 6, 1, 1, 1, 0)...)},
+	{"no end of cells", 1, wire1(4, uv(4, 1, 3)...)},
+}
+
+type wireForm interface{ AppendWire([]byte) ([]byte, error) }
+
+// decodeWire reads one whole payload of a dims-dimensional histogram: the
+// histogram and nothing after it.
+func decodeWire(dims int, data []byte) (wireForm, error) {
+	r := NewWireReader(data)
+	var h wireForm
+	if dims == 1 {
+		h = r.Hist1D()
+	} else {
+		h = r.Hist2D()
+	}
+	return h, r.Close()
 }
 
 // FuzzHistWire: arbitrary bytes either fail to decode or decode to a
@@ -69,23 +84,22 @@ func FuzzHistWire(f *testing.F) {
 	for _, c := range malformedWire {
 		f.Add(c.data)
 	}
-	f.Add(wire1(4, uv(4, 1, 3, 2, 200)...))
-	f.Add(wire2(3, 2, uv(6, 2, 1, 4, 1<<40)...))
-	f.Add(wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D)...)) // a declared 4096² grid, no cells
+	f.Add(wire1(4, uv(4, 1, 3, 2, 200, 0)...))
+	f.Add(wire2(3, 2, uv(6, 2, 1, 4, 1<<40, 0)...))
+	f.Add(wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D, 0)...)) // a declared 4096² grid, no cells
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, h := range []interface {
-			GobDecode([]byte) error
-			GobEncode() ([]byte, error)
-		}{&Hist1D{}, &Hist2D{}} {
-			if alloc := decodeAlloc(h.GobDecode, data); alloc > uint64(2*len(data)+4096) {
-				t.Fatalf("%T: decoding %d bytes allocated %d", h, len(data), alloc)
+		for dims := 1; dims <= 2; dims++ {
+			decode := func(b []byte) error { _, err := decodeWire(dims, b); return err }
+			if alloc := decodeAlloc(decode, data); alloc > uint64(2*len(data)+4096) {
+				t.Fatalf("%dd: decoding %d bytes allocated %d", dims, len(data), alloc)
 			}
-			if h.GobDecode(data) != nil {
+			h, err := decodeWire(dims, data)
+			if err != nil {
 				continue
 			}
-			got, err := h.GobEncode()
+			got, err := h.AppendWire(nil)
 			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("%T: decoded %x re-encodes to %x (%v)", h, data, got, err)
+				t.Fatalf("%dd: decoded %x re-encodes to %x (%v)", dims, data, got, err)
 			}
 		}
 
@@ -105,16 +119,12 @@ func FuzzHistWire(f *testing.F) {
 				h.Counts[i] = magnitudes[rng.Intn(len(magnitudes))] - uint64(rng.Intn(2))
 			}
 		}
-		enc, err := h.GobEncode()
+		dec, err := decodeWire(2, must(h.AppendWire(nil)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		var dec Hist2D
-		if err := dec.GobDecode(enc); err != nil {
 			t.Fatalf("%d×%d: %v", nx, ny, err)
 		}
 		zero := &Hist2D{XEdges: h.XEdges, YEdges: h.YEdges, Counts: make([]uint64, nx*ny)}
-		if err := zero.Merge(&dec); err != nil || !slices.Equal(zero.Counts, h.Counts) {
+		if err := zero.Merge(dec.(*Hist2D)); err != nil || !slices.Equal(zero.Counts, h.Counts) {
 			t.Fatalf("%d×%d: merged counts differ (%v)", nx, ny, err)
 		}
 	})
@@ -137,57 +147,41 @@ func decodeAlloc(decode func([]byte) error, data []byte) uint64 {
 
 func TestHistWireRejectsMalformed(t *testing.T) {
 	for _, c := range malformedWire {
-		var err error
-		if c.dims == 1 {
-			err = new(Hist1D).GobDecode(c.data)
-		} else {
-			err = new(Hist2D).GobDecode(c.data)
-		}
-		if err == nil {
+		if _, err := decodeWire(c.dims, c.data); err == nil {
 			t.Errorf("%s: decoded", c.name)
 		}
 	}
 }
 
-// TestHistWireRoundTrip: a decoded partial holds only its cells, sums and
+// TestHistWireRoundTrip: a decoded partial holds only its cells,
 // re-encodes as the dense original, merges in as the dense original, and
-// expands back to it.
+// expands back to it; and a reader takes one histogram after another.
 func TestHistWireRoundTrip(t *testing.T) {
 	h1 := &Hist1D{Var: "x", Edges: []float64{math.Inf(-1), math.Copysign(0, -1), math.NaN(), 3},
 		Counts: []uint64{0, 300, math.MaxUint64}}
 	h2 := &Hist2D{XVar: "x", YVar: "px", XEdges: UniformEdges(0, 1, 3), YEdges: UniformEdges(-1, 1, 2),
 		Counts: []uint64{0, 1, 0, 0, 1 << 40, 7}}
-	enc1, err := h1.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := h2.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d1 Hist1D
-	var d2 Hist2D
-	if err := d1.GobDecode(enc1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.GobDecode(enc2); err != nil {
+	enc1, enc2 := must(h1.AppendWire(nil)), must(h2.AppendWire(nil))
+	r := NewWireReader(append(bytes.Clone(enc2), enc1...))
+	d2, d1 := r.Hist2D(), r.Hist1D()
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if d1.Counts != nil || d2.Counts != nil {
 		t.Fatal("a decoded partial holds dense counts")
 	}
 	for name, pair := range map[string][2][]byte{
-		"1d counts": {countBytes(h1), countBytes(&d1)},
-		"2d counts": {countBytes(h2), countBytes(&d2)},
-		"2d wire":   {enc2, must(d2.GobEncode())},
-		"1d wire":   {enc1, must(d1.GobEncode())},
+		"1d counts": {countBytes(h1.Counts, h1.cells), countBytes(d1.Counts, d1.cells)},
+		"2d counts": {countBytes(h2.Counts, h2.cells), countBytes(d2.Counts, d2.cells)},
+		"2d wire":   {enc2, must(d2.AppendWire(nil))},
+		"1d wire":   {enc1, must(d1.AppendWire(nil))},
 	} {
 		if !bytes.Equal(pair[0], pair[1]) {
 			t.Errorf("%s: dense %x, decoded %x", name, pair[0], pair[1])
 		}
 	}
-	if want := uv(6, 2, 1, 3, 1<<40, 1, 7); !bytes.Equal(countBytes(h2), want) {
-		t.Errorf("2d counts encode as %x, want %x", countBytes(h2), want)
+	if got, want := countBytes(h2.Counts, nil), uv(6, 2, 1, 3, 1<<40, 1, 7, 0); !bytes.Equal(got, want) {
+		t.Errorf("2d counts encode as %x, want %x", got, want)
 	}
 
 	if got := d2.Dense(); !slices.Equal(got.Counts, h2.Counts) {
@@ -197,7 +191,7 @@ func TestHistWireRoundTrip(t *testing.T) {
 		t.Fatal("Dense copied a dense histogram")
 	}
 	acc := h2.Clone()
-	if err := acc.Merge(&d2); err != nil {
+	if err := acc.Merge(d2); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range acc.Counts {
@@ -209,48 +203,27 @@ func TestHistWireRoundTrip(t *testing.T) {
 		t.Fatal("merged into a decoded partial")
 	}
 	acc1 := d1.Clone()
-	if err := acc1.Merge(&d1); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
+	if err := acc1.Merge(d1); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
 		t.Fatalf("1d merge: %v %v", acc1.Counts, err)
 	}
 
-	// Past 4 KiB, WriteCounts writes in blocks; the bytes are the one
-	// encoding, which the decoder reads back.
+	// A grid whose encoding runs past 4 KiB round trips like a small one.
 	big := &Hist1D{Var: "x", Edges: UniformEdges(0, 1, 5000), Counts: make([]uint64, 5000)}
 	for i := range big.Counts {
 		big.Counts[i] = uint64(i * 131)
 	}
-	var w blockWriter
-	if err := big.WriteCounts(&w); err != nil || w.blocks < 2 {
-		t.Fatalf("WriteCounts: %d blocks (%v)", w.blocks, err)
+	db, err := decodeWire(1, must(big.AppendWire(nil)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var db Hist1D
-	if err := db.GobDecode(must(big.GobEncode())); err != nil || !bytes.Equal(countBytes(&db), w.Bytes()) {
-		t.Fatalf("blocked encoding does not round trip (%v)", err)
-	}
-	if got := db.Dense(); !slices.Equal(got.Counts, big.Counts) {
-		t.Fatal("blocked encoding expands to other counts")
+	if got := db.(*Hist1D).Dense(); !slices.Equal(got.Counts, big.Counts) {
+		t.Fatal("a large encoding expands to other counts")
 	}
 }
 
-// blockWriter counts the writes it is given.
-type blockWriter struct {
-	bytes.Buffer
-	blocks int
-}
-
-func (w *blockWriter) Write(p []byte) (int, error) {
-	w.blocks++
-	return w.Buffer.Write(p)
-}
-
-// countBytes is h's compact count encoding.
-func countBytes(h interface{ WriteCounts(io.Writer) error }) []byte {
-	var b bytes.Buffer
-	if err := h.WriteCounts(&b); err != nil {
-		panic(err)
-	}
-	return b.Bytes()
-}
+// countBytes is the compact count encoding of dense counts or a decoded
+// partial's cells.
+func countBytes(counts []uint64, cells []byte) []byte { return appendCounts(nil, counts, cells) }
 
 func must(b []byte, err error) []byte {
 	if err != nil {
@@ -262,24 +235,24 @@ func must(b []byte, err error) []byte {
 // TestHistWireEmptyGridStaysSmall: a 4096² grid with no cells decodes to a
 // partial of a few tens of KiB (its edges), not 128 MiB of zeros.
 func TestHistWireEmptyGridStaysSmall(t *testing.T) {
-	data := wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D)...)
-	var h Hist2D
-	if err := h.GobDecode(data); err != nil {
+	data := wire2(MaxBins2D, MaxBins2D, uv(MaxBins2D*MaxBins2D, 0)...)
+	decode := func(b []byte) error { _, err := decodeWire(2, b); return err }
+	if err := decode(data); err != nil {
 		t.Fatal(err)
 	}
-	if alloc := decodeAlloc(h.GobDecode, data); alloc > 2*uint64(len(data)) {
+	if alloc := decodeAlloc(decode, data); alloc > 2*uint64(len(data)) {
 		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 	}
 }
 
 func TestHistEncodeRejectsShape(t *testing.T) {
-	for _, h := range []interface{ GobEncode() ([]byte, error) }{
+	for _, h := range []wireForm{
 		&Hist1D{Var: "x", Edges: []float64{0, 1}, Counts: []uint64{1, 2}},
 		&Hist1D{Var: "x"},
 		&Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{0, 1, 2}, Counts: []uint64{1}},
 		&Hist2D{XEdges: UniformEdges(0, 1, MaxBins2D+1), YEdges: []float64{0, 1}, Counts: make([]uint64, MaxBins2D+1)},
 	} {
-		if _, err := h.GobEncode(); err == nil {
+		if _, err := h.AppendWire(nil); err == nil {
 			t.Errorf("%T %+v encoded", h, h)
 		}
 	}
@@ -296,15 +269,12 @@ func BenchmarkHistWire(b *testing.B) {
 		for i := 0; i < len(h.Counts); i += c.every {
 			h.Counts[i] = uint64(1 + i*7%1000)
 		}
-		enc, err := h.GobEncode()
-		if err != nil {
-			b.Fatal(err)
-		}
+		enc := must(h.AppendWire(nil))
 		name := fmt.Sprintf("%dx%d-%dpct", c.bins, c.bins, 100/c.every)
 		b.Run(name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := h.GobEncode(); err != nil {
+				if _, err := h.AppendWire(nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -313,8 +283,7 @@ func BenchmarkHistWire(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(enc)))
 			for i := 0; i < b.N; i++ {
-				var d Hist2D
-				if err := d.GobDecode(enc); err != nil {
+				if _, err := decodeWire(2, enc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,7 +8,6 @@
 package plan
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -173,35 +172,6 @@ type VarRange struct {
 	Var    string
 	Lo, Hi float64
 	N      uint64
-}
-
-// GobEncode writes r with its bounds as IEEE-754 bits. gob leaves a zero
-// float field out of a struct, so a -0 bound would otherwise arrive as +0:
-// the reply would fail its checksum, or merge into other edges than the
-// same plan run in one process.
-func (r VarRange) GobEncode() ([]byte, error) {
-	b := binary.AppendUvarint(nil, uint64(len(r.Var)))
-	b = append(b, r.Var...)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Lo))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Hi))
-	return binary.AppendUvarint(b, r.N), nil
-}
-
-// GobDecode reads what GobEncode writes.
-func (r *VarRange) GobDecode(data []byte) error {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)-k) || len(data)-k-int(n) < 17 {
-		return fmt.Errorf("plan: decode var range: malformed")
-	}
-	data = data[k:]
-	v, data := string(data[:n]), data[n:]
-	lo, hi := binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:])
-	count, k := binary.Uvarint(data[16:])
-	if k <= 0 || k != len(data)-16 {
-		return fmt.Errorf("plan: decode var range: malformed")
-	}
-	*r = VarRange{Var: v, Lo: math.Float64frombits(lo), Hi: math.Float64frombits(hi), N: count}
-	return nil
 }
 
 // FragmentResult is the mergeable partial a shard returns for a fragment.

@@ -1,9 +1,7 @@
 package plan
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -363,34 +361,6 @@ func TestZeroRowsCount(t *testing.T) {
 	}
 }
 
-// TestVarRangeGob: a range crosses gob with its bounds' bits intact (a -0
-// bound stays -0, which gob's own struct encoding drops to +0), and a
-// malformed payload is refused.
-func TestVarRangeGob(t *testing.T) {
-	in := []VarRange{{Var: "x", Lo: math.Copysign(0, -1), Hi: math.NaN(), N: 3}, {Var: "", Lo: 0, Hi: math.Inf(1)}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out []VarRange
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		a, b := in[i], out[i]
-		if a.Var != b.Var || a.N != b.N || math.Float64bits(a.Lo) != math.Float64bits(b.Lo) ||
-			math.Float64bits(a.Hi) != math.Float64bits(b.Hi) {
-			t.Fatalf("range %d: sent %+v, received %+v", i, a, b)
-		}
-	}
-	good, _ := in[0].GobEncode()
-	for _, bad := range [][]byte{nil, good[:len(good)-1], append(bytes.Clone(good), 0), {9, 'x'}} {
-		if err := new(VarRange).GobDecode(bad); err == nil {
-			t.Errorf("decoded malformed %x", bad)
-		}
-	}
-}
-
 // TestMergeDecodedPartials: partials that crossed the wire merge into the
 // same dense answer as their in-process originals, a lone one included,
 // and the merge never writes into a partial.
@@ -402,16 +372,8 @@ func TestMergeDecodedPartials(t *testing.T) {
 		h := &histogram.Hist2D{XVar: "x", YVar: "y", XEdges: edges(4), YEdges: edges(3), Counts: make([]uint64, 12)}
 		h.Counts[k*5%12] = uint64(k + 1)
 		h.Counts[11-k] += 7
-		enc, err := h.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := new(histogram.Hist2D)
-		if err := d.GobDecode(enc); err != nil {
-			t.Fatal(err)
-		}
 		dense = append(dense, &FragmentResult{Hist2: h})
-		wire = append(wire, &FragmentResult{Hist2: d})
+		wire = append(wire, overWire(t, dense[k]))
 	}
 	for _, n := range []int{1, 3} {
 		want, err := mergeHist2(spec, dense[:n])
@@ -431,15 +393,7 @@ func TestMergeDecodedPartials(t *testing.T) {
 	}
 
 	h1 := &histogram.Hist1D{Var: "x", Edges: edges(5), Counts: []uint64{0, 4, 0, 0, 9}}
-	enc, err := h1.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := new(histogram.Hist1D)
-	if err := d1.GobDecode(enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mergeHist1(histogram.NewSpec1D("x", 5), []*FragmentResult{{Hist1: d1}, nil, {Hist1: h1}})
+	got, err := mergeHist1(histogram.NewSpec1D("x", 5), []*FragmentResult{overWire(t, &FragmentResult{Hist1: h1}), nil, {Hist1: h1}})
 	if err != nil {
 		t.Fatal(err)
 	}

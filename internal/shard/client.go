@@ -117,31 +117,14 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 		fail(err)
 		return nil, err
 	}
-	if reply.Result == nil {
-		err := fmt.Errorf("shard: shard %d returned no result", shard)
-		fail(err)
-		return nil, err
-	}
-	// Verify the content checksum: gob decodes a byte-flipped float or
-	// count without complaint, and a corrupted partial would merge into a
-	// silently wrong — and unmarked — answer.
-	if resultSum(reply.Result) != reply.Sum {
-		metricReplyCorrupt.Inc()
-		err := fmt.Errorf("shard: shard %d reply failed checksum: transport corruption", shard)
+	if reply.Result == nil || profile != nil && reply.Prof == nil {
+		err := fmt.Errorf("shard: shard %d returned no result or no profile", shard)
 		fail(err)
 		return nil, err
 	}
 	if profile != nil {
-		fp := reply.Prof
-		if fp == nil {
-			// An older worker (or one restarted mid-rollout) that does not
-			// fill profiles still accounts for the fragment, with zero cost.
-			np := plan.NewFragProfile(shard, f)
-			np.Cached = reply.Cached
-			fp = &np
-		}
-		fp.Shard = shard
-		profile.Add(*fp)
+		reply.Prof.Shard = shard
+		profile.Add(*reply.Prof)
 	}
 	return reply.Result, nil
 }

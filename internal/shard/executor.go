@@ -26,8 +26,6 @@ var (
 		"Fragments shed by a shard worker because their deadline budget expired.")
 	metricBudgetSkips = obs.Default().Counter("shard_budget_skips_total",
 		"Fragments the scatter client refused to dispatch or abandoned because the deadline budget was spent.")
-	metricReplyCorrupt = obs.Default().Counter("shard_reply_corrupt_total",
-		"Fragment replies rejected by the scatter client because the content checksum did not match (transport corruption).")
 )
 
 // ExecStats is a snapshot of one executor's counters, shipped to the

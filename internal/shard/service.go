@@ -2,10 +2,7 @@ package shard
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -24,7 +21,8 @@ import (
 // layer. A nil AdmitFunc admits everything.
 type AdmitFunc func(ctx context.Context) (release func(), err error)
 
-// ExecArgs asks a shard worker to evaluate one plan fragment.
+// ExecArgs asks a shard worker to evaluate one plan fragment. Frag crosses
+// the wire as its frame (plan.Fragment's MarshalBinary).
 type ExecArgs struct {
 	Frag    plan.Fragment
 	TraceID string // originating request's trace ID; "" disables tracing
@@ -41,123 +39,17 @@ type ExecArgs struct {
 	Profile bool
 }
 
-// ExecReply carries the fragment's mergeable partial result.
+// ExecReply carries the fragment's mergeable partial result. Result
+// crosses the wire as its checksummed frame (plan.FragmentResult's
+// MarshalBinary); a frame refused at decode fails the call as a transport
+// error, so it is retried or fails over like a dropped connection.
 type ExecReply struct {
 	Result *plan.FragmentResult
-	Cached bool          // answered from the shard-local fragment cache
 	Trace  *obs.SpanData // shard-side span tree when TraceID was set
 	// Prof is the fragment execution profile when Profile was requested.
 	// It rides the reply, never the cacheable Result, so a cache-served
 	// fragment correctly reports zero cost.
 	Prof *plan.FragProfile
-	// Sum is a content checksum over Result. net/rpc's gob stream
-	// carries no payload integrity of its own: a flipped byte inside a
-	// float or count payload decodes "successfully" and would merge into
-	// a silently wrong answer. The client recomputes the sum and treats a
-	// mismatch as transport corruption.
-	Sum uint32
-}
-
-// resultSum checksums a fragment result: the CRC-32 (IEEE) of a fixed
-// little-endian layout of every field, in declaration order — Count; the
-// MinMax entries (Var, Lo, Hi, N); a presence word, then Var, Edges and
-// counts of Hist1; the same for Hist2 (XVar, YVar, XEdges, YEdges,
-// counts); Sel. A string or slice is its length followed by its bytes or
-// 8-byte words, a float is its IEEE-754 bits, and a histogram's counts are
-// their compact wire encoding (WriteCounts) — so NaN sums like
-// any other value, nil and empty slices sum alike as gob delivers them,
-// and a shard's dense partial sums as the frontend's decoded copy does
-// without the frontend touching a zero cell.
-func resultSum(res *plan.FragmentResult) uint32 {
-	var w sumWriter
-	w.u64(res.Count)
-	w.u64(uint64(len(res.MinMax)))
-	for _, r := range res.MinMax {
-		w.str(r.Var)
-		w.u64(math.Float64bits(r.Lo))
-		w.u64(math.Float64bits(r.Hi))
-		w.u64(r.N)
-	}
-	if h := res.Hist1; h != nil {
-		w.u64(1)
-		w.str(h.Var)
-		w.floats(h.Edges)
-		h.WriteCounts(&w)
-	} else {
-		w.u64(0)
-	}
-	if h := res.Hist2; h != nil {
-		w.u64(1)
-		w.str(h.XVar)
-		w.str(h.YVar)
-		w.floats(h.XEdges)
-		w.floats(h.YEdges)
-		h.WriteCounts(&w)
-	} else {
-		w.u64(0)
-	}
-	w.words(res.Sel)
-	return w.sum()
-}
-
-// sumWriter feeds resultSum's layout to the CRC through a small block
-// buffer.
-type sumWriter struct {
-	crc uint32
-	buf [4096]byte
-	n   int
-}
-
-func (w *sumWriter) flush() {
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[:w.n])
-	w.n = 0
-}
-
-func (w *sumWriter) u64(v uint64) {
-	if w.n+8 > len(w.buf) {
-		w.flush()
-	}
-	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
-	w.n += 8
-}
-
-func (w *sumWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	for len(s) > 0 {
-		if w.n == len(w.buf) {
-			w.flush()
-		}
-		k := copy(w.buf[w.n:], s)
-		w.n += k
-		s = s[k:]
-	}
-}
-
-func (w *sumWriter) words(vs []uint64) {
-	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.u64(v)
-	}
-}
-
-func (w *sumWriter) floats(vs []float64) {
-	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.u64(math.Float64bits(v))
-	}
-}
-
-// Write sums p directly, after what is buffered: the block-wise compact
-// count encoding arrives through it.
-func (w *sumWriter) Write(p []byte) (int, error) {
-	w.flush()
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	return len(p), nil
-}
-
-func (w *sumWriter) sum() uint32 {
-	w.flush()
-	return w.crc
 }
 
 // StatsArgs is the (empty) request of Shard.Stats.
@@ -223,8 +115,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 	if res, ok := s.ex.Peek(args.Frag); ok {
 		// A cached answer costs a map lookup; serve it even on a spent
 		// budget — it is faster than explaining the shed.
-		reply.Result, reply.Cached = res, true
-		reply.Sum = resultSum(res)
+		reply.Result = res
 		if fp := prof(); fp != nil {
 			fp.Cached, fp.CacheSource = true, "fragment"
 			reply.Prof = fp
@@ -281,7 +172,6 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		return err
 	}
 	reply.Result = res
-	reply.Sum = resultSum(res)
 	return nil
 }
 
