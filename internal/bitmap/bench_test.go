@@ -115,3 +115,44 @@ func BenchmarkAnd(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words), "ns/word")
 }
+
+var benchPositions []uint64
+
+// BenchmarkPositionsIn reads the set positions of the last third of a
+// 300 000-bit vector, the window of the third of three shards: a sparse
+// scattered bin (mostly literals) and the OR of the upper run bins (one
+// long ones-fill across the window). "iterate" is the walk it replaces,
+// a per-bit Iterate callback filtered to the window.
+func BenchmarkPositionsIn(b *testing.B) {
+	lo, hi := uint64(2*benchRows/3), uint64(benchRows)
+	for _, s := range []struct {
+		name string
+		v    *Vector
+	}{
+		{"sparse", scatteredBins()[0]},
+		{"ones", OrAll(runBins()[benchBins/2:])},
+	} {
+		b.Run(s.name+"/PositionsIn", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchPositions = s.v.PositionsIn(lo, hi)
+			}
+		})
+		b.Run(s.name+"/iterate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var out []uint64
+				s.v.Iterate(func(p uint64) bool {
+					if p >= hi {
+						return false
+					}
+					if p >= lo {
+						out = append(out, p)
+					}
+					return true
+				})
+				benchPositions = out
+			}
+		})
+	}
+}

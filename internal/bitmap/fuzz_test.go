@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -99,9 +100,81 @@ func boolOp(a, b []bool, f func(x, y bool) bool) []bool {
 	return out
 }
 
+// iterateIn is the windowed walk PositionsIn replaces: every set bit
+// through Iterate, filtered to [lo, hi).
+func iterateIn(v *Vector, lo, hi uint64) []uint64 {
+	var out []uint64
+	v.Iterate(func(p uint64) bool {
+		if p >= hi {
+			return false
+		}
+		if p >= lo {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
+}
+
+// windows returns row windows over a vector of n bits: the whole vector,
+// its thirds, empty ones (lo == hi, and lo > hi), one-bit ones, windows
+// past the end, windows inside the longest run of ones, and a few
+// windows drawn from data.
+func windows(ref []bool, data []byte) [][2]uint64 {
+	n := uint64(len(ref))
+	ws := [][2]uint64{{0, n}, {0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}, {n / 2, n / 2},
+		{2 * n / 3, n / 3}, {n / 2, n/2 + 1}, {n, n + 40}, {n / 4, n + 100}, {0, 0}}
+	start, best := 0, 0
+	for i, run := 0, 0; i < len(ref); i++ {
+		if run = 0; ref[i] {
+			for j := i; j < len(ref) && ref[j]; j++ {
+				run++
+			}
+			if run > best {
+				start, best = i, run
+			}
+			i += run
+		}
+	}
+	if best > 0 {
+		s, e := uint64(start), uint64(start+best)
+		mid := s + (e-s)/2
+		ws = append(ws, [2]uint64{s, e}, [2]uint64{mid, mid}, [2]uint64{mid, mid + 1},
+			[2]uint64{s + (e-s)/3, e - (e-s)/3}, [2]uint64{mid, e + 70})
+	}
+	for i := 1; i+1 < len(data) && i < 9; i += 2 {
+		lo := uint64(data[i]) * n / 256
+		ws = append(ws, [2]uint64{lo, lo + uint64(data[i+1])%97})
+	}
+	return ws
+}
+
+// checkWindows compares PositionsIn and AnyIn on every window with the
+// filtered Iterate walk.
+func checkWindows(t *testing.T, what string, v *Vector, ref []bool, data []byte) {
+	t.Helper()
+	for _, w := range windows(ref, data) {
+		want := iterateIn(v, w[0], w[1])
+		got := v.PositionsIn(w[0], w[1])
+		if len(got) != len(want) {
+			t.Fatalf("%s.PositionsIn(%d, %d) of %d bits: %d positions, want %d", what, w[0], w[1], v.Len(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s.PositionsIn(%d, %d): position %d = %d, want %d", what, w[0], w[1], i, got[i], want[i])
+			}
+		}
+		if any := v.AnyIn(w[0], w[1]); any != (len(want) > 0) {
+			t.Fatalf("%s.AnyIn(%d, %d) = %v with %d set bits inside", what, w[0], w[1], any, len(want))
+		}
+	}
+}
+
 // FuzzWAHOps checks every Boolean operation, both OrAll strategies
 // included, against the []bool oracle on vectors of unequal, unaligned
-// lengths, and BitSet's Or against OrAll. Seeds: testdata/fuzz/FuzzWAHOps.
+// lengths, and BitSet's Or against OrAll; and the windowed walks,
+// PositionsIn and AnyIn, against a filtered Iterate on every operand and
+// result. Seeds: testdata/fuzz/FuzzWAHOps.
 func FuzzWAHOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vs, refs := fuzzVectors(data)
@@ -109,6 +182,11 @@ func FuzzWAHOps(f *testing.F) {
 			return
 		}
 		a, b, ra, rb := vs[0], vs[1], refs[0], refs[1]
+		for i, v := range vs {
+			checkWindows(t, fmt.Sprintf("vs[%d]", i), v, refs[i], data)
+		}
+		checkWindows(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }), data)
+		checkWindows(t, "Not", a.Not(), boolOp(ra, ra, func(x, _ bool) bool { return !x }), data)
 		checkBits(t, "And", a.And(b), boolOp(ra, rb, func(x, y bool) bool { return x && y }))
 		checkBits(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }))
 		checkBits(t, "AndNot", a.AndNot(b), boolOp(ra, rb, func(x, y bool) bool { return x && !y }))

@@ -276,12 +276,111 @@ func (v *Vector) Iterate(fn func(pos uint64) bool) {
 
 // Positions returns the positions of all set bits.
 func (v *Vector) Positions() []uint64 {
-	out := make([]uint64, 0, v.Count())
-	v.Iterate(func(p uint64) bool {
-		out = append(out, p)
-		return true
-	})
+	return v.PositionsIn(0, v.n)
+}
+
+// PositionsIn returns the positions of the set bits in [lo, hi), in
+// order, or nil when there are none. It steps over the words before lo a
+// word at a time and stops at hi, so a window costs the words up to its
+// end and its own hits, not a call per set bit of the whole vector.
+func (v *Vector) PositionsIn(lo, hi uint64) []uint64 {
+	i, at := v.seek(lo)
+	n := v.countIn(i, at, lo, hi, false)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, n)
+	hi = min(hi, v.n)
+	for _, w := range v.words[i:] {
+		if at >= hi {
+			return out
+		}
+		if w&fillFlag != 0 {
+			span := uint64(w&maxFill) * groupBits
+			if w&fillOne != 0 {
+				for p := max(at, lo); p < min(at+span, hi); p++ {
+					out = append(out, p)
+				}
+			}
+			at += span
+			continue
+		}
+		for g := windowGroup(w, at, lo, hi); g != 0; g &= g - 1 {
+			out = append(out, at+uint64(bits.TrailingZeros32(g)))
+		}
+		at += groupBits
+	}
+	for g := windowGroup(v.act, at, lo, hi); g != 0; g &= g - 1 {
+		out = append(out, at+uint64(bits.TrailingZeros32(g)))
+	}
 	return out
+}
+
+// AnyIn reports whether v has a set bit in [lo, hi); an empty window has
+// none. Like PositionsIn it skips whole words before lo, and it stops at
+// the first word with a hit.
+func (v *Vector) AnyIn(lo, hi uint64) bool {
+	i, at := v.seek(lo)
+	return v.countIn(i, at, lo, hi, true) > 0
+}
+
+// seek returns the index of the first word that holds a position at or
+// past lo, and that word's first position: len(v.words) and the tail's
+// first position when lo is past every word.
+func (v *Vector) seek(lo uint64) (i int, at uint64) {
+	for ; i < len(v.words); i++ {
+		span := uint64(groupBits)
+		if w := v.words[i]; w&fillFlag != 0 {
+			span *= uint64(w & maxFill)
+		}
+		if at+span > lo {
+			break
+		}
+		at += span
+	}
+	return i, at
+}
+
+// countIn returns the number of set bits in [lo, hi), walking from word
+// i, whose first position is at (what seek(lo) returns); with first set
+// it stops at the first word that has any.
+func (v *Vector) countIn(i int, at, lo, hi uint64, first bool) uint64 {
+	hi = min(hi, v.n)
+	if lo >= hi {
+		return 0
+	}
+	var c uint64
+	for _, w := range v.words[i:] {
+		if at >= hi || first && c > 0 {
+			return c
+		}
+		if w&fillFlag != 0 {
+			span := uint64(w&maxFill) * groupBits
+			if w&fillOne != 0 {
+				c += min(at+span, hi) - max(at, lo)
+			}
+			at += span
+			continue
+		}
+		c += uint64(bits.OnesCount32(windowGroup(w, at, lo, hi)))
+		at += groupBits
+	}
+	return c + uint64(bits.OnesCount32(windowGroup(v.act, at, lo, hi)))
+}
+
+// windowGroup returns the literal group g, whose first bit is position
+// at, with the bits outside [lo, hi) cleared; lo < at+31.
+func windowGroup(g uint32, at, lo, hi uint64) uint32 {
+	if at >= hi {
+		return 0
+	}
+	if lo > at {
+		g &= ^uint32(0) << (lo - at)
+	}
+	if hi-at < groupBits {
+		g &= uint32(1)<<(hi-at) - 1
+	}
+	return g
 }
 
 // Equal reports whether two vectors have identical length and bits.

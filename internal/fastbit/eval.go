@@ -100,39 +100,9 @@ func (ev *Evaluator) window() (lo, hi uint64) {
 	return ev.win[0], ev.win[1]
 }
 
-// positionsIn returns v's set positions in [lo, hi), in order.
-func positionsIn(v *bitmap.Vector, lo, hi uint64) []uint64 {
-	if lo == 0 && hi >= v.Len() {
-		return v.Positions()
-	}
-	var out []uint64
-	v.Iterate(func(p uint64) bool {
-		if p >= hi {
-			return false
-		}
-		if p >= lo {
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
-}
-
 // noneInWindow reports whether v has no set bit inside the window.
 func (ev *Evaluator) noneInWindow(v *bitmap.Vector) bool {
-	lo, hi := ev.window()
-	if lo == 0 && hi >= v.Len() {
-		return v.Count() == 0
-	}
-	none := true
-	v.Iterate(func(p uint64) bool {
-		if p < lo {
-			return true
-		}
-		none = p >= hi
-		return false
-	})
-	return none
+	return !v.AnyIn(ev.window())
 }
 
 // idIndex resolves the identifier index, or nil when unavailable.
@@ -353,7 +323,7 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, 
 		return v, nil
 	}
 	lo, hi := ev.window()
-	positions := positionsIn(bitmap.OrAll(cand), lo, hi)
+	positions := bitmap.OrAll(cand).PositionsIn(lo, hi)
 	ev.Stats.CandidateChecks += uint64(len(positions))
 	values, err := ev.rawFor(in.Var)(positions)
 	if err != nil {
@@ -421,7 +391,7 @@ func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64)
 	if err != nil {
 		return nil, err
 	}
-	return positionsIn(v, lo, hi), nil
+	return v.PositionsIn(lo, hi), nil
 }
 
 // SelectIDs returns the identifiers of records matching e, read from the

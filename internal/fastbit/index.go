@@ -151,7 +151,7 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 	if raw == nil {
 		return nil, st, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
 	}
-	positions := positionsIn(ix.union(cls, binBoundary), lo, hi)
+	positions := ix.union(cls, binBoundary).PositionsIn(lo, hi)
 	st.CandidateChecks = uint64(len(positions))
 	values, err := raw(positions)
 	if err != nil {

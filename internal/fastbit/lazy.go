@@ -209,7 +209,7 @@ func (ls *LazyStep) idSearchDisk(id int64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if 8+16*cnt > sec.size {
+	if sec.size < 8 || cnt > (sec.size-8)/16 {
 		return nil, fmt.Errorf("fastbit: id index section inconsistent")
 	}
 	idsOff := sec.offset + 8
@@ -294,7 +294,7 @@ func (ls *LazyStep) readSection(sec section) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fastbit: stat index: %w", err)
 	}
-	if sec.offset+sec.size > uint64(st.Size()) {
+	if !sec.within(uint64(st.Size())) {
 		return nil, fmt.Errorf("fastbit: index section [%d,+%d) beyond file size %d",
 			sec.offset, sec.size, st.Size())
 	}

@@ -207,8 +207,10 @@ func decodeIDIndex(n uint64, data []byte) (*IDIndex, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("fastbit: id index section truncated")
 	}
+	// Bound the count by what the bytes hold before multiplying: 16*cnt
+	// wraps for cnt >= 2^60.
 	cnt := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) < 8+16*cnt {
+	if cnt > uint64(len(data)-8)/16 {
 		return nil, fmt.Errorf("fastbit: id index section holds %d bytes for %d entries", len(data), cnt)
 	}
 	id := &IDIndex{ids: make([]int64, cnt), pos: make([]uint64, cnt), n: n}
@@ -295,6 +297,12 @@ type section struct {
 	offset uint64
 	size   uint64
 	crc    uint32
+}
+
+// within reports whether the section lies inside the first n bytes, with
+// no sum that can wrap.
+func (s section) within(n uint64) bool {
+	return s.offset <= n && s.size <= n-s.offset
 }
 
 // verify checks blob against the recorded checksum.
@@ -393,12 +401,12 @@ func readDirectory(r io.Reader) (*directory, error) {
 // first touches the missing tail.
 func (d *directory) validate(fileSize int64) error {
 	for name, sec := range d.cols {
-		if sec.offset+sec.size > uint64(fileSize) {
+		if !sec.within(uint64(fileSize)) {
 			return fmt.Errorf("fastbit: truncated: section %q [%d,+%d) beyond file size %d: %w",
 				name, sec.offset, sec.size, fileSize, ErrCorrupt)
 		}
 	}
-	if d.hasID && d.idSec.offset+d.idSec.size > uint64(fileSize) {
+	if d.hasID && !d.idSec.within(uint64(fileSize)) {
 		return fmt.Errorf("fastbit: truncated: id section [%d,+%d) beyond file size %d: %w",
 			d.idSec.offset, d.idSec.size, fileSize, ErrCorrupt)
 	}
@@ -419,7 +427,7 @@ func ReadStepIndex(r io.Reader) (*StepIndex, error) {
 	si := &StepIndex{N: d.n, Columns: map[string]*Index{}, IDVar: d.idVar}
 	for _, name := range d.order {
 		sec := d.cols[name]
-		if sec.offset+sec.size > uint64(len(data)) {
+		if !sec.within(uint64(len(data))) {
 			return nil, fmt.Errorf("fastbit: index section %q out of range", name)
 		}
 		blob := data[sec.offset : sec.offset+sec.size]
@@ -433,7 +441,7 @@ func ReadStepIndex(r io.Reader) (*StepIndex, error) {
 		si.Columns[name] = ix
 	}
 	if d.hasID {
-		if d.idSec.offset+d.idSec.size > uint64(len(data)) {
+		if !d.idSec.within(uint64(len(data))) {
 			return nil, fmt.Errorf("fastbit: id index section out of range")
 		}
 		blob := data[d.idSec.offset : d.idSec.offset+d.idSec.size]

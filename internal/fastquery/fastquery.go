@@ -473,7 +473,11 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 		if err != nil {
 			return nil, err
 		}
-		return st.Histogram2DOver(ctx, rows, spec)
+		h, err := st.Histogram2DOver(ctx, rows, spec)
+		if err != nil {
+			return nil, err
+		}
+		return h.Dense(), nil
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.XVar, spec.YVar)
 		if err != nil {

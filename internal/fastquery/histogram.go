@@ -17,15 +17,39 @@ type Rows struct {
 	Pos    []uint64
 	All    bool
 	Lo, Hi uint64
+
+	// Gathered, when set, keeps the columns gathered at Pos, so that
+	// every pass over one selection reads each column once.
+	Gathered Gathered
+}
+
+// Gathered holds columns gathered at one selection's positions. The
+// values it hands out are shared: readers must not modify them.
+type Gathered interface {
+	// Column returns the named column's values at the positions, if kept.
+	Column(name string) ([]float64, bool)
+	// Keep offers a column just gathered at the positions.
+	Keep(name string, vals []float64)
 }
 
 // Values reads a column at the set's rows, touching only the chunks that
-// hold them and charging the read to ctx's cost accumulator.
+// hold them and charging the read to ctx's cost accumulator. A column
+// the rows' Gathered keeps is not read again, and costs nothing.
 func (st *Step) Values(ctx context.Context, rows Rows, name string) ([]float64, error) {
 	if rows.All {
 		return st.file.ReadAsFloat64RangeCost(name, rows.Lo, rows.Hi, obs.CostFromContext(ctx))
 	}
-	return st.ValuesAtCtx(ctx, name, rows.Pos)
+	if rows.Gathered == nil {
+		return st.ValuesAtCtx(ctx, name, rows.Pos)
+	}
+	if vs, ok := rows.Gathered.Column(name); ok {
+		return vs, nil
+	}
+	vs, err := st.ValuesAtCtx(ctx, name, rows.Pos)
+	if err == nil {
+		rows.Gathered.Keep(name, vs)
+	}
+	return vs, err
 }
 
 // Histogram2DOver is the histogram kernel, the second step of the paper's
@@ -33,7 +57,9 @@ func (st *Step) Values(ctx context.Context, rows Rows, name string) ([]float64, 
 // and bin them against spec, with edges resolved from those values. Every
 // FastBit histogram and every shard fragment's histogram is a selection
 // followed by this call, so a data-derived range is the same whichever
-// backend, shard split or fragment computed it.
+// backend, shard split or fragment computed it. The result is a partial
+// (histogram.Partial2DCtx): few values against the grid come back in the
+// cells form, so a reader of Counts takes its Dense().
 func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.Spec2D) (*histogram.Hist2D, error) {
 	_, gsp := obs.StartSpan(ctx, "gather-values")
 	xs, err := st.Values(ctx, rows, spec.XVar)
@@ -52,7 +78,7 @@ func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.S
 	if err != nil {
 		return nil, err
 	}
-	return histogram.Compute2DCtx(bctx, spec.XVar, spec.YVar, xs, ys, xe, ye)
+	return histogram.Partial2DCtx(bctx, spec.XVar, spec.YVar, xs, ys, xe, ye)
 }
 
 // Histogram1DOver is Histogram2DOver for one variable. An unconditional

@@ -191,15 +191,16 @@ type FragmentResult struct {
 const CacheEntryOverhead = 256
 
 // cacheBytes is what a cached answer costs against a byte budget: the
-// fixed overhead, its key, counts, edges and positions. The serving
-// layer's result cache and a shard's fragment cache both charge by it.
+// fixed overhead, its key, counts (dense or in the cells form), edges and
+// positions. The serving layer's result cache and a shard's fragment
+// cache both charge by it.
 func cacheBytes(key string, h1 *histogram.Hist1D, h2 *histogram.Hist2D, sel []uint64) int {
 	n := CacheEntryOverhead + len(key) + 8*len(sel)
 	if h1 != nil {
-		n += 8 * (len(h1.Counts) + len(h1.Edges))
+		n += h1.CountBytes() + 8*len(h1.Edges)
 	}
 	if h2 != nil {
-		n += 8 * (len(h2.Counts) + len(h2.XEdges) + len(h2.YEdges))
+		n += h2.CountBytes() + 8*(len(h2.XEdges)+len(h2.YEdges))
 	}
 	return n
 }

@@ -199,18 +199,17 @@ func (s *Server) watchCatalog(d *dataset, poll time.Duration) {
 	}
 }
 
-// indexState classifies timestep t for /v1/steps detail: "indexed",
-// "pending" (committed, build not finished), "failed" (permanent build
-// failure; serves scan-only), or "none" for static datasets without a
-// sidecar.
-func (d *dataset) indexState(t int, st *fastquery.Step) string {
-	if d.live == nil {
+// indexState classifies timestep t for /v1/steps detail by the manifest
+// man: "indexed", "pending" (committed, build not finished), "failed"
+// (permanent build failure; serves scan-only), or "none" past its steps.
+// A static dataset (man nil) is "indexed" or "none" by its sidecar.
+func indexState(man *ingest.Manifest, t int, st *fastquery.Step) string {
+	if man == nil {
 		if st.HasIndex() {
 			return "indexed"
 		}
 		return "none"
 	}
-	man := d.live.man.Load()
 	if t < 0 || t >= len(man.Steps) {
 		return "none"
 	}

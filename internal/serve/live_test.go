@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -490,5 +491,42 @@ func TestLiveConcurrentIngestAndQuery(t *testing.T) {
 		if scan.Matches != fb.Matches {
 			t.Fatalf("step %d: scan %d != fastbit %d", i, scan.Matches, fb.Matches)
 		}
+	}
+}
+
+// TestStepsReadOneManifest: /v1/steps takes its generation and every
+// step's index state from the one manifest it loaded, even when the
+// serving snapshot moves on while the answer is built. (Two loads once
+// paired "generation 7" with generation 8's index states.)
+func TestStepsReadOneManifest(t *testing.T) {
+	s, ts, _ := liveServer(t, 2, 2, LiveConfig{Index: fastbit.IndexOptions{Bins: 32}})
+	waitIndexed(t, ts, 2, 30*time.Second)
+	d := s.datasets["live"]
+	loaded := *d.live.man.Load()
+	loaded.Steps = slices.Clone(loaded.Steps)
+	loaded.Steps[1].Indexed = false // pending in the loaded manifest
+
+	// The snapshot moves on: a later generation with every step indexed.
+	later := *d.live.man.Load()
+	later.Generation = loaded.Generation + 1
+	d.live.man.Store(&later)
+
+	body, err := d.stepsBody(&loaded, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body.Generation != loaded.Generation {
+		t.Fatalf("generation %d, the loaded manifest's is %d", body.Generation, loaded.Generation)
+	}
+	for i, want := range []string{"indexed", "pending"} {
+		if got := body.Detail[i].IndexState; got != want {
+			t.Fatalf("step %d: index state %q, the loaded manifest says %q", i, got, want)
+		}
+	}
+	// The handler answers from the current snapshot, all of it.
+	var steps StepsBody
+	get(t, ts, "/v1/steps?detail=1", &steps)
+	if steps.Generation != later.Generation || steps.Detail[1].IndexState != "indexed" {
+		t.Fatalf("handler: generation %d, step 1 %q; want %d, indexed", steps.Generation, steps.Detail[1].IndexState, later.Generation)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -639,23 +640,40 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr.status, "%s", herr.msg)
 		return
 	}
-	body := StepsBody{Dataset: d.name, Steps: d.src.Steps(), Live: d.live != nil}
+	// One manifest answers the whole response: an index publish between
+	// two loads would pair one generation with another's index states.
+	var man *ingest.Manifest
 	if d.live != nil {
-		body.Generation = d.live.man.Load().Generation
+		man = d.live.man.Load()
 	}
-	if r.FormValue("detail") != "" {
-		for t := 0; t < d.src.Steps(); t++ {
-			st, err := d.step(t)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "step %d: %v", t, err)
-				return
-			}
-			info := StepInfo{Step: t, Indexed: st.HasIndex(), Rows: st.Rows(),
-				IndexState: d.indexState(t, st)}
-			body.Detail = append(body.Detail, info)
-		}
+	body, err := d.stepsBody(man, r.FormValue("detail") != "")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// stepsBody is the /v1/steps answer, its generation and every step's
+// index state read from man (nil for a static dataset).
+func (d *dataset) stepsBody(man *ingest.Manifest, detail bool) (StepsBody, error) {
+	n := d.src.Steps()
+	body := StepsBody{Dataset: d.name, Steps: n, Live: d.live != nil}
+	if man != nil {
+		body.Generation = man.Generation
+	}
+	if !detail {
+		return body, nil
+	}
+	for t := 0; t < n; t++ {
+		st, err := d.step(t)
+		if err != nil {
+			return StepsBody{}, fmt.Errorf("step %d: %v", t, err)
+		}
+		body.Detail = append(body.Detail, StepInfo{Step: t, Indexed: st.HasIndex(), Rows: st.Rows(),
+			IndexState: indexState(man, t, st)})
+	}
+	return body, nil
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,10 @@
 // Exact-work property across shard splits: a fragment does the work of
 // its own row range and nothing more, so splitting a request over any
 // number of shards answers byte-identically to one process while the
-// selection work summed over the fragments equals the one-process work
-// (or, for a conjunction that short-circuits per window, undercuts it).
+// selection work and the values read, summed over the fragments, equal
+// the one-process work (or, for a conjunction that short-circuits per
+// window, undercut it), and the data bytes exceed it only by the chunks
+// that neighbouring windows share.
 package shard_test
 
 import (
@@ -14,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -87,12 +90,15 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 	// process does; every other shape checks exactly the same rows.
 	queries := []struct {
 		name, cond string
+		vars       int // the columns the condition reads
 		atMost     bool
 	}{
-		{"compare", canonical(t, fmt.Sprintf("px > %g", pq)), false},
-		{"not-or", canonical(t, fmt.Sprintf("!(px > %g) || x != %g", pq, xq)), false},
-		{"and", canonical(t, fmt.Sprintf("px > %g && !(x < %g)", pq, xq)), true},
+		{"compare", canonical(t, fmt.Sprintf("px > %g", pq)), 1, false},
+		{"not-or", canonical(t, fmt.Sprintf("!(px > %g) || x != %g", pq, xq)), 2, false},
+		{"and", canonical(t, fmt.Sprintf("px > %g && !(x < %g)", pq, xq)), 2, true},
 	}
+	// A window boundary inside a chunk makes both neighbours read it.
+	chunkBytes := 8 * min(uint64(colstore.DefaultChunkRows), rows)
 	for _, backend := range []fastquery.Backend{fastquery.FastBit, fastquery.Scan} {
 		for _, qc := range queries {
 			cond := qc.cond
@@ -126,6 +132,23 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 							if g := r.total().Rows; g != rows {
 								t.Errorf("%d shards: fragments scan %d rows, the step has %d", shards, g, rows)
 							}
+						}
+						// Every value is read once, whichever fragment or
+						// phase reads it: phase 1 gathers the histogram's
+						// columns and phase 2 bins what it kept.
+						if g, w := r.total().ValuesRead, single.total().ValuesRead; g > w || g < w && !qc.atMost {
+							t.Errorf("%d shards: fragments read %d values, one process %d", shards, g, w)
+						}
+						// Each column read (the condition's, then the
+						// histogram's two gathers) may read one chunk twice
+						// at each of the shards-1 interior split points.
+						reads := uint64(qc.vars)
+						if op == plan.OpHist2D {
+							reads += 2
+						}
+						if g, w := r.total().DataBytes, single.total().DataBytes; g > w+uint64(shards-1)*reads*chunkBytes {
+							t.Errorf("%d shards: fragments read %d data bytes, one process %d + %d split points × %d column reads × %d-byte chunks",
+								shards, g, w, shards-1, reads, chunkBytes)
 						}
 						// Phase 2 gathers at the selection phase 1 cached:
 						// it charges no selection work at all. (One shard

@@ -164,10 +164,13 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	if sf, ok := selectionOf(f); ok {
 		// The two phases of a histogram select the same rows: both read
 		// them from one FragSelect entry, which a session select over the
-		// same range shares too. An evicted entry is just recomputed.
+		// same range shares too, and gather each column at them once:
+		// phase 1 keeps what it gathers beside the selection, and phase 2
+		// bins it. An evicted entry is just recomputed.
 		var sel *plan.FragmentResult
 		if sel, err = e.selection(ctx, st, sf); err == nil {
-			res, err = evalOver(ctx, st, f, fastquery.Rows{Pos: sel.Sel})
+			rows := fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.cache, key: sf.Key()}}
+			res, err = evalOver(ctx, st, f, rows)
 		}
 	} else {
 		res, err = Eval(ctx, st, f)
@@ -193,6 +196,28 @@ func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fr
 	}
 	e.cache.put(key, res)
 	return res, nil
+}
+
+// gathered keeps the columns gathered at a cached selection's positions
+// in the fragment cache, each under the selection's key and the column's
+// name and charged its 8 bytes a value. Like the selection, a column
+// evicted is just gathered again.
+type gathered struct {
+	c   *fragCache
+	key string // the FragSelect's key
+}
+
+func (g gathered) entry(name string) string { return g.key + "\x1egather\x1f" + name }
+
+func (g gathered) Column(name string) ([]float64, bool) {
+	v, ok := g.c.load(g.entry(name))
+	vs, _ := v.([]float64)
+	return vs, ok && vs != nil
+}
+
+func (g gathered) Keep(name string, vals []float64) {
+	key := g.entry(name)
+	g.c.store(key, vals, plan.CacheEntryOverhead+len(key)+8*cap(vals))
 }
 
 // selectionOf returns the FragSelect fragment whose positions a
@@ -252,22 +277,23 @@ func (e *Executor) Close() error {
 	return first
 }
 
-// fragCache is a small mutex-guarded LRU of fragment results, bounded by
-// the bytes its entries hold rather than their number: one dense 1024²
-// histogram weighs as much as sixteen 256² ones. It has no singleflight —
-// the frontend's result cache already coalesces identical client
-// requests, so duplicate fragment evaluations are rare.
+// fragCache is a small mutex-guarded LRU of fragment results and the
+// columns gathered at cached selections, bounded by the bytes its entries
+// hold rather than their number: one dense 1024² histogram weighs as much
+// as sixteen 256² ones. It has no singleflight — the frontend's result
+// cache already coalesces identical client requests, so duplicate
+// fragment evaluations are rare.
 type fragCache struct {
 	mu      sync.Mutex
 	max     int // byte budget
-	bytes   int // sum of the entries' sizes, each FragmentResult.CacheBytes
+	bytes   int // sum of the entries' sizes
 	ll      *list.List
 	entries map[string]*list.Element
 }
 
 type fragEntry struct {
 	key  string
-	res  *plan.FragmentResult
+	val  any // a *plan.FragmentResult, or a gathered []float64
 	size int
 }
 
@@ -275,7 +301,19 @@ func newFragCache(maxBytes int) *fragCache {
 	return &fragCache{max: maxBytes, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
+// get returns the fragment result cached under key.
 func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
+	v, ok := c.load(key)
+	res, _ := v.(*plan.FragmentResult)
+	return res, ok && res != nil
+}
+
+// put caches a fragment result under key, charged res.CacheBytes.
+func (c *fragCache) put(key string, res *plan.FragmentResult) {
+	c.store(key, res, res.CacheBytes(key))
+}
+
+func (c *fragCache) load(key string) (any, bool) {
 	if c.max <= 0 {
 		return nil, false
 	}
@@ -286,13 +324,13 @@ func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*fragEntry).res, true
+	return el.Value.(*fragEntry).val, true
 }
 
-// put caches res under key, evicting least recently used entries while
-// over budget. A result larger than the whole budget is not cached.
-func (c *fragCache) put(key string, res *plan.FragmentResult) {
-	size := res.CacheBytes(key)
+// store caches val, which costs size bytes, under key, evicting least
+// recently used entries while over budget. A value larger than the whole
+// budget is not cached.
+func (c *fragCache) store(key string, val any, size int) {
 	if c.max <= 0 || size > c.max {
 		return
 	}
@@ -302,9 +340,9 @@ func (c *fragCache) put(key string, res *plan.FragmentResult) {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*fragEntry)
 		c.bytes += size - e.size
-		e.res, e.size = res, size
+		e.val, e.size = val, size
 	} else {
-		c.entries[key] = c.ll.PushFront(&fragEntry{key: key, res: res, size: size})
+		c.entries[key] = c.ll.PushFront(&fragEntry{key: key, val: val, size: size})
 		c.bytes += size
 	}
 	for c.bytes > c.max {

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/histogram"
 	"repro/internal/plan"
 )
 
@@ -76,5 +79,67 @@ func TestFragCacheBoundsCountOnlyEntries(t *testing.T) {
 	}
 	if most := budget / plan.CacheEntryOverhead; c.len() == 0 || c.len() > most || c.bytes > budget {
 		t.Fatalf("%d count-only entries, %d bytes; want 1..%d entries within %d bytes", c.len(), c.bytes, most, budget)
+	}
+}
+
+// TestFragCacheChargesRealBytes: a cells-form histogram partial is
+// charged its encoding, not its grid; a column gathered at a cached
+// selection is charged 8 bytes a value beside it; and however entries of
+// both kinds and plain results arrive, the total stays within budget and
+// equals the sum of the entries' charges.
+func TestFragCacheChargesRealBytes(t *testing.T) {
+	e := histogram.UniformEdges(0, 1, 256)
+	xs := []float64{0.1, 0.1, 0.2, 0.7, 0.9}
+	h, err := histogram.Partial2DCtx(context.Background(), "x", "y", xs, xs, e, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Counts != nil {
+		t.Fatal("5 values on a 256² grid binned dense")
+	}
+	res := &plan.FragmentResult{Hist2: h}
+	c := newFragCache(1 << 20)
+	c.put("h", res)
+	want := plan.CacheEntryOverhead + 1 + h.CountBytes() + 8*2*257
+	if c.bytes != want || h.CountBytes() > 64 {
+		t.Fatalf("cells-form partial charged %d bytes (counts %d), want %d", c.bytes, h.CountBytes(), want)
+	}
+
+	g := gathered{c: c, key: "sel"}
+	vals := make([]float64, 1000)
+	g.Keep("px", vals)
+	key := g.entry("px")
+	want += plan.CacheEntryOverhead + len(key) + 8*len(vals)
+	if c.bytes != want {
+		t.Fatalf("gathered column charged %d bytes in all, want %d", c.bytes, want)
+	}
+	if got, ok := g.Column("px"); !ok || &got[0] != &vals[0] {
+		t.Fatal("gathered column not kept")
+	}
+	if _, ok := g.Column("x"); ok {
+		t.Fatal("a column never gathered was found")
+	}
+	if _, ok := c.get(key); ok {
+		t.Fatal("a gathered column read back as a fragment result")
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprint(rng.Intn(300))
+		switch rng.Intn(3) {
+		case 0:
+			c.put(k, sel(rng.Intn(20000)))
+		case 1:
+			gathered{c: c, key: k}.Keep("x", make([]float64, rng.Intn(40000)))
+		default:
+			c.put(k, res)
+		}
+		sum := 0
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*fragEntry).size
+		}
+		if c.bytes > c.max || c.bytes != sum {
+			t.Fatalf("after %d puts: %d bytes charged, entries sum to %d, budget %d", i+1, c.bytes, sum, c.max)
+		}
 	}
 }
