@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -396,11 +397,25 @@ func BenchmarkIndexSerialization(b *testing.B) {
 		}
 	})
 	b.Run("Read", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "step.idx")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			b.Fatal(err)
+		}
 		b.SetBytes(int64(len(blob)))
 		for i := 0; i < b.N; i++ {
-			if _, err := fastbit.ReadStepIndex(bytes.NewReader(blob)); err != nil {
+			ls, err := fastbit.OpenLazy(path)
+			if err != nil {
 				b.Fatal(err)
 			}
+			for _, name := range ls.Columns() {
+				if _, err := ls.Column(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := ls.IDIndex(); err != nil {
+				b.Fatal(err)
+			}
+			ls.Close()
 		}
 	})
 }

@@ -2,6 +2,7 @@ package fastbit
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/query"
@@ -14,19 +15,19 @@ func TestStepIndexSerializationRoundTrip(t *testing.T) {
 	if _, err := si.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	si2, err := ReadStepIndex(&buf)
+	ls, err := loadAll(t, filepath.Join(t.TempDir(), "step.idx"), buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si2.N != si.N || si2.IDVar != "id" || si2.ID == nil {
-		t.Fatalf("round trip meta: %+v", si2)
+	if ls.N() != si.N || ls.IDVar() != "id" || !ls.dir.hasID {
+		t.Fatalf("round trip meta: N %d, id var %q, has id %v", ls.N(), ls.IDVar(), ls.dir.hasID)
 	}
-	if len(si2.Columns) != len(si.Columns) {
-		t.Fatalf("column count %d vs %d", len(si2.Columns), len(si.Columns))
+	if len(ls.Columns()) != len(si.Columns) {
+		t.Fatalf("column count %d vs %d", len(ls.Columns()), len(si.Columns))
 	}
 	// Same query answers through both.
 	e := query.MustParse("px > 1e9 && y > 0")
-	got, err := si2.Evaluator(mem).Select(e)
+	got, err := ls.Evaluator(mem).Select(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,17 @@ func TestStepIndexSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// ID index survived.
+	id, err := ls.IDIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p1 := si.ID.Lookup([]int64{ids[5]})
-	p2 := si2.ID.Lookup([]int64{ids[5]})
+	p2 := id.Lookup([]int64{ids[5]})
 	if len(p1) != len(p2) || p1[0] != p2[0] {
 		t.Fatalf("ID lookup differs after round trip")
 	}
-	if si2.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes nonpositive")
+	if ls.IndexBytesRead() <= 0 {
+		t.Fatal("loading every section read no bytes")
 	}
 }
 
@@ -59,30 +64,33 @@ func TestStepIndexFileRoundTrip(t *testing.T) {
 	if err := si.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	si2, err := ReadFile(path)
+	ls, err := loadAll(t, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si2.N != si.N {
-		t.Fatalf("N = %d, want %d", si2.N, si.N)
+	if ls.N() != si.N {
+		t.Fatalf("N = %d, want %d", ls.N(), si.N)
 	}
-	if _, err := ReadFile(path + ".missing"); err == nil {
+	if _, err := loadAll(t, path+".missing", nil); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
+// TestReadStepIndexRejectsGarbage: reading an index rejects a wrong magic,
+// an empty file and an unknown version.
 func TestReadStepIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadStepIndex(bytes.NewReader([]byte("nope"))); err == nil {
+	path := filepath.Join(t.TempDir(), "step.idx")
+	if _, err := loadAll(t, path, []byte("nope")); err == nil {
 		t.Fatal("garbage magic accepted")
 	}
-	if _, err := ReadStepIndex(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
+	if _, err := loadAll(t, path, []byte{}); err == nil {
+		t.Fatal("empty file accepted")
 	}
 	// Valid magic, bad version.
 	var buf bytes.Buffer
 	buf.Write(indexMagic[:])
 	buf.Write([]byte{99, 0, 0, 0})
-	if _, err := ReadStepIndex(&buf); err == nil {
+	if _, err := loadAll(t, path, buf.Bytes()); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }

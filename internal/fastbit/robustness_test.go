@@ -3,6 +3,7 @@ package fastbit
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -14,8 +15,36 @@ import (
 )
 
 // Serialized index files may arrive truncated or corrupted (partial
-// writes, bad storage). Deserialization must return errors, never panic,
-// and lazy loading must fail cleanly too.
+// writes, bad storage). Opening and loading them must return errors, never
+// panic.
+
+// loadAll opens the index file at path — first writing data there unless
+// data is nil — and loads every column index and the identifier index,
+// returning the first error.
+func loadAll(t *testing.T, path string, data []byte) (*LazyStep, error) {
+	t.Helper()
+	if data != nil {
+		if err := writeFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, err := OpenLazy(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { ls.Close() })
+	for _, name := range ls.Columns() {
+		if _, err := ls.Column(name); err != nil {
+			return nil, err
+		}
+	}
+	if ls.dir.hasID {
+		if _, err := ls.IDIndex(); err != nil {
+			return nil, err
+		}
+	}
+	return ls, nil
+}
 
 func serializedFixture(t *testing.T) []byte {
 	t.Helper()
@@ -27,8 +56,11 @@ func serializedFixture(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// TestReadStepIndexTruncationNeverPanics: reading an index (OpenLazy and
+// every section load) rejects each truncation of a valid file.
 func TestReadStepIndexTruncationNeverPanics(t *testing.T) {
 	data := serializedFixture(t)
+	path := filepath.Join(t.TempDir(), "trunc.idx")
 	for _, cut := range []int{1, 4, 8, 16, 17, 40, 100, len(data) / 2, len(data) - 1} {
 		if cut >= len(data) {
 			continue
@@ -39,15 +71,18 @@ func TestReadStepIndexTruncationNeverPanics(t *testing.T) {
 					t.Fatalf("panic at truncation %d: %v", cut, r)
 				}
 			}()
-			if _, err := ReadStepIndex(bytes.NewReader(data[:cut])); err == nil {
+			if _, err := loadAll(t, path, data[:cut]); err == nil {
 				t.Fatalf("truncation at %d accepted", cut)
 			}
 		}()
 	}
 }
 
+// TestReadStepIndexRandomCorruptionNeverPanics: reading an index with a
+// few bytes flipped errors or decodes, and never panics.
 func TestReadStepIndexRandomCorruptionNeverPanics(t *testing.T) {
 	data := serializedFixture(t)
+	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 200; trial++ {
 		corrupt := append([]byte(nil), data...)
@@ -63,10 +98,11 @@ func TestReadStepIndexRandomCorruptionNeverPanics(t *testing.T) {
 			}()
 			// Either an error or a decodable (but possibly wrong) index is
 			// acceptable; a panic is not.
-			si, err := ReadStepIndex(bytes.NewReader(corrupt))
-			if err == nil && si != nil {
+			ls, err := loadAll(t, filepath.Join(dir, fmt.Sprintf("corrupt%d.idx", trial)), corrupt)
+			if err == nil {
 				// Exercise the decoded structures a little.
-				for _, ix := range si.Columns {
+				for _, name := range ls.Columns() {
+					ix, _ := ls.Column(name)
 					_ = ix.BinCounts()
 				}
 			}
@@ -144,8 +180,8 @@ func writeFile(path string, data []byte) error {
 }
 
 // TestSectionCRCDetectsBitFlips flips one byte inside every section's
-// payload and checks the per-section checksum catches it — on the eager
-// read path and on the lazy section-load path.
+// payload and checks the per-section checksum catches it — when every
+// section is loaded, and when just the flipped one is.
 func TestSectionCRCDetectsBitFlips(t *testing.T) {
 	data := serializedFixture(t)
 	d, err := readDirectory(bytes.NewReader(data))
@@ -158,16 +194,13 @@ func TestSectionCRCDetectsBitFlips(t *testing.T) {
 		corrupt := append([]byte(nil), data...)
 		corrupt[sec.offset+sec.size/2] ^= 0x10
 
-		if _, err := ReadStepIndex(bytes.NewReader(corrupt)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: eager read of flipped payload: err = %v, want ErrCorrupt", what, err)
+		path := filepath.Join(t.TempDir(), "flip.idx")
+		if _, err := loadAll(t, path, corrupt); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: loading every section of a flipped payload: err = %v, want ErrCorrupt", what, err)
 		}
 
 		// The directory is intact, so lazy open succeeds; the damage must
 		// surface when the flipped section is actually loaded.
-		path := filepath.Join(t.TempDir(), "flip.idx")
-		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		ls, err := OpenLazy(path)
 		if err != nil {
 			t.Fatalf("%s: OpenLazy rejected a file with a healthy directory: %v", what, err)
@@ -204,7 +237,7 @@ func TestWriteFileAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ReadFile(path); err != nil {
+	if _, err := loadAll(t, path, nil); err != nil {
 		t.Fatalf("written index unreadable: %v", err)
 	}
 	entries, err := os.ReadDir(dir)

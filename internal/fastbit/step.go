@@ -413,50 +413,6 @@ func (d *directory) validate(fileSize int64) error {
 	return nil
 }
 
-// ReadStepIndex deserializes a step index eagerly (all sections loaded).
-func ReadStepIndex(r io.Reader) (*StepIndex, error) {
-	// Buffer the whole stream, then use the directory to slice sections.
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("fastbit: read index: %w", err)
-	}
-	d, err := readDirectory(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	si := &StepIndex{N: d.n, Columns: map[string]*Index{}, IDVar: d.idVar}
-	for _, name := range d.order {
-		sec := d.cols[name]
-		if !sec.within(uint64(len(data))) {
-			return nil, fmt.Errorf("fastbit: index section %q out of range", name)
-		}
-		blob := data[sec.offset : sec.offset+sec.size]
-		if err := sec.verify(fmt.Sprintf("%q", name), blob); err != nil {
-			return nil, err
-		}
-		ix, err := decodeColumn(name, d.n, blob)
-		if err != nil {
-			return nil, err
-		}
-		si.Columns[name] = ix
-	}
-	if d.hasID {
-		if !d.idSec.within(uint64(len(data))) {
-			return nil, fmt.Errorf("fastbit: id index section out of range")
-		}
-		blob := data[d.idSec.offset : d.idSec.offset+d.idSec.size]
-		if err := d.idSec.verify("id", blob); err != nil {
-			return nil, err
-		}
-		id, err := decodeIDIndex(d.n, blob)
-		if err != nil {
-			return nil, err
-		}
-		si.ID = id
-	}
-	return si, nil
-}
-
 // WriteFile writes the step index to a file atomically: the bytes go to a
 // temp file in the same directory, which is fsynced and then renamed over
 // the destination. A crash at any point leaves either the old file or no
@@ -508,16 +464,6 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 		d.Close()
 	}
 	return nil
-}
-
-// ReadFile reads a step index from a file eagerly.
-func ReadFile(path string) (*StepIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fastbit: %w", err)
-	}
-	defer f.Close()
-	return ReadStepIndex(f)
 }
 
 func writeU32(w io.Writer, v uint32) {

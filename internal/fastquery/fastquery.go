@@ -118,20 +118,19 @@ func Open(dir string) (*Source, error) {
 func (s *Source) dataset() *colstore.Dataset { return s.ds.Load() }
 
 // Reload re-reads the dataset metadata from disk and swaps it in,
-// returning the (possibly grown) step count. Steps opened before the
-// reload stay valid — they own their files — and concurrent queries are
-// unaffected: the swap is atomic and the old snapshot remains readable
-// by requests that already hold it.
-func (s *Source) Reload() (int, error) {
+// returning it. Steps opened before the reload stay valid — they own
+// their files — and concurrent queries are unaffected: the swap is atomic
+// and the old snapshot remains readable by requests that already hold it.
+func (s *Source) Reload() (*colstore.Dataset, error) {
 	if s.closed.Load() {
-		return 0, Fatalf("fastquery: source closed")
+		return nil, Fatalf("fastquery: source closed")
 	}
 	ds, err := colstore.OpenDataset(s.dir)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	s.ds.Store(ds)
-	return ds.Meta.Steps, nil
+	return ds, nil
 }
 
 // Close marks the source closed; subsequent OpenStep calls fail. Steps

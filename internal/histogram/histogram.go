@@ -362,19 +362,6 @@ func (h *Hist2D) Density(ix, iy int) float64 {
 	return float64(h.At(ix, iy)) / a
 }
 
-// MaxDensity returns the largest bin density.
-func (h *Hist2D) MaxDensity() float64 {
-	var m float64
-	for iy := 0; iy < h.YBins(); iy++ {
-		for ix := 0; ix < h.XBins(); ix++ {
-			if d := h.Density(ix, iy); d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
 // NonEmpty calls fn for every bin with a nonzero count.
 func (h *Hist2D) NonEmpty(fn func(ix, iy int, count uint64)) {
 	nx := h.XBins()

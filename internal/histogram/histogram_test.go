@@ -255,9 +255,6 @@ func TestDensityAndArea(t *testing.T) {
 	if h.Density(0, 0) != 2 || h.Density(1, 0) != 1 {
 		t.Fatalf("Density wrong: %g %g", h.Density(0, 0), h.Density(1, 0))
 	}
-	if h.MaxDensity() != 2 {
-		t.Fatalf("MaxDensity = %g", h.MaxDensity())
-	}
 }
 
 func TestNonEmpty(t *testing.T) {

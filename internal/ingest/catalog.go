@@ -146,17 +146,9 @@ func Open(dir string) (*Catalog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: open catalog: %w", err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("ingest: decode catalog: %w", err)
-	}
-	if man.Format != catalogFormat {
-		return nil, fmt.Errorf("ingest: unsupported catalog format %d", man.Format)
-	}
-	for i, e := range man.Steps {
-		if e.Step != i {
-			return nil, fmt.Errorf("ingest: catalog step %d out of order at position %d", e.Step, i)
-		}
+	man, err := decodeManifest(buf)
+	if err != nil {
+		return nil, err
 	}
 	c := &Catalog{dir: dir, man: man}
 	if err := c.recover(); err != nil {
@@ -436,37 +428,31 @@ func (c *Catalog) saveLocked() error {
 	return nil
 }
 
-// ReadGeneration reads just the generation from a catalog on disk —
-// the cheap poll a serving-side watcher runs between full loads. Returns
-// 0 with no error when the catalog does not exist yet.
-func ReadGeneration(dir string) (uint64, error) {
-	buf, err := os.ReadFile(catalogPath(dir))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	var man struct {
-		Generation uint64 `json:"generation"`
-	}
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return 0, fmt.Errorf("ingest: decode catalog: %w", err)
-	}
-	return man.Generation, nil
-}
-
 // ReadManifest loads a manifest snapshot from disk without opening a
 // mutable catalog (no recovery side effects) — the read-only view a
-// serving-side watcher uses.
+// serving-side watcher polls. It validates exactly as Open does.
 func ReadManifest(dir string) (Manifest, error) {
-	var man Manifest
 	buf, err := os.ReadFile(catalogPath(dir))
 	if err != nil {
-		return man, err
+		return Manifest{}, fmt.Errorf("ingest: read catalog: %w", err)
 	}
+	return decodeManifest(buf)
+}
+
+// decodeManifest decodes catalog.json and checks what every reader relies
+// on: the format version, and that entry i is step i.
+func decodeManifest(buf []byte) (Manifest, error) {
+	var man Manifest
 	if err := json.Unmarshal(buf, &man); err != nil {
-		return man, fmt.Errorf("ingest: decode catalog: %w", err)
+		return Manifest{}, fmt.Errorf("ingest: decode catalog: %w", err)
+	}
+	if man.Format != catalogFormat {
+		return Manifest{}, fmt.Errorf("ingest: unsupported catalog format %d", man.Format)
+	}
+	for i, e := range man.Steps {
+		if e.Step != i {
+			return Manifest{}, fmt.Errorf("ingest: catalog step %d out of order at position %d", e.Step, i)
+		}
 	}
 	return man, nil
 }

@@ -205,22 +205,19 @@ func TestCommitOutOfOrderRejected(t *testing.T) {
 
 func TestReadGenerationAndManifest(t *testing.T) {
 	cat, w := newLive(t)
-	if g, err := ReadGeneration(cat.Dir()); err != nil || g != 0 {
-		t.Fatalf("ReadGeneration = %d, %v", g, err)
+	if man, err := ReadManifest(cat.Dir()); err != nil || man.Generation != 0 || len(man.Steps) != 0 {
+		t.Fatalf("ReadManifest = %+v, %v", man, err)
 	}
 	if _, _, err := w.AppendStep(mkColumns(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := ReadGeneration(cat.Dir()); err != nil || g != 1 {
-		t.Fatalf("ReadGeneration after commit = %d, %v", g, err)
-	}
 	man, err := ReadManifest(cat.Dir())
-	if err != nil || len(man.Steps) != 1 {
-		t.Fatalf("ReadManifest = %+v, %v", man, err)
+	if err != nil || man.Generation != 1 || len(man.Steps) != 1 {
+		t.Fatalf("ReadManifest after commit = %+v, %v", man, err)
 	}
-	// Missing directory: generation 0, no error (the watcher's cold path).
-	if g, err := ReadGeneration(t.TempDir()); err != nil || g != 0 {
-		t.Fatalf("ReadGeneration(empty) = %d, %v", g, err)
+	// Missing catalog: an error, which the serving watcher logs.
+	if _, err := ReadManifest(t.TempDir()); err == nil {
+		t.Fatal("ReadManifest of an empty directory succeeded")
 	}
 }
 

@@ -15,9 +15,7 @@
 //     histogram-based, at independent resolutions (Section III-A2).
 //   - Temporal plots stack one layer per timestep, each with its own
 //     colour (Fig. 9).
-//   - Traditional polyline rendering is available for comparison (Fig. 2a)
-//     and for the hybrid outlier display (records from under-dense bins
-//     drawn as individual lines, Section III-A3).
+//   - Traditional polyline rendering is available for comparison (Fig. 2a).
 package pcoords
 
 import (
@@ -295,61 +293,4 @@ func uniformEdges(edges []float64) bool {
 		}
 	}
 	return true
-}
-
-// OutlierRecords returns the indices of records that fall in bins whose
-// record density is below relFloor × the histogram's maximum density in
-// any adjacent-pair histogram — the hybrid outlier-preserving display of
-// Section III-A3 (outliers are then drawn as individual polylines over
-// the binned plot). values must hold a column per axis variable. The
-// floor is relative so it is insensitive to axis units.
-func OutlierRecords(axes []Axis, hists []*histogram.Hist2D, values map[string][]float64, relFloor float64) ([]int, error) {
-	if len(hists) != len(axes)-1 {
-		return nil, fmt.Errorf("pcoords: %d histograms for %d axes", len(hists), len(axes))
-	}
-	n := -1
-	for _, a := range axes {
-		col, ok := values[a.Var]
-		if !ok {
-			return nil, fmt.Errorf("pcoords: missing variable %q", a.Var)
-		}
-		if n == -1 {
-			n = len(col)
-		} else if len(col) != n {
-			return nil, fmt.Errorf("pcoords: ragged columns")
-		}
-	}
-	locs := make([]struct{ x, y *histogram.Locator }, len(hists))
-	for i, h := range hists {
-		lx, err := histogram.NewLocator(h.XEdges)
-		if err != nil {
-			return nil, err
-		}
-		ly, err := histogram.NewLocator(h.YEdges)
-		if err != nil {
-			return nil, err
-		}
-		locs[i] = struct{ x, y *histogram.Locator }{lx, ly}
-	}
-	floors := make([]float64, len(hists))
-	for i, h := range hists {
-		floors[i] = relFloor * h.MaxDensity()
-	}
-	var out []int
-	for r := 0; r < n; r++ {
-		for i, h := range hists {
-			xv := values[axes[i].Var][r]
-			yv := values[axes[i+1].Var][r]
-			ix := locs[i].x.Bin(xv)
-			iy := locs[i].y.Bin(yv)
-			if ix < 0 || iy < 0 {
-				continue
-			}
-			if h.Density(ix, iy) < floors[i] {
-				out = append(out, r)
-				break
-			}
-		}
-	}
-	return out, nil
 }

@@ -285,40 +285,6 @@ func TestAdaptiveLayerUsesDensityOrdering(t *testing.T) {
 	}
 }
 
-func TestOutlierRecords(t *testing.T) {
-	axes := testAxes()
-	vals := testValues(2000, 8)
-	// Plant one extreme outlier record.
-	vals["x"] = append(vals["x"], 0.99)
-	vals["px"] = append(vals["px"], -0.99)
-	vals["y"] = append(vals["y"], 9.9)
-	hists := pairHists(t, vals, axes, 16)
-	out, err := OutlierRecords(axes, hists, vals, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range out {
-		if r == len(vals["x"])-1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("planted outlier not detected (found %d outliers)", len(out))
-	}
-	if len(out) > len(vals["x"])/4 {
-		t.Fatalf("too many outliers: %d", len(out))
-	}
-	// Error paths.
-	if _, err := OutlierRecords(axes, hists[:1], vals, 0.05); err == nil {
-		t.Fatal("wrong hist count accepted")
-	}
-	delete(vals, "y")
-	if _, err := OutlierRecords(axes, hists, vals, 0.05); err == nil {
-		t.Fatal("missing column accepted")
-	}
-}
-
 func TestAxisLabelsToggle(t *testing.T) {
 	opt := DefaultOptions()
 	opt.DrawLabels = false

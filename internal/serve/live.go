@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fastbit"
@@ -58,10 +56,9 @@ type liveState struct {
 	cat     *ingest.Catalog
 	writer  *ingest.Writer
 	builder *ingest.Builder
-	// man is the serving snapshot of the manifest, refreshed after every
-	// in-process mutation and by the watcher; readers (cache keys, steps
-	// detail, stats) load it lock-free.
-	man atomic.Pointer[ingest.Manifest]
+
+	publishMu sync.Mutex      // serializes refreshLive
+	published func(*snapshot) // tests: sees each swap, under publishMu
 
 	ingestMu sync.Mutex // serializes POST /v1/ingest appends
 	stop     chan struct{}
@@ -77,9 +74,8 @@ func (l *liveState) stopAll() {
 	})
 }
 
-// stats summarizes the ingestion pipeline for /v1/stats.
-func (l *liveState) stats() IngestStats {
-	man := l.man.Load()
+// stats summarizes the ingestion pipeline for /v1/stats, counting man's steps.
+func (l *liveState) stats(man *ingest.Manifest) IngestStats {
 	built, retries, failures := l.builder.Stats()
 	return IngestStats{
 		Generation:    man.Generation,
@@ -108,15 +104,14 @@ func (s *Server) AddLiveDataset(name, dir string, lc LiveConfig) error {
 	if err != nil {
 		return err
 	}
-	d := &dataset{name: name, src: src, steps: map[int]*stepHandle{}}
+	man := cat.Snapshot()
+	d := newDataset(name, src, &man)
 	live := &liveState{
 		cat:    cat,
 		writer: ingest.NewWriter(cat, 0),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	man := cat.Snapshot()
-	live.man.Store(&man)
 	d.live = live
 	live.builder = ingest.NewBuilder(cat, ingest.BuilderConfig{
 		Workers:     lc.IngestWorkers,
@@ -127,43 +122,57 @@ func (s *Server) AddLiveDataset(name, dir string, lc LiveConfig) error {
 		// Both hooks refresh the snapshot: a publish bumps the step's
 		// generation (upgrading it to fastbit and rotating its cache keys),
 		// a permanent failure records the cause for /v1/steps.
-		OnPublished: func(step int) { s.refreshLive(d) },
-		OnFailed:    func(step int, err error) { s.refreshLive(d) },
+		OnPublished: func(step int) { s.refreshLive(d, nil) },
+		OnFailed:    func(step int, err error) { s.refreshLive(d, nil) },
 	})
-
-	s.mu.Lock()
-	if _, dup := s.datasets[name]; dup {
-		s.mu.Unlock()
-		src.Close() //nolint:errcheck // idempotent
-		return fmt.Errorf("serve: duplicate dataset %q", name)
+	if err := s.register(d); err != nil {
+		return err
 	}
-	s.datasets[name] = d
-	s.order = append(s.order, name)
-	s.mu.Unlock()
 
 	live.builder.Start() // re-enqueues committed-but-unindexed steps
 	go s.watchCatalog(d, lc.CatalogPoll)
 	return nil
 }
 
-// refreshLive republishes the manifest snapshot and reloads the source so
-// newly committed steps open. Safe to call concurrently; the snapshot and
-// the dataset pointer each swap atomically.
-func (s *Server) refreshLive(d *dataset) {
-	man := d.live.cat.Snapshot()
-	d.live.man.Store(&man)
-	if _, err := d.src.Reload(); err != nil {
+// refreshLive publishes man — the in-memory catalog's manifest when nil
+// — unless the serving snapshot is already as new. The source reloads
+// first and the snapshot swaps after, so no request sees a manifest before
+// the steps it commits can open; on a failed reload the last good snapshot
+// keeps serving. Safe to call concurrently: publishes serialize, so
+// snapshots swap in generation order.
+func (s *Server) refreshLive(d *dataset, man *ingest.Manifest) {
+	d.live.publishMu.Lock()
+	defer d.live.publishMu.Unlock()
+	if man == nil {
+		cur := d.live.cat.Snapshot()
+		man = &cur
+	}
+	if man.Generation <= d.snap.Load().man.Generation {
+		return
+	}
+	ds, err := d.src.Reload()
+	if err != nil {
 		s.cfg.Logger.Error("live reload", "dataset", d.name, "err", err)
+		return
+	}
+	if ds.Meta.Steps < len(man.Steps) {
+		return // read between a writer's catalog.json and meta.json renames; the next poll publishes
+	}
+	sn := &snapshot{man: man, ds: ds}
+	d.snap.Store(sn)
+	if d.live.published != nil {
+		d.live.published(sn)
 	}
 }
 
-// watchCatalog polls the on-disk catalog generation and, when it moves
-// past the serving snapshot, loads the manifest from disk and reloads the
-// source — the path by which commits from another process (an external
-// writer appending to the shared directory) become visible without a
-// restart. In-process commits refresh synchronously and never wait on the
-// poll. The catalog is single-writer: a directory fed by an external
-// writer must not also take POST /v1/ingest.
+// watchCatalog polls the on-disk catalog and publishes a manifest newer
+// than the serving snapshot's — the path by which commits from another
+// process (an external writer appending to the shared directory) become
+// visible without a restart. A manifest ingest.ReadManifest refuses is
+// logged and the last good snapshot keeps serving. In-process commits
+// refresh synchronously and never wait on the poll. The catalog is
+// single-writer: a directory fed by an external writer must not also take
+// POST /v1/ingest.
 func (s *Server) watchCatalog(d *dataset, poll time.Duration) {
 	defer close(d.live.done)
 	if poll < 0 {
@@ -177,50 +186,34 @@ func (s *Server) watchCatalog(d *dataset, poll time.Duration) {
 		case <-d.live.stop:
 			return
 		case <-tick.C:
-			g, err := ingest.ReadGeneration(d.live.cat.Dir())
-			if err != nil || g <= d.live.man.Load().Generation {
-				continue
-			}
 			man, err := ingest.ReadManifest(d.live.cat.Dir())
 			if err != nil {
 				s.cfg.Logger.Error("live watch", "dataset", d.name, "err", err)
 				continue
 			}
-			// Re-check under the freshly read manifest: a concurrent
-			// in-process mutation may have refreshed past what disk held
-			// when the generation was sampled.
-			if man.Generation > d.live.man.Load().Generation {
-				d.live.man.Store(&man)
-				if _, err := d.src.Reload(); err != nil {
-					s.cfg.Logger.Error("live reload", "dataset", d.name, "err", err)
-				}
-			}
+			s.refreshLive(d, &man)
 		}
 	}
 }
 
-// indexState classifies timestep t for /v1/steps detail by the manifest
-// man: "indexed", "pending" (committed, build not finished), "failed"
-// (permanent build failure; serves scan-only), or "none" past its steps.
-// A static dataset (man nil) is "indexed" or "none" by its sidecar.
-func indexState(man *ingest.Manifest, t int, st *fastquery.Step) string {
-	if man == nil {
+// indexState classifies timestep t < sn.steps() for /v1/steps detail:
+// "indexed", "pending" (committed, build not finished) or "failed"
+// (permanent build failure; serves scan-only) by the manifest, and a
+// static step "indexed" or "none" by the sidecar st opened.
+func (sn *snapshot) indexState(t int, st *fastquery.Step) string {
+	if sn.man == nil {
 		if st.HasIndex() {
 			return "indexed"
 		}
 		return "none"
 	}
-	if t < 0 || t >= len(man.Steps) {
-		return "none"
-	}
-	switch e := man.Steps[t]; {
+	switch e := sn.man.Steps[t]; {
 	case e.Indexed:
 		return "indexed"
 	case e.IndexError != "":
 		return "failed"
-	default:
-		return "pending"
 	}
+	return "pending"
 }
 
 // ingestOp is POST /v1/ingest: append one timestep to a live dataset.
@@ -254,16 +247,9 @@ func (s *Server) ingestOp(r *http.Request) (*op, *httpError) {
 			if name == "" {
 				name = r.URL.Query().Get("dataset")
 			}
-			s.mu.RLock()
-			var d *dataset
-			if name == "" && len(s.order) == 1 {
-				d = s.datasets[s.order[0]]
-			} else {
-				d = s.datasets[name]
-			}
-			s.mu.RUnlock()
-			if d == nil {
-				return nil, errf(http.StatusNotFound, "unknown dataset %q", name)
+			d, herr := s.dataset(name)
+			if herr != nil {
+				return nil, herr
 			}
 			if d.live == nil {
 				return nil, errf(http.StatusConflict, "dataset %q is not live (start with -live)", d.name)
@@ -277,7 +263,7 @@ func (s *Server) ingestOp(r *http.Request) (*op, *httpError) {
 			d.live.ingestMu.Lock()
 			entry, gen, err := d.live.writer.AppendStep(cols)
 			if err == nil {
-				s.refreshLive(d)
+				s.refreshLive(d, nil)
 			}
 			d.live.ingestMu.Unlock()
 			if errors.Is(err, ingest.ErrInvalid) {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/ingest"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -208,7 +211,9 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 func TestCacheKeyPerStepGeneration(t *testing.T) {
 	d := &dataset{name: "live"}
 	key := func(step int, gen uint64, plan string) string {
-		r := &request{d: d, t: step, gen: gen, plan: plan, backend: fastquery.Scan}
+		man := &ingest.Manifest{Steps: make([]ingest.StepEntry, 3)}
+		man.Steps[step].Gen = gen
+		r := &request{d: d, sn: &snapshot{man: man}, t: step, plan: plan, backend: fastquery.Scan}
 		return r.cacheKey("count")
 	}
 	if key(2, 5, "px > 0") == key(2, 6, "px > 0") {
@@ -495,23 +500,24 @@ func TestLiveConcurrentIngestAndQuery(t *testing.T) {
 }
 
 // TestStepsReadOneManifest: /v1/steps takes its generation and every
-// step's index state from the one manifest it loaded, even when the
+// step's index state from the one snapshot it loaded, even when the
 // serving snapshot moves on while the answer is built. (Two loads once
 // paired "generation 7" with generation 8's index states.)
 func TestStepsReadOneManifest(t *testing.T) {
 	s, ts, _ := liveServer(t, 2, 2, LiveConfig{Index: fastbit.IndexOptions{Bins: 32}})
 	waitIndexed(t, ts, 2, 30*time.Second)
 	d := s.datasets["live"]
-	loaded := *d.live.man.Load()
+	cur := d.snap.Load()
+	loaded := *cur.man
 	loaded.Steps = slices.Clone(loaded.Steps)
 	loaded.Steps[1].Indexed = false // pending in the loaded manifest
 
 	// The snapshot moves on: a later generation with every step indexed.
-	later := *d.live.man.Load()
+	later := *cur.man
 	later.Generation = loaded.Generation + 1
-	d.live.man.Store(&later)
+	d.snap.Store(&snapshot{man: &later, ds: cur.ds})
 
-	body, err := d.stepsBody(&loaded, true)
+	body, err := d.stepsBody(&snapshot{man: &loaded, ds: cur.ds}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,5 +534,75 @@ func TestStepsReadOneManifest(t *testing.T) {
 	get(t, ts, "/v1/steps?detail=1", &steps)
 	if steps.Generation != later.Generation || steps.Detail[1].IndexState != "indexed" {
 		t.Fatalf("handler: generation %d, step 1 %q; want %d, indexed", steps.Generation, steps.Detail[1].IndexState, later.Generation)
+	}
+}
+
+// logBuffer is a log sink a test can read while the server writes to it.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestLiveWatcherRefusesBadCatalog: a newer catalog.json that ingest.Open
+// would refuse — its steps out of order, or an unknown format — written
+// under a live server is logged by the watcher, and the last good
+// snapshot keeps serving.
+func TestLiveWatcherRefusesBadCatalog(t *testing.T) {
+	logs := &logBuffer{}
+	cfg := Config{Logger: obs.NewLogger(logs, "test")}
+	s, ts, _ := liveServerCfg(t, cfg, 2, 2, LiveConfig{
+		CatalogPoll: 5 * time.Millisecond,
+		Index:       fastbit.IndexOptions{Bins: 32},
+	})
+	good := waitIndexed(t, ts, 2, 30*time.Second)
+	dir := s.datasets["live"].live.cat.Dir()
+	man, err := ingest.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, logged string
+		mutate       func(*ingest.Manifest)
+	}{
+		{"out of order", "out of order", func(m *ingest.Manifest) { m.Steps[0], m.Steps[1] = m.Steps[1], m.Steps[0] }},
+		{"format 99", "unsupported catalog format 99", func(m *ingest.Manifest) { m.Format = 99 }},
+	} {
+		bad := man
+		bad.Steps = slices.Clone(man.Steps)
+		bad.Generation += 10
+		c.mutate(&bad)
+		buf, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ingest.CatalogFileName), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var steps StepsBody
+		for end := time.Now().Add(10 * time.Second); !strings.Contains(logs.String(), c.logged); {
+			if get(t, ts, "/v1/steps?detail=1", &steps); steps.Generation != good.Generation {
+				t.Fatalf("%s: the watcher published generation %d", c.name, steps.Generation)
+			}
+			if time.Now().After(end) {
+				t.Fatalf("%s: the watcher never logged %q", c.name, c.logged)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		get(t, ts, "/v1/steps?detail=1", &steps)
+		if !reflect.DeepEqual(steps, good) {
+			t.Fatalf("%s: /v1/steps moved from %+v to %+v", c.name, good, steps)
+		}
 	}
 }

@@ -36,7 +36,8 @@ func seedFixture(t *testing.T, f *pipeFixture) {
 	f.s.mu.RLock()
 	d := f.s.datasets[f.dataset]
 	f.s.mu.RUnlock()
-	st, err := d.step(1)
+	sn := d.snap.Load()
+	st, err := d.step(sn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func seedFixture(t *testing.T, f *pipeFixture) {
 	}
 	f.sid = f.s.sessions.Create().ID
 	if err := f.s.sessions.Put(f.sid, session.Selection{
-		Name: "sel", Dataset: f.dataset, Step: 1, Gen: d.stepGen(1), Backend: "fastbit",
+		Name: "sel", Dataset: f.dataset, Step: 1, Gen: sn.gen(1), Backend: "fastbit",
 		Expr: query.Canonical(expr).String(), Bits: bits, Count: bits.Count(), Rows: st.Rows(),
 	}); err != nil {
 		t.Fatal(err)

@@ -246,7 +246,7 @@ func TestStepsParam(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := httptest.NewRequest("GET", "/v1/sweep2d?steps="+url.QueryEscape(tc.raw), nil)
-			got, herr := stepsParam(r, d)
+			got, herr := stepsParam(r, d.snap.Load())
 			if tc.wantCode == 0 {
 				if herr != nil || !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("stepsParam(%q) = %v, %v; want %v", tc.raw, got, herr, tc.want)

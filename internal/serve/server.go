@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/ingest"
@@ -127,14 +129,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// dataset is one served dataset: the open source plus a registry of open
-// timesteps shared by all requests (Source and Step are safe for
-// concurrent readers). A live dataset additionally carries the ingestion
-// state (catalog, writer, builder, watcher) in live.
+// dataset is one served dataset: the open source, the snapshot requests
+// read, and a registry of open timesteps shared by all requests (Source
+// and Step are safe for concurrent readers). A live dataset additionally
+// carries the ingestion state (catalog, writer, builder, watcher) in live.
 type dataset struct {
 	name string
 	src  *fastquery.Source
 	live *liveState // nil for a static (read-only) dataset
+	// snap is the dataset's current state. It is replaced whole, never
+	// changed in place, and a request loads it once.
+	snap atomic.Pointer[snapshot]
 
 	mu    sync.Mutex
 	steps map[int]*stepHandle
@@ -145,6 +150,45 @@ type dataset struct {
 	retired []*fastquery.Step
 }
 
+// newDataset serves src under name. man is a live dataset's manifest, as
+// committed before src opened so that src's steps cover it; nil if static.
+func newDataset(name string, src *fastquery.Source, man *ingest.Manifest) *dataset {
+	d := &dataset{name: name, src: src, steps: map[int]*stepHandle{}}
+	d.snap.Store(&snapshot{man: man, ds: src.Dataset()})
+	return d
+}
+
+// snapshot is one state of a served dataset: its catalog manifest (nil
+// for a static dataset) and the step metadata the source loaded after
+// that manifest, listing at least the steps it commits. Every request
+// reads one snapshot, so the step count, the variables and each step's
+// generation it reports describe one state.
+type snapshot struct {
+	man *ingest.Manifest
+	ds  *colstore.Dataset
+}
+
+// steps returns the number of timesteps: a live dataset's committed ones.
+func (sn *snapshot) steps() int {
+	if sn.man != nil {
+		return len(sn.man.Steps)
+	}
+	return sn.ds.Meta.Steps
+}
+
+// variables returns a copy of the dataset's declared variables.
+func (sn *snapshot) variables() []string { return slices.Clone(sn.ds.Meta.Variables) }
+
+// gen returns timestep t's catalog generation — the value at its last
+// state change (commit or index publish). Static datasets have no
+// catalog; every step is generation 0 forever.
+func (sn *snapshot) gen(t int) uint64 {
+	if sn.man == nil || t < 0 || t >= len(sn.man.Steps) {
+		return 0
+	}
+	return sn.man.Steps[t].Gen
+}
+
 // stepHandle pairs an open step with the catalog generation it was opened
 // at, so an index publish (which bumps the step's generation) triggers a
 // reopen on the next access.
@@ -153,27 +197,13 @@ type stepHandle struct {
 	gen uint64
 }
 
-// stepGen returns timestep t's current catalog generation — the value at
-// its last state change (commit or index publish). Static datasets have
-// no catalog; every step is generation 0 forever.
-func (d *dataset) stepGen(t int) uint64 {
-	if d.live == nil {
-		return 0
-	}
-	man := d.live.man.Load()
-	if man == nil || t < 0 || t >= len(man.Steps) {
-		return 0
-	}
-	return man.Steps[t].Gen
-}
-
 // step returns the shared open handle for timestep t, opening it on first
-// use. When the step's catalog generation has moved past the handle's (its
+// use. When the step's generation in sn has moved past the handle's (its
 // index was published after the handle was opened), the handle is reopened
 // so the fastbit backend becomes available; the old handle is retired, not
 // closed, because concurrent requests may still be reading through it.
-func (d *dataset) step(t int) (*fastquery.Step, error) {
-	gen := d.stepGen(t)
+func (d *dataset) step(sn *snapshot, t int) (*fastquery.Step, error) {
+	gen := sn.gen(t)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if h, ok := d.steps[t]; ok && h.gen >= gen {
@@ -409,14 +439,19 @@ func (s *Server) AddDataset(name, dir string) error {
 	if err != nil {
 		return err
 	}
+	return s.register(newDataset(name, src, nil))
+}
+
+// register serves d, or closes its source when the name is taken.
+func (s *Server) register(d *dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.datasets[name]; dup {
-		src.Close() //nolint:errcheck // idempotent
-		return fmt.Errorf("serve: duplicate dataset %q", name)
+	if _, dup := s.datasets[d.name]; dup {
+		d.src.Close() //nolint:errcheck // idempotent
+		return fmt.Errorf("serve: duplicate dataset %q", d.name)
 	}
-	s.datasets[name] = &dataset{name: name, src: src, steps: map[int]*stepHandle{}}
-	s.order = append(s.order, name)
+	s.datasets[d.name] = d
+	s.order = append(s.order, d.name)
 	return nil
 }
 
@@ -557,7 +592,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			if body.Ingest == nil {
 				body.Ingest = map[string]IngestStats{}
 			}
-			body.Ingest[name] = d.live.stats()
+			body.Ingest[name] = d.live.stats(d.snap.Load().man)
 		}
 	}
 	s.mu.RUnlock()
@@ -590,19 +625,14 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	out := make([]DatasetInfo, 0, len(s.order))
 	for _, name := range s.order {
-		d := s.datasets[name]
-		out = append(out, DatasetInfo{
-			Name:      name,
-			Steps:     d.src.Steps(),
-			Variables: d.src.Variables(),
-		})
+		sn := s.datasets[name].snap.Load()
+		out = append(out, DatasetInfo{Name: name, Steps: sn.steps(), Variables: sn.variables()})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// lookup resolves the dataset named in the request.
-func (s *Server) lookup(r *http.Request) (*dataset, *httpError) {
-	name := r.FormValue("dataset")
+// dataset resolves a served dataset by name; "" names the only one.
+func (s *Server) dataset(name string) (*dataset, *httpError) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if name == "" {
@@ -618,35 +648,13 @@ func (s *Server) lookup(r *http.Request) (*dataset, *httpError) {
 	return d, nil
 }
 
-// stepParam resolves the step parameter, defaulting to the last timestep.
-func stepParam(r *http.Request, d *dataset) (int, *httpError) {
-	raw := r.FormValue("step")
-	if raw == "" {
-		return d.src.Steps() - 1, nil
-	}
-	t, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, errf(http.StatusBadRequest, "bad step %q", raw)
-	}
-	if t < 0 || t >= d.src.Steps() {
-		return 0, errf(http.StatusNotFound, "step %d out of range [0,%d)", t, d.src.Steps())
-	}
-	return t, nil
-}
-
 func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
-	d, herr := s.lookup(r)
+	d, herr := s.dataset(r.FormValue("dataset"))
 	if herr != nil {
 		writeError(w, herr.status, "%s", herr.msg)
 		return
 	}
-	// One manifest answers the whole response: an index publish between
-	// two loads would pair one generation with another's index states.
-	var man *ingest.Manifest
-	if d.live != nil {
-		man = d.live.man.Load()
-	}
-	body, err := d.stepsBody(man, r.FormValue("detail") != "")
+	body, err := d.stepsBody(d.snap.Load(), r.FormValue("detail") != "")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -654,49 +662,39 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// stepsBody is the /v1/steps answer, its generation and every step's
-// index state read from man (nil for a static dataset).
-func (d *dataset) stepsBody(man *ingest.Manifest, detail bool) (StepsBody, error) {
-	n := d.src.Steps()
+// stepsBody is the /v1/steps answer, its step count, generation and every
+// step's index state read from sn.
+func (d *dataset) stepsBody(sn *snapshot, detail bool) (StepsBody, error) {
+	n := sn.steps()
 	body := StepsBody{Dataset: d.name, Steps: n, Live: d.live != nil}
-	if man != nil {
-		body.Generation = man.Generation
+	if sn.man != nil {
+		body.Generation = sn.man.Generation
 	}
 	if !detail {
 		return body, nil
 	}
 	for t := 0; t < n; t++ {
-		st, err := d.step(t)
+		st, err := d.step(sn, t)
 		if err != nil {
 			return StepsBody{}, fmt.Errorf("step %d: %v", t, err)
 		}
 		body.Detail = append(body.Detail, StepInfo{Step: t, Indexed: st.HasIndex(), Rows: st.Rows(),
-			IndexState: indexState(man, t, st)})
+			IndexState: sn.indexState(t, st)})
 	}
 	return body, nil
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	d, herr := s.lookup(r)
+	req, herr := s.stepRequest(r)
 	if herr != nil {
 		writeError(w, herr.status, "%s", herr.msg)
 		return
 	}
-	t, herr := stepParam(r, d)
-	if herr != nil {
-		writeError(w, herr.status, "%s", herr.msg)
-		return
-	}
-	st, err := d.step(t)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	names := d.src.Variables()
+	names := req.sn.variables()
 	sort.Strings(names)
-	body := VarsBody{Dataset: d.name, Step: t, Vars: make([]VarInfo, 0, len(names))}
+	body := VarsBody{Dataset: req.d.name, Step: req.t, Vars: make([]VarInfo, 0, len(names))}
 	for _, name := range names {
-		lo, hi, err := st.MinMax(name)
+		lo, hi, err := req.st.MinMax(name)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%s: %v", name, err)
 			return
@@ -709,33 +707,49 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 // request bundles the parameters shared by the query/histogram endpoints.
 type request struct {
 	d       *dataset
+	sn      *snapshot // the state every part of the request reads
 	st      *fastquery.Step
 	t       int
-	gen     uint64     // step's catalog generation (0 for static datasets)
 	expr    query.Expr // nil when no condition was given
 	src     string     // query text as received
 	plan    string     // canonical rendering, "" when expr == nil
 	backend fastquery.Backend
 }
 
+// stepRequest resolves the dataset and the step parameter (default: the
+// last timestep) through one load of the dataset's snapshot.
+func (s *Server) stepRequest(r *http.Request) (*request, *httpError) {
+	d, herr := s.dataset(r.FormValue("dataset"))
+	if herr != nil {
+		return nil, herr
+	}
+	sn := d.snap.Load()
+	t := sn.steps() - 1
+	if raw := r.FormValue("step"); raw != "" {
+		var err error
+		if t, err = strconv.Atoi(raw); err != nil {
+			return nil, errf(http.StatusBadRequest, "bad step %q", raw)
+		}
+		if t < 0 || t >= sn.steps() {
+			return nil, errf(http.StatusNotFound, "step %d out of range [0,%d)", t, sn.steps())
+		}
+	}
+	st, err := d.step(sn, t)
+	if err != nil {
+		return nil, errf(http.StatusInternalServerError, "%v", err)
+	}
+	return &request{d: d, sn: sn, st: st, t: t}, nil
+}
+
 // parseRequest resolves dataset, step, condition and backend, validating
 // every referenced variable so unknown names are a 404, not a backend
 // error.
 func (s *Server) parseRequest(r *http.Request, requireQuery bool) (*request, *httpError) {
-	d, herr := s.lookup(r)
+	req, herr := s.stepRequest(r)
 	if herr != nil {
 		return nil, herr
 	}
-	t, herr := stepParam(r, d)
-	if herr != nil {
-		return nil, herr
-	}
-	st, err := d.step(t)
-	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "%v", err)
-	}
-	req := &request{d: d, st: st, t: t, gen: d.stepGen(t), src: r.FormValue("q")}
-	if req.src == "" && requireQuery {
+	if req.src = r.FormValue("q"); req.src == "" && requireQuery {
 		return nil, errf(http.StatusBadRequest, "missing q parameter")
 	}
 	if req.src != "" {
@@ -750,24 +764,24 @@ func (s *Server) parseRequest(r *http.Request, requireQuery bool) (*request, *ht
 		req.plan = req.expr.String()
 		sp.SetAttr("plan", req.plan)
 		sp.End()
-		if herr := checkVars(d, query.Vars(req.expr)...); herr != nil {
+		if herr := checkVars(req.sn, query.Vars(req.expr)...); herr != nil {
 			return nil, herr
 		}
 	}
 	switch b := r.FormValue("backend"); b {
 	case "", "fastbit", "fb":
-		if st.HasIndex() {
+		if req.st.HasIndex() {
 			req.backend = fastquery.FastBit
 		} else if b == "" {
 			req.backend = fastquery.Scan
-		} else if ierr := st.IndexError(); ierr != nil {
+		} else if ierr := req.st.IndexError(); ierr != nil {
 			// The index exists but was rejected (truncated/corrupt): say
 			// why, so the client knows this is degradation, not absence.
 			return nil, errf(http.StatusServiceUnavailable,
-				"step %d index unavailable (%v); use backend=scan", t, ierr)
+				"step %d index unavailable (%v); use backend=scan", req.t, ierr)
 		} else {
 			return nil, errf(http.StatusBadRequest,
-				"step %d has no index; use backend=scan", t)
+				"step %d has no index; use backend=scan", req.t)
 		}
 	case "scan", "custom":
 		req.backend = fastquery.Scan
@@ -778,8 +792,8 @@ func (s *Server) parseRequest(r *http.Request, requireQuery bool) (*request, *ht
 }
 
 // checkVars verifies each name is a declared dataset variable.
-func checkVars(d *dataset, names ...string) *httpError {
-	have := d.src.Variables()
+func checkVars(sn *snapshot, names ...string) *httpError {
+	have := sn.variables()
 	set := map[string]bool{}
 	for _, v := range have {
 		set[v] = true
@@ -803,7 +817,7 @@ func checkVars(d *dataset, names ...string) *httpError {
 // its entries stop matching while every other step's stay hot.
 func (req *request) cacheKey(spec string) string {
 	return strings.Join([]string{
-		req.d.name, strconv.Itoa(req.t), strconv.FormatUint(req.gen, 10),
+		req.d.name, strconv.Itoa(req.t), strconv.FormatUint(req.sn.gen(req.t), 10),
 		req.backend.String(), req.plan, spec,
 	}, "\x1f")
 }
@@ -888,24 +902,21 @@ func (req *request) planQuery(op plan.Op) plan.Query {
 	}
 }
 
-// localRunner evaluates plan fragments in-process against the server's own
-// open step handles: the one-shard degenerate case of the scatter path.
-// Single-process serving runs the same planner/executor code as a
-// frontend, just with this runner instead of RPCs.
+// localRunner evaluates plan fragments in-process against the step
+// handles the request resolved through its snapshot: the one-shard
+// degenerate case of the scatter path. Single-process serving runs the
+// same planner/executor code as a frontend, just with this runner instead
+// of RPCs.
 type localRunner struct {
-	s *Server
-	d *dataset
+	s     *Server
+	steps map[int]*fastquery.Step // every step the request's plans name
 }
 
 func (lr localRunner) RunFragment(ctx context.Context, shardIdx int, f plan.Fragment) (*plan.FragmentResult, error) {
-	st, err := lr.d.step(f.Step)
-	if err != nil {
-		return nil, err
-	}
 	lr.s.backendCalls.Inc()
 	var res *plan.FragmentResult
-	err = evalProfiled(ctx, plan.NewFragProfile(shardIdx, f), func(ctx context.Context) (err error) {
-		res, err = shard.Eval(ctx, st, f)
+	err := evalProfiled(ctx, plan.NewFragProfile(shardIdx, f), func(ctx context.Context) (err error) {
+		res, err = shard.Eval(ctx, lr.steps[f.Step], f)
 		return err
 	})
 	return res, err
@@ -913,12 +924,13 @@ func (lr localRunner) RunFragment(ctx context.Context, shardIdx int, f plan.Frag
 
 // planTarget returns where plans run: the shard fleet when a scatter
 // client is configured (merging partials, degrading to a Partial answer
-// when a shard is unreachable), in-process as the one-shard case otherwise.
-func (s *Server) planTarget(d *dataset) (plan.ShardMap, plan.Runner, plan.PartialPolicy) {
+// when a shard is unreachable), in-process over steps as the one-shard
+// case otherwise.
+func (s *Server) planTarget(steps map[int]*fastquery.Step) (plan.ShardMap, plan.Runner, plan.PartialPolicy) {
 	if c := s.shardClient(); c != nil {
 		return plan.ShardMap{Shards: c.Shards()}, c, plan.ReturnPartial
 	}
-	return plan.ShardMap{Shards: 1}, localRunner{s: s, d: d}, plan.FailFast
+	return plan.ShardMap{Shards: 1}, localRunner{s: s, steps: steps}, plan.FailFast
 }
 
 // noteScatter counts one plan executed through the scatter client.
@@ -935,29 +947,32 @@ func (s *Server) noteScatter(res *plan.Result) {
 	}
 }
 
-// execPlan runs one planned operation on the plan target.
-func (s *Server) execPlan(ctx context.Context, d *dataset, pq plan.Query, rows uint64) (*plan.Result, error) {
-	m, r, policy := s.planTarget(d)
-	res, err := plan.Execute(ctx, pq, m, rows, r, policy)
+// execPlan runs one planned operation over the request's step on the plan
+// target.
+func (s *Server) execPlan(ctx context.Context, req *request, pq plan.Query) (*plan.Result, error) {
+	m, r, policy := s.planTarget(map[int]*fastquery.Step{req.t: req.st})
+	res, err := plan.Execute(ctx, pq, m, req.st.Rows(), r, policy)
 	s.noteScatter(res)
 	return res, err
 }
 
 // execPlans runs a multi-step operation — a sweep, a track, a temporal
 // view — as one batch on the plan target, steps overlapping up to the
-// planner's in-flight cap. Beside the per-query results (aligned with pqs)
-// it returns their plan.Summary, which marks the response and feeds its
-// explain and slow-log note exactly like a single plan's Result does.
-func (s *Server) execPlans(ctx context.Context, d *dataset, pqs []plan.Query) ([]*plan.Result, *plan.Result, error) {
+// planner's in-flight cap, each step's handle resolved through sn.
+// Beside the per-query results (aligned with pqs) it returns their
+// plan.Summary, which marks the response and feeds its explain and
+// slow-log note exactly like a single plan's Result does.
+func (s *Server) execPlans(ctx context.Context, d *dataset, sn *snapshot, pqs []plan.Query) ([]*plan.Result, *plan.Result, error) {
 	rows := make([]uint64, len(pqs))
+	steps := make(map[int]*fastquery.Step, len(pqs))
 	for i, pq := range pqs {
-		st, err := d.step(pq.Step)
+		st, err := d.step(sn, pq.Step)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows[i] = st.Rows()
+		steps[pq.Step], rows[i] = st, st.Rows()
 	}
-	m, r, policy := s.planTarget(d)
+	m, r, policy := s.planTarget(steps)
 	results, err := plan.ExecuteAll(ctx, pqs, m, rows, r, policy)
 	if err != nil {
 		return nil, nil, err
@@ -990,7 +1005,7 @@ func (s *Server) queryOp(r *http.Request) (*op, *httpError) {
 		class: ClassDrill,
 		key:   req.cacheKey("count"),
 		exec: func(ctx context.Context) (*plan.Result, error) {
-			return s.execPlan(ctx, req.d, req.planQuery(plan.OpCount), rows)
+			return s.execPlan(ctx, req, req.planQuery(plan.OpCount))
 		},
 		body: func(res *plan.Result, m ResponseMeta) any {
 			sel := 0.0
@@ -1041,7 +1056,7 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 	if herr != nil {
 		return nil, herr
 	}
-	spec, herr := hist1DSpec(r, req.d)
+	spec, herr := hist1DSpec(r, req.sn)
 	if herr != nil {
 		return nil, herr
 	}
@@ -1051,7 +1066,7 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 		exec: func(ctx context.Context) (*plan.Result, error) {
 			pq := req.planQuery(plan.OpHist1D)
 			pq.Spec1 = spec
-			return s.execPlan(ctx, req.d, pq, req.st.Rows())
+			return s.execPlan(ctx, req, pq)
 		},
 		body: func(res *plan.Result, m ResponseMeta) any {
 			h := res.Hist1
@@ -1088,10 +1103,10 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 }
 
 // hist1DSpec parses the 1D histogram parameters.
-func hist1DSpec(r *http.Request, d *dataset) (histogram.Spec1D, *httpError) {
+func hist1DSpec(r *http.Request, sn *snapshot) (histogram.Spec1D, *httpError) {
 	var zero histogram.Spec1D
 	v := r.FormValue("var")
-	if herr := checkVars(d, v); herr != nil {
+	if herr := checkVars(sn, v); herr != nil {
 		return zero, herr
 	}
 	bins, herr := intParam(r, "bins", 64, 1, histogram.MaxBins1D)
@@ -1124,10 +1139,10 @@ func hist1DSpecKey(spec histogram.Spec1D) string {
 }
 
 // hist2DSpec parses the 2D histogram parameters.
-func hist2DSpec(r *http.Request, d *dataset) (histogram.Spec2D, *httpError) {
+func hist2DSpec(r *http.Request, sn *snapshot) (histogram.Spec2D, *httpError) {
 	var zero histogram.Spec2D
 	xv, yv := r.FormValue("x"), r.FormValue("y")
-	if herr := checkVars(d, xv, yv); herr != nil {
+	if herr := checkVars(sn, xv, yv); herr != nil {
 		return zero, herr
 	}
 	spec := histogram.NewSpec2D(xv, yv, 0, 0)
@@ -1175,7 +1190,7 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 	if herr != nil {
 		return nil, herr
 	}
-	spec, herr := hist2DSpec(r, req.d)
+	spec, herr := hist2DSpec(r, req.sn)
 	if herr != nil {
 		return nil, herr
 	}
@@ -1185,7 +1200,7 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 		exec: func(ctx context.Context) (*plan.Result, error) {
 			pq := req.planQuery(plan.OpHist2D)
 			pq.Spec2 = spec
-			return s.execPlan(ctx, req.d, pq, req.st.Rows())
+			return s.execPlan(ctx, req, pq)
 		},
 		body: func(res *plan.Result, m ResponseMeta) any {
 			h := res.Hist2
@@ -1230,8 +1245,8 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 // once: every listed step is one concurrent plan, so repeats would let a
 // single request fan out without bound; rejecting them caps any sweep or
 // track at the dataset's step count.
-func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
-	n := d.src.Steps()
+func stepsParam(r *http.Request, sn *snapshot) ([]int, *httpError) {
+	n := sn.steps()
 	raw := r.FormValue("steps")
 	if raw == "" {
 		out := make([]int, n)
@@ -1292,11 +1307,11 @@ func (s *Server) sweep2DOp(r *http.Request) (*op, *httpError) {
 	if herr != nil {
 		return nil, herr
 	}
-	spec, herr := hist2DSpec(r, req.d)
+	spec, herr := hist2DSpec(r, req.sn)
 	if herr != nil {
 		return nil, herr
 	}
-	steps, herr := stepsParam(r, req.d)
+	steps, herr := stepsParam(r, req.sn)
 	if herr != nil {
 		return nil, herr
 	}
@@ -1310,7 +1325,7 @@ func (s *Server) sweep2DOp(r *http.Request) (*op, *httpError) {
 	return &op{
 		class: ClassSweep,
 		exec: func(ctx context.Context) (sum *plan.Result, err error) {
-			results, sum, err = s.execPlans(ctx, req.d, pqs)
+			results, sum, err = s.execPlans(ctx, req.d, req.sn, pqs)
 			return sum, err
 		},
 		body: func(_ *plan.Result, m ResponseMeta) any {

@@ -278,7 +278,7 @@ func (s *Server) selectOp(r *http.Request) (*op, *httpError) {
 		}
 		// Reused: the stored bitmap is still authoritative (generation and
 		// row count unchanged), so only the delta predicate needs evaluating.
-		body.Reused = prev.Bits != nil && prev.Gen == req.gen && prev.Rows == rows
+		body.Reused = prev.Bits != nil && prev.Gen == req.sn.gen(req.t) && prev.Rows == rows
 	default:
 		return nil, errf(http.StatusBadRequest, "unknown refine mode %q (and | or | andnot)", mode)
 	}
@@ -295,7 +295,7 @@ func (s *Server) selectOp(r *http.Request) (*op, *httpError) {
 			if !body.Reused {
 				pq.Query = body.Expr
 			}
-			if res, err = s.execPlan(ctx, req.d, pq, rows); err != nil {
+			if res, err = s.execPlan(ctx, req, pq); err != nil {
 				return nil, err
 			}
 			if res.Partial {
@@ -327,7 +327,7 @@ func (s *Server) selectOp(r *http.Request) (*op, *httpError) {
 		}
 		sel := session.Selection{
 			Name: name, Dataset: req.d.name, Step: req.t,
-			Gen: req.gen, Backend: body.Backend,
+			Gen: req.sn.gen(req.t), Backend: body.Backend,
 			Expr: body.Expr, Bits: bits,
 			Count: bits.Count(), Rows: rows, Refines: body.Refines,
 		}
@@ -355,8 +355,8 @@ func selBackend(b string) fastquery.Backend {
 }
 
 // fetchSelection resolves {id} + name to the stored selection, its dataset
-// and the open step it was brushed on.
-func (s *Server) fetchSelection(r *http.Request) (sid string, sel session.Selection, d *dataset, st *fastquery.Step, herr *httpError) {
+// and that dataset's snapshot, and the open step it was brushed on.
+func (s *Server) fetchSelection(r *http.Request) (sid string, sel session.Selection, d *dataset, sn *snapshot, st *fastquery.Step, herr *httpError) {
 	if sid, herr = sessionID(r); herr != nil {
 		return
 	}
@@ -369,14 +369,11 @@ func (s *Server) fetchSelection(r *http.Request) (sid string, sel session.Select
 		herr = errf(http.StatusNotFound, "session %q has no selection %q", sid, name)
 		return
 	}
-	s.mu.RLock()
-	d = s.datasets[sel.Dataset]
-	s.mu.RUnlock()
-	if d == nil {
-		herr = errf(http.StatusNotFound, "selection %q names unknown dataset %q", name, sel.Dataset)
+	if d, herr = s.dataset(sel.Dataset); herr != nil {
 		return
 	}
-	st, err := d.step(sel.Step)
+	sn = d.snap.Load()
+	st, err := d.step(sn, sel.Step)
 	if err != nil {
 		herr = errf(http.StatusInternalServerError, "%v", err)
 	}
@@ -390,11 +387,11 @@ func (s *Server) fetchSelection(r *http.Request) (sid string, sel session.Select
 // of paper Section III-B, batched as a single call. Runs at sweep priority;
 // a partial step means the track is reported but not stored.
 func (s *Server) trackOp(r *http.Request) (*op, *httpError) {
-	sid, sel, d, st, herr := s.fetchSelection(r)
+	sid, sel, d, sn, st, herr := s.fetchSelection(r)
 	if herr != nil {
 		return nil, herr
 	}
-	steps, herr := stepsParam(r, d)
+	steps, herr := stepsParam(r, sn)
 	if herr != nil {
 		return nil, herr
 	}
@@ -404,13 +401,13 @@ func (s *Server) trackOp(r *http.Request) (*op, *httpError) {
 	materialize := len(sel.IDs) == 0 && sel.Count > 0
 	switch {
 	case !materialize:
-	case sel.Gen != d.stepGen(sel.Step):
+	case sel.Gen != sn.gen(sel.Step):
 		return nil, errf(http.StatusConflict,
 			"selection %q is stale (step %d generation moved); re-run select", sel.Name, sel.Step)
 	case sel.Count > maxTrackIDs:
 		return nil, errf(http.StatusRequestEntityTooLarge,
 			"selection has %d particles, tracking caps at %d; refine further", sel.Count, maxTrackIDs)
-	case checkVars(d, st.IDVar()) != nil:
+	case checkVars(sn, st.IDVar()) != nil:
 		return nil, errf(http.StatusBadRequest,
 			"dataset %q has no identifier column (%q); tracking needs one", d.name, st.IDVar())
 	}
@@ -444,7 +441,7 @@ func (s *Server) trackOp(r *http.Request) (*op, *httpError) {
 					Query: body.Expr, Backend: selBackend(sel.Backend)}
 			}
 			var results []*plan.Result
-			if results, sum, err = s.execPlans(ctx, d, pqs); err != nil {
+			if results, sum, err = s.execPlans(ctx, d, sn, pqs); err != nil {
 				return nil, err
 			}
 			for i, res := range results {
@@ -475,18 +472,18 @@ func (s *Server) trackOp(r *http.Request) (*op, *httpError) {
 // viewVars resolves the axis variables for a views request: an explicit
 // comma-separated list, or the dataset's first variables (sorted, ID
 // column dropped, capped at four).
-func viewVars(r *http.Request, d *dataset, idVar string) ([]string, *httpError) {
+func viewVars(r *http.Request, d *dataset, sn *snapshot, idVar string) ([]string, *httpError) {
 	if raw := r.FormValue("vars"); raw != "" {
 		vars := strings.Split(raw, ",")
 		for i := range vars {
 			vars[i] = strings.TrimSpace(vars[i])
 		}
-		if herr := checkVars(d, vars...); herr != nil {
+		if herr := checkVars(sn, vars...); herr != nil {
 			return nil, herr
 		}
 		return vars, nil
 	}
-	all := d.src.Variables()
+	all := sn.variables()
 	sort.Strings(all)
 	vars := make([]string, 0, 4)
 	for _, v := range all {
@@ -521,11 +518,11 @@ var layerPalette = []color.RGBA{
 // one layer per tracked timestep, once the selection has been tracked.
 // Either way the panels are one planner batch.
 func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
-	sid, sel, d, st, herr := s.fetchSelection(r)
+	sid, sel, d, sn, st, herr := s.fetchSelection(r)
 	if herr != nil {
 		return nil, herr
 	}
-	vars, herr := viewVars(r, d, st.IDVar())
+	vars, herr := viewVars(r, d, sn, st.IDVar())
 	if herr != nil {
 		return nil, herr
 	}
@@ -571,7 +568,7 @@ func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
 				pqs[i].Op, pqs[i].Spec1 = plan.OpHist1D, histogram.NewSpec1D(ax.Var, bins)
 				pqs[i].Spec1.Lo, pqs[i].Spec1.Hi = ax.Min, ax.Max
 			}
-			results, sum, err := s.execPlans(ctx, d, pqs)
+			results, sum, err := s.execPlans(ctx, d, sn, pqs)
 			if err != nil {
 				return nil, err
 			}
@@ -598,7 +595,7 @@ func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
 				pqs = append(pqs, pq)
 			}
 		}
-		results, sum, err := s.execPlans(ctx, d, pqs)
+		results, sum, err := s.execPlans(ctx, d, sn, pqs)
 		if err != nil {
 			return nil, err
 		}

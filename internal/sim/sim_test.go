@@ -390,18 +390,27 @@ func TestWriteDataset(t *testing.T) {
 		if !ds.HasIndex(step) {
 			t.Fatalf("step %d missing index", step)
 		}
-		si, err := fastbit.ReadFile(ds.IndexPath(step))
+		ls, err := fastbit.OpenLazy(ds.IndexPath(step))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, name := range ls.Columns() {
+			if _, err := ls.Column(name); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		if _, err := ls.IDIndex(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		f, err := ds.OpenStep(step)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if si.N != f.Rows() {
-			t.Fatalf("step %d: index N %d != rows %d", step, si.N, f.Rows())
+		if ls.N() != f.Rows() {
+			t.Fatalf("step %d: index N %d != rows %d", step, ls.N(), f.Rows())
 		}
 		f.Close()
+		ls.Close()
 	}
 }
 
