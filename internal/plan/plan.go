@@ -214,9 +214,10 @@ func (r *FragmentResult) CacheBytes(key string) int {
 	return n
 }
 
-// CacheBytes is what r costs cached under key.
+// CacheBytes is what r costs cached under key, its encoded answer
+// included.
 func (r *Result) CacheBytes(key string) int {
-	return cacheBytes(key, r.Hist1, r.Hist2, r.Sel)
+	return cacheBytes(key, r.Hist1, r.Hist2, r.Sel) + cap(r.Answer)
 }
 
 // Result is the merged answer the planner returns to the serving layer.
@@ -227,6 +228,10 @@ type Result struct {
 	// Sel is OpSelect's answer: the sorted matching row positions over the
 	// whole step (the concatenation of the per-shard partials).
 	Sel []uint64
+	// Answer is the serving layer's JSON encoding of the answer, which it
+	// keeps in place of the dense histogram: encoded once, written on
+	// every hit.
+	Answer []byte
 
 	// Partial is true when one or more shards failed and the policy
 	// allowed merging the survivors; Failed lists the dead shards.

@@ -58,7 +58,7 @@ func (s *Server) rescue(o *op, x *run) bool {
 			return false
 		}
 		defer func() { <-s.brownoutSem }()
-		res, outcome, err := s.cacheDo(x.ctx, o.approxKey, o.indexOnly)
+		res, outcome, err := s.cacheDo(x.ctx, o.approxKey, o.flight(o.indexOnly))
 		if err != nil {
 			return false
 		}

@@ -10,16 +10,11 @@ import (
 
 // encodeBody renders a response body as JSON, exactly the bytes
 // json.NewEncoder(w).Encode(body) writes, trailing newline included. The
-// histogram bodies carry nearly every byte the service sends — a 256²
-// answer is 65 536 counts — so they are appended directly instead of
-// walked by reflection; every other body goes through encoding/json.
+// histogram bodies, which carry nearly every byte the service sends — a
+// 256² answer is 65 536 counts — never come here: their cache flight
+// encodes the answer part once (answerJSON) and each response appends its
+// meta (appendMeta), both without reflection (see answerBody).
 func encodeBody(body any) ([]byte, error) {
-	switch b := body.(type) {
-	case Hist1DBody:
-		return b.appendJSON(make([]byte, 0, histBodySize(len(b.Edges), len(b.Counts))))
-	case Hist2DBody:
-		return b.appendJSON(make([]byte, 0, histBodySize(len(b.XEdges)+len(b.YEdges), len(b.Counts))))
-	}
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(body)
 	return buf.Bytes(), err
@@ -31,10 +26,11 @@ func histBodySize(edges, counts int) int {
 	return 512 + 24*edges + 2*counts
 }
 
-// appendJSON appends the body as encoding/json renders it, with the
-// trailing newline of Encoder.Encode.
-func (b *Hist1DBody) appendJSON(dst []byte) ([]byte, error) {
-	e := jsonAppender{buf: dst}
+// answerJSON encodes the body's answer part — every field up to and
+// including total, a function of the request's cache key alone — as
+// encoding/json renders it, from the opening brace on.
+func (b *Hist1DBody) answerJSON() ([]byte, error) {
+	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.Edges), len(b.Counts)))}
 	e.raw(`{"dataset":`)
 	e.str(b.Dataset)
 	e.raw(`,"step":`)
@@ -55,15 +51,12 @@ func (b *Hist1DBody) appendJSON(dst []byte) ([]byte, error) {
 	e.uints(b.Counts)
 	e.raw(`,"total":`)
 	e.uint(b.Total)
-	e.meta(&b.ResponseMeta)
-	e.raw("}\n")
 	return e.buf, e.err
 }
 
-// appendJSON appends the body as encoding/json renders it, with the
-// trailing newline of Encoder.Encode.
-func (b *Hist2DBody) appendJSON(dst []byte) ([]byte, error) {
-	e := jsonAppender{buf: dst}
+// answerJSON is Hist1DBody.answerJSON for the 2D body.
+func (b *Hist2DBody) answerJSON() ([]byte, error) {
+	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.XEdges)+len(b.YEdges), len(b.Counts)))}
 	e.raw(`{"dataset":`)
 	e.str(b.Dataset)
 	e.raw(`,"step":`)
@@ -88,7 +81,15 @@ func (b *Hist2DBody) appendJSON(dst []byte) ([]byte, error) {
 	e.uints(b.Counts)
 	e.raw(`,"total":`)
 	e.uint(b.Total)
-	e.meta(&b.ResponseMeta)
+	return e.buf, e.err
+}
+
+// appendMeta appends the rest of a histogram body after its answer part:
+// the request's meta and the closing brace, with the trailing newline of
+// Encoder.Encode.
+func appendMeta(dst []byte, m *ResponseMeta) ([]byte, error) {
+	e := jsonAppender{buf: dst}
+	e.meta(m)
 	e.raw("}\n")
 	return e.buf, e.err
 }

@@ -2,17 +2,27 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/histogram"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // encodeOracle is what writeJSON sent before histogram bodies had their
@@ -138,12 +148,35 @@ func fillFloat(in *fillBytes, nonFinite bool) float64 {
 	return fillFloats[k%len(fillFloats)]
 }
 
+// histJSON is a histogram body as a miss writes it: the answer part its
+// flight encodes, then its meta.
+func histJSON(t *testing.T, body any) ([]byte, error) {
+	t.Helper()
+	var answer []byte
+	var err error
+	var m ResponseMeta
+	switch b := body.(type) {
+	case Hist1DBody:
+		answer, err = b.answerJSON()
+		m = b.ResponseMeta
+	case Hist2DBody:
+		answer, err = b.answerJSON()
+		m = b.ResponseMeta
+	default:
+		t.Fatalf("histJSON: %T is not a histogram body", body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return appendMeta(answer, &m)
+}
+
 // checkEncoding asserts the histogram encoder writes exactly what
 // encoding/json writes for body, and fails exactly when it fails.
 func checkEncoding(t *testing.T, body any) {
 	t.Helper()
 	want, wantErr := encodeOracle(body)
-	got, err := encodeBody(body)
+	got, err := histJSON(t, body)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("%T: error %v, encoding/json's %v", body, err, wantErr)
 	}
@@ -152,10 +185,51 @@ func checkEncoding(t *testing.T, body any) {
 	}
 }
 
+// checkStoredAnswer encodes the answer part of the histogram body b points
+// at once, as a cache flight does, then finishes it with two to four
+// metas drawn from in, as the hits on that entry do. Each whole body —
+// the stored answer followed by appendMeta — equals encoding/json of the
+// body with that meta, and fails exactly when encoding/json fails: a NaN
+// edge fails the answer, a NaN elapsed_ms (the 500 path) only its meta.
+func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
+	t.Helper()
+	var answer []byte
+	var answerErr error
+	switch b := b.(type) {
+	case *Hist1DBody:
+		answer, answerErr = b.answerJSON()
+	case *Hist2DBody:
+		answer, answerErr = b.answerJSON()
+	default:
+		t.Fatalf("checkStoredAnswer: %T is not a histogram body", b)
+	}
+	body := reflect.ValueOf(b).Elem()
+	meta := body.FieldByName("ResponseMeta")
+	for n := 2 + in.next()%3; n > 0; n-- {
+		fill(t, meta, in, nonFinite)
+		m := meta.Addr().Interface().(*ResponseMeta)
+		if nonFinite && in.next()%4 == 0 {
+			m.ElapsedMS = math.NaN()
+		}
+		got, err := answer, answerErr
+		if err == nil {
+			got, err = appendMeta(slices.Clone(answer), m)
+		}
+		want, wantErr := encodeOracle(body.Interface())
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%T: stored answer + meta: error %v, encoding/json's %v", b, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("%T: stored answer + meta differs from encoding/json:\n got %s\nwant %s", b, got, want)
+		}
+	}
+}
+
 // FuzzHistBodyJSON is the differential oracle for the histogram body
 // encoder: for bodies with every field drawn from escaping, float-format
-// and nil-versus-empty edge cases, its bytes equal
-// json.NewEncoder(w).Encode's, and it refuses NaN and ±Inf exactly when
+// and nil-versus-empty edge cases, an answer part encoded once and
+// finished with several metas equals json.NewEncoder(w).Encode's bytes
+// for each whole body, and the encoder refuses NaN and ±Inf exactly when
 // encoding/json does. The seed corpus is testdata/fuzz/FuzzHistBodyJSON.
 func FuzzHistBodyJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -163,10 +237,10 @@ func FuzzHistBodyJSON(f *testing.F) {
 		nonFinite := in.next()%4 == 0
 		var b1 Hist1DBody
 		fill(t, reflect.ValueOf(&b1).Elem(), in, nonFinite)
-		checkEncoding(t, b1)
+		checkStoredAnswer(t, &b1, in, nonFinite)
 		var b2 Hist2DBody
 		fill(t, reflect.ValueOf(&b2).Elem(), in, nonFinite)
-		checkEncoding(t, b2)
+		checkStoredAnswer(t, &b2, in, nonFinite)
 	})
 }
 
@@ -174,17 +248,17 @@ func FuzzHistBodyJSON(f *testing.F) {
 // inputs on every plain go test, beyond the committed seeds.
 func TestHistBodyJSONRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, 256)
+	data := make([]byte, 512)
 	for i := 0; i < 2000; i++ {
 		rng.Read(data)
 		in := &fillBytes{b: data}
 		nonFinite := i%8 == 0
 		var b1 Hist1DBody
 		fill(t, reflect.ValueOf(&b1).Elem(), in, nonFinite)
-		checkEncoding(t, b1)
+		checkStoredAnswer(t, &b1, in, nonFinite)
 		var b2 Hist2DBody
 		fill(t, reflect.ValueOf(&b2).Elem(), in, nonFinite)
-		checkEncoding(t, b2)
+		checkStoredAnswer(t, &b2, in, nonFinite)
 	}
 }
 
@@ -204,6 +278,7 @@ func TestHistBodyJSONCases(t *testing.T) {
 		Hist1DBody{},
 		Hist2DBody{Plan: "a <= 1", XEdges: edges, YEdges: nil, Counts: []uint64{}, ResponseMeta: meta},
 		Hist2DBody{XEdges: []float64{}, ResponseMeta: ResponseMeta{FailedSteps: []int{}, Trace: &obs.SpanData{}}},
+		Hist2DBody{XEdges: []float64{0, 1}, ResponseMeta: ResponseMeta{ElapsedMS: math.NaN()}},
 	} {
 		checkEncoding(t, body)
 	}
@@ -211,14 +286,20 @@ func TestHistBodyJSONCases(t *testing.T) {
 
 // TestWriteBodyEncodeBeforeStatus: a body that cannot be encoded is a 500
 // naming the error, never a 200 with an empty body — on the encoding/json
-// path (a NaN in /v1/vars) and on the histogram encoder's alike — while an
-// encodable one is sent byte-for-byte as encoding/json would.
+// path (a NaN in /v1/vars) and on a stored answer whose meta is
+// unencodable alike, and a histogram whose answer is unencodable (a NaN
+// edge) fails its flight with that error — while an encodable body is
+// sent byte-for-byte as encoding/json would.
 func TestWriteBodyEncodeBeforeStatus(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	stored := Hist2DBody{Plan: "x < 1 && y > 2", XEdges: []float64{0, 1}, YEdges: []float64{0, 1}, Counts: []uint64{4}}
+	answer, err := stored.answerJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, body := range []any{
 		VarsBody{Dataset: "d", Vars: []VarInfo{{Name: "px", Min: math.NaN(), Max: 1}}},
-		Hist1DBody{Edges: []float64{0, math.Inf(1)}, Counts: []uint64{1}},
-		Hist2DBody{XEdges: []float64{0, 1}, YEdges: []float64{math.NaN(), 1}, Counts: []uint64{1}},
+		answerBody{answer, ResponseMeta{Outcome: "hit", ElapsedMS: math.NaN()}},
 	} {
 		w := httptest.NewRecorder()
 		writeBody(r, w, body)
@@ -230,13 +311,29 @@ func TestWriteBodyEncodeBeforeStatus(t *testing.T) {
 			t.Fatalf("%T: body %q does not name the encoding error (%v)", body, w.Body, err)
 		}
 	}
+	o := &op{answer: func(res *plan.Result) ([]byte, error) {
+		b := Hist2DBody{XEdges: res.Hist2.XEdges, YEdges: res.Hist2.YEdges, Counts: res.Hist2.Counts}
+		return b.answerJSON()
+	}}
+	nan := &plan.Result{Hist2: &histogram.Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{math.NaN(), 1}, Counts: []uint64{1}}}
+	_, err = o.flight(func(context.Context) (*plan.Result, error) { return nan, nil })(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "encode response: ") || !strings.Contains(err.Error(), "unsupported value") {
+		t.Fatalf("flight of a NaN edge: error %v, want the encoding error", err)
+	}
+
+	withMeta := stored
+	withMeta.ResponseMeta = ResponseMeta{Outcome: "hit", Partial: true, FailedShards: []int{2}, ElapsedMS: 0.5}
 	for _, body := range []any{
 		VarsBody{Dataset: "d", Vars: []VarInfo{{Name: "px", Min: 0, Max: 1}}},
-		Hist2DBody{Plan: "x < 1 && y > 2", XEdges: []float64{0, 1}, YEdges: []float64{0, 1}, Counts: []uint64{4}},
+		answerBody{answer, withMeta.ResponseMeta},
 	} {
 		w := httptest.NewRecorder()
 		writeBody(r, w, body)
-		want, _ := encodeOracle(body)
+		oracle := body
+		if _, ok := body.(answerBody); ok {
+			oracle = withMeta
+		}
+		want, _ := encodeOracle(oracle)
 		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) || w.Header().Get("Content-Type") != "application/json" {
 			t.Fatalf("%T: status %d, type %q, body %q; want 200 %q", body, w.Code, w.Header().Get("Content-Type"), w.Body, want)
 		}
@@ -251,9 +348,10 @@ func (d discardWriter) Header() http.Header         { return d.h }
 func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d discardWriter) WriteHeader(int)             {}
 
-// BenchmarkWriteBody serializes a 2D histogram answer the way the
-// pipeline's write stage does: 256² (the drill-down default) and 1024².
-// Counts follow a sparse, heavy-tailed shape like a particle density.
+// BenchmarkWriteBody serializes a 2D histogram the way a miss does — its
+// answer part in the cache flight, then its meta in the write stage —
+// at 256² (the drill-down default) and 1024². Counts follow a sparse,
+// heavy-tailed shape like a particle density.
 func BenchmarkWriteBody(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -273,12 +371,273 @@ func BenchmarkWriteBody(b *testing.B) {
 			}
 		}
 		r := httptest.NewRequest(http.MethodGet, "/v1/hist2d", nil)
+		o := &op{answer: func(*plan.Result) ([]byte, error) { return body.answerJSON() }}
+		miss := o.flight(func(context.Context) (*plan.Result, error) { return &plan.Result{}, nil })
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			w := discardWriter{h: http.Header{}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				writeBody(r, w, body)
+				res, err := miss(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				writeBody(r, w, storedAnswer(res, body.ResponseMeta))
 			}
 		})
+	}
+}
+
+// hist2DPath is the request the stored-answer tests drive: an x–px
+// hist2d at bins² under cond.
+func hist2DPath(bins int, cond string) string {
+	return fmt.Sprintf("/v1/hist2d?x=x&y=px&xbins=%d&ybins=%d&q=%s", bins, bins, url.QueryEscape(cond))
+}
+
+// parentHist2D is the body the pipeline built before answers were stored:
+// the plan's dense histogram (or the index-only one) for path, shaped by
+// the request's own parse, with the meta the response carried.
+func parentHist2D(t *testing.T, s *Server, path string, indexOnly bool, m ResponseMeta) Hist2DBody {
+	t.Helper()
+	r := httptest.NewRequest(http.MethodGet, path, nil)
+	req, herr := s.parseRequest(r, false)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	spec, herr := hist2DSpec(r, req.sn)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	var h *histogram.Hist2D
+	var err error
+	if indexOnly {
+		h, err = req.st.Histogram2DIndexOnlyCtx(context.Background(), req.expr, spec.XVar, spec.YVar)
+	} else {
+		pq := req.planQuery(plan.OpHist2D)
+		pq.Spec2 = spec
+		var res *plan.Result
+		res, err = s.execPlan(context.Background(), req, pq)
+		if err == nil {
+			h = res.Hist2
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Hist2DBody{
+		Dataset: req.d.name, Step: req.t, Plan: req.plan, Backend: req.backend.String(),
+		XVar: spec.XVar, YVar: spec.YVar, Binning: spec.Binning.String(),
+		XEdges: h.XEdges, YEdges: h.YEdges, Counts: h.Counts, Total: h.Total(),
+		ResponseMeta: m,
+	}
+}
+
+// mustGet fetches path, which must answer 200.
+func mustGet(t *testing.T, ts *httptest.Server, path string) string {
+	t.Helper()
+	code, raw := get(t, ts, path, nil)
+	if code != 200 {
+		t.Fatalf("%s: %d %s", path, code, raw)
+	}
+	return raw
+}
+
+// checkParentBody asserts raw is byte-for-byte encoding/json of the body
+// the parent pipeline built for answerPath (whose answer the response
+// carries) under the response's own meta, which must show outcome and
+// degraded mode.
+func checkParentBody(t *testing.T, s *Server, what, raw, answerPath string, indexOnly bool, outcome, degraded string) {
+	t.Helper()
+	var got Hist2DBody
+	if err := json.Unmarshal([]byte(raw), &got); err != nil {
+		t.Fatalf("%s: %v in %.200s", what, err, raw)
+	}
+	if got.Outcome != outcome || got.DegradedMode != degraded {
+		t.Fatalf("%s: outcome %q degraded %q, want %q %q", what, got.Outcome, got.DegradedMode, outcome, degraded)
+	}
+	want, err := encodeOracle(parentHist2D(t, s, answerPath, indexOnly, got.ResponseMeta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw != string(want) {
+		t.Fatalf("%s: body differs from the parent's (%d vs %d bytes):\n got %.300s\nwant %.300s", what, len(raw), len(want), raw, want)
+	}
+}
+
+// TestHistHitWritesStoredAnswer: a histogram's answer is encoded once, in
+// its cache flight, and written on every path that serves it — computed,
+// hit, hit with an explain or a trace, a coalesced pair, a coarse-cache
+// rescue and an index-only rescue — each body byte-identical to
+// encoding/json of the body the pipeline built before answers were
+// stored. A 256² hit then allocates a few KiB of request bookkeeping, not
+// its ~150 KB body.
+func TestHistHitWritesStoredAnswer(t *testing.T) {
+	t.Run("pipeline", checkPipelineWritesStoredAnswer)
+	t.Run("rescues", checkRescuesWriteStoredAnswer)
+}
+
+func checkPipelineWritesStoredAnswer(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	path := hist2DPath(256, "px > 0")
+	for _, c := range []struct{ suffix, outcome string }{
+		{"", "computed"}, {"", "hit"}, {"&debug=explain", "hit"}, {"&debug=trace", "hit"},
+	} {
+		code, raw := get(t, ts, path+c.suffix, nil)
+		if code != 200 {
+			t.Fatalf("%s: %d %s", c.outcome, code, raw)
+		}
+		checkParentBody(t, s, c.outcome+c.suffix, raw, path, false, c.outcome, "")
+	}
+
+	// The entry holds the answer part in place of the dense counts, and is
+	// charged the bytes it holds.
+	o, herr := s.hist2DOp(httptest.NewRequest(http.MethodGet, path, nil))
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	val, ok := s.cache.Peek(o.key)
+	res, _ := val.(*plan.Result)
+	if !ok || res == nil || res.Hist2 != nil || len(res.Answer) == 0 || !strings.HasPrefix(mustGet(t, ts, path), string(res.Answer)) {
+		t.Fatalf("cache entry for %s holds %+v, want the answer bytes alone", path, val)
+	}
+	if st := s.cache.Stats(); st.Entries != 1 || st.Bytes != res.CacheBytes(o.key) {
+		t.Fatalf("cache stats %+v for one %d-byte answer", st, len(res.Answer))
+	}
+
+	// A coalesced pair: both requests wait on one flight, held open here.
+	other := hist2DPath(256, "px > 1e9")
+	o, herr = s.hist2DOp(httptest.NewRequest(http.MethodGet, other, nil))
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	open := make(chan struct{})
+	flightDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.cacheDo(context.Background(), o.key, o.flight(func(ctx context.Context) (*plan.Result, error) {
+			<-open
+			return o.exec(ctx)
+		}))
+		flightDone <- err
+	}()
+	for s.cache.Stats().Inflight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	raws := make(chan string, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Get(ts.URL + other)
+			if err != nil {
+				raws <- err.Error()
+				return
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if resp.StatusCode != 200 || err != nil {
+				raw = fmt.Appendf(nil, "status %d (%v): %s", resp.StatusCode, err, raw)
+			}
+			raws <- string(raw)
+		}()
+	}
+	for s.cache.Stats().Coalesced < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(open)
+	if err := <-flightDone; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		checkParentBody(t, s, "coalesced", <-raws, other, false, "coalesced", "")
+	}
+
+	// The hit writes the stored bytes: least of three, with the collector
+	// off so no GC cycle lands inside a measurement.
+	w := discardWriter{h: http.Header{}}
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		w := discardWriter{h: http.Header{}}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		s.ServeHTTP(w, r)
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("a 256² hit allocated %d B", least)
+	if least > 16<<10 {
+		t.Errorf("a 256² hit allocated %d B, want ≤ 16 KiB", least)
+	}
+}
+
+// checkRescuesWriteStoredAnswer: both brownout rungs write stored answers
+// — the coarse rung the coarser entry's bytes, the index-only rung those
+// its own flight encoded.
+func checkRescuesWriteStoredAnswer(t *testing.T) {
+	s, ts := overloadedServer(t)
+	path := hist2DPath(256, "px > 0")
+	if code, raw := get(t, ts, path, nil); code != 200 {
+		t.Fatalf("warmup: %d %s", code, raw)
+	}
+	forceBrownout(s, true)
+	release := occupySlot(t, s)
+	defer release()
+
+	code, raw := get(t, ts, hist2DPath(512, "px > 0"), nil)
+	if code != 200 {
+		t.Fatalf("coarse rescue: %d %s", code, raw)
+	}
+	checkParentBody(t, s, "coarse rescue", raw, path, false, "hit", degradedCoarse)
+
+	cold := hist2DPath(256, "px > 1e9")
+	for _, outcome := range []string{"computed", "hit"} {
+		code, raw = get(t, ts, cold, nil)
+		if code != 200 {
+			t.Fatalf("index-only rescue: %d %s", code, raw)
+		}
+		checkParentBody(t, s, "index-only rescue "+outcome, raw, cold, true, outcome, degradedIndexOnly)
+	}
+}
+
+// TestContentLength: every JSON body goes out with a Content-Length equal
+// to its length — a computed histogram, a hit on it, and an error body —
+// rather than chunked.
+func TestContentLength(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	path := hist2DPath(256, "px > 0")
+	for _, c := range []struct {
+		what, path string
+		status     int
+	}{
+		{"miss", path, 200}, {"hit", path, 200}, {"error", "/v1/hist2d?x=nope&y=px", 404},
+	} {
+		resp, err := http.Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d", c.what, resp.StatusCode, c.status)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || len(resp.TransferEncoding) > 0 {
+			t.Fatalf("%s: Content-Length %q, transfer encoding %v, body %d bytes", c.what, cl, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// BenchmarkHistHit serves a resident 256² hist2d key through ServeHTTP:
+// the whole server-side cost of redrawing a panel already on screen.
+func BenchmarkHistHit(b *testing.B) {
+	s, _ := testServer(b, Config{})
+	path := hist2DPath(256, "px > 0")
+	s.ServeHTTP(discardWriter{h: http.Header{}}, httptest.NewRequest(http.MethodGet, path, nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(discardWriter{h: http.Header{}}, httptest.NewRequest(http.MethodGet, path, nil))
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -35,8 +36,38 @@ type op struct {
 	coarser   func(yield func(key string) bool)
 	approxKey string
 	indexOnly func(ctx context.Context) (*plan.Result, error)
+	// answer, offered by histograms only, encodes the answer part of the
+	// body — a function of the cache key alone — from the Result exec or
+	// indexOnly computed. The flight runs it once (see flight), and body
+	// writes those bytes on every hit.
+	answer func(res *plan.Result) ([]byte, error)
 	// body shapes the response around the pipeline-filled meta.
 	body func(res *plan.Result, m ResponseMeta) any
+}
+
+// flight is what the cache flight computes for key with compute (exec or
+// indexOnly): the Result, and for an op with an answer encoder the answer
+// part of its body, kept in Result.Answer in place of the dense histogram
+// no reader needs after the flight. The entry is then charged the bytes
+// it holds, and a hit, a coalesced waiter or a brownout rescue writes the
+// stored bytes instead of encoding them again.
+func (o *op) flight(compute func(ctx context.Context) (*plan.Result, error)) func(ctx context.Context) (*plan.Result, error) {
+	if o.answer == nil {
+		return compute
+	}
+	return func(ctx context.Context) (*plan.Result, error) {
+		res, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		answer, err := o.answer(res)
+		if err != nil {
+			return nil, fmt.Errorf("encode response: %w", err)
+		}
+		res.Answer = answer
+		res.Hist1, res.Hist2 = nil, nil
+		return res, nil
+	}
 }
 
 // run is one request's passage through the pipeline: what the stages
@@ -112,7 +143,7 @@ func (s *Server) pipelined(endpoint string, build func(r *http.Request) (*op, *h
 					err = nil
 				}
 			case o.key != "":
-				x.res, x.outcome, err = s.cacheDo(ctx, o.key, o.exec)
+				x.res, x.outcome, err = s.cacheDo(ctx, o.key, o.flight(o.exec))
 			default:
 				x.res, err = o.exec(ctx)
 			}
@@ -307,14 +338,33 @@ func evalProfiled(ctx context.Context, fp plan.FragProfile, eval func(ctx contex
 	return err
 }
 
+// answerBody is a histogram response as the pipeline writes it: the
+// answer part its cache flight encoded once (plan.Result.Answer), then
+// this request's meta.
+type answerBody struct {
+	answer []byte
+	meta   ResponseMeta
+}
+
+// storedAnswer is the body constructor of the histogram ops.
+func storedAnswer(res *plan.Result, m ResponseMeta) any { return answerBody{res.Answer, m} }
+
 // writeBody serializes a success response under a "serialize" span.
 func writeBody(r *http.Request, w http.ResponseWriter, body any) {
 	_, sp := obs.StartSpan(r.Context(), "serialize")
 	defer sp.End()
-	if png, ok := body.(pngBody); ok {
+	switch b := body.(type) {
+	case pngBody:
 		w.Header().Set("Content-Type", "image/png")
-		png.canvas.EncodePNG(w) //nolint:errcheck // client gone; nothing to do
-		return
+		b.canvas.EncodePNG(w) //nolint:errcheck // client gone; nothing to do
+	case answerBody:
+		tail, err := appendMeta(make([]byte, 0, 256), &b.meta)
+		if err != nil {
+			writeEncodeError(w, err)
+			return
+		}
+		writeEncoded(w, http.StatusOK, b.answer, tail)
+	default:
+		writeJSON(w, http.StatusOK, body)
 	}
-	writeJSON(w, http.StatusOK, body)
 }

@@ -507,12 +507,35 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	buf, err := encodeBody(body)
 	if err != nil {
-		status = http.StatusInternalServerError
-		buf, _ = encodeBody(ErrorBody{Error: fmt.Sprintf("encode response: %v", err)}) // a lone string always encodes
+		writeEncodeError(w, err)
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeEncoded(w, status, buf)
+}
+
+// writeEncodeError answers a body that could not be encoded.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	buf, _ := encodeBody(ErrorBody{Error: fmt.Sprintf("encode response: %v", err)}) // a lone string always encodes
+	writeEncoded(w, http.StatusInternalServerError, buf)
+}
+
+// writeEncoded sends a JSON body already encoded in parts. Its length is
+// known before the first byte, so it goes out with a Content-Length, not
+// chunked.
+func writeEncoded(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	w.Write(buf) //nolint:errcheck // client gone; nothing to do
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // client gone; nothing to do
+		}
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -1068,21 +1091,22 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 			pq.Spec1 = spec
 			return s.execPlan(ctx, req, pq)
 		},
-		body: func(res *plan.Result, m ResponseMeta) any {
+		answer: func(res *plan.Result) ([]byte, error) {
 			h := res.Hist1
-			return Hist1DBody{
-				Dataset:      req.d.name,
-				Step:         req.t,
-				Plan:         req.plan,
-				Backend:      req.backend.String(),
-				Var:          spec.Var,
-				Binning:      spec.Binning.String(),
-				Edges:        h.Edges,
-				Counts:       h.Counts,
-				Total:        h.Total(),
-				ResponseMeta: m,
+			b := Hist1DBody{
+				Dataset: req.d.name,
+				Step:    req.t,
+				Plan:    req.plan,
+				Backend: req.backend.String(),
+				Var:     spec.Var,
+				Binning: spec.Binning.String(),
+				Edges:   h.Edges,
+				Counts:  h.Counts,
+				Total:   h.Total(),
 			}
+			return b.answerJSON()
 		},
+		body: storedAnswer,
 	}
 	if degradable(r, spec.Binning) {
 		o.coarser = func(yield func(key string) bool) {
@@ -1202,23 +1226,24 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 			pq.Spec2 = spec
 			return s.execPlan(ctx, req, pq)
 		},
-		body: func(res *plan.Result, m ResponseMeta) any {
+		answer: func(res *plan.Result) ([]byte, error) {
 			h := res.Hist2
-			return Hist2DBody{
-				Dataset:      req.d.name,
-				Step:         req.t,
-				Plan:         req.plan,
-				Backend:      req.backend.String(),
-				XVar:         spec.XVar,
-				YVar:         spec.YVar,
-				Binning:      spec.Binning.String(),
-				XEdges:       h.XEdges,
-				YEdges:       h.YEdges,
-				Counts:       h.Counts,
-				Total:        h.Total(),
-				ResponseMeta: m,
+			b := Hist2DBody{
+				Dataset: req.d.name,
+				Step:    req.t,
+				Plan:    req.plan,
+				Backend: req.backend.String(),
+				XVar:    spec.XVar,
+				YVar:    spec.YVar,
+				Binning: spec.Binning.String(),
+				XEdges:  h.XEdges,
+				YEdges:  h.YEdges,
+				Counts:  h.Counts,
+				Total:   h.Total(),
 			}
+			return b.answerJSON()
 		},
+		body: storedAnswer,
 	}
 	if degradable(r, spec.Binning) {
 		o.coarser = func(yield func(key string) bool) {

@@ -47,21 +47,10 @@ func (p *planBytes) next() int {
 
 func (p *planBytes) finite() float64 { return planPalette[p.next()%planFinite] }
 
-// planDataset writes a one-step dataset of rows rows in chunks of
-// chunkRows: columns a, b and c and an id column, with a and b indexed
-// into bins bins. A zero-row step has no index (there is nothing to bin).
-func planDataset(t *testing.T, in *planBytes, rows uint64, chunkRows, bins int) string {
-	t.Helper()
-	dir := t.TempDir()
-	ds, err := colstore.CreateDataset(dir, colstore.DatasetMeta{
-		Name: "fuzz", Steps: 1, Variables: []string{"a", "b", "c", "id"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+// planColumns draws rows values for each of the columns a, b and c.
+func planColumns(in *planBytes, rows uint64) map[string][]float64 {
 	cols := map[string][]float64{}
-	ids := make([]int64, rows)
-	for r := range ids {
-		ids[r] = int64(3*r + 1)
+	for r := uint64(0); r < rows; r++ {
 		for _, name := range []string{"a", "b", "c"} {
 			n := planFinite
 			if name == "c" {
@@ -69,6 +58,36 @@ func planDataset(t *testing.T, in *planBytes, rows uint64, chunkRows, bins int) 
 			}
 			cols[name] = append(cols[name], planPalette[in.next()%n])
 		}
+	}
+	return cols
+}
+
+// planIDs is the id column: row r holds 3r+1, or with period > 0
+// 3(r mod period)+1, so that rows period apart share an id and an IN list
+// over id selects several rows per value.
+func planIDs(rows uint64, period int) []int64 {
+	ids := make([]int64, rows)
+	for r := range ids {
+		if period > 0 {
+			ids[r] = int64(3*(r%period) + 1)
+		} else {
+			ids[r] = int64(3*r + 1)
+		}
+	}
+	return ids
+}
+
+// planDataset writes a one-step dataset of the columns cols and the id
+// column ids in chunks of chunkRows, with a and b indexed into bins bins.
+// A zero-row step has no index (there is nothing to bin).
+func planDataset(t *testing.T, cols map[string][]float64, ids []int64, chunkRows, bins int) string {
+	t.Helper()
+	rows := uint64(len(ids))
+	dir := t.TempDir()
+	ds, err := colstore.CreateDataset(dir, colstore.DatasetMeta{
+		Name: "fuzz", Steps: 1, Variables: []string{"a", "b", "c", "id"}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	w, err := colstore.NewWriter(ds.StepPath(0), rows, chunkRows)
 	if err != nil {
@@ -215,7 +234,7 @@ func (r wireRunner) RunFragment(_ context.Context, _ int, f plan.Fragment) (*pla
 }
 
 // FuzzPlanSplits is the plan-level differential oracle: one fuzzed
-// multi-chunk step, one count, select, hist1d or hist2d, run through
+// multi-chunk step, its ids distinct or repeating, one count, select, hist1d or hist2d, run through
 // plan.Execute on shard workers at splits {1, 2, 3, 5, 7} and on both
 // backends, every partial crossing the wire (wireRunner). Every split
 // answers byte-for-byte what one shard does, one shard answers what the
@@ -228,8 +247,12 @@ func FuzzPlanSplits(f *testing.F) {
 		in := &planBytes{b: data}
 		rows := uint64(in.next() % 97)
 		chunkRows := 1 + in.next()%13
-		dir := planDataset(t, in, rows, chunkRows, 1+in.next()%8)
+		bins := 1 + in.next()%8
+		cols := planColumns(in, rows)
 		q := planQuery(in)
+		// The id period is drawn last, so inputs from before ids could
+		// repeat keep their meaning (period 0: every id distinct).
+		dir := planDataset(t, cols, planIDs(rows, in.next()%8), chunkRows, bins)
 		backends := []fastquery.Backend{fastquery.Scan, fastquery.FastBit}
 		if rows == 0 || q.Query != "" && slices.Contains(query.Vars(query.MustParse(q.Query)), "c") {
 			backends = backends[:1]
