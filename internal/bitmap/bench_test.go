@@ -64,7 +64,11 @@ var benchSink *Vector
 
 // benchOrAll times OrAll on the given bins and, beside it, each of its two
 // strategies forced, so the benchmark shows whether OrAll picked the
-// faster one.
+// faster one. On a 2-core Xeon VM: 192 scattered bins, dense 0.79 ms vs
+// tree 20 ms; 192 run bins, dense 26 µs vs tree 0.36 ms; the 2 top run
+// bins, tree 1.4 µs vs dense 10.7 µs. Near the crossover the rule can
+// miss by ~20 %: 8 run bins or 2 scattered bins pick the tree, 14 µs vs
+// 11 µs and 66 µs vs 55 µs for dense.
 func benchOrAll(b *testing.B, in []*Vector) {
 	var n uint64
 	words := 0

@@ -149,8 +149,9 @@ func windows(ref []bool, data []byte) [][2]uint64 {
 	return ws
 }
 
-// checkWindows compares PositionsIn and AnyIn on every window with the
-// filtered Iterate walk.
+// checkWindows compares PositionsIn and the window decode OrInto
+// on every window with the filtered Iterate walk, and checks that the
+// decoded window encodes back to the oracle's bits.
 func checkWindows(t *testing.T, what string, v *Vector, ref []bool, data []byte) {
 	t.Helper()
 	for _, w := range windows(ref, data) {
@@ -164,16 +165,33 @@ func checkWindows(t *testing.T, what string, v *Vector, ref []bool, data []byte)
 				t.Fatalf("%s.PositionsIn(%d, %d): position %d = %d, want %d", what, w[0], w[1], i, got[i], want[i])
 			}
 		}
-		if any := v.AnyIn(w[0], w[1]); any != (len(want) > 0) {
-			t.Fatalf("%s.AnyIn(%d, %d) = %v with %d set bits inside", what, w[0], w[1], any, len(want))
+		if w[0] > w[1] {
+			continue
 		}
+		s := NewBitSet(w[1] - w[0])
+		v.OrInto(s, w[0], w[1])
+		got = s.Positions(w[0])
+		if len(got) != len(want) || s.Any() != (len(want) > 0) {
+			t.Fatalf("%s.OrInto(%d, %d) of %d bits: %d positions (Any %v), want %d", what, w[0], w[1], v.Len(), len(got), s.Any(), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s.OrInto(%d, %d): position %d = %d, want %d", what, w[0], w[1], i, got[i], want[i])
+			}
+		}
+		win := make([]bool, w[1]-w[0])
+		for i := range win {
+			win[i] = w[0]+uint64(i) < uint64(len(ref)) && ref[w[0]+uint64(i)]
+		}
+		checkBits(t, fmt.Sprintf("%s.OrInto(%d, %d).ToVector", what, w[0], w[1]), s.ToVector(), win)
 	}
 }
 
 // FuzzWAHOps checks every Boolean operation, both OrAll strategies
 // included, against the []bool oracle on vectors of unequal, unaligned
-// lengths, and BitSet's Or against OrAll; and the windowed walks,
-// PositionsIn and AnyIn, against a filtered Iterate on every operand and
+// lengths, BitSet's Or against OrAll, and the BitSet encoder (ToVector)
+// against the oracle; and the windowed walks, PositionsIn and the
+// window decode OrInto, against a filtered Iterate on every operand and
 // result. Seeds: testdata/fuzz/FuzzWAHOps.
 func FuzzWAHOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -184,6 +202,7 @@ func FuzzWAHOps(f *testing.F) {
 		a, b, ra, rb := vs[0], vs[1], refs[0], refs[1]
 		for i, v := range vs {
 			checkWindows(t, fmt.Sprintf("vs[%d]", i), v, refs[i], data)
+			checkBits(t, fmt.Sprintf("vs[%d] through BitSet", i), VectorToBitSet(v).ToVector(), refs[i])
 		}
 		checkWindows(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }), data)
 		checkWindows(t, "Not", a.Not(), boolOp(ra, ra, func(x, _ bool) bool { return !x }), data)

@@ -349,17 +349,24 @@ func orAllDense(vs []*Vector, n uint64) *Vector {
 			acc[g] |= v.act
 		}
 	}
+	return encodeGroups(acc, n)
+}
+
+// encodeGroups encodes n bits given uncompressed as 31-bit groups, the
+// last one partial when n is not a multiple of 31: each run of all-zero
+// or all-one groups becomes a fill, every other group a literal.
+func encodeGroups(groups []uint32, n uint64) *Vector {
 	out := New(n)
 	full := n / groupBits
 	for g := uint64(0); g < full; {
-		w := acc[g]
+		w := groups[g]
 		if w != 0 && w != allOnes {
 			out.words = append(out.words, w)
 			g++
 			continue
 		}
 		run := g + 1
-		for run < full && acc[run] == w {
+		for run < full && groups[run] == w {
 			run++
 		}
 		out.appendFill(w != 0, run-g)
@@ -367,7 +374,7 @@ func orAllDense(vs []*Vector, n uint64) *Vector {
 	}
 	out.n = n
 	if rem := n % groupBits; rem != 0 {
-		out.act, out.nact = acc[full]&(uint32(1)<<rem-1), uint8(rem)
+		out.act, out.nact = groups[full]&(uint32(1)<<rem-1), uint8(rem)
 	}
 	return out
 }

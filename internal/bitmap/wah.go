@@ -285,7 +285,7 @@ func (v *Vector) Positions() []uint64 {
 // end and its own hits, not a call per set bit of the whole vector.
 func (v *Vector) PositionsIn(lo, hi uint64) []uint64 {
 	i, at := v.seek(lo)
-	n := v.countIn(i, at, lo, hi, false)
+	n := v.countIn(i, at, lo, hi)
 	if n == 0 {
 		return nil
 	}
@@ -316,12 +316,50 @@ func (v *Vector) PositionsIn(lo, hi uint64) []uint64 {
 	return out
 }
 
-// AnyIn reports whether v has a set bit in [lo, hi); an empty window has
-// none. Like PositionsIn it skips whole words before lo, and it stops at
-// the first word with a hit.
-func (v *Vector) AnyIn(lo, hi uint64) bool {
+// OrInto ORs v's bits in [lo, hi) into s, bit p of v landing on bit p-lo
+// of s, which holds at least hi-lo bits: the window decode of a query
+// evaluation. Like PositionsIn it steps over the words before lo a word
+// at a time and stops at hi; a one-fill sets its range a 64-bit word at a
+// time.
+func (v *Vector) OrInto(s *BitSet, lo, hi uint64) {
+	hi = min(hi, v.n)
+	if lo >= hi {
+		return
+	}
 	i, at := v.seek(lo)
-	return v.countIn(i, at, lo, hi, true) > 0
+	for _, w := range v.words[i:] {
+		if at >= hi {
+			return
+		}
+		if w&fillFlag != 0 {
+			span := uint64(w&maxFill) * groupBits
+			if w&fillOne != 0 {
+				s.setRange(max(at, lo)-lo, min(at+span, hi)-lo)
+			}
+			at += span
+			continue
+		}
+		if at < lo || at+groupBits > hi {
+			orWindowGroup(s, w, at, lo, hi)
+		} else {
+			s.orGroup(w, at-lo)
+		}
+		at += groupBits
+	}
+	orWindowGroup(s, v.act, at, lo, hi)
+}
+
+// orWindowGroup ORs the bits of literal group g, whose first bit is
+// position at, that fall in [lo, hi) into s at their offset from lo.
+func orWindowGroup(s *BitSet, g uint32, at, lo, hi uint64) {
+	g = windowGroup(g, at, lo, hi)
+	switch {
+	case g == 0:
+	case at < lo:
+		s.orGroup(g>>(lo-at), 0)
+	default:
+		s.orGroup(g, at-lo)
+	}
 }
 
 // seek returns the index of the first word that holds a position at or
@@ -342,16 +380,15 @@ func (v *Vector) seek(lo uint64) (i int, at uint64) {
 }
 
 // countIn returns the number of set bits in [lo, hi), walking from word
-// i, whose first position is at (what seek(lo) returns); with first set
-// it stops at the first word that has any.
-func (v *Vector) countIn(i int, at, lo, hi uint64, first bool) uint64 {
+// i, whose first position is at (what seek(lo) returns).
+func (v *Vector) countIn(i int, at, lo, hi uint64) uint64 {
 	hi = min(hi, v.n)
 	if lo >= hi {
 		return 0
 	}
 	var c uint64
 	for _, w := range v.words[i:] {
-		if at >= hi || first && c > 0 {
+		if at >= hi {
 			return c
 		}
 		if w&fillFlag != 0 {

@@ -1,0 +1,54 @@
+package fastbit
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/query"
+)
+
+// BenchmarkSelectCtx times one selection over 300 000 rows indexed with
+// 256 bins: a band on a column scattered over the rows (literal-heavy
+// bins; the band ORs the complement and candidate-checks its two edge
+// bins) and a cut on a column that follows row order (bins of runs), each
+// over the whole step and over its last third, the shape of a shard's
+// fragment.
+func BenchmarkSelectCtx(b *testing.B) {
+	const rows, bins = 300_000, 256
+	rng := rand.New(rand.NewSource(35))
+	scattered := make([]float64, rows)
+	sorted := make([]float64, rows)
+	for i := range scattered {
+		scattered[i] = rng.NormFloat64()
+		sorted[i] = float64(i) + 50*rng.NormFloat64()
+	}
+	cols := map[string][]float64{"scattered": scattered, "sorted": sorted}
+	si, err := BuildStepIndex(cols, nil, "", IndexOptions{Bins: bins})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := si.Evaluator(MemReader(cols))
+	terms := []struct{ name, q string }{
+		{"band", "scattered > -0.8 && scattered < 0.9"},
+		{"runs", "sorted > 123456.5"},
+	}
+	windows := []struct {
+		name   string
+		lo, hi uint64
+	}{{"whole", 0, rows}, {"last-third", 2 * rows / 3, rows}}
+	for _, tm := range terms {
+		e := query.MustParse(tm.q)
+		for _, w := range windows {
+			b.Run(fmt.Sprintf("%s/%s", tm.name, w.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ev.SelectCtx(context.Background(), e, w.lo, w.hi); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -59,14 +59,6 @@ type Evaluator struct {
 	LookupID func() (*IDIndex, error)
 	Raw      RawReader
 
-	// win, set only for the duration of a SelectCtx call, windows the
-	// evaluation to rows [win[0], win[1]); nil means the whole step.
-	// Candidate checks read only boundary records inside the window, so
-	// the bitmap is exact there and unspecified outside it: every bitmap
-	// operation is per-row, so the rows inside stay exact through any
-	// And, Or and Not. SelectCtx clips its positions to the window.
-	win *[2]uint64
-
 	// Approx switches evaluation to the index-only approximate path:
 	// boundary bins are admitted wholesale instead of candidate-checked,
 	// yielding a superset bitmap without touching raw data. Set before the
@@ -92,19 +84,6 @@ func (ev *Evaluator) index(name string) (*Index, error) {
 	return nil, fmt.Errorf("fastbit: no index for variable %q", name)
 }
 
-// window returns the evaluation's row window [lo, hi).
-func (ev *Evaluator) window() (lo, hi uint64) {
-	if ev.win == nil {
-		return 0, ev.N
-	}
-	return ev.win[0], ev.win[1]
-}
-
-// noneInWindow reports whether v has no set bit inside the window.
-func (ev *Evaluator) noneInWindow(v *bitmap.Vector) bool {
-	return !v.AnyIn(ev.window())
-}
-
 // idIndex resolves the identifier index, or nil when unavailable.
 func (ev *Evaluator) idIndex() *IDIndex {
 	if ev.IDIdx != nil {
@@ -124,18 +103,29 @@ func (ev *Evaluator) Eval(e query.Expr) (*bitmap.Vector, error) {
 	return ev.EvalCtx(context.Background(), e)
 }
 
-// EvalCtx is Eval with cooperative cancellation: ctx is observed between
-// boolean terms and inside candidate-check loops, so a canceled query
-// stops within one checkpoint interval. Each top-level evaluation records
-// one "bitmap-eval" span and feeds the fastbit_* instruments.
+// EvalCtx is Eval with cooperative cancellation: the whole step's set of
+// matches, encoded once as a WAH vector for the bitmap-space histograms.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
+	s, err := ev.evalWindow(ctx, e, 0, ev.N)
+	if err != nil {
+		return nil, err
+	}
+	return s.ToVector(), nil
+}
+
+// evalWindow is every evaluation: the set of rows in [lo, hi) matching e,
+// bit i standing for row lo+i. ctx is observed between boolean terms and
+// inside candidate-check loops, so a canceled query stops within one
+// checkpoint interval. Each evaluation records one "bitmap-eval" span and
+// feeds the fastbit_* instruments.
+func (ev *Evaluator) evalWindow(ctx context.Context, e query.Expr, lo, hi uint64) (*bitmap.BitSet, error) {
 	ctx, sp := obs.StartSpan(ctx, "bitmap-eval")
 	start := time.Now()
 	statsBefore := ev.Stats
-	v, err := ev.evalCtx(ctx, e)
+	s, err := ev.evalSet(ctx, e, lo, hi)
 	metricEvalSeconds.ObserveSince(start)
 	metricEvals.Inc()
-	metricEvalRows.Add(ev.N)
+	metricEvalRows.Add(hi - lo)
 	checks := ev.Stats.CandidateChecks - statsBefore.CandidateChecks
 	metricCandidateChecks.Add(checks)
 	ev.Cost.AddCandidateChecks(checks)
@@ -143,89 +133,71 @@ func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector,
 		(ev.Stats.BoundaryBins - statsBefore.BoundaryBins)))
 	ev.Cost.AddApproxRows(ev.Stats.ApproxRows - statsBefore.ApproxRows)
 	if sp != nil {
-		sp.SetAttr("rows", strconv.FormatUint(ev.N, 10))
+		sp.SetAttr("rows", strconv.FormatUint(hi-lo, 10))
 		sp.SetAttr("candidate_checks", strconv.FormatUint(checks, 10))
-		if v != nil {
-			sp.SetAttr("hits", strconv.FormatUint(v.Count(), 10))
+		if s != nil {
+			sp.SetAttr("hits", strconv.FormatUint(s.Count(), 10))
 		}
 		sp.End()
 	}
-	return v, err
+	return s, err
 }
 
-// evalCtx is the recursive evaluation body behind EvalCtx.
-func (ev *Evaluator) evalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
+// evalSet is the recursive evaluation body behind evalWindow.
+func (ev *Evaluator) evalSet(ctx context.Context, e query.Expr, lo, hi uint64) (*bitmap.BitSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch t := e.(type) {
 	case *query.Compare:
-		return ev.evalCompare(ctx, t)
+		return ev.evalCompare(ctx, t, lo, hi)
 	case *query.In:
-		return ev.evalIn(ctx, t)
+		return ev.evalIn(ctx, t, lo, hi)
 	case *query.And:
-		return ev.evalAnd(ctx, t.Terms)
+		return ev.evalTerms(ctx, t.Terms, true, lo, hi)
 	case *query.Or:
-		return ev.evalNary(ctx, t.Terms, func(a, b *bitmap.Vector) *bitmap.Vector { return a.Or(b) })
+		return ev.evalTerms(ctx, t.Terms, false, lo, hi)
 	case *query.Not:
-		inner, err := ev.evalCtx(ctx, t.Term)
+		s, err := ev.evalSet(ctx, t.Term, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		return inner.Not(), nil
+		s.Invert()
+		return s, nil
 	default:
 		return nil, fmt.Errorf("fastbit: unsupported expression %T", e)
 	}
 }
 
-// evalAnd evaluates a conjunction with an empty-result short circuit:
-// once the running intersection has no bits set, the remaining terms'
-// bitmaps (and especially their candidate checks) are never computed.
-func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr) (*bitmap.Vector, error) {
+// evalTerms combines the terms' sets in place, a conjunction (and) or a
+// disjunction. A conjunction short-circuits: once the running
+// intersection is empty, the remaining terms (and especially their
+// candidate checks) are never evaluated.
+func (ev *Evaluator) evalTerms(ctx context.Context, terms []query.Expr, and bool, lo, hi uint64) (*bitmap.BitSet, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("fastbit: empty boolean term list")
 	}
-	var acc *bitmap.Vector
+	var acc *bitmap.BitSet
 	for _, t := range terms {
-		v, err := ev.evalCtx(ctx, t)
-		if err != nil {
+		s, err := ev.evalSet(ctx, t, lo, hi)
+		switch {
+		case err != nil:
 			return nil, err
+		case acc == nil:
+			acc = s
+		case and:
+			acc.AndWith(s)
+		default:
+			acc.OrWith(s)
 		}
-		if acc == nil {
-			acc = v
-		} else {
-			acc = acc.And(v)
-		}
-		if ev.noneInWindow(acc) {
-			// Preserve the full record length for downstream ops.
-			empty := bitmap.New(ev.N)
-			empty.AppendRun(false, ev.N)
-			return empty, nil
+		if and && !acc.Any() {
+			return acc, nil
 		}
 	}
 	return acc, nil
 }
 
-func (ev *Evaluator) evalNary(ctx context.Context, terms []query.Expr, combine func(a, b *bitmap.Vector) *bitmap.Vector) (*bitmap.Vector, error) {
-	var acc *bitmap.Vector
-	for _, t := range terms {
-		v, err := ev.evalCtx(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = v
-		} else {
-			acc = combine(acc, v)
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("fastbit: empty boolean term list")
-	}
-	return acc, nil
-}
-
-func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap.Vector, error) {
+func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi uint64) (*bitmap.BitSet, error) {
 	_, lsp := obs.StartSpan(ctx, "index-load")
 	lsp.SetAttr("var", c.Var)
 	ix, err := ev.index(c.Var)
@@ -234,11 +206,12 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 		return nil, err
 	}
 	if c.Op == query.NE {
-		eqv, err := ev.evalCompare(ctx, &query.Compare{Var: c.Var, Op: query.EQ, Value: c.Value})
+		s, err := ev.evalCompare(ctx, &query.Compare{Var: c.Var, Op: query.EQ, Value: c.Value}, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		return eqv.Not(), nil
+		s.Invert()
+		return s, nil
 	}
 	iv, ok := query.CompareInterval(c)
 	if !ok {
@@ -246,36 +219,35 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 	}
 	cctx, csp := obs.StartSpan(ctx, "candidate-check")
 	csp.SetAttr("var", c.Var)
-	var (
-		v  *bitmap.Vector
-		st EvalStats
-	)
-	if ev.Approx {
-		v, st, err = ix.EvaluateApproxCtx(cctx, iv)
-	} else {
-		lo, hi := ev.window()
-		v, st, err = ix.EvaluateCtx(cctx, iv, ev.rawFor(c.Var), lo, hi)
-	}
+	s, st, err := ix.evaluate(cctx, iv, ev.rawFor(c.Var), ev.Approx, lo, hi)
 	if csp != nil {
 		csp.SetAttr("checks", strconv.FormatUint(st.CandidateChecks, 10))
 		csp.End()
 	}
 	ev.accumulate(st)
-	return v, err
+	return s, err
 }
 
 // evalIn resolves a membership condition. The identifier column uses the
 // dedicated ID index; any other variable is resolved through its range
 // index with a single grouped candidate check.
-func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, error) {
+func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*bitmap.BitSet, error) {
+	s := bitmap.NewBitSet(hi - lo)
 	if in.Var == ev.IDVar {
 		if idIdx := ev.idIndex(); idIdx != nil {
 			ids := make([]int64, len(in.Values))
 			for i, v := range in.Values {
 				ids[i] = int64(v)
 			}
-			pos := idIdx.Lookup(ids)
-			return bitmap.FromPositions(ev.N, pos)
+			for _, p := range idIdx.Lookup(ids) {
+				if p >= ev.N {
+					return nil, fmt.Errorf("fastbit: id index row %d out of range %d", p, ev.N)
+				}
+				if p >= lo && p < hi {
+					s.Set(p - lo)
+				}
+			}
+			return s, nil
 		}
 	}
 	ix, err := ev.index(in.Var)
@@ -304,32 +276,23 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, 
 		}
 	}
 	if len(binsWanted) == 0 {
-		v := bitmap.New(ev.N)
-		v.AppendRun(false, ev.N)
-		return v, nil
+		return s, nil
 	}
-	cand := make([]*bitmap.Vector, 0, len(binsWanted))
+	cand := bitmap.NewBitSet(hi - lo)
 	for b := range binsWanted {
-		cand = append(cand, ix.Bitmaps[b])
+		ix.Bitmaps[b].OrInto(cand, lo, hi)
 	}
 	if ev.Approx {
 		// Index-only: every record in a candidate bin is admitted wholesale.
-		v := bitmap.OrAll(cand)
-		if v.Len() == 0 {
-			v = bitmap.New(ev.N)
-			v.AppendRun(false, ev.N)
-		}
-		ev.Stats.ApproxRows += v.Count()
-		return v, nil
+		ev.Stats.ApproxRows += cand.Count()
+		return cand, nil
 	}
-	lo, hi := ev.window()
-	positions := bitmap.OrAll(cand).PositionsIn(lo, hi)
+	positions := cand.Positions(lo)
 	ev.Stats.CandidateChecks += uint64(len(positions))
 	values, err := ev.rawFor(in.Var)(positions)
 	if err != nil {
 		return nil, err
 	}
-	hits := positions[:0]
 	for i, p := range positions {
 		if i&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
@@ -337,10 +300,10 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, 
 			}
 		}
 		if in.Contains(values[i]) {
-			hits = append(hits, p)
+			s.Set(p - lo)
 		}
 	}
-	return bitmap.FromPositions(ev.N, hits)
+	return s, nil
 }
 
 func (ev *Evaluator) rawFor(name string) RawValues {
@@ -366,11 +329,11 @@ func (ev *Evaluator) Count(e query.Expr) (uint64, error) {
 
 // CountCtx is Count with cooperative cancellation.
 func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error) {
-	v, err := ev.EvalCtx(ctx, e)
+	s, err := ev.evalWindow(ctx, e, 0, ev.N)
 	if err != nil {
 		return 0, err
 	}
-	return v.Count(), nil
+	return s.Count(), nil
 }
 
 // Select returns the sorted record positions matching e.
@@ -379,19 +342,18 @@ func (ev *Evaluator) Select(e query.Expr) ([]uint64, error) {
 }
 
 // SelectCtx returns the sorted positions in rows [lo, hi) matching e,
-// with cooperative cancellation; the whole step is [0, N). Candidate
-// checks read only the boundary records inside [lo, hi).
+// with cooperative cancellation; the whole step is [0, N). The
+// evaluation decodes only the bin words of rows inside [lo, hi) and
+// candidate-checks only the boundary records there.
 func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64) ([]uint64, error) {
 	if lo > hi || hi > ev.N {
 		return nil, fmt.Errorf("fastbit: row range [%d, %d) outside [0, %d)", lo, hi, ev.N)
 	}
-	ev.win = &[2]uint64{lo, hi}
-	defer func() { ev.win = nil }()
-	v, err := ev.EvalCtx(ctx, e)
+	s, err := ev.evalWindow(ctx, e, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return v.PositionsIn(lo, hi), nil
+	return s.Positions(lo), nil
 }
 
 // SelectIDs returns the identifiers of records matching e, read from the

@@ -73,26 +73,32 @@ func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.E
 		YEdges: append([]float64(nil), ixY.Bounds...),
 		Counts: make([]uint64, ixX.Bins()*ixY.Bins()),
 	}
-	var hits *bitmap.Vector
+	var hits, row *bitmap.BitSet
 	if cond != nil {
-		if hits, err = ev.EvalCtx(ctx, cond); err != nil {
+		if hits, err = ev.evalWindow(ctx, cond, 0, ev.N); err != nil {
 			return nil, err
 		}
+		row = bitmap.NewBitSet(ev.N)
 	}
 	nx := ixX.Bins()
 	for iy, bmY := range ixY.Bitmaps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row := bmY
+		rowV := bmY
 		if hits != nil {
-			row = bmY.And(hits)
+			row.Reset()
+			bmY.OrInto(row, 0, ev.N)
+			if row.AndWith(hits); !row.Any() {
+				continue
+			}
+			rowV = row.ToVector()
 		}
-		if row.Count() == 0 {
+		if rowV.Count() == 0 {
 			continue
 		}
 		for ix, bmX := range ixX.Bitmaps {
-			if c := row.AndCount(bmX); c != 0 {
+			if c := rowV.AndCount(bmX); c != 0 {
 				h.Counts[iy*nx+ix] = c
 			}
 		}

@@ -130,34 +130,59 @@ type EvalStats struct {
 	ApproxRows uint64
 }
 
-// Evaluate returns the bitmap of records whose value lies in iv. raw is
-// consulted only for records in boundary bins; it may be nil when the
-// interval is aligned with bin boundaries.
-func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
+// Evaluate returns the set of records whose value lies in iv, over the
+// whole step. raw is consulted only for records in boundary bins; it may
+// be nil when the interval is aligned with bin boundaries.
+func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.BitSet, EvalStats, error) {
 	return ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 }
 
 // EvaluateCtx is Evaluate over the row window [lo, hi), with cooperative
 // cancellation: the candidate check loop observes ctx every
-// checkpointRows records. Only boundary-bin records inside the window are
-// candidate-checked, so the returned bitmap is exact for rows in the
-// window; outside it, unchecked boundary records read as non-matching.
-func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.Vector, EvalStats, error) {
+// checkpointRows records. Bit i of the returned set stands for row lo+i;
+// only the bin words and boundary-bin records inside the window are read.
+func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
+	return ix.evaluate(ctx, iv, raw, false, lo, hi)
+}
+
+// EvaluateApproxCtx is Evaluate without candidate checks: boundary bins
+// are included wholesale, so the returned set is a superset of the exact
+// answer and never touches the raw data. This is the server's brownout
+// path — under overload a slightly-too-inclusive histogram now beats an
+// exact one after the user has given up. st.ApproxRows reports how many
+// records were admitted without being checked (0 means the result
+// happens to be exact).
+func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bitmap.BitSet, EvalStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, EvalStats{}, err
+	}
+	return ix.evaluate(ctx, iv, nil, true, 0, ix.N)
+}
+
+// evaluate is the one range evaluation, over the row window [lo, hi): the
+// full bins' rows, plus the boundary bins' rows either candidate-checked
+// against raw (each hit sets its bit) or, with approx, admitted wholesale.
+func (ix *Index) evaluate(ctx context.Context, iv query.Interval, raw RawValues, approx bool, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
 	cls, st := ix.classify(iv)
-	result := ix.union(cls, binFull)
+	s := ix.rowsIn(cls, binFull, lo, hi)
 	if st.BoundaryBins == 0 {
-		return result, st, nil
+		return s, st, nil
+	}
+	cand := ix.rowsIn(cls, binBoundary, lo, hi)
+	if approx {
+		st.ApproxRows = cand.Count()
+		s.OrWith(cand)
+		return s, st, nil
 	}
 	if raw == nil {
 		return nil, st, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
 	}
-	positions := ix.union(cls, binBoundary).PositionsIn(lo, hi)
+	positions := cand.Positions(lo)
 	st.CandidateChecks = uint64(len(positions))
 	values, err := raw(positions)
 	if err != nil {
 		return nil, st, fmt.Errorf("fastbit: %q: candidate check: %w", ix.Name, err)
 	}
-	hits := positions[:0]
 	for i, p := range positions {
 		if i&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
@@ -165,34 +190,10 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 			}
 		}
 		if iv.Contains(values[i]) {
-			hits = append(hits, p)
+			s.Set(p - lo)
 		}
 	}
-	exact, err := bitmap.FromPositions(ix.N, hits)
-	if err != nil {
-		return nil, st, fmt.Errorf("fastbit: %q: %w", ix.Name, err)
-	}
-	return result.Or(exact), st, nil
-}
-
-// EvaluateApproxCtx is EvaluateCtx without candidate checks: boundary
-// bins are included wholesale, so the returned bitmap is a superset of
-// the exact answer and never touches the raw data. This is the server's
-// brownout path — under overload a slightly-too-inclusive histogram now
-// beats an exact one after the user has given up. st.ApproxRows reports
-// how many records were admitted without being checked (0 means the
-// result happens to be exact).
-func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bitmap.Vector, EvalStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
-	}
-	cls, st := ix.classify(iv)
-	for b, c := range cls {
-		if c == binBoundary {
-			st.ApproxRows += ix.Bitmaps[b].Count()
-		}
-	}
-	return ix.union(cls, binFull|binBoundary), st, nil
+	return s, st, nil
 }
 
 // binClass is how an interval resolves one bin; the zero class means no
@@ -252,36 +253,31 @@ func (ix *Index) classify(iv query.Interval) ([]binClass, EvalStats) {
 	return cls, st
 }
 
-// union returns the OR, over ix.N rows, of the bins whose class is in
-// admit. The bins partition the rows, so that set is also the complement
-// of every other bin's OR; union ORs whichever side carries fewer encoded
-// words — for a wide range, the few bins it leaves out.
-func (ix *Index) union(cls []binClass, admit binClass) *bitmap.Vector {
-	var in, out []*bitmap.Vector
+// rowsIn returns the set of rows in [lo, hi) whose bin's class is in
+// admit, bit i standing for row lo+i. The bins partition the rows, so
+// that set is also the complement of every other bin's rows; rowsIn ORs
+// whichever side carries fewer encoded words — for a wide range, the few
+// bins it leaves out — and inverts the set when it ORed the other side.
+func (ix *Index) rowsIn(cls []binClass, admit binClass, lo, hi uint64) *bitmap.BitSet {
 	var inWords, outWords int
 	for b, bm := range ix.Bitmaps {
 		if cls[b]&admit != 0 {
-			in = append(in, bm)
 			inWords += bm.Words()
 		} else {
-			out = append(out, bm)
 			outWords += bm.Words()
 		}
 	}
-	if inWords > outWords {
-		return ix.orRows(out).Not()
+	complement := inWords > outWords
+	s := bitmap.NewBitSet(hi - lo)
+	for b, bm := range ix.Bitmaps {
+		if (cls[b]&admit != 0) != complement {
+			bm.OrInto(s, lo, hi)
+		}
 	}
-	return ix.orRows(in)
-}
-
-// orRows is bitmap.OrAll over ix.N rows: no bitmaps OR to N zeros.
-func (ix *Index) orRows(vs []*bitmap.Vector) *bitmap.Vector {
-	if len(vs) == 0 {
-		v := bitmap.New(ix.N)
-		v.AppendRun(false, ix.N)
-		return v
+	if complement {
+		s.Invert()
 	}
-	return bitmap.OrAll(vs)
+	return s
 }
 
 // binResolvedByGranule reports whether bin b's actual min/max values

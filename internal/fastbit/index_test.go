@@ -128,7 +128,7 @@ func evalBoth(t *testing.T, ix *Index, vals []float64, iv query.Interval) EvalSt
 	}
 	var want uint64
 	wi := 0
-	gotPos := got.Positions()
+	gotPos := got.Positions(0)
 	for row, v := range vals {
 		if iv.Contains(v) {
 			want++

@@ -9,7 +9,7 @@ import (
 // reports into the same series.
 var (
 	metricEvalRows = obs.Default().Counter("fastbit_eval_rows_total",
-		"Records covered by index-assisted query evaluations.")
+		"Records inside the row windows of index-assisted query evaluations.")
 	metricEvals = obs.Default().Counter("fastbit_evals_total",
 		"Index-assisted query evaluations performed.")
 	metricCandidateChecks = obs.Default().Counter("fastbit_candidate_checks_total",

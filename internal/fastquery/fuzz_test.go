@@ -40,17 +40,12 @@ func (f *fuzzBytes) next() int {
 	return int(f.b[f.i-1])
 }
 
-// fuzzStep writes a step of rows rows in chunks of chunkRows: indexed
-// columns a and b, scan-only column c and an id column, with values
-// picked from the palette by the input bytes.
-func fuzzStep(t *testing.T, in *fuzzBytes, rows uint64, chunkRows, bins int) *Step {
-	t.Helper()
-	dir := t.TempDir()
-	data, index := filepath.Join(dir, "step.col"), filepath.Join(dir, "step.idx")
+// fuzzColumns draws a step of rows rows: indexed columns a and b and
+// scan-only column c, with values picked from the palette by the input
+// bytes, a row at a time.
+func fuzzColumns(in *fuzzBytes, rows uint64) map[string][]float64 {
 	cols := map[string][]float64{"a": nil, "b": nil, "c": nil}
-	ids := make([]int64, rows)
-	for r := range ids {
-		ids[r] = int64(3*r + 1)
+	for r := uint64(0); r < rows; r++ {
 		for _, name := range []string{"a", "b", "c"} {
 			n := fuzzFinite
 			if name == "c" {
@@ -58,6 +53,20 @@ func fuzzStep(t *testing.T, in *fuzzBytes, rows uint64, chunkRows, bins int) *St
 			}
 			cols[name] = append(cols[name], fuzzPalette[in.next()%n])
 		}
+	}
+	return cols
+}
+
+// fuzzStep writes cols as a step in chunks of chunkRows, with an id
+// column, and indexes a and b.
+func fuzzStep(t *testing.T, cols map[string][]float64, chunkRows, bins int) *Step {
+	t.Helper()
+	dir := t.TempDir()
+	data, index := filepath.Join(dir, "step.col"), filepath.Join(dir, "step.idx")
+	rows := uint64(len(cols["a"]))
+	ids := make([]int64, rows)
+	for r := range ids {
+		ids[r] = int64(3*r + 1)
 	}
 	w, err := colstore.NewWriter(data, rows, chunkRows)
 	if err != nil {
@@ -146,6 +155,17 @@ func fuzzRange(in *fuzzBytes, rows uint64, chunkRows int) (lo, hi uint64) {
 	return min(lo, hi), max(lo, hi)
 }
 
+// repeatRows returns col with every value repeated r times.
+func repeatRows(col []float64, r int) []float64 {
+	out := make([]float64, 0, len(col)*r)
+	for _, v := range col {
+		for i := 0; i < r; i++ {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // clip returns the positions of sorted pos inside [lo, hi).
 func clip(pos []uint64, lo, hi uint64) []uint64 {
 	var out []uint64
@@ -158,20 +178,35 @@ func clip(pos []uint64, lo, hi uint64) []uint64 {
 }
 
 // FuzzSelectRange is the differential oracle for range selection: over a
-// multi-chunk step, a select over [lo, hi) equals the whole-step select
-// clipped to the window on each backend, and FastBit equals Scan. The
-// FastBit window candidate-checks only boundary rows inside it and keeps
-// the Boolean algebra full-length, so the ! and != seeds are the ones
-// that prove rows outside the window cannot leak in. The seed corpus is
+// multi-chunk step of up to 2 037 rows, a select over [lo, hi) equals the
+// whole-step select clipped to the window on each backend, and FastBit
+// equals Scan. The FastBit window decodes only its own rows' bin words
+// and inverts within the window, so the ! and != seeds are the ones that
+// prove rows outside the window cannot leak in. The seed corpus is
 // testdata/fuzz/FuzzSelectRange.
 func FuzzSelectRange(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{b: data}
 		rows := uint64(1 + in.next()%97)
 		chunkRows := 1 + in.next()%13
-		st := fuzzStep(t, in, rows, chunkRows, 1+in.next()%8)
+		bins := 1 + in.next()%8
+		cols := fuzzColumns(in, rows)
 		e := query.Canonical(fuzzExpr(in, 3))
 		lo, hi := fuzzRange(in, rows, chunkRows)
+		// Drawn last, so inputs from before steps could grow keep their
+		// meaning: every row repeats r times — runs of equal values, so
+		// bins hold fills spanning several groups — chunks grow with it,
+		// and a window may start inside a run.
+		r := 1 + in.next()%21
+		for name, col := range cols {
+			cols[name] = repeatRows(col, r)
+		}
+		rows, chunkRows = rows*uint64(r), chunkRows*r
+		lo, hi = lo*uint64(r), hi*uint64(r)
+		if d := uint64(in.next() % r); lo < hi {
+			lo += d
+		}
+		st := fuzzStep(t, cols, chunkRows, bins)
 		what := fmt.Sprintf("%d rows, chunks of %d, %q over [%d, %d)", rows, chunkRows, e, lo, hi)
 
 		ctx := context.Background()

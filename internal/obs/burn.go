@@ -43,17 +43,55 @@ type burnBucket struct {
 	good, bad uint64
 }
 
+// burnSum is one window's running outcome totals over the seconds
+// (cur-secs, cur], where cur is the monitor's latest second.
+type burnSum struct {
+	secs      int64
+	good, bad uint64
+}
+
+// record counts one outcome of the latest second; a window shorter than
+// a second holds none.
+func (w *burnSum) record(good bool) {
+	switch {
+	case w.secs == 0:
+	case good:
+		w.good++
+	default:
+		w.bad++
+	}
+}
+
+// drop takes a second that left the window out of its totals.
+func (w *burnSum) drop(b *burnBucket) {
+	w.good -= b.good
+	w.bad -= b.bad
+}
+
+func (w *burnSum) rate(budget float64) float64 {
+	total := w.good + w.bad
+	if total == 0 {
+		return 0
+	}
+	return float64(w.bad) / float64(total) / budget
+}
+
 // BurnMonitor tracks SLO burn rate over multiple lookback windows from a
 // ring of per-second good/bad buckets, and fires an edge-triggered breach
-// callback when every window's burn rate crosses the threshold.
+// callback when every window's burn rate crosses the threshold. Each
+// window keeps running totals, updated as seconds roll in and out of it,
+// so recording an outcome and reading a rate cost O(1) whatever the
+// window's length.
 type BurnMonitor struct {
 	cfg BurnConfig
 
-	mu       sync.Mutex
-	ring     []burnBucket // one bucket per second, len = slow window seconds
-	breaches uint64
-	lastFire time.Time
-	firing   bool
+	mu         sync.Mutex
+	ring       []burnBucket // one bucket per second, len = slow window seconds + 1
+	cur        int64        // latest second seen; both windows end here
+	fast, slow burnSum
+	breaches   uint64
+	lastFire   time.Time
+	firing     bool
 }
 
 // NewBurnMonitor creates a burn-rate monitor.
@@ -83,33 +121,38 @@ func NewBurnMonitor(cfg BurnConfig) *BurnMonitor {
 	if secs < 2 {
 		secs = 2
 	}
-	return &BurnMonitor{cfg: cfg, ring: make([]burnBucket, secs)}
+	return &BurnMonitor{cfg: cfg, ring: make([]burnBucket, secs),
+		fast: burnSum{secs: int64(cfg.Fast / time.Second)},
+		slow: burnSum{secs: int64(cfg.Slow / time.Second)}}
 }
 
 // Record folds one request outcome into the current second's bucket and
 // re-evaluates the breach condition. good should be false for requests
-// that burned error budget (5xx or SLO-violating latency).
+// that burned error budget (5xx or SLO-violating latency). A clock that
+// steps back counts the outcome into the latest second seen.
 func (m *BurnMonitor) Record(good bool) {
 	if m == nil {
 		return
 	}
 	now := m.cfg.nowFn()
-	sec := now.Unix()
 	var onBreach func(fast, slow float64)
 	var fast, slow float64
 
 	m.mu.Lock()
-	b := &m.ring[sec%int64(len(m.ring))]
-	if b.sec != sec {
-		*b = burnBucket{sec: sec}
+	m.advanceLocked(now.Unix())
+	b := m.bucket(m.cur)
+	if b.sec != m.cur {
+		*b = burnBucket{sec: m.cur}
 	}
 	if good {
 		b.good++
 	} else {
 		b.bad++
 	}
-	fast = m.rateLocked(now, m.cfg.Fast)
-	slow = m.rateLocked(now, m.cfg.Slow)
+	m.fast.record(good)
+	m.slow.record(good)
+	fast = m.fast.rate(m.cfg.Budget)
+	slow = m.slow.rate(m.cfg.Budget)
 	breaching := fast >= m.cfg.Threshold && slow >= m.cfg.Threshold
 	if breaching {
 		if !m.firing && now.Sub(m.lastFire) >= m.cfg.Cooldown {
@@ -128,32 +171,41 @@ func (m *BurnMonitor) Record(good bool) {
 	}
 }
 
-// rateLocked computes the burn rate over the trailing window ending now.
-func (m *BurnMonitor) rateLocked(now time.Time, window time.Duration) float64 {
-	lo := now.Unix() - int64(window/time.Second)
-	var good, bad uint64
-	for i := range m.ring {
-		b := &m.ring[i]
-		if b.sec > lo && b.sec <= now.Unix() {
-			good += b.good
-			bad += b.bad
-		}
-	}
-	total := good + bad
-	if total == 0 {
-		return 0
-	}
-	return float64(bad) / float64(total) / m.cfg.Budget
+// bucket returns the ring slot of unix second sec.
+func (m *BurnMonitor) bucket(sec int64) *burnBucket {
+	n := int64(len(m.ring))
+	return &m.ring[(sec%n+n)%n]
 }
 
-// Rate returns the current burn rate over the given trailing window.
-func (m *BurnMonitor) Rate(window time.Duration) float64 {
-	if m == nil {
-		return 0
+// advanceLocked moves both windows' end to sec, taking out of each
+// window's totals the seconds that leave it. A step of a whole slow
+// window or more leaves nothing in either window; a step back does
+// nothing.
+func (m *BurnMonitor) advanceLocked(sec int64) {
+	if sec <= m.cur {
+		return
 	}
+	if sec-m.cur >= m.slow.secs {
+		m.fast.good, m.fast.bad, m.slow.good, m.slow.bad = 0, 0, 0, 0
+		m.cur = sec
+		return
+	}
+	for s := m.cur + 1; s <= sec; s++ {
+		for _, w := range []*burnSum{&m.fast, &m.slow} {
+			if b := m.bucket(s - w.secs); w.secs > 0 && b.sec == s-w.secs {
+				w.drop(b)
+			}
+		}
+	}
+	m.cur = sec
+}
+
+// rate returns the burn rate over w at the current time.
+func (m *BurnMonitor) rate(w *burnSum) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.rateLocked(m.cfg.nowFn(), window)
+	m.advanceLocked(m.cfg.nowFn().Unix())
+	return w.rate(m.cfg.Budget)
 }
 
 // FastRate returns the burn rate over the fast window.
@@ -161,7 +213,7 @@ func (m *BurnMonitor) FastRate() float64 {
 	if m == nil {
 		return 0
 	}
-	return m.Rate(m.cfg.Fast)
+	return m.rate(&m.fast)
 }
 
 // SlowRate returns the burn rate over the slow window.
@@ -169,7 +221,7 @@ func (m *BurnMonitor) SlowRate() float64 {
 	if m == nil {
 		return 0
 	}
-	return m.Rate(m.cfg.Slow)
+	return m.rate(&m.slow)
 }
 
 // Breaches returns how many distinct breaches have fired.

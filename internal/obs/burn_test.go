@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,8 +111,109 @@ func TestBurnMonitorNilSafe(t *testing.T) {
 	var m *BurnMonitor
 	m.Record(true)
 	m.Record(false)
-	if m.FastRate() != 0 || m.SlowRate() != 0 || m.Rate(time.Minute) != 0 || m.Breaches() != 0 {
+	if m.FastRate() != 0 || m.SlowRate() != 0 || m.Breaches() != 0 {
 		t.Fatal("nil monitor reported non-zero state")
+	}
+}
+
+// scanBurn is the burn-rate reference: every second's outcomes in a ring
+// tagged by second, and a window's rate a scan of the whole ring for the
+// seconds it covers.
+type scanBurn struct {
+	ring   []burnBucket
+	budget float64
+}
+
+func (o *scanBurn) record(now time.Time, good bool) {
+	sec := now.Unix()
+	b := &o.ring[sec%int64(len(o.ring))]
+	if b.sec != sec {
+		*b = burnBucket{sec: sec}
+	}
+	if good {
+		b.good++
+	} else {
+		b.bad++
+	}
+}
+
+func (o *scanBurn) rate(now time.Time, window time.Duration) float64 {
+	lo := now.Unix() - int64(window/time.Second)
+	var good, bad uint64
+	for _, b := range o.ring {
+		if b.sec > lo && b.sec <= now.Unix() {
+			good += b.good
+			bad += b.bad
+		}
+	}
+	if good+bad == 0 {
+		return 0
+	}
+	return float64(bad) / float64(good+bad) / o.budget
+}
+
+// TestBurnMonitorMatchesScan drives the running totals and the scan
+// reference with one fake clock through random outcomes: same-second
+// bursts, steps of a few seconds, steps just short of and past each
+// window, and idle reads. Both rates, the breach count and the fired
+// callbacks must agree after every step.
+func TestBurnMonitorMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fastS, slowS := 1+rng.Intn(8), 10+rng.Intn(40)
+		now := time.Unix(1_000_000+rng.Int63n(1000), 0)
+		var fires, refFires int
+		m := NewBurnMonitor(BurnConfig{
+			Budget: 0.1, Fast: time.Duration(fastS) * time.Second, Slow: time.Duration(slowS) * time.Second,
+			Threshold: 1, Cooldown: 7 * time.Second,
+			OnBreach: func(fast, slow float64) { fires++ },
+			nowFn:    func() time.Time { return now },
+		})
+		ref := &scanBurn{ring: make([]burnBucket, slowS+1), budget: 0.1}
+		var lastFire time.Time
+		firing := false
+		var breaches uint64
+		steps := []time.Duration{0, 0, 0, 300 * time.Millisecond, time.Second, 3 * time.Second,
+			time.Duration(fastS) * time.Second, time.Duration(slowS-1) * time.Second,
+			time.Duration(slowS) * time.Second, time.Duration(2*slowS+3) * time.Second}
+		for i := 0; i < 3000; i++ {
+			now = now.Add(steps[rng.Intn(len(steps))])
+			if rng.Intn(10) == 0 {
+				if f, w := m.FastRate(), ref.rate(now, m.cfg.Fast); f != w {
+					t.Fatalf("seed %d step %d: idle fast rate %v, scan %v", seed, i, f, w)
+				}
+				continue
+			}
+			good := rng.Intn(4) != 0
+			m.Record(good)
+			ref.record(now, good)
+			fast, slow := ref.rate(now, m.cfg.Fast), ref.rate(now, m.cfg.Slow)
+			if fast >= 1 && slow >= 1 {
+				if !firing && now.Sub(lastFire) >= m.cfg.Cooldown {
+					firing, lastFire = true, now
+					breaches++
+					refFires++
+				}
+			} else {
+				firing = false
+			}
+			if f, s := m.FastRate(), m.SlowRate(); f != fast || s != slow {
+				t.Fatalf("seed %d step %d: rates %v/%v, scan %v/%v", seed, i, f, s, fast, slow)
+			}
+			if m.Breaches() != breaches || fires != refFires {
+				t.Fatalf("seed %d step %d: %d breaches (%d fired), scan %d", seed, i, m.Breaches(), fires, breaches)
+			}
+		}
+	}
+}
+
+// BenchmarkBurnRecord times one outcome folded into the default monitor
+// (5m / 1h windows) on the real clock: what every request pays.
+func BenchmarkBurnRecord(b *testing.B) {
+	m := NewBurnMonitor(BurnConfig{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Record(i%50 != 0)
 	}
 }
 
