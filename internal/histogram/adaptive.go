@@ -77,8 +77,9 @@ func AdaptiveEdges(values []float64, lo, hi float64, bins int, minDensity float6
 // Rebin2D merges a fine 2D histogram onto coarser per-axis edges. Every
 // coarse edge must coincide with a fine edge (as produced by
 // AdaptiveEdgesFromCounts applied to the fine histogram's marginals);
-// otherwise an error is returned.
+// otherwise an error is returned. The fine histogram may be in either form.
 func Rebin2D(fine *Hist2D, xEdges, yEdges []float64) (*Hist2D, error) {
+	fine = fine.Dense()
 	xMap, err := edgeMapping(fine.XEdges, xEdges)
 	if err != nil {
 		return nil, fmt.Errorf("histogram: x rebin: %w", err)

@@ -7,8 +7,10 @@ import (
 	"strconv"
 )
 
-// WriteCSV writes the 1D histogram as CSV rows (lo, hi, count).
+// WriteCSV writes the 1D histogram, in either form, as CSV rows
+// (lo, hi, count).
 func (h *Hist1D) WriteCSV(w io.Writer) error {
+	h = h.Dense()
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{h.Var + "_lo", h.Var + "_hi", "count"}); err != nil {
 		return fmt.Errorf("histogram: write csv: %w", err)
@@ -27,9 +29,10 @@ func (h *Hist1D) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteCSV writes the 2D histogram as CSV rows
+// WriteCSV writes the 2D histogram, in either form, as CSV rows
 // (xlo, xhi, ylo, yhi, count), emitting only non-empty bins.
 func (h *Hist2D) WriteCSV(w io.Writer) error {
+	h = h.Dense()
 	cw := csv.NewWriter(w)
 	header := []string{
 		h.XVar + "_lo", h.XVar + "_hi",

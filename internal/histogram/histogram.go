@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -174,44 +175,34 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Hist1D is a one-dimensional histogram. One decoded from the wire holds
-// its non-zero cells instead of Counts until it is merged (see wire.go).
+// Hist1D is a one-dimensional histogram. Its counts are dense (Counts)
+// or, with Counts nil, in the cells form: a sum of compact count
+// encodings (see wire.go), which a decoded partial, a merged answer and
+// an empty one hold. Total, Merge, AppendWire, AppendCountsJSON,
+// CountBytes and Dense take either form; every other reader of counts is
+// dense-only, and its caller takes Dense() first.
 type Hist1D struct {
 	Var    string    // variable name, e.g. "px"
 	Edges  []float64 // len Bins+1, strictly increasing
-	Counts []uint64  // len Bins; nil in a decoded partial
+	Counts []uint64  // len Bins; nil in the cells form
 
-	cells []byte // a decoded partial's compact count encoding
+	cells []encoding // the cells form's encodings, summed
 }
 
 // Bins returns the number of bins.
-func (h *Hist1D) Bins() int { return len(h.Counts) }
+func (h *Hist1D) Bins() int { return len(h.Edges) - 1 }
 
-// Total returns the total record count across all bins.
-func (h *Hist1D) Total() uint64 {
-	var t uint64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
+// Total returns the total record count across all bins, in either form.
+func (h *Hist1D) Total() uint64 { return total(h.Counts, h.cells) }
 
-// MaxCount returns the largest single-bin count.
-func (h *Hist1D) MaxCount() uint64 {
-	var m uint64
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
+// MaxCount returns the largest single-bin count. Dense only.
+func (h *Hist1D) MaxCount() uint64 { return maxCount(h.Counts) }
 
 // Width returns the width of bin i.
 func (h *Hist1D) Width(i int) float64 { return h.Edges[i+1] - h.Edges[i] }
 
 // Density returns count/width for bin i, the quantity the paper uses for
-// brightness and draw ordering with adaptive bins.
+// brightness and draw ordering with adaptive bins. Dense only.
 func (h *Hist1D) Density(i int) float64 {
 	w := h.Width(i)
 	if w <= 0 {
@@ -220,61 +211,145 @@ func (h *Hist1D) Density(i int) float64 {
 	return float64(h.Counts[i]) / w
 }
 
-// Merge adds another histogram with identical edges into the dense h. A
-// decoded partial o adds only its non-zero cells.
+// Merge adds o, over bit-identical edges, into h. A dense h adds o's
+// counts into its own; an h in the cells form takes on o's encodings (a
+// dense o is encoded), so a merge costs what o's non-zero cells cost and
+// never a grid. o is read, never changed.
 func (h *Hist1D) Merge(o *Hist1D) error {
-	if len(h.Edges) != len(o.Edges) {
-		return fmt.Errorf("histogram: merge edge count mismatch %d vs %d", len(h.Edges), len(o.Edges))
+	if !sameEdges(h.Edges, o.Edges) {
+		return fmt.Errorf("histogram: merge over other edges (%d vs %d)", len(h.Edges), len(o.Edges))
 	}
-	return mergeCounts(h.Counts, h.cells, o.Counts, o.cells)
+	return mergeCounts(h.Counts, &h.cells, o.Counts, o.cells)
 }
 
-// Clone returns a dense copy of h that shares nothing with it; a decoded
-// partial is expanded.
+// Clone returns a dense copy of h that shares nothing with it; the cells
+// form is expanded.
 func (h *Hist1D) Clone() *Hist1D {
-	return &Hist1D{Var: h.Var, Edges: slices.Clone(h.Edges), Counts: cloneCounts(h.Counts, h.cells, len(h.Edges)-1)}
+	return &Hist1D{Var: h.Var, Edges: slices.Clone(h.Edges), Counts: cloneCounts(h.Counts, h.cells, h.Bins())}
 }
 
 // CountBytes is what h's counts occupy: 8 bytes a bin when dense, the
-// bytes of the compact encoding in a decoded partial.
-func (h *Hist1D) CountBytes() int { return 8*len(h.Counts) + cap(h.cells) }
+// bytes of its encodings in the cells form.
+func (h *Hist1D) CountBytes() int { return heldBytes(h.Counts, h.cells) }
 
 // Dense returns h when its counts are dense, else its expansion.
 func (h *Hist1D) Dense() *Hist1D {
-	if h.cells == nil {
+	if h.Counts != nil {
 		return h
 	}
 	return h.Clone()
 }
 
-// mergeCounts adds the counts of o (dense ocounts, or a decoded partial's
-// ocells) into the dense hcounts.
-func mergeCounts(hcounts []uint64, hcells []byte, ocounts []uint64, ocells []byte) error {
-	if hcells != nil {
-		return fmt.Errorf("histogram: merge into a decoded partial")
+// AppendCountsJSON appends h's counts as encoding/json writes the []uint64
+// of its Dense counts. A lone encoding is written from its bytes; a sum of
+// several is expanded once into a pooled grid, written and cleared in one
+// pass.
+func (h *Hist1D) AppendCountsJSON(dst []byte) []byte {
+	return appendCountsJSON(dst, h.Counts, h.cells, h.Bins())
+}
+
+// encoding is one validated compact count encoding and the sum of its
+// counts.
+type encoding struct {
+	b     []byte
+	total uint64
+}
+
+// sameEdges reports whether two edge lists are bit for bit the same.
+func sameEdges(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// total sums dense counts, or the cells form's encodings.
+func total(counts []uint64, cells []encoding) uint64 {
+	var t uint64
+	for _, c := range counts {
+		t += c
 	}
-	if ocells != nil {
-		addCells(hcounts, ocells)
-		return nil
+	for _, e := range cells {
+		t += e.total
 	}
-	if len(ocounts) != len(hcounts) {
+	return t
+}
+
+// maxCount is the largest of dense counts. The cells form has none to
+// read: a caller that reaches it with one forgot its Dense().
+func maxCount(counts []uint64) uint64 {
+	if counts == nil {
+		panic("histogram: MaxCount of the cells form; take Dense()")
+	}
+	var m uint64
+	for _, c := range counts {
+		m = max(m, c)
+	}
+	return m
+}
+
+// heldBytes is what dense counts, or the cells form's encodings, occupy.
+func heldBytes(counts []uint64, cells []encoding) int {
+	n := 8 * len(counts)
+	for _, e := range cells {
+		n += cap(e.b)
+	}
+	return n
+}
+
+// mergeCounts adds the counts of o (dense ocounts, or the cells form's
+// ocells) into the dense hcounts, or, when hcounts is nil, appends them to
+// the cells form's *hcells.
+func mergeCounts(hcounts []uint64, hcells *[]encoding, ocounts []uint64, ocells []encoding) error {
+	switch {
+	case hcounts == nil && ocounts == nil:
+		*hcells = append(*hcells, ocells...)
+	case hcounts == nil:
+		b, t := appendGrid(nil, ocounts, false)
+		*hcells = append(*hcells, encoding{b, t})
+	case ocounts == nil:
+		expand(hcounts, ocells)
+	case len(ocounts) != len(hcounts):
 		return fmt.Errorf("histogram: merge count mismatch %d vs %d", len(hcounts), len(ocounts))
-	}
-	for i := range hcounts {
-		hcounts[i] += ocounts[i]
+	default:
+		for i := range hcounts {
+			hcounts[i] += ocounts[i]
+		}
 	}
 	return nil
 }
 
 // cloneCounts returns a dense copy of counts, or the expansion of the
-// decoded cells of a histogram of bins cells.
-func cloneCounts(counts []uint64, cells []byte, bins int) []uint64 {
-	if cells == nil {
+// cells form of a histogram of bins cells.
+func cloneCounts(counts []uint64, cells []encoding, bins int) []uint64 {
+	if counts != nil {
 		return slices.Clone(counts)
 	}
 	out := make([]uint64, bins)
-	addCells(out, cells)
+	expand(out, cells)
 	return out
+}
+
+// appendCountsJSON appends dense counts, or the sum of the cells form's
+// encodings over a grid of n cells, as encoding/json writes a []uint64: a
+// lone encoding straight from its bytes, several through one pooled
+// expansion.
+func appendCountsJSON(dst []byte, counts []uint64, cells []encoding, n int) []byte {
+	switch {
+	case counts != nil:
+		return appendGridJSON(dst, counts, false)
+	case n < 1:
+		return append(dst, "[]"...)
+	case len(cells) == 1:
+		return appendEncodingJSON(dst, cells[0].b)
+	}
+	return appendSumJSON(dst, n, cells)
+}
+
+// AppendCountsJSON appends counts as encoding/json writes them: null when
+// nil, runs of zeros copied rather than formatted.
+func AppendCountsJSON(dst []byte, counts []uint64) []byte {
+	if counts == nil {
+		return append(dst, "null"...)
+	}
+	return appendGridJSON(dst, counts, false)
 }
 
 // Compute1D builds a 1D histogram of values over the given edges. Values
@@ -306,16 +381,16 @@ func Compute1DCtx(ctx context.Context, name string, values []float64, edges []fl
 }
 
 // Hist2D is a two-dimensional histogram over an (X, Y) variable pair.
-// Counts are stored row-major: Counts[iy*XBins + ix]. One decoded from the
-// wire, and a sparse partial from Partial2DCtx, hold their non-zero cells
-// instead of Counts (the cells form, see wire.go) until merged or made
-// Dense.
+// Counts are stored row-major: Counts[iy*XBins + ix]. Like Hist1D's, its
+// counts are dense or, with Counts nil, in the cells form — what a
+// partial from Partial2DCtx, a decoded partial and a merged answer hold —
+// and the same methods take either form.
 type Hist2D struct {
 	XVar, YVar     string
 	XEdges, YEdges []float64
 	Counts         []uint64 // nil in the cells form
 
-	cells []byte // the cells form: the compact count encoding of wire.go
+	cells []encoding // the cells form's encodings, summed
 }
 
 // XBins returns the number of bins along X.
@@ -324,28 +399,14 @@ func (h *Hist2D) XBins() int { return len(h.XEdges) - 1 }
 // YBins returns the number of bins along Y.
 func (h *Hist2D) YBins() int { return len(h.YEdges) - 1 }
 
-// At returns the count in bin (ix, iy).
+// At returns the count in bin (ix, iy). Dense only.
 func (h *Hist2D) At(ix, iy int) uint64 { return h.Counts[iy*h.XBins()+ix] }
 
-// Total returns the total record count across all bins.
-func (h *Hist2D) Total() uint64 {
-	var t uint64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
+// Total returns the total record count across all bins, in either form.
+func (h *Hist2D) Total() uint64 { return total(h.Counts, h.cells) }
 
-// MaxCount returns the largest single-bin count.
-func (h *Hist2D) MaxCount() uint64 {
-	var m uint64
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
+// MaxCount returns the largest single-bin count. Dense only.
+func (h *Hist2D) MaxCount() uint64 { return maxCount(h.Counts) }
 
 // Area returns the area of bin (ix, iy).
 func (h *Hist2D) Area(ix, iy int) float64 {
@@ -354,6 +415,7 @@ func (h *Hist2D) Area(ix, iy int) float64 {
 
 // Density returns the record density h(i,j)/a(i,j) of bin (ix, iy), the
 // quantity the paper uses to order and shade adaptively binned plots.
+// Dense only.
 func (h *Hist2D) Density(ix, iy int) float64 {
 	a := h.Area(ix, iy)
 	if a <= 0 {
@@ -362,7 +424,7 @@ func (h *Hist2D) Density(ix, iy int) float64 {
 	return float64(h.At(ix, iy)) / a
 }
 
-// NonEmpty calls fn for every bin with a nonzero count.
+// NonEmpty calls fn for every bin with a nonzero count. Dense only.
 func (h *Hist2D) NonEmpty(fn func(ix, iy int, count uint64)) {
 	nx := h.XBins()
 	for iy := 0; iy < h.YBins(); iy++ {
@@ -375,18 +437,18 @@ func (h *Hist2D) NonEmpty(fn func(ix, iy int, count uint64)) {
 	}
 }
 
-// Merge adds another histogram with identical edges into the dense h. A
-// decoded partial o adds only its non-zero cells.
+// Merge is Hist1D.Merge for 2D histograms: both axes' edges must be bit
+// for bit the same.
 func (h *Hist2D) Merge(o *Hist2D) error {
-	if len(h.XEdges) != len(o.XEdges) || len(h.YEdges) != len(o.YEdges) {
-		return fmt.Errorf("histogram: merge shape mismatch (%d,%d) vs (%d,%d)",
+	if !sameEdges(h.XEdges, o.XEdges) || !sameEdges(h.YEdges, o.YEdges) {
+		return fmt.Errorf("histogram: merge over other edges (%d,%d) vs (%d,%d)",
 			len(h.XEdges), len(h.YEdges), len(o.XEdges), len(o.YEdges))
 	}
-	return mergeCounts(h.Counts, h.cells, o.Counts, o.cells)
+	return mergeCounts(h.Counts, &h.cells, o.Counts, o.cells)
 }
 
-// Clone returns a dense copy of h that shares nothing with it; a decoded
-// partial is expanded.
+// Clone returns a dense copy of h that shares nothing with it; the cells
+// form is expanded.
 func (h *Hist2D) Clone() *Hist2D {
 	return &Hist2D{
 		XVar: h.XVar, YVar: h.YVar,
@@ -396,18 +458,24 @@ func (h *Hist2D) Clone() *Hist2D {
 }
 
 // CountBytes is what h's counts occupy: 8 bytes a cell when dense, the
-// bytes of the compact encoding in cells form.
-func (h *Hist2D) CountBytes() int { return 8*len(h.Counts) + cap(h.cells) }
+// bytes of its encodings in the cells form.
+func (h *Hist2D) CountBytes() int { return heldBytes(h.Counts, h.cells) }
 
 // Dense returns h when its counts are dense, else its expansion.
 func (h *Hist2D) Dense() *Hist2D {
-	if h.cells == nil {
+	if h.Counts != nil {
 		return h
 	}
 	return h.Clone()
 }
 
+// AppendCountsJSON is Hist1D.AppendCountsJSON for the row-major 2D counts.
+func (h *Hist2D) AppendCountsJSON(dst []byte) []byte {
+	return appendCountsJSON(dst, h.Counts, h.cells, h.XBins()*h.YBins())
+}
+
 // MarginalX sums the 2D histogram along Y, yielding the X marginal.
+// Dense only.
 func (h *Hist2D) MarginalX() *Hist1D {
 	m := &Hist1D{Var: h.XVar, Edges: h.XEdges, Counts: make([]uint64, h.XBins())}
 	nx := h.XBins()
@@ -420,6 +488,7 @@ func (h *Hist2D) MarginalX() *Hist1D {
 }
 
 // MarginalY sums the 2D histogram along X, yielding the Y marginal.
+// Dense only.
 func (h *Hist2D) MarginalY() *Hist1D {
 	m := &Hist1D{Var: h.YVar, Edges: h.YEdges, Counts: make([]uint64, h.YBins())}
 	nx := h.XBins()
@@ -438,56 +507,105 @@ func Compute2D(xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*
 }
 
 // Compute2DCtx is Compute2D with cooperative cancellation at
-// checkpointRows intervals.
+// checkpointRows intervals. Its counts are dense, for a reader.
 func Compute2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, error) {
-	return compute2D(ctx, xvar, yvar, xs, ys, xedges, yedges, false)
+	h, lx, ly, err := newHist2D(xvar, yvar, xs, ys, xedges, yedges)
+	if err != nil {
+		return nil, err
+	}
+	h.Counts = make([]uint64, lx.Bins()*ly.Bins())
+	if err := binGrid(ctx, h.Counts, lx, ly, xs, ys); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
-// sparseDivisor sets where Partial2DCtx switches form: it bins n pairs
-// into the cells form when n < cells/sparseDivisor. BenchmarkCompute2D
-// (bin, then encode for the wire) has the cells form twice as fast as
-// the dense grid at cells/16 on a 256² grid and over ten times at 1024²,
-// barely ahead at cells/4 on 256², and slower at cells; cells/16 leaves
-// the margin a one-process caller pays to expand the partial with Dense.
-const sparseDivisor = 16
+// sparseDivisor sets how Partial2DCtx bins: n pairs go straight into the
+// cells form when n < cells/sparseDivisor, and through a pooled grid
+// otherwise. BenchmarkCompute2D (bin, then encode for the wire; uniform
+// random pairs, the worst case for occupancy) puts the two at par near
+// cells/4 on 256² and 512² grids; on 1024² the cells form still leads
+// there, by ~20 %, but the pooled grid allocates nothing per pair.
+const sparseDivisor = 4
 
-// Partial2DCtx is Compute2DCtx for a partial that will be merged or sent
-// rather than read: when the pairs are few against the grid (see
-// sparseDivisor) it bins them straight into the cells form, the compact
-// count encoding a decoded partial holds, without allocating the grid.
-// Counts is then nil: Merge, AppendWire and CountBytes take either form,
-// and Dense expands it. Both forms encode to the same bytes.
+// Partial2DCtx is Compute2DCtx for a partial that will be merged, sent or
+// answered rather than read: its counts are in the cells form, the
+// compact count encoding a decoded partial holds. Few pairs against the
+// grid (see sparseDivisor) are binned as sorted cell indices; the rest
+// into a pooled grid — uint32 counts, uint64 from 2³² pairs up — that is
+// encoded and cleared in one pass and goes back to the pool all-zero, a
+// cancelled binning included. No grid is allocated or zeroed per call.
 func Partial2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, error) {
 	cells := (len(xedges) - 1) * (len(yedges) - 1)
 	return compute2D(ctx, xvar, yvar, xs, ys, xedges, yedges, len(xs) < cells/sparseDivisor)
 }
 
-// compute2D bins the pairs into dense Counts, or into the cells form when
-// sparse is set.
+// compute2D bins the pairs into the cells form, from their sorted cell
+// indices when sparse is set, else through a pooled grid.
 func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64, sparse bool) (*Hist2D, error) {
+	h, lx, ly, err := newHist2D(xvar, yvar, xs, ys, xedges, yedges)
+	if err != nil {
+		return nil, err
+	}
+	var e encoding
+	switch n := lx.Bins() * ly.Bins(); {
+	case sparse:
+		e, err = binSparse(ctx, n, lx, ly, xs, ys)
+	case uint64(len(xs)) > math.MaxUint32: // more than a uint32 cell counts
+		e, err = binEncode(ctx, make([]uint64, n), lx, ly, xs, ys)
+	default:
+		g := getGrid(n)
+		e, err = binEncode(ctx, g, lx, ly, xs, ys)
+		putGrid(g)
+	}
+	if err != nil {
+		return nil, err
+	}
+	h.cells = []encoding{e}
+	return h, nil
+}
+
+// newHist2D checks the pairs and the edges of a 2D histogram and returns
+// it, countless, with its locators.
+func newHist2D(xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, *Locator, *Locator, error) {
 	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
+		return nil, nil, nil, fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
 	}
 	lx, err := NewLocator(xedges)
 	if err != nil {
-		return nil, fmt.Errorf("histogram: x edges: %w", err)
+		return nil, nil, nil, fmt.Errorf("histogram: x edges: %w", err)
 	}
 	ly, err := NewLocator(yedges)
 	if err != nil {
-		return nil, fmt.Errorf("histogram: y edges: %w", err)
+		return nil, nil, nil, fmt.Errorf("histogram: y edges: %w", err)
 	}
-	h := &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges}
+	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges}, lx, ly, nil
+}
+
+// binEncode bins the pairs into the all-zero grid g and encodes it, which
+// leaves g all-zero again, on a cancelled binning too.
+func binEncode[T uint32 | uint64](ctx context.Context, g []T, lx, ly *Locator, xs, ys []float64) (encoding, error) {
+	if err := binGrid(ctx, g, lx, ly, xs, ys); err != nil {
+		return encoding{}, err
+	}
+	// Two bytes a non-zero cell, a gap and a count, is the common
+	// encoding; far fewer cells than pairs is copied down to size.
+	b, t := appendGrid(make([]byte, 0, 16+2*min(len(xs), len(g))), g, true)
+	if cap(b) > 2*len(b)+wireHead {
+		b = slices.Clone(b)
+	}
+	return encoding{b, t}, nil
+}
+
+// binSparse bins the pairs as the cell index of each, then encodes those
+// for a grid of n cells.
+func binSparse(ctx context.Context, n int, lx, ly *Locator, xs, ys []float64) (encoding, error) {
 	nx := lx.Bins()
-	var idx []uint32 // the cells form's binned cell indices
-	if sparse {
-		idx = make([]uint32, 0, len(xs))
-	} else {
-		h.Counts = make([]uint64, nx*ly.Bins())
-	}
+	idx := make([]uint32, 0, len(xs))
 	for i := range xs {
 		if i&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return encoding{}, err
 			}
 		}
 		ix := lx.Bin(xs[i])
@@ -498,23 +616,16 @@ func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges,
 		if iy < 0 {
 			continue
 		}
-		if sparse {
-			idx = append(idx, uint32(iy*nx+ix))
-		} else {
-			h.Counts[iy*nx+ix]++
-		}
+		idx = append(idx, uint32(iy*nx+ix))
 	}
-	if sparse {
-		h.cells = encodeCells(nx*ly.Bins(), idx)
-	}
-	return h, nil
+	return encodeCells(n, idx), nil
 }
 
 // encodeCells returns the compact count encoding of a grid of n cells
 // given the cell index of every binned value, in any order: sorted, equal
 // indices are one cell's count. The encoding is canonical, so it is the
-// bytes appendCells writes for the dense counts.
-func encodeCells(n int, idx []uint32) []byte {
+// bytes appendGrid writes for the dense counts.
+func encodeCells(n int, idx []uint32) encoding {
 	idx = sortCells(idx, n)
 	runs := 0
 	for i := range idx {
@@ -535,24 +646,33 @@ func encodeCells(n int, idx []uint32) []byte {
 		cells = binary.AppendUvarint(cells, uint64(j-i))
 		prev, i = int(idx[i]), j
 	}
-	return append(cells, 0)
+	return encoding{append(cells, 0), uint64(len(idx))}
 }
 
-// sortCells sorts cell indices below n, a byte a pass from the lowest
-// (an LSD radix sort: two passes for a 256² grid, three for 1024²), and
-// returns the sorted slice, idx or a scratch one.
+// sortCells sorts cell indices below n, up to 11 bits a pass from the
+// lowest (an LSD radix sort: two passes for a 256² or a 1024² grid, three
+// for 4096²), and returns the sorted slice, idx or a scratch one.
 func sortCells(idx []uint32, n int) []uint32 {
+	width := bits.Len(uint(n - 1))
+	passes := (width + 10) / 11
+	if passes == 0 {
+		return idx
+	}
+	width = (width + passes - 1) / passes // bits a pass, spread evenly
+	mask := uint32(1)<<width - 1
 	tmp := make([]uint32, len(idx))
-	for shift := 0; (n-1)>>shift > 0; shift += 8 {
-		var at [257]int
+	var buckets [1<<11 + 1]int
+	at := buckets[:mask+2]
+	for shift := 0; passes > 0; shift, passes = shift+width, passes-1 {
+		clear(at)
 		for _, c := range idx {
-			at[(c>>shift)&0xff+1]++
+			at[(c>>shift)&mask+1]++
 		}
 		for i := 1; i < len(at); i++ {
 			at[i] += at[i-1]
 		}
 		for _, c := range idx {
-			d := (c >> shift) & 0xff
+			d := (c >> shift) & mask
 			tmp[at[d]] = c
 			at[d]++
 		}

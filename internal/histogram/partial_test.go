@@ -11,9 +11,10 @@ import (
 )
 
 // TestCellsFormMatchesDense: for random values over uniform edges, NaNs
-// and values outside the edges included, binning straight into the cells
-// form writes the same wire bytes as binning into dense counts, and its
-// Dense expansion equals Compute2DCtx's counts; so does the empty input.
+// and values outside the edges included, binning into the cells form —
+// straight from cell indices, and through a pooled grid — writes the same
+// wire bytes as binning into dense counts, and its Dense expansion and
+// Total equal Compute2DCtx's; so does the empty input.
 func TestCellsFormMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
@@ -21,6 +22,9 @@ func TestCellsFormMatchesDense(t *testing.T) {
 		nx, ny := 1+rng.Intn(40), 1+rng.Intn(40)
 		if trial%10 == 0 {
 			nx, ny = 256, 256
+		}
+		if trial%100 == 1 { // two 10-bit radix passes
+			nx, ny = 1024, 1024
 		}
 		xe, ye := UniformEdges(-1, 1, nx), UniformEdges(0, 3, ny)
 		n := rng.Intn(3 * nx * ny / sparseDivisor)
@@ -45,18 +49,20 @@ func TestCellsFormMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := compute2D(ctx, "x", "y", xs, ys, xe, ye, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cells.Counts != nil || cells.cells == nil {
-			t.Fatalf("trial %d: sparse binning did not produce the cells form", trial)
-		}
-		if a, b := must(dense.AppendWire(nil)), must(cells.AppendWire(nil)); !bytes.Equal(a, b) {
-			t.Fatalf("trial %d (%d×%d, %d values): wire bytes differ\ndense % x\ncells % x", trial, nx, ny, n, a, b)
-		}
-		if got := cells.Dense(); !slices.Equal(got.Counts, dense.Counts) {
-			t.Fatalf("trial %d: Dense() of the cells form differs from Compute2DCtx", trial)
+		var cells *Hist2D
+		for _, sparse := range []bool{true, false} {
+			if cells, err = compute2D(ctx, "x", "y", xs, ys, xe, ye, sparse); err != nil {
+				t.Fatal(err)
+			}
+			if cells.Counts != nil || len(cells.cells) != 1 {
+				t.Fatalf("trial %d: binning (sparse %v) did not produce the cells form", trial, sparse)
+			}
+			if a, b := must(dense.AppendWire(nil)), must(cells.AppendWire(nil)); !bytes.Equal(a, b) {
+				t.Fatalf("trial %d (%d×%d, %d values, sparse %v): wire bytes differ\ndense % x\ncells % x", trial, nx, ny, n, sparse, a, b)
+			}
+			if got := cells.Dense(); !slices.Equal(got.Counts, dense.Counts) || cells.Total() != dense.Total() {
+				t.Fatalf("trial %d: Dense() or Total of the cells form (sparse %v) differs from Compute2DCtx", trial, sparse)
+			}
 		}
 		merged := dense.Clone()
 		if err := merged.Merge(cells); err != nil {
@@ -67,8 +73,8 @@ func TestCellsFormMatchesDense(t *testing.T) {
 				t.Fatalf("trial %d: merging the cells form added %d to cell %d, want %d", trial, c-dense.Counts[i], i, dense.Counts[i])
 			}
 		}
-		if got, err := Partial2DCtx(ctx, "x", "y", xs, ys, xe, ye); err != nil || (got.cells != nil) != (n < nx*ny/sparseDivisor) {
-			t.Fatalf("trial %d: Partial2DCtx of %d values on %d cells: cells form %v, err %v", trial, n, nx*ny, got.cells != nil, err)
+		if got, err := Partial2DCtx(ctx, "x", "y", xs, ys, xe, ye); err != nil || got.Counts != nil {
+			t.Fatalf("trial %d: Partial2DCtx of %d values on %d cells: dense %v, err %v", trial, n, nx*ny, got.Counts != nil, err)
 		}
 	}
 }
@@ -90,20 +96,21 @@ func TestCountBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := must(sparse.AppendWire(nil))
-	if got := sparse.CountBytes(); got < len(sparse.cells) || got > 2*len(sparse.cells) || got >= len(enc) {
-		t.Fatalf("cells form of %d bytes charged %d", len(sparse.cells), got)
+	if n := len(sparse.cells[0].b); sparse.CountBytes() < n || sparse.CountBytes() > 2*n || sparse.CountBytes() >= len(enc) {
+		t.Fatalf("cells form of %d bytes charged %d", n, sparse.CountBytes())
 	}
 }
 
 // BenchmarkCompute2D bins n uniform random pairs into a partial ready to
-// send, dense (Compute2DCtx, then AppendWire's scan of the grid) against
-// the cells form (sort and run-length encode the cell indices, then
-// AppendWire's copy). sparseDivisor is set from it.
+// send, through the pooled grid ("dense": bin into it, then encode and
+// clear it) against straight into the cells form ("cells": sort and
+// run-length encode the cell indices), then AppendWire's copy of the
+// encoding. sparseDivisor is set from it.
 func BenchmarkCompute2D(b *testing.B) {
 	ctx := context.Background()
-	for _, bins := range []int{256, 1024} {
+	for _, bins := range []int{256, 512, 1024} {
 		e := UniformEdges(0, 1, bins)
-		for _, n := range []int{256, 4096, 16384, 65536} {
+		for _, n := range []int{256, 4096, 16384, 65536, 100000} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			xs, ys := make([]float64, n), make([]float64, n)
 			for i := range xs {

@@ -25,80 +25,52 @@ const (
 // set of counts has exactly one.
 //
 // A histogram decoded from the wire keeps this validated encoding instead
-// of dense Counts (Counts is nil), so it costs what it holds, not the size
-// of its grid. Merge adds it into a dense histogram in O(non-zero), and
-// Clone or Dense expand it; it re-encodes to the bytes it came from.
+// of dense Counts (Counts is nil, the cells form), so it costs what it
+// holds, not the size of its grid. Merging partials in the cells form
+// collects their encodings; AppendWire writes a lone encoding as it is
+// and the sum of several through one pooled grid, and Clone or Dense
+// expand it. A decoded partial re-encodes to the bytes it came from.
 
 // wireHead is what AppendWire reserves beyond the names and edges: their
 // lengths, and 4 KiB of cells, all a selective partial needs. Past it
-// appendCells doubles the buffer.
+// appendGrid doubles the buffer.
 const wireHead = 32 + 4096
 
-// appendCells appends the compact encoding of dense counts.
-func appendCells(dst []byte, counts []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(counts)))
-	prev := -1
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cap(dst)-len(dst) < 2*binary.MaxVarintLen64 {
-			dst = slices.Grow(dst, cap(dst))
-		}
-		dst = binary.AppendUvarint(dst, uint64(i-prev))
-		dst = binary.AppendUvarint(dst, c)
-		prev = i
+// appendCounts appends the compact encoding of dense counts, or of the
+// sum of the cells form's encodings over a grid of n cells: a lone
+// encoding as it is, several expanded once into a pooled grid.
+func appendCounts(dst []byte, n int, counts []uint64, cells []encoding) []byte {
+	switch {
+	case counts != nil:
+		dst, _ = appendGrid(dst, counts, false)
+		return dst
+	case len(cells) == 1:
+		return append(dst, cells[0].b...)
 	}
-	return append(dst, 0)
-}
-
-// appendCounts appends a decoded partial's cells as they are, or encodes
-// dense counts.
-func appendCounts(dst []byte, counts []uint64, cells []byte) []byte {
-	if cells != nil {
-		return append(dst, cells...)
-	}
-	return appendCells(dst, counts)
-}
-
-// addCells adds the cells of a validated compact encoding into dst, which
-// has its cell count.
-func addCells(dst []uint64, enc []byte) {
-	_, n := binary.Uvarint(enc)
-	enc = enc[n:]
-	for i := -1; ; {
-		gap, n := binary.Uvarint(enc)
-		if gap == 0 {
-			return
-		}
-		c, m := binary.Uvarint(enc[n:])
-		enc = enc[n+m:]
-		i += int(gap)
-		dst[i] += c
-	}
+	return appendSumCells(dst, n, cells)
 }
 
 // AppendWire appends h's wire form to dst.
 func (h *Hist1D) AppendWire(dst []byte) ([]byte, error) {
-	bins := len(h.Edges) - 1
-	if bins < 1 || bins > MaxBins1D || h.cells == nil && len(h.Counts) != bins {
+	bins := h.Bins()
+	if bins < 1 || bins > MaxBins1D || h.Counts != nil && len(h.Counts) != bins {
 		return nil, fmt.Errorf("histogram: encode 1d: %d edges, %d counts", len(h.Edges), len(h.Counts))
 	}
 	dst = slices.Grow(dst, wireHead+len(h.Var)+8*len(h.Edges))
 	dst = appendFloats(AppendString(dst, h.Var), h.Edges)
-	return appendCounts(dst, h.Counts, h.cells), nil
+	return appendCounts(dst, bins, h.Counts, h.cells), nil
 }
 
 // AppendWire appends h's wire form to dst: X then Y.
 func (h *Hist2D) AppendWire(dst []byte) ([]byte, error) {
-	nx, ny := len(h.XEdges)-1, len(h.YEdges)-1
-	if nx < 1 || nx > MaxBins2D || ny < 1 || ny > MaxBins2D || h.cells == nil && len(h.Counts) != nx*ny {
+	nx, ny := h.XBins(), h.YBins()
+	if nx < 1 || nx > MaxBins2D || ny < 1 || ny > MaxBins2D || h.Counts != nil && len(h.Counts) != nx*ny {
 		return nil, fmt.Errorf("histogram: encode 2d: %d×%d edges, %d counts", len(h.XEdges), len(h.YEdges), len(h.Counts))
 	}
 	dst = slices.Grow(dst, wireHead+len(h.XVar)+len(h.YVar)+8*(len(h.XEdges)+len(h.YEdges)))
 	dst = AppendString(AppendString(dst, h.XVar), h.YVar)
 	dst = appendFloats(appendFloats(dst, h.XEdges), h.YEdges)
-	return appendCounts(dst, h.Counts, h.cells), nil
+	return appendCounts(dst, nx*ny, h.Counts, h.cells), nil
 }
 
 // AppendString appends s as its length and its bytes.
@@ -197,11 +169,11 @@ func (r *WireReader) Float() float64 {
 func (r *WireReader) Hist1D() *Hist1D {
 	name := r.Str()
 	edges := r.edges(MaxBins1D)
-	cells := r.cells(len(edges) - 1)
+	e := r.cells(len(edges) - 1)
 	if r.err != nil {
 		return nil
 	}
-	return &Hist1D{Var: name, Edges: edges, cells: cells}
+	return &Hist1D{Var: name, Edges: edges, cells: []encoding{e}}
 }
 
 // Hist2D reads what Hist2D.AppendWire writes; nil after a failure. The
@@ -210,11 +182,11 @@ func (r *WireReader) Hist2D() *Hist2D {
 	xvar, yvar := r.Str(), r.Str()
 	xedges := r.edges(MaxBins2D)
 	yedges := r.edges(MaxBins2D)
-	cells := r.cells((len(xedges) - 1) * (len(yedges) - 1))
+	e := r.cells((len(xedges) - 1) * (len(yedges) - 1))
 	if r.err != nil {
 		return nil
 	}
-	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: cells}
+	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: []encoding{e}}
 }
 
 // edges reads the edges of an axis of 1..maxBins bins.
@@ -235,29 +207,30 @@ func (r *WireReader) edges(maxBins int) []float64 {
 }
 
 // cells validates the compact count encoding of n cells and returns a
-// copy of it: the cell count must be n, and the non-zero cells strictly
-// ascending, inside the grid and non-zero, up to the zero gap that ends
-// them.
-func (r *WireReader) cells(n int) []byte {
+// copy of it with the sum of its counts: the cell count must be n, and
+// the non-zero cells strictly ascending, inside the grid and non-zero, up
+// to the zero gap that ends them.
+func (r *WireReader) cells(n int) encoding {
 	if r.err != nil {
-		return nil
+		return encoding{}
 	}
 	start := r.b
 	if got := r.Uvarint(); r.err == nil && got != uint64(n) {
 		r.Fail("%d cells, want %d", got, n)
-		return nil
+		return encoding{}
 	}
 	// The per-cell loop reads its uvarints inline: it is the frontend's
 	// cost per non-zero cell of every partial.
+	total := uint64(0)
 	for b, next := r.b, uint64(0); ; { // next: the lowest index the next cell may take
 		gap, n1 := binary.Uvarint(b)
 		if !minimal(b, n1) {
 			r.Fail("bad gap uvarint after index %d", int64(next)-1)
-			return nil
+			return encoding{}
 		}
 		if gap == 0 {
 			r.b = b[n1:]
-			return slices.Clone(start[:len(start)-len(r.b)])
+			return encoding{slices.Clone(start[:len(start)-len(r.b)]), total}
 		}
 		c, n2 := binary.Uvarint(b[n1:])
 		switch {
@@ -269,9 +242,10 @@ func (r *WireReader) cells(n int) []byte {
 			r.Fail("zero count after index %d", int64(next)-1)
 		}
 		if r.err != nil {
-			return nil
+			return encoding{}
 		}
 		next += gap
+		total += c
 		b = b[n1+n2:]
 	}
 }

@@ -171,8 +171,8 @@ func TestHistWireRoundTrip(t *testing.T) {
 		t.Fatal("a decoded partial holds dense counts")
 	}
 	for name, pair := range map[string][2][]byte{
-		"1d counts": {countBytes(h1.Counts, h1.cells), countBytes(d1.Counts, d1.cells)},
-		"2d counts": {countBytes(h2.Counts, h2.cells), countBytes(d2.Counts, d2.cells)},
+		"1d counts": {countBytes(3, h1.Counts, h1.cells), countBytes(3, d1.Counts, d1.cells)},
+		"2d counts": {countBytes(6, h2.Counts, h2.cells), countBytes(6, d2.Counts, d2.cells)},
 		"2d wire":   {enc2, must(d2.AppendWire(nil))},
 		"1d wire":   {enc1, must(d1.AppendWire(nil))},
 	} {
@@ -180,7 +180,7 @@ func TestHistWireRoundTrip(t *testing.T) {
 			t.Errorf("%s: dense %x, decoded %x", name, pair[0], pair[1])
 		}
 	}
-	if got, want := countBytes(h2.Counts, nil), uv(6, 2, 1, 3, 1<<40, 1, 7, 0); !bytes.Equal(got, want) {
+	if got, want := countBytes(6, h2.Counts, nil), uv(6, 2, 1, 3, 1<<40, 1, 7, 0); !bytes.Equal(got, want) {
 		t.Errorf("2d counts encode as %x, want %x", got, want)
 	}
 
@@ -199,8 +199,11 @@ func TestHistWireRoundTrip(t *testing.T) {
 			t.Fatalf("merge: %v", acc.Counts)
 		}
 	}
-	if err := d2.Merge(h2); err == nil {
-		t.Fatal("merged into a decoded partial")
+	// Merged into, a decoded partial is a sum of encodings: it takes on
+	// the dense histogram's, and h2 stays as it was.
+	if err := d2.Merge(h2); err != nil || len(d2.cells) != 2 || d2.Total() != 2*h2.Total() ||
+		!bytes.Equal(must(d2.AppendWire(nil)), must(acc.AppendWire(nil))) || h2.Counts[4] != 1<<40 {
+		t.Fatalf("merge into a decoded partial: %d encodings, total %d, err %v", len(d2.cells), d2.Total(), err)
 	}
 	acc1 := d1.Clone()
 	if err := acc1.Merge(d1); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
@@ -221,9 +224,11 @@ func TestHistWireRoundTrip(t *testing.T) {
 	}
 }
 
-// countBytes is the compact count encoding of dense counts or a decoded
-// partial's cells.
-func countBytes(counts []uint64, cells []byte) []byte { return appendCounts(nil, counts, cells) }
+// countBytes is the compact count encoding of n dense counts or of the
+// cells form's encodings.
+func countBytes(n int, counts []uint64, cells []encoding) []byte {
+	return appendCounts(nil, n, counts, cells)
+}
 
 func must(b []byte, err error) []byte {
 	if err != nil {

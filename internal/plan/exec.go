@@ -440,79 +440,70 @@ func (res *Result) addFailed(shards []int) {
 	res.Partial = true
 }
 
-// mergeHist1 folds 1D partials bin-wise into one dense histogram.
-// Partials are read-only (a shard may have cached them): a lone dense
-// partial is the answer as it is, a lone decoded one is expanded once, and
-// otherwise the first is cloned into the one dense accumulator the others
-// merge into — a decoded partial adds only its non-zero cells. When every
-// partial is nil (all shards failed, or the one home fragment exhausted
-// its budget) an empty histogram over the spec's edges is returned; an
-// unset range falls back to [0, 0], as mergeRanges reports for an empty
-// selection, so the edges stay finite and encodable.
+// mergeHist1 sums 1D partials. Partials are read-only (a shard may have
+// cached them): a lone partial is the answer as it is, and several become
+// one histogram in the cells form that holds each partial's encodings, so
+// building the answer costs O(partials) and no grid — whoever reads the
+// counts expands them, once. When every partial is nil (all shards
+// failed, or the one home fragment exhausted its budget) the answer is an
+// empty histogram over the spec's edges; an unset range falls back to
+// [0, 0], as mergeRanges reports for an empty selection, so the edges
+// stay finite and encodable.
 func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
-	var merged *histogram.Hist1D
-	owned := false
+	var hs []*histogram.Hist1D
 	for _, p := range parts {
-		if p == nil || p.Hist1 == nil {
-			continue
+		if p != nil && p.Hist1 != nil {
+			hs = append(hs, p.Hist1)
 		}
-		if merged == nil {
-			merged = p.Hist1
-			continue
+	}
+	switch len(hs) {
+	case 0:
+		if !spec.HasRange() {
+			spec.Lo, spec.Hi = 0, 0
 		}
-		if !owned {
-			merged, owned = merged.Clone(), true
-		}
-		if err := merged.Merge(p.Hist1); err != nil {
+		return &histogram.Hist1D{Var: spec.Var, Edges: histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins)}, nil
+	case 1:
+		return hs[0], nil
+	}
+	sum := &histogram.Hist1D{Var: hs[0].Var, Edges: hs[0].Edges}
+	for _, h := range hs {
+		if err := sum.Merge(h); err != nil {
 			return nil, fmt.Errorf("plan: merge 1d partials: %w", err)
 		}
 	}
-	if merged != nil {
-		return merged.Dense(), nil
-	}
-	if !spec.HasRange() {
-		spec.Lo, spec.Hi = 0, 0
-	}
-	return &histogram.Hist1D{
-		Var:    spec.Var,
-		Edges:  histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins),
-		Counts: make([]uint64, spec.Bins),
-	}, nil
+	return sum, nil
 }
 
 // mergeHist2 is mergeHist1 for 2D partials.
 func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist2D, error) {
-	var merged *histogram.Hist2D
-	owned := false
+	var hs []*histogram.Hist2D
 	for _, p := range parts {
-		if p == nil || p.Hist2 == nil {
-			continue
+		if p != nil && p.Hist2 != nil {
+			hs = append(hs, p.Hist2)
 		}
-		if merged == nil {
-			merged = p.Hist2
-			continue
+	}
+	switch len(hs) {
+	case 0:
+		if !spec.HasXRange() {
+			spec.XLo, spec.XHi = 0, 0
 		}
-		if !owned {
-			merged, owned = merged.Clone(), true
+		if !spec.HasYRange() {
+			spec.YLo, spec.YHi = 0, 0
 		}
-		if err := merged.Merge(p.Hist2); err != nil {
+		return &histogram.Hist2D{
+			XVar:   spec.XVar,
+			YVar:   spec.YVar,
+			XEdges: histogram.UniformEdges(spec.XLo, spec.XHi, spec.XBins),
+			YEdges: histogram.UniformEdges(spec.YLo, spec.YHi, spec.YBins),
+		}, nil
+	case 1:
+		return hs[0], nil
+	}
+	sum := &histogram.Hist2D{XVar: hs[0].XVar, YVar: hs[0].YVar, XEdges: hs[0].XEdges, YEdges: hs[0].YEdges}
+	for _, h := range hs {
+		if err := sum.Merge(h); err != nil {
 			return nil, fmt.Errorf("plan: merge 2d partials: %w", err)
 		}
 	}
-	if merged != nil {
-		return merged.Dense(), nil
-	}
-	if !spec.HasXRange() {
-		spec.XLo, spec.XHi = 0, 0
-	}
-	if !spec.HasYRange() {
-		spec.YLo, spec.YHi = 0, 0
-	}
-	return &histogram.Hist2D{
-		XVar:   spec.XVar,
-		YVar:   spec.YVar,
-		XEdges: histogram.UniformEdges(spec.XLo, spec.XHi, spec.XBins),
-		YEdges: histogram.UniformEdges(spec.YLo, spec.YHi, spec.YBins),
-		Counts: make([]uint64, spec.XBins*spec.YBins),
-	}, nil
+	return sum, nil
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -362,8 +363,9 @@ func TestZeroRowsCount(t *testing.T) {
 }
 
 // TestMergeDecodedPartials: partials that crossed the wire merge into the
-// same dense answer as their in-process originals, a lone one included,
-// and the merge never writes into a partial.
+// same answer as their in-process originals — the same dense counts and
+// the same wire bytes — a lone one included, and the merge never writes
+// into a partial.
 func TestMergeDecodedPartials(t *testing.T) {
 	spec := histogram.NewSpec2D("x", "y", 4, 3)
 	edges := func(n int) []float64 { return histogram.UniformEdges(0, 1, n) }
@@ -384,8 +386,15 @@ func TestMergeDecodedPartials(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d partials: wire %+v, in process %+v", n, got, want)
+		if !reflect.DeepEqual(got.Dense(), want.Dense()) {
+			t.Fatalf("%d partials: wire %+v, in process %+v", n, got.Dense(), want.Dense())
+		}
+		gotWire, err := got.AppendWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantWire, err := want.AppendWire(nil); err != nil || !bytes.Equal(gotWire, wantWire) {
+			t.Fatalf("%d partials: wire bytes %x, in process %x (%v)", n, gotWire, wantWire, err)
 		}
 	}
 	if c := dense[0].Hist2.Counts; c[0] != 1 || c[11] != 7 {
@@ -397,7 +406,7 @@ func TestMergeDecodedPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{0, 8, 0, 0, 18}; !reflect.DeepEqual(got.Counts, want) {
-		t.Fatalf("1d merge: %v, want %v", got.Counts, want)
+	if want := []uint64{0, 8, 0, 0, 18}; !reflect.DeepEqual(got.Dense().Counts, want) || got.Total() != 26 {
+		t.Fatalf("1d merge: %v (total %d), want %v", got.Dense().Counts, got.Total(), want)
 	}
 }

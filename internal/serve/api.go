@@ -19,6 +19,7 @@ package serve
 
 import (
 	"repro/internal/fastquery"
+	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/shard"
@@ -127,6 +128,8 @@ type Hist1DBody struct {
 	Counts  []uint64  `json:"counts"`
 	Total   uint64    `json:"total"`
 	ResponseMeta
+
+	hist *histogram.Hist1D // when set, the counts answerJSON writes in place of Counts
 }
 
 // Hist2DBody is the /v1/hist2d response. Counts are row-major:
@@ -144,6 +147,8 @@ type Hist2DBody struct {
 	Counts  []uint64  `json:"counts"`
 	Total   uint64    `json:"total"`
 	ResponseMeta
+
+	hist *histogram.Hist2D // when set, the counts answerJSON writes in place of Counts
 }
 
 // Sweep2DBody is the /v1/sweep2d response: one conditional 2D histogram

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/histogram"
 )
 
 // encodeBody renders a response body as JSON, exactly the bytes
@@ -20,17 +22,21 @@ func encodeBody(body any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// histBodySize guesses a histogram body's encoded length so the common
-// body — mostly single-digit counts — is appended without regrowing.
+// histBodySize guesses a histogram body's encoded length from its edge
+// and count numbers (a count per bin, the bins one fewer than the edges),
+// so the common body — mostly single-digit counts — is appended without
+// regrowing.
 func histBodySize(edges, counts int) int {
 	return 512 + 24*edges + 2*counts
 }
 
 // answerJSON encodes the body's answer part — every field up to and
 // including total, a function of the request's cache key alone — as
-// encoding/json renders it, from the opening brace on.
+// encoding/json renders it, from the opening brace on. The counts are
+// the body's histogram's, when it has one, written from either form
+// without a dense copy (histogram.AppendCountsJSON).
 func (b *Hist1DBody) answerJSON() ([]byte, error) {
-	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.Edges), len(b.Counts)))}
+	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.Edges), len(b.Edges)))}
 	e.raw(`{"dataset":`)
 	e.str(b.Dataset)
 	e.raw(`,"step":`)
@@ -48,7 +54,11 @@ func (b *Hist1DBody) answerJSON() ([]byte, error) {
 	e.raw(`,"edges":`)
 	e.floats(b.Edges)
 	e.raw(`,"counts":`)
-	e.uints(b.Counts)
+	if b.hist != nil {
+		e.buf = b.hist.AppendCountsJSON(e.buf)
+	} else {
+		e.buf = histogram.AppendCountsJSON(e.buf, b.Counts)
+	}
 	e.raw(`,"total":`)
 	e.uint(b.Total)
 	return e.buf, e.err
@@ -56,7 +66,7 @@ func (b *Hist1DBody) answerJSON() ([]byte, error) {
 
 // answerJSON is Hist1DBody.answerJSON for the 2D body.
 func (b *Hist2DBody) answerJSON() ([]byte, error) {
-	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.XEdges)+len(b.YEdges), len(b.Counts)))}
+	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.XEdges)+len(b.YEdges), len(b.XEdges)*len(b.YEdges)))}
 	e.raw(`{"dataset":`)
 	e.str(b.Dataset)
 	e.raw(`,"step":`)
@@ -78,7 +88,11 @@ func (b *Hist2DBody) answerJSON() ([]byte, error) {
 	e.raw(`,"yedges":`)
 	e.floats(b.YEdges)
 	e.raw(`,"counts":`)
-	e.uints(b.Counts)
+	if b.hist != nil {
+		e.buf = b.hist.AppendCountsJSON(e.buf)
+	} else {
+		e.buf = histogram.AppendCountsJSON(e.buf, b.Counts)
+	}
 	e.raw(`,"total":`)
 	e.uint(b.Total)
 	return e.buf, e.err
@@ -195,27 +209,6 @@ func (e *jsonAppender) floats(vs []float64) {
 		e.float(v)
 	}
 	e.buf = append(e.buf, ']')
-}
-
-// uints appends a []uint64; nil is null. Counts are mostly single digits,
-// which skip strconv.
-func (e *jsonAppender) uints(vs []uint64) {
-	if vs == nil {
-		e.raw("null")
-		return
-	}
-	b := append(e.buf, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if v < 10 {
-			b = append(b, byte('0'+v))
-		} else {
-			b = strconv.AppendUint(b, v, 10)
-		}
-	}
-	e.buf = append(b, ']')
 }
 
 // ints appends a []int; nil is null.

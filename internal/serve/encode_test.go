@@ -85,6 +85,9 @@ func fillExplain() *ExplainBody {
 func fill(t *testing.T, v reflect.Value, in *fillBytes, nonFinite bool) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
+		if !v.Type().Field(i).IsExported() {
+			continue // a body's histogram: the tests that need one set it
+		}
 		f := v.Field(i)
 		switch f.Kind() {
 		case reflect.String:
@@ -203,6 +206,29 @@ func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
 	default:
 		t.Fatalf("checkStoredAnswer: %T is not a histogram body", b)
 	}
+	// The same counts as a histogram in the cells form, the sum of two
+	// decoded partials, write the same answer part.
+	var cellsAnswer []byte
+	var cellsErr error
+	switch b := b.(type) {
+	case *Hist1DBody:
+		if len(b.Counts) > 0 {
+			c := *b
+			c.hist = cellsForm1(t, b.Counts)
+			cellsAnswer, cellsErr = c.answerJSON()
+		}
+	case *Hist2DBody:
+		if len(b.Counts) > 0 {
+			c := *b
+			c.hist = cellsForm2(t, b.Counts)
+			cellsAnswer, cellsErr = c.answerJSON()
+		}
+	}
+	if cellsAnswer != nil || cellsErr != nil {
+		if (cellsErr != nil) != (answerErr != nil) || !bytes.Equal(cellsAnswer, answer) {
+			t.Fatalf("%T: the cells form's answer differs (%v, %v):\n got %s\nwant %s", b, cellsErr, answerErr, cellsAnswer, answer)
+		}
+	}
 	body := reflect.ValueOf(b).Elem()
 	meta := body.FieldByName("ResponseMeta")
 	for n := 2 + in.next()%3; n > 0; n-- {
@@ -223,6 +249,52 @@ func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
 			t.Fatalf("%T: stored answer + meta differs from encoding/json:\n got %s\nwant %s", b, got, want)
 		}
 	}
+}
+
+// cellsForm1 is counts as a 1D histogram in the cells form: the sum of two
+// partials that crossed the wire, each holding about half of every count.
+func cellsForm1(t *testing.T, counts []uint64) *histogram.Hist1D {
+	t.Helper()
+	e := histogram.UniformEdges(0, 1, len(counts))
+	sum := &histogram.Hist1D{Var: "v", Edges: e}
+	for k := uint64(0); k < 2; k++ {
+		part := &histogram.Hist1D{Var: "v", Edges: e, Counts: make([]uint64, len(counts))}
+		for i, c := range counts {
+			part.Counts[i] = c/2 + k*(c%2)
+		}
+		enc, err := part.AppendWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := histogram.NewWireReader(enc)
+		if err := sum.Merge(r.Hist1D()); err != nil || r.Close() != nil {
+			t.Fatalf("cells form of %v: %v", counts, err)
+		}
+	}
+	return sum
+}
+
+// cellsForm2 is counts as a 2D histogram of one row in the cells form:
+// the sum of a partial that crossed the wire and an empty one.
+func cellsForm2(t *testing.T, counts []uint64) *histogram.Hist2D {
+	t.Helper()
+	xe, ye := histogram.UniformEdges(0, 1, len(counts)), []float64{0, 1}
+	enc, err := (&histogram.Hist2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye, Counts: counts}).AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := histogram.NewWireReader(enc)
+	part := r.Hist2D()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum := &histogram.Hist2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}
+	for _, p := range []*histogram.Hist2D{part, {XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}} {
+		if err := sum.Merge(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sum
 }
 
 // FuzzHistBodyJSON is the differential oracle for the histogram body
@@ -349,11 +421,19 @@ func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d discardWriter) WriteHeader(int)             {}
 
 // BenchmarkWriteBody serializes a 2D histogram the way a miss does — its
-// answer part in the cache flight, then its meta in the write stage —
-// at 256² (the drill-down default) and 1024². Counts follow a sparse,
-// heavy-tailed shape like a particle density.
+// answer part in the cache flight, then its meta in the write stage — at
+// 256² (the drill-down default) and 1024². Counts follow a sparse,
+// heavy-tailed shape like a particle density, in one cell of three, or in
+// one of a hundred ("-1pct", mostly zero). "-merge3" is the frontend's
+// case: the 1024² counts as the sum of three decoded partials, written
+// from their encodings through one pooled grid.
 func BenchmarkWriteBody(b *testing.B) {
-	for _, n := range []int{256, 1024} {
+	for _, c := range []struct {
+		n, every int
+		merge    bool
+		name     string
+	}{{256, 3, false, "256x256"}, {1024, 3, false, "1024x1024"}, {1024, 100, false, "1024x1024-1pct"}, {1024, 3, true, "1024x1024-merge3"}} {
+		n := c.n
 		rng := rand.New(rand.NewSource(int64(n)))
 		body := Hist2DBody{
 			Dataset: "lwfa", Step: 7, Plan: "px > 8.5e10 && y < 1e-4", Backend: "fastbit",
@@ -366,14 +446,34 @@ func BenchmarkWriteBody(b *testing.B) {
 			body.YEdges[i] = -3e11 + 6e11*float64(i)/float64(n)
 		}
 		for i := range body.Counts {
-			if rng.Intn(3) == 0 {
+			if rng.Intn(c.every) == 0 {
 				body.Counts[i] = uint64(rng.ExpFloat64() * 40)
+			}
+		}
+		if c.merge {
+			body.hist = &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges}
+			for k := 0; k < 3; k++ {
+				part := &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges, Counts: make([]uint64, n*n)}
+				for i, v := range body.Counts {
+					part.Counts[i] = v / 3
+					if k == 0 {
+						part.Counts[i] += v % 3
+					}
+				}
+				enc, err := part.AppendWire(nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r := histogram.NewWireReader(enc)
+				if err := body.hist.Merge(r.Hist2D()); err != nil || r.Close() != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		r := httptest.NewRequest(http.MethodGet, "/v1/hist2d", nil)
 		o := &op{answer: func(*plan.Result) ([]byte, error) { return body.answerJSON() }}
 		miss := o.flight(func(context.Context) (*plan.Result, error) { return &plan.Result{}, nil })
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			w := discardWriter{h: http.Header{}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -417,7 +517,7 @@ func parentHist2D(t *testing.T, s *Server, path string, indexOnly bool, m Respon
 		var res *plan.Result
 		res, err = s.execPlan(context.Background(), req, pq)
 		if err == nil {
-			h = res.Hist2
+			h = res.Hist2.Dense()
 		}
 	}
 	if err != nil {

@@ -1101,8 +1101,8 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 				Var:     spec.Var,
 				Binning: spec.Binning.String(),
 				Edges:   h.Edges,
-				Counts:  h.Counts,
 				Total:   h.Total(),
+				hist:    h,
 			}
 			return b.answerJSON()
 		},
@@ -1238,8 +1238,8 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 				Binning: spec.Binning.String(),
 				XEdges:  h.XEdges,
 				YEdges:  h.YEdges,
-				Counts:  h.Counts,
 				Total:   h.Total(),
+				hist:    h,
 			}
 			return b.answerJSON()
 		},

@@ -573,8 +573,9 @@ func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
 				return nil, err
 			}
 			for i, res := range results {
+				h := res.Hist1.Dense()
 				body.Panels = append(body.Panels, ViewPanel{
-					Var: vars[i], Edges: res.Hist1.Edges, Counts: res.Hist1.Counts, Total: res.Hist1.Total(),
+					Var: vars[i], Edges: h.Edges, Counts: h.Counts, Total: h.Total(),
 				})
 			}
 			return sum, nil
