@@ -58,8 +58,8 @@ func (st *Step) Values(ctx context.Context, rows Rows, name string) ([]float64, 
 // FastBit histogram and every shard fragment's histogram is a selection
 // followed by this call, so a data-derived range is the same whichever
 // backend, shard split or fragment computed it. The result is a partial
-// (histogram.Partial2DCtx): few values against the grid come back in the
-// cells form, so a reader of Counts takes its Dense().
+// (histogram.Partial2DCtx), always in the cells form, so a reader of
+// Counts takes its Dense().
 func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.Spec2D) (*histogram.Hist2D, error) {
 	_, gsp := obs.StartSpan(ctx, "gather-values")
 	xs, err := st.Values(ctx, rows, spec.XVar)

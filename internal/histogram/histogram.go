@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -343,15 +342,6 @@ func appendCountsJSON(dst []byte, counts []uint64, cells []encoding, n int) []by
 	return appendSumJSON(dst, n, cells)
 }
 
-// AppendCountsJSON appends counts as encoding/json writes them: null when
-// nil, runs of zeros copied rather than formatted.
-func AppendCountsJSON(dst []byte, counts []uint64) []byte {
-	if counts == nil {
-		return append(dst, "null"...)
-	}
-	return appendGridJSON(dst, counts, false)
-}
-
 // Compute1D builds a 1D histogram of values over the given edges. Values
 // outside the edge range are ignored.
 func Compute1D(name string, values []float64, edges []float64) (*Hist1D, error) {
@@ -525,7 +515,9 @@ func Compute2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedg
 // otherwise. BenchmarkCompute2D (bin, then encode for the wire; uniform
 // random pairs, the worst case for occupancy) puts the two at par near
 // cells/4 on 256² and 512² grids; on 1024² the cells form still leads
-// there, by ~20 %, but the pooled grid allocates nothing per pair.
+// there, by ~20 %, but the pooled grid allocates nothing per pair. End to
+// end, cells/16 and binning every partial through the grid both did
+// worse on explore_shard3 (DESIGN §13.8).
 const sparseDivisor = 4
 
 // Partial2DCtx is Compute2DCtx for a partial that will be merged, sent or
@@ -649,30 +641,21 @@ func encodeCells(n int, idx []uint32) encoding {
 	return encoding{append(cells, 0), uint64(len(idx))}
 }
 
-// sortCells sorts cell indices below n, up to 11 bits a pass from the
-// lowest (an LSD radix sort: two passes for a 256² or a 1024² grid, three
-// for 4096²), and returns the sorted slice, idx or a scratch one.
+// sortCells sorts cell indices below n, a byte a pass from the lowest
+// (an LSD radix sort: two passes for a 256² grid, three for 1024²), and
+// returns the sorted slice, idx or a scratch one.
 func sortCells(idx []uint32, n int) []uint32 {
-	width := bits.Len(uint(n - 1))
-	passes := (width + 10) / 11
-	if passes == 0 {
-		return idx
-	}
-	width = (width + passes - 1) / passes // bits a pass, spread evenly
-	mask := uint32(1)<<width - 1
 	tmp := make([]uint32, len(idx))
-	var buckets [1<<11 + 1]int
-	at := buckets[:mask+2]
-	for shift := 0; passes > 0; shift, passes = shift+width, passes-1 {
-		clear(at)
+	for shift := 0; (n-1)>>shift > 0; shift += 8 {
+		var at [257]int
 		for _, c := range idx {
-			at[(c>>shift)&mask+1]++
+			at[(c>>shift)&0xff+1]++
 		}
 		for i := 1; i < len(at); i++ {
 			at[i] += at[i-1]
 		}
 		for _, c := range idx {
-			d := (c >> shift) & mask
+			d := (c >> shift) & 0xff
 			tmp[at[d]] = c
 			at[d]++
 		}

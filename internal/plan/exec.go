@@ -34,7 +34,7 @@ type Runner interface {
 	RunFragment(ctx context.Context, shard int, f Fragment) (*FragmentResult, error)
 }
 
-// Execute plans and runs one operation: it cuts the query into fragments
+// ExecuteCells plans and runs one operation: it cuts the query into fragments
 // per the shard map, scatters them through the runner, and merges the
 // partials. Rows must be the step's row count (used to compute shard row
 // ranges).
@@ -54,7 +54,12 @@ type Runner interface {
 //     range, then scatter the histogram — exactly the computation the
 //     single process does in one address space.
 //   - Counts always scatter and sum.
-func Execute(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
+//
+// Its histograms are as they merged: read-only, and dense or in the cells
+// form, a sum of the partials' encodings; a reader of Counts takes
+// Dense(). The server answers through it, so no request builds a dense
+// count grid; Execute is ExecuteCells with its histograms expanded.
+func ExecuteCells(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
 	switch q.Op {
 	case OpCount:
 		return execCount(ctx, q, m, rows, r, policy)
@@ -79,7 +84,7 @@ func Execute(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, po
 // in requests, and a per-request width would let one sweep undo it.
 const maxBatchInFlight = 2
 
-// ExecuteAll runs one Execute per query — the timesteps of a sweep, a
+// ExecuteAll runs one ExecuteCells per query — the timesteps of a sweep, a
 // track or a temporal view, which are independent of each other (paper
 // Section V-C) — and returns the results aligned with qs. rows[i] is the
 // row count of qs[i]'s step. At most min(GOMAXPROCS, maxBatchInFlight)
@@ -109,7 +114,7 @@ func ExecuteAll(ctx context.Context, qs []Query, m ShardMap, rows []uint64, r Ru
 				}
 				sctx, span := obs.StartSpan(ctx, "sweep-step")
 				span.SetAttr("step", strconv.Itoa(qs[i].Step))
-				res, err := Execute(sctx, qs[i], m, rows[i], r, policy)
+				res, err := ExecuteCells(sctx, qs[i], m, rows[i], r, policy)
 				if err != nil {
 					span.SetAttr("error", err.Error())
 					once.Do(func() {

@@ -223,8 +223,9 @@ func (r *Result) CacheBytes(key string) int {
 // Result is the merged answer the planner returns to the serving layer.
 type Result struct {
 	Count uint64
-	// Hist1 and Hist2 are read-only, dense or in the cells form (a merge
-	// of several partials always is): a reader of Counts takes Dense().
+	// Hist1 and Hist2 are read-only. Execute's are dense; ExecuteCells'
+	// are dense or in the cells form (a merge of several partials always
+	// is), and a reader of their Counts takes Dense().
 	Hist1 *histogram.Hist1D
 	Hist2 *histogram.Hist2D
 	// Sel is OpSelect's answer: the sorted matching row positions over the

@@ -129,7 +129,7 @@ type Hist1DBody struct {
 	Total   uint64    `json:"total"`
 	ResponseMeta
 
-	hist *histogram.Hist1D // when set, the counts answerJSON writes in place of Counts
+	hist *histogram.Hist1D // the answer, whose counts answerJSON writes; Counts is the decoded field
 }
 
 // Hist2DBody is the /v1/hist2d response. Counts are row-major:
@@ -148,7 +148,7 @@ type Hist2DBody struct {
 	Total   uint64    `json:"total"`
 	ResponseMeta
 
-	hist *histogram.Hist2D // when set, the counts answerJSON writes in place of Counts
+	hist *histogram.Hist2D // the answer, whose counts answerJSON writes; Counts is the decoded field
 }
 
 // Sweep2DBody is the /v1/sweep2d response: one conditional 2D histogram

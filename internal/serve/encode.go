@@ -6,8 +6,6 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
-
-	"repro/internal/histogram"
 )
 
 // encodeBody renders a response body as JSON, exactly the bytes
@@ -33,8 +31,8 @@ func histBodySize(edges, counts int) int {
 // answerJSON encodes the body's answer part — every field up to and
 // including total, a function of the request's cache key alone — as
 // encoding/json renders it, from the opening brace on. The counts are
-// the body's histogram's, when it has one, written from either form
-// without a dense copy (histogram.AppendCountsJSON).
+// the body's histogram's, written from either form without a dense copy
+// (histogram.Hist1D.AppendCountsJSON).
 func (b *Hist1DBody) answerJSON() ([]byte, error) {
 	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.Edges), len(b.Edges)))}
 	e.raw(`{"dataset":`)
@@ -54,11 +52,7 @@ func (b *Hist1DBody) answerJSON() ([]byte, error) {
 	e.raw(`,"edges":`)
 	e.floats(b.Edges)
 	e.raw(`,"counts":`)
-	if b.hist != nil {
-		e.buf = b.hist.AppendCountsJSON(e.buf)
-	} else {
-		e.buf = histogram.AppendCountsJSON(e.buf, b.Counts)
-	}
+	e.buf = b.hist.AppendCountsJSON(e.buf)
 	e.raw(`,"total":`)
 	e.uint(b.Total)
 	return e.buf, e.err
@@ -88,11 +82,7 @@ func (b *Hist2DBody) answerJSON() ([]byte, error) {
 	e.raw(`,"yedges":`)
 	e.floats(b.YEdges)
 	e.raw(`,"counts":`)
-	if b.hist != nil {
-		e.buf = b.hist.AppendCountsJSON(e.buf)
-	} else {
-		e.buf = histogram.AppendCountsJSON(e.buf, b.Counts)
-	}
+	e.buf = b.hist.AppendCountsJSON(e.buf)
 	e.raw(`,"total":`)
 	e.uint(b.Total)
 	return e.buf, e.err

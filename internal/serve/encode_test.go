@@ -175,9 +175,18 @@ func histJSON(t *testing.T, body any) ([]byte, error) {
 }
 
 // checkEncoding asserts the histogram encoder writes exactly what
-// encoding/json writes for body, and fails exactly when it fails.
+// encoding/json writes for body, with its histogram set (setHist), and
+// fails exactly when it fails.
 func checkEncoding(t *testing.T, body any) {
 	t.Helper()
+	switch b := body.(type) {
+	case Hist1DBody:
+		b.setHist()
+		body = b
+	case Hist2DBody:
+		b.setHist()
+		body = b
+	}
 	want, wantErr := encodeOracle(body)
 	got, err := histJSON(t, body)
 	if (err != nil) != (wantErr != nil) {
@@ -186,6 +195,25 @@ func checkEncoding(t *testing.T, body any) {
 	if err == nil && !bytes.Equal(got, want) {
 		t.Fatalf("%T differs from encoding/json:\n got %s\nwant %s", body, got, want)
 	}
+}
+
+// setHist gives a test body the histogram answerJSON writes the counts
+// of: its own Counts, dense. A served body always carries a histogram,
+// whose counts are a slice (an empty one for no bins), so a nil Counts
+// becomes the empty slice before the body meets its oracle.
+func (b *Hist1DBody) setHist() {
+	if b.Counts == nil {
+		b.Counts = []uint64{}
+	}
+	b.hist = &histogram.Hist1D{Var: b.Var, Edges: b.Edges, Counts: b.Counts}
+}
+
+// setHist is Hist1DBody.setHist for the 2D body.
+func (b *Hist2DBody) setHist() {
+	if b.Counts == nil {
+		b.Counts = []uint64{}
+	}
+	b.hist = &histogram.Hist2D{XVar: b.XVar, YVar: b.YVar, XEdges: b.XEdges, YEdges: b.YEdges, Counts: b.Counts}
 }
 
 // checkStoredAnswer encodes the answer part of the histogram body b points
@@ -200,8 +228,10 @@ func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
 	var answerErr error
 	switch b := b.(type) {
 	case *Hist1DBody:
+		b.setHist()
 		answer, answerErr = b.answerJSON()
 	case *Hist2DBody:
+		b.setHist()
 		answer, answerErr = b.answerJSON()
 	default:
 		t.Fatalf("checkStoredAnswer: %T is not a histogram body", b)
@@ -335,7 +365,7 @@ func TestHistBodyJSONRandom(t *testing.T) {
 }
 
 // TestHistBodyJSONCases pins the named edge cases: HTML-escaped plans, −0
-// and the 1e-6 / 1e21 format switches, nil versus empty slices, and a
+// and the 1e-6 / 1e21 format switches, nil versus empty edges, and a
 // ResponseMeta with every optional field set.
 func TestHistBodyJSONCases(t *testing.T) {
 	meta := ResponseMeta{
@@ -365,6 +395,7 @@ func TestHistBodyJSONCases(t *testing.T) {
 func TestWriteBodyEncodeBeforeStatus(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/", nil)
 	stored := Hist2DBody{Plan: "x < 1 && y > 2", XEdges: []float64{0, 1}, YEdges: []float64{0, 1}, Counts: []uint64{4}}
+	stored.setHist()
 	answer, err := stored.answerJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +415,7 @@ func TestWriteBodyEncodeBeforeStatus(t *testing.T) {
 		}
 	}
 	o := &op{answer: func(res *plan.Result) ([]byte, error) {
-		b := Hist2DBody{XEdges: res.Hist2.XEdges, YEdges: res.Hist2.YEdges, Counts: res.Hist2.Counts}
+		b := Hist2DBody{XEdges: res.Hist2.XEdges, YEdges: res.Hist2.YEdges, hist: res.Hist2}
 		return b.answerJSON()
 	}}
 	nan := &plan.Result{Hist2: &histogram.Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{math.NaN(), 1}, Counts: []uint64{1}}}
@@ -450,6 +481,7 @@ func BenchmarkWriteBody(b *testing.B) {
 				body.Counts[i] = uint64(rng.ExpFloat64() * 40)
 			}
 		}
+		body.setHist()
 		if c.merge {
 			body.hist = &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges}
 			for k := 0; k < 3; k++ {

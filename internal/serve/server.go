@@ -974,7 +974,7 @@ func (s *Server) noteScatter(res *plan.Result) {
 // target.
 func (s *Server) execPlan(ctx context.Context, req *request, pq plan.Query) (*plan.Result, error) {
 	m, r, policy := s.planTarget(map[int]*fastquery.Step{req.t: req.st})
-	res, err := plan.Execute(ctx, pq, m, req.st.Rows(), r, policy)
+	res, err := plan.ExecuteCells(ctx, pq, m, req.st.Rows(), r, policy)
 	s.noteScatter(res)
 	return res, err
 }

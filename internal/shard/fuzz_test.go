@@ -178,9 +178,9 @@ func planQuery(in *planBytes) plan.Query {
 	return q
 }
 
-// planAnswer renders a result's answer as the client sees it, its
-// histograms dense: its JSON, or, for an answer JSON cannot carry (a NaN
-// or infinite edge), every value printed exactly, signed zeros included.
+// planAnswer renders a result's answer as the client sees it: its JSON,
+// or, for an answer JSON cannot carry (a NaN or infinite edge), every
+// value printed exactly, signed zeros included.
 func planAnswer(res *plan.Result, err error) string {
 	if err != nil {
 		return "error"
@@ -190,7 +190,7 @@ func planAnswer(res *plan.Result, err error) string {
 		Sel   []uint64
 		Hist1 *histogram.Hist1D
 		Hist2 *histogram.Hist2D
-	}{res.Count, res.Sel, dense1(res.Hist1), dense2(res.Hist2)}
+	}{res.Count, res.Sel, res.Hist1, res.Hist2}
 	if b, err := json.Marshal(answer); err == nil {
 		return string(b)
 	}

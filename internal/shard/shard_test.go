@@ -198,11 +198,11 @@ func TestScatterIdentity(t *testing.T) {
 						if got.Count != want.Count {
 							t.Fatalf("shards=%d step=%d: count %d != %d", shards, step, got.Count, want.Count)
 						}
-						if !reflect.DeepEqual(dense1(got.Hist1), dense1(want.Hist1)) {
+						if !reflect.DeepEqual(got.Hist1, want.Hist1) {
 							t.Fatalf("shards=%d step=%d: hist1 mismatch\n got %+v\nwant %+v",
-								shards, step, dense1(got.Hist1), dense1(want.Hist1))
+								shards, step, got.Hist1, want.Hist1)
 						}
-						if !reflect.DeepEqual(dense2(got.Hist2), dense2(want.Hist2)) {
+						if !reflect.DeepEqual(got.Hist2, want.Hist2) {
 							t.Fatalf("shards=%d step=%d: hist2 mismatch", shards, step)
 						}
 					}
@@ -248,21 +248,4 @@ func TestUnknownDatasetFatal(t *testing.T) {
 	if err == nil || !fastquery.IsFatal(err) {
 		t.Fatalf("unknown dataset err = %v, want fatal", err)
 	}
-}
-
-// dense1 is h's Dense form, for comparing answers whatever form they are
-// in; nil stays nil.
-func dense1(h *histogram.Hist1D) *histogram.Hist1D {
-	if h == nil {
-		return nil
-	}
-	return h.Dense()
-}
-
-// dense2 is dense1 for 2D histograms.
-func dense2(h *histogram.Hist2D) *histogram.Hist2D {
-	if h == nil {
-		return nil
-	}
-	return h.Dense()
 }
