@@ -21,9 +21,10 @@ const GridPoolBytes = 32 << 20
 const gridClasses = 2*12 + 1
 
 // pool keeps all-zero uint32 count grids for reuse, in power-of-two size
-// classes. Every grid in it is all-zero, and so is every grid it hands
-// out: whoever takes one zeroes what it wrote before it puts the grid
-// back, whatever happened in between. Pooled grids never leave this
+// classes; a sparse binning takes its cell indices and their sort scratch
+// from it too. Every grid in it is all-zero, and so is every grid it
+// hands out: whoever takes one zeroes what it wrote before it puts the
+// grid back, whatever happened in between. Pooled grids never leave this
 // package, so a grid nobody returns is garbage, not an alias. (A count
 // that needs uint64 cells — 2³² pairs or more — takes a fresh grid.)
 var pool struct {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,9 @@ func (c *cancelAfter) Err() error {
 
 // TestGridPoolStaysZero: every grid the pool hands out is all-zero — after
 // the grid binned a partial and was encoded, after a binning cancelled at
-// a checkpoint, and after AppendCountsJSON expanded a merge into it — with
+// a checkpoint, after a sparse binning's cell indices and sort scratch
+// were used, finished or cancelled, and after AppendCountsJSON expanded a
+// merge into it — with
 // eight goroutines taking and returning grids at once, and the pool never
 // holds more than GridPoolBytes.
 func TestGridPoolStaysZero(t *testing.T) {
@@ -106,17 +109,21 @@ func TestGridPoolStaysZero(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				switch (w + i) % 3 {
-				case 0: // bin and encode
-					h, err := compute2D(context.Background(), "x", "y", xs, ys, xe, ye, false)
-					if err != nil || h.Total() != want.Total() {
-						errs <- fmt.Errorf("pooled binning: total %d, want %d (%v)", h.Total(), want.Total(), err)
-						return
+				case 0: // bin and encode, through the grid and sparse
+					for _, sparse := range []bool{false, true} {
+						h, err := compute2D(context.Background(), "x", "y", xs, ys, xe, ye, sparse)
+						if err != nil || !slices.Equal(h.Dense().Counts, want.Counts) {
+							errs <- fmt.Errorf("pooled binning (sparse %v): total %d, want %d (%v)", sparse, h.Total(), want.Total(), err)
+							return
+						}
 					}
 				case 1: // cancelled with a checkpoint's worth binned
-					ctx := &cancelAfter{Context: context.Background(), n: 1}
-					if _, err := compute2D(ctx, "x", "y", xs, ys, xe, ye, false); err != context.Canceled {
-						errs <- fmt.Errorf("cancelled binning returned %v", err)
-						return
+					for _, sparse := range []bool{false, true} {
+						ctx := &cancelAfter{Context: context.Background(), n: 1}
+						if _, err := compute2D(ctx, "x", "y", xs, ys, xe, ye, sparse); err != context.Canceled {
+							errs <- fmt.Errorf("cancelled binning (sparse %v) returned %v", sparse, err)
+							return
+						}
 					}
 				case 2: // merge and write as JSON
 					sum := &Hist2D{XEdges: xe, YEdges: ye}
@@ -131,7 +138,7 @@ func TestGridPoolStaysZero(t *testing.T) {
 						return
 					}
 				}
-				gs := [][]uint32{getGrid(n), getGrid(n)}
+				gs := [][]uint32{getGrid(n), getGrid(n), getGrid(pairs), getGrid(pairs)}
 				for _, g := range gs {
 					if i := firstNonZero(g[:cap(g)]); i >= 0 {
 						errs <- fmt.Errorf("the pool handed out a grid holding %d at cell %d", g[i], i)

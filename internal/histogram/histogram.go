@@ -590,10 +590,21 @@ func binEncode[T uint32 | uint64](ctx context.Context, g []T, lx, ly *Locator, x
 }
 
 // binSparse bins the pairs as the cell index of each, then encodes those
-// for a grid of n cells.
+// for a grid of n cells. The indices and the sort's scratch are pooled
+// grids, cleared where they were written before they go back, so the
+// encoding is all a sparse binning allocates.
 func binSparse(ctx context.Context, n int, lx, ly *Locator, xs, ys []float64) (encoding, error) {
+	if len(xs) == 0 {
+		return encodeCells(n, nil, nil), nil
+	}
 	nx := lx.Bins()
-	idx := make([]uint32, 0, len(xs))
+	idx, tmp, k := getGrid(len(xs)), getGrid(len(xs)), 0
+	defer func() {
+		clear(idx[:k])
+		clear(tmp[:k])
+		putGrid(idx)
+		putGrid(tmp)
+	}()
 	for i := range xs {
 		if i&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
@@ -608,25 +619,31 @@ func binSparse(ctx context.Context, n int, lx, ly *Locator, xs, ys []float64) (e
 		if iy < 0 {
 			continue
 		}
-		idx = append(idx, uint32(iy*nx+ix))
+		idx[k] = uint32(iy*nx + ix)
+		k++
 	}
-	return encodeCells(n, idx), nil
+	return encodeCells(n, idx[:k], tmp[:k]), nil
 }
 
 // encodeCells returns the compact count encoding of a grid of n cells
-// given the cell index of every binned value, in any order: sorted, equal
-// indices are one cell's count. The encoding is canonical, so it is the
-// bytes appendGrid writes for the dense counts.
-func encodeCells(n int, idx []uint32) encoding {
-	idx = sortCells(idx, n)
-	runs := 0
-	for i := range idx {
-		if i == 0 || idx[i] != idx[i-1] {
-			runs++
+// given the cell index of every binned value, in any order, and scratch
+// of the same length for the sort: sorted, equal indices are one cell's
+// count. The encoding is canonical, so it is the bytes appendGrid writes
+// for the dense counts.
+func encodeCells(n int, idx, tmp []uint32) encoding {
+	idx = sortCells(idx, tmp, n)
+	// Each run of equal indices is a cell, written as its gap and its
+	// count: one walk over the runs sizes the encoding exactly, a second
+	// writes it.
+	size := uvarintLen(uint64(n)) + 1
+	for i, prev := 0, -1; i < len(idx); {
+		j := i + 1
+		for j < len(idx) && idx[j] == idx[i] {
+			j++
 		}
+		size += uvarintLen(uint64(int(idx[i])-prev)) + uvarintLen(uint64(j-i))
+		prev, i = int(idx[i]), j
 	}
-	// A gap is at most n and a count at most len(idx).
-	size := uvarintLen(uint64(n)) + runs*(uvarintLen(uint64(n))+uvarintLen(uint64(len(idx)))) + 1
 	cells := binary.AppendUvarint(make([]byte, 0, size), uint64(n))
 	prev := -1
 	for i := 0; i < len(idx); {
@@ -642,10 +659,10 @@ func encodeCells(n int, idx []uint32) encoding {
 }
 
 // sortCells sorts cell indices below n, a byte a pass from the lowest
-// (an LSD radix sort: two passes for a 256² grid, three for 1024²), and
-// returns the sorted slice, idx or a scratch one.
-func sortCells(idx []uint32, n int) []uint32 {
-	tmp := make([]uint32, len(idx))
+// (an LSD radix sort: two passes for a 256² grid, three for 1024²),
+// through tmp, which is as long as idx, and returns the sorted slice, idx
+// or tmp.
+func sortCells(idx, tmp []uint32, n int) []uint32 {
 	for shift := 0; (n-1)>>shift > 0; shift += 8 {
 		var at [257]int
 		for _, c := range idx {

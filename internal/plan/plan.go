@@ -185,7 +185,7 @@ type FragmentResult struct {
 }
 
 // CacheEntryOverhead is the fixed cost of one cached answer, whatever its
-// payload: the list element, the map slot, the entry and result structs and
+// payload: the store entry, the map slot, the result struct and
 // the histogram and slice headers. Without it a stream of count-only
 // answers, charged ~50 key bytes apiece, would admit a million entries.
 const CacheEntryOverhead = 256

@@ -24,7 +24,7 @@ type FragProfile struct {
 	Rows  [2]int `json:"rows"` // row range [lo, hi); [0,0] = whole step
 
 	Cached      bool   `json:"cached,omitempty"`       // answered without evaluation
-	CacheSource string `json:"cache_source,omitempty"` // "fragment" for the shard LRU
+	CacheSource string `json:"cache_source,omitempty"` // "fragment" for the shard fragment cache
 
 	Cost   obs.CostSnapshot `json:"cost"`
 	EvalMS float64          `json:"eval_ms"`           // shard-side evaluation wall time

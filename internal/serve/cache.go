@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -46,15 +45,20 @@ type CacheStats struct {
 	Inflight  int    `json:"inflight"`
 	Entries   int    `json:"entries"`
 	Bytes     int    `json:"bytes"` // what the entries are charged, see entrySize
+	// ProtectedBytes is the part of Bytes that was hit since it was
+	// stored (plan.Store): about the panel set on a dashboard, about 0 on
+	// a stream that never repeats.
+	ProtectedBytes int `json:"protected_bytes"`
 }
 
-// Cache is a byte-bounded LRU result cache with request coalescing: when
+// Cache is a byte-bounded result cache with request coalescing: when
 // several goroutines ask for the same key concurrently, exactly one runs
 // the compute function and the rest wait for its result. Results are
 // cached only on success; errors propagate to every waiter and leave no
-// entry behind. Each stored result is charged its entrySize, and least
-// recently used entries go while the total is over the budget: one dense
-// 4096² histogram weighs as much as 256 panels of 256².
+// entry behind. Each stored result is charged its entrySize in a
+// plan.Store: a new answer waits in probation, an eighth of the budget,
+// and a hit (Do or Peek) promotes it, so only answers asked for again
+// hold the rest of the budget.
 //
 // Flights are detached from their initiating request: fn runs in its own
 // goroutine under a flight-owned context, so one waiter's cancellation
@@ -63,20 +67,11 @@ type CacheStats struct {
 // it — that is what lets a disconnected client release backend capacity
 // without poisoning anyone else.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int
-	bytes    int        // sum of the entries' sizes
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	flights  map[string]*flight
+	mu      sync.Mutex
+	store   *plan.Store
+	flights map[string]*flight
 
-	hits, misses, evictions, coalesced, abandoned uint64
-}
-
-type cacheEntry struct {
-	key  string
-	val  any
-	size int
+	hits, misses, coalesced, abandoned uint64
 }
 
 // flight is one in-progress computation. waiters counts the requests that
@@ -94,12 +89,7 @@ type flight struct {
 // NewCache creates a cache holding results up to maxBytes in total.
 // maxBytes <= 0 disables storage (coalescing still works).
 func NewCache(maxBytes int) *Cache {
-	return &Cache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-		flights:  map[string]*flight{},
-	}
+	return &Cache{store: plan.NewStore(maxBytes), flights: map[string]*flight{}}
 }
 
 // entrySize is what val costs stored under key: plan.Result.CacheBytes,
@@ -119,10 +109,8 @@ func entrySize(key string, val any) int {
 // soon as ctx is done, with ctx's error.
 func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if val, ok := c.store.Hit(key); ok {
 		c.hits++
-		val := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
@@ -146,20 +134,17 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 }
 
 // Peek returns the cached value for key without computing or coalescing:
-// a pure lookup that costs one mutex hold. Hits count and refresh recency
-// like Do hits. The admission layer uses it to let cached-key probes
-// bypass the gate, and the brownout ladder to find a coarser resolution
-// already resident.
+// a pure lookup. Hits count and promote like Do hits. The admission
+// layer uses it to let cached-key probes bypass the gate, and the
+// brownout ladder to find a coarser resolution already resident.
 func (c *Cache) Peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	val, ok := c.store.Hit(key)
+	if ok {
+		c.mu.Lock()
+		c.hits++
+		c.mu.Unlock()
 	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*cacheEntry).val, true
+	return val, ok
 }
 
 // run executes fn under the flight context and publishes its result.
@@ -171,32 +156,13 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(ctx con
 	f.val, f.err = val, err
 	delete(c.flights, key)
 	if err == nil && cacheable(val) {
-		c.store(key, val)
+		// A result larger than the whole budget is served to its waiters
+		// but not stored.
+		c.store.Put(key, val, entrySize(key, val))
 	}
 	c.mu.Unlock()
 	close(f.done)
 	f.cancel() // release the flight context's resources
-}
-
-// store adds val under key, evicting least recently used entries while
-// over budget. A result larger than the whole budget is served to its
-// waiters but not stored. c.mu is held; no entry exists under key, since
-// only the key's one flight stores it.
-func (c *Cache) store(key string, val any) {
-	size := entrySize(key, val)
-	if size > c.maxBytes {
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, size: size})
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, e.key)
-		c.bytes -= e.size
-		c.evictions++
-	}
 }
 
 // cacheable reports whether a computed value may be stored. Partial
@@ -230,16 +196,18 @@ func (c *Cache) wait(ctx context.Context, f *flight, outcome Outcome) (any, Outc
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats {
+	st := c.store.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Coalesced: c.coalesced,
-		Abandoned: c.abandoned,
-		Inflight:  len(c.flights),
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
+		Hits:           c.hits,
+		Misses:         c.misses,
+		Evictions:      st.Evictions,
+		Coalesced:      c.coalesced,
+		Abandoned:      c.abandoned,
+		Inflight:       len(c.flights),
+		Entries:        st.Entries,
+		Bytes:          st.Bytes,
+		ProtectedBytes: st.ProtectedBytes,
 	}
 }

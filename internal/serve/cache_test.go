@@ -18,6 +18,9 @@ import (
 // values are not plan results: each costs the fixed overhead and its key.
 func oneByteKeys(n int) int { return n * (plan.CacheEntryOverhead + 1) }
 
+// TestCacheHitAndEvict: a new answer waits in probation, where the next
+// new one evicts it, while an answer hit once is promoted and survives
+// them.
 func TestCacheHitAndEvict(t *testing.T) {
 	c := NewCache(oneByteKeys(2))
 	get := func(key string) (any, Outcome) {
@@ -34,16 +37,22 @@ func TestCacheHitAndEvict(t *testing.T) {
 		t.Fatalf("second lookup outcome %v, want Hit", o)
 	}
 	get("b")
-	get("c") // evicts a (LRU)
-	if _, o := get("a"); o != Computed {
+	get("c") // evicts b from probation; a, hit once, is protected
+	if _, o := get("a"); o != Hit {
+		t.Fatalf("promoted key outcome %v, want Hit", o)
+	}
+	if _, o := get("b"); o != Computed {
 		t.Fatalf("evicted key outcome %v, want Computed", o)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Evictions < 1 || st.Entries != 2 {
+	if st.Hits != 2 || st.Evictions < 1 || st.Entries != 2 || st.ProtectedBytes != oneByteKeys(1) {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
+// TestCacheLRUOrder: the answers hit since they were stored are kept in
+// least recently used order, and the least recently hit one is what an
+// over-full cache lets go.
 func TestCacheLRUOrder(t *testing.T) {
 	c := NewCache(oneByteKeys(2))
 	do := func(key string) Outcome {
@@ -51,9 +60,11 @@ func TestCacheLRUOrder(t *testing.T) {
 		return o
 	}
 	do("a")
+	do("a") // promote a
 	do("b")
+	do("b") // promote b; a is now LRU
 	do("a") // refresh a; b is now LRU
-	do("c") // should evict b, keep a
+	do("c") // overflows: b drops back to probation and goes, a stays
 	if o := do("a"); o != Hit {
 		t.Fatalf("a outcome %v, want Hit (b should have been evicted)", o)
 	}
@@ -282,17 +293,14 @@ func hist2(n int) *plan.Result {
 	}}
 }
 
-// storedBytes sums the sizes of the entries the cache holds.
-func storedBytes(c *Cache) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// storedBytes sums what the resident ones of keys are charged by
+// entrySize. Its reads do not promote.
+func storedBytes(c *Cache, keys map[string]bool) int {
 	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.size != entrySize(e.key, e.val) {
-			panic("entry charged a stale size")
+	for key := range keys {
+		if val, ok := c.store.Get(key); ok {
+			n += entrySize(key, val)
 		}
-		n += e.size
 	}
 	return n
 }
@@ -305,6 +313,7 @@ func TestCacheBytesNeverExceedBudget(t *testing.T) {
 	const budget = 1 << 20
 	c := NewCache(budget)
 	rng := rand.New(rand.NewSource(1))
+	keys := map[string]bool{}
 	for i := 0; i < 400; i++ {
 		var res *plan.Result
 		switch rng.Intn(4) {
@@ -318,16 +327,17 @@ func TestCacheBytesNeverExceedBudget(t *testing.T) {
 			res = hist2(512) // 2 MiB: over the budget
 		}
 		key := fmt.Sprintf("k%d", rng.Intn(150))
+		keys[key] = true
 		v, _, err := c.Do(context.Background(), key, func(context.Context) (any, error) { return res, nil })
 		if err != nil || v == nil {
 			t.Fatalf("request %d: %v %v", i, v, err)
 		}
 		st := c.Stats()
-		if st.Bytes > budget || st.Bytes != storedBytes(c) {
-			t.Fatalf("request %d: %d bytes stored (entries sum to %d), budget %d", i, st.Bytes, storedBytes(c), budget)
+		if sum := storedBytes(c, keys); st.Bytes > budget || st.Bytes != sum {
+			t.Fatalf("request %d: %d bytes stored (entries sum to %d), budget %d", i, st.Bytes, sum, budget)
 		}
 	}
-	if st := c.Stats(); st.Entries == 0 || st.Evictions == 0 {
+	if st := c.Stats(); st.Entries == 0 || st.Evictions == 0 || st.ProtectedBytes == 0 {
 		t.Fatalf("stream neither filled nor cycled the cache: %+v", st)
 	}
 }
@@ -335,7 +345,8 @@ func TestCacheBytesNeverExceedBudget(t *testing.T) {
 // TestCacheServesButSkipsOversized: at the server's default budget, a
 // 4096² answer (MaxBins2D per axis, 128 MiB of counts) is served to its
 // caller but not stored, and storing it evicts nothing — while the 48
-// 256² panels of a dashboard all stay resident.
+// dense 256² panels of a dashboard, each hit once as it was drawn, all
+// stay resident in protected.
 func TestCacheServesButSkipsOversized(t *testing.T) {
 	c := NewCache(Config{}.withDefaults().CacheBytes)
 	do := func(key string, res *plan.Result) (any, Outcome) {
@@ -348,7 +359,11 @@ func TestCacheServesButSkipsOversized(t *testing.T) {
 	}
 	const panels = 48
 	for i := 0; i < panels; i++ {
-		do(fmt.Sprintf("panel %d", i), hist2(256))
+		key := fmt.Sprintf("panel %d", i)
+		do(key, hist2(256))
+		if _, o := do(key, nil); o != Hit {
+			t.Fatalf("%s: outcome %v, want Hit", key, o)
+		}
 	}
 	huge := hist2(histogram.MaxBins2D)
 	if v, o := do("huge", huge); o != Computed || v != huge {
@@ -365,8 +380,61 @@ func TestCacheServesButSkipsOversized(t *testing.T) {
 		}
 		want += hist2(256).CacheBytes(key)
 	}
-	if st := c.Stats(); st.Entries != panels || st.Evictions != 0 || st.Bytes != want {
-		t.Fatalf("stats %+v, want %d entries of %d bytes in all", st, panels, want)
+	if st := c.Stats(); st.Entries != panels || st.Evictions != 0 || st.Bytes != want || st.ProtectedBytes != want {
+		t.Fatalf("stats %+v, want %d protected entries of %d bytes in all", st, panels, want)
+	}
+}
+
+// panel is a dashboard answer as the server stores it: its encoded JSON,
+// about 90 KB for a 256² panel.
+func panel() *plan.Result { return &plan.Result{Answer: make([]byte, 90<<10)} }
+
+// TestCacheKeepsHitPanelsThroughFlood: the 48 panels of a dashboard are
+// drawn once each, the head of the Zipf curve is hit, and then a flood of
+// answers asked for once each — every one of them larger than probation
+// — passes through. Every panel hit before the flood is still a hit
+// after it; only the panels never hit, which waited in probation, are
+// computed again.
+func TestCacheKeepsHitPanelsThroughFlood(t *testing.T) {
+	c := NewCache(Config{}.withDefaults().CacheBytes)
+	do := func(key string, res *plan.Result) Outcome {
+		t.Helper()
+		_, o, err := c.Do(context.Background(), key, func(context.Context) (any, error) { return res, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	const panels, hot = 48, 24
+	protected := 0
+	for i := 0; i < panels; i++ {
+		do(fmt.Sprintf("panel %d", i), panel())
+	}
+	for i := 0; i < hot; i++ {
+		key := fmt.Sprintf("panel %d", i)
+		if o := do(key, nil); o != Hit {
+			t.Fatalf("%s before the flood: outcome %v, want Hit", key, o)
+		}
+		protected += panel().CacheBytes(key)
+	}
+	big := hist2(1024) // 8 MiB of counts: over probation's eighth of 64 MiB
+	if budget := (Config{}).withDefaults().CacheBytes; big.CacheBytes("once 0") <= budget/8 {
+		t.Fatal("flood answer fits in probation")
+	}
+	for i := 0; i < 40; i++ {
+		do(fmt.Sprintf("once %d", i), big)
+		if st := c.Stats(); st.ProtectedBytes != protected {
+			t.Fatalf("flood %d: %d protected bytes, want %d", i, st.ProtectedBytes, protected)
+		}
+	}
+	for i := 0; i < panels; i++ {
+		key, want := fmt.Sprintf("panel %d", i), Hit
+		if i >= hot {
+			want = Computed
+		}
+		if o := do(key, panel()); o != want {
+			t.Fatalf("%s after the flood: outcome %v, want %v", key, o, want)
+		}
 	}
 }
 

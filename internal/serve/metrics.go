@@ -40,7 +40,7 @@ func newServerMetrics(reg *obs.Registry, cache *Cache, gate *Gate) *serverMetric
 		"Result-cache lookups that ran the compute function.",
 		func() uint64 { return cache.Stats().Misses })
 	reg.CounterFunc("serve_cache_evictions_total",
-		"Result-cache entries evicted by the LRU bound.",
+		"Result-cache entries evicted by the byte budget.",
 		func() uint64 { return cache.Stats().Evictions })
 	reg.CounterFunc("serve_cache_coalesced_total",
 		"Lookups that waited on an identical in-flight computation.",

@@ -531,11 +531,17 @@ func TestStatsEndpointShape(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	get(t, ts, "/v1/query?q="+url.QueryEscape("px > 2e9"), nil)
 	get(t, ts, "/v1/query?q="+url.QueryEscape("px > 2e9"), nil)
+	get(t, ts, "/v1/query?q="+url.QueryEscape("px > 3e9"), nil)
 	var st StatsBody
-	if code, body := get(t, ts, "/v1/stats", &st); code != 200 {
+	code, body := get(t, ts, "/v1/stats", &st)
+	if code != 200 {
 		t.Fatalf("stats: %d %s", code, body)
 	}
 	if st.Cache.Misses == 0 || st.Cache.Hits == 0 || st.BackendCalls == 0 || st.Admission.Admitted == 0 {
 		t.Fatalf("stats body: %+v", st)
+	}
+	// The repeated query was promoted, the one asked once was not.
+	if !strings.Contains(body, `"protected_bytes":`) || st.Cache.ProtectedBytes == 0 || st.Cache.ProtectedBytes >= st.Cache.Bytes {
+		t.Fatalf("cache stats %+v", st.Cache)
 	}
 }

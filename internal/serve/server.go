@@ -32,7 +32,9 @@ import (
 // entirely.
 type Config struct {
 	// CacheBytes bounds the bytes the result cache stores, each result
-	// charged by plan.Result.CacheBytes. 0 means the default
+	// charged by plan.Result.CacheBytes. A new result may hold an eighth
+	// of it until a hit promotes it to the rest (plan.Store), so answers
+	// asked for once never fill it. 0 means the default
 	// (shard.FragCacheBytes, 64 MiB); negative disables storage
 	// (coalescing still applies).
 	CacheBytes int

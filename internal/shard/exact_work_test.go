@@ -230,3 +230,78 @@ func TestSharedSelection(t *testing.T) {
 		t.Fatalf("uncached executor: err=%v, answer equal=%v", err, reflect.DeepEqual(res, want))
 	}
 }
+
+// shardedCost is costRunner with one executor per shard, as a fleet
+// runs: each shard's fragments share only that shard's fragment cache.
+type shardedCost struct {
+	exs   []*shard.Executor
+	mu    sync.Mutex
+	frags []fragCost
+}
+
+func (r *shardedCost) RunFragment(ctx context.Context, i int, f plan.Fragment) (*plan.FragmentResult, error) {
+	var c obs.Cost
+	res, _, err := r.exs[i].RunCached(obs.WithCost(ctx, &c), f)
+	r.mu.Lock()
+	r.frags = append(r.frags, fragCost{op: f.Op, cost: c.Snapshot()})
+	r.mu.Unlock()
+	return res, err
+}
+
+// TestHandoffStaysInProbation: a stream of distinct two-phase histograms
+// on 3 shards, over caches whose probation holds a few requests' handoffs
+// but not the stream's, promotes nothing — every shard's protected bytes
+// stay 0 — and still evaluates each selection exactly once: phase 1
+// selects and gathers, and phase 2 reads what it kept, charging no
+// selection work and reading no values.
+func TestHandoffStaysInProbation(t *testing.T) {
+	const shards, n, budget = 3, 24, 256 << 10
+	rows, px := stepColumn(t, 1, "px")
+	r := &shardedCost{}
+	for i := 0; i < shards; i++ {
+		ex := shard.NewExecutor(budget)
+		if err := ex.AddDataset("lwfa", testDataDir(t)); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ex.Close() })
+		r.exs = append(r.exs, ex)
+	}
+	for i := 0; i < n; i++ {
+		cut := px[len(px)*(60+i)/100]
+		q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1,
+			Query: canonical(t, fmt.Sprintf("px > %g", cut)), Backend: fastquery.FastBit,
+			Spec2: histogram.NewSpec2D("x", "px", 16, 16)}
+		r.frags = r.frags[:0]
+		if _, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast); err != nil {
+			t.Fatal(err)
+		}
+		var phase1, phase2 obs.CostSnapshot
+		for _, f := range r.frags {
+			switch f.op {
+			case plan.FragMinMax:
+				phase1.Add(f.cost)
+			case plan.FragHist2D:
+				phase2.Add(f.cost)
+			default:
+				t.Fatalf("request %d ran a %v fragment", i, f.op)
+			}
+		}
+		if phase1.CandidateChecks+phase1.BitmapOps == 0 || phase1.ValuesRead == 0 {
+			t.Fatalf("request %d: phase 1 cost %+v, want a selection and gathers", i, phase1)
+		}
+		if phase2.CandidateChecks != 0 || phase2.BitmapOps != 0 || phase2.Rows != 0 || phase2.ValuesRead != 0 {
+			t.Fatalf("request %d: phase 2 cost %+v, want none: its handoff was recomputed", i, phase2)
+		}
+	}
+	for i, ex := range r.exs {
+		st := ex.Stats()
+		if st.CacheProtectedBytes != 0 || st.Evals != 2*n || st.CacheHits != 0 {
+			t.Fatalf("shard %d: %+v, want %d evaluations, no hit, nothing protected", i, st, 2*n)
+		}
+		// Five entries a request (both phases' results, the selection
+		// and two gathered columns): probation cycled.
+		if st.CacheEntries >= 5*n || st.CacheBytes > budget {
+			t.Fatalf("shard %d: %d entries of %d bytes: probation never cycled", i, st.CacheEntries, st.CacheBytes)
+		}
+	}
+}

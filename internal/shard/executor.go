@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -37,17 +36,30 @@ type ExecStats struct {
 	CacheHits    uint64
 	CacheMisses  uint64
 	CacheEntries int
+	CacheBytes   int // what the entries are charged in all
+	// CacheProtectedBytes is the part of CacheBytes that a requested
+	// fragment hit since it was stored (plan.Store): about 0 when no
+	// fragment repeats, however many two-phase handoffs pass through.
+	CacheProtectedBytes int
 }
 
 // Executor evaluates plan fragments over locally opened datasets, with a
-// shard-local LRU of fragment results keyed by the canonical fragment
-// key. Hot steps — repeated drill-downs over the same
-// fragment — are answered without touching the data at all.
+// shard-local cache of fragment results keyed by the canonical fragment
+// key. Hot steps — repeated drill-downs over the same fragment — are
+// answered without touching the data at all.
+//
+// The cache is a plan.Store, which promotes an entry only on a
+// request-level hit: Peek or RunCached on the requested fragment's key.
+// The two-phase handoff — the selection and the columns gathered at it,
+// read by phase 2 — is an internal read that never promotes, so it lives
+// and dies in probation. The store has no singleflight: the frontend's
+// result cache already coalesces identical client requests, so duplicate
+// fragment evaluations are rare.
 type Executor struct {
 	mu       sync.Mutex
 	datasets map[string]*exDataset
 
-	cache *fragCache
+	cache *plan.Store
 
 	evals, hits, misses atomic.Uint64
 }
@@ -67,7 +79,7 @@ const FragCacheBytes = 64 << 20
 func NewExecutor(cacheBytes int) *Executor {
 	return &Executor{
 		datasets: map[string]*exDataset{},
-		cache:    newFragCache(cacheBytes),
+		cache:    plan.NewStore(cacheBytes),
 	}
 }
 
@@ -126,7 +138,7 @@ func (e *Executor) step(dataset string, t int) (*fastquery.Step, error) {
 // anything; the RPC service uses it to answer hot fragments ahead of
 // admission control, mirroring the serve layer's cached-probe bypass.
 func (e *Executor) Peek(f plan.Fragment) (*plan.FragmentResult, bool) {
-	res, ok := e.cache.get(f.Key())
+	res, ok := fragResult(e.cache.Hit(f.Key()))
 	if ok {
 		e.hits.Add(1)
 		metricFragHits.Inc()
@@ -135,8 +147,9 @@ func (e *Executor) Peek(f plan.Fragment) (*plan.FragmentResult, bool) {
 }
 
 // Run evaluates one fragment, answering from the shard-local cache when
-// possible. Cached results are shared and must be treated as read-only —
-// the planner's merge clones before mutating.
+// possible. Cached results are shared and must be treated as read-only;
+// the planner's merge never mutates a partial (it appends the partials'
+// count encodings to the merged answer's own list).
 func (e *Executor) Run(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, error) {
 	res, _, err := e.RunCached(ctx, f)
 	return res, err
@@ -147,7 +160,7 @@ func (e *Executor) Run(ctx context.Context, f plan.Fragment) (*plan.FragmentResu
 // correctly charged zero cost).
 func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, bool, error) {
 	key := f.Key()
-	if res, ok := e.cache.get(key); ok {
+	if res, ok := fragResult(e.cache.Hit(key)); ok {
 		e.hits.Add(1)
 		metricFragHits.Inc()
 		return res, true, nil
@@ -166,7 +179,8 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 		// them from one FragSelect entry, which a session select over the
 		// same range shares too, and gather each column at them once:
 		// phase 1 keeps what it gathers beside the selection, and phase 2
-		// bins it. An evicted entry is just recomputed.
+		// bins it. Both read these entries without promoting them. An
+		// evicted entry is just recomputed.
 		var sel *plan.FragmentResult
 		if sel, err = e.selection(ctx, st, sf); err == nil {
 			rows := fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.cache, key: sf.Key()}}
@@ -178,24 +192,30 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	if err != nil {
 		return nil, false, err
 	}
-	e.cache.put(key, res)
+	e.cache.Put(key, res, res.CacheBytes(key))
 	return res, false, nil
 }
 
 // selection answers the shared FragSelect sf from the fragment cache or
 // evaluates it there. It is not a requested fragment, so it moves none of
-// the hit, miss and evaluation counters.
+// the hit, miss and evaluation counters and promotes nothing.
 func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fragment) (*plan.FragmentResult, error) {
 	key := sf.Key()
-	if res, ok := e.cache.get(key); ok {
+	if res, ok := fragResult(e.cache.Get(key)); ok {
 		return res, nil
 	}
 	res, err := Eval(ctx, st, sf)
 	if err != nil {
 		return nil, err
 	}
-	e.cache.put(key, res)
+	e.cache.Put(key, res, res.CacheBytes(key))
 	return res, nil
+}
+
+// fragResult is a store lookup's value as a fragment result.
+func fragResult(v any, ok bool) (*plan.FragmentResult, bool) {
+	res, _ := v.(*plan.FragmentResult)
+	return res, ok && res != nil
 }
 
 // gathered keeps the columns gathered at a cached selection's positions
@@ -203,21 +223,21 @@ func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fr
 // name and charged its 8 bytes a value. Like the selection, a column
 // evicted is just gathered again.
 type gathered struct {
-	c   *fragCache
+	c   *plan.Store
 	key string // the FragSelect's key
 }
 
 func (g gathered) entry(name string) string { return g.key + "\x1egather\x1f" + name }
 
 func (g gathered) Column(name string) ([]float64, bool) {
-	v, ok := g.c.load(g.entry(name))
+	v, ok := g.c.Get(g.entry(name))
 	vs, _ := v.([]float64)
 	return vs, ok && vs != nil
 }
 
 func (g gathered) Keep(name string, vals []float64) {
 	key := g.entry(name)
-	g.c.store(key, vals, plan.CacheEntryOverhead+len(key)+8*cap(vals))
+	g.c.Put(key, vals, plan.CacheEntryOverhead+len(key)+8*cap(vals))
 }
 
 // selectionOf returns the FragSelect fragment whose positions a
@@ -245,13 +265,16 @@ func (e *Executor) Stats() ExecStats {
 		steps += d.src.Steps()
 	}
 	e.mu.Unlock()
+	st := e.cache.Stats()
 	return ExecStats{
-		Datasets:     datasets,
-		Steps:        steps,
-		Evals:        e.evals.Load(),
-		CacheHits:    e.hits.Load(),
-		CacheMisses:  e.misses.Load(),
-		CacheEntries: e.cache.len(),
+		Datasets:            datasets,
+		Steps:               steps,
+		Evals:               e.evals.Load(),
+		CacheHits:           e.hits.Load(),
+		CacheMisses:         e.misses.Load(),
+		CacheEntries:        st.Entries,
+		CacheBytes:          st.Bytes,
+		CacheProtectedBytes: st.ProtectedBytes,
 	}
 }
 
@@ -275,87 +298,4 @@ func (e *Executor) Close() error {
 	}
 	e.datasets = map[string]*exDataset{}
 	return first
-}
-
-// fragCache is a small mutex-guarded LRU of fragment results and the
-// columns gathered at cached selections, bounded by the bytes its entries
-// hold rather than their number: one dense 1024² histogram weighs as much
-// as sixteen 256² ones. It has no singleflight — the frontend's result
-// cache already coalesces identical client requests, so duplicate
-// fragment evaluations are rare.
-type fragCache struct {
-	mu      sync.Mutex
-	max     int // byte budget
-	bytes   int // sum of the entries' sizes
-	ll      *list.List
-	entries map[string]*list.Element
-}
-
-type fragEntry struct {
-	key  string
-	val  any // a *plan.FragmentResult, or a gathered []float64
-	size int
-}
-
-func newFragCache(maxBytes int) *fragCache {
-	return &fragCache{max: maxBytes, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-// get returns the fragment result cached under key.
-func (c *fragCache) get(key string) (*plan.FragmentResult, bool) {
-	v, ok := c.load(key)
-	res, _ := v.(*plan.FragmentResult)
-	return res, ok && res != nil
-}
-
-// put caches a fragment result under key, charged res.CacheBytes.
-func (c *fragCache) put(key string, res *plan.FragmentResult) {
-	c.store(key, res, res.CacheBytes(key))
-}
-
-func (c *fragCache) load(key string) (any, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*fragEntry).val, true
-}
-
-// store caches val, which costs size bytes, under key, evicting least
-// recently used entries while over budget. A value larger than the whole
-// budget is not cached.
-func (c *fragCache) store(key string, val any, size int) {
-	if c.max <= 0 || size > c.max {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*fragEntry)
-		c.bytes += size - e.size
-		e.val, e.size = val, size
-	} else {
-		c.entries[key] = c.ll.PushFront(&fragEntry{key: key, val: val, size: size})
-		c.bytes += size
-	}
-	for c.bytes > c.max {
-		el := c.ll.Back()
-		e := el.Value.(*fragEntry)
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-		c.bytes -= e.size
-	}
-}
-
-func (c *fragCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
