@@ -91,6 +91,7 @@ func TestWAHCompressionBeatsBitSetOnSparseData(t *testing.T) {
 	v.AppendRun(false, n/2)
 	v.AppendBit(true)
 	v.AppendRun(false, n/2-1)
+	v.Compact() // New reserved for n bits; SizeBytes counts that reserve
 	s := VectorToBitSet(v)
 	if v.SizeBytes()*100 > s.SizeBytes() {
 		t.Fatalf("WAH %dB not ≪ BitSet %dB", v.SizeBytes(), s.SizeBytes())

@@ -3,6 +3,7 @@ package bitmap
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -184,15 +185,40 @@ func checkWindows(t *testing.T, what string, v *Vector, ref []bool, data []byte)
 			win[i] = w[0]+uint64(i) < uint64(len(ref)) && ref[w[0]+uint64(i)]
 		}
 		checkBits(t, fmt.Sprintf("%s.OrInto(%d, %d).ToVector", what, w[0], w[1]), s.ToVector(), win)
+		checkWindowCut(t, what, v, ref, w[0], w[1], s)
+	}
+}
+
+// checkWindowCut checks the cut v.Window(lo, hi): it starts at lo's group
+// boundary, ends at hi clipped to Len, holds exactly the oracle's bits
+// there in compact words, and its window decode at [lo, hi) translated by
+// its first position equals want, v's own decode at [lo, hi).
+func checkWindowCut(t *testing.T, what string, v *Vector, ref []bool, lo, hi uint64, want *BitSet) {
+	t.Helper()
+	cut, first := v.Window(lo, hi)
+	end := min(hi, v.Len())
+	if at := min(lo, end); first != at-at%groupBits || cut.Len() != end-first {
+		t.Fatalf("%s.Window(%d, %d) of %d bits covers [%d, %d)", what, lo, hi, v.Len(), first, first+cut.Len())
+	}
+	if cap(cut.words) != len(cut.words) {
+		t.Fatalf("%s.Window(%d, %d): %d words in %d of capacity", what, lo, hi, len(cut.words), cap(cut.words))
+	}
+	checkBits(t, fmt.Sprintf("%s.Window(%d, %d)", what, lo, hi), cut, ref[first:end])
+	got := NewBitSet(hi - lo)
+	cut.OrInto(got, lo-first, hi-first)
+	if a, b := got.Positions(lo), want.Positions(lo); len(a) != len(b) || len(a) > 0 && !slices.Equal(a, b) {
+		t.Fatalf("%s.Window(%d, %d) decodes %v, the whole vector %v", what, lo, hi, a, b)
 	}
 }
 
 // FuzzWAHOps checks every Boolean operation, both OrAll strategies
 // included, against the []bool oracle on vectors of unequal, unaligned
 // lengths, BitSet's Or against OrAll, and the BitSet encoder (ToVector)
-// against the oracle; and the windowed walks, PositionsIn and the
-// window decode OrInto, against a filtered Iterate on every operand and
-// result. Seeds: testdata/fuzz/FuzzWAHOps.
+// against the oracle; the windowed walks, PositionsIn and the window
+// decode OrInto, against a filtered Iterate on every operand and result;
+// and the cut Window against the oracle and OrInto, on windows aligned
+// and not, inside and at the edges of fills of either kind, and over the
+// partial tail group. Seeds: testdata/fuzz/FuzzWAHOps.
 func FuzzWAHOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vs, refs := fuzzVectors(data)

@@ -128,6 +128,7 @@ func binop(a, b *Vector, op bitOp) *Vector {
 	}
 	out.n = n
 	out.trim()
+	out.Compact()
 	return out
 }
 
@@ -246,6 +247,7 @@ func (v *Vector) Not() *Vector {
 	}
 	out.n = v.n
 	out.trim()
+	out.Compact()
 	return out
 }
 
@@ -376,6 +378,7 @@ func encodeGroups(groups []uint32, n uint64) *Vector {
 	if rem := n % groupBits; rem != 0 {
 		out.act, out.nact = groups[full]&(uint32(1)<<rem-1), uint8(rem)
 	}
+	out.Compact()
 	return out
 }
 

@@ -77,6 +77,11 @@ func (v *Vector) ReadFrom(r io.Reader) (int64, error) {
 			return read, fmt.Errorf("bitmap: read words: %w", err)
 		}
 		read += 4 * int64(k)
+		if len(words)+int(k) > cap(words) {
+			// Grow by doubling, capped at the header's count: a stream
+			// that delivers every word it promises ends exact-size.
+			words = append(make([]uint32, 0, min(nwords, 2*uint32(cap(words)))), words...)
+		}
 		for i := uint32(0); i < k; i++ {
 			w := binary.LittleEndian.Uint32(buf[4*i:])
 			if w&fillFlag != 0 {

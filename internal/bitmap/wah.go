@@ -47,12 +47,24 @@ func New(nbits uint64) *Vector {
 	return &Vector{words: make([]uint32, 0, nbits/groupBits/8+1)}
 }
 
+// Compact drops the words' spare capacity, which appending leaves behind
+// (New reserves for a bit count, not for what the vector ends up
+// holding): after it, SizeBytes is what the vector keeps. Every vector
+// the package builds is returned compact; one built with the Append
+// methods is compacted by its builder.
+func (v *Vector) Compact() {
+	if cap(v.words) != len(v.words) {
+		v.words = append(make([]uint32, 0, len(v.words)), v.words...)
+	}
+}
+
 // FromBools builds a vector from a slice of booleans.
 func FromBools(bs []bool) *Vector {
 	v := New(uint64(len(bs)))
 	for _, b := range bs {
 		v.AppendBit(b)
 	}
+	v.Compact()
 	return v
 }
 
@@ -74,6 +86,7 @@ func FromPositions(n uint64, pos []uint64) (*Vector, error) {
 		at = p + 1
 	}
 	v.AppendRun(false, n-at)
+	v.Compact()
 	return v, nil
 }
 
@@ -84,8 +97,9 @@ func (v *Vector) Len() uint64 { return v.n }
 // compressed size of the vector.
 func (v *Vector) Words() int { return len(v.words) }
 
-// SizeBytes returns the approximate in-memory size of the encoded vector.
-func (v *Vector) SizeBytes() int { return 4*len(v.words) + 16 }
+// SizeBytes returns the approximate in-memory size of the encoded vector:
+// the words' backing array, spare capacity included, and the header.
+func (v *Vector) SizeBytes() int { return 4*cap(v.words) + 16 }
 
 // AppendBit appends one bit to the vector.
 func (v *Vector) AppendBit(b bool) {
@@ -436,9 +450,69 @@ func (v *Vector) String() string {
 	return sb.String()
 }
 
-// Clone returns a deep copy of the vector.
+// Clone returns a deep, compact copy of the vector.
 func (v *Vector) Clone() *Vector {
 	w := &Vector{act: v.act, nact: v.nact, n: v.n}
-	w.words = append([]uint32(nil), v.words...)
+	w.words = append(make([]uint32, 0, len(v.words)), v.words...)
 	return w
+}
+
+// Window returns the bits of v in the 31-bit groups that cover positions
+// [lo, hi), clipped to Len, as a compact vector, and the position of its
+// first bit: lo rounded down to a group boundary. Bit i of the result is
+// bit first+i of v, and the result ends at min(hi, Len()), so it covers
+// [first, first+Len()). The words of those groups are copied as they
+// are, with the fills at either edge trimmed to the window's groups, so
+// a window decode of the result at [lo-first, hi-first) reads what one of
+// v at [lo, hi) reads without stepping over the words before lo.
+func (v *Vector) Window(lo, hi uint64) (*Vector, uint64) {
+	hi = min(hi, v.n)
+	lo = min(lo, hi)
+	first := lo - lo%groupBits
+	g0, g1 := first/groupBits, hi/groupBits // the result's whole groups
+	i, at := v.seek(first)
+	start := at / groupBits // word i's first group, at or before g0
+	end, j := start, i      // words [i, j) cover groups [start, end) ⊇ [g0, g1)
+	for ; g0 < g1 && end < g1; j++ {
+		end += wordGroups(v.words[j])
+	}
+	out := &Vector{words: make([]uint32, j-i), n: hi - first}
+	copy(out.words, v.words[i:j])
+	if j > i { // only a fill can start before g0 or end past g1
+		out.words[0] -= uint32(g0 - start)
+		out.words[j-i-1] -= uint32(end - g1)
+	}
+	if rem := hi % groupBits; rem != 0 {
+		// The partial last group g1: inside the last word copied when that
+		// fill ran past g1, else the next word, else v's own partial group.
+		g := v.act
+		switch {
+		case end > g1:
+			g = groupOf(v.words[j-1])
+		case j < len(v.words):
+			g = groupOf(v.words[j])
+		}
+		out.act, out.nact = g&(uint32(1)<<rem-1), uint8(rem)
+	}
+	return out, first
+}
+
+// wordGroups returns the number of 31-bit groups an encoded word spans.
+func wordGroups(w uint32) uint64 {
+	if w&fillFlag != 0 {
+		return uint64(w & maxFill)
+	}
+	return 1
+}
+
+// groupOf returns one group of an encoded word: a literal itself, or the
+// fill's group of zeros or ones.
+func groupOf(w uint32) uint32 {
+	switch {
+	case w&fillFlag == 0:
+		return w
+	case w&fillOne != 0:
+		return allOnes
+	}
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -443,5 +444,33 @@ func TestAndCountClusteredData(t *testing.T) {
 	long := toVector(refBits{true, true, true, true})
 	if short.AndCount(long) != 2 {
 		t.Fatalf("mismatched length AndCount = %d", short.AndCount(long))
+	}
+}
+
+// TestBuiltVectorsAreCompact: the builders return words with no spare
+// capacity, so SizeBytes — which counts capacity — is what a vector
+// keeps. Ten positions over 300 000 rows once kept the 1 210 words New
+// reserves for that many bits.
+func TestBuiltVectorsAreCompact(t *testing.T) {
+	pos := []uint64{3, 40, 41, 900, 5_000, 77_777, 150_000, 150_031, 299_000, 299_999}
+	v, err := FromPositions(300_000, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := NewBitSet(300_000)
+	for p := uint64(0); p < 300_000; p += 3 {
+		dense.Set(p)
+	}
+	long := FromBools(make([]bool, 5000))
+	for name, v := range map[string]*Vector{
+		"FromPositions": v, "ToVector": dense.ToVector(), "And": v.And(long), "Not": v.Not(),
+		"Clone": v.Clone(), "OrAll": OrAll([]*Vector{v, dense.ToVector(), long}), "FromBools": long,
+	} {
+		if cap(v.words) != len(v.words) || v.SizeBytes() < 4*cap(v.words) {
+			t.Errorf("%s: %d words in %d of capacity, SizeBytes %d", name, len(v.words), cap(v.words), v.SizeBytes())
+		}
+	}
+	if got, want := v.Positions(), pos; !slices.Equal(got, want) {
+		t.Fatalf("positions %v, want %v", got, want)
 	}
 }

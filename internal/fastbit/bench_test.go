@@ -14,7 +14,8 @@ import (
 // bins; the band ORs the complement and candidate-checks its two edge
 // bins) and a cut on a column that follows row order (bins of runs), each
 // over the whole step and over its last third, the shape of a shard's
-// fragment.
+// fragment; and the band over its last third through an index cut to it,
+// the shape a shard keeps, whose bitmaps start at the window.
 func BenchmarkSelectCtx(b *testing.B) {
 	const rows, bins = 300_000, 256
 	rng := rand.New(rand.NewSource(35))
@@ -29,22 +30,30 @@ func BenchmarkSelectCtx(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := si.Evaluator(MemReader(cols))
+	whole := si.Evaluator(MemReader(cols))
+	cut := &Evaluator{N: rows, Indexes: map[string]*Index{}, Raw: MemReader(cols)}
+	for name, ix := range si.Columns {
+		cut.Indexes[name] = ix.cut(2*rows/3, rows)
+	}
 	terms := []struct{ name, q string }{
 		{"band", "scattered > -0.8 && scattered < 0.9"},
 		{"runs", "sorted > 123456.5"},
 	}
 	windows := []struct {
 		name   string
+		ev     *Evaluator
 		lo, hi uint64
-	}{{"whole", 0, rows}, {"last-third", 2 * rows / 3, rows}}
+	}{{"whole", whole, 0, rows}, {"last-third", whole, 2 * rows / 3, rows}, {"cut-last-third", cut, 2 * rows / 3, rows}}
 	for _, tm := range terms {
 		e := query.MustParse(tm.q)
 		for _, w := range windows {
+			if w.ev == cut && tm.name != "band" {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/%s", tm.name, w.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := ev.SelectCtx(context.Background(), e, w.lo, w.hi); err != nil {
+					if _, err := w.ev.SelectCtx(context.Background(), e, w.lo, w.hi); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -50,8 +50,10 @@ func (m MemReader) ValuesAt(name string, positions []uint64) ([]float64, error) 
 type Evaluator struct {
 	N       uint64
 	Indexes map[string]*Index
-	// LookupIndex, when set, resolves indexes not found in Indexes.
-	LookupIndex func(name string) (*Index, error)
+	// LookupIndex, when set, resolves indexes not found in Indexes: one
+	// whose bitmaps hold at least rows [lo, hi), the rows the evaluation
+	// reads.
+	LookupIndex func(name string, lo, hi uint64) (*Index, error)
 	// IDVar names the identifier column served by the ID index.
 	IDVar string
 	IDIdx *IDIndex
@@ -73,13 +75,14 @@ type Evaluator struct {
 	Cost *obs.Cost
 }
 
-// index resolves the range index for a variable.
-func (ev *Evaluator) index(name string) (*Index, error) {
+// index resolves the range index for a variable, for reading rows
+// [lo, hi).
+func (ev *Evaluator) index(name string, lo, hi uint64) (*Index, error) {
 	if ix, ok := ev.Indexes[name]; ok {
 		return ix, nil
 	}
 	if ev.LookupIndex != nil {
-		return ev.LookupIndex(name)
+		return ev.LookupIndex(name, lo, hi)
 	}
 	return nil, fmt.Errorf("fastbit: no index for variable %q", name)
 }
@@ -200,7 +203,7 @@ func (ev *Evaluator) evalTerms(ctx context.Context, terms []query.Expr, and bool
 func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi uint64) (*bitmap.BitSet, error) {
 	_, lsp := obs.StartSpan(ctx, "index-load")
 	lsp.SetAttr("var", c.Var)
-	ix, err := ev.index(c.Var)
+	ix, err := ev.index(c.Var, lo, hi)
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -250,13 +253,14 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*
 			return s, nil
 		}
 	}
-	ix, err := ev.index(in.Var)
+	ix, err := ev.index(in.Var, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	// Gather the candidate bins holding any of the wanted values, check
 	// raw values once.
-	binsWanted := map[int]bool{}
+	binsWanted := make([]binClass, ix.Bins())
+	wanted := false
 	for _, v := range in.Values {
 		if v < ix.Min() || v > ix.Max() {
 			continue
@@ -266,21 +270,21 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*
 			// Value on a boundary can fall in the bin above it, or is the
 			// top of the last bin.
 			if b < ix.Bins() {
-				binsWanted[b] = true
+				binsWanted[b], wanted = binBoundary, true
 			}
 			if b == len(ix.Bounds)-1 {
-				binsWanted[ix.Bins()-1] = true
+				binsWanted[ix.Bins()-1], wanted = binBoundary, true
 			}
 		} else if b > 0 {
-			binsWanted[b-1] = true
+			binsWanted[b-1], wanted = binBoundary, true
 		}
 	}
-	if len(binsWanted) == 0 {
+	if !wanted {
 		return s, nil
 	}
-	cand := bitmap.NewBitSet(hi - lo)
-	for b := range binsWanted {
-		ix.Bitmaps[b].OrInto(cand, lo, hi)
+	cand, err := ix.rowsIn(binsWanted, binBoundary, lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	if ev.Approx {
 		// Index-only: every record in a candidate bin is admitted wholesale.
@@ -329,7 +333,16 @@ func (ev *Evaluator) Count(e query.Expr) (uint64, error) {
 
 // CountCtx is Count with cooperative cancellation.
 func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error) {
-	s, err := ev.evalWindow(ctx, e, 0, ev.N)
+	return ev.CountIn(ctx, e, 0, ev.N)
+}
+
+// CountIn returns the number of rows in [lo, hi) matching e: SelectCtx's
+// evaluation, counted in the set without listing its positions.
+func (ev *Evaluator) CountIn(ctx context.Context, e query.Expr, lo, hi uint64) (uint64, error) {
+	if lo > hi || hi > ev.N {
+		return 0, fmt.Errorf("fastbit: row range [%d, %d) outside [0, %d)", lo, hi, ev.N)
+	}
+	s, err := ev.evalWindow(ctx, e, lo, hi)
 	if err != nil {
 		return 0, err
 	}

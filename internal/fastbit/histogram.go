@@ -22,7 +22,7 @@ func (ev *Evaluator) Histogram1DFromBitmaps(cond query.Expr, name string) (*hist
 // Histogram1DFromBitmapsCtx is Histogram1DFromBitmaps with cooperative
 // cancellation.
 func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.Expr, name string) (*histogram.Hist1D, error) {
-	ix, err := ev.index(name)
+	ix, err := ev.index(name, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +59,11 @@ func (ev *Evaluator) Histogram2DFromBitmaps(cond query.Expr, xvar, yvar string) 
 // Histogram2DFromBitmapsCtx is Histogram2DFromBitmaps with cooperative
 // cancellation: ctx is observed per y-bin row of the cell grid.
 func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
-	ixX, err := ev.index(xvar)
+	ixX, err := ev.index(xvar, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}
-	ixY, err := ev.index(yvar)
+	ixY, err := ev.index(yvar, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}

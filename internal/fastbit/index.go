@@ -14,12 +14,21 @@ import (
 // [min, max] into bins, and Bitmaps[i] marks the records whose value falls
 // in bin i (the last bin includes its upper bound). Every record belongs
 // to exactly one bin.
+//
+// A whole-step index's bitmaps hold all N rows. A cut index holds
+// only the bitmap groups covering a row window: bit i of every bitmap is
+// row FirstRow+i. Its bounds and granules stay the whole step's — they
+// describe values, not rows — and asking it for rows outside its window
+// is an error, never a silent clip.
 type Index struct {
 	Name      string
-	N         uint64
+	N         uint64    // the step's rows, whichever of them the bitmaps hold
 	Bounds    []float64 // len = bins+1
 	Bitmaps   []*bitmap.Vector
 	Precision int // >0 when built with precision boundaries
+
+	// FirstRow is the row of every bitmap's bit 0: 0 for a whole-step index.
+	FirstRow uint64
 
 	// BinMin and BinMax record the actual smallest and largest value in
 	// each bin (like FastBit's per-bin granule metadata). They let a
@@ -85,8 +94,35 @@ func BuildIndex(name string, values []float64, opt IndexOptions) (*Index, error)
 	}
 	for b := range ix.Bitmaps {
 		ix.Bitmaps[b].AppendRun(false, ix.N-cursor[b])
+		ix.Bitmaps[b].Compact()
 	}
 	return ix, nil
+}
+
+// cut returns the whole-step index ix with every bitmap cut to the
+// groups covering rows [lo, hi) (bitmap.Vector.Window); the bounds and
+// granules are shared.
+func (ix *Index) cut(lo, hi uint64) *Index {
+	out := *ix
+	out.Bitmaps = make([]*bitmap.Vector, len(ix.Bitmaps))
+	for b, bm := range ix.Bitmaps {
+		out.Bitmaps[b], out.FirstRow = bm.Window(lo, hi)
+	}
+	return &out
+}
+
+// rows returns the rows the bitmaps hold: [FirstRow, FirstRow+Len).
+func (ix *Index) rows() (lo, hi uint64) {
+	if len(ix.Bitmaps) == 0 {
+		return ix.FirstRow, ix.FirstRow
+	}
+	return ix.FirstRow, ix.FirstRow + ix.Bitmaps[0].Len()
+}
+
+// covers reports whether the bitmaps hold every row of [lo, hi).
+func (ix *Index) covers(lo, hi uint64) bool {
+	first, end := ix.rows()
+	return lo >= first && hi <= end
 }
 
 // Bins returns the number of bins.
@@ -98,7 +134,8 @@ func (ix *Index) Min() float64 { return ix.Bounds[0] }
 // Max returns the largest indexed value.
 func (ix *Index) Max() float64 { return ix.Bounds[len(ix.Bounds)-1] }
 
-// BinCounts returns the number of records per bin, read off the bitmaps.
+// BinCounts returns the number of records per bin, read off the bitmaps:
+// of the rows they hold.
 func (ix *Index) BinCounts() []uint64 {
 	out := make([]uint64, len(ix.Bitmaps))
 	for i, bm := range ix.Bitmaps {
@@ -164,11 +201,14 @@ func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bit
 // against raw (each hit sets its bit) or, with approx, admitted wholesale.
 func (ix *Index) evaluate(ctx context.Context, iv query.Interval, raw RawValues, approx bool, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
 	cls, st := ix.classify(iv)
-	s := ix.rowsIn(cls, binFull, lo, hi)
-	if st.BoundaryBins == 0 {
-		return s, st, nil
+	s, err := ix.rowsIn(cls, binFull, lo, hi)
+	if err != nil || st.BoundaryBins == 0 {
+		return s, st, err
 	}
-	cand := ix.rowsIn(cls, binBoundary, lo, hi)
+	cand, err := ix.rowsIn(cls, binBoundary, lo, hi)
+	if err != nil {
+		return nil, st, err
+	}
 	if approx {
 		st.ApproxRows = cand.Count()
 		s.OrWith(cand)
@@ -258,7 +298,13 @@ func (ix *Index) classify(iv query.Interval) ([]binClass, EvalStats) {
 // that set is also the complement of every other bin's rows; rowsIn ORs
 // whichever side carries fewer encoded words — for a wide range, the few
 // bins it leaves out — and inverts the set when it ORed the other side.
-func (ix *Index) rowsIn(cls []binClass, admit binClass, lo, hi uint64) *bitmap.BitSet {
+// Rows are translated by FirstRow, so a cut index decodes from its first
+// word; rows outside the bitmaps are an error.
+func (ix *Index) rowsIn(cls []binClass, admit binClass, lo, hi uint64) (*bitmap.BitSet, error) {
+	if !ix.covers(lo, hi) {
+		first, end := ix.rows()
+		return nil, fmt.Errorf("fastbit: %q: rows [%d, %d) outside the index's [%d, %d)", ix.Name, lo, hi, first, end)
+	}
 	var inWords, outWords int
 	for b, bm := range ix.Bitmaps {
 		if cls[b]&admit != 0 {
@@ -271,13 +317,13 @@ func (ix *Index) rowsIn(cls []binClass, admit binClass, lo, hi uint64) *bitmap.B
 	s := bitmap.NewBitSet(hi - lo)
 	for b, bm := range ix.Bitmaps {
 		if (cls[b]&admit != 0) != complement {
-			bm.OrInto(s, lo, hi)
+			bm.OrInto(s, lo-ix.FirstRow, hi-ix.FirstRow)
 		}
 	}
 	if complement {
 		s.Invert()
 	}
-	return s
+	return s, nil
 }
 
 // binResolvedByGranule reports whether bin b's actual min/max values

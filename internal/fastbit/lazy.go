@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -18,6 +19,11 @@ import (
 // reading only the bitmaps a query requires, and it is what keeps
 // identifier-tracking queries from paying for the momentum and position
 // indexes they never use.
+//
+// A step given a resident row window (KeepRows) caches each column cut
+// to that window's bitmap groups: a shard keeps the index of the rows it
+// serves. A lookup for rows outside the window decodes the column from
+// the file and caches nothing.
 type LazyStep struct {
 	path string
 	f    *os.File
@@ -26,8 +32,12 @@ type LazyStep struct {
 	mu      sync.Mutex
 	cols    map[string]*Index
 	idIdx   *IDIndex
-	ioBytes uint64
+	ioBytes atomic.Uint64
 	blocks  map[uint64][]byte // 4 KiB block cache for point reads
+
+	// keepLo and keepHi are the resident row window; keepHi == 0 while
+	// there is none, and the cache holds whole-step columns.
+	keepLo, keepHi uint64
 }
 
 // blockSize is the granularity of cached point reads; binary searches over
@@ -83,33 +93,59 @@ func (ls *LazyStep) Columns() []string {
 
 // IndexBytesRead returns the cumulative bytes of index data loaded, for
 // I/O accounting.
-func (ls *LazyStep) IndexBytesRead() uint64 {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.ioBytes
-}
+func (ls *LazyStep) IndexBytesRead() uint64 { return ls.ioBytes.Load() }
 
-// Column loads (or returns the cached) range index for one variable.
+// Column loads (or returns the cached) range index for one variable,
+// over the whole step.
 func (ls *LazyStep) Column(name string) (*Index, error) {
 	return ls.ColumnCost(name, nil)
 }
 
 // ColumnCost is Column with per-query cost attribution: when the load
-// misses the cache, the section bytes actually read (measured as the
-// ioBytes delta under the lock, so attribution is exact) and the load
-// itself are charged to c.
+// misses the cache, the section bytes read and the load itself are
+// charged to c.
 func (ls *LazyStep) ColumnCost(name string, c *obs.Cost) (*Index, error) {
+	return ls.ColumnRows(name, 0, ls.dir.n, c)
+}
+
+// ColumnRows is ColumnCost for reading rows [lo, hi): the cached index
+// when its bitmaps hold them, else a load. A load inside the resident
+// window (the whole step while there is none) is cut to that window and
+// cached; one outside it decodes the whole column and keeps nothing, so
+// it is charged on every lookup. An empty [lo, hi) reads no rows — only
+// the bounds and granules, which every cut keeps whole — so any cached
+// index answers it.
+func (ls *LazyStep) ColumnRows(name string, lo, hi uint64, c *obs.Cost) (*Index, error) {
 	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ix, ok := ls.cols[name]; ok {
+	if ix, ok := ls.cols[name]; ok && (lo >= hi || ix.covers(lo, hi)) {
+		ls.mu.Unlock()
 		return ix, nil
 	}
+	wlo, whi := ls.keepLo, ls.keepHi
+	if whi == 0 { // no window: the whole step
+		whi = ls.dir.n
+	}
+	if lo < hi && (lo < wlo || hi > whi) {
+		ls.mu.Unlock()
+		return ls.load(name, 0, ls.dir.n, c)
+	}
+	// Under the lock, so concurrent lookups load a column once.
+	defer ls.mu.Unlock()
+	ix, err := ls.load(name, wlo, whi, c)
+	if err == nil {
+		ls.cols[name] = ix
+	}
+	return ix, err
+}
+
+// load reads one column's section and decodes it cut to rows [lo, hi),
+// charging the bytes read and the load to c.
+func (ls *LazyStep) load(name string, lo, hi uint64, c *obs.Cost) (*Index, error) {
 	sec, ok := ls.dir.cols[name]
 	if !ok {
 		return nil, fmt.Errorf("fastbit: no index for variable %q in %s", name, ls.path)
 	}
 	start := time.Now()
-	bytesBefore := ls.ioBytes
 	blob, err := ls.readSection(sec)
 	if err != nil {
 		return nil, err
@@ -118,12 +154,41 @@ func (ls *LazyStep) ColumnCost(name string, c *obs.Cost) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if lo > 0 || hi < ls.dir.n {
+		ix = ix.cut(lo, hi)
+	}
 	metricIndexLoads.Inc()
 	metricIndexLoadSeconds.ObserveSince(start)
-	c.AddIndexBytes(ls.ioBytes - bytesBefore)
+	c.AddIndexBytes(uint64(len(blob)))
 	c.AddIndexLoads(1)
-	ls.cols[name] = ix
 	return ix, nil
+}
+
+// KeepRows makes rows [lo, hi) the step's resident window: every cached
+// column is cut to it, and so is every column loaded from then on. The
+// first window is the one kept; a later call, an empty window and one of
+// the whole step change nothing.
+func (ls *LazyStep) KeepRows(lo, hi uint64) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if ls.keepHi != 0 || lo >= hi || lo == 0 && hi >= ls.dir.n {
+		return
+	}
+	ls.keepLo, ls.keepHi = lo, min(hi, ls.dir.n)
+	for name, ix := range ls.cols {
+		ls.cols[name] = ix.cut(lo, ls.keepHi)
+	}
+}
+
+// IndexBytes returns the in-memory size of the cached column indexes.
+func (ls *LazyStep) IndexBytes() int {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	n := 0
+	for _, ix := range ls.cols {
+		n += ix.SizeBytes()
+	}
+	return n
 }
 
 // IDIndex loads (or returns the cached) identifier index.
@@ -270,8 +335,8 @@ func (ls *LazyStep) u64At(off uint64) (uint64, error) {
 		blk = buf[:n]
 		ls.mu.Lock()
 		ls.blocks[base] = blk
-		ls.ioBytes += uint64(n)
 		ls.mu.Unlock()
+		ls.ioBytes.Add(uint64(n))
 	}
 	rel := off - base
 	if rel+8 > uint64(len(blk)) {
@@ -281,9 +346,7 @@ func (ls *LazyStep) u64At(off uint64) (uint64, error) {
 		if _, err := ls.f.ReadAt(b[:], int64(off)); err != nil {
 			return 0, fmt.Errorf("fastbit: read index: %w", err)
 		}
-		ls.mu.Lock()
-		ls.ioBytes += 8
-		ls.mu.Unlock()
+		ls.ioBytes.Add(8)
 		return binary.LittleEndian.Uint64(b[:]), nil
 	}
 	return binary.LittleEndian.Uint64(blk[rel:]), nil
@@ -305,7 +368,7 @@ func (ls *LazyStep) readSection(sec section) ([]byte, error) {
 	if err := sec.verify(ls.path, blob); err != nil {
 		return nil, err
 	}
-	ls.ioBytes += sec.size
+	ls.ioBytes.Add(sec.size)
 	return blob, nil
 }
 
@@ -320,8 +383,8 @@ func (ls *LazyStep) Evaluator(raw RawReader) *Evaluator {
 func (ls *LazyStep) CostEvaluator(raw RawReader, c *obs.Cost) *Evaluator {
 	return &Evaluator{
 		N: ls.dir.n,
-		LookupIndex: func(name string) (*Index, error) {
-			return ls.ColumnCost(name, c)
+		LookupIndex: func(name string, lo, hi uint64) (*Index, error) {
+			return ls.ColumnRows(name, lo, hi, c)
 		},
 		IDVar:    ls.dir.idVar,
 		LookupID: ls.IDIndex,

@@ -1,10 +1,13 @@
 package fastbit
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -168,7 +171,7 @@ func TestEvaluatorLookupFallbacks(t *testing.T) {
 	ev := &Evaluator{
 		N:       si.N,
 		Indexes: map[string]*Index{"px": si.Columns["px"]},
-		LookupIndex: func(name string) (*Index, error) {
+		LookupIndex: func(name string, _, _ uint64) (*Index, error) {
 			ix, ok := si.Columns[name]
 			if !ok {
 				return nil, os.ErrNotExist
@@ -264,4 +267,88 @@ func TestIDLookupWithoutIDIndex(t *testing.T) {
 	if _, err := ls.IDIndex(); err == nil {
 		t.Fatal("IDIndex without ID index accepted")
 	}
+}
+
+// TestLazyStepKeepRows: a step given a resident window keeps each column
+// cut to it — already cached columns included — answers selections
+// inside the window from that cut without another load, answers one
+// outside it by decoding the column afresh and keeping nothing, and
+// matches the whole-step index everywhere. A cut index asked for rows
+// outside its window is an error, never a silent clip.
+func TestLazyStepKeepRows(t *testing.T) {
+	path, si, mem, _ := writeLazyFixture(t)
+	ls, err := OpenLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	whole, err := ls.Column("x") // cached whole, then cut by KeepRows
+	if err != nil {
+		t.Fatal(err)
+	}
+	wholeBytes := ls.IndexBytes()
+	const lo, hi = 1000, 2000
+	ls.KeepRows(lo, hi)
+	ls.KeepRows(0, 500) // the first window is the one kept
+	if got := ls.IndexBytes(); got*2 > wholeBytes {
+		t.Fatalf("cut column keeps %d bytes, whole %d", got, wholeBytes)
+	}
+	cut, err := ls.ColumnRows("x", lo, hi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.FirstRow != lo/31*31 || cut.N != whole.N || &cut.Bounds[0] != &whole.Bounds[0] {
+		t.Fatalf("cut index: first row %d, N %d; whole N %d", cut.FirstRow, cut.N, whole.N)
+	}
+	iv := query.Interval{Lo: 2e-4, Hi: 7e-4}
+	if _, _, err := cut.EvaluateCtx(context.Background(), iv, mem.rawFor("x"), lo-40, hi); err == nil {
+		t.Fatal("cut index evaluated rows before its window")
+	}
+	if _, _, err := cut.EvaluateCtx(context.Background(), iv, mem.rawFor("x"), lo, hi+1); err == nil {
+		t.Fatal("cut index evaluated rows past its window")
+	}
+
+	eager := si.Evaluator(mem)
+	for _, q := range []string{"px > 1e9 && y > 0", "!(px > 0) || x > 5e-4", "x in (0, 1)"} {
+		e := query.MustParse(q)
+		// The cut starts at lo's group boundary, and so may a window
+		// inside it.
+		first := uint64(lo / 31 * 31)
+		for _, w := range [][2]uint64{{lo, hi}, {lo + 7, hi - 100}, {first, hi}, {0, si.N}, {first - 1, hi}, {hi, si.N}} {
+			var c obs.Cost
+			got, err := ls.CostEvaluator(mem, &c).SelectCtx(context.Background(), e, w[0], w[1])
+			if err != nil {
+				t.Fatalf("%q over %v: %v", q, w, err)
+			}
+			want, err := eager.SelectCtx(context.Background(), e, w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%q over %v: %d rows, whole-step index %d", q, w, len(got), len(want))
+			}
+			// Inside the cut, x (cut above) loads nothing again; outside
+			// it, every column is decoded afresh.
+			inside := w[0] >= first && w[1] <= hi
+			if loads := c.Snapshot().IndexLoads; inside && q[0] == 'x' && loads != 0 || !inside && loads == 0 {
+				t.Fatalf("%q over %v: %d index loads", q, w, loads)
+			}
+		}
+	}
+	// No rows asked, bounds only: the cut answers, with no load.
+	var c obs.Cost
+	if ix, err := ls.ColumnRows("x", 0, 0, &c); err != nil || ix != cut || c.Snapshot().IndexLoads != 0 {
+		t.Fatalf("bounds-only lookup: err %v, the cut %v, %d loads", err, ix == cut, c.Snapshot().IndexLoads)
+	}
+	// Every column loaded is cut: nothing outside the window was kept.
+	for name, ix := range ls.cols {
+		if first, end := ix.rows(); first != lo/31*31 || end != hi {
+			t.Fatalf("column %s keeps rows [%d, %d)", name, first, end)
+		}
+	}
+}
+
+// rawFor is MemReader's column as a RawValues.
+func (m MemReader) rawFor(name string) RawValues {
+	return func(pos []uint64) ([]float64, error) { return m.ValuesAt(name, pos) }
 }

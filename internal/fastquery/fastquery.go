@@ -226,6 +226,24 @@ func (st *Step) HasIndex() bool { return st.index != nil }
 // nil when no index exists or the index is healthy.
 func (st *Step) IndexError() error { return st.indexErr }
 
+// KeepIndexRows makes rows [lo, hi) the index's resident window: from
+// then on the step keeps each column's bitmaps for those rows only
+// (fastbit.LazyStep.KeepRows). The first window is the one kept.
+func (st *Step) KeepIndexRows(lo, hi uint64) {
+	if st.index != nil {
+		st.index.KeepRows(lo, hi)
+	}
+}
+
+// IndexBytes returns the in-memory size of the column indexes the step
+// keeps decoded.
+func (st *Step) IndexBytes() int {
+	if st.index == nil {
+		return 0
+	}
+	return st.index.IndexBytes()
+}
+
 // noIndexError explains a FastBit-backend request on a step without a
 // usable index. The error is fatal — every worker sees the same file — so
 // the cluster layer will not waste retries on it.
@@ -395,11 +413,31 @@ func (st *Step) Count(e query.Expr, b Backend) (uint64, error) {
 
 // CountCtx is Count with cooperative cancellation.
 func (st *Step) CountCtx(ctx context.Context, e query.Expr, b Backend) (uint64, error) {
-	pos, err := st.SelectCtx(ctx, e, b, 0, st.Rows())
-	if err != nil {
-		return 0, err
+	return st.CountIn(ctx, e, b, 0, st.Rows())
+}
+
+// CountIn returns the number of rows in [lo, hi) matching e: SelectCtx's
+// work, counted without listing the positions.
+func (st *Step) CountIn(ctx context.Context, e query.Expr, b Backend, lo, hi uint64) (uint64, error) {
+	if lo > hi || hi > st.Rows() {
+		return 0, Fatalf("fastquery: step %d: row range [%d, %d) outside [0, %d)", st.t, lo, hi, st.Rows())
 	}
-	return uint64(len(pos)), nil
+	switch b {
+	case FastBit:
+		ev, err := st.evaluator(ctx)
+		if err != nil || lo == hi {
+			return 0, err
+		}
+		return ev.CountIn(ctx, e, lo, hi)
+	case Scan:
+		cols, err := st.loadScanColumns(ctx, lo, hi, e)
+		if err != nil {
+			return 0, err
+		}
+		return scan.CountCtx(ctx, cols, e)
+	default:
+		return 0, fmt.Errorf("fastquery: unknown backend %v", b)
+	}
 }
 
 // SelectIDs returns the identifiers of records matching e.
@@ -593,7 +631,7 @@ func (st *Step) Histogram2DIndexOnlyCtx(ctx context.Context, cond query.Expr, xv
 // metadata (free) over a column scan.
 func (st *Step) MinMax(name string) (lo, hi float64, err error) {
 	if st.index != nil && st.index.HasColumn(name) {
-		ix, err := st.index.Column(name)
+		ix, err := st.index.ColumnRows(name, 0, 0, nil) // bounds only
 		if err != nil {
 			return math.NaN(), math.NaN(), err
 		}

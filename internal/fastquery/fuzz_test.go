@@ -58,8 +58,9 @@ func fuzzColumns(in *fuzzBytes, rows uint64) map[string][]float64 {
 }
 
 // fuzzStep writes cols as a step in chunks of chunkRows, with an id
-// column, and indexes a and b.
-func fuzzStep(t *testing.T, cols map[string][]float64, chunkRows, bins int) *Step {
+// column, and indexes a and b; it returns the open step and its index
+// file.
+func fuzzStep(t *testing.T, cols map[string][]float64, chunkRows, bins int) (*Step, string) {
 	t.Helper()
 	dir := t.TempDir()
 	data, index := filepath.Join(dir, "step.col"), filepath.Join(dir, "step.idx")
@@ -96,7 +97,21 @@ func fuzzStep(t *testing.T, cols map[string][]float64, chunkRows, bins int) *Ste
 	}
 	st := &Step{file: f, index: ls}
 	t.Cleanup(func() { st.Close() })
-	return st
+	return st, index
+}
+
+// cutStep opens the index file anew beside st's data and keeps rows
+// [lo, hi) of it resident, the way a shard keeps its own rows.
+func cutStep(t *testing.T, st *Step, index string, lo, hi uint64) *Step {
+	t.Helper()
+	ls, err := fastbit.OpenLazy(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ls.Close() })
+	cut := &Step{file: st.file, index: ls}
+	cut.KeepIndexRows(lo, hi)
+	return cut
 }
 
 // fuzzExpr builds a random query over a, b, c and id: comparisons with
@@ -182,7 +197,11 @@ func clip(pos []uint64, lo, hi uint64) []uint64 {
 // whole-step select clipped to the window on each backend, and FastBit
 // equals Scan. The FastBit window decodes only its own rows' bin words
 // and inverts within the window, so the ! and != seeds are the ones that
-// prove rows outside the window cannot leak in. The seed corpus is
+// prove rows outside the window cannot leak in. A count over the window
+// equals the selection's length. A step keeping the index of rows
+// [clo, chi) ⊇ [lo, hi) only, as a shard does, selects and counts the
+// same rows over [lo, hi) through its cut bitmaps, and over the whole
+// step through a fresh decode. The seed corpus is
 // testdata/fuzz/FuzzSelectRange.
 func FuzzSelectRange(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -206,7 +225,11 @@ func FuzzSelectRange(f *testing.F) {
 		if d := uint64(in.next() % r); lo < hi {
 			lo += d
 		}
-		st := fuzzStep(t, cols, chunkRows, bins)
+		st, index := fuzzStep(t, cols, chunkRows, bins)
+		// Drawn after everything else, for the same reason: the resident
+		// window of a second, cut, step.
+		clo, chi := lo-min(lo, uint64(in.next())), min(rows, hi+uint64(in.next()))
+		cut := cutStep(t, st, index, clo, chi)
 		what := fmt.Sprintf("%d rows, chunks of %d, %q over [%d, %d)", rows, chunkRows, e, lo, hi)
 
 		ctx := context.Background()
@@ -228,6 +251,26 @@ func FuzzSelectRange(f *testing.F) {
 				t.Fatalf("%s: %v selects %v, whole step clipped is %v", what, b, part, want)
 			}
 			got = append(got, part)
+			if n, err := st.CountIn(ctx, e, b, lo, hi); err != nil || n != uint64(len(part)) {
+				t.Fatalf("%s: %v counts %d (%v), selects %d", what, b, n, err, len(part))
+			}
+			if b != FastBit {
+				continue
+			}
+			for _, w := range [][2]uint64{{lo, hi}, {0, rows}} {
+				sel, err := cut.SelectCtx(ctx, e, b, w[0], w[1])
+				if err != nil {
+					t.Fatalf("%s: index cut to [%d, %d) over [%d, %d): %v", what, clo, chi, w[0], w[1], err)
+				}
+				n, err := cut.CountIn(ctx, e, b, w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := clip(whole, w[0], w[1]); !slices.Equal(sel, want) || n != uint64(len(want)) {
+					t.Fatalf("%s: index cut to [%d, %d) over [%d, %d) selects %v and counts %d, the whole index %v",
+						what, clo, chi, w[0], w[1], sel, n, want)
+				}
+			}
 		}
 		if len(got) == 2 && !reflect.DeepEqual(got[0], got[1]) && len(got[0])+len(got[1]) > 0 {
 			t.Fatalf("%s: scan selects %v, fastbit %v", what, got[0], got[1])

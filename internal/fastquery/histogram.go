@@ -2,6 +2,7 @@ package fastquery
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strconv"
 
@@ -116,12 +117,16 @@ func (st *Step) binAligned(ctx context.Context, rows Rows, spec histogram.Spec1D
 		st.index == nil || !st.index.HasColumn(spec.Var) {
 		return nil
 	}
-	ix, err := st.index.ColumnCost(spec.Var, obs.CostFromContext(ctx))
+	// Only the bounds and granules decide; the bin counts, if they
+	// answer, are read over the whole step by the evaluator.
+	ix, err := st.index.ColumnRows(spec.Var, 0, 0, obs.CostFromContext(ctx))
 	if err != nil || ix.Bins() != spec.Bins {
 		return nil
 	}
+	// Bit for bit: bounds that start at -0 where the data's first
+	// smallest value is 0 compare equal, yet answer different edges.
 	want, err := edges(nil, ix.BinMin[0], ix.BinMax[ix.Bins()-1], true, spec.Bins, histogram.Uniform, 0)
-	if err != nil || !slices.Equal(want, ix.Bounds) {
+	if err != nil || !slices.EqualFunc(want, ix.Bounds, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		return nil
 	}
 	ev, err := st.evaluator(ctx)

@@ -19,7 +19,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/faultnet"
+	"repro/internal/fastbit"
 	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // shardFleet is a set of in-process shard workers with per-shard kill
@@ -42,13 +44,22 @@ func (f *shardFleet) Close() {
 // teardown hook folded into that shard's kill switch.
 func startShardFleet(t *testing.T, n int, wrap func(i int, l net.Listener) (net.Listener, func())) *shardFleet {
 	t.Helper()
+	return startShardFleetOf(t, n, wrap, map[string]string{"lwfa": testDataDir(t)})
+}
+
+// startShardFleetOf is startShardFleet serving the datasets given by name
+// and directory.
+func startShardFleetOf(t *testing.T, n int, wrap func(i int, l net.Listener) (net.Listener, func()), datasets map[string]string) *shardFleet {
+	t.Helper()
 	fleet := &shardFleet{}
 	for i := 0; i < n; i++ {
 		ex := shard.NewExecutor(shard.FragCacheBytes)
-		if err := ex.AddDataset("lwfa", testDataDir(t)); err != nil {
-			ex.Close()
-			fleet.Close()
-			t.Fatal(err)
+		for name, dir := range datasets {
+			if err := ex.AddDataset(name, dir); err != nil {
+				ex.Close()
+				fleet.Close()
+				t.Fatal(err)
+			}
 		}
 		srv, err := shard.NewServer(shard.NewService(ex, nil))
 		if err != nil {
@@ -312,4 +323,54 @@ func TestConcurrentScatterShardKill(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	fleet.kill[2]()
 	wg.Wait()
+}
+
+// TestShardIndexBytesFollowRows: each shard keeps the column indexes of
+// its own rows only, so after one fixed stream of ranged requests the
+// fleet's decoded index bytes, summed over its three shards, come within
+// 10% of the one process's (a one-shard fleet, whose fragments cover
+// whole steps) — not three times it — and /v1/stats shows each shard's
+// figure beside its cache bytes. The steps are 40 000 rows: on the shared
+// 3 000-row test steps a bitmap is a few words, and the header each
+// shard's cut carries would be most of the figure.
+func TestShardIndexBytesFollowRows(t *testing.T) {
+	dir := t.TempDir()
+	cfg := sim.DefaultConfig()
+	cfg.Steps, cfg.BackgroundPerStep, cfg.BeamParticles = 2, 40000, 60
+	if _, err := sim.WriteDataset(dir, cfg, sim.WriteOptions{Index: fastbit.IndexOptions{Bins: 64}}); err != nil {
+		t.Fatal(err)
+	}
+	stream := []string{"px > 1e9 && x > 0", "y < 0", "!(z > 0) || px < 0"}
+	indexBytes := func(shards int) (sum int) {
+		s, fts := frontendServer(t, startShardFleetOf(t, shards, nil, map[string]string{"big": dir}))
+		if err := s.AddDataset("big", dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range stream {
+			for _, p := range []string{"/v1/query?dataset=big&q=",
+				"/v1/hist2d?dataset=big&x=x&y=px&xbins=12&ybins=12&xlo=-1&xhi=1&ylo=-1&yhi=1&q="} {
+				if code, _, body := getFull(t, fts, p+url.QueryEscape(q)); code != http.StatusOK {
+					t.Fatalf("%d shards: %s: %d %s", shards, p, code, body)
+				}
+			}
+		}
+		var stats StatsBody
+		get(t, fts, "/v1/stats", &stats)
+		if stats.Sharding == nil || len(stats.Sharding.ShardStatus) != shards {
+			t.Fatalf("%d shards: /v1/stats sharding %+v", shards, stats.Sharding)
+		}
+		for _, st := range stats.Sharding.ShardStatus {
+			if st.Stats.IndexBytes <= 0 {
+				t.Fatalf("%d shards: shard %d keeps %d index bytes", shards, st.Shard, st.Stats.IndexBytes)
+			}
+			sum += st.Stats.IndexBytes
+		}
+		return sum
+	}
+	one, three := indexBytes(1), indexBytes(3)
+	ratio := float64(three) / float64(one)
+	if ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("3 shards keep %d index bytes in all, one process %d (×%.2f)", three, one, ratio)
+	}
+	t.Logf("3 shards keep %d index bytes in all, one process %d (×%.3f)", three, one, ratio)
 }

@@ -8,7 +8,9 @@
 // parallel-filesystem deployment), so the shard map assigns work rather
 // than data: a fragment names a row range, and any worker could evaluate
 // any fragment. Whole-step histogram fragments are routed to a stable home
-// shard so its cache absorbs repeats.
+// shard so its cache absorbs repeats. What a worker keeps in memory
+// follows its rows: the first ranged fragment on a step makes its range
+// the step's resident index window (Executor.RunCached).
 package shard
 
 import (
@@ -38,11 +40,11 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		if expr == nil {
 			return &plan.FragmentResult{Count: hi - lo}, nil
 		}
-		pos, err := st.SelectCtx(ctx, expr, f.Backend, lo, hi)
+		n, err := st.CountIn(ctx, expr, f.Backend, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.FragmentResult{Count: uint64(len(pos))}, nil
+		return &plan.FragmentResult{Count: n}, nil
 
 	case plan.FragSelect:
 		var sel []uint64

@@ -41,6 +41,9 @@ type ExecStats struct {
 	// fragment hit since it was stored (plan.Store): about 0 when no
 	// fragment repeats, however many two-phase handoffs pass through.
 	CacheProtectedBytes int
+	// IndexBytes is the in-memory size of the column indexes the open
+	// steps keep decoded: on a shard, each cut to the shard's rows.
+	IndexBytes int
 }
 
 // Executor evaluates plan fragments over locally opened datasets, with a
@@ -171,6 +174,12 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	if err != nil {
 		return nil, false, err
 	}
+	if !f.Rows.Whole() {
+		// A shard's ranged fragments all cover its ShardMap.Range of the
+		// step, the same on its replicas: the first one makes it the
+		// rows whose index the step keeps.
+		st.KeepIndexRows(rangeOf(st, f.Rows))
+	}
 	e.evals.Add(1)
 	metricFragments.Inc()
 	var res *plan.FragmentResult
@@ -260,9 +269,14 @@ func selectionOf(f plan.Fragment) (plan.Fragment, bool) {
 // Stats snapshots the executor counters.
 func (e *Executor) Stats() ExecStats {
 	e.mu.Lock()
-	datasets, steps := len(e.datasets), 0
+	datasets, steps, indexBytes := len(e.datasets), 0, 0
 	for _, d := range e.datasets {
 		steps += d.src.Steps()
+		d.mu.Lock()
+		for _, st := range d.steps {
+			indexBytes += st.IndexBytes()
+		}
+		d.mu.Unlock()
 	}
 	e.mu.Unlock()
 	st := e.cache.Stats()
@@ -275,6 +289,7 @@ func (e *Executor) Stats() ExecStats {
 		CacheEntries:        st.Entries,
 		CacheBytes:          st.Bytes,
 		CacheProtectedBytes: st.ProtectedBytes,
+		IndexBytes:          indexBytes,
 	}
 }
 
