@@ -489,7 +489,7 @@ func BenchmarkAblationBinning(b *testing.B) {
 		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
 			iv := query.Interval{Lo: 1.2345e9, Hi: 2.3456e9}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.Evaluate(iv, raw); err != nil {
+				if _, _, err := ix.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -528,7 +528,7 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	b.Run("UniformBins", func(b *testing.B) {
 		var checks uint64
 		for i := 0; i < b.N; i++ {
-			_, st, err := uniform.Evaluate(iv, raw)
+			_, st, err := uniform.Evaluate(iv, fastbit.Gathered(raw))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -539,7 +539,7 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	b.Run("PrecisionBins", func(b *testing.B) {
 		var checks uint64
 		for i := 0; i < b.N; i++ {
-			_, st, err := precise.Evaluate(iv, raw)
+			_, st, err := precise.Evaluate(iv, fastbit.Gathered(raw))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -576,14 +576,14 @@ func BenchmarkAblationExactIndex(b *testing.B) {
 	iv := query.Interval{Lo: 3, Hi: 3} // equality on one category
 	b.Run("Exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := exact.Evaluate(iv, raw); err != nil {
+			if _, _, err := exact.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Binned4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := binned.Evaluate(iv, raw); err != nil {
+			if _, _, err := binned.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -588,6 +588,17 @@ func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 // first that does not.
 const MaxExactInt = 1 << 53
 
+// ExactInt returns the identifier a float64 value read from an id column
+// carries: v itself when it is an integer within ±MaxExactInt, and an
+// error otherwise — a fraction or a value past the mantissa names no one
+// particle, and truncating it would track another.
+func ExactInt(v float64) (int64, error) {
+	if v != math.Trunc(v) || math.Abs(v) > MaxExactInt {
+		return 0, fmt.Errorf("colstore: identifier %g is not an integer within ±2^53", v)
+	}
+	return int64(v), nil
+}
+
 // ReadAsFloat64 reads any column as float64, converting int64 values.
 // Particle identifiers fit in the 53-bit mantissa, so the conversion is
 // exact for this system's data: the ID gathers of tracking and ID
@@ -646,46 +657,98 @@ func (file *File) ReadFloat64At(name string, positions []uint64) ([]float64, err
 // ReadFloat64AtCost is ReadFloat64At charging chunk bytes and gathered
 // values into cost for per-query attribution.
 func (file *File) ReadFloat64AtCost(name string, positions []uint64, cost *obs.Cost) ([]float64, error) {
-	ci, err := file.column(name, Float64, Int64)
+	out := make([]float64, len(positions))
+	next := out
+	err := file.gatherAt(name, positions, cost, func(t ColumnType, words []byte, base uint64, pos []uint64) error {
+		decodeAt(t, words, base, pos, next)
+		next = next[len(pos):]
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// gatherBatch is the most values VisitFloat64AtCost decodes before it
+// hands them on: 4 KiB, a fixed cost however many positions it reads.
+const gatherBatch = 512
+
+// VisitFloat64AtCost reads the values at the sorted row positions as
+// ReadFloat64AtCost does, chunk by chunk, and charges cost the same, but
+// keeps none of them: while a chunk's buffer is in hand it decodes the
+// values at the positions in it, at most gatherBatch at a time, and
+// hands fn each batch — a run of the positions and their values. What it
+// allocates does not grow with the positions. fn must keep neither
+// slice; an error from fn stops the read and is returned as is.
+func (file *File) VisitFloat64AtCost(name string, positions []uint64, cost *obs.Cost, fn func(positions []uint64, values []float64) error) error {
+	batch := make([]float64, min(len(positions), gatherBatch))
+	return file.gatherAt(name, positions, cost, func(t ColumnType, words []byte, base uint64, pos []uint64) error {
+		for len(pos) > 0 {
+			run := pos[:min(len(pos), len(batch))]
+			decodeAt(t, words, base, run, batch)
+			if err := fn(run, batch[:len(run)]); err != nil {
+				return err
+			}
+			pos = pos[len(run):]
+		}
+		return nil
+	})
+}
+
+// gatherAt reads the chunks of a float64 or int64 column that hold the
+// sorted positions, and hands fn each one's verified words, the row of
+// its first value and the positions in it, in row order; it charges cost
+// the chunk bytes and, once every position is read, the values. fn must
+// not keep words: the next chunk read overwrites its buffer.
+func (file *File) gatherAt(name string, positions []uint64, cost *obs.Cost, fn func(t ColumnType, words []byte, base uint64, pos []uint64) error) error {
+	ci, err := file.column(name, Float64, Int64)
+	if err != nil {
+		return err
+	}
 	for i := 1; i < len(positions); i++ {
 		if positions[i] < positions[i-1] {
-			return nil, fmt.Errorf("colstore: positions not sorted at %d", i)
+			return fmt.Errorf("colstore: positions not sorted at %d", i)
 		}
 	}
-	out := make([]float64, len(positions))
-	pi := 0
-	var rowBase uint64
-	for idx := range ci.chunks {
-		rows := uint64(ci.chunks[idx].rows)
-		chunkEnd := rowBase + rows
-		if pi < len(positions) && positions[pi] < chunkEnd {
+	pos := positions
+	var base uint64
+	for idx := 0; idx < len(ci.chunks) && len(pos) > 0; idx++ {
+		end := base + uint64(ci.chunks[idx].rows)
+		if pos[0] < end {
+			n := sort.Search(len(pos), func(i int) bool { return pos[i] >= end })
 			buf, err := file.readChunk(ci, idx, cost)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			for pi < len(positions) && positions[pi] < chunkEnd {
-				p := positions[pi]
-				w := binary.LittleEndian.Uint64(buf[8*(p-rowBase):])
-				if ci.Type == Float64 {
-					out[pi] = math.Float64frombits(w)
-				} else {
-					out[pi] = float64(int64(w))
-				}
-				pi++
-			}
+			err = fn(ci.Type, buf, base, pos[:n])
 			putChunkBuf(buf)
+			if err != nil {
+				return err
+			}
+			pos = pos[n:]
 		}
-		rowBase = chunkEnd
-		if pi == len(positions) {
-			break
+		base = end
+	}
+	if len(pos) > 0 {
+		return fmt.Errorf("colstore: position %d out of range (%d rows)", pos[0], file.rows)
+	}
+	cost.AddValues(uint64(len(positions)))
+	return nil
+}
+
+// decodeAt writes into dst the values at the positions pos of a chunk's
+// words, whose first value is row base, as float64. The column type is
+// tested once, not per value.
+func decodeAt(t ColumnType, words []byte, base uint64, pos []uint64, dst []float64) {
+	dst = dst[:len(pos)]
+	if t == Int64 {
+		for i, p := range pos {
+			dst[i] = float64(int64(binary.LittleEndian.Uint64(words[8*(p-base):])))
 		}
+		return
 	}
-	if pi != len(positions) {
-		return nil, fmt.Errorf("colstore: position %d out of range (%d rows)", positions[pi], file.rows)
+	for i, p := range pos {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*(p-base):]))
 	}
-	cost.AddValues(uint64(len(out)))
-	return out, nil
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // writeColumns writes a step file of rows rows in default-sized chunks:
@@ -117,9 +119,91 @@ func TestReadsAllocateOnlyTheAnswer(t *testing.T) {
 			t.Errorf("range read of %d %s values allocated %d B, want ≤ %d", hi-lo, col, got, limit)
 		}
 	}
+	// A visit keeps no values: one batch, however many positions.
+	many := scattered(rand.New(rand.NewSource(3)), 20000, rows)
+	for _, col := range []string{"px", "id"} {
+		got := allocated(func() error {
+			return f.VisitFloat64AtCost(col, many, nil, func([]uint64, []float64) error { return nil })
+		})
+		if limit := uint64(8*gatherBatch + 1024); got > limit {
+			t.Errorf("visit of %d %s values allocated %d B, want ≤ %d", len(many), col, got, limit)
+		}
+	}
 	got := allocated(func() error { _, err := f.ReadInt64("id"); return err })
 	if limit := uint64(8*rows + 1024); got > limit {
 		t.Errorf("ReadInt64 of %d values allocated %d B, want ≤ %d", rows, got, limit)
+	}
+}
+
+// TestVisitMatchesGather: VisitFloat64AtCost hands on, in order, the
+// values ReadFloat64AtCost returns, in batches of at most gatherBatch
+// positions that each lie in one chunk, charges cost the same, stops at
+// fn's error, and refuses what the gather refuses.
+func TestVisitMatchesGather(t *testing.T) {
+	const rows = 3*DefaultChunkRows + 1000
+	path, _ := writeColumns(t, rows, []string{"px"}, 8)
+	f := openTB(t, path)
+	rng := rand.New(rand.NewSource(9))
+	for _, col := range []string{"px", "id"} {
+		for _, k := range []int{0, 1, 700, 5000, 40000} {
+			pos := scattered(rng, k, rows)
+			var gcost, vcost obs.Cost
+			want, err := f.ReadFloat64AtCost(col, pos, &gcost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float64
+			var seen []uint64
+			err = f.VisitFloat64AtCost(col, pos, &vcost, func(p []uint64, v []float64) error {
+				if len(p) != len(v) || len(p) == 0 || len(p) > gatherBatch {
+					t.Fatalf("%s k=%d: batch of %d positions, %d values", col, k, len(p), len(v))
+				}
+				if p[0]/DefaultChunkRows != p[len(p)-1]/DefaultChunkRows {
+					t.Fatalf("%s k=%d: batch spans rows %d..%d", col, k, p[0], p[len(p)-1])
+				}
+				seen = append(seen, p...)
+				got = append(got, v...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(seen, pos) || !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("%s k=%d: visit differs from the gather", col, k)
+			}
+			if c := vcost.Snapshot(); c != gcost.Snapshot() || c.ValuesRead != uint64(k) {
+				t.Fatalf("%s k=%d: visit charged %+v, gather %+v", col, k, c, gcost.Snapshot())
+			}
+		}
+	}
+	stop := fmt.Errorf("stop")
+	calls := 0
+	err := f.VisitFloat64AtCost("px", scattered(rng, 3000, rows), nil, func([]uint64, []float64) error { calls++; return stop })
+	if err != stop || calls != 1 {
+		t.Fatalf("fn's error: got %v after %d calls", err, calls)
+	}
+	for what, pos := range map[string][]uint64{"unsorted": {5, 3}, "out of range": {1, rows}} {
+		if err := f.VisitFloat64AtCost("px", pos, nil, func([]uint64, []float64) error { return nil }); err == nil {
+			t.Errorf("%s positions accepted", what)
+		}
+	}
+	if err := f.VisitFloat64AtCost("nope", nil, nil, func([]uint64, []float64) error { return nil }); err == nil {
+		t.Error("unknown column accepted")
+	}
+}
+
+// TestExactInt: an identifier is an integer within ±MaxExactInt; a
+// fraction, a value past the mantissa, NaN and ±Inf are refused.
+func TestExactInt(t *testing.T) {
+	for _, v := range []float64{0, 1, -7, MaxExactInt, -MaxExactInt} {
+		if id, err := ExactInt(v); err != nil || float64(id) != v {
+			t.Errorf("ExactInt(%g) = %d, %v", v, id, err)
+		}
+	}
+	for _, v := range []float64{1.5, -0.25, MaxExactInt + 2, -MaxExactInt - 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if id, err := ExactInt(v); err == nil {
+			t.Errorf("ExactInt(%g) = %d, want an error", v, id)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func TestEvaluateApproxCtxCountsApproxRows(t *testing.T) {
 		return mem.ValuesAt("px", positions)
 	}
 
-	exactV, exactSt, err := ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
+	exactV, exactSt, err := ix.EvaluateCtx(context.Background(), iv, Gathered(raw), 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,30 @@ package fastbit
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/bitmap"
+	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/query"
 )
-
-// checkpointRows is the cancellation checkpoint interval of the candidate
-// check loops: ctx is tested once every checkpointRows records.
-const checkpointRows = 64 * 1024
 
 // RawReader provides access to the base data for candidate checks.
 type RawReader interface {
 	// ValuesAt returns the values of a column at sorted record positions.
 	ValuesAt(name string, positions []uint64) ([]float64, error)
+}
+
+// BatchReader is a RawReader that can also read a column at sorted
+// positions without returning the values: VisitAt hands fn them a batch
+// at a time, as a RawValues does, so a candidate check allocates nothing
+// per candidate. The evaluator reads through VisitAt when its reader has
+// it, and through ValuesAt otherwise.
+type BatchReader interface {
+	RawReader
+	VisitAt(name string, positions []uint64, fn func(positions []uint64, values []float64) error) error
 }
 
 // MemReader is a RawReader over in-memory columns, used by tests and by
@@ -118,8 +124,8 @@ func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector,
 
 // evalWindow is every evaluation: the set of rows in [lo, hi) matching e,
 // bit i standing for row lo+i. ctx is observed between boolean terms and
-// inside candidate-check loops, so a canceled query stops within one
-// checkpoint interval. Each evaluation records one "bitmap-eval" span and
+// once per batch of a candidate check, so a canceled query stops within
+// one chunk read. Each evaluation records one "bitmap-eval" span and
 // feeds the fastbit_* instruments.
 func (ev *Evaluator) evalWindow(ctx context.Context, e query.Expr, lo, hi uint64) (*bitmap.BitSet, error) {
 	ctx, sp := obs.StartSpan(ctx, "bitmap-eval")
@@ -238,9 +244,14 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*
 	s := bitmap.NewBitSet(hi - lo)
 	if in.Var == ev.IDVar {
 		if idIdx := ev.idIndex(); idIdx != nil {
-			ids := make([]int64, len(in.Values))
-			for i, v := range in.Values {
-				ids[i] = int64(v)
+			// A value no identifier equals (colstore.ExactInt) matches
+			// nothing, as it does in a scan; truncated, it would match
+			// another particle.
+			ids := make([]int64, 0, len(in.Values))
+			for _, v := range in.Values {
+				if id, err := colstore.ExactInt(v); err == nil {
+					ids = append(ids, id)
+				}
 			}
 			for _, p := range idIdx.Lookup(ids) {
 				if p >= ev.N {
@@ -293,30 +304,62 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*
 	}
 	positions := cand.Positions(lo)
 	ev.Stats.CandidateChecks += uint64(len(positions))
-	values, err := ev.rawFor(in.Var)(positions)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range positions {
-		if i&(checkpointRows-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	err = ev.rawFor(in.Var)(positions, func(pos []uint64, values []float64) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i, v := range values {
+			if in.Contains(v) {
+				s.Set(pos[i] - lo)
 			}
 		}
-		if in.Contains(values[i]) {
-			s.Set(p - lo)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, checkErr(ctx, err)
 	}
 	return s, nil
 }
 
+// rawFor is the reader's column name as a RawValues: its VisitAt when it
+// is a BatchReader, else its ValuesAt, Gathered.
 func (ev *Evaluator) rawFor(name string) RawValues {
-	if ev.Raw == nil {
+	switch r := ev.Raw.(type) {
+	case nil:
 		return nil
+	case BatchReader:
+		return func(positions []uint64, check func([]uint64, []float64) error) error {
+			return r.VisitAt(name, positions, check)
+		}
+	default:
+		return Gathered(func(positions []uint64) ([]float64, error) {
+			return r.ValuesAt(name, positions)
+		})
 	}
-	return func(positions []uint64) ([]float64, error) {
-		return ev.Raw.ValuesAt(name, positions)
+}
+
+// Gathered is the RawValues of a read that returns every value at once:
+// it hands check the lot as one batch.
+func Gathered(read func(positions []uint64) ([]float64, error)) RawValues {
+	return func(positions []uint64, check func([]uint64, []float64) error) error {
+		values, err := read(positions)
+		if err != nil {
+			return err
+		}
+		if len(values) != len(positions) {
+			return fmt.Errorf("fastbit: read %d values for %d positions", len(values), len(positions))
+		}
+		return check(positions, values)
 	}
+}
+
+// checkErr is what a candidate check that failed with err returns: the
+// context's error when the check stopped for it, else err.
+func checkErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 func (ev *Evaluator) accumulate(st EvalStats) {
@@ -384,16 +427,19 @@ func (ev *Evaluator) SelectIDsCtx(ctx context.Context, e query.Expr) ([]int64, e
 	if ev.Raw == nil {
 		return nil, fmt.Errorf("fastbit: SelectIDs requires a raw reader")
 	}
-	vals, err := ev.Raw.ValuesAt(ev.IDVar, pos)
+	out := make([]int64, 0, len(pos))
+	err = ev.rawFor(ev.IDVar)(pos, func(_ []uint64, values []float64) error {
+		for _, v := range values {
+			id, err := colstore.ExactInt(v)
+			if err != nil {
+				return err
+			}
+			out = append(out, id)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		if v != math.Trunc(v) {
-			return nil, fmt.Errorf("fastbit: non-integer identifier %g", v)
-		}
-		out[i] = int64(v)
 	}
 	return out, nil
 }

@@ -39,9 +39,12 @@ type Index struct {
 	BinMin, BinMax []float64
 }
 
-// RawValues fetches raw column values at sorted record positions; it is
-// how the index performs candidate checks against the base data.
-type RawValues func(positions []uint64) ([]float64, error)
+// RawValues reads raw column values at sorted record positions; it is
+// how the index performs candidate checks against the base data. It
+// hands check the values a batch at a time — a run of the positions and
+// their values, which check must not keep — and stops at, and returns,
+// the first error check returns.
+type RawValues func(positions []uint64, check func(positions []uint64, values []float64) error) error
 
 // BuildIndex constructs the bitmap index for a column. Out-of-range
 // values cannot occur (bounds are derived from the data), and NaN values
@@ -74,7 +77,10 @@ func BuildIndex(name string, values []float64, opt IndexOptions) (*Index, error)
 	// bitmap b; append the gap of zeros, then the one.
 	cursor := make([]uint64, nb)
 	for row, v := range values {
-		b := loc.Bin(v)
+		b := loc.Guess(v)
+		if b < 0 {
+			b = loc.Bin(v)
+		}
 		if b < 0 { // clamp rounding stragglers to the nearest edge bin
 			if v < bounds[0] {
 				b = 0
@@ -175,8 +181,8 @@ func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.BitSet, Eva
 }
 
 // EvaluateCtx is Evaluate over the row window [lo, hi), with cooperative
-// cancellation: the candidate check loop observes ctx every
-// checkpointRows records. Bit i of the returned set stands for row lo+i;
+// cancellation: the candidate check observes ctx once per batch of
+// values raw hands it. Bit i of the returned set stands for row lo+i;
 // only the bin words and boundary-bin records inside the window are read.
 func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
 	return ix.evaluate(ctx, iv, raw, false, lo, hi)
@@ -219,19 +225,19 @@ func (ix *Index) evaluate(ctx context.Context, iv query.Interval, raw RawValues,
 	}
 	positions := cand.Positions(lo)
 	st.CandidateChecks = uint64(len(positions))
-	values, err := raw(positions)
-	if err != nil {
-		return nil, st, fmt.Errorf("fastbit: %q: candidate check: %w", ix.Name, err)
-	}
-	for i, p := range positions {
-		if i&(checkpointRows-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, st, err
+	err = raw(positions, func(pos []uint64, values []float64) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i, v := range values {
+			if iv.Contains(v) {
+				s.Set(pos[i] - lo)
 			}
 		}
-		if iv.Contains(values[i]) {
-			s.Set(p - lo)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, st, checkErr(ctx, fmt.Errorf("fastbit: %q: candidate check: %w", ix.Name, err))
 	}
 	return s, st, nil
 }

@@ -3,10 +3,12 @@ package fastbit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/histogram"
 	"repro/internal/query"
 	"repro/internal/scan"
 )
@@ -99,7 +101,7 @@ func TestBuildIndexConstantColumn(t *testing.T) {
 		}
 		return out, nil
 	}
-	v, _, err := ix.Evaluate(query.Interval{Lo: 5, Hi: 5}, raw)
+	v, _, err := ix.Evaluate(query.Interval{Lo: 5, Hi: 5}, Gathered(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func evalBoth(t *testing.T, ix *Index, vals []float64, iv query.Interval) EvalSt
 		}
 		return out, nil
 	}
-	got, st, err := ix.Evaluate(iv, raw)
+	got, st, err := ix.Evaluate(iv, Gathered(raw))
 	if err != nil {
 		t.Fatalf("Evaluate(%v): %v", iv, err)
 	}
@@ -196,7 +198,7 @@ func TestEvaluateRandomIntervalsProperty(t *testing.T) {
 			}
 			return out, nil
 		}
-		got, _, err := ix.Evaluate(iv, raw)
+		got, _, err := ix.Evaluate(iv, Gathered(raw))
 		if err != nil {
 			return false
 		}
@@ -486,5 +488,60 @@ func TestBuildIndexExtremeSpans(t *testing.T) {
 		}
 		evalBoth(t, ix, vals, query.Interval{Lo: 0, Hi: math.Inf(1), LoOpen: true})
 		evalBoth(t, ix, vals, query.Interval{Lo: -1, Hi: 1})
+	}
+}
+
+// TestBuildIndexLocatesAsBin: BuildIndex locates each value through
+// Locator.Guess, and Bin on a miss; every row lands in the bin a loop
+// calling Bin alone puts it in, with the values at every bound and both
+// its neighbours, on uniform, precision and extreme-span bounds.
+func TestBuildIndexLocatesAsBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := make([]float64, 2000)
+	for i := range base {
+		base[i] = rng.NormFloat64() * math.Exp(2*rng.NormFloat64())
+	}
+	for _, c := range []struct {
+		vals []float64
+		opt  IndexOptions
+	}{
+		{base, IndexOptions{Bins: 64}},
+		{base, IndexOptions{Precision: 2}},
+		{[]float64{0, 5e-324, 1e-323, 2e-323}, IndexOptions{Bins: 3}},
+		{[]float64{-1.5e308, 0, 1.5e308}, IndexOptions{Bins: 8}},
+	} {
+		first, err := BuildIndex("v", c.vals, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Probe every bound inside [min, max]: the bounds stay the same.
+		vals := slices.Clone(c.vals)
+		for _, b := range first.Bounds {
+			for _, v := range []float64{b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1))} {
+				if v >= first.Min() && v <= first.Max() {
+					vals = append(vals, v)
+				}
+			}
+		}
+		ix, err := BuildIndex("v", vals, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ix.Bounds, first.Bounds) {
+			t.Fatalf("%+v: probing the bounds moved them", c.opt)
+		}
+		loc, err := histogram.NewLocator(ix.Bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, v := range vals {
+			want := loc.Bin(v)
+			if want < 0 {
+				t.Fatalf("%+v: %g outside its own bounds", c.opt, v)
+			}
+			if !ix.Bitmaps[want].Get(uint64(row)) {
+				t.Fatalf("%+v: row %d (%g) not in bin %d, Bin's", c.opt, row, v, want)
+			}
+		}
 	}
 }

@@ -350,5 +350,5 @@ func TestLazyStepKeepRows(t *testing.T) {
 
 // rawFor is MemReader's column as a RawValues.
 func (m MemReader) rawFor(name string) RawValues {
-	return func(pos []uint64) ([]float64, error) { return m.ValuesAt(name, pos) }
+	return Gathered(func(pos []uint64) ([]float64, error) { return m.ValuesAt(name, pos) })
 }

@@ -87,7 +87,7 @@ func TestRangeEvaluationEveryCut(t *testing.T) {
 						t.Fatalf("%s %v: exact stats %+v, want %+v", name, iv, st, want)
 					}
 
-					exact, _, err := ix.Evaluate(iv, raw)
+					exact, _, err := ix.Evaluate(iv, Gathered(raw))
 					if err != nil {
 						t.Fatal(err)
 					}

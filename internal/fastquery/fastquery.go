@@ -296,14 +296,22 @@ func (st *Step) IDVar() string { return st.idVar() }
 // IDsAtCtx gathers the identifier column's values at the given sorted row
 // positions — the particle-tracking handoff: a selection's positions
 // become the ID set that an `id in (...)` predicate follows across steps.
+// An identifier that is not an integer within ±colstore.MaxExactInt is
+// an error (colstore.ExactInt), never truncated into another particle's.
 func (st *Step) IDsAtCtx(ctx context.Context, positions []uint64) ([]int64, error) {
-	vals, err := st.file.ReadFloat64AtCost(st.idVar(), positions, obs.CostFromContext(ctx))
+	out := make([]int64, 0, len(positions))
+	err := st.file.VisitFloat64AtCost(st.idVar(), positions, obs.CostFromContext(ctx), func(_ []uint64, values []float64) error {
+		for _, v := range values {
+			id, err := colstore.ExactInt(v)
+			if err != nil {
+				return err
+			}
+			out = append(out, id)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = int64(v)
 	}
 	return out, nil
 }
@@ -317,6 +325,12 @@ type reader struct {
 
 func (r reader) ValuesAt(name string, positions []uint64) ([]float64, error) {
 	return r.f.ReadFloat64AtCost(name, positions, r.cost)
+}
+
+// VisitAt makes reader a fastbit.BatchReader: a candidate check tests
+// each chunk's values while its buffer is in hand.
+func (r reader) VisitAt(name string, positions []uint64, fn func(positions []uint64, values []float64) error) error {
+	return r.f.VisitFloat64AtCost(name, positions, r.cost, fn)
 }
 
 // evaluator returns a fastbit evaluator for this step, wired to charge
@@ -451,15 +465,7 @@ func (st *Step) SelectIDsCtx(ctx context.Context, e query.Expr, b Backend) ([]in
 	if err != nil {
 		return nil, err
 	}
-	vals, err := st.file.ReadFloat64AtCost(st.idVar(), pos, obs.CostFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = int64(v)
-	}
-	return out, nil
+	return st.IDsAtCtx(ctx, pos)
 }
 
 // FindIDs returns the sorted positions of records whose identifier is in

@@ -1,10 +1,13 @@
 package fastquery
 
 import (
+	"context"
+	"math"
 	"os"
 	"sync"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/fastbit"
 	"repro/internal/histogram"
 	"repro/internal/query"
@@ -376,5 +379,40 @@ func TestMinMaxPrefersIndex(t *testing.T) {
 	}
 	if _, _, err := st.MinMax("nope"); err == nil {
 		t.Fatal("unknown column accepted")
+	}
+}
+
+// TestIdentifiersAreExact: the tracking handoff (IDsAtCtx) and ID
+// selection (SelectIDsCtx, both backends) refuse an identifier that is
+// not an integer within ±colstore.MaxExactInt rather than truncate it
+// into another particle's: a float64 id column holding 1.5 errors, it
+// does not track particle 1.
+func TestIdentifiersAreExact(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		id float64
+		ok bool
+	}{
+		{7, true},
+		{-3, true},
+		{colstore.MaxExactInt, true},
+		{1.5, false},
+		{-0.5, false},
+		{colstore.MaxExactInt + 2, false},
+		{math.Inf(1), false},
+	} {
+		px := []float64{0, 1, 2, 3}
+		st := writeStep(t, map[string][]float64{"px": px, "id": {1, c.id, 2, 3}},
+			map[string][]float64{"px": px}, fastbit.IndexOptions{Bins: 2})
+		ids, err := st.IDsAtCtx(ctx, []uint64{0, 1})
+		if (err == nil) != c.ok || (c.ok && (len(ids) != 2 || float64(ids[1]) != c.id)) {
+			t.Errorf("IDsAtCtx over id %g: %v, %v", c.id, ids, err)
+		}
+		for _, b := range []Backend{FastBit, Scan} {
+			ids, err := st.SelectIDsCtx(ctx, query.MustParse("px > 0.5 && px < 1.5"), b)
+			if (err == nil) != c.ok || (c.ok && (len(ids) != 1 || float64(ids[0]) != c.id)) {
+				t.Errorf("%v SelectIDsCtx over id %g: %v, %v", b, c.id, ids, err)
+			}
+		}
 	}
 }

@@ -64,7 +64,8 @@ func putGrid(g []uint32) {
 }
 
 // binGrid adds every (x, y) pair inside the locators' edges into the
-// grid's cell iy*nx+ix, checking ctx every checkpointRows pairs. On
+// grid's cell iy*nx+ix, locating each coordinate by the inlined Guess and
+// by Bin only on a miss, and checking ctx every checkpointRows pairs. On
 // cancellation it clears the grid before returning the error, so the
 // grid is all-zero again either way it ends badly.
 func binGrid[T uint32 | uint64](ctx context.Context, g []T, lx, ly *Locator, xs, ys []float64) error {
@@ -76,13 +77,18 @@ func binGrid[T uint32 | uint64](ctx context.Context, g []T, lx, ly *Locator, xs,
 				return err
 			}
 		}
-		ix := lx.Bin(xs[i])
+		x, y := xs[i], ys[i]
+		ix := lx.Guess(x)
 		if ix < 0 {
-			continue
+			if ix = lx.Bin(x); ix < 0 {
+				continue
+			}
 		}
-		iy := ly.Bin(ys[i])
+		iy := ly.Guess(y)
 		if iy < 0 {
-			continue
+			if iy = ly.Bin(y); iy < 0 {
+				continue
+			}
 		}
 		g[iy*nx+ix]++
 	}

@@ -110,7 +110,7 @@ func BenchmarkCompute2D(b *testing.B) {
 	ctx := context.Background()
 	for _, bins := range []int{256, 512, 1024} {
 		e := UniformEdges(0, 1, bins)
-		for _, n := range []int{256, 4096, 16384, 65536, 100000} {
+		for _, n := range []int{256, 4096, 16384, 65536, 100000, 262144} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			xs, ys := make([]float64, n), make([]float64, n)
 			for i := range xs {

@@ -200,13 +200,18 @@ func ConditionalHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string
 		if match != nil && !match(row) {
 			continue
 		}
-		ix := lx.Bin(xs[row])
+		x, y := xs[row], ys[row]
+		ix := lx.Guess(x)
 		if ix < 0 {
-			continue
+			if ix = lx.Bin(x); ix < 0 {
+				continue
+			}
 		}
-		iy := ly.Bin(ys[row])
+		iy := ly.Guess(y)
 		if iy < 0 {
-			continue
+			if iy = ly.Bin(y); iy < 0 {
+				continue
+			}
 		}
 		counts[iy][ix]++
 	}
@@ -254,9 +259,14 @@ func Histogram1DCtx(ctx context.Context, c Columns, v string, cond query.Expr, e
 		if match != nil && !match(row) {
 			continue
 		}
-		if i := loc.Bin(vs[row]); i >= 0 {
-			h.Counts[i]++
+		v := vs[row]
+		i := loc.Guess(v)
+		if i < 0 {
+			if i = loc.Bin(v); i < 0 {
+				continue
+			}
 		}
+		h.Counts[i]++
 	}
 	observeScan(ctx, len(vs), time.Since(start).Seconds())
 	sp.End()

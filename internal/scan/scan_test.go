@@ -204,3 +204,82 @@ func TestFindIDsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelsLocateAsBin: the Custom kernels locate each value through
+// Locator.Guess, and Bin on a miss; their counts equal a loop calling
+// Bin alone, on uniform, ulp-narrow, subnormal and adaptive edges probed
+// at every edge, both its neighbours, −0, NaN and ±Inf.
+func TestKernelsLocateAsBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tail := make([]float64, 1000)
+	for i := range tail {
+		tail[i] = rng.NormFloat64() * math.Exp(2*rng.NormFloat64())
+	}
+	lo, hi := MinMax(tail)
+	adaptive, err := histogram.AdaptiveEdges(tail, lo, hi, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := [][]float64{
+		histogram.UniformEdges(-3.7, 12.1, 64),
+		histogram.UniformEdges(1e15, math.Nextafter(1e15, 2e15), 9),
+		histogram.UniformEdges(0, 5e-324, 3),
+		adaptive,
+	}
+	probe := func(edges []float64) []float64 {
+		out := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+		for _, e := range edges {
+			out = append(out, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+		}
+		return out
+	}
+	for i, xe := range sets {
+		ye := sets[(i+1)%len(sets)]
+		xs, ys := probe(xe), probe(ye)
+		for len(ys) < len(xs) {
+			ys = append(ys, ys...)
+		}
+		ys = ys[:len(xs)]
+		rng.Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
+		cs := make([]float64, len(xs))
+		for j := range cs {
+			cs[j] = float64(rng.Intn(2))
+		}
+		c := Columns{"x": xs, "y": ys, "c": cs}
+		lx, _ := histogram.NewLocator(xe)
+		ly, _ := histogram.NewLocator(ye)
+		want1 := make([]uint64, lx.Bins())
+		want2 := make([]uint64, lx.Bins()*ly.Bins())
+		for j, x := range xs {
+			if cs[j] == 0 {
+				continue
+			}
+			ix, iy := lx.Bin(x), ly.Bin(ys[j])
+			if ix >= 0 {
+				want1[ix]++
+			}
+			if ix >= 0 && iy >= 0 {
+				want2[iy*lx.Bins()+ix]++
+			}
+		}
+		cond := query.MustParse("c > 0")
+		h2, err := ConditionalHistogram2D(c, "x", "y", cond, xe, ye)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, err := Histogram1D(c, "x", cond, xe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want2 {
+			if h2.Counts[j] != want2[j] {
+				t.Fatalf("set %d: 2D cell %d = %d, Bin's loop counts %d", i, j, h2.Counts[j], want2[j])
+			}
+		}
+		for j := range want1 {
+			if h1.Counts[j] != want1[j] {
+				t.Fatalf("set %d: 1D bin %d = %d, Bin's loop counts %d", i, j, h1.Counts[j], want1[j])
+			}
+		}
+	}
+}
