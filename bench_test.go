@@ -12,6 +12,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -108,7 +109,7 @@ func BenchmarkFig11UnconditionalHistogram(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/bins=%d", variant.name, bins), func(b *testing.B) {
 				spec := histogram.NewSpec2D("x", "px", bins, bins).WithBinning(variant.binning)
 				for i := 0; i < b.N; i++ {
-					if _, err := st.Histogram2D(nil, spec, variant.backend); err != nil {
+					if _, err := st.Histogram2DCtx(context.Background(), nil, spec, variant.backend); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -159,7 +160,7 @@ func BenchmarkFig12ConditionalHistogram(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/hits=%d", variant.name, hits), func(b *testing.B) {
 				spec := histogram.NewSpec2D("x", "px", 1024, 1024).WithBinning(variant.binning)
 				for i := 0; i < b.N; i++ {
-					if _, err := st.Histogram2D(cond, spec, variant.backend); err != nil {
+					if _, err := st.Histogram2DCtx(context.Background(), cond, spec, variant.backend); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -194,7 +195,7 @@ func BenchmarkFig13IDQuery(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/set=%d", variant.name, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := st.FindIDs(set, variant.backend); err != nil {
+					if _, err := st.FindIDsCtx(context.Background(), set, variant.backend); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -233,7 +234,7 @@ func BenchmarkFig14ParallelHistograms(b *testing.B) {
 				}
 				defer step.Close()
 				spec := histogram.NewSpec2D("x", "px", 1024, 1024)
-				if _, err := step.Histogram2D(c, spec, backend); err != nil {
+				if _, err := step.Histogram2DCtx(context.Background(), c, spec, backend); err != nil {
 					return 0, 0, err
 				}
 				return step.IOBytes(), 2, nil
@@ -278,7 +279,7 @@ func BenchmarkFig16ParallelTracking(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ids, err := last.SelectIDs(&query.Compare{Var: "px", Op: query.GT, Value: 0.75 * hi}, fastquery.FastBit)
+	ids, err := last.SelectIDsCtx(context.Background(), &query.Compare{Var: "px", Op: query.GT, Value: 0.75 * hi}, fastquery.FastBit)
 	last.Close()
 	if err != nil {
 		b.Fatal(err)
@@ -296,7 +297,7 @@ func BenchmarkFig16ParallelTracking(b *testing.B) {
 					return 0, 0, err
 				}
 				defer step.Close()
-				if _, err := step.FindIDs(ids, backend); err != nil {
+				if _, err := step.FindIDsCtx(context.Background(), ids, backend); err != nil {
 					return 0, 0, err
 				}
 				return step.IOBytes(), 1, nil
@@ -489,7 +490,7 @@ func BenchmarkAblationBinning(b *testing.B) {
 		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
 			iv := query.Interval{Lo: 1.2345e9, Hi: 2.3456e9}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
+				if _, _, err := ix.EvaluateCtx(context.Background(), iv, fastbit.Gathered(raw), 0, ix.N); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -528,7 +529,7 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	b.Run("UniformBins", func(b *testing.B) {
 		var checks uint64
 		for i := 0; i < b.N; i++ {
-			_, st, err := uniform.Evaluate(iv, fastbit.Gathered(raw))
+			_, st, err := uniform.EvaluateCtx(context.Background(), iv, fastbit.Gathered(raw), 0, uniform.N)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -539,7 +540,7 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	b.Run("PrecisionBins", func(b *testing.B) {
 		var checks uint64
 		for i := 0; i < b.N; i++ {
-			_, st, err := precise.Evaluate(iv, fastbit.Gathered(raw))
+			_, st, err := precise.EvaluateCtx(context.Background(), iv, fastbit.Gathered(raw), 0, precise.N)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -576,14 +577,14 @@ func BenchmarkAblationExactIndex(b *testing.B) {
 	iv := query.Interval{Lo: 3, Hi: 3} // equality on one category
 	b.Run("Exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := exact.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
+			if _, _, err := exact.EvaluateCtx(context.Background(), iv, fastbit.Gathered(raw), 0, exact.N); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Binned4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := binned.Evaluate(iv, fastbit.Gathered(raw)); err != nil {
+			if _, _, err := binned.EvaluateCtx(context.Background(), iv, fastbit.Gathered(raw), 0, binned.N); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -619,7 +620,7 @@ func BenchmarkAblationHistogramStrategy(b *testing.B) {
 			// Select the matching rows, gather their values, bin them.
 			edges := histogram.UniformEdges(si.Columns["px"].Min(), si.Columns["px"].Max(), 256)
 			for i := 0; i < b.N; i++ {
-				pos, err := ev.Select(cond)
+				pos, err := ev.SelectCtx(context.Background(), cond, 0, ev.N)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -634,7 +635,7 @@ func BenchmarkAblationHistogramStrategy(b *testing.B) {
 		})
 		b.Run("BitmapCount/"+sel.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ev.Histogram1DFromBitmaps(cond, "px"); err != nil {
+				if _, err := ev.Histogram1DFromBitmapsCtx(context.Background(), cond, "px"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"image/color"
 	"os"
 	"reflect"
@@ -71,7 +72,7 @@ func beamIDs(t *testing.T, src *fastquery.Source, step int, q string) []int64 {
 	var ids []int64
 	err := withStep(src, step, func(st *fastquery.Step) error {
 		var err error
-		ids, err = st.SelectIDs(query.MustParse(q), fastquery.FastBit)
+		ids, err = st.SelectIDsCtx(context.Background(), query.MustParse(q), fastquery.FastBit)
 		return err
 	})
 	if err != nil {
@@ -254,7 +255,7 @@ func TestSelectByIDsAndAtStep(t *testing.T) {
 		}
 	}
 	err = withStep(src, 0, func(st *fastquery.Step) error {
-		pos, err := st.FindIDs(ids, fastquery.FastBit)
+		pos, err := st.FindIDsCtx(context.Background(), ids, fastquery.FastBit)
 		if err == nil && len(pos) != 0 {
 			t.Fatalf("%d beam particles present at t=0", len(pos))
 		}
@@ -273,35 +274,35 @@ func TestHistograms(t *testing.T) {
 	spec2 := histogram.NewSpec2D("x", "px", 32, 32)
 	cond := query.MustParse("px > 1e9")
 	err := withStep(src, 5, func(st *fastquery.Step) error {
-		h2, err := st.Histogram2D(nil, spec2, fastquery.FastBit)
+		h2, err := st.Histogram2DCtx(context.Background(), nil, spec2, fastquery.FastBit)
 		if err != nil {
 			return err
 		}
 		if h2.Total() == 0 {
 			t.Fatal("empty unconditional histogram")
 		}
-		hc, err := st.Histogram2D(cond, spec2, fastquery.FastBit)
+		hc, err := st.Histogram2DCtx(context.Background(), cond, spec2, fastquery.FastBit)
 		if err != nil {
 			return err
 		}
 		if hc.Total() == 0 || hc.Total() >= h2.Total() {
 			t.Fatalf("conditional total %d vs unconditional %d", hc.Total(), h2.Total())
 		}
-		hs, err := st.Histogram2D(cond, spec2, fastquery.Scan)
+		hs, err := st.Histogram2DCtx(context.Background(), cond, spec2, fastquery.Scan)
 		if err != nil {
 			return err
 		}
 		if hs.Total() != hc.Total() {
 			t.Fatalf("scan total %d != fastbit total %d", hs.Total(), hc.Total())
 		}
-		h1, err := st.Histogram1D(nil, histogram.NewSpec1D("px", 64), fastquery.FastBit)
+		h1, err := st.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("px", 64), fastquery.FastBit)
 		if err != nil {
 			return err
 		}
 		if h1.Total() != h2.Total() {
 			t.Fatalf("1D total %d != 2D total %d", h1.Total(), h2.Total())
 		}
-		if _, err := st.Histogram2D(nil, histogram.NewSpec2D("x", "nope", 8, 8), fastquery.FastBit); err == nil {
+		if _, err := st.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D("x", "nope", 8, 8), fastquery.FastBit); err == nil {
 			t.Fatal("unknown variable accepted")
 		}
 		return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"image/color"
 
@@ -94,12 +95,12 @@ func globalRange(src *fastquery.Source, name string, steps []int) (lo, hi float6
 func selectValues(src *fastquery.Source, t int, cond query.Expr, vars ...string) ([][]float64, error) {
 	out := make([][]float64, len(vars))
 	err := withStep(src, t, func(st *fastquery.Step) error {
-		pos, err := st.Select(cond, fastquery.FastBit)
+		pos, err := st.SelectCtx(context.Background(), cond, fastquery.FastBit, 0, st.Rows())
 		if err != nil {
 			return err
 		}
 		for i, v := range vars {
-			if out[i], err = st.ValuesAt(v, pos); err != nil {
+			if out[i], err = st.ValuesAtCtx(context.Background(), v, pos); err != nil {
 				return err
 			}
 		}
@@ -143,7 +144,7 @@ func addHistLayer(plot *pcoords.Plot, src *fastquery.Source, t int, axes []pcoor
 				WithXRange(a.Min, a.Max).
 				WithYRange(b.Min, b.Max)
 			var err error
-			if hists[i], err = st.Histogram2D(cond, spec, fastquery.FastBit); err != nil {
+			if hists[i], err = st.Histogram2DCtx(context.Background(), cond, spec, fastquery.FastBit); err != nil {
 				return err
 			}
 		}
@@ -328,7 +329,7 @@ func densityPlot(src *fastquery.Source, t int, xVar, yVar string, bins int, cond
 	var h *histogram.Hist2D
 	err := withStep(src, t, func(st *fastquery.Step) error {
 		var err error
-		h, err = st.Histogram2D(nil, histogram.NewSpec2D(xVar, yVar, bins, bins), fastquery.FastBit)
+		h, err = st.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D(xVar, yVar, bins, bins), fastquery.FastBit)
 		return err
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -196,7 +197,7 @@ func (s *scaleStudy) hist() ([]*report.Table, error) {
 	histTask := func(cond query.Expr, b fastquery.Backend) func(*fastquery.Step) (int, error) {
 		return func(st *fastquery.Step) (int, error) {
 			for _, spec := range histPairs(s.bins) {
-				if _, err := st.Histogram2D(cond, spec, b); err != nil {
+				if _, err := st.Histogram2DCtx(context.Background(), cond, spec, b); err != nil {
 					return 0, err
 				}
 			}
@@ -230,7 +231,7 @@ func (s *scaleStudy) track(targetHits int) ([]*report.Table, error) {
 			return err
 		}
 		thr = thresholds[k]
-		ids, err = st.SelectIDs(&query.Compare{Var: "px", Op: query.GT, Value: thr}, fastquery.FastBit)
+		ids, err = st.SelectIDsCtx(context.Background(), &query.Compare{Var: "px", Op: query.GT, Value: thr}, fastquery.FastBit)
 		return err
 	})
 	if err != nil {
@@ -238,7 +239,7 @@ func (s *scaleStudy) track(targetHits int) ([]*report.Table, error) {
 	}
 	findTask := func(b fastquery.Backend) func(*fastquery.Step) (int, error) {
 		return func(st *fastquery.Step) (int, error) {
-			_, err := st.FindIDs(ids, b)
+			_, err := st.FindIDsCtx(context.Background(), ids, b)
 			return 1, err
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -101,7 +102,7 @@ func histTimes(st *fastquery.Step, runs int, cond query.Expr, specU histogram.Sp
 		{specU, fastquery.Scan},
 	} {
 		d, err := report.MedianTime(runs, func() error {
-			_, err := st.Histogram2D(cond, v.spec, v.b)
+			_, err := st.Histogram2DCtx(context.Background(), cond, v.spec, v.b)
 			return err
 		})
 		if err != nil {
@@ -157,7 +158,7 @@ func fig12(st *fastquery.Step, runs int) (*report.Table, error) {
 	for _, k := range targets {
 		thr := thresholds[k]
 		cond := &query.Compare{Var: "px", Op: query.GT, Value: thr}
-		hits, err := st.Count(cond, fastquery.FastBit)
+		hits, err := st.CountCtx(context.Background(), cond, fastquery.FastBit)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +191,7 @@ func fig13(st *fastquery.Step, runs int) (*report.Table, error) {
 		}
 		var hits int
 		fb, err := report.MedianTime(runs, func() error {
-			pos, err := st.FindIDs(set, fastquery.FastBit)
+			pos, err := st.FindIDsCtx(context.Background(), set, fastquery.FastBit)
 			hits = len(pos)
 			return err
 		})
@@ -198,7 +199,7 @@ func fig13(st *fastquery.Step, runs int) (*report.Table, error) {
 			return nil, err
 		}
 		cu, err := report.MedianTime(runs, func() error {
-			_, err := st.FindIDs(set, fastquery.Scan)
+			_, err := st.FindIDsCtx(context.Background(), set, fastquery.Scan)
 			return err
 		})
 		if err != nil {

@@ -86,7 +86,7 @@ func trackIDs(src *fastquery.Source, ids []int64, from, to int, b fastquery.Back
 // identifiers and their px, py and y values, the inputs of stats.Beam.
 func selectBeam(src *fastquery.Source, t int, e query.Expr, b fastquery.Backend) (ids []int64, pxPyY [][]float64, err error) {
 	err = withStep(src, t, func(st *fastquery.Step) error {
-		pos, err := st.Select(e, b)
+		pos, err := st.SelectCtx(context.Background(), e, b, 0, st.Rows())
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func selectBeam(src *fastquery.Source, t int, e query.Expr, b fastquery.Backend)
 		}
 		pxPyY = make([][]float64, 3)
 		for i, v := range []string{"px", "py", "y"} {
-			if pxPyY[i], err = st.ValuesAt(v, pos); err != nil {
+			if pxPyY[i], err = st.ValuesAtCtx(context.Background(), v, pos); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"image/color"
@@ -162,11 +163,11 @@ func runUsecase(args []string) error {
 	refined := &query.And{Terms: []query.Expr{atBeam, &query.Compare{Var: "x", Op: query.GT, Value: xCut}}}
 	var found, kept int
 	err = withStep(src, at, func(st *fastquery.Step) error {
-		pos, err := st.FindIDs(beamIDs, fastquery.FastBit)
+		pos, err := st.FindIDsCtx(context.Background(), beamIDs, fastquery.FastBit)
 		if err != nil {
 			return err
 		}
-		n, err := st.Count(refined, fastquery.FastBit)
+		n, err := st.CountCtx(context.Background(), refined, fastquery.FastBit)
 		found, kept = len(pos), int(n)
 		return err
 	})

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -58,11 +59,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 
 	// 1. Interactive selection with both backends, identical results.
 	q := query.MustParse("px > 5e10 && y > -1e-3")
-	pos, err := last.Select(q, fastquery.FastBit)
+	pos, err := last.SelectCtx(context.Background(), q, fastquery.FastBit, 0, last.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanPos, err := last.Select(q, fastquery.Scan)
+	scanPos, err := last.SelectCtx(context.Background(), q, fastquery.Scan, 0, last.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 
 	// 2. Conditional histograms at two resolutions conserve the selection.
 	for _, bins := range []int{32, 512} {
-		h, err := last.Histogram2D(q, histogram.NewSpec2D("x", "px", bins, bins), fastquery.FastBit)
+		h, err := last.Histogram2DCtx(context.Background(), q, histogram.NewSpec2D("x", "px", bins, bins), fastquery.FastBit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	// 3. Track the beam through the full run by identifier: every step
 	// finds a subset of the set, the last step finds all of it, and both
 	// backends find the same records.
-	ids, err := last.SelectIDs(q, fastquery.FastBit)
+	ids, err := last.SelectIDsCtx(context.Background(), q, fastquery.FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		found, err := st.FindIDs(ids, fastquery.FastBit)
+		found, err := st.FindIDsCtx(context.Background(), ids, fastquery.FastBit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanFound, err := st.FindIDs(ids, fastquery.Scan)
+		scanFound, err := st.FindIDsCtx(context.Background(), ids, fastquery.Scan)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -545,32 +545,21 @@ func (file *File) readRange(ci *ColumnInfo, lo, hi uint64, cost *obs.Cost, fn fu
 
 // ReadFloat64 reads a whole float64 column.
 func (file *File) ReadFloat64(name string) ([]float64, error) {
-	return file.ReadFloat64Cost(name, nil)
-}
-
-// ReadFloat64Cost is ReadFloat64 charging bytes and values into cost
-// (nil-safe) for per-query attribution.
-func (file *File) ReadFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
 	if _, err := file.column(name, Float64); err != nil {
 		return nil, err
 	}
-	return file.ReadAsFloat64RangeCost(name, 0, file.rows, cost)
+	return file.ReadAsFloat64RangeCost(name, 0, file.rows, nil)
 }
 
 // ReadInt64 reads a whole int64 column.
 func (file *File) ReadInt64(name string) ([]int64, error) {
-	return file.ReadInt64Cost(name, nil)
-}
-
-// ReadInt64Cost is ReadInt64 charging bytes and values into cost.
-func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 	ci, err := file.column(name, Int64)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int64, file.rows)
 	next := out
-	err = file.readRange(ci, 0, file.rows, cost, func(words []byte) {
+	err = file.readRange(ci, 0, file.rows, nil, func(words []byte) {
 		dst := next[:len(words)/8]
 		for i := range dst {
 			dst[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
@@ -605,12 +594,7 @@ func ExactInt(v float64) (int64, error) {
 // selection read identifiers this way, and ingest refuses any int value
 // beyond ±MaxExactInt rather than let it be tracked as its neighbour.
 func (file *File) ReadAsFloat64(name string) ([]float64, error) {
-	return file.ReadAsFloat64Cost(name, nil)
-}
-
-// ReadAsFloat64Cost is ReadAsFloat64 charging bytes and values into cost.
-func (file *File) ReadAsFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
-	return file.ReadAsFloat64RangeCost(name, 0, file.rows, cost)
+	return file.ReadAsFloat64RangeCost(name, 0, file.rows, nil)
 }
 
 // ReadAsFloat64RangeCost reads rows [lo, hi) of any column as float64,

@@ -27,14 +27,14 @@ func TestEvaluateApproxSupersetProperty(t *testing.T) {
 		e := query.MustParse(q)
 
 		exact := si.Evaluator(mem)
-		want, err := exact.Select(e)
+		want, err := exact.SelectCtx(context.Background(), e, 0, exact.N)
 		if err != nil {
 			t.Fatalf("%q exact: %v", q, err)
 		}
 
 		approx := si.Evaluator(nil) // no raw reader: index-only must not need one
 		approx.Approx = true
-		got, err := approx.Eval(e)
+		got, err := approx.EvalCtx(context.Background(), e)
 		if err != nil {
 			t.Fatalf("%q approx: %v", q, err)
 		}
@@ -52,9 +52,9 @@ func TestEvaluateApproxSupersetProperty(t *testing.T) {
 	}
 }
 
-// TestEvaluateApproxCtxCountsApproxRows: a query whose interval cuts
-// through bin interiors must report its wholesale admissions, and the
-// overcount must equal exactly the non-matching rows of boundary bins.
+// TestEvaluateApproxCtxCountsApproxRows: an approximate evaluation whose
+// interval cuts through bin interiors must report its wholesale
+// admissions, and the overcount must equal exactly the non-matching rows of boundary bins.
 func TestEvaluateApproxCtxCountsApproxRows(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 4000, 32, IndexOptions{Bins: 32})
 	ix := si.Columns["px"]
@@ -72,7 +72,7 @@ func TestEvaluateApproxCtxCountsApproxRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approxV, approxSt, err := ix.EvaluateApproxCtx(context.Background(), iv)
+	approxV, approxSt, err := ix.evaluate(context.Background(), iv, nil, true, 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEvalStatsAccumulateApproxRows(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 4000, 33, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	ev.Approx = true
-	if _, err := ev.Eval(query.MustParse("px > 1 && x > 1e-4")); err != nil {
+	if _, err := ev.EvalCtx(context.Background(), query.MustParse("px > 1 && x > 1e-4")); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.ApproxRows == 0 {

@@ -73,7 +73,7 @@ func checkFixture(tb testing.TB, rows int) (*StepIndex, fileReader) {
 
 // TestBatchReaderMatchesGather: candidate checks handed each chunk's
 // values by VisitAt select what checks over ValuesAt's slice select, with
-// the same stats, for ranges, memberships and ID selection.
+// the same stats, for ranges and memberships.
 func TestBatchReaderMatchesGather(t *testing.T) {
 	const rows = 2*colstore.DefaultChunkRows + 777
 	si, fr := checkFixture(t, rows)
@@ -100,14 +100,6 @@ func TestBatchReaderMatchesGather(t *testing.T) {
 		if q == "px > 0.1234" && batch.Stats.CandidateChecks < 1000 {
 			t.Fatalf("%s: only %d candidate checks", q, batch.Stats.CandidateChecks)
 		}
-		wantIDs, err := gather.SelectIDs(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotIDs, err := batch.SelectIDs(e)
-		if err != nil || !slices.Equal(gotIDs, wantIDs) {
-			t.Fatalf("%s: SelectIDs batch %d ids (%v), gather %d", q, len(gotIDs), err, len(wantIDs))
-		}
 	}
 }
 
@@ -121,7 +113,7 @@ func TestCandidateCheckAllocatesNoValues(t *testing.T) {
 	ix := si.Columns["px"]
 	iv := query.Interval{Lo: 0.1234, Hi: math.Inf(1), LoOpen: true}
 	check := func(raw RawValues) EvalStats {
-		_, st, err := ix.Evaluate(iv, raw)
+		_, st, err := ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,24 +142,19 @@ func TestCandidateCheckAllocatesNoValues(t *testing.T) {
 	}
 }
 
-// TestSelectIDsRefusesInexactIDs: an identifier column holding 1.5 or a
-// value past ±2^53 fails ID selection instead of naming another particle,
-// and an `id in` value no identifier equals matches nothing, as it does in
-// a scan.
+// TestSelectIDsRefusesInexactIDs: an `id in` value no identifier equals
+// (1.5, or one past ±2^53) matches nothing, as it does in a scan, instead
+// of naming another particle. The gather side — an identifier column
+// holding such a value fails ID selection — is fastquery's
+// TestIdentifiersAreExact.
 func TestSelectIDsRefusesInexactIDs(t *testing.T) {
 	px := []float64{0, 1, 2, 3}
 	si, err := BuildStepIndex(map[string][]float64{"px": px}, []int64{1, 2, 3, 4}, "id", IndexOptions{Bins: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []float64{1.5, colstore.MaxExactInt + 2, math.NaN()} {
-		ev := si.Evaluator(MemReader{"px": px, "id": {1, id, 3, 4}})
-		if ids, err := ev.SelectIDs(query.MustParse("px > 0.5 && px < 1.5")); err == nil {
-			t.Errorf("id %g selected as %v", id, ids)
-		}
-	}
 	ev := si.Evaluator(MemReader{"px": px, "id": {1, 2, 3, 4}})
-	n, err := ev.Count(query.MustParse("id in (1.5, 3, 1e300)"))
+	n, err := ev.CountIn(context.Background(), query.MustParse("id in (1.5, 3, 1e300)"), 0, ev.N)
 	if err != nil || n != 1 {
 		t.Fatalf("id in (1.5, 3, 1e300) counted %d (%v), want 1", n, err)
 	}
@@ -193,7 +180,7 @@ func BenchmarkCandidateCheck(b *testing.B) {
 			b.ReportAllocs()
 			var checks uint64
 			for i := 0; i < b.N; i++ {
-				_, st, err := ix.Evaluate(iv, c.raw)
+				_, st, err := ix.EvaluateCtx(context.Background(), iv, c.raw, 0, ix.N)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -107,13 +107,9 @@ func (ev *Evaluator) idIndex() *IDIndex {
 	return nil
 }
 
-// Eval computes the bitmap of records matching e.
-func (ev *Evaluator) Eval(e query.Expr) (*bitmap.Vector, error) {
-	return ev.EvalCtx(context.Background(), e)
-}
-
-// EvalCtx is Eval with cooperative cancellation: the whole step's set of
-// matches, encoded once as a WAH vector for the bitmap-space histograms.
+// EvalCtx computes the bitmap of records matching e, with cooperative
+// cancellation: the whole step's set of matches, encoded once as a WAH
+// vector for the bitmap-space histograms.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
 	s, err := ev.evalWindow(ctx, e, 0, ev.N)
 	if err != nil {
@@ -369,16 +365,6 @@ func (ev *Evaluator) accumulate(st EvalStats) {
 	ev.Stats.ApproxRows += st.ApproxRows
 }
 
-// Count returns the number of records matching e.
-func (ev *Evaluator) Count(e query.Expr) (uint64, error) {
-	return ev.CountCtx(context.Background(), e)
-}
-
-// CountCtx is Count with cooperative cancellation.
-func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error) {
-	return ev.CountIn(ctx, e, 0, ev.N)
-}
-
 // CountIn returns the number of rows in [lo, hi) matching e: SelectCtx's
 // evaluation, counted in the set without listing its positions.
 func (ev *Evaluator) CountIn(ctx context.Context, e query.Expr, lo, hi uint64) (uint64, error) {
@@ -390,11 +376,6 @@ func (ev *Evaluator) CountIn(ctx context.Context, e query.Expr, lo, hi uint64) (
 		return 0, err
 	}
 	return s.Count(), nil
-}
-
-// Select returns the sorted record positions matching e.
-func (ev *Evaluator) Select(e query.Expr) ([]uint64, error) {
-	return ev.SelectCtx(context.Background(), e, 0, ev.N)
 }
 
 // SelectCtx returns the sorted positions in rows [lo, hi) matching e,
@@ -410,36 +391,4 @@ func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64)
 		return nil, err
 	}
 	return s.Positions(lo), nil
-}
-
-// SelectIDs returns the identifiers of records matching e, read from the
-// identifier column at the matching positions.
-func (ev *Evaluator) SelectIDs(e query.Expr) ([]int64, error) {
-	return ev.SelectIDsCtx(context.Background(), e)
-}
-
-// SelectIDsCtx is SelectIDs with cooperative cancellation.
-func (ev *Evaluator) SelectIDsCtx(ctx context.Context, e query.Expr) ([]int64, error) {
-	pos, err := ev.SelectCtx(ctx, e, 0, ev.N)
-	if err != nil {
-		return nil, err
-	}
-	if ev.Raw == nil {
-		return nil, fmt.Errorf("fastbit: SelectIDs requires a raw reader")
-	}
-	out := make([]int64, 0, len(pos))
-	err = ev.rawFor(ev.IDVar)(pos, func(_ []uint64, values []float64) error {
-		for _, v := range values {
-			id, err := colstore.ExactInt(v)
-			if err != nil {
-				return err
-			}
-			out = append(out, id)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -74,11 +75,11 @@ func TestEvaluatorMatchesScanOnCompoundQueries(t *testing.T) {
 	}
 	for _, q := range queries {
 		e := query.MustParse(q)
-		want, err := scan.Select(cols, e)
+		want, err := scan.SelectCtx(context.Background(), cols, e)
 		if err != nil {
 			t.Fatalf("%q scan: %v", q, err)
 		}
-		got, err := ev.Select(e)
+		got, err := ev.SelectCtx(context.Background(), e, 0, ev.N)
 		if err != nil {
 			t.Fatalf("%q fastbit: %v", q, err)
 		}
@@ -100,7 +101,7 @@ func TestEvaluatorSelectWindow(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 2000, 22, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	e := query.MustParse("px > 0 && !(y > 1e-5)")
-	all, err := ev.Select(e)
+	all, err := ev.SelectCtx(context.Background(), e, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestEvaluatorSelectWindow(t *testing.T) {
 	if _, err := ev.SelectCtx(context.Background(), e, 31, 40); err != nil {
 		t.Fatal(err)
 	}
-	if cnt, err := ev.Count(e); err != nil || cnt != uint64(len(all)) {
+	if cnt, err := ev.CountIn(context.Background(), e, 0, ev.N); err != nil || cnt != uint64(len(all)) {
 		t.Fatalf("Count after a windowed select = %d, %v; want %d", cnt, err, len(all))
 	}
 }
@@ -141,11 +142,11 @@ func TestEvaluatorCount(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 2000, 22, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	e := query.MustParse("px > 0")
-	cnt, err := ev.Count(e)
+	cnt, err := ev.CountIn(context.Background(), e, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := ev.Select(e)
+	sel, err := ev.SelectCtx(context.Background(), e, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +158,10 @@ func TestEvaluatorCount(t *testing.T) {
 func TestEvaluatorUnknownVariable(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 100, 23, IndexOptions{Bins: 8})
 	ev := si.Evaluator(mem)
-	if _, err := ev.Eval(query.MustParse("nope > 0")); err == nil {
+	if _, err := ev.EvalCtx(context.Background(), query.MustParse("nope > 0")); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
-	if _, err := ev.Eval(query.MustParse("nope in (1,2)")); err == nil {
+	if _, err := ev.EvalCtx(context.Background(), query.MustParse("nope in (1,2)")); err == nil {
 		t.Fatal("unknown in-variable accepted")
 	}
 }
@@ -175,11 +176,14 @@ func TestEvaluatorIDQuery(t *testing.T) {
 		vals[i] = float64(id)
 	}
 	in := query.NewIn("id", vals)
-	got, err := ev.Select(in)
+	got, err := ev.SelectCtx(context.Background(), in, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := scan.FindIDs(ids, want)
+	ref, err := scan.FindIDsCtx(context.Background(), ids, want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(ref) {
 		t.Fatalf("ID query: %d hits, want %d", len(got), len(ref))
 	}
@@ -195,11 +199,11 @@ func TestEvaluatorInOnNonIDColumn(t *testing.T) {
 	ev := si.Evaluator(mem)
 	px := mem["px"]
 	in := query.NewIn("px", []float64{px[17], px[1234], 1e300})
-	got, err := ev.Select(in)
+	got, err := ev.SelectCtx(context.Background(), in, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Select(scanColumns(mem), in)
+	want, err := scan.SelectCtx(context.Background(), scanColumns(mem), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestEvaluatorRandomThresholdProperty(t *testing.T) {
 			op = ">="
 		}
 		e := query.MustParse("px " + op + " " + formatG(thr))
-		got, err := ev.Count(e)
+		got, err := ev.CountIn(context.Background(), e, 0, ev.N)
 		if err != nil {
 			return false
 		}
@@ -250,25 +254,30 @@ func formatG(v float64) string {
 	return s[len("t > "):]
 }
 
+// TestSelectIDs: the tracking handoff within one step — the identifiers
+// at a selection's rows, selected back by an `id in` membership through
+// the identifier index, are exactly that selection's rows.
 func TestSelectIDs(t *testing.T) {
 	si, mem, ids := buildTestStep(t, 4000, 27, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
-	e := query.MustParse("px > 1e9")
-	got, err := ev.SelectIDs(e)
+	ctx := context.Background()
+	pos, err := ev.SelectCtx(ctx, query.MustParse("px > 1e9"), 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := scan.Select(scanColumns(mem), e)
-	if err != nil {
-		t.Fatal(err)
+	if len(pos) == 0 {
+		t.Fatal("vacuous: empty selection")
 	}
-	if len(got) != len(pos) {
-		t.Fatalf("SelectIDs returned %d, want %d", len(got), len(pos))
-	}
+	vals := make([]float64, len(pos))
 	for i, p := range pos {
-		if got[i] != ids[p] {
-			t.Fatalf("SelectIDs[%d] = %d, want %d", i, got[i], ids[p])
-		}
+		vals[i] = float64(ids[p])
+	}
+	got, err := ev.SelectCtx(ctx, query.NewIn("id", vals), 0, ev.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, pos) {
+		t.Fatalf("id in (the selection's %d ids) selected %d rows", len(pos), len(got))
 	}
 }
 
@@ -298,8 +307,8 @@ func TestIDIndexMatchesScanProperty(t *testing.T) {
 	f := func(idsRaw []int64, setRaw []int64) bool {
 		x := BuildIDIndex(idsRaw)
 		got := x.Lookup(setRaw)
-		want := scan.FindIDs(idsRaw, setRaw)
-		if len(got) != len(want) {
+		want, err := scan.FindIDsCtx(context.Background(), idsRaw, setRaw)
+		if err != nil || len(got) != len(want) {
 			return false
 		}
 		for i := range got {
@@ -311,15 +320,6 @@ func TestIDIndexMatchesScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIDIndexIDsAt(t *testing.T) {
-	ids := []int64{7, 3, 9, 1}
-	x := BuildIDIndex(ids)
-	got := x.IDsAt([]uint64{2, 0})
-	if got[0] != 9 || got[1] != 7 {
-		t.Fatalf("IDsAt = %v", got)
 	}
 }
 
@@ -337,7 +337,7 @@ func TestEvalStatsAccumulate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.Eval(&query.Compare{Var: "px", Op: query.GT, Value: thr}); err != nil {
+	if _, err := ev.EvalCtx(context.Background(), &query.Compare{Var: "px", Op: query.GT, Value: thr}); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.CandidateChecks == 0 {
@@ -379,7 +379,7 @@ func TestBuildStepIndexValidation(t *testing.T) {
 func TestEvaluatorPositionsSorted(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 2000, 29, IndexOptions{Bins: 16})
 	ev := si.Evaluator(mem)
-	pos, err := ev.Select(query.MustParse("px > 1e8 || y > 0"))
+	pos, err := ev.SelectCtx(context.Background(), query.MustParse("px > 1e8 || y > 0"), 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestAndShortCircuitSkipsCandidateChecks(t *testing.T) {
 		&query.Compare{Var: "px", Op: query.GT, Value: ix.Max() + 1},
 		&query.Compare{Var: "px", Op: query.GT, Value: cut},
 	}}
-	got, err := ev.Eval(e)
+	got, err := ev.EvalCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,14 @@ import (
 	"repro/internal/query"
 )
 
-// Histogram1DFromBitmaps computes a conditional 1D histogram entirely in
+// Histogram1DFromBitmapsCtx computes a conditional 1D histogram entirely in
 // index space: the condition's bitmap is ANDed with every bin bitmap of
 // the variable's index and the ones are counted. No raw data is touched.
 // The bin boundaries are the index's own; this is the algorithm family of
 // Stockinger et al. for conditional histograms on SMP machines (paper
 // Section II-C), provided here as the ablation counterpart to the
-// two-step gather-then-bin strategy of fastquery's histogram kernel.
-func (ev *Evaluator) Histogram1DFromBitmaps(cond query.Expr, name string) (*histogram.Hist1D, error) {
-	return ev.Histogram1DFromBitmapsCtx(context.Background(), cond, name)
-}
-
-// Histogram1DFromBitmapsCtx is Histogram1DFromBitmaps with cooperative
-// cancellation.
+// two-step gather-then-bin strategy of fastquery's histogram kernel. ctx
+// is observed by the condition's evaluation.
 func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.Expr, name string) (*histogram.Hist1D, error) {
 	ix, err := ev.index(name, 0, ev.N)
 	if err != nil {
@@ -45,19 +40,14 @@ func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.E
 	return h, nil
 }
 
-// Histogram2DFromBitmaps computes a (conditional) 2D histogram entirely in
+// Histogram2DFromBitmapsCtx computes a (conditional) 2D histogram entirely in
 // index space: for every (x-bin, y-bin) cell the two bin bitmaps — and the
 // condition bitmap, when present — are intersected and counted. No raw
 // data is touched; the cell grid is the cross product of the two indexes'
 // bins, which is exactly the histogram "cross product" interface of the
 // paper's network-analysis predecessor (Section II-C). Quadratic in bin
-// count, so intended for coarse overview grids.
-func (ev *Evaluator) Histogram2DFromBitmaps(cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
-	return ev.Histogram2DFromBitmapsCtx(context.Background(), cond, xvar, yvar)
-}
-
-// Histogram2DFromBitmapsCtx is Histogram2DFromBitmaps with cooperative
-// cancellation: ctx is observed per y-bin row of the cell grid.
+// count, so intended for coarse overview grids. ctx is observed per
+// y-bin row of the cell grid.
 func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
 	ixX, err := ev.index(xvar, 0, ev.N)
 	if err != nil {

@@ -2,6 +2,7 @@ package fastbit
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -27,11 +28,12 @@ func TestStepIndexSerializationRoundTrip(t *testing.T) {
 	}
 	// Same query answers through both.
 	e := query.MustParse("px > 1e9 && y > 0")
-	got, err := ls.Evaluator(mem).Select(e)
+	lev, sev := ls.Evaluator(mem), si.Evaluator(mem)
+	got, err := lev.SelectCtx(context.Background(), e, 0, lev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := si.Evaluator(mem).Select(e)
+	want, err := sev.SelectCtx(context.Background(), e, 0, sev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +114,11 @@ func TestHistogram1DFromBitmapsMatchesScan(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 6000, 41, IndexOptions{Bins: 24})
 	ev := si.Evaluator(mem)
 	cond := query.MustParse("y > 0")
-	got, err := ev.Histogram1DFromBitmaps(cond, "px")
+	got, err := ev.Histogram1DFromBitmapsCtx(context.Background(), cond, "px")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Histogram1D(scanColumns(mem), "px", cond, got.Edges)
+	want, err := scan.Histogram1DCtx(context.Background(), scanColumns(mem), "px", cond, got.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +128,17 @@ func TestHistogram1DFromBitmapsMatchesScan(t *testing.T) {
 		}
 	}
 	// Unconditional comes straight from bin counts.
-	un, err := ev.Histogram1DFromBitmaps(nil, "px")
+	un, err := ev.Histogram1DFromBitmapsCtx(context.Background(), nil, "px")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if un.Total() != si.N {
 		t.Fatalf("unconditional total = %d, want %d", un.Total(), si.N)
 	}
-	if _, err := ev.Histogram1DFromBitmaps(nil, "nope"); err == nil {
+	if _, err := ev.Histogram1DFromBitmapsCtx(context.Background(), nil, "nope"); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
-	if _, err := ev.Histogram1DFromBitmaps(query.MustParse("zz > 0"), "px"); err == nil {
+	if _, err := ev.Histogram1DFromBitmapsCtx(context.Background(), query.MustParse("zz > 0"), "px"); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 }
@@ -145,11 +147,11 @@ func TestHistogram2DFromBitmapsMatchesScan(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 4000, 42, IndexOptions{Bins: 16})
 	ev := si.Evaluator(mem)
 	for _, cond := range []query.Expr{nil, query.MustParse("y > 0")} {
-		got, err := ev.Histogram2DFromBitmaps(cond, "x", "px")
+		got, err := ev.Histogram2DFromBitmapsCtx(context.Background(), cond, "x", "px")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := scan.ConditionalHistogram2D(scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
+		want, err := scan.ConditionalHistogram2DCtx(context.Background(), scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,13 +161,13 @@ func TestHistogram2DFromBitmapsMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.Histogram2DFromBitmaps(nil, "nope", "px"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), nil, "nope", "px"); err == nil {
 		t.Fatal("unknown x accepted")
 	}
-	if _, err := ev.Histogram2DFromBitmaps(nil, "x", "nope"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), nil, "x", "nope"); err == nil {
 		t.Fatal("unknown y accepted")
 	}
-	if _, err := ev.Histogram2DFromBitmaps(query.MustParse("zz > 0"), "x", "px"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), query.MustParse("zz > 0"), "x", "px"); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 }

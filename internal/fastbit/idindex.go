@@ -96,25 +96,3 @@ func (x *IDIndex) Lookup(set []int64) []uint64 {
 	}
 	return dedup
 }
-
-// IDsAt returns the identifiers stored at the given rows. It performs one
-// binary search per row over the position-sorted view and is used only in
-// tests; production code reads the raw column instead.
-func (x *IDIndex) IDsAt(rows []uint64) []int64 {
-	// Build the inverse mapping lazily: pos -> id.
-	inv := make(map[uint64]int64, len(rows))
-	want := make(map[uint64]bool, len(rows))
-	for _, r := range rows {
-		want[r] = true
-	}
-	for i, p := range x.pos {
-		if want[p] {
-			inv[p] = x.ids[i]
-		}
-	}
-	out := make([]int64, len(rows))
-	for i, r := range rows {
-		out[i] = inv[r]
-	}
-	return out
-}

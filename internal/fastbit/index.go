@@ -173,33 +173,15 @@ type EvalStats struct {
 	ApproxRows uint64
 }
 
-// Evaluate returns the set of records whose value lies in iv, over the
-// whole step. raw is consulted only for records in boundary bins; it may
-// be nil when the interval is aligned with bin boundaries.
-func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.BitSet, EvalStats, error) {
-	return ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
-}
-
-// EvaluateCtx is Evaluate over the row window [lo, hi), with cooperative
-// cancellation: the candidate check observes ctx once per batch of
-// values raw hands it. Bit i of the returned set stands for row lo+i;
-// only the bin words and boundary-bin records inside the window are read.
+// EvaluateCtx returns the set of records in the row window [lo, hi)
+// whose value lies in iv; the whole step is [0, N). raw is consulted only
+// for records in boundary bins, and may be nil when the interval is
+// aligned with bin boundaries. The candidate check observes ctx once per
+// batch of values raw hands it. Bit i of the returned set stands for row
+// lo+i; only the bin words and boundary-bin records inside the window are
+// read.
 func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
 	return ix.evaluate(ctx, iv, raw, false, lo, hi)
-}
-
-// EvaluateApproxCtx is Evaluate without candidate checks: boundary bins
-// are included wholesale, so the returned set is a superset of the exact
-// answer and never touches the raw data. This is the server's brownout
-// path — under overload a slightly-too-inclusive histogram now beats an
-// exact one after the user has given up. st.ApproxRows reports how many
-// records were admitted without being checked (0 means the result
-// happens to be exact).
-func (ix *Index) EvaluateApproxCtx(ctx context.Context, iv query.Interval) (*bitmap.BitSet, EvalStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
-	}
-	return ix.evaluate(ctx, iv, nil, true, 0, ix.N)
 }
 
 // evaluate is the one range evaluation, over the row window [lo, hi): the
@@ -385,28 +367,4 @@ func binInside(iv query.Interval, blo, bhi float64, last bool) bool {
 	// Bin holds values in [blo, bhi); it is inside when bhi <= iv.Hi, or
 	// bhi == iv.Hi with any openness (the bin never produces bhi itself).
 	return bhi < iv.Hi || bhi == iv.Hi
-}
-
-// AlignedEdges reports whether every edge is (within floating point
-// tolerance) one of the index's bin boundaries, meaning histograms over
-// these edges can be computed from bitmap counts alone.
-func (ix *Index) AlignedEdges(edges []float64) bool {
-	bi := 0
-	for _, e := range edges {
-		for bi < len(ix.Bounds) && ix.Bounds[bi] < e && !eq(ix.Bounds[bi], e) {
-			bi++
-		}
-		if bi >= len(ix.Bounds) || !eq(ix.Bounds[bi], e) {
-			return false
-		}
-	}
-	return true
-}
-
-func eq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	return d <= 1e-12*(math.Abs(a)+math.Abs(b))
 }

@@ -1,6 +1,7 @@
 package fastbit
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -101,7 +102,7 @@ func TestBuildIndexConstantColumn(t *testing.T) {
 		}
 		return out, nil
 	}
-	v, _, err := ix.Evaluate(query.Interval{Lo: 5, Hi: 5}, Gathered(raw))
+	v, _, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: 5, Hi: 5}, Gathered(raw), 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func evalBoth(t *testing.T, ix *Index, vals []float64, iv query.Interval) EvalSt
 		}
 		return out, nil
 	}
-	got, st, err := ix.Evaluate(iv, Gathered(raw))
+	got, st, err := ix.EvaluateCtx(context.Background(), iv, Gathered(raw), 0, ix.N)
 	if err != nil {
 		t.Fatalf("Evaluate(%v): %v", iv, err)
 	}
@@ -198,7 +199,7 @@ func TestEvaluateRandomIntervalsProperty(t *testing.T) {
 			}
 			return out, nil
 		}
-		got, _, err := ix.Evaluate(iv, Gathered(raw))
+		got, _, err := ix.EvaluateCtx(context.Background(), iv, Gathered(raw), 0, ix.N)
 		if err != nil {
 			return false
 		}
@@ -223,7 +224,7 @@ func TestAlignedQueryNeedsNoCandidateCheck(t *testing.T) {
 	}
 	// Interval exactly on bin boundaries, half-open: pure index answer.
 	iv := query.Interval{Lo: ix.Bounds[3], Hi: ix.Bounds[7], HiOpen: true}
-	got, st, err := ix.Evaluate(iv, nil) // nil raw reader must be fine
+	got, st, err := ix.EvaluateCtx(context.Background(), iv, nil, 0, ix.N) // nil raw reader must be fine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,22 +264,8 @@ func TestUnalignedQueryWithoutRawReaderFails(t *testing.T) {
 	if !found {
 		t.Skip("no straddleable bin in test data")
 	}
-	if _, _, err := ix.Evaluate(query.Interval{Lo: cut, Hi: math.Inf(1)}, nil); err == nil {
+	if _, _, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: cut, Hi: math.Inf(1)}, nil, 0, ix.N); err == nil {
 		t.Fatal("unaligned query without raw reader succeeded")
-	}
-}
-
-func TestAlignedEdges(t *testing.T) {
-	vals := testData(1000, 6)
-	ix, err := BuildIndex("px", vals, IndexOptions{Bins: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.AlignedEdges([]float64{ix.Bounds[0], ix.Bounds[4], ix.Bounds[16]}) {
-		t.Fatal("aligned edges reported unaligned")
-	}
-	if ix.AlignedEdges([]float64{ix.Bounds[0], (ix.Bounds[4] + ix.Bounds[5]) / 2}) {
-		t.Fatal("unaligned edge reported aligned")
 	}
 }
 
@@ -381,7 +368,7 @@ func TestBinCountsMatchHistogram(t *testing.T) {
 	}
 	counts := ix.BinCounts()
 	// Recompute with the scan baseline over the same edges.
-	h, err := scan.Histogram1D(scan.Columns{"px": vals}, "px", nil, ix.Bounds)
+	h, err := scan.Histogram1DCtx(context.Background(), scan.Columns{"px": vals}, "px", nil, ix.Bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +402,7 @@ func TestExactIndexLowCardinality(t *testing.T) {
 		{Lo: 0.5, Hi: math.Inf(1)},              // >= 0.5
 		{Lo: math.Inf(-1), Hi: 2, HiOpen: true}, // < 2
 	} {
-		got, st, err := ix.Evaluate(iv, nil)
+		got, st, err := ix.EvaluateCtx(context.Background(), iv, nil, 0, ix.N)
 		if err != nil {
 			t.Fatalf("%v: %v", iv, err)
 		}
@@ -465,7 +452,7 @@ func TestExactIndexAdjacentFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.Evaluate(query.Interval{Lo: b, Hi: b}, nil)
+	got, st, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: b, Hi: b}, nil, 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,17 +98,11 @@ func (ls *LazyStep) IndexBytesRead() uint64 { return ls.ioBytes.Load() }
 // Column loads (or returns the cached) range index for one variable,
 // over the whole step.
 func (ls *LazyStep) Column(name string) (*Index, error) {
-	return ls.ColumnCost(name, nil)
+	return ls.ColumnRows(name, 0, ls.dir.n, nil)
 }
 
-// ColumnCost is Column with per-query cost attribution: when the load
-// misses the cache, the section bytes read and the load itself are
-// charged to c.
-func (ls *LazyStep) ColumnCost(name string, c *obs.Cost) (*Index, error) {
-	return ls.ColumnRows(name, 0, ls.dir.n, c)
-}
-
-// ColumnRows is ColumnCost for reading rows [lo, hi): the cached index
+// ColumnRows is Column for reading rows [lo, hi), charging a load's
+// section bytes and the load itself to c (nil-safe): the cached index
 // when its bitmaps hold them, else a load. A load inside the resident
 // window (the whole step while there is none) is cut to that window and
 // cached; one outside it decodes the whole column and keeps nothing, so

@@ -133,11 +133,12 @@ func TestLazyEvaluatorMatchesEager(t *testing.T) {
 	}
 	for _, q := range queries {
 		e := query.MustParse(q)
-		lazy, err := ls.Evaluator(mem).Select(e)
+		lev, sev := ls.Evaluator(mem), si.Evaluator(mem)
+		lazy, err := lev.SelectCtx(context.Background(), e, 0, lev.N)
 		if err != nil {
 			t.Fatalf("%q lazy: %v", q, err)
 		}
-		eager, err := si.Evaluator(mem).Select(e)
+		eager, err := sev.SelectCtx(context.Background(), e, 0, sev.N)
 		if err != nil {
 			t.Fatalf("%q eager: %v", q, err)
 		}
@@ -181,15 +182,15 @@ func TestEvaluatorLookupFallbacks(t *testing.T) {
 		IDVar: "id",
 		Raw:   mem,
 	}
-	if _, err := ev.Select(query.MustParse("px > 0 && y > 0")); err != nil {
+	if _, err := ev.SelectCtx(context.Background(), query.MustParse("px > 0 && y > 0"), 0, ev.N); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Select(query.MustParse("zz > 0")); err == nil {
+	if _, err := ev.SelectCtx(context.Background(), query.MustParse("zz > 0"), 0, ev.N); err == nil {
 		t.Fatal("unknown var accepted via lookup")
 	}
 	// No lookup, no static entry.
 	ev2 := &Evaluator{N: si.N, Indexes: map[string]*Index{}, Raw: mem}
-	if _, err := ev2.Select(query.MustParse("px > 0")); err == nil {
+	if _, err := ev2.SelectCtx(context.Background(), query.MustParse("px > 0"), 0, ev2.N); err == nil {
 		t.Fatal("missing index accepted")
 	}
 }

@@ -87,11 +87,11 @@ func TestRangeEvaluationEveryCut(t *testing.T) {
 						t.Fatalf("%s %v: exact stats %+v, want %+v", name, iv, st, want)
 					}
 
-					exact, _, err := ix.Evaluate(iv, Gathered(raw))
+					exact, _, err := ix.EvaluateCtx(context.Background(), iv, Gathered(raw), 0, ix.N)
 					if err != nil {
 						t.Fatal(err)
 					}
-					approx, ast, err := ix.EvaluateApproxCtx(context.Background(), iv)
+					approx, ast, err := ix.evaluate(context.Background(), iv, nil, true, 0, ix.N)
 					if err != nil {
 						t.Fatal(err)
 					}

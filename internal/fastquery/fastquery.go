@@ -15,8 +15,8 @@
 // # Concurrency
 //
 // Source and Step are safe for concurrent readers: any number of
-// goroutines may call Count, Select, Histogram1D/2D and MinMax on the
-// same Step (or open Steps from the same Source) simultaneously. Data
+// goroutines may call CountCtx, SelectCtx, Histogram1DCtx/2DCtx and
+// MinMax on the same Step (or open Steps from the same Source) simultaneously. Data
 // reads use positioned I/O (ReadAt), the lazy index guards its section
 // caches with a mutex, and every evaluation allocates its own scratch
 // state. Close must not race with in-flight queries on the same Step.
@@ -268,16 +268,9 @@ func (st *Step) ReadIDs() ([]int64, error) {
 	return st.file.ReadInt64(st.idVar())
 }
 
-// ValuesAt gathers a column's values at the given sorted row positions,
-// reading only the chunks that contain them. This is the shard executor's
-// access path: a fragment evaluates over its row range of the step, which
-// is a small slice of the full column.
-func (st *Step) ValuesAt(name string, positions []uint64) ([]float64, error) {
-	return st.ValuesAtCtx(context.Background(), name, positions)
-}
-
-// ValuesAtCtx is ValuesAt charging the read to the context's per-query
-// cost accumulator, when one is attached.
+// ValuesAtCtx gathers a column's values at the given sorted row
+// positions, reading only the chunks that contain them, and charges the
+// read to the context's per-query cost accumulator, when one is attached.
 func (st *Step) ValuesAtCtx(ctx context.Context, name string, positions []uint64) ([]float64, error) {
 	return st.file.ReadFloat64AtCost(name, positions, obs.CostFromContext(ctx))
 }
@@ -376,12 +369,6 @@ func (st *Step) loadScanColumns(ctx context.Context, lo, hi uint64, e query.Expr
 	return cols, nil
 }
 
-// Select returns the sorted record positions matching e over the whole
-// step.
-func (st *Step) Select(e query.Expr, b Backend) ([]uint64, error) {
-	return st.SelectCtx(context.Background(), e, b, 0, st.Rows())
-}
-
 // SelectCtx returns the sorted positions in rows [lo, hi) matching e; the
 // whole step is [0, Rows). The work is proportional to the range: FastBit
 // candidate-checks only the boundary-bin rows inside it, and Scan reads
@@ -420,12 +407,8 @@ func (st *Step) SelectCtx(ctx context.Context, e query.Expr, b Backend, lo, hi u
 	}
 }
 
-// Count returns the number of records matching e.
-func (st *Step) Count(e query.Expr, b Backend) (uint64, error) {
-	return st.CountCtx(context.Background(), e, b)
-}
-
-// CountCtx is Count with cooperative cancellation.
+// CountCtx returns the number of records matching e over the whole step,
+// with cooperative cancellation.
 func (st *Step) CountCtx(ctx context.Context, e query.Expr, b Backend) (uint64, error) {
 	return st.CountIn(ctx, e, b, 0, st.Rows())
 }
@@ -454,12 +437,8 @@ func (st *Step) CountIn(ctx context.Context, e query.Expr, b Backend, lo, hi uin
 	}
 }
 
-// SelectIDs returns the identifiers of records matching e.
-func (st *Step) SelectIDs(e query.Expr, b Backend) ([]int64, error) {
-	return st.SelectIDsCtx(context.Background(), e, b)
-}
-
-// SelectIDsCtx is SelectIDs with cooperative cancellation.
+// SelectIDsCtx returns the identifiers of records matching e, with
+// cooperative cancellation: SelectCtx over the whole step, then IDsAtCtx.
 func (st *Step) SelectIDsCtx(ctx context.Context, e query.Expr, b Backend) ([]int64, error) {
 	pos, err := st.SelectCtx(ctx, e, b, 0, st.Rows())
 	if err != nil {
@@ -468,13 +447,9 @@ func (st *Step) SelectIDsCtx(ctx context.Context, e query.Expr, b Backend) ([]in
 	return st.IDsAtCtx(ctx, pos)
 }
 
-// FindIDs returns the sorted positions of records whose identifier is in
-// the search set: the particle-tracking primitive (paper Section V-B).
-func (st *Step) FindIDs(ids []int64, b Backend) ([]uint64, error) {
-	return st.FindIDsCtx(context.Background(), ids, b)
-}
-
-// FindIDsCtx is FindIDs with cooperative cancellation.
+// FindIDsCtx returns the sorted positions of records whose identifier is
+// in the search set, with cooperative cancellation: the particle-tracking
+// primitive (paper Section V-B).
 func (st *Step) FindIDsCtx(ctx context.Context, ids []int64, b Backend) ([]uint64, error) {
 	switch b {
 	case FastBit:
@@ -497,12 +472,8 @@ func (st *Step) FindIDsCtx(ctx context.Context, ids []int64, b Backend) ([]uint6
 	}
 }
 
-// Histogram2D computes a 2D histogram; cond may be nil for unconditional.
-func (st *Step) Histogram2D(cond query.Expr, spec histogram.Spec2D, b Backend) (*histogram.Hist2D, error) {
-	return st.Histogram2DCtx(context.Background(), cond, spec, b)
-}
-
-// Histogram2DCtx is Histogram2D with cooperative cancellation. FastBit is
+// Histogram2DCtx computes a 2D histogram, with cooperative cancellation;
+// cond may be nil for unconditional. FastBit is
 // the paper's two-step conditional histogram (Section V-A2): the index
 // selects the matching rows, then Histogram2DOver gathers their values
 // into an array of one element per hit and bins it — which is why it wins
@@ -544,13 +515,8 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 	}
 }
 
-// Histogram1D computes a 1D histogram; cond may be nil.
-func (st *Step) Histogram1D(cond query.Expr, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
-	return st.Histogram1DCtx(context.Background(), cond, spec, b)
-}
-
-// Histogram1DCtx is Histogram1D with cooperative cancellation; the
-// backends split as in Histogram2DCtx.
+// Histogram1DCtx computes a 1D histogram, with cooperative cancellation;
+// cond may be nil. The backends split as in Histogram2DCtx.
 func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
 	switch b {
 	case FastBit:

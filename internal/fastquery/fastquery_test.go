@@ -116,11 +116,11 @@ func TestBackendsAgreeOnSelect(t *testing.T) {
 		"xrel > -5e-5 && px > 1e8",
 	} {
 		e := query.MustParse(q)
-		fb, err := st.Select(e, FastBit)
+		fb, err := st.SelectCtx(context.Background(), e, FastBit, 0, st.Rows())
 		if err != nil {
 			t.Fatalf("%q fastbit: %v", q, err)
 		}
-		sc, err := st.Select(e, Scan)
+		sc, err := st.SelectCtx(context.Background(), e, Scan, 0, st.Rows())
 		if err != nil {
 			t.Fatalf("%q scan: %v", q, err)
 		}
@@ -140,11 +140,11 @@ func TestBackendsAgreeOnCount(t *testing.T) {
 	st, _ := src.OpenStep(4)
 	defer st.Close()
 	e := query.MustParse("px > 1e9")
-	a, err := st.Count(e, FastBit)
+	a, err := st.CountCtx(context.Background(), e, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.Count(e, Scan)
+	b, err := st.CountCtx(context.Background(), e, Scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestBackendsAgreeOnSelectIDs(t *testing.T) {
 	st, _ := src.OpenStep(5)
 	defer st.Close()
 	e := query.MustParse("px > 5e10")
-	a, err := st.SelectIDs(e, FastBit)
+	a, err := st.SelectIDsCtx(context.Background(), e, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.SelectIDs(e, Scan)
+	b, err := st.SelectIDsCtx(context.Background(), e, Scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,16 +183,16 @@ func TestBackendsAgreeOnFindIDs(t *testing.T) {
 	src := testSource(t)
 	st, _ := src.OpenStep(5)
 	defer st.Close()
-	ids, err := st.SelectIDs(query.MustParse("px > 5e10"), FastBit)
+	ids, err := st.SelectIDsCtx(context.Background(), query.MustParse("px > 5e10"), FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	search := append(ids[:10:10], -1, -2) // include misses
-	a, err := st.FindIDs(search, FastBit)
+	a, err := st.FindIDsCtx(context.Background(), search, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.FindIDs(search, Scan)
+	b, err := st.FindIDsCtx(context.Background(), search, Scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestBackendsAgreeOnHistogram2D(t *testing.T) {
 	spec := histogram.NewSpec2D("x", "px", 24, 24).WithXRange(xlo, xhi).WithYRange(lo, hi)
 
 	for _, cond := range []query.Expr{nil, query.MustParse("px > 1e9")} {
-		a, err := st.Histogram2D(cond, spec, FastBit)
+		a, err := st.Histogram2DCtx(context.Background(), cond, spec, FastBit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := st.Histogram2D(cond, spec, Scan)
+		b, err := st.Histogram2DCtx(context.Background(), cond, spec, Scan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,11 +249,11 @@ func TestBackendsAgreeOnAdaptiveHistogram(t *testing.T) {
 	xlo, xhi, _ := st.MinMax("x")
 	spec := histogram.NewSpec2D("x", "px", 8, 8).
 		WithBinning(histogram.Adaptive).WithXRange(xlo, xhi).WithYRange(lo, hi)
-	a, err := st.Histogram2D(nil, spec, FastBit)
+	a, err := st.Histogram2DCtx(context.Background(), nil, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.Histogram2D(nil, spec, Scan)
+	b, err := st.Histogram2DCtx(context.Background(), nil, spec, Scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestBackendsAgreeOnHistogram1D(t *testing.T) {
 	lo, hi, _ := st.MinMax("px")
 	spec := histogram.Spec1D{Var: "px", Bins: 40, Lo: lo, Hi: hi}
 	for _, cond := range []query.Expr{nil, query.MustParse("y > 0")} {
-		a, err := st.Histogram1D(cond, spec, FastBit)
+		a, err := st.Histogram1DCtx(context.Background(), cond, spec, FastBit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := st.Histogram1D(cond, spec, Scan)
+		b, err := st.Histogram1DCtx(context.Background(), cond, spec, Scan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,16 +313,16 @@ func TestScanBackendWorksWithoutIndex(t *testing.T) {
 	if st.HasIndex() {
 		t.Fatal("index reported without index file")
 	}
-	if _, err := st.Select(query.MustParse("px > 0"), Scan); err != nil {
+	if _, err := st.SelectCtx(context.Background(), query.MustParse("px > 0"), Scan, 0, st.Rows()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Select(query.MustParse("px > 0"), FastBit); err == nil {
+	if _, err := st.SelectCtx(context.Background(), query.MustParse("px > 0"), FastBit, 0, st.Rows()); err == nil {
 		t.Fatal("FastBit backend worked without index")
 	}
-	if _, err := st.FindIDs([]int64{1}, FastBit); err == nil {
+	if _, err := st.FindIDsCtx(context.Background(), []int64{1}, FastBit); err == nil {
 		t.Fatal("FastBit FindIDs worked without index")
 	}
-	if _, err := st.Histogram2D(nil, histogram.NewSpec2D("x", "px", 4, 4), FastBit); err == nil {
+	if _, err := st.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D("x", "px", 4, 4), FastBit); err == nil {
 		t.Fatal("FastBit histogram worked without index")
 	}
 }
@@ -332,16 +332,16 @@ func TestUnknownBackend(t *testing.T) {
 	st, _ := src.OpenStep(0)
 	defer st.Close()
 	e := query.MustParse("px > 0")
-	if _, err := st.Select(e, Backend(42)); err == nil {
+	if _, err := st.SelectCtx(context.Background(), e, Backend(42), 0, st.Rows()); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := st.FindIDs([]int64{1}, Backend(42)); err == nil {
+	if _, err := st.FindIDsCtx(context.Background(), []int64{1}, Backend(42)); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := st.Histogram2D(nil, histogram.NewSpec2D("x", "px", 4, 4), Backend(42)); err == nil {
+	if _, err := st.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D("x", "px", 4, 4), Backend(42)); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := st.Histogram1D(nil, histogram.NewSpec1D("px", 4), Backend(42)); err == nil {
+	if _, err := st.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("px", 4), Backend(42)); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 	if Backend(42).String() == "" || FastBit.String() != "fastbit" || Scan.String() != "custom" {

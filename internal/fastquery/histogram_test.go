@@ -1,6 +1,7 @@
 package fastquery
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -83,11 +84,11 @@ func histStep(t *testing.T, n int, seed int64, opt fastbit.IndexOptions) (*Step,
 func TestUnconditionalHistogram2DMatchesScan(t *testing.T) {
 	st, cols := histStep(t, 6000, 31, fastbit.IndexOptions{Bins: 64})
 	spec := histogram.NewSpec2D("x", "px", 32, 32)
-	got, err := st.Histogram2D(nil, spec, FastBit)
+	got, err := st.Histogram2DCtx(context.Background(), nil, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Histogram2D(cols, "x", "px", got.XEdges, got.YEdges)
+	want, err := scan.ConditionalHistogram2DCtx(context.Background(), cols, "x", "px", nil, got.XEdges, got.YEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestConditionalHistogram2DMatchesScan(t *testing.T) {
 	st, cols := histStep(t, 6000, 32, fastbit.IndexOptions{Bins: 64})
 	cond := query.MustParse("px > 1e9")
 	spec := histogram.NewSpec2D("x", "px", 16, 16).WithXRange(0, 1e-3).WithYRange(1e9, 1e11)
-	got, err := st.Histogram2D(cond, spec, FastBit)
+	got, err := st.Histogram2DCtx(context.Background(), cond, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.ConditionalHistogram2D(cols, "x", "px", cond, got.XEdges, got.YEdges)
+	want, err := scan.ConditionalHistogram2DCtx(context.Background(), cols, "x", "px", cond, got.XEdges, got.YEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestConditionalHistogramDerivedRange(t *testing.T) {
 	st, _ := histStep(t, 4000, 33, fastbit.IndexOptions{Bins: 32})
 	cond := query.MustParse("px > 1e9")
 	spec := histogram.NewSpec2D("x", "px", 8, 8) // ranges derived from selection
-	h, err := st.Histogram2D(cond, spec, FastBit)
+	h, err := st.Histogram2DCtx(context.Background(), cond, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := st.Count(cond, FastBit)
+	cnt, err := st.CountCtx(context.Background(), cond, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestConditionalHistogramDerivedRange(t *testing.T) {
 func TestAdaptiveHistogram2D(t *testing.T) {
 	st, _ := histStep(t, 8000, 34, fastbit.IndexOptions{Bins: 64})
 	spec := histogram.NewSpec2D("x", "px", 16, 16).WithBinning(histogram.Adaptive)
-	h, err := st.Histogram2D(nil, spec, FastBit)
+	h, err := st.Histogram2DCtx(context.Background(), nil, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +176,14 @@ func TestHistogram1DFromIndexCounts(t *testing.T) {
 	st, cols := histStep(t, 5000, 35, fastbit.IndexOptions{Bins: 32})
 	spec := histogram.NewSpec1D("px", 32) // matches index bins exactly
 	before := st.IOBytes()
-	h, err := st.Histogram1D(nil, spec, FastBit)
+	h, err := st.Histogram1DCtx(context.Background(), nil, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.IOBytes() != before {
 		t.Fatal("a bin-aligned unconditional histogram read the data file")
 	}
-	want, err := scan.Histogram1D(cols, "px", nil, h.Edges)
+	want, err := scan.Histogram1DCtx(context.Background(), cols, "px", nil, h.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestHistogram1DFromIndexCounts(t *testing.T) {
 		t.Fatalf("total %d", h.Total())
 	}
 	// The index's counts are the answer the scan derives for itself.
-	if s, err := st.Histogram1D(nil, spec, Scan); err != nil || !reflect.DeepEqual(s, h) {
+	if s, err := st.Histogram1DCtx(context.Background(), nil, spec, Scan); err != nil || !reflect.DeepEqual(s, h) {
 		t.Fatalf("scan answer %+v (%v) differs from the index counts", s, err)
 	}
 }
@@ -205,18 +206,18 @@ func TestHistogram1DConditionalAndAdaptive(t *testing.T) {
 	cond := query.MustParse("px > 0")
 	_, pxMax := scan.MinMax(cols["px"])
 	spec := histogram.Spec1D{Var: "px", Bins: 10, Binning: histogram.Adaptive, Lo: 0, Hi: pxMax}
-	h, err := st.Histogram1D(cond, spec, FastBit)
+	h, err := st.Histogram1DCtx(context.Background(), cond, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, _ := st.Count(cond, FastBit)
+	cnt, _ := st.CountCtx(context.Background(), cond, FastBit)
 	// Values equal to 0 are excluded by the condition but lie on the low
 	// edge; totals must still match the selection size.
 	if h.Total() != cnt {
 		t.Fatalf("1D conditional total %d != count %d", h.Total(), cnt)
 	}
 	// Unknown variable errors.
-	if _, err := st.Histogram1D(nil, histogram.NewSpec1D("zz", 8), FastBit); err == nil {
+	if _, err := st.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("zz", 8), FastBit); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
 }
@@ -232,13 +233,13 @@ func TestHistogramRequiresRawReader(t *testing.T) {
 	}
 	st := writeStep(t, map[string][]float64{"x": x},
 		map[string][]float64{"x": x, "w": w}, fastbit.IndexOptions{Bins: 8})
-	if _, err := st.Histogram2D(nil, histogram.NewSpec2D("x", "w", 4, 4), FastBit); err == nil {
+	if _, err := st.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D("x", "w", 4, 4), FastBit); err == nil {
 		t.Fatal("2D histogram without the raw column accepted")
 	}
-	if _, err := st.Histogram1D(nil, histogram.NewSpec1D("w", 4), FastBit); err == nil {
+	if _, err := st.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("w", 4), FastBit); err == nil {
 		t.Fatal("1D histogram without the raw column accepted")
 	}
-	if h, err := st.Histogram1D(nil, histogram.NewSpec1D("w", 8), FastBit); err != nil || h.Total() != 100 {
+	if h, err := st.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("w", 8), FastBit); err != nil || h.Total() != 100 {
 		t.Fatalf("bin-aligned histogram from the index: %+v, %v", h, err)
 	}
 }

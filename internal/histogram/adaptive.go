@@ -73,75 +73,3 @@ func AdaptiveEdges(values []float64, lo, hi float64, bins int, minDensity float6
 	}
 	return AdaptiveEdgesFromCounts(fine, h.Counts, bins, minDensity)
 }
-
-// Rebin2D merges a fine 2D histogram onto coarser per-axis edges. Every
-// coarse edge must coincide with a fine edge (as produced by
-// AdaptiveEdgesFromCounts applied to the fine histogram's marginals);
-// otherwise an error is returned. The fine histogram may be in either form.
-func Rebin2D(fine *Hist2D, xEdges, yEdges []float64) (*Hist2D, error) {
-	fine = fine.Dense()
-	xMap, err := edgeMapping(fine.XEdges, xEdges)
-	if err != nil {
-		return nil, fmt.Errorf("histogram: x rebin: %w", err)
-	}
-	yMap, err := edgeMapping(fine.YEdges, yEdges)
-	if err != nil {
-		return nil, fmt.Errorf("histogram: y rebin: %w", err)
-	}
-	out := &Hist2D{
-		XVar: fine.XVar, YVar: fine.YVar,
-		XEdges: xEdges, YEdges: yEdges,
-		Counts: make([]uint64, (len(xEdges)-1)*(len(yEdges)-1)),
-	}
-	nxOut := len(xEdges) - 1
-	nxFine := fine.XBins()
-	for iy := 0; iy < fine.YBins(); iy++ {
-		oy := yMap[iy]
-		for ix := 0; ix < nxFine; ix++ {
-			c := fine.Counts[iy*nxFine+ix]
-			if c != 0 {
-				out.Counts[oy*nxOut+xMap[ix]] += c
-			}
-		}
-	}
-	return out, nil
-}
-
-// edgeMapping maps each fine bin index to the coarse bin containing it.
-func edgeMapping(fine, coarse []float64) ([]int, error) {
-	if len(coarse) < 2 {
-		return nil, fmt.Errorf("need at least 2 coarse edges")
-	}
-	if fine[0] != coarse[0] || fine[len(fine)-1] != coarse[len(coarse)-1] {
-		return nil, fmt.Errorf("coarse range [%g,%g] != fine range [%g,%g]",
-			coarse[0], coarse[len(coarse)-1], fine[0], fine[len(fine)-1])
-	}
-	m := make([]int, len(fine)-1)
-	ci := 0
-	for fi := 0; fi < len(fine)-1; fi++ {
-		for ci < len(coarse)-2 && fine[fi] >= coarse[ci+1] {
-			ci++
-		}
-		if fine[fi] < coarse[ci] || fine[fi+1] > coarse[ci+1]+1e-12*abs(coarse[ci+1]) {
-			if fine[fi+1] > coarse[ci+1] && !closeEnough(fine[fi+1], coarse[ci+1]) {
-				return nil, fmt.Errorf("fine bin [%g,%g] straddles coarse edge %g",
-					fine[fi], fine[fi+1], coarse[ci+1])
-			}
-		}
-		m[fi] = ci
-	}
-	return m, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func closeEnough(a, b float64) bool {
-	d := abs(a - b)
-	s := abs(a) + abs(b)
-	return d <= 1e-9*s || d == 0
-}

@@ -288,15 +288,8 @@ func TestReadersOnCellsForm(t *testing.T) {
 			h.NonEmpty(func(ix, iy int, c uint64) { out = append(out, [3]uint64{uint64(ix), uint64(iy), c}) })
 			return out
 		},
-		"MarginalX": func(h *Hist2D) any { return h.MarginalX().Counts },
-		"MarginalY": func(h *Hist2D) any { return h.MarginalY().Counts },
-		"WriteCSV": func(h *Hist2D) any {
-			var b bytes.Buffer
-			if err := h.WriteCSV(&b); err != nil {
-				t.Fatal(err)
-			}
-			return b.String()
-		},
+		"MarginalX":        func(h *Hist2D) any { return h.MarginalX().Counts },
+		"MarginalY":        func(h *Hist2D) any { return h.MarginalY().Counts },
 		"AppendCountsJSON": func(h *Hist2D) any { return string(h.AppendCountsJSON(nil)) },
 	}
 	for form, h := range map[string]*Hist2D{"one encoding": one.(*Hist2D), "several": several} {

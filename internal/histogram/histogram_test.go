@@ -3,7 +3,6 @@ package histogram
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -397,81 +396,12 @@ func TestAdaptiveMinDensity(t *testing.T) {
 	}
 }
 
-func TestRebin2D(t *testing.T) {
-	// Fine 4x4 histogram rebinned to 2x2 with snapped coarse edges.
-	xs := []float64{0.1, 0.3, 0.6, 0.9}
-	ys := []float64{0.1, 0.4, 0.6, 0.9}
-	fine, err := Compute2D("x", "y", xs, ys, UniformEdges(0, 1, 4), UniformEdges(0, 1, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := Rebin2D(fine, []float64{0, 0.5, 1}, []float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.Total() != fine.Total() {
-		t.Fatalf("rebin lost mass: %d vs %d", coarse.Total(), fine.Total())
-	}
-	if coarse.At(0, 0) != 2 || coarse.At(1, 1) != 2 {
-		t.Fatalf("coarse counts = %v", coarse.Counts)
-	}
-	// Mismatched range must fail.
-	if _, err := Rebin2D(fine, []float64{0, 0.5, 2}, []float64{0, 0.5, 1}); err == nil {
-		t.Fatal("range mismatch accepted")
-	}
-	// Straddling edge must fail.
-	if _, err := Rebin2D(fine, []float64{0, 0.3, 1}, []float64{0, 0.5, 1}); err == nil {
-		t.Fatal("straddling coarse edge accepted")
-	}
-}
-
 func TestBinningString(t *testing.T) {
 	if Uniform.String() != "uniform" || Adaptive.String() != "adaptive" {
 		t.Fatal("Binning.String wrong")
 	}
 	if Binning(42).String() == "" {
 		t.Fatal("unknown Binning empty")
-	}
-}
-
-func TestHist1DWriteCSV(t *testing.T) {
-	h, err := Compute1D("px", []float64{0.1, 0.6, 0.7}, UniformEdges(0, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := h.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d:\n%s", len(lines), sb.String())
-	}
-	if lines[0] != "px_lo,px_hi,count" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "0,0.5,1" || lines[2] != "0.5,1,2" {
-		t.Fatalf("rows = %v", lines[1:])
-	}
-}
-
-func TestHist2DWriteCSV(t *testing.T) {
-	h, err := Compute2D("x", "y", []float64{0.1, 0.9}, []float64{0.1, 0.9},
-		UniformEdges(0, 1, 2), UniformEdges(0, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := h.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	// Header + 2 non-empty bins only.
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d:\n%s", len(lines), sb.String())
-	}
-	if !strings.HasPrefix(lines[0], "x_lo,x_hi,y_lo,y_hi,count") {
-		t.Fatalf("header = %q", lines[0])
 	}
 }
 

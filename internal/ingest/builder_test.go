@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -72,11 +73,11 @@ func TestBuilderPublishesAndUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := st.Count(expr, fastquery.FastBit)
+	nf, err := st.CountCtx(context.Background(), expr, fastquery.FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := st.Count(expr, fastquery.Scan)
+	ns, err := st.CountCtx(context.Background(), expr, fastquery.Scan)
 	if err != nil {
 		t.Fatal(err)
 	}

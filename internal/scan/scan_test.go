@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func TestSelect(t *testing.T) {
 		"y":  {-1, 1, 1, -1},
 	}
 	e := query.MustParse("px > 2 && y > 0")
-	got, err := Select(c, e)
+	got, err := SelectCtx(context.Background(), c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSelect(t *testing.T) {
 
 func TestSelectUnknownVariable(t *testing.T) {
 	c := Columns{"px": {1}}
-	if _, err := Select(c, query.MustParse("nope > 0")); err == nil {
+	if _, err := SelectCtx(context.Background(), c, query.MustParse("nope > 0")); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
 	if _, err := Count(c, query.MustParse("nope > 0")); err == nil {
@@ -50,7 +51,7 @@ func TestSelectUnknownVariable(t *testing.T) {
 
 func TestSelectMismatchedColumns(t *testing.T) {
 	c := Columns{"a": {1, 2}, "b": {1}}
-	if _, err := Select(c, query.MustParse("a > 0 && b > 0")); err == nil {
+	if _, err := SelectCtx(context.Background(), c, query.MustParse("a > 0 && b > 0")); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
 }
@@ -59,7 +60,7 @@ func TestCountMatchesSelectProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		c := testColumns(500, seed)
 		e := query.MustParse("px > 0 && x < 5")
-		sel, err := Select(c, e)
+		sel, err := SelectCtx(context.Background(), c, e)
 		if err != nil {
 			return false
 		}
@@ -78,7 +79,7 @@ func TestHistogram2DMatchesGenericCompute(t *testing.T) {
 	c := testColumns(5000, 7)
 	xe := histogram.UniformEdges(0, 10, 32)
 	ye := histogram.UniformEdges(-1, 1, 16)
-	got, err := Histogram2D(c, "x", "y", xe, ye)
+	got, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", nil, xe, ye)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestConditionalHistogram2D(t *testing.T) {
 	}
 	xe := histogram.UniformEdges(0, 4, 4)
 	ye := histogram.UniformEdges(0, 1, 1)
-	h, err := ConditionalHistogram2D(c, "x", "y", query.MustParse("px > 0"), xe, ye)
+	h, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", query.MustParse("px > 0"), xe, ye)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,28 +110,28 @@ func TestConditionalHistogram2D(t *testing.T) {
 		t.Fatalf("conditional counts = %v", h.Counts)
 	}
 	// Condition referencing missing variable errors.
-	if _, err := ConditionalHistogram2D(c, "x", "y", query.MustParse("zz > 0"), xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", query.MustParse("zz > 0"), xe, ye); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 	// Unknown plot variables error.
-	if _, err := ConditionalHistogram2D(c, "zz", "y", nil, xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "zz", "y", nil, xe, ye); err == nil {
 		t.Fatal("unknown x var accepted")
 	}
-	if _, err := ConditionalHistogram2D(c, "x", "zz", nil, xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "zz", nil, xe, ye); err == nil {
 		t.Fatal("unknown y var accepted")
 	}
 }
 
 func TestHistogram1D(t *testing.T) {
 	c := Columns{"px": {0.1, 0.2, 0.7, 0.9}, "y": {1, -1, 1, 1}}
-	h, err := Histogram1D(c, "px", query.MustParse("y > 0"), histogram.UniformEdges(0, 1, 2))
+	h, err := Histogram1DCtx(context.Background(), c, "px", query.MustParse("y > 0"), histogram.UniformEdges(0, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Counts[0] != 1 || h.Counts[1] != 2 {
 		t.Fatalf("1D counts = %v", h.Counts)
 	}
-	if _, err := Histogram1D(c, "nope", nil, histogram.UniformEdges(0, 1, 2)); err == nil {
+	if _, err := Histogram1DCtx(context.Background(), c, "nope", nil, histogram.UniformEdges(0, 1, 2)); err == nil {
 		t.Fatal("unknown var accepted")
 	}
 }
@@ -168,23 +169,34 @@ func TestMinMaxSkipsNaNAnywhere(t *testing.T) {
 }
 
 func TestFindIDs(t *testing.T) {
+	find := func(ids, set []int64) []uint64 {
+		t.Helper()
+		got, err := FindIDsCtx(context.Background(), ids, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	ids := []int64{100, 50, 200, 50, 300}
-	got := FindIDs(ids, []int64{50, 300, 999})
+	got := find(ids, []int64{50, 300, 999})
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("FindIDs = %v", got)
 	}
-	if got := FindIDs(ids, nil); len(got) != 0 {
+	if got := find(ids, nil); len(got) != 0 {
 		t.Fatalf("empty set FindIDs = %v", got)
 	}
-	if got := FindIDs(nil, []int64{1}); len(got) != 0 {
+	if got := find(nil, []int64{1}); len(got) != 0 {
 		t.Fatalf("empty ids FindIDs = %v", got)
 	}
 }
 
-// Property: FindIDs returns exactly the rows whose id is in the set.
+// Property: FindIDsCtx returns exactly the rows whose id is in the set.
 func TestFindIDsProperty(t *testing.T) {
 	f := func(rawIDs []int64, rawSet []int64) bool {
-		got := FindIDs(rawIDs, rawSet)
+		got, err := FindIDsCtx(context.Background(), rawIDs, rawSet)
+		if err != nil {
+			return false
+		}
 		want := map[int64]bool{}
 		for _, id := range rawSet {
 			want[id] = true
@@ -263,11 +275,11 @@ func TestKernelsLocateAsBin(t *testing.T) {
 			}
 		}
 		cond := query.MustParse("c > 0")
-		h2, err := ConditionalHistogram2D(c, "x", "y", cond, xe, ye)
+		h2, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", cond, xe, ye)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h1, err := Histogram1D(c, "x", cond, xe)
+		h1, err := Histogram1DCtx(context.Background(), c, "x", cond, xe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,8 @@
 // number of shards answers byte-identically to one process while the
 // selection work and the values read, summed over the fragments, equal
 // the one-process work (or, for a conjunction that short-circuits per
-// window, undercut it), and the data bytes exceed it only by the chunks
+// window, undercut it), the bitmap operations equal the one-process
+// count once per shard, and the data bytes exceed it only by the chunks
 // that neighbouring windows share.
 package shard_test
 
@@ -116,8 +117,8 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 						return res, r
 					}
 					want, single := run(1)
-					if backend == fastquery.FastBit && single.total().CandidateChecks == 0 {
-						t.Fatal("one process candidate-checked nothing; the sum property would be vacuous")
+					if backend == fastquery.FastBit && (single.total().CandidateChecks == 0 || single.total().BitmapOps == 0) {
+						t.Fatal("one process candidate-checked nothing or read no bins; the sum properties would be vacuous")
 					}
 					for _, shards := range []int{1, 2, 3, 5, 7} {
 						got, r := run(shards)
@@ -127,6 +128,17 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 						if backend == fastquery.FastBit {
 							if g, w := r.total().CandidateChecks, single.total().CandidateChecks; g > w || g < w && !qc.atMost {
 								t.Errorf("%d shards: fragments candidate-check %d rows, one process %d", shards, g, w)
+							}
+							// Which bins a term reads, full or boundary,
+							// depends only on its interval and the index
+							// bounds, which every cut keeps whole: each
+							// shard evaluates the selection once (phase 2
+							// reads phase 1's) and charges the one-process
+							// bins, fewer where a conjunction stops on an
+							// empty window.
+							if g, w := r.total().BitmapOps, uint64(shards)*single.total().BitmapOps; g > w || g < w && !qc.atMost {
+								t.Errorf("%d shards: fragments charge %d bitmap ops, %d shards × one process's %d",
+									shards, g, shards, single.total().BitmapOps)
 							}
 						} else if op == plan.OpCount {
 							if g := r.total().Rows; g != rows {

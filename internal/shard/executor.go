@@ -55,14 +55,20 @@ type ExecStats struct {
 // request-level hit: Peek or RunCached on the requested fragment's key.
 // The two-phase handoff — the selection and the columns gathered at it,
 // read by phase 2 — is an internal read that never promotes, so it lives
-// and dies in probation. The store has no singleflight: the frontend's
-// result cache already coalesces identical client requests, so duplicate
-// fragment evaluations are rare.
+// and dies in probation. A shared selection is evaluated once at a time:
+// fragments that need one already in flight wait for it (selection), so
+// concurrent plans over one FragSelect — a session's views, one plan per
+// variable — charge one evaluation between them. Requested fragments are
+// not coalesced: the frontend's result cache already coalesces identical
+// client requests.
 type Executor struct {
 	mu       sync.Mutex
 	datasets map[string]*exDataset
 
 	cache *plan.Store
+
+	flightMu sync.Mutex
+	flights  map[string]*flight // FragSelect keys being evaluated
 
 	evals, hits, misses atomic.Uint64
 }
@@ -83,6 +89,7 @@ func NewExecutor(cacheBytes int) *Executor {
 	return &Executor{
 		datasets: map[string]*exDataset{},
 		cache:    plan.NewStore(cacheBytes),
+		flights:  map[string]*flight{},
 	}
 }
 
@@ -205,19 +212,62 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	return res, false, nil
 }
 
+// flight is one evaluation of a shared selection; res is set, before done
+// closes, only when it succeeded.
+type flight struct {
+	done chan struct{}
+	res  *plan.FragmentResult
+}
+
 // selection answers the shared FragSelect sf from the fragment cache or
-// evaluates it there. It is not a requested fragment, so it moves none of
-// the hit, miss and evaluation counters and promotes nothing.
+// evaluates it there. A fragment that finds sf in flight waits for that
+// evaluation, or for its own ctx, and charges nothing; when the leader
+// failed or was canceled it stored nothing, and the waiter tries again,
+// so it evaluates sf itself unless another flight started first. sf is
+// not a requested fragment, so it moves none of the hit, miss and
+// evaluation counters and promotes nothing.
 func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fragment) (*plan.FragmentResult, error) {
 	key := sf.Key()
-	if res, ok := fragResult(e.cache.Get(key)); ok {
-		return res, nil
+	for {
+		if res, ok := fragResult(e.cache.Get(key)); ok {
+			return res, nil
+		}
+		e.flightMu.Lock()
+		fl, busy := e.flights[key]
+		if !busy {
+			fl = &flight{done: make(chan struct{})}
+			e.flights[key] = fl
+		}
+		e.flightMu.Unlock()
+		if !busy {
+			return e.lead(ctx, st, sf, key, fl)
+		}
+		select {
+		case <-fl.done:
+			if fl.res != nil {
+				return fl.res, nil
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+}
+
+// lead evaluates the selection of flight fl and stores it in the fragment
+// cache, then releases the fragments waiting for it.
+func (e *Executor) lead(ctx context.Context, st *fastquery.Step, sf plan.Fragment, key string, fl *flight) (*plan.FragmentResult, error) {
+	defer func() {
+		e.flightMu.Lock()
+		delete(e.flights, key)
+		e.flightMu.Unlock()
+		close(fl.done)
+	}()
 	res, err := Eval(ctx, st, sf)
 	if err != nil {
 		return nil, err
 	}
 	e.cache.Put(key, res, res.CacheBytes(key))
+	fl.res = res
 	return res, nil
 }
 
