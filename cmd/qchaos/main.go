@@ -578,9 +578,8 @@ func (h *harness) killOneShard(dir string, groups [][]string, victim *node, main
 		Requests:         recorded,
 	}
 	// Invariant 1 still holds under the dead shard: an unmarked 200 must
-	// match the baseline exactly (whole-step histograms whose home shard
-	// survived legitimately stay complete); anything else must be
-	// marked partial or fail cleanly.
+	// match the baseline exactly; anything else must be marked partial or
+	// fail cleanly.
 	for _, r := range append(onRes, offRes...) {
 		if r.err != nil || r.code != http.StatusOK || r.partial {
 			continue

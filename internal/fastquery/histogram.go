@@ -19,36 +19,37 @@ type Rows struct {
 	All    bool
 	Lo, Hi uint64
 
-	// Gathered, when set, keeps the columns gathered at Pos, so that
-	// every pass over one selection reads each column once.
+	// Gathered, when set, keeps the columns read at the rows, so that
+	// every pass over one row set reads each column once.
 	Gathered Gathered
 }
 
-// Gathered holds columns gathered at one selection's positions. The
-// values it hands out are shared: readers must not modify them.
+// Gathered holds columns read at one row set. The values it hands out
+// are shared: readers must not modify them.
 type Gathered interface {
-	// Column returns the named column's values at the positions, if kept.
+	// Column returns the named column's values at the rows, if kept.
 	Column(name string) ([]float64, bool)
-	// Keep offers a column just gathered at the positions.
+	// Keep offers a column just read at the rows.
 	Keep(name string, vals []float64)
 }
 
 // Values reads a column at the set's rows, touching only the chunks that
 // hold them and charging the read to ctx's cost accumulator. A column
 // the rows' Gathered keeps is not read again, and costs nothing.
-func (st *Step) Values(ctx context.Context, rows Rows, name string) ([]float64, error) {
+func (st *Step) Values(ctx context.Context, rows Rows, name string) (vs []float64, err error) {
+	g := rows.Gathered
+	if g != nil {
+		if vs, ok := g.Column(name); ok {
+			return vs, nil
+		}
+	}
 	if rows.All {
-		return st.file.ReadAsFloat64RangeCost(name, rows.Lo, rows.Hi, obs.CostFromContext(ctx))
+		vs, err = st.file.ReadAsFloat64RangeCost(name, rows.Lo, rows.Hi, obs.CostFromContext(ctx))
+	} else {
+		vs, err = st.ValuesAtCtx(ctx, name, rows.Pos)
 	}
-	if rows.Gathered == nil {
-		return st.ValuesAtCtx(ctx, name, rows.Pos)
-	}
-	if vs, ok := rows.Gathered.Column(name); ok {
-		return vs, nil
-	}
-	vs, err := st.ValuesAtCtx(ctx, name, rows.Pos)
-	if err == nil {
-		rows.Gathered.Keep(name, vs)
+	if err == nil && g != nil {
+		g.Keep(name, vs)
 	}
 	return vs, err
 }
@@ -125,7 +126,7 @@ func (st *Step) binAligned(ctx context.Context, rows Rows, spec histogram.Spec1D
 	}
 	// Bit for bit: bounds that start at -0 where the data's first
 	// smallest value is 0 compare equal, yet answer different edges.
-	want, err := edges(nil, ix.BinMin[0], ix.BinMax[ix.Bins()-1], true, spec.Bins, histogram.Uniform, 0)
+	want, err := edges(nil, ix.BinMin[0], ix.BinMax[ix.Bins()-1], true, spec.Bins, histogram.Uniform, 0, nil)
 	if err != nil || !slices.EqualFunc(want, ix.Bounds, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		return nil
 	}
@@ -138,26 +139,28 @@ func (st *Step) binAligned(ctx context.Context, rows Rows, spec histogram.Spec1D
 
 // edges resolves one axis of a histogram spec against the values being
 // binned: the explicit range [lo, hi] when has is set, else the values'
-// scan.MinMax, cut into uniform or equal-weight (adaptive) bins. It is
-// the only place a histogram's edges are derived.
-func edges(vs []float64, lo, hi float64, has bool, bins int, b histogram.Binning, minDensity float64) ([]float64, error) {
+// scan.MinMax, cut into uniform or equal-weight (adaptive) bins. An
+// adaptive axis a fleet resolved carries its cuts of the fine grid over
+// the range, and every shard expands them to the same edges. It is the
+// only place a histogram's edges are derived.
+func edges(vs []float64, lo, hi float64, has bool, bins int, b histogram.Binning, minDensity float64, cuts []int) ([]float64, error) {
 	if !has {
 		lo, hi = scan.MinMax(vs)
 	}
-	if b == histogram.Adaptive {
+	if b == histogram.Adaptive && len(cuts) == 0 {
 		return histogram.AdaptiveEdges(vs, lo, hi, bins, minDensity)
 	}
-	return histogram.UniformEdges(lo, hi, bins), nil
+	return histogram.ResolvedEdges(lo, hi, bins, cuts)
 }
 
 func edges1D(vs []float64, s histogram.Spec1D) ([]float64, error) {
-	return edges(vs, s.Lo, s.Hi, s.HasRange(), s.Bins, s.Binning, s.MinDensity)
+	return edges(vs, s.Lo, s.Hi, s.HasRange(), s.Bins, s.Binning, s.MinDensity, s.Cuts)
 }
 
 func edges2D(xs, ys []float64, s histogram.Spec2D) (xe, ye []float64, err error) {
-	if xe, err = edges(xs, s.XLo, s.XHi, s.HasXRange(), s.XBins, s.Binning, s.MinDensity); err != nil {
+	if xe, err = edges(xs, s.XLo, s.XHi, s.HasXRange(), s.XBins, s.Binning, s.MinDensity, s.XCuts); err != nil {
 		return nil, nil, err
 	}
-	ye, err = edges(ys, s.YLo, s.YHi, s.HasYRange(), s.YBins, s.Binning, s.MinDensity)
+	ye, err = edges(ys, s.YLo, s.YHi, s.HasYRange(), s.YBins, s.Binning, s.MinDensity, s.YCuts)
 	return xe, ye, err
 }

@@ -3,6 +3,7 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -325,16 +326,28 @@ func TestAdaptiveEdgesUniformDataStaysUniformish(t *testing.T) {
 }
 
 func TestAdaptiveEdgesFromCountsValidation(t *testing.T) {
-	if _, err := AdaptiveEdgesFromCounts([]float64{0, 1}, []uint64{1, 2}, 2, 0); err == nil {
+	if _, err := AdaptiveCuts(&Hist1D{Edges: []float64{0, 1}, Counts: []uint64{1, 2}}, 2, 0); err == nil {
 		t.Fatal("mismatched edges/counts accepted")
 	}
-	if _, err := AdaptiveEdgesFromCounts([]float64{0, 1, 2}, []uint64{1, 2}, 0, 0); err == nil {
+	fine := &Hist1D{Edges: []float64{0, 1, 2}, Counts: []uint64{1, 2}}
+	if _, err := AdaptiveCuts(fine, 0, 0); err == nil {
 		t.Fatal("zero bins accepted")
 	}
-	// Requesting more bins than available returns the fine edges.
-	e, err := AdaptiveEdgesFromCounts([]float64{0, 1, 2}, []uint64{1, 2}, 5, 0)
-	if err != nil || len(e) != 3 {
-		t.Fatalf("over-request: edges=%v err=%v", e, err)
+	// Requesting more bins than available keeps every fine edge.
+	c, err := AdaptiveCuts(fine, 5, 0)
+	if err != nil || !slices.Equal(c, []int{0, 1, 2}) {
+		t.Fatalf("over-request: cuts=%v err=%v", c, err)
+	}
+	// Cut lists of a 2-bin adaptive axis, whose fine grid has 16 bins.
+	for _, bad := range [][]int{nil, {0}, {1, 16}, {0, 15}, {0, 17}, {0, 4, 8, 16}, {0, 9, 9}, {0, 9, 3, 16}} {
+		if CheckCuts(bad, 2) == nil {
+			t.Errorf("cuts %v accepted for 2 bins", bad)
+		}
+	}
+	for _, good := range [][]int{{0, 16}, {0, 1, 16}} {
+		if err := CheckCuts(good, 2); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

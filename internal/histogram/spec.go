@@ -13,6 +13,10 @@ type Spec2D struct {
 	XLo, XHi     float64 // NaN when unset
 	YLo, YHi     float64 // NaN when unset
 	MinDensity   float64 // optional adaptive density floor (records/width)
+	// XCuts and YCuts are set by a fleet's planner only: an adaptive axis
+	// resolved to the edges it keeps of UniformEdges(lo, hi,
+	// AdaptiveRefine·bins), as their indices (AdaptiveCuts).
+	XCuts, YCuts []int
 }
 
 // NewSpec2D returns a uniform spec with unset ranges.
@@ -56,6 +60,7 @@ type Spec1D struct {
 	Binning    Binning
 	Lo, Hi     float64 // NaN when unset
 	MinDensity float64
+	Cuts       []int // as Spec2D.XCuts
 }
 
 // NewSpec1D returns a uniform 1D spec with unset range.

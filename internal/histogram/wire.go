@@ -10,10 +10,14 @@ import (
 // Limits on histogram resolution: the bins of a 1D histogram and the bins
 // per axis of a 2D one. Requests are checked against them and the wire
 // decoder refuses anything larger, so neither a request nor a reply can
-// declare a grid the system would not compute.
+// declare a grid the system would not compute. A 1D partial may be the
+// fine grid an adaptive axis is cut from (AdaptiveCuts), so the wire
+// admits AdaptiveRefine times the 1D limit.
 const (
 	MaxBins1D = 1 << 20
 	MaxBins2D = 4096 // per axis
+
+	maxWireBins1D = AdaptiveRefine * MaxBins1D
 )
 
 // A histogram's wire form is its variable name(s), its edges (as IEEE-754
@@ -53,7 +57,7 @@ func appendCounts(dst []byte, n int, counts []uint64, cells []encoding) []byte {
 // AppendWire appends h's wire form to dst.
 func (h *Hist1D) AppendWire(dst []byte) ([]byte, error) {
 	bins := h.Bins()
-	if bins < 1 || bins > MaxBins1D || h.Counts != nil && len(h.Counts) != bins {
+	if bins < 1 || bins > maxWireBins1D || h.Counts != nil && len(h.Counts) != bins {
 		return nil, fmt.Errorf("histogram: encode 1d: %d edges, %d counts", len(h.Edges), len(h.Counts))
 	}
 	dst = slices.Grow(dst, wireHead+len(h.Var)+8*len(h.Edges))
@@ -168,7 +172,7 @@ func (r *WireReader) Float() float64 {
 // counts stay in their compact encoding.
 func (r *WireReader) Hist1D() *Hist1D {
 	name := r.Str()
-	edges := r.edges(MaxBins1D)
+	edges := r.edges(maxWireBins1D)
 	e := r.cells(len(edges) - 1)
 	if r.err != nil {
 		return nil

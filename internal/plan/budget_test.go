@@ -40,32 +40,26 @@ func TestBudgetExhaustionPartials(t *testing.T) {
 	h2Q := Query{Op: OpHist2D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
 		Spec2: histogram.Spec2D{XVar: "x", YVar: "y", XBins: 4, YBins: 4,
 			XLo: 0, XHi: 1, YLo: 0, YHi: 1}}
-	// Adaptive binning routes wholesale to the key's home shard: budget
-	// exhaustion there must also settle as a marked-partial empty answer.
+	// Adaptive and unranged histograms scatter in phases: exhaustion in
+	// any phase settles as a marked partial too.
 	adaptiveQ := Query{Op: OpHist1D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
 		Spec1: histogram.Spec1D{Var: "x", Bins: 8, Lo: 0, Hi: 1, Binning: histogram.Adaptive}}
-	// Without an explicit range the wholesale fallback has no spec edges
-	// to reuse: it must still answer finite, encodable edges.
 	unrangedAdaptiveQ := Query{Op: OpHist1D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
 		Spec1: histogram.Spec1D{Var: "x", Bins: 8, Lo: math.NaN(), Hi: math.NaN(), Binning: histogram.Adaptive}}
 	unrangedH1Q := Query{Op: OpHist1D, Dataset: "d", Backend: fastquery.Scan,
 		Spec1: histogram.NewSpec1D("x", 16)}
 	unrangedH2Q := Query{Op: OpHist2D, Dataset: "d", Backend: fastquery.Scan,
 		Spec2: histogram.NewSpec2D("x", "y", 4, 4)}
-	wholesale := map[string]bool{"adaptive-wholesale": true, "unranged-adaptive": true,
-		"unranged-hist1d": true, "unranged-hist2d": true}
+	adaptiveH2Q := Query{Op: OpHist2D, Dataset: "d", Query: "(px > 1)", Backend: fastquery.Scan,
+		Spec2: histogram.NewSpec2D("x", "y", 4, 4).WithBinning(histogram.Adaptive)}
 
 	for _, policy := range []PartialPolicy{FailFast, ReturnPartial} {
 		for name, q := range map[string]Query{
-			"count": countQ, "hist1d": h1Q, "hist2d": h2Q, "adaptive-wholesale": adaptiveQ,
+			"count": countQ, "hist1d": h1Q, "hist2d": h2Q, "adaptive": adaptiveQ,
 			"unranged-adaptive": unrangedAdaptiveQ, "unranged-hist1d": unrangedH1Q, "unranged-hist2d": unrangedH2Q,
+			"adaptive-hist2d": adaptiveH2Q,
 		} {
 			exhaust := map[int]bool{2: true}
-			if wholesale[name] {
-				// Wholesale runs only on the home shard; exhaust every
-				// shard so the single fragment is hit regardless of home.
-				exhaust = map[int]bool{0: true, 1: true, 2: true, 3: true}
-			}
 			r := &budgetRunner{exhaustShards: exhaust}
 			res, err := Execute(context.Background(), q, m, 1000, r, policy)
 			if err != nil {
@@ -130,6 +124,21 @@ func TestBudgetAllShardsExhausted(t *testing.T) {
 			if c != 0 {
 				t.Fatalf("policy=%d: exhausted merge has counts", policy)
 			}
+		}
+
+		// An unranged adaptive histogram loses every phase: the empty
+		// answer's edges are the cuts resolved from no rows, over the
+		// empty selection's [0, 0].
+		h.Spec1.Lo, h.Spec1.Hi, h.Spec1.Binning = math.NaN(), math.NaN(), histogram.Adaptive
+		r = &budgetRunner{exhaustShards: all}
+		ares, err := Execute(context.Background(), h, m, 1000, r, policy)
+		if err != nil {
+			t.Fatalf("policy=%d: adaptive all-exhausted errored: %v", policy, err)
+		}
+		cuts, _ := histogram.AdaptiveCuts(&histogram.Hist1D{Edges: histogram.UniformEdges(0, 0, 64), Counts: make([]uint64, 64)}, 8, 0)
+		want, _ := histogram.ResolvedEdges(0, 0, 8, cuts)
+		if !ares.Partial || ares.Hist1 == nil || !reflect.DeepEqual(ares.Hist1.Edges, want) || ares.Hist1.Total() != 0 {
+			t.Fatalf("policy=%d: ares = %+v, want empty over %v", policy, ares, want)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,21 +41,17 @@ type Runner interface {
 // partials. Rows must be the step's row count (used to compute shard row
 // ranges).
 //
-// Routing preserves bit-identity with single-process execution:
+// In one process every operation is one fragment over the whole step,
+// which resolves its spec from the rows it bins. On a fleet every
+// fragment is one shard's row range, and routing preserves bit-identity
+// with one process:
 //
-//   - A histogram that cannot scatter — one shard, a zero-row step,
-//     adaptive binning (edges depend on the global data distribution), or
-//     unconditional with no explicit range — is one FragHist fragment
-//     over the whole step with the client's spec, on the key's home
-//     shard; the shard resolves the edges from the rows it bins, exactly
-//     as a single process does.
+//   - Counts and selections scatter and sum or concatenate.
 //   - Uniform histograms with explicit ranges scatter directly; partials
 //     share deterministically recomputed edges and merge bin-wise.
-//   - Conditional uniform histograms with data-derived ranges run in two
-//     phases: scatter min/max over the selected rows, merge, fix the spec
-//     range, then scatter the histogram — exactly the computation the
-//     single process does in one address space.
-//   - Counts always scatter and sum.
+//   - A histogram without a range, or with adaptive bins, first resolves
+//     its axes in phases (resolve), so every shard bins against the edges
+//     one process derives in one address space.
 //
 // Its histograms are as they merged: read-only, and dense or in the cells
 // form, a sum of the partials' encodings; a reader of Counts takes
@@ -63,10 +61,8 @@ func ExecuteCells(ctx context.Context, q Query, m ShardMap, rows uint64, r Runne
 	switch q.Op {
 	case OpCount:
 		return execCount(ctx, q, m, rows, r, policy)
-	case OpHist1D:
-		return execHist1D(ctx, q, m, rows, r, policy)
-	case OpHist2D:
-		return execHist2D(ctx, q, m, rows, r, policy)
+	case OpHist1D, OpHist2D:
+		return execHist(ctx, q, m, rows, r, policy)
 	case OpSelect:
 		return execSelect(ctx, q, m, rows, r, policy)
 	default:
@@ -158,19 +154,26 @@ type task struct {
 	frag  Fragment
 }
 
-// scatterTasks builds one fragment per non-empty shard row range. An
-// empty task list (zero-row step) signals the caller to fall back to a
-// single whole-step fragment.
-func scatterTasks(m ShardMap, rows uint64, mk func(RowRange) Fragment) []task {
-	tasks := make([]task, 0, m.Shards)
-	for i := 0; i < m.Shards; i++ {
-		rr := m.Range(i, rows)
-		if rr.Hi <= rr.Lo {
-			continue
+// scatter runs one fragment per maker on every shard's row range and
+// returns the partials range by range, makers in order within a range:
+// with k makers, parts[i*k+j] is maker j's on the i-th range (nil where
+// it failed). One process runs one whole-step fragment per maker; a fleet
+// skips empty ranges, so a zero-row step plans no fragment. It folds the
+// attempt into res as runTasks does.
+func scatter(ctx context.Context, m ShardMap, rows uint64, r Runner, policy PartialPolicy, res *Result, mks ...func(RowRange) Fragment) ([]*FragmentResult, error) {
+	var tasks []task
+	for i := 0; i < max(m.Shards, 1); i++ {
+		rr := RowRange{} // one process: the whole step
+		if m.Shards > 1 {
+			if rr = m.Range(i, rows); rr.Hi <= rr.Lo {
+				continue
+			}
 		}
-		tasks = append(tasks, task{shard: i, frag: mk(rr)})
+		for _, mk := range mks {
+			tasks = append(tasks, task{shard: i, frag: mk(rr)})
+		}
 	}
-	return tasks
+	return runTasks(ctx, r, tasks, policy, res)
 }
 
 // runTasks scatters the tasks concurrently and collects partials. It
@@ -248,40 +251,19 @@ func runTasks(ctx context.Context, r Runner, tasks []task, policy PartialPolicy,
 	return results, nil
 }
 
-// homeTask is a histogram that cannot scatter: one fragment over the
-// whole step, on the key's home shard so that shard's cache absorbs
-// repeats. It returns the plan mode with the task.
-func homeTask(m ShardMap, f Fragment) (string, []task) {
-	mode := "wholesale"
-	if m.Shards <= 1 {
-		mode = "local"
-	}
-	return mode, []task{{shard: m.Home(f.Key()), frag: f}}
-}
-
-func (q Query) fragment(op FragOp, rr RowRange) Fragment {
-	return Fragment{
-		Op: op, Dataset: q.Dataset, Step: q.Step, Rows: rr,
-		Query: q.Query, Backend: q.Backend, Spec1: q.Spec1, Spec2: q.Spec2,
+// fragments makes q's fragments of op, one per row range.
+func (q Query) fragments(op FragOp) func(RowRange) Fragment {
+	return func(rr RowRange) Fragment {
+		return Fragment{
+			Op: op, Dataset: q.Dataset, Step: q.Step, Rows: rr,
+			Query: q.Query, Backend: q.Backend, Spec1: q.Spec1, Spec2: q.Spec2,
+		}
 	}
 }
 
 func execCount(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
-	mode := "scatter"
-	if m.Shards <= 1 {
-		mode = "local"
-	}
-	tasks := scatterTasks(m, rows, func(rr RowRange) Fragment {
-		if m.Shards <= 1 {
-			rr = RowRange{} // whole step: cheaper unfiltered path
-		}
-		return q.fragment(FragCount, rr)
-	})
-	if len(tasks) == 0 {
-		tasks = []task{{shard: 0, frag: q.fragment(FragCount, RowRange{})}}
-	}
-	res := &Result{Mode: mode}
-	parts, err := runTasks(ctx, r, tasks, policy, res)
+	res := &Result{Mode: m.mode()}
+	parts, err := scatter(ctx, m, rows, r, policy, res, q.fragments(FragCount))
 	if err != nil {
 		return nil, err
 	}
@@ -299,21 +281,8 @@ func execCount(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, 
 // concatenation in task order yields the globally sorted position list —
 // identical to the single-process selection regardless of the split.
 func execSelect(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
-	mode := "scatter"
-	if m.Shards <= 1 {
-		mode = "local"
-	}
-	tasks := scatterTasks(m, rows, func(rr RowRange) Fragment {
-		if m.Shards <= 1 {
-			rr = RowRange{} // whole step: one fragment, no clipping
-		}
-		return q.fragment(FragSelect, rr)
-	})
-	if len(tasks) == 0 { // zero-row step: nothing to select
-		return &Result{Mode: mode}, nil
-	}
-	res := &Result{Mode: mode}
-	parts, err := runTasks(ctx, r, tasks, policy, res)
+	res := &Result{Mode: m.mode()}
+	parts, err := scatter(ctx, m, rows, r, policy, res, q.fragments(FragSelect))
 	if err != nil {
 		return nil, err
 	}
@@ -333,97 +302,105 @@ func execSelect(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner,
 	return res, nil
 }
 
-func execHist1D(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
-	spec := q.Spec1
-	res := &Result{Mode: "scatter"}
-	var tasks []task
-	if m.Shards <= 1 || rows == 0 || spec.Binning == histogram.Adaptive || (q.Query == "" && !spec.HasRange()) {
-		res.Mode, tasks = homeTask(m, q.fragment(FragHist1D, RowRange{}))
-	} else {
-		if !spec.HasRange() {
-			vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, []string{spec.Var})
-			if err != nil {
-				return nil, err
-			}
-			spec.Lo, spec.Hi = vr[spec.Var].Lo, vr[spec.Var].Hi
-		}
-		tasks = scatterTasks(m, rows, func(rr RowRange) Fragment {
-			f := q.fragment(FragHist1D, rr)
-			f.Spec1 = spec
-			return f
-		})
+// execHist resolves a histogram's axes (resolve), then bins in one
+// scatter and merges.
+func execHist(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
+	res := &Result{Mode: m.mode()}
+	s1, s2 := &q.Spec1, &q.Spec2
+	op, binning, minDensity := FragHist1D, s1.Binning, s1.MinDensity
+	axes := []axis{{s1.Var, s1.Bins, &s1.Lo, &s1.Hi, &s1.Cuts}}
+	if q.Op == OpHist2D {
+		op, binning, minDensity = FragHist2D, s2.Binning, s2.MinDensity
+		axes = []axis{{s2.XVar, s2.XBins, &s2.XLo, &s2.XHi, &s2.XCuts}, {s2.YVar, s2.YBins, &s2.YLo, &s2.YHi, &s2.YCuts}}
 	}
-	parts, err := runTasks(ctx, r, tasks, policy, res)
-	if err != nil {
+	if err := resolve(ctx, q, m, rows, r, policy, res, binning, minDensity, axes...); err != nil {
 		return nil, err
 	}
-	if res.Hist1, err = mergeHist1(spec, parts); err != nil {
+	parts, err := scatter(ctx, m, rows, r, policy, res, q.fragments(op))
+	if err == nil && op == FragHist1D {
+		res.Hist1, err = mergeHist1(q.Spec1, parts)
+	} else if err == nil {
+		res.Hist2, err = mergeHist2(q.Spec2, parts)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func execHist2D(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
-	spec := q.Spec2
-	needX, needY := !spec.HasXRange(), !spec.HasYRange()
-	res := &Result{Mode: "scatter"}
-	var tasks []task
-	if m.Shards <= 1 || rows == 0 || spec.Binning == histogram.Adaptive || (q.Query == "" && (needX || needY)) {
-		res.Mode, tasks = homeTask(m, q.fragment(FragHist2D, RowRange{}))
-	} else {
-		if needX || needY {
-			var vars []string
-			if needX {
-				vars = append(vars, spec.XVar)
-			}
-			if needY && spec.YVar != spec.XVar {
-				vars = append(vars, spec.YVar)
-			}
-			vr, err := minmaxPhase(ctx, q, m, rows, r, policy, res, vars)
-			if err != nil {
-				return nil, err
-			}
-			if needX {
-				spec.XLo, spec.XHi = vr[spec.XVar].Lo, vr[spec.XVar].Hi
-			}
-			if needY {
-				spec.YLo, spec.YHi = vr[spec.YVar].Lo, vr[spec.YVar].Hi
-			}
-		}
-		tasks = scatterTasks(m, rows, func(rr RowRange) Fragment {
-			f := q.fragment(FragHist2D, rr)
-			f.Spec2 = spec
-			return f
-		})
-	}
-	parts, err := runTasks(ctx, r, tasks, policy, res)
-	if err != nil {
-		return nil, err
-	}
-	if res.Hist2, err = mergeHist2(spec, parts); err != nil {
-		return nil, err
-	}
-	return res, nil
+// axis is one axis of a histogram spec, as resolve fixes it.
+type axis struct {
+	v      string
+	bins   int
+	lo, hi *float64
+	cuts   *[]int
 }
 
-// minmaxPhase runs phase one of a two-phase histogram: scatter per-shard
-// min/max of the selected rows for the named variables and merge. A shard
-// lost here (under ReturnPartial) marks the result Partial — the derived
-// range then reflects the survivors, like every other partial answer.
-func minmaxPhase(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy, res *Result, vars []string) (map[string]VarRange, error) {
-	tasks := scatterTasks(m, rows, func(rr RowRange) Fragment {
-		f := q.fragment(FragMinMax, rr)
-		f.Vars = vars
-		return f
-	})
-	parts, err := runTasks(ctx, r, tasks, policy, res)
-	if err != nil {
-		return nil, err
+func (a axis) ranged() bool { return !math.IsNaN(*a.lo) && !math.IsNaN(*a.hi) }
+
+// resolve fixes a fleet histogram's axes to the edges one process derives
+// from the rows it bins, so the final fragments' partials merge bin-wise:
+// a FragMinMax phase for axes without a range, then for adaptive binning
+// one FragHist1D per axis, AdaptiveRefine·bins uniform bins over the
+// range, whose merge is cut as one process cuts its own (AdaptiveCuts). A
+// shard lost in a phase (under ReturnPartial) marks the result Partial,
+// and the phase resolves from the survivors. One process resolves nothing.
+func resolve(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy, res *Result,
+	b histogram.Binning, minDensity float64, axes ...axis) error {
+	if m.Shards <= 1 {
+		return nil
 	}
-	_, span := obs.StartSpan(ctx, "merge-range")
-	merged := mergeRanges(vars, parts)
-	span.End()
-	return merged, nil
+	var vars []string
+	for _, a := range axes {
+		if !a.ranged() && !slices.Contains(vars, a.v) {
+			vars = append(vars, a.v)
+		}
+	}
+	if len(vars) > 0 {
+		parts, err := scatter(ctx, m, rows, r, policy, res, func(rr RowRange) Fragment {
+			f := q.fragments(FragMinMax)(rr)
+			f.Vars = vars
+			return f
+		})
+		if err != nil {
+			return err
+		}
+		_, span := obs.StartSpan(ctx, "merge-range")
+		merged := mergeRanges(vars, parts)
+		span.End()
+		for _, a := range axes {
+			if !a.ranged() {
+				*a.lo, *a.hi = merged[a.v].Lo, merged[a.v].Hi
+			}
+		}
+	}
+	if b != histogram.Adaptive {
+		return nil
+	}
+	fine := make([]histogram.Spec1D, len(axes))
+	mks := make([]func(RowRange) Fragment, len(axes))
+	for j, a := range axes {
+		fine[j] = histogram.Spec1D{Var: a.v, Bins: a.bins * histogram.AdaptiveRefine, Lo: *a.lo, Hi: *a.hi}
+		mks[j] = Query{Dataset: q.Dataset, Step: q.Step, Query: q.Query, Backend: q.Backend, Spec1: fine[j]}.fragments(FragHist1D)
+	}
+	parts, err := scatter(ctx, m, rows, r, policy, res, mks...)
+	if err != nil {
+		return err
+	}
+	for j, a := range axes {
+		var own []*FragmentResult
+		for i := j; i < len(parts); i += len(axes) {
+			own = append(own, parts[i])
+		}
+		h, err := mergeHist1(fine[j], own)
+		if err == nil {
+			*a.cuts, err = histogram.AdaptiveCuts(h, a.bins, minDensity)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addFailed unions newly failed shards into the result and flips Partial.
@@ -449,9 +426,9 @@ func (res *Result) addFailed(shards []int) {
 // cached them): a lone partial is the answer as it is, and several become
 // one histogram in the cells form that holds each partial's encodings, so
 // building the answer costs O(partials) and no grid — whoever reads the
-// counts expands them, once. When every partial is nil (all shards
-// failed, or the one home fragment exhausted its budget) the answer is an
-// empty histogram over the spec's edges; an unset range falls back to
+// counts expands them, once. When no partial answers (every shard failed,
+// or a zero-row step planned no fragment) the answer is an empty
+// histogram over the resolved spec's edges; an unset range falls back to
 // [0, 0], as mergeRanges reports for an empty selection, so the edges
 // stay finite and encodable.
 func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
@@ -463,10 +440,8 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 	}
 	switch len(hs) {
 	case 0:
-		if !spec.HasRange() {
-			spec.Lo, spec.Hi = 0, 0
-		}
-		return &histogram.Hist1D{Var: spec.Var, Edges: histogram.UniformEdges(spec.Lo, spec.Hi, spec.Bins)}, nil
+		edges, err := emptyEdges(spec.Lo, spec.Hi, spec.Bins, spec.Cuts)
+		return &histogram.Hist1D{Var: spec.Var, Edges: edges}, err
 	case 1:
 		return hs[0], nil
 	}
@@ -489,18 +464,12 @@ func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist
 	}
 	switch len(hs) {
 	case 0:
-		if !spec.HasXRange() {
-			spec.XLo, spec.XHi = 0, 0
+		xe, err := emptyEdges(spec.XLo, spec.XHi, spec.XBins, spec.XCuts)
+		if err != nil {
+			return nil, err
 		}
-		if !spec.HasYRange() {
-			spec.YLo, spec.YHi = 0, 0
-		}
-		return &histogram.Hist2D{
-			XVar:   spec.XVar,
-			YVar:   spec.YVar,
-			XEdges: histogram.UniformEdges(spec.XLo, spec.XHi, spec.XBins),
-			YEdges: histogram.UniformEdges(spec.YLo, spec.YHi, spec.YBins),
-		}, nil
+		ye, err := emptyEdges(spec.YLo, spec.YHi, spec.YBins, spec.YCuts)
+		return &histogram.Hist2D{XVar: spec.XVar, YVar: spec.YVar, XEdges: xe, YEdges: ye}, err
 	case 1:
 		return hs[0], nil
 	}
@@ -511,4 +480,12 @@ func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist
 		}
 	}
 	return sum, nil
+}
+
+// emptyEdges is an axis's edges when no partial answers.
+func emptyEdges(lo, hi float64, bins int, cuts []int) ([]float64, error) {
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		lo, hi = 0, 0
+	}
+	return histogram.ResolvedEdges(lo, hi, bins, cuts)
 }

@@ -137,6 +137,8 @@ func present(r *histogram.WireReader) bool {
 // MarshalBinary frames f for the shard wire, its floats as IEEE-754 bits:
 // gob leaves a zero float field out of a struct, so a −0 range bound would
 // reach the shard as +0, under another key and binning to other edges.
+// The three cut lists close the body, each its length and its cuts; one
+// decodes only when histogram.CheckCuts accepts it for its axis.
 func (f Fragment) MarshalBinary() ([]byte, error) {
 	s1, s2 := f.Spec1, f.Spec2
 	b := []byte{frameVersion}
@@ -153,6 +155,12 @@ func (f Fragment) MarshalBinary() ([]byte, error) {
 	}
 	for _, v := range []float64{s1.Lo, s1.Hi, s1.MinDensity, s2.XLo, s2.XHi, s2.YLo, s2.YHi, s2.MinDensity} {
 		b = histogram.AppendFloat(b, v)
+	}
+	for _, cuts := range [][]int{s1.Cuts, s2.XCuts, s2.YCuts} {
+		b = binary.AppendUvarint(b, uint64(len(cuts)))
+		for _, c := range cuts {
+			b = binary.AppendUvarint(b, uint64(c))
+		}
 	}
 	return seal(b), nil
 }
@@ -177,6 +185,19 @@ func (f *Fragment) UnmarshalBinary(data []byte) error {
 		&g.Spec2.XLo, &g.Spec2.XHi, &g.Spec2.YLo, &g.Spec2.YHi, &g.Spec2.MinDensity} {
 		*p = r.Float()
 	}
+	cuts := func(bins int) (c []int) {
+		if n := r.Len(1); n > 0 {
+			c = make([]int, n)
+			for i := range c {
+				c[i] = u()
+			}
+			if err := histogram.CheckCuts(c, bins); err != nil {
+				r.Fail("%v", err)
+			}
+		}
+		return c
+	}
+	g.Spec1.Cuts, g.Spec2.XCuts, g.Spec2.YCuts = cuts(g.Spec1.Bins), cuts(g.Spec2.XBins), cuts(g.Spec2.YBins)
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("plan: decode fragment: %w", err)
 	}

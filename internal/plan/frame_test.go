@@ -8,10 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/fastquery"
 	"repro/internal/histogram"
 )
 
@@ -218,6 +220,176 @@ func FuzzExecFrame(f *testing.F) {
 			t.Fatal("a decoded partial holds dense counts")
 		}
 	})
+}
+
+// FuzzFragmentFrame is FuzzExecFrame for the fragment a shard reads off
+// the wire: arbitrary bytes, as a frame and sealed into one, either fail
+// to decode or re-encode to exactly those bytes, allocating in proportion
+// to them. A fragment drawn from the bytes — NaN, ±Inf and -0 floats,
+// nil and empty Vars, cut lists valid or not — survives encode → decode
+// bit for bit when its cut lists are valid, and is refused when one is
+// not: not strictly increasing, not from 0 to the fine bin count, or
+// longer than bins + 1.
+func FuzzFragmentFrame(f *testing.F) {
+	for _, g := range fragmentFixtures() {
+		f.Add(must(g.MarshalBinary()))
+	}
+	f.Add([]byte{})
+	f.Add(sealed(uv(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, frame := range [][]byte{data, sealed(data)} {
+			var g Fragment
+			err := g.UnmarshalBinary(frame)
+			if alloc := fragmentAlloc(frame); alloc > uint64(32*len(frame)+4096) {
+				t.Fatalf("decoding %d bytes allocated %d", len(frame), alloc)
+			}
+			if err != nil {
+				continue
+			}
+			if got, err := g.MarshalBinary(); err != nil || !bytes.Equal(got, frame) {
+				t.Fatalf("decoded %x re-encodes to %x (%v)", frame, got, err)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for _, b := range data {
+			rng.Seed(rng.Int63() ^ int64(b))
+		}
+		want := randomFragment(rng)
+		var got Fragment
+		err := got.UnmarshalBinary(must(want.MarshalBinary()))
+		valid := validCuts(want.Spec1.Cuts, want.Spec1.Bins) && validCuts(want.Spec2.XCuts, want.Spec2.XBins) &&
+			validCuts(want.Spec2.YCuts, want.Spec2.YBins)
+		switch {
+		case !valid && err == nil:
+			t.Fatalf("decoded invalid cuts %v %v %v", want.Spec1.Cuts, want.Spec2.XCuts, want.Spec2.YCuts)
+		case valid && err != nil:
+			t.Fatalf("refused %s: %v", fragmentBits(want), err)
+		case valid && fragmentBits(got) != fragmentBits(want):
+			t.Fatalf("sent\n%s\nreceived\n%s", fragmentBits(want), fragmentBits(got))
+		}
+	})
+}
+
+// fragmentFixtures are fragments of every op, adaptive cuts and -0 bounds
+// among them.
+func fragmentFixtures() []Fragment {
+	negZero := math.Copysign(0, -1)
+	return []Fragment{
+		{Op: FragHist1D, Dataset: "lwfa", Step: 3, Rows: RowRange{10, 90}, Query: "(px > 0)",
+			Spec1: histogram.Spec1D{Var: "x", Bins: 4, Binning: histogram.Adaptive, Lo: negZero, Hi: 1,
+				MinDensity: 0.5, Cuts: []int{0, 3, 17, 32}}},
+		{Op: FragHist2D, Step: -1, Spec2: histogram.NewSpec2D("x", "px", 2, 3).WithXRange(negZero, 1).
+			WithYRange(math.Inf(-1), math.NaN()).WithBinning(histogram.Adaptive)},
+		{Op: FragMinMax, Vars: []string{"x", "", "px"}, Spec1: histogram.NewSpec1D("x", 2)},
+		{Op: FragSelect, Rows: RowRange{1 << 40, math.MaxUint64}},
+	}
+}
+
+// validCuts is the cut-list rule the decoder enforces, stated apart from
+// it: none, or strictly increasing from 0 to AdaptiveRefine·bins with at
+// most bins + 1 entries.
+func validCuts(cuts []int, bins int) bool {
+	if len(cuts) == 0 {
+		return true
+	}
+	if cuts[0] != 0 || cuts[len(cuts)-1] != bins*histogram.AdaptiveRefine || len(cuts) > bins+1 {
+		return false
+	}
+	for i := 1; i < len(cuts); i++ {
+		if cuts[i] <= cuts[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// randomFragment draws a fragment whose every field may be set, its cut
+// lists valid, empty or broken in one of the ways the decoder refuses.
+func randomFragment(rng *rand.Rand) Fragment {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.MaxFloat64}
+	float := func() float64 {
+		if rng.Intn(2) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return math.Float64frombits(rng.Uint64())
+	}
+	str := func() string { return strings.Repeat("v", rng.Intn(3)) }
+	cuts := func(bins int) []int {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		fine := bins * histogram.AdaptiveRefine
+		c := []int{0}
+		for i := 1; i < fine; i++ {
+			if rng.Intn(fine) < bins {
+				c = append(c, i)
+			}
+		}
+		c = append(c, fine)
+		switch rng.Intn(8) {
+		case 0: // repeat a cut
+			i := rng.Intn(len(c))
+			c = slices.Insert(c, i, c[i])
+		case 1: // start past 0
+			c[0] = 1 + rng.Intn(3)
+		case 2: // end off the fine grid
+			c[len(c)-1] += 1 - 2*rng.Intn(2)
+		case 3: // one cut per fine bin, more than bins + 1
+			c = c[:1]
+			for i := 1; i <= fine; i++ {
+				c = append(c, i)
+			}
+		}
+		return c
+	}
+	g := Fragment{
+		Op: FragOp(rng.Intn(6)), Dataset: str(), Step: rng.Intn(5) - 1, Query: str(),
+		Rows:    RowRange{rng.Uint64() >> rng.Intn(64), rng.Uint64() >> rng.Intn(64)},
+		Backend: fastquery.Backend(rng.Intn(3)),
+		Spec1: histogram.Spec1D{Var: str(), Bins: 1 + rng.Intn(8), Binning: histogram.Binning(rng.Intn(2)),
+			Lo: float(), Hi: float(), MinDensity: float()},
+		Spec2: histogram.Spec2D{XVar: str(), YVar: str(), XBins: 1 + rng.Intn(8), YBins: 1 + rng.Intn(8),
+			Binning: histogram.Binning(rng.Intn(2)), XLo: float(), XHi: float(), YLo: float(), YHi: float(),
+			MinDensity: float()},
+	}
+	g.Spec1.Cuts, g.Spec2.XCuts, g.Spec2.YCuts = cuts(g.Spec1.Bins), cuts(g.Spec2.XBins), cuts(g.Spec2.YBins)
+	switch rng.Intn(3) {
+	case 1:
+		g.Vars = []string{}
+	case 2:
+		for i := rng.Intn(4); i >= 0; i-- {
+			g.Vars = append(g.Vars, str())
+		}
+	}
+	return g
+}
+
+// fragmentBits renders every field of g with floats as their bits; a nil
+// and an empty slice render alike.
+func fragmentBits(g Fragment) string {
+	s1, s2 := g.Spec1, g.Spec2
+	var b strings.Builder
+	fmt.Fprintf(&b, "%v %q %d %+v %q %v %q\n", g.Op, g.Dataset, g.Step, g.Rows, g.Query, g.Backend, g.Vars)
+	fmt.Fprintf(&b, "%q %d %v %v\n", s1.Var, s1.Bins, s1.Binning, s1.Cuts)
+	fmt.Fprintf(&b, "%q %q %d %d %v %v %v\n", s2.XVar, s2.YVar, s2.XBins, s2.YBins, s2.Binning, s2.XCuts, s2.YCuts)
+	for _, v := range []float64{s1.Lo, s1.Hi, s1.MinDensity, s2.XLo, s2.XHi, s2.YLo, s2.YHi, s2.MinDensity} {
+		fmt.Fprintf(&b, " %x", math.Float64bits(v))
+	}
+	return b.String()
+}
+
+// fragmentAlloc is decodeAlloc for a fragment frame.
+func fragmentAlloc(data []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		new(Fragment).UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // decodeAlloc returns the bytes one decode of data allocates: the least

@@ -9,7 +9,6 @@ package plan
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -60,10 +59,10 @@ const (
 	// histogram whose bin range is derived from the data).
 	FragMinMax
 	// FragHist1D bins matching rows inside the row range against its
-	// spec. A scattered fragment carries a fully resolved uniform spec, so
-	// partials merge bin-wise; a histogram that cannot scatter is one
-	// fragment over the whole step with the client's spec, its edges
-	// resolved from the rows it bins.
+	// spec. A scattered fragment carries a resolved spec — its range and
+	// any adaptive cuts — so partials merge bin-wise; one process's
+	// whole-step fragment carries the client's spec, its edges resolved
+	// from the rows it bins.
 	FragHist1D
 	// FragHist2D is FragHist1D over a variable pair.
 	FragHist2D
@@ -135,9 +134,9 @@ type Fragment struct {
 func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Key returns a canonical identity for the fragment, used for shard-local
-// result caching and for routing whole-step fragments to a stable home
-// shard. Two fragments with equal keys compute identical results over the
-// same data generation.
+// result caching. Two fragments with equal keys compute identical results
+// over the same data generation; a histogram's key holds its resolved
+// cuts, which decide its edges.
 func (f Fragment) Key() string {
 	parts := []string{
 		f.Op.String(),
@@ -154,15 +153,25 @@ func (f Fragment) Key() string {
 	case FragHist1D:
 		parts = append(parts, f.Spec1.Var,
 			strconv.Itoa(f.Spec1.Bins), f.Spec1.Binning.String(),
-			fmtG(f.Spec1.Lo), fmtG(f.Spec1.Hi), fmtG(f.Spec1.MinDensity))
+			fmtG(f.Spec1.Lo), fmtG(f.Spec1.Hi), fmtG(f.Spec1.MinDensity), fmtCuts(f.Spec1.Cuts))
 	case FragHist2D:
 		parts = append(parts, f.Spec2.XVar, f.Spec2.YVar,
 			strconv.Itoa(f.Spec2.XBins), strconv.Itoa(f.Spec2.YBins),
 			f.Spec2.Binning.String(),
 			fmtG(f.Spec2.XLo), fmtG(f.Spec2.XHi),
-			fmtG(f.Spec2.YLo), fmtG(f.Spec2.YHi), fmtG(f.Spec2.MinDensity))
+			fmtG(f.Spec2.YLo), fmtG(f.Spec2.YHi), fmtG(f.Spec2.MinDensity),
+			fmtCuts(f.Spec2.XCuts), fmtCuts(f.Spec2.YCuts))
 	}
 	return strings.Join(parts, "\x1f")
+}
+
+// fmtCuts formats cut indices for a key: "" when there are none.
+func fmtCuts(cuts []int) string {
+	var b []byte
+	for _, c := range cuts {
+		b = strconv.AppendInt(append(b, ','), int64(c), 10)
+	}
+	return string(b)
 }
 
 // VarRange is a per-variable min/max partial. N is the number of selected
@@ -247,8 +256,8 @@ type Result struct {
 	// degraded answer can be told apart from a shard outage.
 	BudgetExhausted bool
 
-	// Mode records how the plan executed ("scatter", "wholesale", or
-	// "local") and Fragments how many fragment executions it attempted,
+	// Mode records how the plan executed ("scatter" or "local") and
+	// Fragments how many fragment executions it attempted,
 	// for stats and the benchmark harness.
 	Mode      string
 	Fragments int
@@ -257,8 +266,8 @@ type Result struct {
 // ShardMap describes how step rows are partitioned across shard workers.
 // Every worker reads the same shared dataset directory (the paper's
 // parallel-filesystem model), so the map assigns work, not data: shard i
-// owns the i-th contiguous row range of every step, and any shard can
-// evaluate a whole-step fragment.
+// owns the i-th contiguous row range of every step, and on a fleet every
+// fragment is one shard's range.
 type ShardMap struct {
 	Shards int
 }
@@ -281,15 +290,13 @@ func (m ShardMap) Range(i int, rows uint64) RowRange {
 	return RowRange{lo, lo + size}
 }
 
-// Home deterministically assigns a whole-step fragment key to a shard, so
-// repeated identical requests hit the same shard's cache.
-func (m ShardMap) Home(key string) int {
+// mode names how a plan over m executes: "local" in one process, else
+// "scatter".
+func (m ShardMap) mode() string {
 	if m.Shards <= 1 {
-		return 0
+		return "local"
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(m.Shards))
+	return "scatter"
 }
 
 func minU64(a, b uint64) uint64 {

@@ -50,25 +50,6 @@ func TestShardMapRangePartition(t *testing.T) {
 	}
 }
 
-func TestShardMapHome(t *testing.T) {
-	m := ShardMap{Shards: 5}
-	for _, key := range []string{"", "a", "hist1d\x1flwfa\x1f3", "another-key"} {
-		h := m.Home(key)
-		if h < 0 || h >= 5 {
-			t.Fatalf("Home(%q) = %d out of range", key, h)
-		}
-		if h2 := m.Home(key); h2 != h {
-			t.Fatalf("Home(%q) not deterministic: %d then %d", key, h, h2)
-		}
-	}
-	if h := (ShardMap{Shards: 1}).Home("x"); h != 0 {
-		t.Fatalf("single-shard Home = %d", h)
-	}
-	if h := (ShardMap{}).Home("x"); h != 0 {
-		t.Fatalf("zero-shard Home = %d", h)
-	}
-}
-
 func TestFragmentKey(t *testing.T) {
 	base := Fragment{
 		Op: FragHist1D, Dataset: "lwfa", Step: 2, Rows: RowRange{10, 20},
@@ -181,6 +162,8 @@ func (r *fakeRunner) RunFragment(_ context.Context, shard int, f Fragment) (*Fra
 	switch f.Op {
 	case FragCount:
 		return &FragmentResult{Count: f.Rows.Hi - f.Rows.Lo}, nil
+	case FragSelect:
+		return &FragmentResult{}, nil
 	case FragMinMax:
 		var mm []VarRange
 		for _, v := range f.Vars {
@@ -220,36 +203,91 @@ func histQuery(q string, spec histogram.Spec1D) Query {
 		Backend: fastquery.Scan, Spec1: spec}
 }
 
-func TestRoutingWholesale(t *testing.T) {
-	m := ShardMap{Shards: 4}
-	cases := map[string]Query{
-		"adaptive": histQuery("(px > 1)", histogram.Spec1D{
-			Var: "x", Bins: 8, Lo: 0, Hi: 1, Binning: histogram.Adaptive}),
-		"uncond-no-range": histQuery("", histogram.NewSpec1D("x", 8)),
+// TestRoutingFleetRanges: on a fleet every fragment of every plan is one
+// shard's row range — no whole-step fragment — and each histogram takes
+// the phases its spec needs: min/max for an axis without a range, then a
+// fine FragHist1D per adaptive axis at AdaptiveRefine·bins, then a final
+// fragment carrying the resolved range and cuts. One process runs one
+// whole-step fragment with the client's spec.
+func TestRoutingFleetRanges(t *testing.T) {
+	adaptive1 := histogram.Spec1D{Var: "x", Bins: 8, Lo: 0, Hi: 1, Binning: histogram.Adaptive}
+	unranged1 := histogram.NewSpec1D("x", 8)
+	unranged1.Binning = histogram.Adaptive
+	adaptive2 := histogram.NewSpec2D("x", "y", 4, 6).WithXRange(-1, 1).WithBinning(histogram.Adaptive)
+	h2 := func(cond string, spec histogram.Spec2D) Query {
+		return Query{Op: OpHist2D, Dataset: "d", Query: cond, Backend: fastquery.Scan, Spec2: spec}
 	}
-	for name, q := range cases {
+	cases := []struct {
+		name string
+		q    Query
+		ops  []FragOp // one shard's fragments, phase by phase
+	}{
+		{"count", Query{Op: OpCount, Dataset: "d", Query: "(px > 1)"}, []FragOp{FragCount}},
+		{"select", Query{Op: OpSelect, Dataset: "d"}, []FragOp{FragSelect}},
+		{"adaptive", histQuery("(px > 1)", adaptive1), []FragOp{FragHist1D, FragHist1D}},
+		{"unranged-adaptive", histQuery("", unranged1), []FragOp{FragMinMax, FragHist1D, FragHist1D}},
+		{"uncond-no-range", histQuery("", histogram.NewSpec1D("x", 8)), []FragOp{FragMinMax, FragHist1D}},
+		{"uncond-no-range-2d", h2("", histogram.NewSpec2D("x", "y", 4, 4)), []FragOp{FragMinMax, FragHist2D}},
+		{"adaptive-2d", h2("(px > 1)", adaptive2), []FragOp{FragMinMax, FragHist1D, FragHist1D, FragHist2D}},
+	}
+	const rows = 1000
+	for _, c := range cases {
+		m := ShardMap{Shards: 4}
 		r := &fakeRunner{}
-		res, err := Execute(context.Background(), q, m, 1000, r, ReturnPartial)
+		res, err := Execute(context.Background(), c.q, m, rows, r, FailFast)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if res.Mode != "wholesale" || res.Fragments != 1 {
-			t.Fatalf("%s: mode=%q fragments=%d, want wholesale/1", name, res.Mode, res.Fragments)
+		if res.Mode != "scatter" || res.Fragments != len(c.ops)*m.Shards || len(r.calls) != res.Fragments {
+			t.Fatalf("%s: mode=%q fragments=%d calls=%d, want scatter/%d", c.name, res.Mode, res.Fragments, len(r.calls), len(c.ops)*m.Shards)
 		}
-		if got := r.ops(); len(got) != 1 || got[0] != FragHist1D {
-			t.Fatalf("%s: ops = %v, want one hist1d", name, got)
+		var ops []FragOp
+		for i, f := range r.calls {
+			if want := m.Range(r.callShards[i], rows); f.Rows != want {
+				t.Fatalf("%s: %v fragment on shard %d covers %+v, want its range %+v", c.name, f.Op, r.callShards[i], f.Rows, want)
+			}
+			if r.callShards[i] == 1 {
+				ops = append(ops, f.Op)
+			}
+			fine := i < len(r.calls)-m.Shards && f.Op == FragHist1D
+			if fine && (f.Spec1.Bins%histogram.AdaptiveRefine != 0 || f.Spec1.Binning != histogram.Uniform || !f.Spec1.HasRange()) {
+				t.Fatalf("%s: fine fragment spec %+v", c.name, f.Spec1)
+			}
 		}
-		r.mu.Lock()
-		f, home := r.calls[0], r.callShards[0]
-		r.mu.Unlock()
-		if f.Rows != (RowRange{}) {
-			t.Fatalf("%s: home fragment rows = %+v, want the whole step", name, f.Rows)
+		// Phases run in order, so a shard's fragments arrive phase by
+		// phase; within the fine phase the axes' order is free.
+		if fmt.Sprint(ops) != fmt.Sprint(c.ops) {
+			t.Fatalf("%s: shard 1 ran %v, want %v", c.name, ops, c.ops)
 		}
-		if fmt.Sprint(f.Spec1) != fmt.Sprint(q.Spec1) { // NaN marks an unset range
-			t.Fatalf("%s: home fragment spec = %+v, want the client's %+v", name, f.Spec1, q.Spec1)
+		final := r.calls[len(r.calls)-1]
+		switch c.q.Op {
+		case OpHist1D:
+			s := final.Spec1
+			if !s.HasRange() || (s.Binning == histogram.Adaptive) != (s.Cuts != nil) {
+				t.Fatalf("%s: final spec %+v unresolved", c.name, s)
+			}
+			if s.Cuts != nil {
+				if err := histogram.CheckCuts(s.Cuts, s.Bins); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+			}
+		case OpHist2D:
+			s := final.Spec2
+			if !s.HasXRange() || !s.HasYRange() || (s.Binning == histogram.Adaptive) != (s.XCuts != nil && s.YCuts != nil) {
+				t.Fatalf("%s: final spec %+v unresolved", c.name, s)
+			}
 		}
-		if want := m.Home(f.Key()); home != want {
-			t.Fatalf("%s: home fragment landed on shard %d, want home %d", name, home, want)
+
+		r = &fakeRunner{}
+		res, err = Execute(context.Background(), c.q, ShardMap{Shards: 1}, rows, r, FailFast)
+		if err != nil {
+			t.Fatalf("%s local: %v", c.name, err)
+		}
+		if res.Mode != "local" || len(r.calls) != 1 || r.calls[0].Rows != (RowRange{}) {
+			t.Fatalf("%s local: mode=%q calls=%+v, want one whole-step fragment", c.name, res.Mode, r.calls)
+		}
+		if f := r.calls[0]; fmt.Sprint(f.Spec1, f.Spec2) != fmt.Sprint(c.q.Spec1, c.q.Spec2) { // NaN marks an unset range
+			t.Fatalf("%s local: fragment spec %+v %+v, want the client's", c.name, f.Spec1, f.Spec2)
 		}
 	}
 }
@@ -357,8 +395,8 @@ func TestZeroRowsCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != 0 || len(r.ops()) != 1 {
-		t.Fatalf("res=%+v ops=%v", res, r.ops())
+	if res.Count != 0 || len(r.ops()) != 0 {
+		t.Fatalf("res=%+v ops=%v, want a zero count and no fragment", res, r.ops())
 	}
 }
 

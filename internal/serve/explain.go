@@ -19,7 +19,7 @@ import (
 type ExplainBody struct {
 	TraceID  string `json:"trace_id,omitempty"`
 	Endpoint string `json:"endpoint"`
-	// Mode mirrors plan.Result.Mode: scatter, wholesale, or local.
+	// Mode mirrors plan.Result.Mode: scatter or local.
 	Mode   string `json:"mode,omitempty"`
 	Shards int    `json:"shards"`
 

@@ -140,7 +140,7 @@ func TestFrontendShardIdentity(t *testing.T) {
 	paths := []string{
 		"/v1/query?dataset=lwfa&step=1&q=" + q,
 		"/v1/hist1d?dataset=lwfa&step=1&var=x&bins=24&q=" + q, // two-phase min/max
-		"/v1/hist1d?dataset=lwfa&step=1&var=x&bins=16",        // wholesale routing
+		"/v1/hist1d?dataset=lwfa&step=1&var=x&bins=16",        // unconditional min/max phase
 		"/v1/hist2d?dataset=lwfa&step=1&x=x&y=px&xbins=12&ybins=12&q=" + q,
 		"/v1/query?dataset=lwfa&step=2&q=" + url.QueryEscape("px > 0.002 && x > 0"),
 	}

@@ -22,8 +22,8 @@ func TestSweepIdentity(t *testing.T) {
 	specs := []struct{ name, params string }{
 		{"conditional-unranged", cond}, // two-phase min/max on a fleet
 		{"explicit-range", cond + ranged},
-		{"unconditional", ""}, // wholesale on a home shard
-		{"adaptive", cond + "&binning=adaptive"},
+		{"unconditional", ""},                    // min/max phase, then the scatter
+		{"adaptive", cond + "&binning=adaptive"}, // min/max, fine and final phases
 	}
 	_, base := testServer(t, Config{}) // the one-process answer
 	for _, n := range []int{1, 2, 3} {

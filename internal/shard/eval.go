@@ -7,8 +7,8 @@
 // Every shard worker opens the same dataset directory (the paper's
 // parallel-filesystem deployment), so the shard map assigns work rather
 // than data: a fragment names a row range, and any worker could evaluate
-// any fragment. Whole-step histogram fragments are routed to a stable home
-// shard so its cache absorbs repeats. What a worker keeps in memory
+// any fragment. On a fleet every fragment is one shard's row range, the
+// phases of a histogram included, so what a worker keeps in memory
 // follows its rows: the first ranged fragment on a step makes its range
 // the step's resident index window (Executor.RunCached).
 package shard
@@ -75,9 +75,9 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 // evalOver computes a FragMinMax, FragHist1D or FragHist2D fragment over
 // rows already selected. Histograms go through the one fastquery kernel,
 // which resolves the spec's edges from the rows it bins: a scattered
-// fragment's resolved spec yields the same UniformEdges on every shard
-// (and at the merging frontend), and a whole-step fragment's spec
-// resolves exactly as a single process would.
+// fragment's resolved spec — its range and any adaptive cuts — yields the
+// same edges on every shard (and at the merging frontend), and a
+// whole-step fragment's spec resolves exactly as a single process would.
 func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows fastquery.Rows) (*plan.FragmentResult, error) {
 	switch f.Op {
 	case plan.FragMinMax:

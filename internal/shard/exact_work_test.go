@@ -317,3 +317,56 @@ func TestHandoffStaysInProbation(t *testing.T) {
 		}
 	}
 }
+
+// TestUnconditionalPhasesReadOnce: an unconditional histogram without a
+// range — uniform or adaptive — reads each column once on a fleet, as in
+// one process: phase 1 (min/max) reads its range and keeps what it read,
+// and the fine and final phases read none. A single-phase unconditional
+// histogram, its range given, keeps nothing beside its result.
+func TestUnconditionalPhasesReadOnce(t *testing.T) {
+	const shards = 3
+	rows, _ := stepColumn(t, 1, "px")
+	fleet := func() *shardedCost {
+		r := &shardedCost{}
+		for range shards {
+			r.exs = append(r.exs, testExecutor(t))
+		}
+		return r
+	}
+	for _, binning := range []histogram.Binning{histogram.Uniform, histogram.Adaptive} {
+		q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1, Backend: fastquery.FastBit,
+			Spec2: histogram.NewSpec2D("x", "px", 16, 16).WithBinning(binning)}
+		single := &costRunner{ex: testExecutor(t)}
+		want, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: 1}, rows, single, plan.FailFast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := fleet()
+		got, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast)
+		if err != nil || !reflect.DeepEqual(got.Hist2, want.Hist2) {
+			t.Fatalf("%v: %d shards answer differently (%v)", binning, shards, err)
+		}
+		var read uint64
+		for _, f := range r.frags {
+			read += f.cost.ValuesRead
+			if f.op != plan.FragMinMax && (f.cost.ValuesRead != 0 || f.cost.DataBytes != 0) {
+				t.Fatalf("%v: a %v fragment after phase 1 read data: %+v", binning, f.op, f.cost)
+			}
+		}
+		if w := single.total().ValuesRead; read != w || w != 2*rows {
+			t.Fatalf("%v: %d shards read %d values, one process %d, the columns hold %d", binning, shards, read, w, 2*rows)
+		}
+	}
+
+	q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1, Backend: fastquery.FastBit,
+		Spec2: histogram.NewSpec2D("x", "px", 16, 16).WithXRange(-1, 1).WithYRange(-1, 1)}
+	r := fleet()
+	if _, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast); err != nil {
+		t.Fatal(err)
+	}
+	for i, ex := range r.exs {
+		if st := ex.Stats(); st.Evals != 1 || st.CacheEntries != 1 {
+			t.Fatalf("shard %d: a single-phase histogram left %d entries for %d evaluations", i, st.CacheEntries, st.Evals)
+		}
+	}
+}

@@ -191,15 +191,27 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	metricFragments.Inc()
 	var res *plan.FragmentResult
 	if sf, ok := selectionOf(f); ok {
-		// The two phases of a histogram select the same rows: both read
-		// them from one FragSelect entry, which a session select over the
-		// same range shares too, and gather each column at them once:
-		// phase 1 keeps what it gathers beside the selection, and phase 2
-		// bins it. Both read these entries without promoting them. An
-		// evicted entry is just recomputed.
-		var sel *plan.FragmentResult
-		if sel, err = e.selection(ctx, st, sf); err == nil {
-			rows := fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.cache, key: sf.Key()}}
+		// The phases of a histogram read the same rows, and each column
+		// at them once: phase 1 keeps what it reads under the rows' key,
+		// and the later phases bin it. A conditional fragment's rows are
+		// a FragSelect entry, which a session select over the same range
+		// shares too. An unconditional one's are its range, where only
+		// phase 1 (FragMinMax) keeps, so a single-phase histogram keeps
+		// nothing. None of them promotes these entries; an evicted entry
+		// is just recomputed.
+		g := gathered{c: e.cache, key: sf.Key()}
+		var rows fastquery.Rows
+		if f.Query == "" {
+			g.readOnly = f.Op != plan.FragMinMax
+			lo, hi := rangeOf(st, f.Rows)
+			rows = fastquery.Rows{All: true, Lo: lo, Hi: hi, Gathered: g}
+		} else {
+			var sel *plan.FragmentResult
+			if sel, err = e.selection(ctx, st, sf); err == nil {
+				rows = fastquery.Rows{Pos: sel.Sel, Gathered: g}
+			}
+		}
+		if err == nil {
 			res, err = evalOver(ctx, st, f, rows)
 		}
 	} else {
@@ -277,13 +289,16 @@ func fragResult(v any, ok bool) (*plan.FragmentResult, bool) {
 	return res, ok && res != nil
 }
 
-// gathered keeps the columns gathered at a cached selection's positions
-// in the fragment cache, each under the selection's key and the column's
-// name and charged its 8 bytes a value. Like the selection, a column
-// evicted is just gathered again.
+// gathered keeps the columns read at a fragment's rows — a cached
+// selection's positions, or an unconditional fragment's range — in the
+// fragment cache, each under the rows' key and the column's name and
+// charged its 8 bytes a value. Like the selection, a column evicted is
+// just read again. A read-only one finds what another phase kept and
+// keeps nothing.
 type gathered struct {
-	c   *plan.Store
-	key string // the FragSelect's key
+	c        *plan.Store
+	key      string // the rows' FragSelect key
+	readOnly bool
 }
 
 func (g gathered) entry(name string) string { return g.key + "\x1egather\x1f" + name }
@@ -295,19 +310,23 @@ func (g gathered) Column(name string) ([]float64, bool) {
 }
 
 func (g gathered) Keep(name string, vals []float64) {
+	if g.readOnly {
+		return
+	}
 	key := g.entry(name)
 	g.c.Put(key, vals, plan.CacheEntryOverhead+len(key)+8*cap(vals))
 }
 
-// selectionOf returns the FragSelect fragment whose positions a
-// conditional, ranged min/max or histogram fragment reads its values at.
+// selectionOf returns the FragSelect fragment naming the rows a ranged
+// min/max or histogram fragment reads its values at: for a conditional
+// fragment, the selection whose positions it reads.
 func selectionOf(f plan.Fragment) (plan.Fragment, bool) {
 	switch f.Op {
 	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
 	default:
 		return plan.Fragment{}, false
 	}
-	if f.Query == "" || f.Rows.Whole() {
+	if f.Rows.Whole() {
 		return plan.Fragment{}, false
 	}
 	return plan.Fragment{

@@ -145,6 +145,11 @@ func planExpr(in *planBytes, depth int) query.Expr {
 	}
 }
 
+// planDensity is what an adaptive histogram's density floor is drawn
+// from: none, floors a few values per unit width meet or miss, and one no
+// bin meets.
+var planDensity = []float64{0, 0.5, 3, 1e300}
+
 // planRange returns an explicit [lo, hi] from the finite palette, or the
 // unset (NaN, NaN) range when its first byte is even.
 func planRange(in *planBytes) (lo, hi float64) {
@@ -156,7 +161,9 @@ func planRange(in *planBytes) (lo, hi float64) {
 }
 
 // planQuery builds one operation: count, select, hist1d or hist2d over
-// a, b or c, conditional or not, uniform or adaptive, ranged or not.
+// a, b or c, conditional or not, uniform or adaptive, ranged or not —
+// every kind a fleet scatters in phases (min/max for an axis without a
+// range, a fine histogram for an adaptive one).
 func planQuery(in *planBytes) plan.Query {
 	vars := []string{"a", "b", "c"}
 	q := plan.Query{Op: plan.Op(in.next() % 4), Dataset: "fuzz"}
@@ -205,24 +212,24 @@ func planAnswer(res *plan.Result, err error) string {
 }
 
 // wireRunner runs each fragment as a shard worker answers it over RPC:
-// through Service.Exec, with the reply gob-encoded and decoded (its frame
-// checksummed and validated), so the planner merges decoded partials as
-// the frontend does.
+// the fragment and the reply each gob-encoded and decoded (as their
+// frames, checksummed and validated) around Service.Exec, so the shard
+// evaluates the fragment it was sent and the planner merges decoded
+// partials as the frontend does.
 type wireRunner struct {
 	t   *testing.T
 	svc *shard.Service
 }
 
 func (r wireRunner) RunFragment(_ context.Context, _ int, f plan.Fragment) (*plan.FragmentResult, error) {
-	var reply shard.ExecReply
-	if err := r.svc.Exec(&shard.ExecArgs{Frag: f}, &reply); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	var got shard.ExecReply
-	err := gob.NewEncoder(&buf).Encode(&reply)
+	var args shard.ExecArgs
+	var reply, got shard.ExecReply
+	err := overGob(&shard.ExecArgs{Frag: f}, &args)
 	if err == nil {
-		err = gob.NewDecoder(&buf).Decode(&got)
+		if err = r.svc.Exec(&args, &reply); err != nil {
+			return nil, err
+		}
+		err = overGob(&reply, &got)
 	}
 	if err != nil {
 		// Fragments may run off the test goroutine: report, and let the
@@ -233,10 +240,20 @@ func (r wireRunner) RunFragment(_ context.Context, _ int, f plan.Fragment) (*pla
 	return got.Result, nil
 }
 
+// overGob decodes into out what gob encodes of in.
+func overGob(in, out any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		return err
+	}
+	return gob.NewDecoder(&buf).Decode(out)
+}
+
 // FuzzPlanSplits is the plan-level differential oracle: one fuzzed
-// multi-chunk step, its ids distinct or repeating, one count, select, hist1d or hist2d, run through
+// multi-chunk step, its ids distinct or repeating, one count, select,
+// hist1d or hist2d (adaptive ones with a density floor or none), run through
 // plan.Execute on shard workers at splits {1, 2, 3, 5, 7} and on both
-// backends, every partial crossing the wire (wireRunner). Every split
+// backends, every fragment and partial crossing the wire (wireRunner). Every split
 // answers byte-for-byte what one shard does, one shard answers what the
 // in-process executor does, and FastBit answers what Scan does (FastBit
 // is skipped when the condition names the NaN/±Inf column c, which no
@@ -250,9 +267,12 @@ func FuzzPlanSplits(f *testing.F) {
 		bins := 1 + in.next()%8
 		cols := planColumns(in, rows)
 		q := planQuery(in)
-		// The id period is drawn last, so inputs from before ids could
-		// repeat keep their meaning (period 0: every id distinct).
+		// The id period and then the adaptive density floor are drawn
+		// last, so older inputs keep their meaning (period 0: every id
+		// distinct; floor 0: none).
 		dir := planDataset(t, cols, planIDs(rows, in.next()%8), chunkRows, bins)
+		q.Spec1.MinDensity = planDensity[in.next()%len(planDensity)]
+		q.Spec2.MinDensity = q.Spec1.MinDensity
 		backends := []fastquery.Backend{fastquery.Scan, fastquery.FastBit}
 		if rows == 0 || q.Query != "" && slices.Contains(query.Vars(query.MustParse(q.Query)), "c") {
 			backends = backends[:1]
@@ -292,4 +312,66 @@ func FuzzPlanSplits(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConstantColumnScatter: an unconditional histogram without a range
+// over a constant column — uniform and adaptive, 1D and 2D, both
+// backends — answers on 3 shards, every partial over the wire, what one
+// process does, over edges of UniformEdges(v, v, n): the column's own
+// min/max, never the index's bounds, which a constant column widens.
+func TestConstantColumnScatter(t *testing.T) {
+	const rows, v, bins = 90, 7.0, 4
+	cols := map[string][]float64{}
+	for r := range rows {
+		cols["a"] = append(cols["a"], v)
+		cols["b"] = append(cols["b"], float64(r%5))
+		cols["c"] = append(cols["c"], float64(r))
+	}
+	dir := planDataset(t, cols, planIDs(rows, 0), 16, bins)
+	for _, b := range []fastquery.Backend{fastquery.Scan, fastquery.FastBit} {
+		for _, binning := range []histogram.Binning{histogram.Uniform, histogram.Adaptive} {
+			grid := histogram.UniformEdges(v, v, bins)
+			if binning == histogram.Adaptive {
+				grid = histogram.UniformEdges(v, v, bins*histogram.AdaptiveRefine)
+			}
+			s1 := histogram.NewSpec1D("a", bins)
+			s1.Binning = binning
+			for _, q := range []plan.Query{
+				{Op: plan.OpHist1D, Dataset: "fuzz", Backend: b, Spec1: s1},
+				{Op: plan.OpHist2D, Dataset: "fuzz", Backend: b, Spec2: histogram.NewSpec2D("a", "b", bins, 5).WithBinning(binning)},
+			} {
+				var answers []string
+				for _, shards := range []int{1, 3} {
+					ex := shard.NewExecutor(shard.FragCacheBytes)
+					if err := ex.AddDataset("fuzz", dir); err != nil {
+						t.Fatal(err)
+					}
+					res, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows,
+						wireRunner{t, shard.NewService(ex, nil)}, plan.FailFast)
+					ex.Close()
+					if err != nil {
+						t.Fatalf("%v %v %v, %d shards: %v", b, binning, q.Op, shards, err)
+					}
+					var edges []float64
+					if res.Hist1 != nil {
+						edges = res.Hist1.Edges
+					} else {
+						edges = res.Hist2.XEdges
+					}
+					onGrid := len(edges) == bins+1 || binning == histogram.Adaptive && len(edges) >= 2 && len(edges) <= bins+1
+					for _, e := range edges {
+						onGrid = onGrid && slices.ContainsFunc(grid, func(g float64) bool { return math.Float64bits(g) == math.Float64bits(e) })
+					}
+					if !onGrid {
+						t.Fatalf("%v %v %v, %d shards: edges %v are not up to %d bins of UniformEdges(%v, %v, %d)",
+							b, binning, q.Op, shards, edges, bins, v, v, len(grid)-1)
+					}
+					answers = append(answers, planAnswer(res, nil))
+				}
+				if answers[0] != answers[1] {
+					t.Fatalf("%v %v %v: 3 shards answer\n%s\none process\n%s", b, binning, q.Op, answers[1], answers[0])
+				}
+			}
+		}
+	}
 }

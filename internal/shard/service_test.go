@@ -75,7 +75,8 @@ func answerBytes(t *testing.T, r *plan.FragmentResult) []byte {
 
 // TestExecArgsRoundTrip: a fragment crosses gob in ExecArgs with every
 // float's bits intact — a -0 range bound stays -0, which gob's own struct
-// encoding drops to +0 — so the shard keys and bins it as it was sent.
+// encoding drops to +0 — and an adaptive axis's cuts with it, so the
+// shard keys and bins it as it was sent.
 func TestExecArgsRoundTrip(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	frags := []plan.Fragment{
@@ -83,6 +84,9 @@ func TestExecArgsRoundTrip(t *testing.T) {
 			Backend: fastquery.Scan, Spec1: histogram.Spec1D{Var: "x", Bins: 8, Lo: negZero, Hi: negZero, MinDensity: negZero}},
 		{Op: plan.FragHist2D, Dataset: "lwfa", Step: -1, Spec2: histogram.NewSpec2D("x", "px", 4, 5).
 			WithXRange(negZero, 1).WithYRange(-1, negZero).WithBinning(histogram.Adaptive)},
+		{Op: plan.FragHist2D, Dataset: "lwfa", Step: 1, Rows: plan.RowRange{Lo: 0, Hi: 7}, Spec2: histogram.Spec2D{
+			XVar: "x", YVar: "px", XBins: 2, YBins: 3, Binning: histogram.Adaptive, MinDensity: negZero,
+			XLo: negZero, XHi: 1, YLo: -1, YHi: negZero, XCuts: []int{0, 5, 16}, YCuts: []int{0, 1, 23, 24}}},
 		{Op: plan.FragMinMax, Vars: []string{"x", "", "px"}, Spec1: histogram.NewSpec1D("x", 2)},
 		{Op: plan.FragSelect, Rows: plan.RowRange{Lo: 1 << 40, Hi: math.MaxUint64}},
 	}

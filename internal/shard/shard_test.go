@@ -1,15 +1,18 @@
 // Merge-identity property tests: a scatter over any shard split must
 // produce byte-identical answers to the single-process plan, for every
-// routing path (direct scatter, two-phase min/max, wholesale) and both
-// backends. This is the core correctness contract of the sharded tier —
+// routing path (direct scatter, the min/max phase, the adaptive fine
+// phase) and both backends. This is the core correctness contract of the sharded tier —
 // shard boundaries are invisible in results.
 package shard_test
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,6 +21,7 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/scan"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
@@ -137,6 +141,7 @@ func TestScatterIdentity(t *testing.T) {
 	mkCases := func(backend fastquery.Backend) []qcase {
 		adaptive := histogram.NewSpec1D("x", 16)
 		adaptive.Binning = histogram.Adaptive
+		adaptive2d := histogram.NewSpec2D("x", "px", 6, 10).WithBinning(histogram.Adaptive)
 		ranged2d := histogram.NewSpec2D("x", "px", 8, 8).WithXRange(-1, 1).WithYRange(-0.5, 0.5)
 		return []qcase{
 			{"count-cond", plan.Query{Op: plan.OpCount, Query: cond, Backend: backend}},
@@ -153,6 +158,10 @@ func TestScatterIdentity(t *testing.T) {
 				Spec2: histogram.NewSpec2D("x", "px", 12, 12)}},
 			{"hist2d-explicit-range", plan.Query{Op: plan.OpHist2D, Query: cond, Backend: backend,
 				Spec2: ranged2d}},
+			{"hist1d-adaptive-uncond", plan.Query{Op: plan.OpHist1D, Backend: backend, Spec1: adaptive}},
+			{"hist2d-adaptive", plan.Query{Op: plan.OpHist2D, Query: cond, Backend: backend, Spec2: adaptive2d}},
+			{"hist2d-uncond-no-range", plan.Query{Op: plan.OpHist2D, Backend: backend,
+				Spec2: histogram.NewSpec2D("x", "px", 12, 12)}},
 		}
 	}
 
@@ -208,6 +217,63 @@ func TestScatterIdentity(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestAdaptiveEqualWeight is the equal-weight property of adaptive bins,
+// in one process and scattered over 3 shards, on a seeded normal sample:
+// every edge is an edge of the fine grid, AdaptiveRefine·bins uniform
+// bins over the sample's range, and each bin holds at least its running
+// target — what is left, divided evenly among the bins left — and less
+// than that target plus the fine cell that closed it; the last bin holds
+// what is left. That is all the greedy cut guarantees: the target drifts
+// below N/bins by under one fine cell per bin left, so a bin can sit
+// slightly more than one fine cell from N/bins (1.13 cells at 32 bins on
+// a sample like this one).
+func TestAdaptiveEqualWeight(t *testing.T) {
+	const rows, bins = 100000, 32
+	rng := rand.New(rand.NewSource(7))
+	cols := map[string][]float64{"b": make([]float64, rows), "c": make([]float64, rows)}
+	for range rows {
+		cols["a"] = append(cols["a"], rng.NormFloat64())
+	}
+	dir := planDataset(t, cols, planIDs(rows, 0), 8192, 64)
+	lo, hi := scan.MinMax(cols["a"])
+	fineEdges := histogram.UniformEdges(lo, hi, bins*histogram.AdaptiveRefine)
+	fine, err := histogram.Compute1D("a", cols["a"], fineEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := histogram.NewSpec1D("a", bins)
+	spec.Binning = histogram.Adaptive
+	for _, shards := range []int{1, 3} {
+		ex := shard.NewExecutor(shard.FragCacheBytes)
+		if err := ex.AddDataset("fuzz", dir); err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.Execute(context.Background(), plan.Query{Op: plan.OpHist1D, Dataset: "fuzz",
+			Backend: fastquery.Scan, Spec1: spec}, plan.ShardMap{Shards: shards}, rows, execRunner{ex}, plan.FailFast)
+		ex.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := res.Hist1
+		if h.Bins() != bins || h.Total() != rows {
+			t.Fatalf("%d shards: %d bins holding %d rows", shards, h.Bins(), h.Total())
+		}
+		left, cut := uint64(rows), 0
+		for k, c := range h.Counts {
+			next := slices.IndexFunc(fineEdges, func(e float64) bool { return math.Float64bits(e) == math.Float64bits(h.Edges[k+1]) })
+			if next <= cut {
+				t.Fatalf("%d shards: edge %d (%v) is not a later edge of the fine grid", shards, k+1, h.Edges[k+1])
+			}
+			target := left / uint64(bins-k)
+			closer := fine.Counts[next-1]
+			if k == bins-1 && c != left || k < bins-1 && (c < target || c >= target+closer) {
+				t.Fatalf("%d shards: bin %d holds %d, target %d, closing fine cell %d", shards, k, c, target, closer)
+			}
+			left, cut = left-c, next
 		}
 	}
 }
