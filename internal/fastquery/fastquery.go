@@ -524,7 +524,7 @@ func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histog
 		if err != nil {
 			return nil, err
 		}
-		return st.Histogram1DOver(ctx, rows, spec, FastBit)
+		return st.histogram1D(ctx, rows, spec, FastBit)
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.Var)
 		if err != nil {

@@ -60,9 +60,8 @@ func (st *Step) Values(ctx context.Context, rows Rows, name string) (vs []float6
 // FastBit histogram and every shard fragment's histogram is a selection
 // followed by this call, so a data-derived range is the same whichever
 // backend, shard split or fragment computed it. The result is a partial
-// (histogram.Partial2DCtx), always in the cells form, so a reader of
-// Counts takes its Dense().
-func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.Spec2D) (*histogram.Hist2D, error) {
+// in the cells form (histogram.Partial2DCtx).
+func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.Spec2D) (*histogram.Cells2D, error) {
 	_, gsp := obs.StartSpan(ctx, "gather-values")
 	xs, err := st.Values(ctx, rows, spec.XVar)
 	var ys []float64
@@ -86,8 +85,18 @@ func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.S
 // Histogram1DOver is Histogram2DOver for one variable. An unconditional
 // FastBit histogram over the whole step whose edges are exactly the
 // index's bounds is the index's bin counts, read with no data access: the
-// "efficient method for computing a histogram" of Section II-B.
-func (st *Step) Histogram1DOver(ctx context.Context, rows Rows, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
+// "efficient method for computing a histogram" of Section II-B. Both bin
+// densely, and the partial is their counts encoded.
+func (st *Step) Histogram1DOver(ctx context.Context, rows Rows, spec histogram.Spec1D, b Backend) (*histogram.Cells1D, error) {
+	h, err := st.histogram1D(ctx, rows, spec, b)
+	if err != nil {
+		return nil, err
+	}
+	return h.Cells(), nil
+}
+
+// histogram1D is Histogram1DOver's dense counts.
+func (st *Step) histogram1D(ctx context.Context, rows Rows, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
 	if ev := st.binAligned(ctx, rows, spec, b); ev != nil {
 		return ev.Histogram1DFromBitmapsCtx(ctx, nil, spec.Var)
 	}

@@ -157,9 +157,10 @@ func TestAdaptiveHistogram2D(t *testing.T) {
 		t.Fatalf("adaptive histogram total %d", h.Total())
 	}
 	// Equal-weight property along each axis (marginals roughly balanced).
-	mx := h.MarginalX()
-	target := float64(mx.Total()) / float64(mx.Bins())
-	for i, c := range mx.Counts {
+	mx := make([]uint64, h.XBins())
+	h.NonEmpty(func(ix, _ int, c uint64) { mx[ix] += c })
+	target := float64(h.Total()) / float64(len(mx))
+	for i, c := range mx {
 		if float64(c) > 4*target {
 			t.Errorf("adaptive x bin %d holds %d, target %.0f", i, c, target)
 		}

@@ -15,11 +15,13 @@ import "fmt"
 // minDensity, when positive, is the optional constraint from Section
 // III-A3: a merged bin is closed early rather than diluted below the given
 // record-per-unit-width density, which preserves detail in sparse regions.
-func AdaptiveCuts(fine *Hist1D, bins int, minDensity float64) ([]int, error) {
-	fineEdges, fineCounts := fine.Edges, fine.Dense().Counts
-	if len(fineEdges) != len(fineCounts)+1 {
-		return nil, fmt.Errorf("histogram: %d edges does not match %d counts", len(fineEdges), len(fineCounts))
-	}
+func AdaptiveCuts(fine *Cells1D, bins int, minDensity float64) ([]int, error) {
+	return cutCounts(fine.Edges, expanded(fine.cells, fine.Bins()), bins, minDensity)
+}
+
+// cutCounts is AdaptiveCuts over the dense counts of the fine bins
+// between fineEdges.
+func cutCounts(fineEdges []float64, fineCounts []uint64, bins int, minDensity float64) ([]int, error) {
 	if bins < 1 {
 		return nil, fmt.Errorf("histogram: need at least 1 bin, got %d", bins)
 	}
@@ -103,7 +105,7 @@ func AdaptiveEdges(values []float64, lo, hi float64, bins int, minDensity float6
 	if err != nil {
 		return nil, err
 	}
-	cuts, err := AdaptiveCuts(h, bins, minDensity)
+	cuts, err := cutCounts(h.Edges, h.Counts, bins, minDensity)
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func TestGridPoolStaysZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parts []*Hist2D // three decoded partials of a third of the pairs each
+	var parts []*Cells2D // three decoded partials of a third of the pairs each
 	for k := 0; k < 3; k++ {
 		lo, hi := k*pairs/3, (k+1)*pairs/3
 		p, err := Partial2DCtx(context.Background(), "x", "y", xs[lo:hi], ys[lo:hi], xe, ye)
@@ -97,7 +97,7 @@ func TestGridPoolStaysZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, d.(*Hist2D))
+		parts = append(parts, d.(*Cells2D))
 	}
 	wantJSON, _ := json.Marshal(want.Counts)
 
@@ -126,7 +126,7 @@ func TestGridPoolStaysZero(t *testing.T) {
 						}
 					}
 				case 2: // merge and write as JSON
-					sum := &Hist2D{XEdges: xe, YEdges: ye}
+					sum := &Cells2D{XEdges: xe, YEdges: ye}
 					for _, p := range parts {
 						if err := sum.Merge(p); err != nil {
 							errs <- err
@@ -177,18 +177,18 @@ func TestGridPoolStaysZero(t *testing.T) {
 func TestUint64Fallback(t *testing.T) {
 	const want = 1<<32 + 1
 	e := UniformEdges(0, 1, 3)
-	var parts []*Hist2D
+	var parts []*Cells2D
 	for _, c := range []uint64{math.MaxUint32, 2} {
 		h := &Hist2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e, Counts: make([]uint64, 9)}
 		h.Counts[4] = c
 		h.Counts[8] = 1
-		d, err := decodeWire(2, must(h.AppendWire(nil)))
+		d, err := decodeWire(2, must(h.Cells().AppendWire(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, d.(*Hist2D))
+		parts = append(parts, d.(*Cells2D))
 	}
-	sum := &Hist2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e}
+	sum := &Cells2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e}
 	for _, p := range parts {
 		if err := sum.Merge(p); err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestUint64Fallback(t *testing.T) {
 	if got := sum.AppendCountsJSON(nil); !bytes.Equal(got, wantJSON) || !strings.Contains(string(got), "4294967297") {
 		t.Errorf("AppendCountsJSON %s, want %s", got, wantJSON)
 	}
-	wantWire := must((&Hist2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e, Counts: dense}).AppendWire(nil))
+	wantWire := must((&Hist2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e, Counts: dense}).Cells().AppendWire(nil))
 	if got := must(sum.AppendWire(nil)); !bytes.Equal(got, wantWire) {
 		t.Errorf("AppendWire %x, want %x", got, wantWire)
 	}
@@ -214,23 +214,27 @@ func TestUint64Fallback(t *testing.T) {
 
 // TestMergeRefusesOtherEdges: a merge needs the same edges bit for bit,
 // not only as many; −0 and +0 are other edges. Refused merges leave the
-// histogram as it was.
+// histogram as it was, dense or in the cells form.
 func TestMergeRefusesOtherEdges(t *testing.T) {
 	a, b := UniformEdges(0, 1, 4), UniformEdges(0, 2, 4)
 	negZero := []float64{math.Copysign(0, -1), 0.25, 0.5, 0.75, 1}
 	for _, o := range [][]float64{b, negZero} {
+		other := &Hist1D{Var: "x", Edges: o, Counts: []uint64{1, 1, 1, 1}}
 		h1 := &Hist1D{Var: "x", Edges: a, Counts: []uint64{1, 2, 3, 4}}
-		if err := h1.Merge(&Hist1D{Var: "x", Edges: o, Counts: []uint64{1, 1, 1, 1}}); err == nil || h1.Total() != 10 {
+		if err := h1.Merge(other); err == nil || h1.Total() != 10 {
 			t.Errorf("1d: merged over edges %v (total %d)", o, h1.Total())
 		}
-		sum := &Hist1D{Var: "x", Edges: a}
-		if err := sum.Merge(&Hist1D{Var: "x", Edges: o, Counts: []uint64{1, 1, 1, 1}}); err == nil || sum.Total() != 0 {
+		sum := &Cells1D{Var: "x", Edges: a}
+		if err := sum.Merge(other.Cells()); err == nil || sum.Total() != 0 {
 			t.Errorf("1d cells form: merged over edges %v", o)
 		}
-		h2 := &Hist2D{XEdges: a, YEdges: a, Counts: make([]uint64, 16)}
-		for _, other := range []*Hist2D{{XEdges: o, YEdges: a, Counts: make([]uint64, 16)}, {XEdges: a, YEdges: o}} {
+		for _, other := range []*Hist2D{{XEdges: o, YEdges: a, Counts: make([]uint64, 16)}, {XEdges: a, YEdges: o, Counts: make([]uint64, 16)}} {
+			h2 := &Hist2D{XEdges: a, YEdges: a, Counts: make([]uint64, 16)}
 			if err := h2.Merge(other); err == nil {
 				t.Errorf("2d: merged over edges %v × %v", other.XEdges, other.YEdges)
+			}
+			if err := h2.Cells().Merge(other.Cells()); err == nil {
+				t.Errorf("2d cells form: merged over edges %v × %v", other.XEdges, other.YEdges)
 			}
 		}
 	}
@@ -239,12 +243,16 @@ func TestMergeRefusesOtherEdges(t *testing.T) {
 	if err := h1.Merge(same); err != nil || h1.Total() != 14 {
 		t.Fatalf("equal edges: total %d, %v", h1.Total(), err)
 	}
+	c1 := h1.Cells()
+	if err := c1.Merge(same.Cells()); err != nil || c1.Total() != 18 {
+		t.Fatalf("equal edges, cells form: total %d, %v", c1.Total(), err)
+	}
 }
 
-// TestReadersOnCellsForm: every reader of counts gives the same answer on
-// a histogram in the cells form — one encoding, and the sum of several —
-// as on the dense histogram of the same values: Total on the form itself,
-// the dense-only readers on its Dense().
+// TestReadersOnCellsForm: every dense reader gives the same answer on the
+// expansion of a histogram in the cells form — one encoding, and the sum
+// of several partials — as on the dense histogram of the same values,
+// and Total and AppendCountsJSON on the cells form itself do too.
 func TestReadersOnCellsForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xe, ye := UniformEdges(0, 1, 7), []float64{0, 0.1, 0.5, 0.55, 1}
@@ -256,11 +264,11 @@ func TestReadersOnCellsForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := decodeWire(2, must(dense.AppendWire(nil)))
+	one, err := decodeWire(2, must(dense.Cells().AppendWire(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	several := &Hist2D{XVar: "x", YVar: "y", XEdges: xe, YEdges: ye}
+	several := &Cells2D{XVar: "x", YVar: "y", XEdges: xe, YEdges: ye}
 	for _, cut := range [][2]int{{0, 40}, {40, 41}, {41, 300}} {
 		p, err := Partial2DCtx(context.Background(), "x", "y", xs[cut[0]:cut[1]], ys[cut[0]:cut[1]], xe, ye)
 		if err != nil {
@@ -288,16 +296,14 @@ func TestReadersOnCellsForm(t *testing.T) {
 			h.NonEmpty(func(ix, iy int, c uint64) { out = append(out, [3]uint64{uint64(ix), uint64(iy), c}) })
 			return out
 		},
-		"MarginalX":        func(h *Hist2D) any { return h.MarginalX().Counts },
-		"MarginalY":        func(h *Hist2D) any { return h.MarginalY().Counts },
-		"AppendCountsJSON": func(h *Hist2D) any { return string(h.AppendCountsJSON(nil)) },
 	}
-	for form, h := range map[string]*Hist2D{"one encoding": one.(*Hist2D), "several": several} {
-		if h.Counts != nil {
-			t.Fatalf("%s: not in the cells form", form)
-		}
+	wantJSON, _ := json.Marshal(dense.Counts)
+	for form, h := range map[string]*Cells2D{"one encoding": one.(*Cells2D), "several": several} {
 		if got, want := h.Total(), dense.Total(); got != want {
 			t.Errorf("%s: Total %d, dense %d", form, got, want)
+		}
+		if got := h.AppendCountsJSON(nil); !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s: AppendCountsJSON %s, want %s", form, got, wantJSON)
 		}
 		for name, read := range readers {
 			if got, want := read(h.Dense()), read(dense); !reflect.DeepEqual(got, want) {
@@ -305,43 +311,32 @@ func TestReadersOnCellsForm(t *testing.T) {
 			}
 		}
 	}
-
-	h1 := &Hist1D{Var: "x", Edges: xe, Counts: dense.MarginalX().Counts}
-	d1, err := decodeWire(1, must(h1.AppendWire(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := d1.(*Hist1D)
-	if c1.Total() != h1.Total() || c1.Dense().MaxCount() != h1.MaxCount() || c1.Dense().Density(2) != h1.Density(2) ||
-		string(c1.AppendCountsJSON(nil)) != string(h1.AppendCountsJSON(nil)) {
-		t.Error("1d readers differ between the cells form and the dense histogram")
-	}
 }
 
-// TestAppendCountsJSON: dense counts and the cells form write what
-// encoding/json writes, zeros runs longer than the copied block included.
+// TestAppendCountsJSON: the cells form — one encoding, and none — and a
+// dense grid through appendGridJSON write what encoding/json writes,
+// zeros runs longer than the copied block included.
 func TestAppendCountsJSON(t *testing.T) {
 	for _, counts := range [][]uint64{{}, {0}, {7}, {0, 0, 10, 0}, make([]uint64, 3000), {math.MaxUint64, 9, 0}} {
 		want, _ := json.Marshal(counts)
-		dense := &Hist1D{Var: "x", Counts: counts}
-		if got := dense.AppendCountsJSON([]byte("x")); string(got) != "x"+string(want) {
-			t.Errorf("AppendCountsJSON(%v) = %s, want %s", counts, got, want)
+		if got := appendGridJSON([]byte("x"), counts, false); string(got) != "x"+string(want) {
+			t.Errorf("appendGridJSON(%v) = %s, want %s", counts, got, want)
 		}
 		if len(counts) == 0 {
 			continue
 		}
 		h := &Hist1D{Var: "x", Edges: UniformEdges(0, 1, len(counts)), Counts: counts}
-		d, err := decodeWire(1, must(h.AppendWire(nil)))
+		d, err := decodeWire(1, must(h.Cells().AppendWire(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, form := range []*Hist1D{h, d.(*Hist1D), {Var: "x", Edges: h.Edges}} {
-			w := want
-			if form.Counts == nil && len(form.cells) == 0 {
-				w, _ = json.Marshal(make([]uint64, len(counts)))
-			}
-			if got := form.AppendCountsJSON(nil); !bytes.Equal(got, w) {
-				t.Errorf("%d counts, %d encodings: %s, want %s", len(counts), len(form.cells), got, w)
+		zeros, _ := json.Marshal(make([]uint64, len(counts)))
+		for _, c := range []struct {
+			form *Cells1D
+			want []byte
+		}{{h.Cells(), want}, {d.(*Cells1D), want}, {&Cells1D{Var: "x", Edges: h.Edges}, zeros}} {
+			if got := c.form.AppendCountsJSON(nil); !bytes.Equal(got, c.want) {
+				t.Errorf("%d counts, %d encodings: %s, want %s", len(counts), len(c.form.cells), got, c.want)
 			}
 		}
 	}
@@ -354,7 +349,7 @@ func TestAppendCountsJSON(t *testing.T) {
 func TestSumJSONAllocs(t *testing.T) {
 	e := UniformEdges(0, 1, 1024)
 	rng := rand.New(rand.NewSource(9))
-	var parts []*Hist2D
+	var parts []*Cells2D
 	for k := 0; k < 3; k++ {
 		xs, ys := make([]float64, 100000), make([]float64, 100000)
 		for i := range xs {
@@ -368,7 +363,7 @@ func TestSumJSONAllocs(t *testing.T) {
 	}
 	out := make([]byte, 0, 4<<20)
 	answer := func() {
-		sum := &Hist2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e}
+		sum := &Cells2D{XVar: "x", YVar: "y", XEdges: e, YEdges: e}
 		for _, p := range parts {
 			if err := sum.Merge(p); err != nil {
 				t.Fatal(err)
@@ -406,11 +401,11 @@ func BenchmarkCountsJSON(b *testing.B) {
 				dense.Counts[i] = uint64(rng.ExpFloat64() * 40)
 			}
 		}
-		one, err := decodeWire(2, must(dense.AppendWire(nil)))
+		one, err := decodeWire(2, must(dense.Cells().AppendWire(nil)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		three := &Hist2D{XEdges: e, YEdges: e}
+		three := &Cells2D{XEdges: e, YEdges: e}
 		for k := 0; k < 3; k++ {
 			part := &Hist2D{XEdges: e, YEdges: e, Counts: make([]uint64, n)}
 			for i, c := range dense.Counts {
@@ -419,7 +414,7 @@ func BenchmarkCountsJSON(b *testing.B) {
 					part.Counts[i] += c % 3
 				}
 			}
-			if err := three.Merge(part); err != nil {
+			if err := three.Merge(part.Cells()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -428,12 +423,12 @@ func BenchmarkCountsJSON(b *testing.B) {
 			name  string
 			write func([]byte) []byte
 		}{
-			{"dense", dense.AppendCountsJSON},
-			{"one", one.(*Hist2D).AppendCountsJSON},
-			{"one-expanded", func(dst []byte) []byte { return appendSumJSON(dst, n, one.(*Hist2D).cells) }},
+			{"dense", func(dst []byte) []byte { return appendGridJSON(dst, dense.Counts, false) }},
+			{"one", one.(*Cells2D).AppendCountsJSON},
+			{"one-expanded", func(dst []byte) []byte { return appendSumJSON(dst, n, one.(*Cells2D).cells) }},
 			{"three", three.AppendCountsJSON},
 		} {
-			if got, want := c.write(nil), dense.AppendCountsJSON(nil); !bytes.Equal(got, want) {
+			if got, want := c.write(nil), appendGridJSON(nil, dense.Counts, false); !bytes.Equal(got, want) {
 				b.Fatalf("%s writes other counts", c.name)
 			}
 			b.Run(fmt.Sprintf("1in%d/%s", every, c.name), func(b *testing.B) {

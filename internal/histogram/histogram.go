@@ -2,6 +2,15 @@
 // throughout the system, together with uniform (equal-width) and adaptive
 // (equal-weight) bin boundary computation.
 //
+// A histogram takes one of two forms, each its own type, one per path.
+// Hist1D and Hist2D hold dense counts, the grid a reader — a plot, a
+// table, a scan kernel — reads bin by bin. Cells1D and Cells2D hold the
+// cells form, a sum of compact count encodings (wire.go): what the
+// serving path computes, merges, sends, caches and writes as JSON without
+// a grid. A dense grid becomes cells through Cells, only where a kernel
+// bins densely, and cells become a grid through Dense, only where a
+// reader starts.
+//
 // Adaptive boundaries are derived the way the paper describes FastBit
 // doing it: a finer-resolution uniform histogram is computed first and its
 // bins are merged until each merged bin holds approximately the same
@@ -199,34 +208,29 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Hist1D is a one-dimensional histogram. Its counts are dense (Counts)
-// or, with Counts nil, in the cells form: a sum of compact count
-// encodings (see wire.go), which a decoded partial, a merged answer and
-// an empty one hold. Total, Merge, AppendWire, AppendCountsJSON,
-// CountBytes and Dense take either form; every other reader of counts is
-// dense-only, and its caller takes Dense() first.
+// Hist1D is a one-dimensional histogram with dense counts: the grid a
+// reader — a plot, a table, an adaptive cut — reads bin by bin. The
+// serving path carries its cells form, Cells1D, instead.
 type Hist1D struct {
 	Var    string    // variable name, e.g. "px"
 	Edges  []float64 // len Bins+1, strictly increasing
-	Counts []uint64  // len Bins; nil in the cells form
-
-	cells []encoding // the cells form's encodings, summed
+	Counts []uint64  // len Bins
 }
 
 // Bins returns the number of bins.
 func (h *Hist1D) Bins() int { return len(h.Edges) - 1 }
 
-// Total returns the total record count across all bins, in either form.
-func (h *Hist1D) Total() uint64 { return total(h.Counts, h.cells) }
+// Total returns the total record count across all bins.
+func (h *Hist1D) Total() uint64 { return sum(h.Counts) }
 
-// MaxCount returns the largest single-bin count. Dense only.
+// MaxCount returns the largest single-bin count.
 func (h *Hist1D) MaxCount() uint64 { return maxCount(h.Counts) }
 
 // Width returns the width of bin i.
 func (h *Hist1D) Width(i int) float64 { return h.Edges[i+1] - h.Edges[i] }
 
 // Density returns count/width for bin i, the quantity the paper uses for
-// brightness and draw ordering with adaptive bins. Dense only.
+// brightness and draw ordering with adaptive bins.
 func (h *Hist1D) Density(i int) float64 {
 	w := h.Width(i)
 	if w <= 0 {
@@ -235,48 +239,12 @@ func (h *Hist1D) Density(i int) float64 {
 	return float64(h.Counts[i]) / w
 }
 
-// Merge adds o, over bit-identical edges, into h. A dense h adds o's
-// counts into its own; an h in the cells form takes on o's encodings (a
-// dense o is encoded), so a merge costs what o's non-zero cells cost and
-// never a grid. o is read, never changed.
+// Merge adds o's counts, over bit-identical edges, into h's.
 func (h *Hist1D) Merge(o *Hist1D) error {
 	if !sameEdges(h.Edges, o.Edges) {
 		return fmt.Errorf("histogram: merge over other edges (%d vs %d)", len(h.Edges), len(o.Edges))
 	}
-	return mergeCounts(h.Counts, &h.cells, o.Counts, o.cells)
-}
-
-// Clone returns a dense copy of h that shares nothing with it; the cells
-// form is expanded.
-func (h *Hist1D) Clone() *Hist1D {
-	return &Hist1D{Var: h.Var, Edges: slices.Clone(h.Edges), Counts: cloneCounts(h.Counts, h.cells, h.Bins())}
-}
-
-// CountBytes is what h's counts occupy: 8 bytes a bin when dense, the
-// bytes of its encodings in the cells form.
-func (h *Hist1D) CountBytes() int { return heldBytes(h.Counts, h.cells) }
-
-// Dense returns h when its counts are dense, else its expansion.
-func (h *Hist1D) Dense() *Hist1D {
-	if h.Counts != nil {
-		return h
-	}
-	return h.Clone()
-}
-
-// AppendCountsJSON appends h's counts as encoding/json writes the []uint64
-// of its Dense counts. A lone encoding is written from its bytes; a sum of
-// several is expanded once into a pooled grid, written and cleared in one
-// pass.
-func (h *Hist1D) AppendCountsJSON(dst []byte) []byte {
-	return appendCountsJSON(dst, h.Counts, h.cells, h.Bins())
-}
-
-// encoding is one validated compact count encoding and the sum of its
-// counts.
-type encoding struct {
-	b     []byte
-	total uint64
+	return addCounts(h.Counts, o.Counts)
 }
 
 // sameEdges reports whether two edge lists are bit for bit the same.
@@ -284,24 +252,17 @@ func sameEdges(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// total sums dense counts, or the cells form's encodings.
-func total(counts []uint64, cells []encoding) uint64 {
+// sum is the sum of dense counts.
+func sum(counts []uint64) uint64 {
 	var t uint64
 	for _, c := range counts {
 		t += c
 	}
-	for _, e := range cells {
-		t += e.total
-	}
 	return t
 }
 
-// maxCount is the largest of dense counts. The cells form has none to
-// read: a caller that reaches it with one forgot its Dense().
+// maxCount is the largest of dense counts, 0 for none.
 func maxCount(counts []uint64) uint64 {
-	if counts == nil {
-		panic("histogram: MaxCount of the cells form; take Dense()")
-	}
 	var m uint64
 	for _, c := range counts {
 		m = max(m, c)
@@ -309,62 +270,15 @@ func maxCount(counts []uint64) uint64 {
 	return m
 }
 
-// heldBytes is what dense counts, or the cells form's encodings, occupy.
-func heldBytes(counts []uint64, cells []encoding) int {
-	n := 8 * len(counts)
-	for _, e := range cells {
-		n += cap(e.b)
+// addCounts adds the dense counts o into h.
+func addCounts(h, o []uint64) error {
+	if len(o) != len(h) {
+		return fmt.Errorf("histogram: merge count mismatch %d vs %d", len(h), len(o))
 	}
-	return n
-}
-
-// mergeCounts adds the counts of o (dense ocounts, or the cells form's
-// ocells) into the dense hcounts, or, when hcounts is nil, appends them to
-// the cells form's *hcells.
-func mergeCounts(hcounts []uint64, hcells *[]encoding, ocounts []uint64, ocells []encoding) error {
-	switch {
-	case hcounts == nil && ocounts == nil:
-		*hcells = append(*hcells, ocells...)
-	case hcounts == nil:
-		b, t := appendGrid(nil, ocounts, false)
-		*hcells = append(*hcells, encoding{b, t})
-	case ocounts == nil:
-		expand(hcounts, ocells)
-	case len(ocounts) != len(hcounts):
-		return fmt.Errorf("histogram: merge count mismatch %d vs %d", len(hcounts), len(ocounts))
-	default:
-		for i := range hcounts {
-			hcounts[i] += ocounts[i]
-		}
+	for i := range h {
+		h[i] += o[i]
 	}
 	return nil
-}
-
-// cloneCounts returns a dense copy of counts, or the expansion of the
-// cells form of a histogram of bins cells.
-func cloneCounts(counts []uint64, cells []encoding, bins int) []uint64 {
-	if counts != nil {
-		return slices.Clone(counts)
-	}
-	out := make([]uint64, bins)
-	expand(out, cells)
-	return out
-}
-
-// appendCountsJSON appends dense counts, or the sum of the cells form's
-// encodings over a grid of n cells, as encoding/json writes a []uint64: a
-// lone encoding straight from its bytes, several through one pooled
-// expansion.
-func appendCountsJSON(dst []byte, counts []uint64, cells []encoding, n int) []byte {
-	switch {
-	case counts != nil:
-		return appendGridJSON(dst, counts, false)
-	case n < 1:
-		return append(dst, "[]"...)
-	case len(cells) == 1:
-		return appendEncodingJSON(dst, cells[0].b)
-	}
-	return appendSumJSON(dst, n, cells)
 }
 
 // Compute1D builds a 1D histogram of values over the given edges. Values
@@ -399,17 +313,13 @@ func Compute1DCtx(ctx context.Context, name string, values []float64, edges []fl
 	return h, nil
 }
 
-// Hist2D is a two-dimensional histogram over an (X, Y) variable pair.
-// Counts are stored row-major: Counts[iy*XBins + ix]. Like Hist1D's, its
-// counts are dense or, with Counts nil, in the cells form — what a
-// partial from Partial2DCtx, a decoded partial and a merged answer hold —
-// and the same methods take either form.
+// Hist2D is a two-dimensional histogram over an (X, Y) variable pair,
+// with dense counts stored row-major: Counts[iy*XBins + ix]. As with
+// Hist1D, the serving path carries its cells form, Cells2D.
 type Hist2D struct {
 	XVar, YVar     string
 	XEdges, YEdges []float64
-	Counts         []uint64 // nil in the cells form
-
-	cells []encoding // the cells form's encodings, summed
+	Counts         []uint64
 }
 
 // XBins returns the number of bins along X.
@@ -418,13 +328,13 @@ func (h *Hist2D) XBins() int { return len(h.XEdges) - 1 }
 // YBins returns the number of bins along Y.
 func (h *Hist2D) YBins() int { return len(h.YEdges) - 1 }
 
-// At returns the count in bin (ix, iy). Dense only.
+// At returns the count in bin (ix, iy).
 func (h *Hist2D) At(ix, iy int) uint64 { return h.Counts[iy*h.XBins()+ix] }
 
-// Total returns the total record count across all bins, in either form.
-func (h *Hist2D) Total() uint64 { return total(h.Counts, h.cells) }
+// Total returns the total record count across all bins.
+func (h *Hist2D) Total() uint64 { return sum(h.Counts) }
 
-// MaxCount returns the largest single-bin count. Dense only.
+// MaxCount returns the largest single-bin count.
 func (h *Hist2D) MaxCount() uint64 { return maxCount(h.Counts) }
 
 // Area returns the area of bin (ix, iy).
@@ -434,7 +344,6 @@ func (h *Hist2D) Area(ix, iy int) float64 {
 
 // Density returns the record density h(i,j)/a(i,j) of bin (ix, iy), the
 // quantity the paper uses to order and shade adaptively binned plots.
-// Dense only.
 func (h *Hist2D) Density(ix, iy int) float64 {
 	a := h.Area(ix, iy)
 	if a <= 0 {
@@ -443,7 +352,7 @@ func (h *Hist2D) Density(ix, iy int) float64 {
 	return float64(h.At(ix, iy)) / a
 }
 
-// NonEmpty calls fn for every bin with a nonzero count. Dense only.
+// NonEmpty calls fn for every bin with a nonzero count.
 func (h *Hist2D) NonEmpty(fn func(ix, iy int, count uint64)) {
 	nx := h.XBins()
 	for iy := 0; iy < h.YBins(); iy++ {
@@ -463,60 +372,7 @@ func (h *Hist2D) Merge(o *Hist2D) error {
 		return fmt.Errorf("histogram: merge over other edges (%d,%d) vs (%d,%d)",
 			len(h.XEdges), len(h.YEdges), len(o.XEdges), len(o.YEdges))
 	}
-	return mergeCounts(h.Counts, &h.cells, o.Counts, o.cells)
-}
-
-// Clone returns a dense copy of h that shares nothing with it; the cells
-// form is expanded.
-func (h *Hist2D) Clone() *Hist2D {
-	return &Hist2D{
-		XVar: h.XVar, YVar: h.YVar,
-		XEdges: slices.Clone(h.XEdges), YEdges: slices.Clone(h.YEdges),
-		Counts: cloneCounts(h.Counts, h.cells, h.XBins()*h.YBins()),
-	}
-}
-
-// CountBytes is what h's counts occupy: 8 bytes a cell when dense, the
-// bytes of its encodings in the cells form.
-func (h *Hist2D) CountBytes() int { return heldBytes(h.Counts, h.cells) }
-
-// Dense returns h when its counts are dense, else its expansion.
-func (h *Hist2D) Dense() *Hist2D {
-	if h.Counts != nil {
-		return h
-	}
-	return h.Clone()
-}
-
-// AppendCountsJSON is Hist1D.AppendCountsJSON for the row-major 2D counts.
-func (h *Hist2D) AppendCountsJSON(dst []byte) []byte {
-	return appendCountsJSON(dst, h.Counts, h.cells, h.XBins()*h.YBins())
-}
-
-// MarginalX sums the 2D histogram along Y, yielding the X marginal.
-// Dense only.
-func (h *Hist2D) MarginalX() *Hist1D {
-	m := &Hist1D{Var: h.XVar, Edges: h.XEdges, Counts: make([]uint64, h.XBins())}
-	nx := h.XBins()
-	for iy := 0; iy < h.YBins(); iy++ {
-		for ix := 0; ix < nx; ix++ {
-			m.Counts[ix] += h.Counts[iy*nx+ix]
-		}
-	}
-	return m
-}
-
-// MarginalY sums the 2D histogram along X, yielding the Y marginal.
-// Dense only.
-func (h *Hist2D) MarginalY() *Hist1D {
-	m := &Hist1D{Var: h.YVar, Edges: h.YEdges, Counts: make([]uint64, h.YBins())}
-	nx := h.XBins()
-	for iy := 0; iy < h.YBins(); iy++ {
-		for ix := 0; ix < nx; ix++ {
-			m.Counts[iy] += h.Counts[iy*nx+ix]
-		}
-	}
-	return m
+	return addCounts(h.Counts, o.Counts)
 }
 
 // Compute2D builds a 2D histogram of paired (xs, ys) values over the given
@@ -526,13 +382,13 @@ func Compute2D(xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*
 }
 
 // Compute2DCtx is Compute2D with cooperative cancellation at
-// checkpointRows intervals. Its counts are dense, for a reader.
+// checkpointRows intervals.
 func Compute2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, error) {
-	h, lx, ly, err := newHist2D(xvar, yvar, xs, ys, xedges, yedges)
+	lx, ly, err := locators2D(xs, ys, xedges, yedges)
 	if err != nil {
 		return nil, err
 	}
-	h.Counts = make([]uint64, lx.Bins()*ly.Bins())
+	h := &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, Counts: make([]uint64, lx.Bins()*ly.Bins())}
 	if err := binGrid(ctx, h.Counts, lx, ly, xs, ys); err != nil {
 		return nil, err
 	}
@@ -551,21 +407,21 @@ func Compute2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedg
 const sparseDivisor = 4
 
 // Partial2DCtx is Compute2DCtx for a partial that will be merged, sent or
-// answered rather than read: its counts are in the cells form, the
+// answered rather than read: it bins straight into the cells form, the
 // compact count encoding a decoded partial holds. Few pairs against the
 // grid (see sparseDivisor) are binned as sorted cell indices; the rest
 // into a pooled grid — uint32 counts, uint64 from 2³² pairs up — that is
 // encoded and cleared in one pass and goes back to the pool all-zero, a
 // cancelled binning included. No grid is allocated or zeroed per call.
-func Partial2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, error) {
+func Partial2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Cells2D, error) {
 	cells := (len(xedges) - 1) * (len(yedges) - 1)
 	return compute2D(ctx, xvar, yvar, xs, ys, xedges, yedges, len(xs) < cells/sparseDivisor)
 }
 
 // compute2D bins the pairs into the cells form, from their sorted cell
 // indices when sparse is set, else through a pooled grid.
-func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64, sparse bool) (*Hist2D, error) {
-	h, lx, ly, err := newHist2D(xvar, yvar, xs, ys, xedges, yedges)
+func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64, sparse bool) (*Cells2D, error) {
+	lx, ly, err := locators2D(xs, ys, xedges, yedges)
 	if err != nil {
 		return nil, err
 	}
@@ -583,25 +439,24 @@ func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges,
 	if err != nil {
 		return nil, err
 	}
-	h.cells = []encoding{e}
-	return h, nil
+	return &Cells2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: []encoding{e}}, nil
 }
 
-// newHist2D checks the pairs and the edges of a 2D histogram and returns
-// it, countless, with its locators.
-func newHist2D(xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, *Locator, *Locator, error) {
+// locators2D checks the pairs and the edges of a 2D histogram and returns
+// the edges' locators.
+func locators2D(xs, ys []float64, xedges, yedges []float64) (*Locator, *Locator, error) {
 	if len(xs) != len(ys) {
-		return nil, nil, nil, fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
+		return nil, nil, fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
 	}
 	lx, err := NewLocator(xedges)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("histogram: x edges: %w", err)
+		return nil, nil, fmt.Errorf("histogram: x edges: %w", err)
 	}
 	ly, err := NewLocator(yedges)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("histogram: y edges: %w", err)
+		return nil, nil, fmt.Errorf("histogram: y edges: %w", err)
 	}
-	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges}, lx, ly, nil
+	return lx, ly, nil
 }
 
 // binEncode bins the pairs into the all-zero grid g and encodes it, which

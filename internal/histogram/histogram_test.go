@@ -225,23 +225,6 @@ func TestMerge2D(t *testing.T) {
 	}
 }
 
-func TestMarginals(t *testing.T) {
-	xs := []float64{0.1, 0.1, 0.9}
-	ys := []float64{0.1, 0.9, 0.9}
-	h, _ := Compute2D("x", "y", xs, ys, UniformEdges(0, 1, 2), UniformEdges(0, 1, 2))
-	mx := h.MarginalX()
-	my := h.MarginalY()
-	if mx.Counts[0] != 2 || mx.Counts[1] != 1 {
-		t.Fatalf("MarginalX = %v", mx.Counts)
-	}
-	if my.Counts[0] != 1 || my.Counts[1] != 2 {
-		t.Fatalf("MarginalY = %v", my.Counts)
-	}
-	if mx.Total() != h.Total() || my.Total() != h.Total() {
-		t.Fatal("marginals lose mass")
-	}
-}
-
 func TestDensityAndArea(t *testing.T) {
 	h := &Hist2D{
 		XVar: "x", YVar: "y",
@@ -326,10 +309,7 @@ func TestAdaptiveEdgesUniformDataStaysUniformish(t *testing.T) {
 }
 
 func TestAdaptiveEdgesFromCountsValidation(t *testing.T) {
-	if _, err := AdaptiveCuts(&Hist1D{Edges: []float64{0, 1}, Counts: []uint64{1, 2}}, 2, 0); err == nil {
-		t.Fatal("mismatched edges/counts accepted")
-	}
-	fine := &Hist1D{Edges: []float64{0, 1, 2}, Counts: []uint64{1, 2}}
+	fine := (&Hist1D{Edges: []float64{0, 1, 2}, Counts: []uint64{1, 2}}).Cells()
 	if _, err := AdaptiveCuts(fine, 0, 0); err == nil {
 		t.Fatal("zero bins accepted")
 	}

@@ -49,38 +49,39 @@ func TestCellsFormMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cells *Hist2D
+		var cells *Cells2D
 		for _, sparse := range []bool{true, false} {
 			if cells, err = compute2D(ctx, "x", "y", xs, ys, xe, ye, sparse); err != nil {
 				t.Fatal(err)
 			}
-			if cells.Counts != nil || len(cells.cells) != 1 {
-				t.Fatalf("trial %d: binning (sparse %v) did not produce the cells form", trial, sparse)
+			if len(cells.cells) != 1 {
+				t.Fatalf("trial %d: binning (sparse %v) made %d encodings", trial, sparse, len(cells.cells))
 			}
-			if a, b := must(dense.AppendWire(nil)), must(cells.AppendWire(nil)); !bytes.Equal(a, b) {
+			if a, b := must(dense.Cells().AppendWire(nil)), must(cells.AppendWire(nil)); !bytes.Equal(a, b) {
 				t.Fatalf("trial %d (%d×%d, %d values, sparse %v): wire bytes differ\ndense % x\ncells % x", trial, nx, ny, n, sparse, a, b)
 			}
 			if got := cells.Dense(); !slices.Equal(got.Counts, dense.Counts) || cells.Total() != dense.Total() {
 				t.Fatalf("trial %d: Dense() or Total of the cells form (sparse %v) differs from Compute2DCtx", trial, sparse)
 			}
 		}
-		merged := dense.Clone()
+		merged := dense.Cells()
 		if err := merged.Merge(cells); err != nil {
 			t.Fatal(err)
 		}
-		for i, c := range merged.Counts {
+		for i, c := range merged.Dense().Counts {
 			if c != 2*dense.Counts[i] {
 				t.Fatalf("trial %d: merging the cells form added %d to cell %d, want %d", trial, c-dense.Counts[i], i, dense.Counts[i])
 			}
 		}
-		if got, err := Partial2DCtx(ctx, "x", "y", xs, ys, xe, ye); err != nil || got.Counts != nil {
-			t.Fatalf("trial %d: Partial2DCtx of %d values on %d cells: dense %v, err %v", trial, n, nx*ny, got.Counts != nil, err)
+		if got, err := Partial2DCtx(ctx, "x", "y", xs, ys, xe, ye); err != nil || !slices.Equal(got.Dense().Counts, dense.Counts) {
+			t.Fatalf("trial %d: Partial2DCtx of %d values on %d cells differs from Compute2DCtx (%v)", trial, n, nx*ny, err)
 		}
 	}
 }
 
-// TestCountBytes: a histogram is charged the bytes its counts hold, 8 a
-// cell dense and the encoding's length in the cells form.
+// TestCountBytes: the cells form is charged the bytes its encodings
+// hold, binned straight into it or converted from a dense 256² grid of
+// 8 bytes a cell, and a merge the bytes of both.
 func TestCountBytes(t *testing.T) {
 	e := UniformEdges(0, 1, 256)
 	xs := []float64{0.1, 0.1, 0.5, 0.9}
@@ -88,16 +89,19 @@ func TestCountBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dense.CountBytes(); got != 8*256*256 {
-		t.Fatalf("dense 256² charged %d bytes", got)
-	}
 	sparse, err := Partial2DCtx(context.Background(), "x", "y", xs, xs, e, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := must(sparse.AppendWire(nil))
-	if n := len(sparse.cells[0].b); sparse.CountBytes() < n || sparse.CountBytes() > 2*n || sparse.CountBytes() >= len(enc) {
-		t.Fatalf("cells form of %d bytes charged %d", n, sparse.CountBytes())
+	for name, h := range map[string]*Cells2D{"binned": sparse, "converted": dense.Cells()} {
+		enc := must(h.AppendWire(nil))
+		if n := len(h.cells[0].b); h.CountBytes() < n || h.CountBytes() > 2*n+32 || h.CountBytes() >= len(enc) {
+			t.Fatalf("%s: cells form of %d bytes charged %d", name, n, h.CountBytes())
+		}
+	}
+	sum := dense.Cells()
+	if err := sum.Merge(sparse); err != nil || sum.CountBytes() != dense.Cells().CountBytes()+sparse.CountBytes() {
+		t.Fatalf("a merge of two encodings charged %d bytes (%v)", sum.CountBytes(), err)
 	}
 }
 

@@ -28,53 +28,54 @@ const (
 // -1, so every gap of a cell is ≥ 1. The encoding is canonical: a given
 // set of counts has exactly one.
 //
-// A histogram decoded from the wire keeps this validated encoding instead
-// of dense Counts (Counts is nil, the cells form), so it costs what it
-// holds, not the size of its grid. Merging partials in the cells form
-// collects their encodings; AppendWire writes a lone encoding as it is
-// and the sum of several through one pooled grid, and Clone or Dense
-// expand it. A decoded partial re-encodes to the bytes it came from.
+// Only the cells form, Cells1D and Cells2D, crosses the wire. A partial
+// decoded from it keeps the validated encoding, so it costs what it
+// holds, not the size of its grid; a merge of partials collects their
+// encodings, and AppendWire writes a lone encoding as it is and the sum
+// of several through one pooled grid. A decoded partial re-encodes to
+// the bytes it came from.
 
 // wireHead is what AppendWire reserves beyond the names and edges: their
 // lengths, and 4 KiB of cells, all a selective partial needs. Past it
 // appendGrid doubles the buffer.
 const wireHead = 32 + 4096
 
-// appendCounts appends the compact encoding of dense counts, or of the
-// sum of the cells form's encodings over a grid of n cells: a lone
-// encoding as it is, several expanded once into a pooled grid.
-func appendCounts(dst []byte, n int, counts []uint64, cells []encoding) []byte {
-	switch {
-	case counts != nil:
-		dst, _ = appendGrid(dst, counts, false)
-		return dst
-	case len(cells) == 1:
-		return append(dst, cells[0].b...)
+// appendCounts appends the compact encoding of the sum of the encodings
+// over a grid of n cells: a lone encoding as it is, several expanded once
+// into a pooled grid. It refuses an encoding of another cell count.
+func appendCounts(dst []byte, n int, cells []encoding) ([]byte, error) {
+	for _, e := range cells {
+		if m, _ := binary.Uvarint(e.b); m != uint64(n) {
+			return nil, fmt.Errorf("histogram: encode: %d cells, want %d", m, n)
+		}
 	}
-	return appendSumCells(dst, n, cells)
+	if len(cells) == 1 {
+		return append(dst, cells[0].b...), nil
+	}
+	return appendSumCells(dst, n, cells), nil
 }
 
 // AppendWire appends h's wire form to dst.
-func (h *Hist1D) AppendWire(dst []byte) ([]byte, error) {
+func (h *Cells1D) AppendWire(dst []byte) ([]byte, error) {
 	bins := h.Bins()
-	if bins < 1 || bins > maxWireBins1D || h.Counts != nil && len(h.Counts) != bins {
-		return nil, fmt.Errorf("histogram: encode 1d: %d edges, %d counts", len(h.Edges), len(h.Counts))
+	if bins < 1 || bins > maxWireBins1D {
+		return nil, fmt.Errorf("histogram: encode 1d: %d edges", len(h.Edges))
 	}
 	dst = slices.Grow(dst, wireHead+len(h.Var)+8*len(h.Edges))
 	dst = appendFloats(AppendString(dst, h.Var), h.Edges)
-	return appendCounts(dst, bins, h.Counts, h.cells), nil
+	return appendCounts(dst, bins, h.cells)
 }
 
 // AppendWire appends h's wire form to dst: X then Y.
-func (h *Hist2D) AppendWire(dst []byte) ([]byte, error) {
+func (h *Cells2D) AppendWire(dst []byte) ([]byte, error) {
 	nx, ny := h.XBins(), h.YBins()
-	if nx < 1 || nx > MaxBins2D || ny < 1 || ny > MaxBins2D || h.Counts != nil && len(h.Counts) != nx*ny {
-		return nil, fmt.Errorf("histogram: encode 2d: %d×%d edges, %d counts", len(h.XEdges), len(h.YEdges), len(h.Counts))
+	if nx < 1 || nx > MaxBins2D || ny < 1 || ny > MaxBins2D {
+		return nil, fmt.Errorf("histogram: encode 2d: %d×%d edges", len(h.XEdges), len(h.YEdges))
 	}
 	dst = slices.Grow(dst, wireHead+len(h.XVar)+len(h.YVar)+8*(len(h.XEdges)+len(h.YEdges)))
 	dst = AppendString(AppendString(dst, h.XVar), h.YVar)
 	dst = appendFloats(appendFloats(dst, h.XEdges), h.YEdges)
-	return appendCounts(dst, nx*ny, h.Counts, h.cells), nil
+	return appendCounts(dst, nx*ny, h.cells)
 }
 
 // AppendString appends s as its length and its bytes.
@@ -168,21 +169,19 @@ func (r *WireReader) Float() float64 {
 	return v
 }
 
-// Hist1D reads what Hist1D.AppendWire writes; nil after a failure. The
-// counts stay in their compact encoding.
-func (r *WireReader) Hist1D() *Hist1D {
+// Cells1D reads what Cells1D.AppendWire writes; nil after a failure.
+func (r *WireReader) Cells1D() *Cells1D {
 	name := r.Str()
 	edges := r.edges(maxWireBins1D)
 	e := r.cells(len(edges) - 1)
 	if r.err != nil {
 		return nil
 	}
-	return &Hist1D{Var: name, Edges: edges, cells: []encoding{e}}
+	return &Cells1D{Var: name, Edges: edges, cells: []encoding{e}}
 }
 
-// Hist2D reads what Hist2D.AppendWire writes; nil after a failure. The
-// counts stay in their compact encoding.
-func (r *WireReader) Hist2D() *Hist2D {
+// Cells2D reads what Cells2D.AppendWire writes; nil after a failure.
+func (r *WireReader) Cells2D() *Cells2D {
 	xvar, yvar := r.Str(), r.Str()
 	xedges := r.edges(MaxBins2D)
 	yedges := r.edges(MaxBins2D)
@@ -190,7 +189,7 @@ func (r *WireReader) Hist2D() *Hist2D {
 	if r.err != nil {
 		return nil
 	}
-	return &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: []encoding{e}}
+	return &Cells2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: []encoding{e}}
 }
 
 // edges reads the edges of an axis of 1..maxBins bins.

@@ -68,9 +68,9 @@ func decodeWire(dims int, data []byte) (wireForm, error) {
 	r := NewWireReader(data)
 	var h wireForm
 	if dims == 1 {
-		h = r.Hist1D()
+		h = r.Cells1D()
 	} else {
-		h = r.Hist2D()
+		h = r.Cells2D()
 	}
 	return h, r.Close()
 }
@@ -78,8 +78,8 @@ func decodeWire(dims int, data []byte) (wireForm, error) {
 // FuzzHistWire: arbitrary bytes either fail to decode or decode to a
 // histogram that re-encodes to exactly those bytes, never panicking and
 // never allocating more than the payload implies; and a histogram built
-// from the bytes survives encode → decode → merge into zeros with its
-// counts intact.
+// from the bytes survives encode → decode → merge into zeros → expand
+// with its counts intact.
 func FuzzHistWire(f *testing.F) {
 	for _, c := range malformedWire {
 		f.Add(c.data)
@@ -119,12 +119,12 @@ func FuzzHistWire(f *testing.F) {
 				h.Counts[i] = magnitudes[rng.Intn(len(magnitudes))] - uint64(rng.Intn(2))
 			}
 		}
-		dec, err := decodeWire(2, must(h.AppendWire(nil)))
+		dec, err := decodeWire(2, must(h.Cells().AppendWire(nil)))
 		if err != nil {
 			t.Fatalf("%d×%d: %v", nx, ny, err)
 		}
-		zero := &Hist2D{XEdges: h.XEdges, YEdges: h.YEdges, Counts: make([]uint64, nx*ny)}
-		if err := zero.Merge(dec.(*Hist2D)); err != nil || !slices.Equal(zero.Counts, h.Counts) {
+		zero := &Cells2D{XEdges: h.XEdges, YEdges: h.YEdges}
+		if err := zero.Merge(dec.(*Cells2D)); err != nil || !slices.Equal(zero.Dense().Counts, h.Counts) {
 			t.Fatalf("%d×%d: merged counts differ (%v)", nx, ny, err)
 		}
 	})
@@ -153,26 +153,24 @@ func TestHistWireRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestHistWireRoundTrip: a decoded partial holds only its cells,
-// re-encodes as the dense original, merges in as the dense original, and
-// expands back to it; and a reader takes one histogram after another.
+// TestHistWireRoundTrip: a decoded partial re-encodes as the dense
+// original's cells form, merges in as it, and expands back to it; and a
+// reader takes one histogram after another.
 func TestHistWireRoundTrip(t *testing.T) {
 	h1 := &Hist1D{Var: "x", Edges: []float64{math.Inf(-1), math.Copysign(0, -1), math.NaN(), 3},
 		Counts: []uint64{0, 300, math.MaxUint64}}
 	h2 := &Hist2D{XVar: "x", YVar: "px", XEdges: UniformEdges(0, 1, 3), YEdges: UniformEdges(-1, 1, 2),
 		Counts: []uint64{0, 1, 0, 0, 1 << 40, 7}}
-	enc1, enc2 := must(h1.AppendWire(nil)), must(h2.AppendWire(nil))
+	c1, c2 := h1.Cells(), h2.Cells()
+	enc1, enc2 := must(c1.AppendWire(nil)), must(c2.AppendWire(nil))
 	r := NewWireReader(append(bytes.Clone(enc2), enc1...))
-	d2, d1 := r.Hist2D(), r.Hist1D()
+	d2, d1 := r.Cells2D(), r.Cells1D()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d1.Counts != nil || d2.Counts != nil {
-		t.Fatal("a decoded partial holds dense counts")
-	}
 	for name, pair := range map[string][2][]byte{
-		"1d counts": {countBytes(3, h1.Counts, h1.cells), countBytes(3, d1.Counts, d1.cells)},
-		"2d counts": {countBytes(6, h2.Counts, h2.cells), countBytes(6, d2.Counts, d2.cells)},
+		"1d counts": {countBytes(3, c1.cells), countBytes(3, d1.cells)},
+		"2d counts": {countBytes(6, c2.cells), countBytes(6, d2.cells)},
 		"2d wire":   {enc2, must(d2.AppendWire(nil))},
 		"1d wire":   {enc1, must(d1.AppendWire(nil))},
 	} {
@@ -180,33 +178,30 @@ func TestHistWireRoundTrip(t *testing.T) {
 			t.Errorf("%s: dense %x, decoded %x", name, pair[0], pair[1])
 		}
 	}
-	if got, want := countBytes(6, h2.Counts, nil), uv(6, 2, 1, 3, 1<<40, 1, 7, 0); !bytes.Equal(got, want) {
+	if got, want := countBytes(6, c2.cells), uv(6, 2, 1, 3, 1<<40, 1, 7, 0); !bytes.Equal(got, want) {
 		t.Errorf("2d counts encode as %x, want %x", got, want)
 	}
 
 	if got := d2.Dense(); !slices.Equal(got.Counts, h2.Counts) {
 		t.Fatalf("Dense: %v, want %v", got.Counts, h2.Counts)
 	}
-	if got := h2.Dense(); got != h2 {
-		t.Fatal("Dense copied a dense histogram")
-	}
-	acc := h2.Clone()
+	acc := h2.Cells()
 	if err := acc.Merge(d2); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range acc.Counts {
+	for i, c := range acc.Dense().Counts {
 		if c != 2*h2.Counts[i] {
-			t.Fatalf("merge: %v", acc.Counts)
+			t.Fatalf("merge: %v", acc.Dense().Counts)
 		}
 	}
 	// Merged into, a decoded partial is a sum of encodings: it takes on
-	// the dense histogram's, and h2 stays as it was.
-	if err := d2.Merge(h2); err != nil || len(d2.cells) != 2 || d2.Total() != 2*h2.Total() ||
+	// the other's, and h2 stays as it was.
+	if err := d2.Merge(c2); err != nil || len(d2.cells) != 2 || d2.Total() != 2*h2.Total() ||
 		!bytes.Equal(must(d2.AppendWire(nil)), must(acc.AppendWire(nil))) || h2.Counts[4] != 1<<40 {
 		t.Fatalf("merge into a decoded partial: %d encodings, total %d, err %v", len(d2.cells), d2.Total(), err)
 	}
-	acc1 := d1.Clone()
-	if err := acc1.Merge(d1); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
+	acc1 := d1.Dense()
+	if err := acc1.Merge(d1.Dense()); err != nil || acc1.Counts[1] != 600 || acc1.Counts[2] != math.MaxUint64-1 {
 		t.Fatalf("1d merge: %v %v", acc1.Counts, err)
 	}
 
@@ -215,19 +210,19 @@ func TestHistWireRoundTrip(t *testing.T) {
 	for i := range big.Counts {
 		big.Counts[i] = uint64(i * 131)
 	}
-	db, err := decodeWire(1, must(big.AppendWire(nil)))
+	db, err := decodeWire(1, must(big.Cells().AppendWire(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.(*Hist1D).Dense(); !slices.Equal(got.Counts, big.Counts) {
+	if got := db.(*Cells1D).Dense(); !slices.Equal(got.Counts, big.Counts) {
 		t.Fatal("a large encoding expands to other counts")
 	}
 }
 
-// countBytes is the compact count encoding of n dense counts or of the
-// cells form's encodings.
-func countBytes(n int, counts []uint64, cells []encoding) []byte {
-	return appendCounts(nil, n, counts, cells)
+// countBytes is the compact count encoding of the sum of the encodings
+// of a grid of n cells.
+func countBytes(n int, cells []encoding) []byte {
+	return must(appendCounts(nil, n, cells))
 }
 
 func must(b []byte, err error) []byte {
@@ -252,10 +247,10 @@ func TestHistWireEmptyGridStaysSmall(t *testing.T) {
 
 func TestHistEncodeRejectsShape(t *testing.T) {
 	for _, h := range []wireForm{
-		&Hist1D{Var: "x", Edges: []float64{0, 1}, Counts: []uint64{1, 2}},
-		&Hist1D{Var: "x"},
-		&Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{0, 1, 2}, Counts: []uint64{1}},
-		&Hist2D{XEdges: UniformEdges(0, 1, MaxBins2D+1), YEdges: []float64{0, 1}, Counts: make([]uint64, MaxBins2D+1)},
+		(&Hist1D{Var: "x", Edges: []float64{0, 1}, Counts: []uint64{1, 2}}).Cells(),
+		&Cells1D{Var: "x"},
+		(&Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{0, 1, 2}, Counts: []uint64{1}}).Cells(),
+		(&Hist2D{XEdges: UniformEdges(0, 1, MaxBins2D+1), YEdges: []float64{0, 1}, Counts: make([]uint64, MaxBins2D+1)}).Cells(),
 	} {
 		if _, err := h.AppendWire(nil); err == nil {
 			t.Errorf("%T %+v encoded", h, h)
@@ -274,12 +269,12 @@ func BenchmarkHistWire(b *testing.B) {
 		for i := 0; i < len(h.Counts); i += c.every {
 			h.Counts[i] = uint64(1 + i*7%1000)
 		}
-		enc := must(h.AppendWire(nil))
+		enc := must(h.Cells().AppendWire(nil))
 		name := fmt.Sprintf("%dx%d-%dpct", c.bins, c.bins, 100/c.every)
 		b.Run(name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := h.AppendWire(nil); err != nil {
+				if _, err := h.Cells().AppendWire(nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -129,15 +129,11 @@ type HistLayer struct {
 	MinBrightness float64
 }
 
-// AddHistLayer validates and appends a histogram layer. The histograms
-// may be in either form: the plot keeps their Dense counts, expanded here
-// once, and leaves l as it was.
+// AddHistLayer validates and appends a histogram layer.
 func (p *Plot) AddHistLayer(l *HistLayer) error {
 	if len(l.Hists) != len(p.axes)-1 {
 		return fmt.Errorf("pcoords: layer has %d histograms for %d axes", len(l.Hists), len(p.axes))
 	}
-	dense := *l
-	dense.Hists = make([]*histogram.Hist2D, len(l.Hists))
 	for i, h := range l.Hists {
 		if h == nil {
 			return fmt.Errorf("pcoords: nil histogram for axis pair %d", i)
@@ -146,9 +142,8 @@ func (p *Plot) AddHistLayer(l *HistLayer) error {
 			return fmt.Errorf("pcoords: histogram %d is over (%s,%s), axes are (%s,%s)",
 				i, h.XVar, h.YVar, p.axes[i].Var, p.axes[i+1].Var)
 		}
-		dense.Hists[i] = h.Dense()
 	}
-	p.layers = append(p.layers, &dense)
+	p.layers = append(p.layers, l)
 	return nil
 }
 

@@ -135,7 +135,7 @@ func TestBudgetAllShardsExhausted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("policy=%d: adaptive all-exhausted errored: %v", policy, err)
 		}
-		cuts, _ := histogram.AdaptiveCuts(&histogram.Hist1D{Edges: histogram.UniformEdges(0, 0, 64), Counts: make([]uint64, 64)}, 8, 0)
+		cuts, _ := histogram.AdaptiveCuts(&histogram.Cells1D{Edges: histogram.UniformEdges(0, 0, 64)}, 8, 0)
 		want, _ := histogram.ResolvedEdges(0, 0, 8, cuts)
 		if !ares.Partial || ares.Hist1 == nil || !reflect.DeepEqual(ares.Hist1.Edges, want) || ares.Hist1.Total() != 0 {
 			t.Fatalf("policy=%d: ares = %+v, want empty over %v", policy, ares, want)

@@ -53,10 +53,10 @@ type Runner interface {
 //     its axes in phases (resolve), so every shard bins against the edges
 //     one process derives in one address space.
 //
-// Its histograms are as they merged: read-only, and dense or in the cells
-// form, a sum of the partials' encodings; a reader of Counts takes
-// Dense(). The server answers through it, so no request builds a dense
-// count grid; Execute is ExecuteCells with its histograms expanded.
+// Its histograms are in the cells form, as they merged: read-only sums of
+// the partials' encodings. The server answers through it, so no request
+// builds a dense count grid; Execute is ExecuteCells with its histograms
+// expanded.
 func ExecuteCells(ctx context.Context, q Query, m ShardMap, rows uint64, r Runner, policy PartialPolicy) (*Result, error) {
 	switch q.Op {
 	case OpCount:
@@ -424,15 +424,14 @@ func (res *Result) addFailed(shards []int) {
 
 // mergeHist1 sums 1D partials. Partials are read-only (a shard may have
 // cached them): a lone partial is the answer as it is, and several become
-// one histogram in the cells form that holds each partial's encodings, so
-// building the answer costs O(partials) and no grid — whoever reads the
-// counts expands them, once. When no partial answers (every shard failed,
+// one that holds each partial's encodings, so building the answer costs
+// O(partials) and no grid. When no partial answers (every shard failed,
 // or a zero-row step planned no fragment) the answer is an empty
 // histogram over the resolved spec's edges; an unset range falls back to
 // [0, 0], as mergeRanges reports for an empty selection, so the edges
 // stay finite and encodable.
-func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist1D, error) {
-	var hs []*histogram.Hist1D
+func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Cells1D, error) {
+	var hs []*histogram.Cells1D
 	for _, p := range parts {
 		if p != nil && p.Hist1 != nil {
 			hs = append(hs, p.Hist1)
@@ -441,11 +440,11 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 	switch len(hs) {
 	case 0:
 		edges, err := emptyEdges(spec.Lo, spec.Hi, spec.Bins, spec.Cuts)
-		return &histogram.Hist1D{Var: spec.Var, Edges: edges}, err
+		return &histogram.Cells1D{Var: spec.Var, Edges: edges}, err
 	case 1:
 		return hs[0], nil
 	}
-	sum := &histogram.Hist1D{Var: hs[0].Var, Edges: hs[0].Edges}
+	sum := &histogram.Cells1D{Var: hs[0].Var, Edges: hs[0].Edges}
 	for _, h := range hs {
 		if err := sum.Merge(h); err != nil {
 			return nil, fmt.Errorf("plan: merge 1d partials: %w", err)
@@ -455,8 +454,8 @@ func mergeHist1(spec histogram.Spec1D, parts []*FragmentResult) (*histogram.Hist
 }
 
 // mergeHist2 is mergeHist1 for 2D partials.
-func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist2D, error) {
-	var hs []*histogram.Hist2D
+func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Cells2D, error) {
+	var hs []*histogram.Cells2D
 	for _, p := range parts {
 		if p != nil && p.Hist2 != nil {
 			hs = append(hs, p.Hist2)
@@ -469,11 +468,11 @@ func mergeHist2(spec histogram.Spec2D, parts []*FragmentResult) (*histogram.Hist
 			return nil, err
 		}
 		ye, err := emptyEdges(spec.YLo, spec.YHi, spec.YBins, spec.YCuts)
-		return &histogram.Hist2D{XVar: spec.XVar, YVar: spec.YVar, XEdges: xe, YEdges: ye}, err
+		return &histogram.Cells2D{XVar: spec.XVar, YVar: spec.YVar, XEdges: xe, YEdges: ye}, err
 	case 1:
 		return hs[0], nil
 	}
-	sum := &histogram.Hist2D{XVar: hs[0].XVar, YVar: hs[0].YVar, XEdges: hs[0].XEdges, YEdges: hs[0].YEdges}
+	sum := &histogram.Cells2D{XVar: hs[0].XVar, YVar: hs[0].YVar, XEdges: hs[0].XEdges, YEdges: hs[0].YEdges}
 	for _, h := range hs {
 		if err := sum.Merge(h); err != nil {
 			return nil, fmt.Errorf("plan: merge 2d partials: %w", err)

@@ -19,7 +19,7 @@ import (
 //
 //	Count
 //	len(MinMax), then per range: Var, Lo, Hi, N
-//	0, or 1 and Hist1 in its wire form (histogram.Hist1D.AppendWire)
+//	0, or 1 and Hist1 in its wire form (histogram.Cells1D.AppendWire)
 //	0, or 1 and Hist2 in its wire form
 //	len(Sel), then Sel[0] and each later position's gap from the one before
 //
@@ -101,10 +101,10 @@ func (r *FragmentResult) UnmarshalBinary(data []byte) error {
 		}
 	}
 	if present(w) {
-		res.Hist1 = w.Hist1D()
+		res.Hist1 = w.Cells1D()
 	}
 	if present(w) {
-		res.Hist2 = w.Hist2D()
+		res.Hist2 = w.Cells2D()
 	}
 	if n := w.Len(1); n > 0 {
 		res.Sel = make([]uint64, n)

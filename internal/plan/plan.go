@@ -186,11 +186,11 @@ type VarRange struct {
 // FragmentResult is the mergeable partial a shard returns for a fragment.
 // Exactly one field group is populated, per the fragment's Op.
 type FragmentResult struct {
-	Count  uint64            // FragCount / FragSelect (position count)
-	MinMax []VarRange        // FragMinMax
-	Hist1  *histogram.Hist1D // FragHist1D
-	Hist2  *histogram.Hist2D // FragHist2D
-	Sel    []uint64          // FragSelect: sorted global row positions
+	Count  uint64             // FragCount / FragSelect (position count)
+	MinMax []VarRange         // FragMinMax
+	Hist1  *histogram.Cells1D // FragHist1D
+	Hist2  *histogram.Cells2D // FragHist2D
+	Sel    []uint64           // FragSelect: sorted global row positions
 }
 
 // CacheEntryOverhead is the fixed cost of one cached answer, whatever its
@@ -200,10 +200,10 @@ type FragmentResult struct {
 const CacheEntryOverhead = 256
 
 // cacheBytes is what a cached answer costs against a byte budget: the
-// fixed overhead, its key, counts (dense or in the cells form), edges and
-// positions. The serving layer's result cache and a shard's fragment
-// cache both charge by it.
-func cacheBytes(key string, h1 *histogram.Hist1D, h2 *histogram.Hist2D, sel []uint64) int {
+// fixed overhead, its key, count encodings, edges and positions. The
+// serving layer's result cache and a shard's fragment cache both charge
+// by it.
+func cacheBytes(key string, h1 *histogram.Cells1D, h2 *histogram.Cells2D, sel []uint64) int {
 	n := CacheEntryOverhead + len(key) + 8*len(sel)
 	if h1 != nil {
 		n += h1.CountBytes() + 8*len(h1.Edges)
@@ -232,16 +232,15 @@ func (r *Result) CacheBytes(key string) int {
 // Result is the merged answer the planner returns to the serving layer.
 type Result struct {
 	Count uint64
-	// Hist1 and Hist2 are read-only. Execute's are dense; ExecuteCells'
-	// are dense or in the cells form (a merge of several partials always
-	// is), and a reader of their Counts takes Dense().
-	Hist1 *histogram.Hist1D
-	Hist2 *histogram.Hist2D
+	// Hist1 and Hist2 are the merged histogram in the cells form, and
+	// read-only: cached partials may share their encodings.
+	Hist1 *histogram.Cells1D
+	Hist2 *histogram.Cells2D
 	// Sel is OpSelect's answer: the sorted matching row positions over the
 	// whole step (the concatenation of the per-shard partials).
 	Sel []uint64
 	// Answer is the serving layer's JSON encoding of the answer, which it
-	// keeps in place of the dense histogram: encoded once, written on
+	// keeps in place of the histogram: encoded once, written on
 	// every hit.
 	Answer []byte
 

@@ -171,18 +171,16 @@ func (r *fakeRunner) RunFragment(_ context.Context, shard int, f Fragment) (*Fra
 		}
 		return &FragmentResult{MinMax: mm}, nil
 	case FragHist1D:
-		return &FragmentResult{Hist1: &histogram.Hist1D{
-			Var:    f.Spec1.Var,
-			Edges:  histogram.UniformEdges(f.Spec1.Lo, f.Spec1.Hi, f.Spec1.Bins),
-			Counts: make([]uint64, f.Spec1.Bins),
+		return &FragmentResult{Hist1: &histogram.Cells1D{
+			Var:   f.Spec1.Var,
+			Edges: histogram.UniformEdges(f.Spec1.Lo, f.Spec1.Hi, f.Spec1.Bins),
 		}}, nil
 	case FragHist2D:
-		return &FragmentResult{Hist2: &histogram.Hist2D{
+		return &FragmentResult{Hist2: &histogram.Cells2D{
 			XVar:   f.Spec2.XVar,
 			YVar:   f.Spec2.YVar,
 			XEdges: histogram.UniformEdges(f.Spec2.XLo, f.Spec2.XHi, f.Spec2.XBins),
 			YEdges: histogram.UniformEdges(f.Spec2.YLo, f.Spec2.YHi, f.Spec2.YBins),
-			Counts: make([]uint64, f.Spec2.XBins*f.Spec2.YBins),
 		}}, nil
 	}
 	return nil, fmt.Errorf("unexpected op %v", f.Op)
@@ -401,22 +399,22 @@ func TestZeroRowsCount(t *testing.T) {
 }
 
 // TestMergeDecodedPartials: partials that crossed the wire merge into the
-// same answer as their in-process originals — the same dense counts and
-// the same wire bytes — a lone one included, and the merge never writes
-// into a partial.
+// same answer as their in-process originals — the same expanded counts
+// and the same wire bytes — a lone one included, and the merge never
+// changes a partial.
 func TestMergeDecodedPartials(t *testing.T) {
 	spec := histogram.NewSpec2D("x", "y", 4, 3)
 	edges := func(n int) []float64 { return histogram.UniformEdges(0, 1, n) }
-	var dense, wire []*FragmentResult
+	var local, wire []*FragmentResult
 	for k := 0; k < 3; k++ {
 		h := &histogram.Hist2D{XVar: "x", YVar: "y", XEdges: edges(4), YEdges: edges(3), Counts: make([]uint64, 12)}
 		h.Counts[k*5%12] = uint64(k + 1)
 		h.Counts[11-k] += 7
-		dense = append(dense, &FragmentResult{Hist2: h})
-		wire = append(wire, overWire(t, dense[k]))
+		local = append(local, &FragmentResult{Hist2: h.Cells()})
+		wire = append(wire, overWire(t, local[k]))
 	}
 	for _, n := range []int{1, 3} {
-		want, err := mergeHist2(spec, dense[:n])
+		want, err := mergeHist2(spec, local[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,11 +433,11 @@ func TestMergeDecodedPartials(t *testing.T) {
 			t.Fatalf("%d partials: wire bytes %x, in process %x (%v)", n, gotWire, wantWire, err)
 		}
 	}
-	if c := dense[0].Hist2.Counts; c[0] != 1 || c[11] != 7 {
-		t.Fatalf("merge wrote into a partial: %v", c)
+	if c := local[0].Hist2.Dense().Counts; c[0] != 1 || c[11] != 7 || local[0].Hist2.Total() != 8 {
+		t.Fatalf("merge changed a partial: %v", c)
 	}
 
-	h1 := &histogram.Hist1D{Var: "x", Edges: edges(5), Counts: []uint64{0, 4, 0, 0, 9}}
+	h1 := (&histogram.Hist1D{Var: "x", Edges: edges(5), Counts: []uint64{0, 4, 0, 0, 9}}).Cells()
 	got, err := mergeHist1(histogram.NewSpec1D("x", 5), []*FragmentResult{overWire(t, &FragmentResult{Hist1: h1}), nil, {Hist1: h1}})
 	if err != nil {
 		t.Fatal(err)

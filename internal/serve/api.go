@@ -129,7 +129,7 @@ type Hist1DBody struct {
 	Total   uint64    `json:"total"`
 	ResponseMeta
 
-	hist *histogram.Hist1D // the answer, whose counts answerJSON writes; Counts is the decoded field
+	hist *histogram.Cells1D // the answer, whose counts answerJSON writes; Counts is the decoded field
 }
 
 // Hist2DBody is the /v1/hist2d response. Counts are row-major:
@@ -148,7 +148,7 @@ type Hist2DBody struct {
 	Total   uint64    `json:"total"`
 	ResponseMeta
 
-	hist *histogram.Hist2D // the answer, whose counts answerJSON writes; Counts is the decoded field
+	hist *histogram.Cells2D // the answer, whose counts answerJSON writes; Counts is the decoded field
 }
 
 // Sweep2DBody is the /v1/sweep2d response: one conditional 2D histogram

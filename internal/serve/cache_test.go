@@ -284,13 +284,13 @@ func TestCacheConcurrentKeys(t *testing.T) {
 	wg.Wait()
 }
 
-// hist2 is a dense n×n histogram answer: 8 bytes a bin and an edge.
+// hist2 is an n×n histogram answer as large as its dense counts: an
+// encoded answer of 8 bytes a bin, and 8 bytes an edge.
 func hist2(n int) *plan.Result {
-	return &plan.Result{Hist2: &histogram.Hist2D{
-		XVar: "x", YVar: "px",
-		XEdges: make([]float64, n+1), YEdges: make([]float64, n+1),
-		Counts: make([]uint64, n*n),
-	}}
+	return &plan.Result{
+		Hist2:  &histogram.Cells2D{XVar: "x", YVar: "px", XEdges: make([]float64, n+1), YEdges: make([]float64, n+1)},
+		Answer: make([]byte, 8*n*n),
+	}
 }
 
 // storedBytes sums what the resident ones of keys are charged by

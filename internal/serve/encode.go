@@ -31,8 +31,8 @@ func histBodySize(edges, counts int) int {
 // answerJSON encodes the body's answer part — every field up to and
 // including total, a function of the request's cache key alone — as
 // encoding/json renders it, from the opening brace on. The counts are
-// the body's histogram's, written from either form without a dense copy
-// (histogram.Hist1D.AppendCountsJSON).
+// the body's histogram's, written from its encodings without a dense
+// copy (histogram.Cells1D.AppendCountsJSON).
 func (b *Hist1DBody) answerJSON() ([]byte, error) {
 	e := jsonAppender{buf: make([]byte, 0, histBodySize(len(b.Edges), len(b.Edges)))}
 	e.raw(`{"dataset":`)

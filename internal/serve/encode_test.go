@@ -198,22 +198,24 @@ func checkEncoding(t *testing.T, body any) {
 }
 
 // setHist gives a test body the histogram answerJSON writes the counts
-// of: its own Counts, dense. A served body always carries a histogram,
-// whose counts are a slice (an empty one for no bins), so a nil Counts
-// becomes the empty slice before the body meets its oracle.
+// of: its own Counts, encoded, over edges of as many bins (answerJSON
+// writes the body's own edges). A served body always carries a
+// histogram, whose counts are a slice (an empty one for no bins), so a
+// nil Counts becomes the empty slice before the body meets its oracle.
 func (b *Hist1DBody) setHist() {
 	if b.Counts == nil {
 		b.Counts = []uint64{}
 	}
-	b.hist = &histogram.Hist1D{Var: b.Var, Edges: b.Edges, Counts: b.Counts}
+	b.hist = (&histogram.Hist1D{Var: b.Var, Edges: make([]float64, len(b.Counts)+1), Counts: b.Counts}).Cells()
 }
 
-// setHist is Hist1DBody.setHist for the 2D body.
+// setHist is Hist1DBody.setHist for the 2D body, its counts one row.
 func (b *Hist2DBody) setHist() {
 	if b.Counts == nil {
 		b.Counts = []uint64{}
 	}
-	b.hist = &histogram.Hist2D{XVar: b.XVar, YVar: b.YVar, XEdges: b.XEdges, YEdges: b.YEdges, Counts: b.Counts}
+	b.hist = (&histogram.Hist2D{XVar: b.XVar, YVar: b.YVar, XEdges: make([]float64, len(b.Counts)+1), YEdges: make([]float64, 2),
+		Counts: b.Counts}).Cells()
 }
 
 // checkStoredAnswer encodes the answer part of the histogram body b points
@@ -236,8 +238,8 @@ func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
 	default:
 		t.Fatalf("checkStoredAnswer: %T is not a histogram body", b)
 	}
-	// The same counts as a histogram in the cells form, the sum of two
-	// decoded partials, write the same answer part.
+	// The same counts as the sum of two decoded partials write the same
+	// answer part.
 	var cellsAnswer []byte
 	var cellsErr error
 	switch b := b.(type) {
@@ -283,21 +285,21 @@ func checkStoredAnswer(t *testing.T, b any, in *fillBytes, nonFinite bool) {
 
 // cellsForm1 is counts as a 1D histogram in the cells form: the sum of two
 // partials that crossed the wire, each holding about half of every count.
-func cellsForm1(t *testing.T, counts []uint64) *histogram.Hist1D {
+func cellsForm1(t *testing.T, counts []uint64) *histogram.Cells1D {
 	t.Helper()
 	e := histogram.UniformEdges(0, 1, len(counts))
-	sum := &histogram.Hist1D{Var: "v", Edges: e}
+	sum := &histogram.Cells1D{Var: "v", Edges: e}
 	for k := uint64(0); k < 2; k++ {
 		part := &histogram.Hist1D{Var: "v", Edges: e, Counts: make([]uint64, len(counts))}
 		for i, c := range counts {
 			part.Counts[i] = c/2 + k*(c%2)
 		}
-		enc, err := part.AppendWire(nil)
+		enc, err := part.Cells().AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := histogram.NewWireReader(enc)
-		if err := sum.Merge(r.Hist1D()); err != nil || r.Close() != nil {
+		if err := sum.Merge(r.Cells1D()); err != nil || r.Close() != nil {
 			t.Fatalf("cells form of %v: %v", counts, err)
 		}
 	}
@@ -306,20 +308,20 @@ func cellsForm1(t *testing.T, counts []uint64) *histogram.Hist1D {
 
 // cellsForm2 is counts as a 2D histogram of one row in the cells form:
 // the sum of a partial that crossed the wire and an empty one.
-func cellsForm2(t *testing.T, counts []uint64) *histogram.Hist2D {
+func cellsForm2(t *testing.T, counts []uint64) *histogram.Cells2D {
 	t.Helper()
 	xe, ye := histogram.UniformEdges(0, 1, len(counts)), []float64{0, 1}
-	enc, err := (&histogram.Hist2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye, Counts: counts}).AppendWire(nil)
+	enc, err := (&histogram.Hist2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye, Counts: counts}).Cells().AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := histogram.NewWireReader(enc)
-	part := r.Hist2D()
+	part := r.Cells2D()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum := &histogram.Hist2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}
-	for _, p := range []*histogram.Hist2D{part, {XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}} {
+	sum := &histogram.Cells2D{XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}
+	for _, p := range []*histogram.Cells2D{part, {XVar: "v", YVar: "w", XEdges: xe, YEdges: ye}} {
 		if err := sum.Merge(p); err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +420,7 @@ func TestWriteBodyEncodeBeforeStatus(t *testing.T) {
 		b := Hist2DBody{XEdges: res.Hist2.XEdges, YEdges: res.Hist2.YEdges, hist: res.Hist2}
 		return b.answerJSON()
 	}}
-	nan := &plan.Result{Hist2: &histogram.Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{math.NaN(), 1}, Counts: []uint64{1}}}
+	nan := &plan.Result{Hist2: (&histogram.Hist2D{XEdges: []float64{0, 1}, YEdges: []float64{math.NaN(), 1}, Counts: []uint64{1}}).Cells()}
 	_, err = o.flight(func(context.Context) (*plan.Result, error) { return nan, nil })(context.Background())
 	if err == nil || !strings.HasPrefix(err.Error(), "encode response: ") || !strings.Contains(err.Error(), "unsupported value") {
 		t.Fatalf("flight of a NaN edge: error %v, want the encoding error", err)
@@ -483,7 +485,7 @@ func BenchmarkWriteBody(b *testing.B) {
 		}
 		body.setHist()
 		if c.merge {
-			body.hist = &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges}
+			body.hist = &histogram.Cells2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges}
 			for k := 0; k < 3; k++ {
 				part := &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: body.XEdges, YEdges: body.YEdges, Counts: make([]uint64, n*n)}
 				for i, v := range body.Counts {
@@ -492,12 +494,12 @@ func BenchmarkWriteBody(b *testing.B) {
 						part.Counts[i] += v % 3
 					}
 				}
-				enc, err := part.AppendWire(nil)
+				enc, err := part.Cells().AppendWire(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				r := histogram.NewWireReader(enc)
-				if err := body.hist.Merge(r.Hist2D()); err != nil || r.Close() != nil {
+				if err := body.hist.Merge(r.Cells2D()); err != nil || r.Close() != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1120,8 +1120,11 @@ func (s *Server) hist1DOp(r *http.Request) (*op, *httpError) {
 			}
 		}
 		o.approxKey = req.cacheKey("hist1d-approx|" + spec.Var)
-		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) (err error) {
-			res.Hist1, err = req.st.Histogram1DIndexOnlyCtx(ctx, req.expr, spec.Var)
+		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) error {
+			h, err := req.st.Histogram1DIndexOnlyCtx(ctx, req.expr, spec.Var)
+			if err == nil {
+				res.Hist1 = h.Cells()
+			}
 			return err
 		})
 	}
@@ -1259,8 +1262,11 @@ func (s *Server) hist2DOp(r *http.Request) (*op, *httpError) {
 			}
 		}
 		o.approxKey = req.cacheKey("hist2d-approx|" + spec.XVar + "|" + spec.YVar)
-		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) (err error) {
-			res.Hist2, err = req.st.Histogram2DIndexOnlyCtx(ctx, req.expr, spec.XVar, spec.YVar)
+		o.indexOnly = s.indexOnly(req, func(ctx context.Context, res *plan.Result) error {
+			h, err := req.st.Histogram2DIndexOnlyCtx(ctx, req.expr, spec.XVar, spec.YVar)
+			if err == nil {
+				res.Hist2 = h.Cells()
+			}
 			return err
 		})
 	}

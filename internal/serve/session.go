@@ -603,7 +603,7 @@ func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
 		for si := range steps {
 			hists := make([]*histogram.Hist2D, pairs)
 			for i := range hists {
-				hists[i] = results[si*pairs+i].Hist2
+				hists[i] = results[si*pairs+i].Hist2.Dense()
 			}
 			layer := &pcoords.HistLayer{Hists: hists, Color: layerPalette[si%len(layerPalette)]}
 			if err := plot.AddHistLayer(layer); err != nil {

@@ -108,7 +108,7 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					q := plan.Query{Op: op, Dataset: "lwfa", Step: step, Query: cond, Backend: backend,
 						Spec2: histogram.NewSpec2D("x", "px", 16, 16)}
-					run := func(shards int) (*plan.Result, *costRunner) {
+					run := func(shards int) (*plan.DenseResult, *costRunner) {
 						r := &costRunner{ex: testExecutor(t)}
 						res, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast)
 						if err != nil {

@@ -188,7 +188,7 @@ func planQuery(in *planBytes) plan.Query {
 // planAnswer renders a result's answer as the client sees it: its JSON,
 // or, for an answer JSON cannot carry (a NaN or infinite edge), every
 // value printed exactly, signed zeros included.
-func planAnswer(res *plan.Result, err error) string {
+func planAnswer(res *plan.DenseResult, err error) string {
 	if err != nil {
 		return "error"
 	}

@@ -19,7 +19,7 @@ import (
 // execSelect runs one OpSelect through the planner over the given shard
 // count, on a fresh executor so fragment caches cannot leak between
 // topologies.
-func execSelect(t *testing.T, shards int, q string, backend fastquery.Backend, step int) *plan.Result {
+func execSelect(t *testing.T, shards int, q string, backend fastquery.Backend, step int) *plan.DenseResult {
 	t.Helper()
 	ex := testExecutor(t)
 	src, err := fastquery.Open(testDataDir(t))

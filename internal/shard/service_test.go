@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -20,17 +19,18 @@ func TestCorruptReplyNeverMerges(t *testing.T) {
 	res := &plan.FragmentResult{
 		Count:  99,
 		MinMax: []plan.VarRange{{Var: "x", Lo: -1.5, Hi: 2, N: 99}},
-		Hist1:  &histogram.Hist1D{Var: "x", Edges: histogram.UniformEdges(-2, 2, 16), Counts: make([]uint64, 16)},
-		Hist2: &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: histogram.UniformEdges(-2, 2, 12),
-			YEdges: histogram.UniformEdges(0, 1, 9), Counts: make([]uint64, 12*9)},
-		Sel: []uint64{3, 8, 200, 1 << 33},
+		Sel:    []uint64{3, 8, 200, 1 << 33},
 	}
-	for i := range res.Hist1.Counts {
-		res.Hist1.Counts[i] = uint64(i%3) * uint64(1+i*40)
+	h1 := &histogram.Hist1D{Var: "x", Edges: histogram.UniformEdges(-2, 2, 16), Counts: make([]uint64, 16)}
+	h2 := &histogram.Hist2D{XVar: "x", YVar: "px", XEdges: histogram.UniformEdges(-2, 2, 12),
+		YEdges: histogram.UniformEdges(0, 1, 9), Counts: make([]uint64, 12*9)}
+	for i := range h1.Counts {
+		h1.Counts[i] = uint64(i%3) * uint64(1+i*40)
 	}
-	for i := 0; i < len(res.Hist2.Counts); i += 5 {
-		res.Hist2.Counts[i] = uint64(1 + i*i*i)
+	for i := 0; i < len(h2.Counts); i += 5 {
+		h2.Counts[i] = uint64(1 + i*i*i)
 	}
+	res.Hist1, res.Hist2 = h1.Cells(), h2.Cells()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&ExecReply{Result: res}); err != nil {
 		t.Fatal(err)
@@ -55,18 +55,11 @@ func TestCorruptReplyNeverMerges(t *testing.T) {
 	t.Logf("%d bytes × 3 flips: %d decoded unchanged", len(wire), decoded)
 }
 
-// answerBytes renders a partial with its histograms dense, so a decoded
-// partial and its dense original compare equal.
+// answerBytes renders a partial as its frame, which is canonical: a
+// decoded partial and its original compare equal.
 func answerBytes(t *testing.T, r *plan.FragmentResult) []byte {
 	t.Helper()
-	c := *r
-	if c.Hist1 != nil {
-		c.Hist1 = c.Hist1.Dense()
-	}
-	if c.Hist2 != nil {
-		c.Hist2 = c.Hist2.Dense()
-	}
-	b, err := json.Marshal(c)
+	b, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
