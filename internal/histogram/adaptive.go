@@ -50,7 +50,7 @@ func cutCounts(fineEdges []float64, fineCounts []uint64, bins int, minDensity fl
 		}
 		// Force-close when exactly enough fine bins remain to give each
 		// remaining merged bin at least one fine bin.
-		if fineLeft < remainBins-1 {
+		if fineLeft <= remainBins-1 {
 			closeHere = true
 		}
 		if closeHere && remainBins > 1 && i < len(fineCounts)-1 {

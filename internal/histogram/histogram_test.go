@@ -308,6 +308,28 @@ func TestAdaptiveEdgesUniformDataStaysUniformish(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCutsHeadHeavy: when the weight sits in the first fine bins,
+// the merged bins after it close only because the fine bins left are
+// just enough, and the cuts still make every bin asked for.
+func TestAdaptiveCutsHeadHeavy(t *testing.T) {
+	for bins := 1; bins <= 16; bins++ {
+		fine := bins * AdaptiveRefine
+		for head := 1; head <= 3; head++ {
+			h := &Hist1D{Edges: UniformEdges(0, 1, fine), Counts: make([]uint64, fine)}
+			for i := 0; i < head; i++ {
+				h.Counts[i] = 1000 >> i
+			}
+			cuts, err := AdaptiveCuts(h.Cells(), bins, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cuts) != bins+1 || CheckCuts(cuts, bins) != nil {
+				t.Fatalf("%d bins, weight in the first %d of %d fine bins: cuts %v", bins, head, fine, cuts)
+			}
+		}
+	}
+}
+
 func TestAdaptiveEdgesFromCountsValidation(t *testing.T) {
 	fine := (&Hist1D{Edges: []float64{0, 1, 2}, Counts: []uint64{1, 2}}).Cells()
 	if _, err := AdaptiveCuts(fine, 0, 0); err == nil {
