@@ -441,7 +441,9 @@ func BenchmarkAblationWAH(b *testing.B) {
 		return v
 	}
 	va, vb := mkVec(1), mkVec(2)
-	sa, sb := bitmap.VectorToBitSet(va), bitmap.VectorToBitSet(vb)
+	sa, sb := bitmap.NewBitSet(n), bitmap.NewBitSet(n)
+	va.OrInto(sa, 0, n)
+	vb.OrInto(sb, 0, n)
 
 	b.Run("WAH/And", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

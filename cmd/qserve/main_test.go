@@ -95,7 +95,7 @@ func TestFlaglessDefaults(t *testing.T) {
 	if fastbit.DefaultBins != 256 {
 		t.Errorf("live index bins default = %d, want 256", fastbit.DefaultBins)
 	}
-	if !obs.Enabled() {
+	if obs.NewTrace("", "default") == nil {
 		t.Error("tracing and latency histograms are off by default")
 	}
 	if got := cluster.NewRetryBudget(frontendPool.RetryBudgetRatio, frontendPool.RetryBudgetBurst).Tokens(); got != 20 {

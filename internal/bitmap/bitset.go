@@ -184,13 +184,3 @@ func (s *BitSet) ToVector() *Vector {
 	}
 	return encodeGroups(groups, s.n)
 }
-
-// VectorToBitSet converts a WAH vector to an uncompressed bit set.
-func VectorToBitSet(v *Vector) *BitSet {
-	s := NewBitSet(v.Len())
-	v.Iterate(func(p uint64) bool {
-		s.Set(p)
-		return true
-	})
-	return s
-}

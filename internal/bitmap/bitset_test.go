@@ -39,10 +39,26 @@ func TestBitSetOps(t *testing.T) {
 	}
 }
 
+// bitSetOf decodes v into a BitSet over its whole length, as an
+// evaluation decodes a bin's window.
+func bitSetOf(v *Vector) *BitSet {
+	s := NewBitSet(v.Len())
+	v.OrInto(s, 0, v.Len())
+	return s
+}
+
+// not is v's complement over its own length, taken as an evaluation takes
+// one: decoded into a BitSet, inverted and encoded again.
+func not(v *Vector) *Vector {
+	s := bitSetOf(v)
+	s.Invert()
+	return s.ToVector()
+}
+
 func TestBitSetVectorConversionProperty(t *testing.T) {
 	f := func(bs []bool) bool {
 		v := FromBools(bs)
-		s := VectorToBitSet(v)
+		s := bitSetOf(v)
 		if s.Len() != v.Len() || s.Count() != v.Count() {
 			return false
 		}
@@ -57,7 +73,7 @@ func TestBitSetIterateMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomBits(rng, 1000, 0.1)
 	v := FromBools(r)
-	s := VectorToBitSet(v)
+	s := bitSetOf(v)
 	var pv, ps []uint64
 	v.Iterate(func(p uint64) bool { pv = append(pv, p); return true })
 	s.Iterate(func(p uint64) bool { ps = append(ps, p); return true })
@@ -92,7 +108,7 @@ func TestWAHCompressionBeatsBitSetOnSparseData(t *testing.T) {
 	v.AppendBit(true)
 	v.AppendRun(false, n/2-1)
 	v.Compact() // New reserved for n bits; SizeBytes counts that reserve
-	s := VectorToBitSet(v)
+	s := bitSetOf(v)
 	if v.SizeBytes()*100 > s.SizeBytes() {
 		t.Fatalf("WAH %dB not ≪ BitSet %dB", v.SizeBytes(), s.SizeBytes())
 	}

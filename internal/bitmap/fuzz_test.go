@@ -228,15 +228,15 @@ func FuzzWAHOps(f *testing.F) {
 		a, b, ra, rb := vs[0], vs[1], refs[0], refs[1]
 		for i, v := range vs {
 			checkWindows(t, fmt.Sprintf("vs[%d]", i), v, refs[i], data)
-			checkBits(t, fmt.Sprintf("vs[%d] through BitSet", i), VectorToBitSet(v).ToVector(), refs[i])
+			checkBits(t, fmt.Sprintf("vs[%d] through BitSet", i), bitSetOf(v).ToVector(), refs[i])
 		}
 		checkWindows(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }), data)
-		checkWindows(t, "Not", a.Not(), boolOp(ra, ra, func(x, _ bool) bool { return !x }), data)
+		checkWindows(t, "Not", not(a), boolOp(ra, ra, func(x, _ bool) bool { return !x }), data)
 		checkBits(t, "And", a.And(b), boolOp(ra, rb, func(x, y bool) bool { return x && y }))
 		checkBits(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }))
 		checkBits(t, "AndNot", a.AndNot(b), boolOp(ra, rb, func(x, y bool) bool { return x && !y }))
 		checkBits(t, "Xor", a.Xor(b), boolOp(ra, rb, func(x, y bool) bool { return x != y }))
-		checkBits(t, "Not", a.Not(), boolOp(ra, ra, func(x, _ bool) bool { return !x }))
+		checkBits(t, "Not", not(a), boolOp(ra, ra, func(x, _ bool) bool { return !x }))
 		if got, want := a.AndCount(b), a.And(b).Count(); got != want {
 			t.Fatalf("AndCount = %d, And().Count() = %d", got, want)
 		}
@@ -247,7 +247,7 @@ func FuzzWAHOps(f *testing.F) {
 		for i, v := range vs {
 			union = boolOp(union, refs[i], func(x, y bool) bool { return x || y })
 			n = max(n, v.Len())
-			set = set.Or(VectorToBitSet(v))
+			set = set.Or(bitSetOf(v))
 		}
 		checkBits(t, "OrAll", OrAll(vs), union)
 		checkBits(t, "orAllDense", orAllDense(vs, n), union)

@@ -233,24 +233,6 @@ func (v *Vector) Xor(o *Vector) *Vector { return binop(v, o, opXor) }
 // AndNot returns v AND NOT o.
 func (v *Vector) AndNot(o *Vector) *Vector { return binop(v, o, opAndNot) }
 
-// Not returns the complement of v over its own length.
-func (v *Vector) Not() *Vector {
-	out := New(v.n)
-	d := newDecoder(v)
-	for !d.end {
-		if d.fill {
-			out.emit(^d.word&litMask, d.cnt)
-		} else {
-			out.fillLits(allOnes, 0, d.lits(d.cnt))
-		}
-		d.consume(d.cnt)
-	}
-	out.n = v.n
-	out.trim()
-	out.Compact()
-	return out
-}
-
 // AndCount returns the number of ones in v AND o without materialising
 // the result vector — the hot operation of bitmap-count histograms, where
 // only the cardinality of each intersection is needed.

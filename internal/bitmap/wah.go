@@ -31,10 +31,10 @@ const (
 )
 
 // Vector is a WAH-compressed bit vector. The zero value is an empty vector
-// ready for use. Bits are appended with AppendBit / AppendRun /
-// AppendWords; once built, vectors are normally treated as immutable and
-// combined with And, Or, AndNot, Xor and Not, all of which allocate fresh
-// result vectors.
+// ready for use. Bits are appended with AppendBit / AppendRun; once
+// built, vectors are normally treated as immutable and combined with And,
+// Or, AndNot and Xor, all of which allocate fresh result vectors. A
+// complement is taken in a BitSet window (OrInto, then Invert).
 type Vector struct {
 	words []uint32 // encoded literal/fill words
 	act   uint32   // partial group not yet encoded (LSB-first)
@@ -131,23 +131,6 @@ func (v *Vector) AppendRun(b bool, count uint64) {
 	for ; count > 0; count-- {
 		v.AppendBit(b)
 	}
-}
-
-// AppendWords appends full 31-bit groups given as raw literal words (low
-// 31 bits of each element). It is the fast path used by the index builder.
-func (v *Vector) AppendWords(groups []uint32) {
-	if v.nact != 0 {
-		for _, g := range groups {
-			for i := 0; i < groupBits; i++ {
-				v.AppendBit(g&(1<<i) != 0)
-			}
-		}
-		return
-	}
-	for _, g := range groups {
-		v.flushGroup(g & litMask)
-	}
-	v.n += uint64(len(groups)) * groupBits
 }
 
 // flushGroup encodes one complete 31-bit group, merging with a preceding

@@ -181,14 +181,14 @@ func TestNot(t *testing.T) {
 		for i := range r {
 			want[i] = !r[i]
 		}
-		checkAgainstRef(t, toVector(r).Not(), want)
+		checkAgainstRef(t, not(toVector(r)), want)
 	}
 }
 
 func TestDoubleNotIsIdentity(t *testing.T) {
 	f := func(bs []bool) bool {
 		v := FromBools(bs)
-		return v.Not().Not().Equal(v)
+		return not(not(v)).Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestDeMorganProperty(t *testing.T) {
 			b = append(b, false)
 		}
 		va, vb := FromBools(a), FromBools(b)
-		lhs := va.And(vb).Not()
-		rhs := va.Not().Or(vb.Not())
+		lhs := not(va.And(vb))
+		rhs := not(va).Or(not(vb))
 		return lhs.Equal(rhs)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -380,21 +380,25 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestAppendWords(t *testing.T) {
-	v := New(0)
-	v.AppendWords([]uint32{0b101, 0, allOnes})
+// TestEncodeGroups: 31-bit groups — a literal, an all-zero and an
+// all-one group, runs of them, and a partial last group — encode as the
+// bits they hold, as BitSet.ToVector and the dense OrAll encode them.
+func TestEncodeGroups(t *testing.T) {
+	v := encodeGroups([]uint32{0b101, 0, allOnes}, 93)
 	if v.Len() != 93 {
 		t.Fatalf("Len = %d, want 93", v.Len())
 	}
 	if v.Count() != 2+31 {
 		t.Fatalf("Count = %d, want 33", v.Count())
 	}
-	// Unaligned append falls back to bit-by-bit.
-	w := New(0)
-	w.AppendBit(true)
-	w.AppendWords([]uint32{allOnes})
-	if w.Len() != 32 || w.Count() != 32 {
-		t.Fatalf("unaligned AppendWords: Len=%d Count=%d", w.Len(), w.Count())
+	w := encodeGroups([]uint32{allOnes, allOnes, 0, 0, 0b11}, 4*groupBits+1)
+	want := make([]bool, 4*groupBits+1)
+	for i := range want[:2*groupBits] {
+		want[i] = true
+	}
+	want[4*groupBits] = true
+	if !w.Equal(FromBools(want)) || w.Words() != 2 {
+		t.Fatalf("runs and a partial group: %v (%d words)", w, w.Words())
 	}
 }
 
@@ -463,7 +467,7 @@ func TestBuiltVectorsAreCompact(t *testing.T) {
 	}
 	long := FromBools(make([]bool, 5000))
 	for name, v := range map[string]*Vector{
-		"FromPositions": v, "ToVector": dense.ToVector(), "And": v.And(long), "Not": v.Not(),
+		"FromPositions": v, "ToVector": dense.ToVector(), "And": v.And(long),
 		"Clone": v.Clone(), "OrAll": OrAll([]*Vector{v, dense.ToVector(), long}), "FromBools": long,
 	} {
 		if cap(v.words) != len(v.words) || v.SizeBytes() < 4*cap(v.words) {

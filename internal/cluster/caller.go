@@ -61,12 +61,8 @@ type Caller struct {
 	healthy atomic.Bool
 }
 
-// NewCaller creates a Caller for the address. The connection is dialled
-// lazily on first use (or eagerly via Connect).
-func NewCaller(addr string, cfg CallerConfig) *Caller {
-	return newCaller(addr, cfg, newLockedRand(1))
-}
-
+// newCaller creates a pool's Caller for the address. The connection is
+// dialled lazily on first use (or eagerly via Connect).
 func newCaller(addr string, cfg CallerConfig, rng *lockedRand) *Caller {
 	c := &Caller{addr: addr, cfg: cfg, rng: rng, rpcSeconds: rpcSecondsFor(addr)}
 	c.healthy.Store(true)

@@ -269,12 +269,12 @@ func TestCallerTimeout(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	c := NewCaller(l.Addr().String(), CallerConfig{
+	c := newCaller(l.Addr().String(), CallerConfig{
 		Timeout:     30 * time.Millisecond,
 		MaxRetries:  1,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
-	})
+	}, newLockedRand(1))
 	defer c.Close()
 	var reply PingReply
 	cs, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &reply)
@@ -287,7 +287,7 @@ func TestCallerTimeout(t *testing.T) {
 }
 
 func TestCallerClosed(t *testing.T) {
-	c := NewCaller("127.0.0.1:1", CallerConfig{})
+	c := newCaller("127.0.0.1:1", CallerConfig{}, newLockedRand(1))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

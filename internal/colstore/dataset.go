@@ -121,24 +121,3 @@ func (d *Dataset) HasIndex(t int) bool {
 	_, err := os.Stat(d.IndexPath(t))
 	return err == nil
 }
-
-// Validate checks that every timestep file exists and carries the declared
-// variables, returning the first problem found.
-func (d *Dataset) Validate() error {
-	for t := 0; t < d.Meta.Steps; t++ {
-		f, err := d.OpenStep(t)
-		if err != nil {
-			return err
-		}
-		for _, v := range d.Meta.Variables {
-			if !f.HasColumn(v) {
-				f.Close()
-				return fmt.Errorf("colstore: step %d missing column %q", t, v)
-			}
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -233,8 +233,3 @@ func (m *BurnMonitor) Breaches() uint64 {
 	defer m.mu.Unlock()
 	return m.breaches
 }
-
-// Windows returns the configured fast and slow window durations.
-func (m *BurnMonitor) Windows() (fast, slow time.Duration) {
-	return m.cfg.Fast, m.cfg.Slow
-}

@@ -41,9 +41,6 @@ func init() { enabled.Store(true) }
 // and Histogram.Observe returns after one atomic load.
 func SetEnabled(v bool) { enabled.Store(v) }
 
-// Enabled reports whether tracing and histogram observation are on.
-func Enabled() bool { return enabled.Load() }
-
 // NewTraceID returns a fresh 16-hex-digit trace identifier.
 func NewTraceID() string {
 	var b [8]byte

@@ -93,9 +93,6 @@ func New(axes []Axis, opt Options) (*Plot, error) {
 	return &Plot{axes: append([]Axis(nil), axes...), opt: opt}, nil
 }
 
-// Axes returns the plot's axes.
-func (p *Plot) Axes() []Axis { return append([]Axis(nil), p.axes...) }
-
 // axisX returns the pixel x of axis i.
 func (p *Plot) axisX(i int) float64 {
 	usable := float64(p.opt.Width - 2*p.opt.Margin)

@@ -287,16 +287,28 @@ func TestAdaptiveLayerUsesDensityOrdering(t *testing.T) {
 
 func TestAxisLabelsToggle(t *testing.T) {
 	opt := DefaultOptions()
-	opt.DrawLabels = false
-	p, err := New(testAxes(), opt)
-	if err != nil {
-		t.Fatal(err)
+	lit := map[bool]int{}
+	for _, labels := range []bool{false, true} {
+		opt.DrawLabels = labels
+		p, err := New(testAxes(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.Render()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, h := c.Size()
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if c.At(x, y) != opt.Background {
+					lit[labels]++
+				}
+			}
+		}
 	}
-	if _, err := p.Render(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Axes(); len(got) != 3 {
-		t.Fatalf("Axes = %d", len(got))
+	if lit[false] == 0 || lit[false] >= lit[true] {
+		t.Fatalf("%d pixels drawn without labels, %d with", lit[false], lit[true])
 	}
 }
 

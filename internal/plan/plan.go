@@ -99,9 +99,6 @@ type RowRange struct {
 // Whole reports whether the range means the entire step.
 func (r RowRange) Whole() bool { return r.Lo == 0 && r.Hi == 0 }
 
-// Empty reports whether the range selects no rows.
-func (r RowRange) Empty() bool { return !r.Whole() && r.Hi <= r.Lo }
-
 // Query is a canonicalized client operation, the planner's input. Query
 // text must already be in canonical form (query.Canonical) so that equal
 // requests produce equal fragments and cache keys.

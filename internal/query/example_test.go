@@ -31,14 +31,15 @@ func ExampleRangeSet() {
 	// (1e+09, 5e+09)
 }
 
-func ExamplePrecision() {
-	// FastBit precision binning: 1e-5 is a 1-digit constant, 2.5e8 has
-	// two digits (Section II-B).
-	fmt.Println(query.Precision(1e-5))
-	fmt.Println(query.Precision(2.5e8))
-	fmt.Println(query.Precision(8.872e10))
+func ExampleRoundToPrecision() {
+	// FastBit precision binning puts bin boundaries on a grid of p-digit
+	// values (Section II-B): 1e-5 is a 1-digit constant, 2.5e8 a 2-digit
+	// one, and 8.872e10 lies between 2-digit boundaries.
+	fmt.Println(query.RoundToPrecision(1e-5, 1))
+	fmt.Println(query.RoundToPrecision(2.5e8, 2))
+	fmt.Println(query.RoundToPrecision(8.872e10, 2))
 	// Output:
-	// 1
-	// 2
-	// 4
+	// 1e-05
+	// 2.5e+08
+	// 8.9e+10
 }

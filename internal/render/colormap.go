@@ -32,12 +32,6 @@ func Rainbow(t float64) color.RGBA {
 	}
 }
 
-// Grayscale maps [0, 1] to black→white.
-func Grayscale(t float64) color.RGBA {
-	v := uint8(math.Round(255 * clamp01(t)))
-	return color.RGBA{R: v, G: v, B: v, A: 255}
-}
-
 // Heat maps [0, 1] to black→red→yellow→white.
 func Heat(t float64) color.RGBA {
 	t = clamp01(t)

@@ -39,9 +39,6 @@ func NewCanvas(w, h int, bg color.RGBA) (*Canvas, error) {
 // Size returns the canvas dimensions.
 func (c *Canvas) Size() (w, h int) { return c.w, c.h }
 
-// Image returns the backing image.
-func (c *Canvas) Image() *image.RGBA { return c.img }
-
 // At returns the pixel color at (x, y); out-of-range reads return zero.
 func (c *Canvas) At(x, y int) color.RGBA {
 	if x < 0 || y < 0 || x >= c.w || y >= c.h {
@@ -73,21 +70,6 @@ func (c *Canvas) Blend(x, y int, col color.RGBA, alpha float64) {
 		B: blend(col.B, dst.B),
 		A: 255,
 	})
-}
-
-// FillRect blends an axis-aligned rectangle (inclusive bounds).
-func (c *Canvas) FillRect(x0, y0, x1, y1 int, col color.RGBA, alpha float64) {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			c.Blend(x, y, col, alpha)
-		}
-	}
 }
 
 // FillTrapezoid blends the region between two vertical segments: the

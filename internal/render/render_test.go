@@ -64,7 +64,7 @@ func TestBlendHalf(t *testing.T) {
 
 func TestFillRect(t *testing.T) {
 	c, _ := NewCanvas(10, 10, black)
-	c.FillRect(7, 7, 2, 2, red, 1) // inverted corners fixed up
+	c.FillTrapezoid(7, 7, 2, 2, 7, 2, red, 1) // a rectangle, inverted corners fixed up
 	if c.At(2, 2) != red || c.At(7, 7) != red {
 		t.Fatal("rect corners not filled")
 	}
@@ -145,7 +145,7 @@ func TestVHLines(t *testing.T) {
 
 func TestPNGRoundTrip(t *testing.T) {
 	c, _ := NewCanvas(16, 16, black)
-	c.FillRect(2, 2, 12, 12, red, 1)
+	c.FillTrapezoid(2, 2, 12, 12, 2, 12, red, 1)
 	var buf bytes.Buffer
 	if err := c.EncodePNG(&buf); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package scatter
 
 import (
-	"image/color"
 	"math/rand"
 	"testing"
 
@@ -179,7 +178,7 @@ func TestTracePlotConstantColor(t *testing.T) {
 
 func TestColormaps(t *testing.T) {
 	for name, cm := range map[string]render.Colormap{
-		"rainbow": render.Rainbow, "gray": render.Grayscale, "heat": render.Heat,
+		"rainbow": render.Rainbow, "heat": render.Heat,
 	} {
 		lo, hi := cm(0), cm(1)
 		if lo == hi {
@@ -198,9 +197,5 @@ func TestColormaps(t *testing.T) {
 	}
 	if c := render.Normalize(5, 5); c(5) != 0.5 {
 		t.Error("degenerate Normalize should return midpoint")
-	}
-	var mid color.RGBA = render.Grayscale(0.5)
-	if mid.R != mid.G || mid.G != mid.B {
-		t.Error("grayscale not gray")
 	}
 }

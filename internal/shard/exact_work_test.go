@@ -192,7 +192,7 @@ func TestSharedSelection(t *testing.T) {
 	sel.Op = plan.FragSelect
 
 	ctx := context.Background()
-	if _, err := ex.Run(ctx, minmax); err != nil {
+	if _, err := runFragment(ctx, ex, minmax); err != nil {
 		t.Fatal(err)
 	}
 	// The shared selection is not a requested fragment: only the
@@ -210,7 +210,7 @@ func TestSharedSelection(t *testing.T) {
 		t.Fatal("phase 1 did not leave its selection in the fragment cache")
 	}
 	var c obs.Cost
-	if _, err := ex.Run(obs.WithCost(ctx, &c), hist); err != nil {
+	if _, err := runFragment(obs.WithCost(ctx, &c), ex, hist); err != nil {
 		t.Fatal(err)
 	}
 	counters(2, 2, 1)
@@ -233,11 +233,11 @@ func TestSharedSelection(t *testing.T) {
 	if err := cold.AddDataset("lwfa", testDataDir(t)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ex.Run(ctx, hist)
+	want, err := runFragment(ctx, ex, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cold.Run(ctx, hist)
+	res, err := runFragment(ctx, cold, hist)
 	if err != nil || !reflect.DeepEqual(res, want) {
 		t.Fatalf("uncached executor: err=%v, answer equal=%v", err, reflect.DeepEqual(res, want))
 	}

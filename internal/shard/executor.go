@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -109,20 +108,6 @@ func (e *Executor) AddDataset(name, dir string) error {
 	return nil
 }
 
-// Datasets returns the dataset names and their step counts, sorted.
-func (e *Executor) Datasets() (names []string, steps []int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name := range e.datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		steps = append(steps, e.datasets[name].src.Steps())
-	}
-	return names, steps
-}
-
 // step returns a cached open step handle for the dataset.
 func (e *Executor) step(dataset string, t int) (*fastquery.Step, error) {
 	e.mu.Lock()
@@ -156,18 +141,12 @@ func (e *Executor) Peek(f plan.Fragment) (*plan.FragmentResult, bool) {
 	return res, ok
 }
 
-// Run evaluates one fragment, answering from the shard-local cache when
-// possible. Cached results are shared and must be treated as read-only;
-// the planner's merge never mutates a partial (it appends the partials'
+// RunCached evaluates one fragment, answering from the shard-local cache
+// when possible, and reports whether it did, so the explain surface can
+// mark cache-served fragments (which correctly charged zero cost).
+// Cached results are shared and must be treated as read-only; the
+// planner's merge never mutates a partial (it appends the partials'
 // count encodings to the merged answer's own list).
-func (e *Executor) Run(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, error) {
-	res, _, err := e.RunCached(ctx, f)
-	return res, err
-}
-
-// RunCached is Run reporting whether the result came from the shard-local
-// cache, so the explain surface can mark cache-served fragments (which
-// correctly charged zero cost).
 func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, bool, error) {
 	key := f.Key()
 	if res, ok := fragResult(e.cache.Hit(key)); ok {

@@ -52,7 +52,7 @@ func TestConcurrentFragmentsShareOneSelection(t *testing.T) {
 			go func(f plan.Fragment, c *obs.Cost) {
 				defer wg.Done()
 				<-start
-				if _, err := ex.Run(obs.WithCost(context.Background(), c), f); err != nil {
+				if _, err := runFragment(obs.WithCost(context.Background(), c), ex, f); err != nil {
 					errs <- err
 				}
 			}(f, &costs[i])
@@ -100,7 +100,7 @@ func TestSelectionWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var err error
-	go func() { _, err = ex.Run(ctx, f); close(done) }()
+	go func() { _, err = runFragment(ctx, ex, f); close(done) }()
 	waiting(done)
 	cancel()
 	<-done
@@ -113,7 +113,7 @@ func TestSelectionWaiter(t *testing.T) {
 	var c obs.Cost
 	var res *plan.FragmentResult
 	done = make(chan struct{})
-	go func() { res, err = ex.Run(obs.WithCost(context.Background(), &c), f); close(done) }()
+	go func() { res, err = runFragment(obs.WithCost(context.Background(), &c), ex, f); close(done) }()
 	waiting(done)
 	end()
 	<-done

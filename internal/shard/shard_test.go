@@ -74,6 +74,12 @@ func testExecutor(t *testing.T) *shard.Executor {
 	return ex
 }
 
+// runFragment evaluates f on ex as the shard service does.
+func runFragment(ctx context.Context, ex *shard.Executor, f plan.Fragment) (*plan.FragmentResult, error) {
+	res, _, err := ex.RunCached(ctx, f)
+	return res, err
+}
+
 // execRunner adapts an Executor into a plan.Runner: every "shard" is the
 // same local executor, so results differ from single-process evaluation
 // only through the planner's scatter/merge — exactly what these tests
@@ -81,7 +87,7 @@ func testExecutor(t *testing.T) *shard.Executor {
 type execRunner struct{ ex *shard.Executor }
 
 func (r execRunner) RunFragment(ctx context.Context, _ int, f plan.Fragment) (*plan.FragmentResult, error) {
-	return r.ex.Run(ctx, f)
+	return runFragment(ctx, r.ex, f)
 }
 
 // canonical parses and canonicalizes query text the way the serve layer
@@ -285,14 +291,14 @@ func TestExecutorCache(t *testing.T) {
 		Rows: plan.RowRange{Lo: 0, Hi: 100}, Backend: fastquery.Scan,
 	}
 	ctx := context.Background()
-	first, err := ex.Run(ctx, f)
+	first, err := runFragment(ctx, ex, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ex.Peek(f); !ok {
 		t.Fatal("fragment not cached after Run")
 	}
-	second, err := ex.Run(ctx, f)
+	second, err := runFragment(ctx, ex, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +314,7 @@ func TestExecutorCache(t *testing.T) {
 
 func TestUnknownDatasetFatal(t *testing.T) {
 	ex := testExecutor(t)
-	_, err := ex.Run(context.Background(), plan.Fragment{
+	_, err := runFragment(context.Background(), ex, plan.Fragment{
 		Op: plan.FragCount, Dataset: "nope", Backend: fastquery.Scan,
 	})
 	if err == nil || !fastquery.IsFatal(err) {
