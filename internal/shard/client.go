@@ -149,41 +149,23 @@ type ShardStatus struct {
 }
 
 // Stats gathers every shard's executor snapshot plus the frontend-side
-// pool counters and per-replica breaker states. The shards are polled
-// concurrently, each under its own timeout, so a dead fleet costs one
-// timeout rather than shards×timeout.
+// pool counters and per-replica breaker states, the client-side ones
+// taken before the poll.
 func (c *Client) Stats(ctx context.Context, timeout time.Duration) []ShardStatus {
 	out := make([]ShardStatus, len(c.pools))
-	var wg sync.WaitGroup
 	for i, p := range c.pools {
-		wg.Add(1)
-		go func(i int, p *cluster.Pool) {
-			defer wg.Done()
-			st := ShardStatus{
-				Shard:    i,
-				Replicas: p.Nodes(),
-				Healthy:  p.HealthyNodes(),
-				Pool:     p.Stats(),
-			}
-			for _, cl := range p.Callers() {
-				st.ReplicaState = append(st.ReplicaState, ReplicaStatus{
-					Addr:    cl.Addr(),
-					Healthy: cl.Healthy(),
-					Breaker: cl.BreakerState().String(),
-				})
-			}
-			sctx, cancel := context.WithTimeout(ctx, timeout)
-			var reply StatsReply
-			if err := p.CallOn(sctx, 0, "Shard.Stats", &StatsArgs{}, &reply, 0); err != nil {
-				st.Err = err.Error()
-			} else {
-				st.Stats = reply.Stats
-			}
-			cancel()
-			out[i] = st
-		}(i, p)
+		out[i] = ShardStatus{
+			Shard:        i,
+			Replicas:     p.Nodes(),
+			Healthy:      p.HealthyNodes(),
+			Pool:         p.Stats(),
+			ReplicaState: replicaStates(p),
+		}
 	}
-	wg.Wait()
+	replies, errs := poll[StatsReply](ctx, c.pools, timeout, "Shard.Stats", &StatsArgs{})
+	for i := range out {
+		out[i].Stats, out[i].Err = replies[i].Stats, errs[i]
+	}
 	return out
 }
 
@@ -193,15 +175,45 @@ func (c *Client) Stats(ctx context.Context, timeout time.Duration) []ShardStatus
 func (c *Client) ReplicaStates() [][]ReplicaStatus {
 	out := make([][]ReplicaStatus, len(c.pools))
 	for i, p := range c.pools {
-		for _, cl := range p.Callers() {
-			out[i] = append(out[i], ReplicaStatus{
-				Addr:    cl.Addr(),
-				Healthy: cl.Healthy(),
-				Breaker: cl.BreakerState().String(),
-			})
-		}
+		out[i] = replicaStates(p)
 	}
 	return out
+}
+
+// replicaStates is one shard's replica view.
+func replicaStates(p *cluster.Pool) []ReplicaStatus {
+	var out []ReplicaStatus
+	for _, cl := range p.Callers() {
+		out = append(out, ReplicaStatus{
+			Addr:    cl.Addr(),
+			Healthy: cl.Healthy(),
+			Breaker: cl.BreakerState().String(),
+		})
+	}
+	return out
+}
+
+// poll calls method on every shard's first replica and returns each
+// shard's reply and, when its call failed, the error as a string (with a
+// zero reply). The shards are polled concurrently, each under its own
+// timeout, so a dead fleet costs one timeout rather than shards×timeout.
+func poll[R any](ctx context.Context, pools []*cluster.Pool, timeout time.Duration, method string, args any) ([]R, []string) {
+	replies, errs := make([]R, len(pools)), make([]string, len(pools))
+	var wg sync.WaitGroup
+	for i, p := range pools {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			if err := p.CallOn(sctx, 0, method, args, &replies[i], 0); err != nil {
+				var zero R
+				replies[i], errs[i] = zero, err.Error()
+			}
+		}()
+	}
+	wg.Wait()
+	return replies, errs
 }
 
 // ShardMetrics is one shard worker's metrics snapshot (or the reason it
@@ -213,29 +225,14 @@ type ShardMetrics struct {
 }
 
 // Metrics polls every shard worker's metrics registry over RPC for the
-// frontend's federated /metrics exposition. Like Stats, the shards are
-// polled concurrently under individual timeouts; a shard that cannot be
+// frontend's federated /metrics exposition. A shard that cannot be
 // reached contributes an error marker instead of failing the scrape.
 func (c *Client) Metrics(ctx context.Context, timeout time.Duration) []ShardMetrics {
+	replies, errs := poll[MetricsReply](ctx, c.pools, timeout, "Shard.Metrics", &MetricsArgs{})
 	out := make([]ShardMetrics, len(c.pools))
-	var wg sync.WaitGroup
-	for i, p := range c.pools {
-		wg.Add(1)
-		go func(i int, p *cluster.Pool) {
-			defer wg.Done()
-			sm := ShardMetrics{Shard: i}
-			sctx, cancel := context.WithTimeout(ctx, timeout)
-			var reply MetricsReply
-			if err := p.CallOn(sctx, 0, "Shard.Metrics", &MetricsArgs{}, &reply, 0); err != nil {
-				sm.Err = err.Error()
-			} else {
-				sm.Metrics = reply.Metrics
-			}
-			cancel()
-			out[i] = sm
-		}(i, p)
+	for i := range out {
+		out[i] = ShardMetrics{Shard: i, Err: errs[i], Metrics: replies[i].Metrics}
 	}
-	wg.Wait()
 	return out
 }
 
