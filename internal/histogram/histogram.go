@@ -209,7 +209,7 @@ func minInt(a, b int) int {
 }
 
 // Hist1D is a one-dimensional histogram with dense counts: the grid a
-// reader — a plot, a table, an adaptive cut — reads bin by bin. The
+// reader — a plot, a table, a scan kernel — reads bin by bin. The
 // serving path carries its cells form, Cells1D, instead.
 type Hist1D struct {
 	Var    string    // variable name, e.g. "px"
