@@ -102,6 +102,15 @@ func (s *BitSet) OrWith(o *BitSet) {
 	}
 }
 
+// AndWithUnion clears every bit of s that neither a nor b sets; a and b
+// are as long as s.
+func (s *BitSet) AndWithUnion(a, b *BitSet) {
+	aw, bw := a.words[:len(s.words)], b.words[:len(s.words)]
+	for i := range s.words {
+		s.words[i] &= aw[i] | bw[i]
+	}
+}
+
 // Invert complements s over its own length.
 func (s *BitSet) Invert() {
 	for i, w := range s.words {

@@ -37,6 +37,14 @@ func TestBitSetOps(t *testing.T) {
 	if or.Count() != 3 {
 		t.Fatalf("Or wrong: count=%d", or.Count())
 	}
+	c := NewBitSet(100)
+	for _, p := range []uint64{1, 2, 50, 98, 99} {
+		c.Set(p)
+	}
+	c.AndWithUnion(a, b)
+	if c.Count() != 3 || !c.Get(1) || !c.Get(50) || !c.Get(99) {
+		t.Fatalf("AndWithUnion wrong: count=%d", c.Count())
+	}
 }
 
 // bitSetOf decodes v into a BitSet over its whole length, as an

@@ -159,9 +159,9 @@ func (ev *Evaluator) evalSet(ctx context.Context, e query.Expr, lo, hi uint64) (
 	case *query.In:
 		return ev.evalIn(ctx, t, lo, hi)
 	case *query.And:
-		return ev.evalTerms(ctx, t.Terms, true, lo, hi)
+		return ev.evalAnd(ctx, t.Terms, lo, hi)
 	case *query.Or:
-		return ev.evalTerms(ctx, t.Terms, false, lo, hi)
+		return ev.evalOr(ctx, t.Terms, lo, hi)
 	case *query.Not:
 		s, err := ev.evalSet(ctx, t.Term, lo, hi)
 		if err != nil {
@@ -174,11 +174,8 @@ func (ev *Evaluator) evalSet(ctx context.Context, e query.Expr, lo, hi uint64) (
 	}
 }
 
-// evalTerms combines the terms' sets in place, a conjunction (and) or a
-// disjunction. A conjunction short-circuits: once the running
-// intersection is empty, the remaining terms (and especially their
-// candidate checks) are never evaluated.
-func (ev *Evaluator) evalTerms(ctx context.Context, terms []query.Expr, and bool, lo, hi uint64) (*bitmap.BitSet, error) {
+// evalOr combines the terms' sets in place, a disjunction.
+func (ev *Evaluator) evalOr(ctx context.Context, terms []query.Expr, lo, hi uint64) (*bitmap.BitSet, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("fastbit: empty boolean term list")
 	}
@@ -190,26 +187,116 @@ func (ev *Evaluator) evalTerms(ctx context.Context, terms []query.Expr, and bool
 			return nil, err
 		case acc == nil:
 			acc = s
-		case and:
-			acc.AndWith(s)
 		default:
 			acc.OrWith(s)
-		}
-		if and && !acc.Any() {
-			return acc, nil
 		}
 	}
 	return acc, nil
 }
 
-func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi uint64) (*bitmap.BitSet, error) {
-	_, lsp := obs.StartSpan(ctx, "index-load")
-	lsp.SetAttr("var", c.Var)
-	ix, err := ev.index(c.Var, lo, hi)
-	lsp.End()
-	if err != nil {
-		return nil, err
+// boundTerm is a range term of a conjunction after pass 1: the rows its
+// full bins hold (sure) and its boundary bins' rows (cand).
+type boundTerm struct {
+	name       string
+	ix         *Index
+	iv         query.Interval
+	sure, cand *bitmap.BitSet
+}
+
+// evalAnd evaluates a conjunction in two passes, so that a range term
+// candidate-checks only the rows every other term still admits.
+//
+// Pass 1 reads the index only: each range term (a Compare other than !=)
+// resolves to its sure and candidate rows (Index.bounds); every other
+// term — in, !=, or, not, a nested and — is evaluated exactly. The upper
+// bound u is the AND of the exact sets and of each range term's sure ∪
+// candidates. With Approx, u is the answer.
+//
+// Pass 2 takes the range terms in the order the conjunction lists them
+// and checks each one's candidates in u; its hits join its sure rows, and
+// u shrinks to them. A row is in the result iff it is in pass 1's u and,
+// for every range term, sure or a candidate that passed. The order does
+// not depend on the row window, and whether a row is checked depends only
+// on that row, so the checks over any split of the rows sum to the whole
+// step's — except where u empties: both passes stop there, skipping the
+// remaining terms.
+func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr, lo, hi uint64) (*bitmap.BitSet, error) {
+	if len(terms) == 0 {
+		return nil, fmt.Errorf("fastbit: empty boolean term list")
 	}
+	var u *bitmap.BitSet
+	var bound []boundTerm
+	for _, t := range terms {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var s *bitmap.BitSet
+		if c, ok := t.(*query.Compare); ok && c.Op != query.NE {
+			ix, iv, err := ev.rangeIndex(ctx, c, lo, hi)
+			if err != nil {
+				return nil, err
+			}
+			b := boundTerm{name: c.Var, ix: ix, iv: iv}
+			var st EvalStats
+			b.sure, b.cand, st, err = ix.bounds(iv, lo, hi)
+			ev.accumulate(st)
+			switch {
+			case err != nil:
+				return nil, err
+			case b.cand == nil:
+				s = b.sure
+			case u == nil:
+				u = b.sure.Or(b.cand)
+			default:
+				u.AndWithUnion(b.sure, b.cand)
+			}
+			if b.cand != nil {
+				if ev.Approx {
+					ev.Stats.ApproxRows += b.cand.Count()
+				}
+				bound = append(bound, b)
+			}
+		} else {
+			var err error
+			if s, err = ev.evalSet(ctx, t, lo, hi); err != nil {
+				return nil, err
+			}
+		}
+		switch {
+		case s == nil:
+		case u == nil:
+			u = s
+		default:
+			u.AndWith(s)
+		}
+		if !u.Any() {
+			return u, nil
+		}
+	}
+	if ev.Approx {
+		return u, nil
+	}
+	for _, b := range bound {
+		b.cand.AndWith(u)
+		cctx, csp := obs.StartSpan(ctx, "candidate-check")
+		csp.SetAttr("var", b.name)
+		checks, err := b.ix.check(cctx, b.iv, ev.rawFor(b.name), b.cand, b.sure, lo)
+		if csp != nil {
+			csp.SetAttr("checks", strconv.FormatUint(checks, 10))
+			csp.End()
+		}
+		ev.Stats.CandidateChecks += checks
+		if err != nil {
+			return nil, err
+		}
+		if u.AndWith(b.sure); !u.Any() {
+			break
+		}
+	}
+	return u, nil
+}
+
+func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi uint64) (*bitmap.BitSet, error) {
 	if c.Op == query.NE {
 		s, err := ev.evalCompare(ctx, &query.Compare{Var: c.Var, Op: query.EQ, Value: c.Value}, lo, hi)
 		if err != nil {
@@ -218,9 +305,9 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi u
 		s.Invert()
 		return s, nil
 	}
-	iv, ok := query.CompareInterval(c)
-	if !ok {
-		return nil, fmt.Errorf("fastbit: cannot evaluate operator %v", c.Op)
+	ix, iv, err := ev.rangeIndex(ctx, c, lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	cctx, csp := obs.StartSpan(ctx, "candidate-check")
 	csp.SetAttr("var", c.Var)
@@ -231,6 +318,23 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi u
 	}
 	ev.accumulate(st)
 	return s, err
+}
+
+// rangeIndex resolves a range term's index, for reading rows [lo, hi),
+// and its interval.
+func (ev *Evaluator) rangeIndex(ctx context.Context, c *query.Compare, lo, hi uint64) (*Index, query.Interval, error) {
+	_, lsp := obs.StartSpan(ctx, "index-load")
+	lsp.SetAttr("var", c.Var)
+	ix, err := ev.index(c.Var, lo, hi)
+	lsp.End()
+	if err != nil {
+		return nil, query.Interval{}, err
+	}
+	iv, ok := query.CompareInterval(c)
+	if !ok {
+		return nil, query.Interval{}, fmt.Errorf("fastbit: cannot evaluate operator %v", c.Op)
+	}
+	return ix, iv, nil
 }
 
 // evalIn resolves a membership condition. The identifier column uses the

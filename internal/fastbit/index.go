@@ -184,30 +184,54 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 	return ix.evaluate(ctx, iv, raw, false, lo, hi)
 }
 
-// evaluate is the one range evaluation, over the row window [lo, hi): the
-// full bins' rows, plus the boundary bins' rows either candidate-checked
-// against raw (each hit sets its bit) or, with approx, admitted wholesale.
+// evaluate is the one range evaluation of a single term, over the row
+// window [lo, hi): the full bins' rows, plus the boundary bins' rows
+// either candidate-checked against raw (each hit sets its bit) or, with
+// approx, admitted wholesale. A conjunction runs the same two halves,
+// bounds and check, over all its range terms (Evaluator.evalAnd).
 func (ix *Index) evaluate(ctx context.Context, iv query.Interval, raw RawValues, approx bool, lo, hi uint64) (*bitmap.BitSet, EvalStats, error) {
-	cls, st := ix.classify(iv)
-	s, err := ix.rowsIn(cls, binFull, lo, hi)
-	if err != nil || st.BoundaryBins == 0 {
-		return s, st, err
-	}
-	cand, err := ix.rowsIn(cls, binBoundary, lo, hi)
-	if err != nil {
-		return nil, st, err
+	sure, cand, st, err := ix.bounds(iv, lo, hi)
+	if err != nil || cand == nil {
+		return sure, st, err
 	}
 	if approx {
 		st.ApproxRows = cand.Count()
-		s.OrWith(cand)
-		return s, st, nil
+		sure.OrWith(cand)
+		return sure, st, nil
 	}
+	st.CandidateChecks, err = ix.check(ctx, iv, raw, cand, sure, lo)
+	if err != nil {
+		return nil, st, err
+	}
+	return sure, st, nil
+}
+
+// bounds resolves iv from the bins alone, over rows [lo, hi): sure holds
+// the rows of its full bins, which match, and cand those of its boundary
+// bins, which may; cand is nil when no bin is a boundary bin. Every row
+// outside both does not match.
+func (ix *Index) bounds(iv query.Interval, lo, hi uint64) (sure, cand *bitmap.BitSet, st EvalStats, err error) {
+	cls, st := ix.classify(iv)
+	if sure, err = ix.rowsIn(cls, binFull, lo, hi); err != nil || st.BoundaryBins == 0 {
+		return sure, nil, st, err
+	}
+	cand, err = ix.rowsIn(cls, binBoundary, lo, hi)
+	return sure, cand, st, err
+}
+
+// check reads raw at the rows cand sets, bit i standing for row lo+i,
+// and sets in s the bit of each whose value lies in iv. It returns the
+// number of rows read, the candidate checks, and observes ctx once per
+// batch of values raw hands it.
+func (ix *Index) check(ctx context.Context, iv query.Interval, raw RawValues, cand, s *bitmap.BitSet, lo uint64) (uint64, error) {
 	if raw == nil {
-		return nil, st, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
+		return 0, fmt.Errorf("fastbit: %q: interval %v needs a candidate check but no raw reader was provided", ix.Name, iv)
 	}
 	positions := cand.Positions(lo)
-	st.CandidateChecks = uint64(len(positions))
-	err = raw(positions, func(pos []uint64, values []float64) error {
+	if len(positions) == 0 {
+		return 0, nil
+	}
+	err := raw(positions, func(pos []uint64, values []float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -219,9 +243,9 @@ func (ix *Index) evaluate(ctx context.Context, iv query.Interval, raw RawValues,
 		return nil
 	})
 	if err != nil {
-		return nil, st, checkErr(ctx, fmt.Errorf("fastbit: %q: candidate check: %w", ix.Name, err))
+		return uint64(len(positions)), checkErr(ctx, fmt.Errorf("fastbit: %q: candidate check: %w", ix.Name, err))
 	}
-	return s, st, nil
+	return uint64(len(positions)), nil
 }
 
 // binClass is how an interval resolves one bin; the zero class means no
@@ -235,7 +259,8 @@ const (
 
 // classify resolves every bin against iv, the one pass behind both the
 // exact and the approximate evaluation. st counts the full and boundary
-// bins; which bins those are does not depend on how they are combined.
+// bins; which bins those are depends only on the term's interval and
+// the bounds, not on the terms it is combined with.
 func (ix *Index) classify(iv query.Interval) ([]binClass, EvalStats) {
 	var st EvalStats
 	nb := ix.Bins()
