@@ -14,6 +14,18 @@
 //
 // The directory is written last so files are produced in one streaming
 // pass; readers locate it through the fixed-size trailer.
+//
+// Every read is whole chunks: pread, CRC-check, decode what was asked
+// for. The writer's default chunk is DefaultChunkRows, 8 Ki rows (64
+// KiB), so a candidate check or a sparse gather reads 64 KiB for each
+// chunk it touches. On a traced drill-down (DESIGN §5.3) 64 Ki, 8 Ki, 4
+// Ki and 1 Ki-row chunks read 5.00, 3.94, 3.76 and 3.47 MB per request
+// while a whole-column read took about 1.3 ms at 64 Ki and 1.6–1.9 ms
+// below it: 8 Ki is the knee. Each chunk's row count is in the
+// directory, so files of other chunk sizes (64 Ki rows, the default
+// before) read unchanged.
+// Read buffers come from a free list of 16 buffers: 1 MiB of
+// default-sized ones, or up to 8 MiB while 64 Ki-row chunks are read.
 package colstore
 
 import (
@@ -34,8 +46,9 @@ var magic = [4]byte{'L', 'W', 'C', '1'}
 
 const (
 	version = 1
-	// DefaultChunkRows is the default number of rows per chunk.
-	DefaultChunkRows = 1 << 16
+	// DefaultChunkRows is the default number of rows per chunk: 64 KiB
+	// of values (see the package doc).
+	DefaultChunkRows = 1 << 13
 )
 
 // ColumnType identifies the element type of a column.
@@ -434,15 +447,21 @@ func (file *File) HasColumn(name string) bool {
 	return ok
 }
 
-// chunkBufBytes is the size of a free-listed chunk buffer: one
-// DefaultChunkRows chunk.
-const chunkBufBytes = 8 * DefaultChunkRows
+// chunkBufBytes is the smallest free-listed chunk buffer: one
+// DefaultChunkRows chunk. maxChunkBufBytes is the largest: one chunk of
+// 64 Ki rows, the default before 8 Ki, so that reading a dataset written
+// then reuses buffers too.
+const (
+	chunkBufBytes    = 8 * DefaultChunkRows
+	maxChunkBufBytes = 8 << 16
+)
 
 // freeBufs is the free list of chunk read buffers, so that a read reuses
-// a buffer instead of allocating (and zeroing) one per chunk. It holds
-// only buffers of exactly chunkBufBytes, at most 16 of them: 8 MiB, and
-// one for each chunk read in flight when a server runs twice its default
-// 8 concurrent requests (a read holds one buffer at a time). A
+// a buffer instead of allocating (and zeroing) one per chunk. It holds at
+// most 16 buffers, one for each chunk read in flight when a server runs
+// twice its default 8 concurrent requests (a read holds one buffer at a
+// time): 1 MiB of default-sized buffers, and at most 8 MiB when chunks
+// of 64 Ki rows are read. A
 // channel rather than a sync.Pool: a pool is emptied by every GC, a
 // channel keeps what a read allocates independent of when the collector
 // runs. The buffers carry nothing from one read to the next: every read
@@ -450,26 +469,36 @@ const chunkBufBytes = 8 * DefaultChunkRows
 // byte.
 var freeBufs = make(chan []byte, 16)
 
-// getChunkBuf returns an n-byte buffer: a free-listed one when n fits and
-// the list is not empty, else a fresh one of exactly n bytes, as a read
-// allocated before the list existed. Only a fresh chunkBufBytes buffer
-// joins the list later, so a chunk larger than that (a custom or hostile
-// file's) cannot grow what the list keeps.
+// getChunkBuf returns an n-byte buffer. Up to maxChunkBufBytes it is a
+// free-list buffer: a listed one large enough, else a fresh one of
+// chunkBufBytes or, when n needs more, maxChunkBufBytes, which joins the
+// list later; so a file of smaller chunks, or a column's short last
+// chunk, reuses buffers too. A listed buffer too small for n is dropped,
+// so a list that serves both chunk sizes comes to hold the larger. A
+// chunk larger still (a custom or hostile file's) gets a fresh buffer of
+// exactly n bytes, as a read allocated before the list existed, and
+// cannot grow what the list keeps.
 func getChunkBuf(n int) []byte {
-	if n <= chunkBufBytes {
-		select {
-		case b := <-freeBufs:
-			return b[:n]
-		default:
-		}
+	if n > maxChunkBufBytes {
+		return make([]byte, n)
 	}
-	return make([]byte, n)
+	select {
+	case b := <-freeBufs:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	if n > chunkBufBytes {
+		return make([]byte, n, maxChunkBufBytes)
+	}
+	return make([]byte, n, chunkBufBytes)
 }
 
-// putChunkBuf hands buf back to the free list if it is a full-chunk
+// putChunkBuf hands buf back to the free list if it is a free-list
 // buffer and the list has room.
 func putChunkBuf(buf []byte) {
-	if cap(buf) != chunkBufBytes {
+	if c := cap(buf); c != chunkBufBytes && c != maxChunkBufBytes {
 		return
 	}
 	select {

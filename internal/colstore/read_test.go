@@ -16,13 +16,20 @@ import (
 	"repro/internal/obs"
 )
 
-// writeColumns writes a step file of rows rows in default-sized chunks:
-// one float64 column per name, plus an int64 "id" column, with values
-// drawn from seed. It returns the path and what was written, by column.
-func writeColumns(tb testing.TB, rows int, names []string, seed int64) (string, map[string][]float64) {
+// testChunkRows is the chunk size of the read tests' files. It is fixed,
+// so that their row counts and chunk arithmetic do not follow
+// DefaultChunkRows, and no larger than it, so that every chunk read
+// takes a free-listed buffer.
+const testChunkRows = 1 << 12
+
+// writeColumns writes a step file of rows rows in chunks of chunkRows (0
+// for the default): one float64 column per name, plus an int64 "id"
+// column, with values drawn from seed. It returns the path and what was
+// written, by column.
+func writeColumns(tb testing.TB, rows, chunkRows int, names []string, seed int64) (string, map[string][]float64) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "step.lwc")
-	w, err := NewWriter(path, uint64(rows), 0)
+	w, err := NewWriter(path, uint64(rows), chunkRows)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +61,11 @@ func writeColumns(tb testing.TB, rows int, names []string, seed int64) (string, 
 }
 
 // scattered returns k sorted distinct positions spread over [0, rows).
-func scattered(rng *rand.Rand, k, rows int) []uint64 {
+func scattered(tb testing.TB, rng *rand.Rand, k, rows int) []uint64 {
+	tb.Helper()
+	if k > rows {
+		tb.Fatalf("scattered: %d distinct positions asked of %d rows", k, rows)
+	}
 	seen := map[uint64]bool{}
 	for len(seen) < k {
 		seen[uint64(rng.Intn(rows))] = true
@@ -79,12 +90,22 @@ func openTB(tb testing.TB, path string) *File {
 
 // TestReadsAllocateOnlyTheAnswer: once the free list is warm, a gather of
 // k positions allocates its k answers and a range read its hi-lo answers,
-// whatever the number of chunks they read — no per-chunk buffer.
+// whatever the number of chunks they read — no per-chunk buffer. That
+// holds for files of small chunks and for files of 64 Ki-row chunks, the
+// writer's default before 8 Ki.
 func TestReadsAllocateOnlyTheAnswer(t *testing.T) {
-	const rows = 3*DefaultChunkRows + 1000
-	path, _ := writeColumns(t, rows, []string{"px"}, 1)
+	for _, chunkRows := range []int{testChunkRows, 1 << 16} {
+		t.Run(fmt.Sprint(chunkRows), func(t *testing.T) { readsAllocateOnlyTheAnswer(t, chunkRows) })
+	}
+}
+
+func readsAllocateOnlyTheAnswer(t *testing.T, chunkRows int) {
+	// 8·rows bytes is a whole number of 8 KiB pages, so the answers'
+	// allocations round up by less than the slack allowed below.
+	const rows = 153_600
+	path, _ := writeColumns(t, rows, chunkRows, []string{"px"}, 1)
 	f := openTB(t, path)
-	pos := scattered(rand.New(rand.NewSource(2)), 1000, rows)
+	pos := scattered(t, rand.New(rand.NewSource(2)), 1000, rows)
 	const lo, hi = 1000, rows - 77 // touches every chunk
 	read := func() {
 		if _, err := f.ReadFloat64At("px", pos); err != nil {
@@ -94,7 +115,12 @@ func TestReadsAllocateOnlyTheAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm the free list
+	// Warm the free list from empty: a list left holding buffers too
+	// small for these chunks gives them up one chunk read at a time.
+	for len(freeBufs) > 0 {
+		<-freeBufs
+	}
+	read()
 
 	// With the collector off, no GC cycle — nor the runtime's own
 	// allocations after one — lands inside a measurement.
@@ -120,7 +146,7 @@ func TestReadsAllocateOnlyTheAnswer(t *testing.T) {
 		}
 	}
 	// A visit keeps no values: one batch, however many positions.
-	many := scattered(rand.New(rand.NewSource(3)), 20000, rows)
+	many := scattered(t, rand.New(rand.NewSource(3)), 20000, rows)
 	for _, col := range []string{"px", "id"} {
 		got := allocated(func() error {
 			return f.VisitFloat64AtCost(col, many, nil, func([]uint64, []float64) error { return nil })
@@ -140,13 +166,13 @@ func TestReadsAllocateOnlyTheAnswer(t *testing.T) {
 // positions that each lie in one chunk, charges cost the same, stops at
 // fn's error, and refuses what the gather refuses.
 func TestVisitMatchesGather(t *testing.T) {
-	const rows = 3*DefaultChunkRows + 1000
-	path, _ := writeColumns(t, rows, []string{"px"}, 8)
+	const rows = 50_000
+	path, _ := writeColumns(t, rows, testChunkRows, []string{"px"}, 8)
 	f := openTB(t, path)
 	rng := rand.New(rand.NewSource(9))
 	for _, col := range []string{"px", "id"} {
 		for _, k := range []int{0, 1, 700, 5000, 40000} {
-			pos := scattered(rng, k, rows)
+			pos := scattered(t, rng, k, rows)
 			var gcost, vcost obs.Cost
 			want, err := f.ReadFloat64AtCost(col, pos, &gcost)
 			if err != nil {
@@ -158,7 +184,7 @@ func TestVisitMatchesGather(t *testing.T) {
 				if len(p) != len(v) || len(p) == 0 || len(p) > gatherBatch {
 					t.Fatalf("%s k=%d: batch of %d positions, %d values", col, k, len(p), len(v))
 				}
-				if p[0]/DefaultChunkRows != p[len(p)-1]/DefaultChunkRows {
+				if p[0]/testChunkRows != p[len(p)-1]/testChunkRows {
 					t.Fatalf("%s k=%d: batch spans rows %d..%d", col, k, p[0], p[len(p)-1])
 				}
 				seen = append(seen, p...)
@@ -178,7 +204,7 @@ func TestVisitMatchesGather(t *testing.T) {
 	}
 	stop := fmt.Errorf("stop")
 	calls := 0
-	err := f.VisitFloat64AtCost("px", scattered(rng, 3000, rows), nil, func([]uint64, []float64) error { calls++; return stop })
+	err := f.VisitFloat64AtCost("px", scattered(t, rng, 3000, rows), nil, func([]uint64, []float64) error { calls++; return stop })
 	if err != stop || calls != 1 {
 		t.Fatalf("fn's error: got %v after %d calls", err, calls)
 	}
@@ -212,8 +238,8 @@ func TestExactInt(t *testing.T) {
 // disk in between fails the read — and the failed read leaves nothing in
 // the free list that a later read of another column could see.
 func TestCorruptionDetectedAfterCleanRead(t *testing.T) {
-	const rows = 2*DefaultChunkRows + 500
-	path, want := writeColumns(t, rows, []string{"px", "py"}, 3)
+	const rows = 2*testChunkRows + 500
+	path, want := writeColumns(t, rows, testChunkRows, []string{"px", "py"}, 3)
 	f := openTB(t, path)
 	got, err := f.ReadFloat64("px")
 	if err != nil || !slices.Equal(got, want["px"]) {
@@ -244,7 +270,7 @@ func TestCorruptionDetectedAfterCleanRead(t *testing.T) {
 	}
 	// Chunks the flip did not touch still read, and so does every other
 	// column, through the buffers the failed reads handed back.
-	if got, err := f.ReadAsFloat64RangeCost("px", DefaultChunkRows, rows, nil); err != nil || !slices.Equal(got, want["px"][DefaultChunkRows:]) {
+	if got, err := f.ReadAsFloat64RangeCost("px", testChunkRows, rows, nil); err != nil || !slices.Equal(got, want["px"][testChunkRows:]) {
 		t.Fatalf("untouched chunks of px: err %v", err)
 	}
 	for _, col := range []string{"py", "id"} {
@@ -259,12 +285,12 @@ func TestCorruptionDetectedAfterCleanRead(t *testing.T) {
 // columns of one File at once, sharing the free list; every answer equals
 // the single-threaded decode. Run under -race.
 func TestConcurrentReaders(t *testing.T) {
-	const rows = 2*DefaultChunkRows + 321
+	const rows = 2*testChunkRows + 321
 	names := make([]string, 7)
 	for i := range names {
 		names[i] = fmt.Sprintf("v%d", i)
 	}
-	path, want := writeColumns(t, rows, names, 4)
+	path, want := writeColumns(t, rows, testChunkRows, names, 4)
 	f := openTB(t, path)
 	cols := append(names, "id")
 	single := map[string][]float64{}
@@ -283,7 +309,7 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 6; i++ {
-				pos := scattered(rng, 1+rng.Intn(2000), rows)
+				pos := scattered(t, rng, 1+rng.Intn(2000), rows)
 				vals, err := f.ReadFloat64At(col, pos)
 				if err != nil {
 					t.Error(err)
@@ -308,15 +334,16 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// benchRows is one D12-sized step column: 302 000 rows, five chunks.
+// benchRows is one D12-sized step column: 302 000 rows, 37 default-sized
+// chunks.
 const benchRows = 302000
 
 // BenchmarkGather gathers 1 000 scattered positions of one column, the
 // access of a candidate check or a selection's column gather.
 func BenchmarkGather(b *testing.B) {
-	path, _ := writeColumns(b, benchRows, []string{"px"}, 5)
+	path, _ := writeColumns(b, benchRows, 0, []string{"px"}, 5)
 	f := openTB(b, path)
-	pos := scattered(rand.New(rand.NewSource(6)), 1000, benchRows)
+	pos := scattered(b, rand.New(rand.NewSource(6)), 1000, benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -329,7 +356,7 @@ func BenchmarkGather(b *testing.B) {
 // BenchmarkReadRange reads one whole column, the access of a scan or an
 // unconditional histogram.
 func BenchmarkReadRange(b *testing.B) {
-	path, _ := writeColumns(b, benchRows, []string{"px"}, 7)
+	path, _ := writeColumns(b, benchRows, 0, []string{"px"}, 7)
 	f := openTB(b, path)
 	b.ReportAllocs()
 	b.SetBytes(8 * benchRows)

@@ -33,10 +33,16 @@ func (g gatherReader) ValuesAt(name string, positions []uint64) ([]float64, erro
 	return g.r.ValuesAt(name, positions)
 }
 
+// checkChunkRows is the chunk size of the check tests' step files: fixed,
+// so that their row counts do not follow colstore.DefaultChunkRows, and
+// no larger than it, so that a warm chunk read allocates nothing.
+const checkChunkRows = 1 << 12
+
 // checkFixture writes rows rows of a normal px column and shuffled int64
-// ids to a step file in default-sized chunks and indexes px with 16 bins,
-// so a cut inside a bin candidate-checks thousands of rows.
-func checkFixture(tb testing.TB, rows int) (*StepIndex, fileReader) {
+// ids to a step file in chunks of chunkRows (0 for the default) and
+// indexes px with 16 bins, so a cut inside a bin candidate-checks
+// thousands of rows.
+func checkFixture(tb testing.TB, rows, chunkRows int) (*StepIndex, fileReader) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(39))
 	px := make([]float64, rows)
@@ -46,7 +52,7 @@ func checkFixture(tb testing.TB, rows int) (*StepIndex, fileReader) {
 		ids[i] = int64(p) * 3
 	}
 	path := filepath.Join(tb.TempDir(), "step.col")
-	w, err := colstore.NewWriter(path, uint64(rows), 0)
+	w, err := colstore.NewWriter(path, uint64(rows), chunkRows)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,8 +81,8 @@ func checkFixture(tb testing.TB, rows int) (*StepIndex, fileReader) {
 // values by VisitAt select what checks over ValuesAt's slice select, with
 // the same stats, for ranges and memberships.
 func TestBatchReaderMatchesGather(t *testing.T) {
-	const rows = 2*colstore.DefaultChunkRows + 777
-	si, fr := checkFixture(t, rows)
+	const rows = 2*checkChunkRows + 777
+	si, fr := checkFixture(t, rows, checkChunkRows)
 	for _, q := range []string{
 		"px > 0.1234",
 		"px >= -1.5 && px < 2.25",
@@ -108,8 +114,8 @@ func TestBatchReaderMatchesGather(t *testing.T) {
 // 8k-byte slice of their values — what it allocates is the check through
 // ValuesAt's less those 8k bytes, give or take one batch.
 func TestCandidateCheckAllocatesNoValues(t *testing.T) {
-	const rows = 3*colstore.DefaultChunkRows + 1000
-	si, fr := checkFixture(t, rows)
+	const rows = 100_000
+	si, fr := checkFixture(t, rows, checkChunkRows)
 	ix := si.Columns["px"]
 	iv := query.Interval{Lo: 0.1234, Hi: math.Inf(1), LoOpen: true}
 	check := func(raw RawValues) EvalStats {
@@ -166,7 +172,7 @@ func TestSelectIDsRefusesInexactIDs(t *testing.T) {
 // ("gather"); B/op shows the slice.
 func BenchmarkCandidateCheck(b *testing.B) {
 	const rows = 300_000
-	si, fr := checkFixture(b, rows)
+	si, fr := checkFixture(b, rows, 0)
 	ix := si.Columns["px"]
 	iv := query.Interval{Lo: 0.1234, Hi: math.Inf(1), LoOpen: true}
 	for _, c := range []struct {

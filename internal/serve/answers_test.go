@@ -27,12 +27,14 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fastbit"
+	"repro/internal/ingest"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
@@ -235,5 +237,77 @@ func TestAnswerDigest(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Logf("answer digest took %v (aim: under 5 s)", d)
+	}
+}
+
+// TestMixedChunkSizesAnswerAlike: a live dataset whose seeded steps were
+// written in 64 Ki-row chunks (the writer's default before 8 Ki) and
+// whose later steps were ingested at today's default answers the digest's
+// stream byte-identically to the same rows written at one chunk size. The
+// chunk size is in each file's directory, so a dataset may mix them.
+func TestMixedChunkSizesAnswerAlike(t *testing.T) {
+	const steps, seeded = 4, 2
+	cfg := sim.DefaultConfig()
+	cfg.Steps = steps
+	cfg.BackgroundPerStep = 20000
+	cfg.BeamParticles = 200
+	index := fastbit.IndexOptions{Bins: 64}
+
+	oneSize := t.TempDir()
+	if _, err := sim.WriteDataset(oneSize, cfg, sim.WriteOptions{Index: index}); err != nil {
+		t.Fatal(err)
+	}
+	ref := New(Config{})
+	if err := ref.AddDataset("lwfa", oneSize); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(ref)
+	t.Cleanup(func() { rts.Close(); ref.Close() })
+
+	// The same run's first steps, appended in 64 Ki-row chunks; the
+	// server indexes them, and ingests the rest.
+	simRun, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := t.TempDir()
+	cat, err := ingest.Create(mixed, "lwfa-synthetic", append(slices.Clone(sim.Variables), sim.IDVar), sim.IDVar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < seeded; i++ {
+		ps, err := simRun.Step(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := ps.Columns()
+		var cols []ingest.Column
+		for _, name := range sim.Variables {
+			cols = append(cols, ingest.Column{Name: name, Float: byName[name]})
+		}
+		cols = append(cols, ingest.Column{Name: sim.IDVar, Int: ps.ID})
+		if _, _, err := ingest.NewWriter(cat, 1<<16).AppendStep(cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := New(Config{})
+	if err := live.AddLiveDataset("lwfa", mixed, LiveConfig{Index: index}); err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(live)
+	t.Cleanup(func() { lts.Close(); live.Close() })
+	for i := seeded; i < steps; i++ {
+		if code, body := postJSON(t, lts, "/v1/ingest", stepBody(t, simRun, i), nil); code != http.StatusOK {
+			t.Fatalf("ingest step %d: %d: %s", i, code, body)
+		}
+	}
+	waitIndexed(t, lts, steps, 30*time.Second)
+
+	want, got := runAnswers(t, rts), runAnswers(t, lts)
+	for i, r := range answerStream() {
+		// A live dataset's step list reports its ingest state.
+		if !strings.HasPrefix(r.path, "/v1/steps") && got[i] != want[i] {
+			t.Errorf("mixed chunk sizes answer differently:\n got %s\nwant %s", got[i], want[i])
+		}
 	}
 }

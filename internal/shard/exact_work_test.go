@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/colstore"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -86,9 +85,12 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 	_, x := stepColumn(t, step, "x")
 	quantile := func(vs []float64, q float64) float64 { return vs[int(q*float64(len(vs)))] }
 	pq, xq := quantile(px, 0.37), quantile(x, 0.61)
-	// A conjunction stops at the first term that leaves its window
-	// empty, so split over shards it may check fewer rows than one
-	// process does; every other shape checks exactly the same rows.
+	// A conjunction stops once its bound leaves a window empty, so split
+	// over shards it may check fewer rows than one process does; every
+	// other shape checks exactly the same rows. So does a conjunction
+	// whose windows all keep rows: "and-ranges" cuts both its terms
+	// mid-bin, and checks each term's candidates only where the other
+	// term's bins still admit the row, which depends on the row alone.
 	queries := []struct {
 		name, cond string
 		vars       int // the columns the condition reads
@@ -97,9 +99,10 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 		{"compare", canonical(t, fmt.Sprintf("px > %g", pq)), 1, false},
 		{"not-or", canonical(t, fmt.Sprintf("!(px > %g) || x != %g", pq, xq)), 2, false},
 		{"and", canonical(t, fmt.Sprintf("px > %g && !(x < %g)", pq, xq)), 2, true},
+		{"and-ranges", canonical(t, fmt.Sprintf("px > %g && x < %g", pq, xq)), 2, false},
 	}
 	// A window boundary inside a chunk makes both neighbours read it.
-	chunkBytes := 8 * min(uint64(colstore.DefaultChunkRows), rows)
+	const chunkBytes = 8 * testChunkRows
 	for _, backend := range []fastquery.Backend{fastquery.FastBit, fastquery.Scan} {
 		for _, qc := range queries {
 			cond := qc.cond

@@ -26,6 +26,11 @@ import (
 	"repro/internal/sim"
 )
 
+// testChunkRows is the chunk size of the test dataset: a few chunks a
+// column, whatever colstore.DefaultChunkRows is, so that shard windows
+// split chunks.
+const testChunkRows = 1 << 10
+
 var (
 	datasetOnce sync.Once
 	datasetDir  string
@@ -45,7 +50,8 @@ func testDataDir(t *testing.T) string {
 		cfg.BackgroundPerStep = 2500
 		cfg.BeamParticles = 50
 		_, datasetErr = sim.WriteDataset(dir, cfg, sim.WriteOptions{
-			Index: fastbit.IndexOptions{Bins: 64},
+			ChunkRows: testChunkRows,
+			Index:     fastbit.IndexOptions{Bins: 64},
 		})
 		datasetDir = dir
 	})
