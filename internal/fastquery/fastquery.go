@@ -475,8 +475,9 @@ func (st *Step) FindIDsCtx(ctx context.Context, ids []int64, b Backend) ([]uint6
 // Histogram2DCtx computes a 2D histogram, with cooperative cancellation;
 // cond may be nil for unconditional. FastBit is
 // the paper's two-step conditional histogram (Section V-A2): the index
-// selects the matching rows, then Histogram2DOver gathers their values
-// into an array of one element per hit and bins it — which is why it wins
+// selects the matching rows, then the histogram kernel (Histogram2DOver)
+// gathers their values into an array of one element per hit and bins them
+// into dense counts — which is why it wins
 // for selective conditions and loses to a scan once the selection nears
 // the whole step. Scan is the paper's Custom kernel (Figs. 11-13): one
 // fused pass that tests the condition and bins each matching row.
@@ -487,11 +488,7 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 		if err != nil {
 			return nil, err
 		}
-		h, err := st.Histogram2DOver(ctx, rows, spec)
-		if err != nil {
-			return nil, err
-		}
-		return h.Dense(), nil
+		return histogram2D(ctx, st, rows, spec, histogram.Compute2DCtx)
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.XVar, spec.YVar)
 		if err != nil {

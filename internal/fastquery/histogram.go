@@ -62,6 +62,15 @@ func (st *Step) Values(ctx context.Context, rows Rows, name string) (vs []float6
 // backend, shard split or fragment computed it. The result is a partial
 // in the cells form (histogram.Partial2DCtx).
 func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.Spec2D) (*histogram.Cells2D, error) {
+	return histogram2D(ctx, st, rows, spec, histogram.Partial2DCtx)
+}
+
+// histogram2D is Histogram2DOver with the binning left to bin: the cells
+// form for a partial, or dense counts (histogram.Compute2DCtx) for a
+// reader.
+func histogram2D[H any](ctx context.Context, st *Step, rows Rows, spec histogram.Spec2D,
+	bin func(ctx context.Context, xvar, yvar string, xs, ys, xedges, yedges []float64) (H, error)) (H, error) {
+	var none H
 	_, gsp := obs.StartSpan(ctx, "gather-values")
 	xs, err := st.Values(ctx, rows, spec.XVar)
 	var ys []float64
@@ -71,15 +80,15 @@ func (st *Step) Histogram2DOver(ctx context.Context, rows Rows, spec histogram.S
 	gsp.SetAttr("hits", strconv.Itoa(len(xs)))
 	gsp.End()
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	bctx, bsp := obs.StartSpan(ctx, "histogram-binning")
 	defer bsp.End()
 	xe, ye, err := edges2D(xs, ys, spec)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
-	return histogram.Partial2DCtx(bctx, spec.XVar, spec.YVar, xs, ys, xe, ye)
+	return bin(bctx, spec.XVar, spec.YVar, xs, ys, xe, ye)
 }
 
 // Histogram1DOver is Histogram2DOver for one variable. An unconditional
