@@ -226,6 +226,13 @@ func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fr
 		e.flightMu.Lock()
 		fl, busy := e.flights[key]
 		if !busy {
+			// A leader that finished since the lookup above stored its
+			// result before it left flights: look again, or evaluate sf
+			// twice.
+			if res, ok := fragResult(e.cache.Get(key)); ok {
+				e.flightMu.Unlock()
+				return res, nil
+			}
 			fl = &flight{done: make(chan struct{})}
 			e.flights[key] = fl
 		}
