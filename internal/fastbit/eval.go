@@ -224,13 +224,13 @@ func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr, lo, hi uin
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("fastbit: empty boolean term list")
 	}
-	var u *bitmap.BitSet
+	u := bitmap.NewBitSet(hi - lo)
+	u.Invert() // every row, until a term leaves it out
 	var bound []boundTerm
 	for _, t := range terms {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var s *bitmap.BitSet
 		if c, ok := t.(*query.Compare); ok && c.Op != query.NE {
 			ix, iv, err := ev.rangeIndex(ctx, c, lo, hi)
 			if err != nil {
@@ -244,29 +244,19 @@ func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr, lo, hi uin
 			case err != nil:
 				return nil, err
 			case b.cand == nil:
-				s = b.sure
-			case u == nil:
-				u = b.sure.Or(b.cand)
+				u.AndWith(b.sure)
 			default:
 				u.AndWithUnion(b.sure, b.cand)
-			}
-			if b.cand != nil {
 				if ev.Approx {
 					ev.Stats.ApproxRows += b.cand.Count()
 				}
 				bound = append(bound, b)
 			}
 		} else {
-			var err error
-			if s, err = ev.evalSet(ctx, t, lo, hi); err != nil {
+			s, err := ev.evalSet(ctx, t, lo, hi)
+			if err != nil {
 				return nil, err
 			}
-		}
-		switch {
-		case s == nil:
-		case u == nil:
-			u = s
-		default:
 			u.AndWith(s)
 		}
 		if !u.Any() {
