@@ -15,8 +15,13 @@
 // The directory is written last so files are produced in one streaming
 // pass; readers locate it through the fixed-size trailer.
 //
-// Every read is whole chunks: pread, CRC-check, decode what was asked
-// for. The writer's default chunk is DefaultChunkRows, 8 Ki rows (64
+// Every read is whole chunks: pread, CRC-check, hand on what was asked
+// for. A row range is visited (VisitRangeCost): one cursor walks the
+// named columns' chunks in lockstep and hands a kernel each run of rows
+// as float64 views of the verified chunk buffers, so an unconditional
+// histogram bins its columns without a decode pass or a column-sized
+// allocation; ReadAsFloat64RangeCost is a visit that appends the runs.
+// The writer's default chunk is DefaultChunkRows, 8 Ki rows (64
 // KiB), so a candidate check or a sparse gather reads 64 KiB for each
 // chunk it touches. On a traced drill-down (DESIGN §5.3) 64 Ki, 8 Ki, 4
 // Ki and 1 Ki-row chunks read 5.00, 3.94, 3.76 and 3.47 MB per request
@@ -25,10 +30,12 @@
 // directory, so files of other chunk sizes (64 Ki rows, the default
 // before) read unchanged.
 // Read buffers come from a free list of 16 buffers: 1 MiB of
-// default-sized ones, or up to 8 MiB while 64 Ki-row chunks are read.
+// default-sized ones, or up to 8 MiB while 64 Ki-row chunks are read. A
+// visit holds one a column at a time.
 package colstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -38,6 +45,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -97,7 +105,8 @@ type ColumnInfo struct {
 // first error instead.
 type Writer struct {
 	f         *os.File
-	path      string // final destination, temp renamed here on Close
+	path      string        // final destination, temp renamed here on Close
+	buf       *bufio.Writer // under w: one write call per writeBufBytes
 	w         *countingWriter
 	rows      uint64
 	chunkRows int
@@ -106,6 +115,10 @@ type Writer struct {
 	closed    bool
 	err       error // first write/Add failure; poisons Close
 }
+
+// writeBufBytes is the Writer's buffer: a write call per MiB, not per
+// chunk, whatever the chunk size (BenchmarkWriterChunkRows).
+const writeBufBytes = 1 << 20
 
 type countingWriter struct {
 	w io.Writer
@@ -134,7 +147,8 @@ func NewWriter(path string, rows uint64, chunkRows int) (*Writer, error) {
 		os.Remove(f.Name())
 		return nil, fmt.Errorf("colstore: %w", err)
 	}
-	w := &Writer{f: f, path: path, w: &countingWriter{w: f}, rows: rows, chunkRows: chunkRows, names: map[string]bool{}}
+	buf := bufio.NewWriterSize(f, writeBufBytes)
+	w := &Writer{f: f, path: path, buf: buf, w: &countingWriter{w: buf}, rows: rows, chunkRows: chunkRows, names: map[string]bool{}}
 	hdr := make([]byte, 8)
 	copy(hdr, magic[:])
 	binary.LittleEndian.PutUint32(hdr[4:], version)
@@ -261,6 +275,10 @@ func (w *Writer) Close() error {
 	if _, err := w.w.Write(buf); err != nil {
 		w.discard()
 		return fmt.Errorf("colstore: write directory: %w", err)
+	}
+	if err := w.buf.Flush(); err != nil {
+		w.discard()
+		return fmt.Errorf("colstore: write: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		w.discard()
@@ -458,13 +476,12 @@ const (
 
 // freeBufs is the free list of chunk read buffers, so that a read reuses
 // a buffer instead of allocating (and zeroing) one per chunk. It holds at
-// most 16 buffers, one for each chunk read in flight when a server runs
-// twice its default 8 concurrent requests (a read holds one buffer at a
-// time): 1 MiB of default-sized buffers, and at most 8 MiB when chunks
-// of 64 Ki rows are read. A
-// channel rather than a sync.Pool: a pool is emptied by every GC, a
-// channel keeps what a read allocates independent of when the collector
-// runs. The buffers carry nothing from one read to the next: every read
+// most 16 buffers, one for each chunk in hand when a server runs its
+// default 8 concurrent requests, each visiting two columns (a read holds
+// one buffer a column at a time): 1 MiB of default-sized buffers, and at
+// most 8 MiB when chunks of 64 Ki rows are read. A channel rather than a
+// sync.Pool: a pool is emptied by every GC, a channel keeps what a read
+// allocates independent of when the collector runs. The buffers carry nothing from one read to the next: every read
 // fills its buffer from the file and checks the CRC before anyone sees a
 // byte.
 var freeBufs = make(chan []byte, 16)
@@ -547,29 +564,163 @@ func (file *File) column(name string, want ...ColumnType) (*ColumnInfo, error) {
 	return nil, fmt.Errorf("colstore: column %q has unknown type", name)
 }
 
-// readRange reads the chunks of ci that overlap rows [lo, hi) and hands
-// fn each one's bytes clipped to the range, in row order. It charges the
-// chunk bytes and the hi-lo values to cost. The caller has checked
-// lo <= hi <= rows.
+// cursor is one column's place in a visit: the chunk of rows [base,
+// end) and, when it overlaps the visit, its verified bytes in a
+// free-listed buffer.
+type cursor struct {
+	ci        *ColumnInfo
+	next      int // the chunk after the one in hand
+	base, end uint64
+	buf       []byte
+}
+
+// visitRange walks the chunk tables of cis in lockstep over rows [lo,
+// hi) and hands fn each run of rows as every column's verified bytes. A
+// run ends at the next chunk boundary of any column, so where the
+// columns share boundaries (one Writer wrote them) a run is one chunk. A
+// column named twice has a cursor, and a buffer, of its own. It charges
+// cost each chunk read and hi-lo values a column. The caller has checked
+// lo <= hi <= rows. It is the one range-read path of the package.
 //
-// fn must not keep words, or any slice of it: the bytes live in a
-// free-listed buffer that the next chunk read overwrites.
-func (file *File) readRange(ci *ColumnInfo, lo, hi uint64, cost *obs.Cost, fn func(words []byte)) error {
-	var base uint64
-	for idx := 0; idx < len(ci.chunks) && base < hi && lo < hi; idx++ {
-		end := base + uint64(ci.chunks[idx].rows)
-		if end > lo {
-			buf, err := file.readChunk(ci, idx, cost)
-			if err != nil {
-				return err
+// fn must not keep words, or any slice of them: the bytes live in
+// free-listed buffers that the next chunk reads overwrite, one buffer a
+// column at a time. An error from fn stops the visit and is returned as
+// is.
+func (file *File) visitRange(cis []*ColumnInfo, lo, hi uint64, cost *obs.Cost, fn func(words [][]byte) error) error {
+	curs := make([]cursor, len(cis))
+	words := make([][]byte, len(cis))
+	defer func() {
+		for _, c := range curs {
+			if c.buf != nil {
+				putChunkBuf(c.buf)
 			}
-			fn(buf[8*(max(lo, base)-base) : 8*(min(hi, end)-base)])
-			putChunkBuf(buf)
 		}
-		base = end
+	}()
+	for i, ci := range cis {
+		curs[i].ci = ci
 	}
-	cost.AddValues(hi - lo)
+	for at := lo; at < hi; {
+		end := hi
+		for i := range curs {
+			c := &curs[i]
+			// Open validated that the chunks hold every row, so a
+			// cursor reaches the chunk holding at before it runs out.
+			for c.end <= at {
+				if c.buf != nil {
+					putChunkBuf(c.buf)
+					c.buf = nil
+				}
+				c.base, c.end = c.end, c.end+uint64(c.ci.chunks[c.next].rows)
+				if c.end > at {
+					buf, err := file.readChunk(c.ci, c.next, cost)
+					if err != nil {
+						return err
+					}
+					c.buf = buf
+				}
+				c.next++
+			}
+			end = min(end, c.end)
+		}
+		for i, c := range curs {
+			words[i] = c.buf[8*(at-c.base) : 8*(end-c.base)]
+		}
+		if err := fn(words); err != nil {
+			return err
+		}
+		at = end
+	}
+	cost.AddValues(uint64(len(cis)) * (hi - lo))
 	return nil
+}
+
+// bigEndian is set on a host that stores a uint64 most significant byte
+// first, where a view must swap the file's little-endian words.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// floats returns words, a run of verified little-endian values of type
+// t, as float64 values in place: a view of the same bytes, swapped on a
+// big-endian host and converted from int64 where t is Int64, so a visit
+// neither decodes into nor allocates a second array. Each run's bytes are
+// viewed once, so no value is converted twice. The view is taken only of
+// 8-byte aligned bytes, as free-listed buffers and every slice of them at
+// a value boundary are; anything else is decoded into a fresh slice.
+func floats(t ColumnType, words []byte) []float64 {
+	n := len(words) / 8
+	if n == 0 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(words))
+	if uintptr(p)%8 != 0 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
+		}
+		p = unsafe.Pointer(unsafe.SliceData(out))
+	} else if bigEndian {
+		v := unsafe.Slice((*uint64)(p), n)
+		for i := range v {
+			v[i] = binary.LittleEndian.Uint64(words[8*i:])
+		}
+	}
+	if t == Int64 {
+		v := unsafe.Slice((*uint64)(p), n)
+		for i, w := range v {
+			v[i] = math.Float64bits(float64(int64(w)))
+		}
+	}
+	return unsafe.Slice((*float64)(p), n)
+}
+
+// rangeColumns looks up the named float64 or int64 columns of a visit of
+// rows [lo, hi) and checks the range.
+func (file *File) rangeColumns(names []string, lo, hi uint64) ([]*ColumnInfo, error) {
+	if lo > hi || hi > file.rows {
+		return nil, fmt.Errorf("colstore: %q: row range [%d, %d) outside [0, %d)", names, lo, hi, file.rows)
+	}
+	cis := make([]*ColumnInfo, len(names))
+	for i, name := range names {
+		ci, err := file.column(name, Float64, Int64)
+		if err != nil {
+			return nil, err
+		}
+		cis[i] = ci
+	}
+	return cis, nil
+}
+
+// VisitRangeCost reads rows [lo, hi) of the named columns, float64 or
+// int64, chunk by chunk and in lockstep, and hands fn each run of rows:
+// vals[i] holds the run's values of names[i] as float64, a view of the
+// chunk buffer it was read into and CRC-checked in, with no decode pass
+// and no allocation that grows with the rows (see floats). A run ends at
+// the next chunk boundary of any of the columns. It charges cost what
+// ReadAsFloat64RangeCost charges for each name: the chunk bytes and hi-lo
+// values. It is the access path of every kernel over a contiguous row
+// range — an unconditional histogram, a min/max — which folds or bins
+// the runs as they come instead of reading whole columns.
+//
+// fn must keep neither vals nor any slice of it: the next run's reads
+// overwrite the buffers. An error from fn stops the visit and is
+// returned as is.
+func (file *File) VisitRangeCost(names []string, lo, hi uint64, cost *obs.Cost, fn func(vals [][]float64) error) error {
+	cis, err := file.rangeColumns(names, lo, hi)
+	if err != nil {
+		return err
+	}
+	return file.visitFloats(cis, lo, hi, cost, fn)
+}
+
+// visitFloats is visitRange with each column's bytes viewed as float64
+// values.
+func (file *File) visitFloats(cis []*ColumnInfo, lo, hi uint64, cost *obs.Cost, fn func(vals [][]float64) error) error {
+	vals := make([][]float64, len(cis))
+	return file.visitRange(cis, lo, hi, cost, func(words [][]byte) error {
+		for i, w := range words {
+			vals[i] = floats(cis[i].Type, w)
+		}
+		return fn(vals)
+	})
 }
 
 // ReadFloat64 reads a whole float64 column.
@@ -580,20 +731,18 @@ func (file *File) ReadFloat64(name string) ([]float64, error) {
 	return file.ReadAsFloat64RangeCost(name, 0, file.rows, nil)
 }
 
-// ReadInt64 reads a whole int64 column.
+// ReadInt64 reads a whole int64 column, from its raw words.
 func (file *File) ReadInt64(name string) ([]int64, error) {
 	ci, err := file.column(name, Int64)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, file.rows)
-	next := out
-	err = file.readRange(ci, 0, file.rows, nil, func(words []byte) {
-		dst := next[:len(words)/8]
-		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
+	out := make([]int64, 0, file.rows)
+	err = file.visitRange([]*ColumnInfo{ci}, 0, file.rows, nil, func(words [][]byte) error {
+		for w := words[0]; len(w) > 0; w = w[8:] {
+			out = append(out, int64(binary.LittleEndian.Uint64(w)))
 		}
-		next = next[len(dst):]
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -628,30 +777,18 @@ func (file *File) ReadAsFloat64(name string) ([]float64, error) {
 
 // ReadAsFloat64RangeCost reads rows [lo, hi) of any column as float64,
 // touching only the chunks that overlap the range, and charges the read
-// to cost. It is the access path of a shard fragment, which owns one
-// contiguous row range of the step.
+// to cost: a visit (VisitRangeCost) that appends each run to its answer.
+// It is the access path of a kernel that needs the whole range at once,
+// such as the scan backend's.
 func (file *File) ReadAsFloat64RangeCost(name string, lo, hi uint64, cost *obs.Cost) ([]float64, error) {
-	ci, err := file.column(name, Float64, Int64)
+	cis, err := file.rangeColumns([]string{name}, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if lo > hi || hi > file.rows {
-		return nil, fmt.Errorf("colstore: %q: row range [%d, %d) outside [0, %d)", name, lo, hi, file.rows)
-	}
-	out := make([]float64, hi-lo)
-	next := out
-	err = file.readRange(ci, lo, hi, cost, func(words []byte) {
-		dst := next[:len(words)/8]
-		if ci.Type == Int64 {
-			for i := range dst {
-				dst[i] = float64(int64(binary.LittleEndian.Uint64(words[8*i:])))
-			}
-		} else {
-			for i := range dst {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
-			}
-		}
-		next = next[len(dst):]
+	out := make([]float64, 0, hi-lo)
+	err = file.visitFloats(cis, lo, hi, cost, func(vals [][]float64) error {
+		out = append(out, vals[0]...)
+		return nil
 	})
 	if err != nil {
 		return nil, err

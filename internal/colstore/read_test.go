@@ -367,3 +367,26 @@ func BenchmarkReadRange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVisitRange visits one whole column and folds its runs, the
+// access of an unconditional histogram: BenchmarkReadRange's chunks, read
+// and checked alike, with no decode pass and no column allocated.
+func BenchmarkVisitRange(b *testing.B) {
+	path, _ := writeColumns(b, benchRows, 0, []string{"px"}, 7)
+	f := openTB(b, path)
+	names := []string{"px"}
+	b.ReportAllocs()
+	b.SetBytes(8 * benchRows)
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		err := f.VisitRangeCost(names, 0, benchRows, nil, func(vals [][]float64) error {
+			sum += vals[0][0]
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = sum
+}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,5 +181,41 @@ func TestOpenAfterPartialWrite(t *testing.T) {
 			t.Fatalf("truncated to %d/%d bytes but read full column", n, len(whole))
 		}
 		f.Close()
+	}
+}
+
+// BenchmarkWriterChunkRows writes a D12-sized step — benchRows rows of
+// three float64 columns and an int64 id — in chunks of 1 Ki, 8 Ki (the
+// default) and 64 Ki rows, fsync and publish included: what the chunk
+// size costs a writer that makes one write call per chunk.
+func BenchmarkWriterChunkRows(b *testing.B) {
+	vals := make([]float64, benchRows)
+	ids := make([]int64, benchRows)
+	for i := range vals {
+		vals[i] = float64(i) * 1e-3
+		ids[i] = int64(i)
+	}
+	for _, chunkRows := range []int{1 << 10, DefaultChunkRows, 1 << 16} {
+		b.Run(fmt.Sprint(chunkRows), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "step.lwc")
+			b.SetBytes(4 * 8 * benchRows)
+			for i := 0; i < b.N; i++ {
+				w, err := NewWriter(path, benchRows, chunkRows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, name := range []string{"x", "px", "py"} {
+					if err := w.AddFloat64(name, vals); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.AddInt64("id", ids); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

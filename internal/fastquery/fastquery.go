@@ -488,7 +488,11 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 		if err != nil {
 			return nil, err
 		}
-		return histogram2D(ctx, st, rows, spec, histogram.Compute2DCtx)
+		h, err := st.histogram2D(ctx, rows, spec, true)
+		if err != nil {
+			return nil, err
+		}
+		return h.Hist(), nil
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, 0, st.Rows(), cond, spec.XVar, spec.YVar)
 		if err != nil {
@@ -502,11 +506,11 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 			}
 			xs, ys = gather(xs, pos), gather(ys, pos)
 		}
-		xe, ye, err := edges2D(xs, ys, spec)
+		e, err := inMemory(len(xs), map[string][]float64{spec.XVar: xs, spec.YVar: ys}).edges(ctx, axes2D(spec)...)
 		if err != nil {
 			return nil, err
 		}
-		return scan.ConditionalHistogram2DCtx(ctx, cols, spec.XVar, spec.YVar, cond, xe, ye)
+		return scan.ConditionalHistogram2DCtx(ctx, cols, spec.XVar, spec.YVar, cond, e[0], e[1])
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}
@@ -535,11 +539,11 @@ func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histog
 			}
 			vs = gather(vs, pos)
 		}
-		edges, err := edges1D(vs, spec)
+		e, err := inMemory(len(vs), map[string][]float64{spec.Var: vs}).edges(ctx, axes1D(spec)...)
 		if err != nil {
 			return nil, err
 		}
-		return scan.Histogram1DCtx(ctx, cols, spec.Var, cond, edges)
+		return scan.Histogram1DCtx(ctx, cols, spec.Var, cond, e[0])
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}

@@ -105,7 +105,14 @@ func AdaptiveEdges(values []float64, lo, hi float64, bins int, minDensity float6
 	if err != nil {
 		return nil, err
 	}
-	cuts, err := cutCounts(h.Edges, h.Counts, bins, minDensity)
+	return AdaptiveEdgesOf(h, lo, hi, bins, minDensity)
+}
+
+// AdaptiveEdgesOf is AdaptiveEdges given the fine histogram, the counts of
+// UniformEdges(lo, hi, AdaptiveRefine·bins), however they were binned: a
+// kernel that reads its values run by run bins them into a Binner1D.
+func AdaptiveEdgesOf(fine *Hist1D, lo, hi float64, bins int, minDensity float64) ([]float64, error) {
+	cuts, err := cutCounts(fine.Edges, fine.Counts, bins, minDensity)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func (c *cancelAfter) Err() error {
 
 // TestGridPoolStaysZero: every grid the pool hands out is all-zero — after
 // the grid binned a partial and was encoded, after a binning cancelled at
-// a checkpoint, after a sparse binning's cell indices and sort scratch
+// a checkpoint, after a Binner2D released with batches binned, after a sparse binning's cell indices and sort scratch
 // were used, finished or cancelled, and after AppendCountsJSON expanded a
 // merge into it — with
 // eight goroutines taking and returning grids at once, and the pool never
@@ -108,7 +108,7 @@ func TestGridPoolStaysZero(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				switch (w + i) % 3 {
+				switch (w + i) % 4 {
 				case 0: // bin and encode, through the grid and sparse
 					for _, sparse := range []bool{false, true} {
 						h, err := compute2D(context.Background(), "x", "y", xs, ys, xe, ye, sparse)
@@ -124,6 +124,19 @@ func TestGridPoolStaysZero(t *testing.T) {
 							errs <- fmt.Errorf("cancelled binning (sparse %v) returned %v", sparse, err)
 							return
 						}
+					}
+				case 3: // batches binned, then abandoned, as when the read feeding them fails
+					for _, path := range []binPath{pooledGrid, sortedCells} {
+						b, err := newBinner2D("x", "y", xe, ye, uint64(pairs), path)
+						if err == nil {
+							err = b.Add(context.Background(), xs[:pairs/2], ys[:pairs/2])
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						b.Release()
+						b.Release()
 					}
 				case 2: // merge and write as JSON
 					sum := &Cells2D{XEdges: xe, YEdges: ye}

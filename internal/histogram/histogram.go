@@ -289,17 +289,44 @@ func Compute1D(name string, values []float64, edges []float64) (*Hist1D, error) 
 
 // Compute1DCtx is Compute1D with cooperative cancellation: the binning
 // loop aborts with ctx.Err() within checkpointRows values of ctx being
-// canceled.
+// canceled. It is Binner1D's one-batch case.
 func Compute1DCtx(ctx context.Context, name string, values []float64, edges []float64) (*Hist1D, error) {
+	b, err := NewBinner1D(name, edges)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Add(ctx, values); err != nil {
+		return nil, err
+	}
+	return b.Hist(), nil
+}
+
+// Binner1D bins values into dense counts batch by batch: the one 1D
+// binning kernel. Compute1DCtx is its one-batch case; a visit over a row
+// range adds each run of values as it comes, so no column is held.
+type Binner1D struct {
+	h   *Hist1D
+	loc *Locator
+}
+
+// NewBinner1D returns a Binner1D of no values over the given edges.
+func NewBinner1D(name string, edges []float64) (*Binner1D, error) {
 	loc, err := NewLocator(edges)
 	if err != nil {
 		return nil, err
 	}
-	h := &Hist1D{Var: name, Edges: edges, Counts: make([]uint64, loc.Bins())}
+	return &Binner1D{h: &Hist1D{Var: name, Edges: edges, Counts: make([]uint64, loc.Bins())}, loc: loc}, nil
+}
+
+// Add bins values; those outside the edges are ignored. It tests ctx
+// before the first value and every checkpointRows values, and on
+// cancellation returns ctx.Err() with the batch binned in part.
+func (b *Binner1D) Add(ctx context.Context, values []float64) error {
+	loc, counts := b.loc, b.h.Counts
 	for row, v := range values {
 		if row&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		i := loc.Guess(v)
@@ -308,10 +335,13 @@ func Compute1DCtx(ctx context.Context, name string, values []float64, edges []fl
 				continue
 			}
 		}
-		h.Counts[i]++
+		counts[i]++
 	}
-	return h, nil
+	return nil
 }
+
+// Hist returns the counts of the values added.
+func (b *Binner1D) Hist() *Hist1D { return b.h }
 
 // Hist2D is a two-dimensional histogram over an (X, Y) variable pair,
 // with dense counts stored row-major: Counts[iy*XBins + ix]. As with
@@ -382,22 +412,21 @@ func Compute2D(xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*
 }
 
 // Compute2DCtx is Compute2D with cooperative cancellation at
-// checkpointRows intervals.
+// checkpointRows intervals. It is a dense Binner2D's one-batch case.
 func Compute2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Hist2D, error) {
-	lx, ly, err := locators2D(xs, ys, xedges, yedges)
+	b, err := NewDenseBinner2D(xvar, yvar, xedges, yedges)
 	if err != nil {
 		return nil, err
 	}
-	h := &Hist2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, Counts: make([]uint64, lx.Bins()*ly.Bins())}
-	if err := binGrid(ctx, h.Counts, lx, ly, xs, ys); err != nil {
+	if err := b.Add(ctx, xs, ys); err != nil {
 		return nil, err
 	}
-	return h, nil
+	return b.Hist(), nil
 }
 
-// sparseDivisor sets how Partial2DCtx bins: n pairs go straight into the
-// cells form when n < cells/sparseDivisor, and through a pooled grid
-// otherwise. BenchmarkCompute2D (bin, then encode for the wire; uniform
+// sparseDivisor sets how a partial's Binner2D bins: n pairs go straight
+// into the cells form when n < cells/sparseDivisor, and through a pooled
+// grid otherwise. BenchmarkCompute2D (bin, then encode for the wire; uniform
 // random pairs, the worst case for occupancy) puts the two at par near
 // cells/4 on 256² and 512² grids, before and after both located bins
 // inline; on 1024² the cells form still leads there, by ~40 %, but the
@@ -408,92 +437,188 @@ const sparseDivisor = 4
 
 // Partial2DCtx is Compute2DCtx for a partial that will be merged, sent or
 // answered rather than read: it bins straight into the cells form, the
-// compact count encoding a decoded partial holds. Few pairs against the
-// grid (see sparseDivisor) are binned as sorted cell indices; the rest
-// into a pooled grid — uint32 counts, uint64 from 2³² pairs up — that is
-// encoded and cleared in one pass and goes back to the pool all-zero, a
-// cancelled binning included. No grid is allocated or zeroed per call.
+// compact count encoding a decoded partial holds. It is Binner2D's
+// one-batch case.
 func Partial2DCtx(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64) (*Cells2D, error) {
-	cells := (len(xedges) - 1) * (len(yedges) - 1)
-	return compute2D(ctx, xvar, yvar, xs, ys, xedges, yedges, len(xs) < cells/sparseDivisor)
-}
-
-// compute2D bins the pairs into the cells form, from their sorted cell
-// indices when sparse is set, else through a pooled grid.
-func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64, sparse bool) (*Cells2D, error) {
-	lx, ly, err := locators2D(xs, ys, xedges, yedges)
+	b, err := NewBinner2D(xvar, yvar, xedges, yedges, uint64(len(xs)))
 	if err != nil {
 		return nil, err
 	}
-	var e encoding
-	switch n := lx.Bins() * ly.Bins(); {
-	case sparse:
-		e, err = binSparse(ctx, n, lx, ly, xs, ys)
-	case uint64(len(xs)) > math.MaxUint32: // more than a uint32 cell counts
-		e, err = binEncode(ctx, make([]uint64, n), lx, ly, xs, ys)
-	default:
-		g := getGrid(n)
-		e, err = binEncode(ctx, g, lx, ly, xs, ys)
-		putGrid(g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Cells2D{XVar: xvar, YVar: yvar, XEdges: xedges, YEdges: yedges, cells: []encoding{e}}, nil
+	return b.oneBatch(ctx, xs, ys)
 }
 
-// locators2D checks the pairs and the edges of a 2D histogram and returns
-// the edges' locators.
-func locators2D(xs, ys []float64, xedges, yedges []float64) (*Locator, *Locator, error) {
-	if len(xs) != len(ys) {
-		return nil, nil, fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
+// oneBatch adds the pairs as the binner's one batch and returns them in
+// the cells form.
+func (b *Binner2D) oneBatch(ctx context.Context, xs, ys []float64) (*Cells2D, error) {
+	defer b.Release()
+	if err := b.Add(ctx, xs, ys); err != nil {
+		return nil, err
 	}
+	return b.Cells(), nil
+}
+
+// Binner2D bins (x, y) pairs batch by batch: the one 2D binning kernel.
+// Partial2DCtx and Compute2DCtx are its one-batch cases; a visit over a
+// row range adds each run of rows as it comes, so no column is held. A
+// partial's binner (NewBinner2D) bins into the cells form, by a path
+// that the number of pairs, declared up front, picks: few pairs against
+// the grid (see sparseDivisor) are binned as their cell indices, sorted
+// at the end; the rest into a pooled grid — uint32 counts, uint64 from
+// 2³² pairs up — that is encoded and cleared in one pass. No grid is
+// allocated or zeroed per partial. A reader's binner (NewDenseBinner2D)
+// bins into a fresh grid of uint64 counts, which Hist hands over.
+//
+// A partial's binner holds pooled memory from NewBinner2D to Cells or
+// Release, and gives it back all-zero whichever way the binning ends —
+// finished, cancelled, or abandoned when the read feeding it fails — so
+// a caller defers Release as soon as it has one.
+type Binner2D struct {
+	xvar, yvar     string
+	xedges, yedges []float64
+	lx, ly         *Locator
+	pairs, room    uint64   // pairs declared; of those, not added yet
+	grid           []uint32 // pooledGrid
+	wide           []uint64 // freshGrid
+	idx            []uint32 // sortedCells: the cell index of each pair binned
+	k              int      // sortedCells: indices in idx
+}
+
+// binPath is where a Binner2D puts its counts.
+type binPath int
+
+const (
+	pooledGrid  binPath = iota // a pooled grid of uint32 cells
+	sortedCells                // the cell index of each pair, sorted at the end
+	freshGrid                  // a fresh grid of uint64 cells
+)
+
+// NewBinner2D returns a partial's Binner2D of no pairs, for at most pairs
+// pairs, over the given edges.
+func NewBinner2D(xvar, yvar string, xedges, yedges []float64, pairs uint64) (*Binner2D, error) {
+	path := pooledGrid
+	switch cells := (len(xedges) - 1) * (len(yedges) - 1); {
+	case pairs < uint64(max(cells, 0)/sparseDivisor):
+		path = sortedCells
+	case pairs > math.MaxUint32: // more than a uint32 cell counts
+		path = freshGrid
+	}
+	return newBinner2D(xvar, yvar, xedges, yedges, pairs, path)
+}
+
+// NewDenseBinner2D returns a reader's Binner2D of no pairs over the given
+// edges: its counts are dense (Hist).
+func NewDenseBinner2D(xvar, yvar string, xedges, yedges []float64) (*Binner2D, error) {
+	return newBinner2D(xvar, yvar, xedges, yedges, math.MaxUint64, freshGrid)
+}
+
+func newBinner2D(xvar, yvar string, xedges, yedges []float64, pairs uint64, path binPath) (*Binner2D, error) {
 	lx, err := NewLocator(xedges)
 	if err != nil {
-		return nil, nil, fmt.Errorf("histogram: x edges: %w", err)
+		return nil, fmt.Errorf("histogram: x edges: %w", err)
 	}
 	ly, err := NewLocator(yedges)
 	if err != nil {
-		return nil, nil, fmt.Errorf("histogram: y edges: %w", err)
+		return nil, fmt.Errorf("histogram: y edges: %w", err)
 	}
-	return lx, ly, nil
+	b := &Binner2D{xvar: xvar, yvar: yvar, xedges: xedges, yedges: yedges, lx: lx, ly: ly, pairs: pairs, room: pairs}
+	switch n := lx.Bins() * ly.Bins(); path {
+	case sortedCells:
+		if pairs > 0 {
+			b.idx = getGrid(int(pairs))
+		}
+	case freshGrid:
+		b.wide = make([]uint64, n)
+	default:
+		b.grid = getGrid(n)
+	}
+	return b, nil
 }
 
-// binEncode bins the pairs into the all-zero grid g and encodes it, which
-// leaves g all-zero again, on a cancelled binning too.
-func binEncode[T uint32 | uint64](ctx context.Context, g []T, lx, ly *Locator, xs, ys []float64) (encoding, error) {
-	if err := binGrid(ctx, g, lx, ly, xs, ys); err != nil {
-		return encoding{}, err
+// Add bins the pairs; those with either coordinate outside its edges are
+// ignored. It tests ctx before the first pair and every checkpointRows
+// pairs; after an error the binner is only good for Release.
+func (b *Binner2D) Add(ctx context.Context, xs, ys []float64) error {
+	if len(xs) != len(ys) {
+		return fmt.Errorf("histogram: length mismatch %d vs %d", len(xs), len(ys))
 	}
-	// Two bytes a non-zero cell, a gap and a count, is the common
-	// encoding; far fewer cells than pairs is copied down to size.
-	b, t := appendGrid(make([]byte, 0, 16+2*min(len(xs), len(g))), g, true)
+	if uint64(len(xs)) > b.room {
+		return fmt.Errorf("histogram: %d pairs past the %d declared", len(xs), b.room)
+	}
+	b.room -= uint64(len(xs))
+	switch {
+	case b.grid != nil:
+		return binGrid(ctx, b.grid, b.lx, b.ly, xs, ys)
+	case b.wide != nil:
+		return binGrid(ctx, b.wide, b.lx, b.ly, xs, ys)
+	}
+	k, err := binCells(ctx, b.idx[b.k:], b.lx, b.ly, xs, ys)
+	b.k += k
+	return err
+}
+
+// Hist returns the dense counts of a reader's binner (NewDenseBinner2D).
+func (b *Binner2D) Hist() *Hist2D {
+	return &Hist2D{XVar: b.xvar, YVar: b.yvar, XEdges: b.xedges, YEdges: b.yedges, Counts: b.wide}
+}
+
+// Cells returns the pairs added in the cells form and gives the pooled
+// memory back.
+func (b *Binner2D) Cells() *Cells2D {
+	var e encoding
+	switch n, pairs := b.lx.Bins()*b.ly.Bins(), int(min(b.pairs-b.room, math.MaxInt32)); {
+	case b.grid != nil:
+		e = encodeBinned(b.grid, pairs)
+		putGrid(b.grid) // all-zero: encoded
+		b.grid = nil
+	case b.wide != nil:
+		e = encodeBinned(b.wide, pairs)
+	case b.k == 0:
+		e = encodeCells(n, nil, nil)
+	default:
+		tmp := getGrid(b.k)
+		e = encodeCells(n, b.idx[:b.k], tmp)
+		clear(tmp)
+		putGrid(tmp)
+	}
+	b.Release()
+	return &Cells2D{XVar: b.xvar, YVar: b.yvar, XEdges: b.xedges, YEdges: b.yedges, cells: []encoding{e}}
+}
+
+// Release gives the pooled memory back all-zero; it is a no-op after
+// Cells or another Release.
+func (b *Binner2D) Release() {
+	if b.grid != nil {
+		clear(b.grid)
+		putGrid(b.grid)
+	}
+	if b.idx != nil {
+		clear(b.idx[:b.k])
+		putGrid(b.idx)
+	}
+	b.grid, b.wide, b.idx, b.k = nil, nil, nil, 0
+}
+
+// encodeBinned encodes the grid g of binned counts, which leaves g
+// all-zero again. pairs bounds the non-zero cells: the encoding is sized
+// for two bytes a cell, a gap and a count, the common case, and far fewer
+// cells than that is copied down to size.
+func encodeBinned[T uint32 | uint64](g []T, pairs int) encoding {
+	b, t := appendGrid(make([]byte, 0, 16+2*min(pairs, len(g))), g, true)
 	if cap(b) > 2*len(b)+wireHead {
 		b = slices.Clone(b)
 	}
-	return encoding{b, t}, nil
+	return encoding{b, t}
 }
 
-// binSparse bins the pairs as the cell index of each, then encodes those
-// for a grid of n cells. The indices and the sort's scratch are pooled
-// grids, cleared where they were written before they go back, so the
-// encoding is all a sparse binning allocates.
-func binSparse(ctx context.Context, n int, lx, ly *Locator, xs, ys []float64) (encoding, error) {
-	if len(xs) == 0 {
-		return encodeCells(n, nil, nil), nil
-	}
-	nx := lx.Bins()
-	idx, tmp, k := getGrid(len(xs)), getGrid(len(xs)), 0
-	defer func() {
-		clear(idx[:k])
-		clear(tmp[:k])
-		putGrid(idx)
-		putGrid(tmp)
-	}()
+// binCells writes the cell index of each pair inside the locators' edges
+// into idx, which has room for every pair, and returns how many it
+// wrote; it tests ctx as binGrid does.
+func binCells(ctx context.Context, idx []uint32, lx, ly *Locator, xs, ys []float64) (int, error) {
+	nx, k := lx.Bins(), 0
 	for i := range xs {
 		if i&(checkpointRows-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return encoding{}, err
+				return k, err
 			}
 		}
 		x, y := xs[i], ys[i]
@@ -512,7 +637,7 @@ func binSparse(ctx context.Context, n int, lx, ly *Locator, xs, ys []float64) (e
 		idx[k] = uint32(iy*nx + ix)
 		k++
 	}
-	return encodeCells(n, idx[:k], tmp[:k]), nil
+	return k, nil
 }
 
 // encodeCells returns the compact count encoding of a grid of n cells

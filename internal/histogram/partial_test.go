@@ -137,3 +137,17 @@ func BenchmarkCompute2D(b *testing.B) {
 		}
 	}
 }
+
+// compute2D is Partial2DCtx with the path forced: the pairs' sorted cell
+// indices when cellIndices is set, else the pooled grid.
+func compute2D(ctx context.Context, xvar, yvar string, xs, ys []float64, xedges, yedges []float64, cellIndices bool) (*Cells2D, error) {
+	path := pooledGrid
+	if cellIndices {
+		path = sortedCells
+	}
+	b, err := newBinner2D(xvar, yvar, xedges, yedges, uint64(len(xs)), path)
+	if err != nil {
+		return nil, err
+	}
+	return b.oneBatch(ctx, xs, ys)
+}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/fastquery"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/scan"
 )
 
 // Eval evaluates one fragment against one step. It is the executor's
@@ -28,7 +27,7 @@ import (
 // serving layer can run the identical code in-process for the one-shard
 // case. Every ranged fragment costs work proportional to its row range:
 // selections are evaluated over the range only, and an unconditional
-// fragment reads the range's values directly.
+// fragment visits the range's chunks, once a pass, and keeps nothing.
 func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.FragmentResult, error) {
 	expr, err := parseQuery(f.Query)
 	if err != nil {
@@ -81,14 +80,13 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 func evalOver(ctx context.Context, st *fastquery.Step, f plan.Fragment, rows fastquery.Rows) (*plan.FragmentResult, error) {
 	switch f.Op {
 	case plan.FragMinMax:
+		lo, hi, n, err := st.MinMaxOver(ctx, rows, f.Vars)
+		if err != nil {
+			return nil, err
+		}
 		res := &plan.FragmentResult{}
-		for _, v := range f.Vars {
-			vs, err := st.Values(ctx, rows, v)
-			if err != nil {
-				return nil, err
-			}
-			lo, hi := scan.MinMax(vs)
-			res.MinMax = append(res.MinMax, plan.VarRange{Var: v, Lo: lo, Hi: hi, N: uint64(len(vs))})
+		for i, v := range f.Vars {
+			res.MinMax = append(res.MinMax, plan.VarRange{Var: v, Lo: lo[i], Hi: hi[i], N: n})
 		}
 		return res, nil
 

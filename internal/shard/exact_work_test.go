@@ -179,6 +179,62 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 			}
 		}
 	}
+
+	// An unconditional histogram reads its fragment's range straight out
+	// of the chunks, once a pass: min/max without a range, a fine count
+	// for an adaptive axis, then the bins; one process makes the same
+	// passes over the whole step. So at every split the values read and
+	// the bitmap operations are the one-process ones, and the data bytes
+	// exceed them only by the chunks two windows share, once a column
+	// pass.
+	unconditional := []struct {
+		name   string
+		q      plan.Query
+		passes uint64 // column passes: (min/max, fine, bins) × columns
+	}{
+		{"hist2d", plan.Query{Op: plan.OpHist2D, Spec2: histogram.NewSpec2D("x", "px", 16, 16)}, 4},
+		{"hist1d", plan.Query{Op: plan.OpHist1D, Spec1: histogram.NewSpec1D("px", 16)}, 2},
+		{"adaptive", plan.Query{Op: plan.OpHist2D, Spec2: histogram.NewSpec2D("x", "px", 16, 16).WithBinning(histogram.Adaptive)}, 6},
+	}
+	for _, backend := range []fastquery.Backend{fastquery.FastBit, fastquery.Scan} {
+		for _, uc := range unconditional {
+			t.Run(fmt.Sprintf("%v/unconditional/%s", backend, uc.name), func(t *testing.T) {
+				q := uc.q
+				q.Dataset, q.Step, q.Backend = "lwfa", step, backend
+				run := func(shards int) (*plan.DenseResult, obs.CostSnapshot) {
+					r := &costRunner{ex: testExecutor(t)}
+					res, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast)
+					if err != nil {
+						t.Fatalf("%d shards: %v", shards, err)
+					}
+					for _, f := range r.frags {
+						if f.cost.CandidateChecks != 0 || f.cost.Rows != 0 {
+							t.Fatalf("%d shards: a %v fragment of an unconditional histogram selected: %+v", shards, f.op, f.cost)
+						}
+					}
+					return res, r.total()
+				}
+				want, single := run(1)
+				if single.ValuesRead != uc.passes*rows {
+					t.Fatalf("one process read %d values, want %d passes over %d rows", single.ValuesRead, uc.passes, rows)
+				}
+				for _, shards := range []int{1, 2, 3, 5, 7} {
+					got, c := run(shards)
+					if !reflect.DeepEqual(got.Hist1, want.Hist1) || !reflect.DeepEqual(got.Hist2, want.Hist2) {
+						t.Fatalf("%d shards: answer differs from one process", shards)
+					}
+					if c.ValuesRead != single.ValuesRead || c.BitmapOps != single.BitmapOps {
+						t.Errorf("%d shards: %d values read, %d bitmap ops; one process %d, %d",
+							shards, c.ValuesRead, c.BitmapOps, single.ValuesRead, single.BitmapOps)
+					}
+					if g, w := c.DataBytes, single.DataBytes; g < w || g > w+uint64(shards-1)*uc.passes*chunkBytes {
+						t.Errorf("%d shards: fragments read %d data bytes, one process %d + up to %d split points × %d column passes × %d-byte chunks",
+							shards, g, w, shards-1, uc.passes, chunkBytes)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestSharedSelection: the two phases of a histogram, and a select over
@@ -321,55 +377,43 @@ func TestHandoffStaysInProbation(t *testing.T) {
 	}
 }
 
-// TestUnconditionalPhasesReadOnce: an unconditional histogram without a
-// range — uniform or adaptive — reads each column once on a fleet, as in
-// one process: phase 1 (min/max) reads its range and keeps what it read,
-// and the fine and final phases read none. A single-phase unconditional
-// histogram, its range given, keeps nothing beside its result.
-func TestUnconditionalPhasesReadOnce(t *testing.T) {
+// TestUnconditionalFragmentsKeepNothing: an unconditional histogram
+// without a range — uniform or adaptive — answers on a fleet as in one
+// process, and no fragment of it leaves anything in a shard's fragment
+// cache beside its own result: each phase visits its range's chunks
+// again, which costs less than a column kept. A single-phase histogram,
+// its range given, is the same.
+func TestUnconditionalFragmentsKeepNothing(t *testing.T) {
 	const shards = 3
 	rows, _ := stepColumn(t, 1, "px")
-	fleet := func() *shardedCost {
+	specs := []histogram.Spec2D{
+		histogram.NewSpec2D("x", "px", 16, 16),
+		histogram.NewSpec2D("x", "px", 16, 16).WithBinning(histogram.Adaptive),
+		histogram.NewSpec2D("x", "px", 16, 16).WithXRange(-1, 1).WithYRange(-1, 1),
+	}
+	for _, spec := range specs {
+		q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1, Backend: fastquery.FastBit, Spec2: spec}
+		want, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: 1}, rows, execRunner{testExecutor(t)}, plan.FailFast)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := &shardedCost{}
 		for range shards {
 			r.exs = append(r.exs, testExecutor(t))
 		}
-		return r
-	}
-	for _, binning := range []histogram.Binning{histogram.Uniform, histogram.Adaptive} {
-		q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1, Backend: fastquery.FastBit,
-			Spec2: histogram.NewSpec2D("x", "px", 16, 16).WithBinning(binning)}
-		single := &costRunner{ex: testExecutor(t)}
-		want, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: 1}, rows, single, plan.FailFast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := fleet()
 		got, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast)
 		if err != nil || !reflect.DeepEqual(got.Hist2, want.Hist2) {
-			t.Fatalf("%v: %d shards answer differently (%v)", binning, shards, err)
+			t.Fatalf("%+v: %d shards answer differently (%v)", spec, shards, err)
 		}
-		var read uint64
 		for _, f := range r.frags {
-			read += f.cost.ValuesRead
-			if f.op != plan.FragMinMax && (f.cost.ValuesRead != 0 || f.cost.DataBytes != 0) {
-				t.Fatalf("%v: a %v fragment after phase 1 read data: %+v", binning, f.op, f.cost)
+			if f.cost.ValuesRead == 0 {
+				t.Fatalf("%+v: a %v fragment read nothing: %+v", spec, f.op, f.cost)
 			}
 		}
-		if w := single.total().ValuesRead; read != w || w != 2*rows {
-			t.Fatalf("%v: %d shards read %d values, one process %d, the columns hold %d", binning, shards, read, w, 2*rows)
-		}
-	}
-
-	q := plan.Query{Op: plan.OpHist2D, Dataset: "lwfa", Step: 1, Backend: fastquery.FastBit,
-		Spec2: histogram.NewSpec2D("x", "px", 16, 16).WithXRange(-1, 1).WithYRange(-1, 1)}
-	r := fleet()
-	if _, err := plan.Execute(context.Background(), q, plan.ShardMap{Shards: shards}, rows, r, plan.FailFast); err != nil {
-		t.Fatal(err)
-	}
-	for i, ex := range r.exs {
-		if st := ex.Stats(); st.Evals != 1 || st.CacheEntries != 1 {
-			t.Fatalf("shard %d: a single-phase histogram left %d entries for %d evaluations", i, st.CacheEntries, st.Evals)
+		for i, ex := range r.exs {
+			if st := ex.Stats(); st.Evals == 0 || uint64(st.CacheEntries) != st.Evals {
+				t.Fatalf("%+v: shard %d left %d cache entries for %d evaluations", spec, i, st.CacheEntries, st.Evals)
+			}
 		}
 	}
 }

@@ -170,28 +170,15 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	metricFragments.Inc()
 	var res *plan.FragmentResult
 	if sf, ok := selectionOf(f); ok {
-		// The phases of a histogram read the same rows, and each column
-		// at them once: phase 1 keeps what it reads under the rows' key,
-		// and the later phases bin it. A conditional fragment's rows are
-		// a FragSelect entry, which a session select over the same range
-		// shares too. An unconditional one's are its range, where only
-		// phase 1 (FragMinMax) keeps, so a single-phase histogram keeps
-		// nothing. None of them promotes these entries; an evicted entry
-		// is just recomputed.
-		g := gathered{c: e.cache, key: sf.Key()}
-		var rows fastquery.Rows
-		if f.Query == "" {
-			g.readOnly = f.Op != plan.FragMinMax
-			lo, hi := rangeOf(st, f.Rows)
-			rows = fastquery.Rows{All: true, Lo: lo, Hi: hi, Gathered: g}
-		} else {
-			var sel *plan.FragmentResult
-			if sel, err = e.selection(ctx, st, sf); err == nil {
-				rows = fastquery.Rows{Pos: sel.Sel, Gathered: g}
-			}
-		}
-		if err == nil {
-			res, err = evalOver(ctx, st, f, rows)
+		// The phases of a conditional histogram read the same rows, and
+		// each column at them once: the rows are a FragSelect entry, which
+		// a session select over the same range shares too, and phase 1
+		// keeps the columns it gathers at them under the rows' key for the
+		// later phases. None of them promotes these entries; an evicted
+		// entry is just recomputed.
+		var sel *plan.FragmentResult
+		if sel, err = e.selection(ctx, st, sf); err == nil {
+			res, err = evalOver(ctx, st, f, fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.cache, key: sf.Key()}})
 		}
 	} else {
 		res, err = Eval(ctx, st, f)
@@ -275,16 +262,15 @@ func fragResult(v any, ok bool) (*plan.FragmentResult, bool) {
 	return res, ok && res != nil
 }
 
-// gathered keeps the columns read at a fragment's rows — a cached
-// selection's positions, or an unconditional fragment's range — in the
-// fragment cache, each under the rows' key and the column's name and
-// charged its 8 bytes a value. Like the selection, a column evicted is
-// just read again. A read-only one finds what another phase kept and
-// keeps nothing.
+// gathered keeps the columns gathered at a conditional fragment's rows,
+// a cached selection's positions, in the fragment cache, each under the
+// rows' key and the column's name and charged its 8 bytes a value. Like
+// the selection, a column evicted is just read again. An unconditional
+// fragment keeps nothing: each of its passes visits its range's chunks
+// (fastquery.Rows), which costs less than a column kept.
 type gathered struct {
-	c        *plan.Store
-	key      string // the rows' FragSelect key
-	readOnly bool
+	c   *plan.Store
+	key string // the rows' FragSelect key
 }
 
 func (g gathered) entry(name string) string { return g.key + "\x1egather\x1f" + name }
@@ -296,23 +282,20 @@ func (g gathered) Column(name string) ([]float64, bool) {
 }
 
 func (g gathered) Keep(name string, vals []float64) {
-	if g.readOnly {
-		return
-	}
 	key := g.entry(name)
 	g.c.Put(key, vals, plan.CacheEntryOverhead+len(key)+8*cap(vals))
 }
 
 // selectionOf returns the FragSelect fragment naming the rows a ranged
-// min/max or histogram fragment reads its values at: for a conditional
-// fragment, the selection whose positions it reads.
+// conditional min/max or histogram fragment reads its values at: the
+// selection whose positions it gathers at.
 func selectionOf(f plan.Fragment) (plan.Fragment, bool) {
 	switch f.Op {
 	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
 	default:
 		return plan.Fragment{}, false
 	}
-	if f.Rows.Whole() {
+	if f.Rows.Whole() || f.Query == "" {
 		return plan.Fragment{}, false
 	}
 	return plan.Fragment{
