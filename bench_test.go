@@ -216,7 +216,7 @@ func BenchmarkFig14ParallelHistograms(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, hi, err := st.MinMax("px")
+	_, hi, err := st.MinMax(context.Background(), "px")
 	st.Close()
 	if err != nil {
 		b.Fatal(err)
@@ -275,7 +275,7 @@ func BenchmarkFig16ParallelTracking(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, hi, err := last.MinMax("px")
+	_, hi, err := last.MinMax(context.Background(), "px")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func withStep(src *fastquery.Source, t int, f func(st *fastquery.Step) error) er
 // varRange returns a variable's value range at one timestep.
 func varRange(src *fastquery.Source, t int, name string) (lo, hi float64, err error) {
 	err = withStep(src, t, func(st *fastquery.Step) error {
-		lo, hi, err = st.MinMax(name)
+		lo, hi, err = st.MinMax(context.Background(), name)
 		return err
 	})
 	return lo, hi, err

@@ -601,8 +601,10 @@ func (st *Step) Histogram2DIndexOnlyCtx(ctx context.Context, cond query.Expr, xv
 }
 
 // MinMax returns the value range of a column, preferring the index's
-// metadata (free) over a column scan.
-func (st *Step) MinMax(name string) (lo, hi float64, err error) {
+// metadata (free) over a min/max visit of the column's chunks, which
+// holds no column and, like the metadata, charges no cost: it describes
+// the step, not a request's work.
+func (st *Step) MinMax(ctx context.Context, name string) (lo, hi float64, err error) {
 	if st.index != nil && st.index.HasColumn(name) {
 		ix, err := st.index.ColumnRows(name, 0, 0, nil) // bounds only
 		if err != nil {
@@ -610,10 +612,10 @@ func (st *Step) MinMax(name string) (lo, hi float64, err error) {
 		}
 		return ix.Min(), ix.Max(), nil
 	}
-	col, err := st.ReadColumn(name)
+	c := &columns{file: st.file, hi: st.Rows(), n: st.Rows()}
+	los, his, err := c.minMax(ctx, []string{name})
 	if err != nil {
 		return math.NaN(), math.NaN(), err
 	}
-	lo, hi = scan.MinMax(col)
-	return lo, hi, nil
+	return los[0], his[0], nil
 }

@@ -211,11 +211,11 @@ func TestBackendsAgreeOnHistogram2D(t *testing.T) {
 	st, _ := src.OpenStep(5)
 	defer st.Close()
 	// Fixed ranges so both backends bin identically.
-	lo, hi, err := st.MinMax("px")
+	lo, hi, err := st.MinMax(context.Background(), "px")
 	if err != nil {
 		t.Fatal(err)
 	}
-	xlo, xhi, err := st.MinMax("x")
+	xlo, xhi, err := st.MinMax(context.Background(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +245,8 @@ func TestBackendsAgreeOnAdaptiveHistogram(t *testing.T) {
 	src := testSource(t)
 	st, _ := src.OpenStep(5)
 	defer st.Close()
-	lo, hi, _ := st.MinMax("px")
-	xlo, xhi, _ := st.MinMax("x")
+	lo, hi, _ := st.MinMax(context.Background(), "px")
+	xlo, xhi, _ := st.MinMax(context.Background(), "x")
 	spec := histogram.NewSpec2D("x", "px", 8, 8).
 		WithBinning(histogram.Adaptive).WithXRange(xlo, xhi).WithYRange(lo, hi)
 	a, err := st.Histogram2DCtx(context.Background(), nil, spec, FastBit)
@@ -273,7 +273,7 @@ func TestBackendsAgreeOnHistogram1D(t *testing.T) {
 	src := testSource(t)
 	st, _ := src.OpenStep(4)
 	defer st.Close()
-	lo, hi, _ := st.MinMax("px")
+	lo, hi, _ := st.MinMax(context.Background(), "px")
 	spec := histogram.Spec1D{Var: "px", Bins: 40, Lo: lo, Hi: hi}
 	for _, cond := range []query.Expr{nil, query.MustParse("y > 0")} {
 		a, err := st.Histogram1DCtx(context.Background(), cond, spec, FastBit)
@@ -367,7 +367,7 @@ func TestMinMaxPrefersIndex(t *testing.T) {
 	st, _ := src.OpenStep(2)
 	defer st.Close()
 	before := st.IOBytes()
-	lo, hi, err := st.MinMax("px")
+	lo, hi, err := st.MinMax(context.Background(), "px")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestMinMaxPrefersIndex(t *testing.T) {
 	if !(lo < hi) {
 		t.Fatalf("MinMax = %g, %g", lo, hi)
 	}
-	if _, _, err := st.MinMax("nope"); err == nil {
+	if _, _, err := st.MinMax(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }

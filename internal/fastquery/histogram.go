@@ -61,6 +61,7 @@ func (st *Step) values(ctx context.Context, rows Rows, name string) ([]float64, 
 type columns struct {
 	file   *colstore.File
 	lo, hi uint64               // the range of file, when file is set
+	cost   *obs.Cost            // charged the range's reads
 	vals   map[string][]float64 // else the values, by column
 	n      uint64               // rows in the set
 }
@@ -69,7 +70,7 @@ type columns struct {
 // the named columns gathered at them once.
 func (st *Step) columnsAt(ctx context.Context, rows Rows, names ...string) (*columns, error) {
 	if rows.All {
-		return &columns{file: st.file, lo: rows.Lo, hi: rows.Hi, n: rows.Hi - rows.Lo}, nil
+		return &columns{file: st.file, lo: rows.Lo, hi: rows.Hi, cost: obs.CostFromContext(ctx), n: rows.Hi - rows.Lo}, nil
 	}
 	_, sp := obs.StartSpan(ctx, "gather-values")
 	defer sp.End()
@@ -98,7 +99,7 @@ func inMemory(n int, vals map[string][]float64) *columns {
 // them. An error from fn ends the visit and is returned.
 func (c *columns) visit(ctx context.Context, names []string, fn func(vals [][]float64) error) error {
 	if c.file != nil {
-		return c.file.VisitRangeCost(names, c.lo, c.hi, obs.CostFromContext(ctx), func(vals [][]float64) error {
+		return c.file.VisitRangeCost(names, c.lo, c.hi, c.cost, func(vals [][]float64) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}

@@ -113,9 +113,9 @@ type visitCase struct {
 }
 
 // TestUnconditionalHistogramReadsNoColumn: over every row of a step, a 2D
-// histogram with a range and without, an adaptive 1D and 2D one and a
-// min/max answer bit for bit what the kernels answered from the whole
-// columns read, and allocate less than an eighth of one column: they
+// histogram with a range and without, an adaptive 1D and 2D one, a
+// fragment's min/max and an unindexed column's Step.MinMax answer bit for
+// bit what the kernels answered from the whole columns read, and allocate less than an eighth of one column: they
 // visit the chunk buffers and keep no column. A visit that fails on a
 // corrupted middle chunk, half binned, leaves the pooled grids all-zero:
 // the next histogram still answers as the oracle.
@@ -158,6 +158,26 @@ func TestUnconditionalHistogramReadsNoColumn(t *testing.T) {
 			lo, hi = append(lo, l), append(hi, h)
 		}
 		return rangeBits(lo, hi, visitRows), nil
+	}})
+
+	unindexed := []string{"x", "z", "nan"} // visitStep indexes px alone
+	cases = append(cases, visitCase{"step-minmax", func() ([]byte, error) {
+		var lo, hi []float64
+		for _, name := range unindexed {
+			l, h, err := st.MinMax(ctx, name)
+			if err != nil {
+				return nil, err
+			}
+			lo, hi = append(lo, l), append(hi, h)
+		}
+		return rangeBits(lo, hi, 0), nil
+	}, func() ([]byte, error) {
+		var lo, hi []float64
+		for _, name := range unindexed {
+			l, h := scan.MinMax(column(t, st, name))
+			lo, hi = append(lo, l), append(hi, h)
+		}
+		return rangeBits(lo, hi, 0), nil
 	}})
 
 	for _, c := range cases {

@@ -719,7 +719,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	body := VarsBody{Dataset: req.d.name, Step: req.t, Vars: make([]VarInfo, 0, len(names))}
 	for _, name := range names {
-		lo, hi, err := req.st.MinMax(name)
+		lo, hi, err := req.st.MinMax(r.Context(), name)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%s: %v", name, err)
 			return

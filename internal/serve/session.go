@@ -551,7 +551,7 @@ func (s *Server) viewsOp(r *http.Request) (*op, *httpError) {
 		// edges and plot axes agree exactly.
 		axes := make([]pcoords.Axis, len(vars))
 		for i, v := range vars {
-			lo, hi, err := st.MinMax(v)
+			lo, hi, err := st.MinMax(ctx, v)
 			if err != nil {
 				return nil, err
 			}
