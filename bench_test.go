@@ -452,7 +452,9 @@ func BenchmarkAblationWAH(b *testing.B) {
 	})
 	b.Run("BitSet/And", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sa.And(sb)
+			s := bitmap.NewBitSet(n)
+			s.OrWith(sa)
+			s.AndWith(sb)
 		}
 	})
 	b.Run("WAH/Count", func(b *testing.B) {

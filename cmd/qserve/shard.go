@@ -12,8 +12,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -41,16 +39,7 @@ func shardGroups(addrs []string, replicas int) ([][]string, error) {
 // so fragment RPCs queue and shed under the same adaptive limiter the
 // HTTP layer uses. Cached fragments bypass it (the service peeks first).
 func shardAdmit(gate *serve.Gate) shard.AdmitFunc {
-	return func(ctx context.Context) (func(), error) {
-		if err := gate.Acquire(ctx, serve.ClassDrill); err != nil {
-			return nil, err
-		}
-		held := time.Now()
-		var once sync.Once
-		return func() {
-			once.Do(func() { gate.Release(time.Since(held)) })
-		}, nil
-	}
+	return func(ctx context.Context) (func(), error) { return gate.Admit(ctx, serve.ClassDrill) }
 }
 
 // runShard serves the shard-worker role until SIGTERM/SIGINT. The gate in

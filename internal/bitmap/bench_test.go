@@ -62,48 +62,28 @@ func runBins() []*Vector {
 
 var benchSink *Vector
 
-// benchOrAll times OrAll on the given bins and, beside it, each of its two
-// strategies forced, so the benchmark shows whether OrAll picked the
-// faster one. On a 2-core Xeon VM: 192 scattered bins, dense 0.79 ms vs
-// tree 20 ms; 192 run bins, dense 26 µs vs tree 0.36 ms; the 2 top run
-// bins, tree 1.4 µs vs dense 10.7 µs. Near the crossover the rule can
-// miss by ~20 %: 8 run bins or 2 scattered bins pick the tree, 14 µs vs
-// 11 µs and 66 µs vs 55 µs for dense.
+// benchOrAll times OrAll on the given bins, per input word.
 func benchOrAll(b *testing.B, in []*Vector) {
-	var n uint64
 	words := 0
 	for _, v := range in {
-		n = max(n, v.Len())
 		words += v.Words()
 	}
-	for _, s := range []struct {
-		name string
-		or   func() *Vector
-	}{
-		{"OrAll", func() *Vector { return OrAll(in) }},
-		{"dense", func() *Vector { return orAllDense(in, n) }},
-		{"tree", func() *Vector { return orAllTree(in) }},
-	} {
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink = s.or()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words), "ns/word")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = OrAll(in)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words), "ns/word")
 }
 
 // BenchmarkOrAllScattered and BenchmarkOrAllRuns OR the 192 lowest bins,
-// the width of a one-sided range that leaves a quarter of the bins out;
-// OrAll takes the dense accumulator on both.
+// the width of a one-sided range that leaves a quarter of the bins out.
 func BenchmarkOrAllScattered(b *testing.B) { benchOrAll(b, scatteredBins()[:3*benchBins/4]) }
 
 func BenchmarkOrAllRuns(b *testing.B) { benchOrAll(b, runBins()[:3*benchBins/4]) }
 
 // BenchmarkOrAllTail ORs the two highest run bins, a one-sided range over
 // the top of a value-ordered column: a few hundred words against ~9 700
-// output groups, where OrAll takes the pairwise tree.
+// output groups.
 func BenchmarkOrAllTail(b *testing.B) { benchOrAll(b, runBins()[benchBins-2:]) }
 
 // BenchmarkAnd intersects the ORs of half a scattered and half a run

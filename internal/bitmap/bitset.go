@@ -3,8 +3,8 @@ package bitmap
 import "math/bits"
 
 // BitSet is a plain uncompressed bit vector backed by 64-bit words. It is
-// the working set of a query evaluation — bin words are decoded into it
-// with Vector.OrInto and terms combine in place with AndWith, OrWith and
+// where every set operation runs — bin words are decoded into it with
+// Vector.OrInto and terms combine in place with AndWith, OrWith and
 // Invert — and the ablation baseline for the WAH design choice: O(n/64)
 // words regardless of content. Bits past Len are always zero.
 type BitSet struct {
@@ -45,27 +45,6 @@ func (s *BitSet) Count() uint64 {
 		c += uint64(bits.OnesCount64(w))
 	}
 	return c
-}
-
-// And returns the bitwise AND of s and o. The result has s's length.
-func (s *BitSet) And(o *BitSet) *BitSet {
-	out := NewBitSet(s.n)
-	for i := range out.words {
-		if i < len(o.words) {
-			out.words[i] = s.words[i] & o.words[i]
-		}
-	}
-	return out
-}
-
-// Or returns the bitwise OR of s and o zero-extended to the longer length.
-func (s *BitSet) Or(o *BitSet) *BitSet {
-	out := NewBitSet(maxU64(s.n, o.n))
-	copy(out.words, s.words)
-	for i, w := range o.words {
-		out.words[i] |= w
-	}
-	return out
 }
 
 // Iterate calls fn for each set bit position in increasing order; it stops
@@ -179,17 +158,43 @@ func (s *BitSet) orGroup(g uint32, p uint64) {
 	pair[1] |= uint64(g) >> (64 - sh) // zero unless g straddles two words
 }
 
+// countRange returns the number of set bits in [a, b), b clipped to Len.
+func (s *BitSet) countRange(a, b uint64) uint64 {
+	b = min(b, s.n)
+	if a >= b {
+		return 0
+	}
+	wa, wb := a/64, (b-1)/64
+	first, last := ^uint64(0)<<(a%64), ^uint64(0)>>(63-(b-1)%64)
+	if wa == wb {
+		return uint64(bits.OnesCount64(s.words[wa] & first & last))
+	}
+	c := uint64(bits.OnesCount64(s.words[wa]&first) + bits.OnesCount64(s.words[wb]&last))
+	for _, w := range s.words[wa+1 : wb] {
+		c += uint64(bits.OnesCount64(w))
+	}
+	return c
+}
+
+// group returns the 31 bits of s from position p on, bit j of the result
+// being bit p+j; positions past Len read as zero.
+func (s *BitSet) group(p uint64) uint32 {
+	w, sh := p/64, p%64
+	if w >= uint64(len(s.words)) {
+		return 0
+	}
+	x := s.words[w] >> sh
+	if sh > 64-groupBits && w+1 < uint64(len(s.words)) {
+		x |= s.words[w+1] << (64 - sh)
+	}
+	return uint32(x) & litMask
+}
+
 // ToVector encodes the bit set as a WAH vector, a 31-bit group at a time.
 func (s *BitSet) ToVector() *Vector {
 	groups := make([]uint32, (s.n+groupBits-1)/groupBits)
 	for g := range groups {
-		p := uint64(g) * groupBits
-		w, sh := p/64, p%64
-		x := s.words[w] >> sh
-		if sh > 64-groupBits && w+1 < uint64(len(s.words)) {
-			x |= s.words[w+1] << (64 - sh)
-		}
-		groups[g] = uint32(x) & litMask
+		groups[g] = s.group(uint64(g) * groupBits)
 	}
 	return encodeGroups(groups, s.n)
 }

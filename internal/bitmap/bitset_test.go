@@ -29,13 +29,17 @@ func TestBitSetOps(t *testing.T) {
 	a.Set(50)
 	b.Set(50)
 	b.Set(99)
-	and := a.And(b)
-	if and.Count() != 1 || !and.Get(50) {
-		t.Fatalf("And wrong: count=%d", and.Count())
+	and, or := NewBitSet(100), NewBitSet(100)
+	and.OrWith(a)
+	if and.AndWith(b); and.Count() != 1 || !and.Get(50) {
+		t.Fatalf("AndWith wrong: count=%d", and.Count())
 	}
-	or := a.Or(b)
-	if or.Count() != 3 {
-		t.Fatalf("Or wrong: count=%d", or.Count())
+	or.OrWith(a)
+	if or.OrWith(b); or.Count() != 3 {
+		t.Fatalf("OrWith wrong: count=%d", or.Count())
+	}
+	if or.Invert(); or.Count() != 97 || or.Get(50) || !or.Get(0) {
+		t.Fatalf("Invert wrong: count=%d", or.Count())
 	}
 	c := NewBitSet(100)
 	for _, p := range []uint64{1, 2, 50, 98, 99} {
@@ -49,11 +53,7 @@ func TestBitSetOps(t *testing.T) {
 
 // bitSetOf decodes v into a BitSet over its whole length, as an
 // evaluation decodes a bin's window.
-func bitSetOf(v *Vector) *BitSet {
-	s := NewBitSet(v.Len())
-	v.OrInto(s, 0, v.Len())
-	return s
-}
+func bitSetOf(v *Vector) *BitSet { return v.decode(v.Len()) }
 
 // not is v's complement over its own length, taken as an evaluation takes
 // one: decoded into a BitSet, inverted and encoded again.

@@ -7,15 +7,19 @@ import (
 )
 
 func ExampleVector() {
-	// Build two sparse bitmaps and combine them with Boolean operations
-	// directly on the compressed form — the core of bitmap-index query
-	// evaluation.
+	// Build two sparse bitmaps and combine them the way a bitmap-index
+	// query does: decode into an uncompressed set, combine there, and
+	// count a bitmap against the set without encoding it.
 	a, _ := bitmap.FromPositions(1000, []uint64{3, 500, 999})
 	b, _ := bitmap.FromPositions(1000, []uint64{500, 700})
 
-	fmt.Println(a.Or(b).Count())
+	fmt.Println(bitmap.OrAll([]*bitmap.Vector{a, b}).Count())
 	fmt.Println(a.And(b).Positions())
-	fmt.Println(a.AndNot(b).Count())
+
+	notB := bitmap.NewBitSet(1000)
+	b.OrInto(notB, 0, 1000)
+	notB.Invert()
+	fmt.Println(a.AndCount(notB)) // a AND NOT b
 	// Output:
 	// 4
 	// [500]

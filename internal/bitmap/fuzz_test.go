@@ -211,14 +211,27 @@ func checkWindowCut(t *testing.T, what string, v *Vector, ref []bool, lo, hi uin
 	}
 }
 
-// FuzzWAHOps checks every Boolean operation, both OrAll strategies
-// included, against the []bool oracle on vectors of unequal, unaligned
-// lengths, BitSet's Or against OrAll, and the BitSet encoder (ToVector)
-// against the oracle; the windowed walks, PositionsIn and the window
-// decode OrInto, against a filtered Iterate on every operand and result;
-// and the cut Window against the oracle and OrInto, on windows aligned
-// and not, inside and at the edges of fills of either kind, and over the
-// partial tail group. Seeds: testdata/fuzz/FuzzWAHOps.
+// countOracle returns the number of positions in [lo, hi) set in ref.
+func countOracle(ref []bool, lo, hi uint64) uint64 {
+	var c uint64
+	for p := lo; p < min(hi, uint64(len(ref))); p++ {
+		if ref[p] {
+			c++
+		}
+	}
+	return c
+}
+
+// FuzzWAHOps checks every surviving operation against the []bool oracle
+// on vectors of unequal, unaligned lengths: And, Not through a BitSet,
+// OrAll (in either input order), Equal, AndCount against sets shorter
+// than, as long as and longer than the vector, ending inside a group, and
+// BitSet.countRange over every window; the BitSet encoder (ToVector); the
+// windowed walks, PositionsIn and the window decode OrInto, against a
+// filtered Iterate on every operand and result; and the cut Window
+// against the oracle and OrInto, on windows aligned and not, inside and
+// at the edges of fills of either kind, and over the partial tail group.
+// Seeds: testdata/fuzz/FuzzWAHOps.
 func FuzzWAHOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vs, refs := fuzzVectors(data)
@@ -230,31 +243,40 @@ func FuzzWAHOps(f *testing.F) {
 			checkWindows(t, fmt.Sprintf("vs[%d]", i), v, refs[i], data)
 			checkBits(t, fmt.Sprintf("vs[%d] through BitSet", i), bitSetOf(v).ToVector(), refs[i])
 		}
-		checkWindows(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }), data)
+		and := boolOp(ra, rb, func(x, y bool) bool { return x && y })
+		checkWindows(t, "And", a.And(b), and, data)
+		checkBits(t, "And", a.And(b), and)
 		checkWindows(t, "Not", not(a), boolOp(ra, ra, func(x, _ bool) bool { return !x }), data)
-		checkBits(t, "And", a.And(b), boolOp(ra, rb, func(x, y bool) bool { return x && y }))
-		checkBits(t, "Or", a.Or(b), boolOp(ra, rb, func(x, y bool) bool { return x || y }))
-		checkBits(t, "AndNot", a.AndNot(b), boolOp(ra, rb, func(x, y bool) bool { return x && !y }))
-		checkBits(t, "Xor", a.Xor(b), boolOp(ra, rb, func(x, y bool) bool { return x != y }))
 		checkBits(t, "Not", not(a), boolOp(ra, ra, func(x, _ bool) bool { return !x }))
-		if got, want := a.AndCount(b), a.And(b).Count(); got != want {
-			t.Fatalf("AndCount = %d, And().Count() = %d", got, want)
+		if got, want := a.Equal(b), slices.Equal(ra, rb); got != want {
+			t.Fatalf("Equal = %v, want %v", got, want)
+		}
+		if !a.Equal(a.Clone()) || !a.Equal(bitSetOf(a).ToVector()) {
+			t.Fatal("a vector differs from its copy or its re-encoding")
+		}
+
+		// AndCount: b's bits in sets of every length around a's.
+		for _, n := range []uint64{0, a.Len() / 2, a.Len() - a.Len()%groupBits + 7, a.Len(), b.Len(), max(a.Len(), b.Len()) + 45} {
+			s := NewBitSet(n)
+			b.OrInto(s, 0, n)
+			if got, want := a.AndCount(s), countOracle(and, 0, n); got != want {
+				t.Fatalf("AndCount against %d bits of b = %d, want %d", n, got, want)
+			}
+		}
+		sa := bitSetOf(a)
+		for _, w := range windows(ra, data) {
+			if got, want := sa.countRange(w[0], w[1]), countOracle(ra, w[0], w[1]); got != want {
+				t.Fatalf("countRange(%d, %d) of %d bits = %d, want %d", w[0], w[1], sa.Len(), got, want)
+			}
 		}
 
 		var union []bool
-		var n uint64
-		set := NewBitSet(0)
-		for i, v := range vs {
+		for i := range vs {
 			union = boolOp(union, refs[i], func(x, y bool) bool { return x || y })
-			n = max(n, v.Len())
-			set = set.Or(bitSetOf(v))
 		}
 		checkBits(t, "OrAll", OrAll(vs), union)
-		checkBits(t, "orAllDense", orAllDense(vs, n), union)
-		checkBits(t, "orAllTree", orAllTree(vs), union)
-		if !set.ToVector().Equal(OrAll(vs)) {
-			t.Fatal("OrAll differs from BitSet Or")
-		}
+		slices.Reverse(vs)
+		checkBits(t, "OrAll reversed", OrAll(vs), union)
 	})
 }
 

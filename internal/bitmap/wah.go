@@ -6,13 +6,16 @@
 // A WAH vector stores bits in 31-bit groups. Each encoded 32-bit word is
 // either a literal word (MSB clear, low 31 bits hold one group verbatim) or
 // a fill word (MSB set, bit 30 holds the fill bit, low 30 bits count how
-// many consecutive identical groups the fill spans). Boolean operations
-// work directly on the compressed form, skipping over fills without
-// decompressing them; only OrAll over many literal-heavy inputs decodes
-// them into one uncompressed accumulator instead.
+// many consecutive identical groups the fill spans). The WAH form is an
+// encoding only: vectors are built (AppendRun, FromPositions,
+// BitSet.ToVector), decoded (OrInto, Positions, Count, Window) and
+// serialized.
 //
-// The package also provides an uncompressed BitSet with the same Boolean
-// interface, used as the ablation baseline for the WAH design choice.
+// Set operations run on the uncompressed BitSet: a query decodes its bins'
+// words into one window set, combines terms there in place, and counts a
+// bin against the set (AndCount) without encoding it. And, OrAll and
+// Equal on vectors decode, combine and encode the same way. The BitSet is
+// also the ablation baseline for the WAH design choice.
 package bitmap
 
 import (
@@ -32,9 +35,9 @@ const (
 
 // Vector is a WAH-compressed bit vector. The zero value is an empty vector
 // ready for use. Bits are appended with AppendBit / AppendRun; once
-// built, vectors are normally treated as immutable and combined with And,
-// Or, AndNot and Xor, all of which allocate fresh result vectors. A
-// complement is taken in a BitSet window (OrInto, then Invert).
+// built, vectors are treated as immutable. They are combined in a BitSet
+// (OrInto, then AndWith, OrWith or Invert); And and OrAll allocate fresh
+// result vectors that way.
 type Vector struct {
 	words []uint32 // encoded literal/fill words
 	act   uint32   // partial group not yet encoded (LSB-first)
@@ -417,13 +420,11 @@ func windowGroup(g uint32, at, lo, hi uint64) uint32 {
 	return g
 }
 
-// Equal reports whether two vectors have identical length and bits.
+// Equal reports whether two vectors have identical length and bits: the
+// same count, all of it shared.
 func (v *Vector) Equal(o *Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	x := v.Xor(o)
-	return x.Count() == 0
+	c := v.Count()
+	return v.n == o.n && c == o.Count() && v.AndCount(o.decode(o.n)) == c
 }
 
 // String renders a short human-readable summary for debugging.

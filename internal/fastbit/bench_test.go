@@ -61,3 +61,51 @@ func BenchmarkSelectCtx(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHistogramFromBitmaps times the index-only histograms (the
+// brownout rung's) over 300 000 rows: 1D over a column scattered over the
+// rows at 256 bins, and 2D of that column against one that follows row
+// order at 64×64 bins, either axis first; each unconditional, under a
+// condition most rows pass and under a selective one.
+func BenchmarkHistogramFromBitmaps(b *testing.B) {
+	const rows = 300_000
+	rng := rand.New(rand.NewSource(45))
+	cols := map[string][]float64{"scattered": make([]float64, rows), "sorted": make([]float64, rows), "y": make([]float64, rows)}
+	for i := 0; i < rows; i++ {
+		cols["scattered"][i] = rng.NormFloat64()
+		cols["sorted"][i] = float64(i) + 50*rng.NormFloat64()
+		cols["y"][i] = rng.NormFloat64()
+	}
+	fine, err := BuildStepIndex(cols, nil, "", IndexOptions{Bins: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	coarse, err := BuildStepIndex(cols, nil, "", IndexOptions{Bins: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev1, ev2 := fine.Evaluator(MemReader(cols)), coarse.Evaluator(MemReader(cols))
+	for _, c := range []struct {
+		name string
+		cond query.Expr
+	}{{"unconditional", nil}, {"conditional", query.MustParse("y > -0.5")}, {"selective", query.MustParse("y > 2.5")}} {
+		b.Run("1D/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev1.Histogram1DFromBitmapsCtx(context.Background(), c.cond, "scattered"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, xy := range [][2]string{{"scattered", "sorted"}, {"sorted", "scattered"}} {
+			b.Run(fmt.Sprintf("2D-%s-%s/%s", xy[0], xy[1], c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ev2.Histogram2DFromBitmapsCtx(context.Background(), c.cond, xy[0], xy[1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

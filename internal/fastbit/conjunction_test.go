@@ -197,7 +197,7 @@ func conjChecks(t *testing.T, si *StepIndex, raw RawReader, e query.Expr, lo, hi
 			if s = sure; cand != nil {
 				match, _ := termOracle(t, si, raw, false, term, lo, hi)
 				ps = append(ps, pending{cand, match})
-				s = sure.Or(cand)
+				s.OrWith(cand)
 			}
 		} else {
 			var c uint64

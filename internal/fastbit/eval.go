@@ -109,7 +109,8 @@ func (ev *Evaluator) idIndex() *IDIndex {
 
 // EvalCtx computes the bitmap of records matching e, with cooperative
 // cancellation: the whole step's set of matches, encoded once as a WAH
-// vector for the bitmap-space histograms.
+// vector. No serving path calls it; the bitmap-space histograms count
+// against evalWindow's set directly.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
 	s, err := ev.evalWindow(ctx, e, 0, ev.N)
 	if err != nil {

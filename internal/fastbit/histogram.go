@@ -9,8 +9,8 @@ import (
 )
 
 // Histogram1DFromBitmapsCtx computes a conditional 1D histogram entirely in
-// index space: the condition's bitmap is ANDed with every bin bitmap of
-// the variable's index and the ones are counted. No raw data is touched.
+// index space: every bin bitmap of the variable's index is counted against
+// the condition's set (Vector.AndCount). No raw data is touched.
 // The bin boundaries are the index's own; this is the algorithm family of
 // Stockinger et al. for conditional histograms on SMP machines (paper
 // Section II-C), provided here as the ablation counterpart to the
@@ -30,24 +30,27 @@ func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.E
 		copy(h.Counts, ix.BinCounts())
 		return h, nil
 	}
-	hits, err := ev.EvalCtx(ctx, cond)
+	hits, err := ev.evalWindow(ctx, cond, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}
 	for b, bm := range ix.Bitmaps {
-		h.Counts[b] = hits.AndCount(bm)
+		h.Counts[b] = bm.AndCount(hits)
 	}
 	return h, nil
 }
 
 // Histogram2DFromBitmapsCtx computes a (conditional) 2D histogram entirely in
-// index space: for every (x-bin, y-bin) cell the two bin bitmaps — and the
-// condition bitmap, when present — are intersected and counted. No raw
-// data is touched; the cell grid is the cross product of the two indexes'
-// bins, which is exactly the histogram "cross product" interface of the
-// paper's network-analysis predecessor (Section II-C). Quadratic in bin
-// count, so intended for coarse overview grids. ctx is observed per
-// y-bin row of the cell grid.
+// index space: every bin bitmap of one axis is decoded into a row set,
+// ANDed with the condition's set when there is one, and every bin bitmap
+// of the other axis is counted against it (Vector.AndCount). Counting
+// walks the counted bins' words once per row set, so the axis counted is
+// the one whose bins, times the other's bin count, hold fewer bytes. No
+// raw data is touched; the cell grid is the cross product of the two
+// indexes' bins, which is exactly the histogram "cross product" interface
+// of the paper's network-analysis predecessor (Section II-C). Quadratic in
+// bin count, so intended for coarse overview grids. ctx is observed per
+// row set.
 func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
 	ixX, err := ev.index(xvar, 0, ev.N)
 	if err != nil {
@@ -63,34 +66,34 @@ func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.E
 		YEdges: append([]float64(nil), ixY.Bounds...),
 		Counts: make([]uint64, ixX.Bins()*ixY.Bins()),
 	}
-	var hits, row *bitmap.BitSet
+	var hits *bitmap.BitSet
 	if cond != nil {
 		if hits, err = ev.evalWindow(ctx, cond, 0, ev.N); err != nil {
 			return nil, err
 		}
-		row = bitmap.NewBitSet(ev.N)
 	}
 	nx := ixX.Bins()
-	for iy, bmY := range ixY.Bitmaps {
+	rowSets, counted := ixY.Bitmaps, ixX.Bitmaps
+	cell := func(r, c int) int { return r*nx + c }
+	if ixY.Bins()*ixX.SizeBytes() > nx*ixY.SizeBytes() {
+		rowSets, counted = counted, rowSets
+		cell = func(r, c int) int { return c*nx + r }
+	}
+	row := bitmap.NewBitSet(ev.N)
+	for r, bm := range rowSets {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rowV := bmY
+		row.Reset()
+		bm.OrInto(row, 0, ev.N)
 		if hits != nil {
-			row.Reset()
-			bmY.OrInto(row, 0, ev.N)
-			if row.AndWith(hits); !row.Any() {
-				continue
-			}
-			rowV = row.ToVector()
+			row.AndWith(hits)
 		}
-		if rowV.Count() == 0 {
+		if !row.Any() {
 			continue
 		}
-		for ix, bmX := range ixX.Bitmaps {
-			if c := rowV.AndCount(bmX); c != 0 {
-				h.Counts[iy*nx+ix] = c
-			}
+		for c, bmC := range counted {
+			h.Counts[cell(r, c)] = bmC.AndCount(row)
 		}
 	}
 	return h, nil

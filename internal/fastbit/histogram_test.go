@@ -3,7 +3,9 @@ package fastbit
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -169,5 +171,44 @@ func TestHistogram2DFromBitmapsMatchesScan(t *testing.T) {
 	}
 	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), query.MustParse("zz > 0"), "x", "px"); err == nil {
 		t.Fatal("bad condition accepted")
+	}
+}
+
+// TestHistogram2DFromBitmapsEitherAxis: a 2D index-only histogram counts
+// one axis's bins against row sets of the other's, whichever axis holds
+// fewer bitmap words; with a column that follows row order (few words
+// per bin) against one scattered over the rows, both axis orders match
+// the scan.
+func TestHistogram2DFromBitmapsEitherAxis(t *testing.T) {
+	const rows = 5000
+	rng := rand.New(rand.NewSource(45))
+	cols := map[string][]float64{"scattered": make([]float64, rows), "sorted": make([]float64, rows)}
+	for i := 0; i < rows; i++ {
+		cols["scattered"][i] = rng.NormFloat64()
+		cols["sorted"][i] = float64(i) + 20*rng.NormFloat64()
+	}
+	si, err := BuildStepIndex(cols, nil, "", IndexOptions{Bins: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.Columns["sorted"].SizeBytes()*2 > si.Columns["scattered"].SizeBytes() {
+		t.Fatalf("sorted column's index %d B is not well under the scattered one's %d B",
+			si.Columns["sorted"].SizeBytes(), si.Columns["scattered"].SizeBytes())
+	}
+	ev := si.Evaluator(MemReader(cols))
+	for _, xy := range [][2]string{{"scattered", "sorted"}, {"sorted", "scattered"}} {
+		for _, cond := range []query.Expr{nil, query.MustParse("scattered > 0.3")} {
+			got, err := ev.Histogram2DFromBitmapsCtx(context.Background(), cond, xy[0], xy[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := scan.ConditionalHistogram2DCtx(context.Background(), scan.Columns(cols), xy[0], xy[1], cond, got.XEdges, got.YEdges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Counts, want.Counts) || got.Total() == 0 {
+				t.Fatalf("%v cond=%v: counts differ from the scan (total %d vs %d)", xy, cond, got.Total(), want.Total())
+			}
+		}
 	}
 }

@@ -18,13 +18,6 @@ var (
 		"Wall time of one sequential-scan operation.", nil)
 )
 
-func init() {
-	// Zero-value gauge so the layer always exposes one of each instrument
-	// kind; set to the most recent operation's rows/sec.
-	obs.Default().Gauge("scan_last_rows_per_second",
-		"Throughput of the most recent sequential-scan operation.")
-}
-
 // observeScan records one completed scan pass over n rows taking sec
 // seconds, and charges the rows to the request's per-query cost
 // accumulator when the context carries one.
@@ -33,7 +26,4 @@ func observeScan(ctx context.Context, n int, sec float64) {
 	metricScanRows.Add(uint64(n))
 	metricScanSeconds.Observe(sec)
 	obs.CostFromContext(ctx).AddRows(uint64(n))
-	if sec > 0 {
-		obs.Default().Gauge("scan_last_rows_per_second", "").Set(float64(n) / sec)
-	}
 }

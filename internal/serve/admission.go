@@ -334,6 +334,21 @@ func (g *Gate) Release(latency time.Duration) {
 	g.grantLocked()
 }
 
+// Admit acquires a slot under class (Acquire) and returns its release:
+// idempotent, and reporting the time the slot was held back to the
+// limiter. The HTTP pipeline and the shard service's fragment RPCs both
+// admit through it.
+func (g *Gate) Admit(ctx context.Context, class Class) (release func(), err error) {
+	if err := g.Acquire(ctx, class); err != nil {
+		return nil, err
+	}
+	held := time.Now()
+	var once sync.Once
+	return func() {
+		once.Do(func() { g.Release(time.Since(held)) })
+	}, nil
+}
+
 // adjustLocked runs the limit controller at most once per adjustEvery.
 func (g *Gate) adjustLocked(now time.Time) {
 	if now.Sub(g.lastAdjust) < g.adjustEvery {

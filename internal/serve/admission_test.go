@@ -38,6 +38,28 @@ func TestGateAdmitsUpToLimit(t *testing.T) {
 	}
 }
 
+// TestGateAdmitReleasesOnce: Admit's release frees its slot once, however
+// often it is called, and a shed Admit hands back no release.
+func TestGateAdmitReleasesOnce(t *testing.T) {
+	g := fixedGate(2, 0, time.Second)
+	ctx := context.Background()
+	release, err := g.Admit(ctx, ClassDrill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Admit(ctx, ClassSweep); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := g.Admit(ctx, ClassDrill); !errors.Is(err, ErrQueueFull) || r != nil {
+		t.Fatalf("over-limit Admit: release %v, err %v; want nil, ErrQueueFull", r != nil, err)
+	}
+	release()
+	release()
+	if st := g.Stats(); st.InFlight != 1 {
+		t.Fatalf("in flight %d after a double release, want 1", st.InFlight)
+	}
+}
+
 func TestGateQueueTimeout(t *testing.T) {
 	g := fixedGate(1, 1, 20*time.Millisecond)
 	ctx := context.Background()

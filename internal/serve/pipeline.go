@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -248,25 +247,17 @@ func shedErr(err error) bool {
 }
 
 // admit acquires a gate slot for a heavy request under its priority
-// class, tracing the wait as "admission-wait" so queueing shows up in
-// span trees. On success it returns an idempotent release closure that
-// reports the slot's hold time back to the limiter.
+// class (Gate.Admit), tracing the wait as "admission-wait" so queueing
+// shows up in span trees.
 func (s *Server) admit(r *http.Request, class Class) (release func(), err error) {
 	_, sp := obs.StartSpan(r.Context(), "admission-wait")
 	sp.SetAttr("class", class.String())
-	err = s.gate.Acquire(r.Context(), class)
+	release, err = s.gate.Admit(r.Context(), class)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
 	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	held := time.Now()
-	var once sync.Once
-	return func() {
-		once.Do(func() { s.gate.Release(time.Since(held)) })
-	}, nil
+	return release, err
 }
 
 // peekBypass answers a request whose exact cache key is already resident

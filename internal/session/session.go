@@ -434,16 +434,24 @@ func (m *Manager) Stats() Stats {
 }
 
 // Combine applies one refinement-algebra step: the stored bitmap against
-// the delta bitmap under the given mode ("and", "or", "andnot").
+// the delta bitmap under the given mode ("and", "or", "andnot"). Both are
+// decoded into sets as long as the longer, combined in place and the
+// result encoded once.
 func Combine(prev, delta *bitmap.Vector, mode string) (*bitmap.Vector, error) {
+	n := max(prev.Len(), delta.Len())
+	s, d := bitmap.NewBitSet(n), bitmap.NewBitSet(n)
+	prev.OrInto(s, 0, n)
+	delta.OrInto(d, 0, n)
 	switch mode {
 	case "and":
-		return prev.And(delta), nil
+		s.AndWith(d)
 	case "or":
-		return prev.Or(delta), nil
+		s.OrWith(d)
 	case "andnot":
-		return prev.AndNot(delta), nil
+		d.Invert()
+		s.AndWith(d)
 	default:
 		return nil, fmt.Errorf("session: unknown refine mode %q (and | or | andnot)", mode)
 	}
+	return s.ToVector(), nil
 }
