@@ -372,7 +372,7 @@ type harness struct {
 
 // pathFor rotates across the query surface — count, 1D and 2D conditional
 // histograms, home-shard and two-phase routing — with parameters varied by
-// index so shard-side fragment caches cannot mask the fault path.
+// index so the frontend's result cache cannot mask the fault path.
 func pathFor(i int) string {
 	step := i % 3
 	thresh := url.QueryEscape(fmt.Sprintf("px > 0.000%d", 1+i%8))

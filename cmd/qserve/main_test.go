@@ -89,8 +89,9 @@ func TestFlaglessDefaults(t *testing.T) {
 	}
 
 	// Values with no flag that are visible from here.
-	if shard.FragCacheBytes != 64<<20 {
-		t.Errorf("shard fragment cache = %d bytes, want 64 MiB", shard.FragCacheBytes)
+	if serve.DefaultCacheBytes != 64<<20 || shard.FragCacheBytes != 64<<20 {
+		t.Errorf("result cache = %d bytes, shard handoff store = %d bytes, want 64 MiB each",
+			serve.DefaultCacheBytes, shard.FragCacheBytes)
 	}
 	if fastbit.DefaultBins != 256 {
 		t.Errorf("live index bins default = %d, want 256", fastbit.DefaultBins)

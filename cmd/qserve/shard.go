@@ -37,7 +37,8 @@ func shardGroups(addrs []string, replicas int) ([][]string, error) {
 
 // shardAdmit adapts a serve.Gate into the shard service's admission hook,
 // so fragment RPCs queue and shed under the same adaptive limiter the
-// HTTP layer uses. Cached fragments bypass it (the service peeks first).
+// HTTP layer uses. Every fragment passes it: a shard answers none from
+// storage.
 func shardAdmit(gate *serve.Gate) shard.AdmitFunc {
 	return func(ctx context.Context) (func(), error) { return gate.Admit(ctx, serve.ClassDrill) }
 }

@@ -23,11 +23,10 @@ type SlowEntry struct {
 
 	Shards          int    `json:"shards,omitempty"`           // scatter fan-out (0 = local)
 	Fragments       int    `json:"fragments,omitempty"`        // plan fragments executed
-	CachedFrags     int    `json:"cached_fragments,omitempty"` // answered from a fragment cache
 	Partial         bool   `json:"partial,omitempty"`          // merged with failed shards
 	Degraded        string `json:"degraded,omitempty"`         // brownout mode served, if any
 	BudgetExhausted bool   `json:"budget_exhausted,omitempty"` // deadline budget ran out mid-plan
-	CacheSource     string `json:"cache_source,omitempty"`     // result | coalesced | fragment | coarse
+	CacheSource     string `json:"cache_source,omitempty"`     // result | coalesced | coarse
 }
 
 // SlowLog is a bounded in-memory ring of slow-query entries, newest kept.

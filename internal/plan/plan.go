@@ -196,34 +196,18 @@ type FragmentResult struct {
 // answers, charged ~50 key bytes apiece, would admit a million entries.
 const CacheEntryOverhead = 256
 
-// cacheBytes is what a cached answer costs against a byte budget: the
-// fixed overhead, its key, count encodings, edges and positions. The
-// serving layer's result cache and a shard's fragment cache both charge
-// by it.
-func cacheBytes(key string, h1 *histogram.Cells1D, h2 *histogram.Cells2D, sel []uint64) int {
-	n := CacheEntryOverhead + len(key) + 8*len(sel)
-	if h1 != nil {
-		n += h1.CountBytes() + 8*len(h1.Edges)
-	}
-	if h2 != nil {
-		n += h2.CountBytes() + 8*(len(h2.XEdges)+len(h2.YEdges))
-	}
-	return n
-}
-
-// CacheBytes is what r costs cached under key, min/max partials included.
-func (r *FragmentResult) CacheBytes(key string) int {
-	n := cacheBytes(key, r.Hist1, r.Hist2, r.Sel)
-	for _, v := range r.MinMax {
-		n += len(v.Var) + 3*8 // Lo, Hi, N
-	}
-	return n
-}
-
-// CacheBytes is what r costs cached under key, its encoded answer
-// included.
+// CacheBytes is what r costs cached under key against the serving
+// layer's result cache budget: the fixed overhead, its key, count
+// encodings, edges, positions and its encoded answer.
 func (r *Result) CacheBytes(key string) int {
-	return cacheBytes(key, r.Hist1, r.Hist2, r.Sel) + cap(r.Answer)
+	n := CacheEntryOverhead + len(key) + 8*len(r.Sel) + cap(r.Answer)
+	if r.Hist1 != nil {
+		n += r.Hist1.CountBytes() + 8*len(r.Hist1.Edges)
+	}
+	if r.Hist2 != nil {
+		n += r.Hist2.CountBytes() + 8*(len(r.Hist2.XEdges)+len(r.Hist2.YEdges))
+	}
+	return n
 }
 
 // Result is the merged answer the planner returns to the serving layer.

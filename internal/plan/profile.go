@@ -11,20 +11,16 @@ import (
 )
 
 // FragProfile is the execution profile of one plan fragment: what it
-// cost, where the answer came from, and how the budget machinery treated
-// it. Shard workers fill one per Exec and ship it beside the result (it
-// rides the ExecReply, never the cacheable FragmentResult, so a cached
-// fragment correctly reports zero cost); the local runner fills one
-// in-process. The frontend sums the Cost fields into query totals, and
+// cost and how the budget machinery treated it. Shard workers fill one per
+// Exec and ship it beside the result (it rides the ExecReply, never the
+// FragmentResult, which for a FragSelect is a stored selection other
+// fragments share); the local runner fills one in-process. The frontend sums the Cost fields into query totals, and
 // the explain identity tests assert the sums are exact.
 type FragProfile struct {
 	Step  int    `json:"step"`
 	Shard int    `json:"shard"`
 	Op    string `json:"op"`
 	Rows  [2]int `json:"rows"` // row range [lo, hi); [0,0] = whole step
-
-	Cached      bool   `json:"cached,omitempty"`       // answered without evaluation
-	CacheSource string `json:"cache_source,omitempty"` // "fragment" for the shard fragment cache
 
 	Cost   obs.CostSnapshot `json:"cost"`
 	EvalMS float64          `json:"eval_ms"`           // shard-side evaluation wall time

@@ -3,7 +3,7 @@ package plan
 import "sync"
 
 // probationShare is the part of a Store's budget its probation segment
-// may hold: an eighth. That keeps what the two caches need between
+// may hold: an eighth. That keeps what its two users need between
 // requests — dash_hot's whole panel set is 60 answers, 4.33 MB, and a
 // shard's two-phase handoff is at most about 1 MB a request (Sel's 8 B a
 // row plus two gathered columns) — while a stream that never repeats
@@ -11,7 +11,8 @@ import "sync"
 const probationShare = 8
 
 // Store is the byte-bounded store behind the serving layer's result
-// cache and a shard's fragment cache, charged by CacheBytes. It keeps
+// cache, charged by Result.CacheBytes, and a shard's two-phase handoff
+// (the selections and gathered columns shard.Executor keeps). It keeps
 // only what repeats, as a segmented LRU:
 //
 //   - Every new entry goes to the head of probation, an LRU capped at
@@ -25,7 +26,8 @@ const probationShare = 8
 //     is in and never promotes it.
 //
 // So an answer requested once never reaches protected, and a stream of
-// them churns through probation alone.
+// them churns through probation alone. A shard only ever reads with Get:
+// its handoff lives and dies in probation.
 type Store struct {
 	mu         sync.Mutex
 	max        int

@@ -222,11 +222,9 @@ type ShardingStats struct {
 	Partials  uint64 `json:"partials"`  // responses merged without every shard
 	// FleetSteps is the total step count reported by shard 0 (every shard
 	// serves the same shared dataset directory, so they agree when
-	// healthy); FleetCacheHitRate aggregates the shard-local fragment
-	// caches across the fleet.
-	FleetSteps        int                 `json:"fleet_steps"`
-	FleetCacheHitRate float64             `json:"fleet_cache_hit_rate"`
-	ShardStatus       []shard.ShardStatus `json:"shard_status"`
+	// healthy).
+	FleetSteps  int                 `json:"fleet_steps"`
+	ShardStatus []shard.ShardStatus `json:"shard_status"`
 }
 
 // IngestStats is one live dataset's entry in StatsBody.Ingest.

@@ -13,8 +13,7 @@ import (
 // ExplainBody is the per-query execution profile returned with
 // ?debug=explain (embedded in the response) or ?explain=only (returned
 // instead of the answer). Fragments lists every fragment the plan
-// attempted — cache hits, budget refusals and transport failures
-// included — and Totals is the exact sum of the fragment costs, the
+// attempted — budget refusals and transport failures included — and Totals is the exact sum of the fragment costs, the
 // identity the explain tests assert.
 type ExplainBody struct {
 	TraceID  string `json:"trace_id,omitempty"`
@@ -31,10 +30,9 @@ type ExplainBody struct {
 	Outcome     string `json:"outcome"`
 	CacheSource string `json:"cache_source,omitempty"`
 
-	Fragments       []plan.FragProfile `json:"fragments,omitempty"`
-	FragmentCount   int                `json:"fragment_count"`
-	CachedFragments int                `json:"cached_fragments"`
-	Totals          obs.CostSnapshot   `json:"totals"`
+	Fragments     []plan.FragProfile `json:"fragments,omitempty"`
+	FragmentCount int                `json:"fragment_count"`
+	Totals        obs.CostSnapshot   `json:"totals"`
 
 	AdmissionWaitMS float64 `json:"admission_wait_ms"`
 	// BudgetLeftMS is the time left until the request deadline when the
@@ -92,7 +90,6 @@ func (s *Server) buildExplain(r *http.Request, x *run, frags []plan.FragProfile)
 		CacheSource:     x.cacheSource(),
 		Fragments:       frags,
 		FragmentCount:   len(frags),
-		CachedFragments: x.cachedFrags,
 		Totals:          x.prof.Totals(),
 		AdmissionWaitMS: x.waitMS,
 		Degraded:        x.degraded,

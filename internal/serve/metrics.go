@@ -193,7 +193,6 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 					Trace:      tr.Data(),
 
 					Shards:      x.shards,
-					CachedFrags: x.cachedFrags,
 					Degraded:    x.degraded,
 					CacheSource: x.cacheSource(),
 				}

@@ -82,8 +82,7 @@ type run struct {
 	outcome  Outcome
 	degraded string // brownout mode, "" for an exact answer
 
-	shards      int // fleet width the plans ran on (1 in-process); 0 until marked
-	cachedFrags int // profiled fragments answered from a shard's cache
+	shards int // fleet width the plans ran on (1 in-process); 0 until marked
 }
 
 type runCtxKey struct{}
@@ -158,11 +157,6 @@ func (s *Server) pipelined(endpoint string, build func(r *http.Request) (*op, *h
 			x.shards = c.Shards()
 		}
 		frags := x.prof.Fragments()
-		for _, fp := range frags {
-			if fp.Cached {
-				x.cachedFrags++
-			}
-		}
 		m := ResponseMeta{
 			Degraded:     x.degraded != "",
 			DegradedMode: x.degraded,

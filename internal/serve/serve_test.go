@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/fastbit"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -511,7 +510,7 @@ func TestScanOnlyFallback(t *testing.T) {
 // TestStatsEndpointShape sanity-checks counter plumbing end to end.
 func TestConfigDefaults(t *testing.T) {
 	d := Config{}.withDefaults()
-	if d.CacheBytes != shard.FragCacheBytes || d.Concurrency != 8 || d.QueueDepth != 16 || d.QueueTimeout != 2*time.Second ||
+	if d.CacheBytes != DefaultCacheBytes || d.Concurrency != 8 || d.QueueDepth != 16 || d.QueueTimeout != 2*time.Second ||
 		d.ExecTimeout != 30*time.Second || d.SlowThreshold != 250*time.Millisecond {
 		t.Fatalf("zero-value defaults: %+v", d)
 	}

@@ -27,6 +27,10 @@ import (
 	"repro/internal/shard"
 )
 
+// DefaultCacheBytes is the result cache's budget when Config.CacheBytes
+// is 0.
+const DefaultCacheBytes = 64 << 20
+
 // Config parameterises a Server. Zero values take the documented
 // defaults; pass a negative value to turn a bounded feature off
 // entirely.
@@ -34,9 +38,8 @@ type Config struct {
 	// CacheBytes bounds the bytes the result cache stores, each result
 	// charged by plan.Result.CacheBytes. A new result may hold an eighth
 	// of it until a hit promotes it to the rest (plan.Store), so answers
-	// asked for once never fill it. 0 means the default
-	// (shard.FragCacheBytes, 64 MiB); negative disables storage
-	// (coalescing still applies).
+	// asked for once never fill it. 0 means DefaultCacheBytes (64 MiB);
+	// negative disables storage (coalescing still applies).
 	CacheBytes int
 	// Concurrency is the number of requests allowed to run backend work
 	// at once. Default 8.
@@ -99,7 +102,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
-		c.CacheBytes = shard.FragCacheBytes
+		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
@@ -629,16 +632,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Partials:    s.partials.Load(),
 			ShardStatus: c.Stats(r.Context(), 2*time.Second),
 		}
-		var hits, misses uint64
 		for _, st := range sh.ShardStatus {
-			hits += st.Stats.CacheHits
-			misses += st.Stats.CacheMisses
 			if sh.FleetSteps == 0 && st.Err == "" {
 				sh.FleetSteps = st.Stats.Steps
 			}
-		}
-		if hits+misses > 0 {
-			sh.FleetCacheHitRate = float64(hits) / float64(hits+misses)
 		}
 		body.Sharding = sh
 	}
@@ -916,7 +913,7 @@ func rangeParams(r *http.Request, lo, hi string) (float64, float64, *httpError) 
 
 // planQuery builds the planner input for this request. The query text is
 // already canonical (parseRequest), so equal requests produce equal
-// fragments and fragment-cache keys across the fleet.
+// fragments and fragment keys across the fleet.
 func (req *request) planQuery(op plan.Op) plan.Query {
 	return plan.Query{
 		Op:      op,

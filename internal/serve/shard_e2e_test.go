@@ -303,8 +303,8 @@ func TestConcurrentScatterShardKill(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 5; i++ {
-				// Distinct bins and thresholds bust both result and
-				// fragment caches so every request really scatters.
+				// Distinct bins and thresholds bust the result cache
+				// so every request really scatters.
 				path := fmt.Sprintf("/v1/hist1d?dataset=lwfa&step=%d&var=x&bins=%d&q=%s",
 					i%3, 8+g*5+i, url.QueryEscape(fmt.Sprintf("px > 0.000%d", g+1)))
 				resp, err := http.Get(fts.URL + path)

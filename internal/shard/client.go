@@ -56,7 +56,8 @@ func DialShards(shards [][]string, cfg cluster.PoolConfig, hedge time.Duration) 
 func (c *Client) Shards() int { return len(c.pools) }
 
 // RunFragment sends one fragment to a shard, first-healthy replica first
-// (a stable choice, so the primary replica's fragment cache stays hot),
+// (a stable choice, so the primary replica's handoff store and resident
+// index windows stay hot),
 // hedging per the client's stagger. The shard-side span tree is attached
 // under the caller's fragment span.
 func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*plan.FragmentResult, error) {

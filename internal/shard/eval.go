@@ -1,8 +1,9 @@
 // Package shard implements the executor half of the planner/executor
 // split: evaluating plan fragments over a shard's row ranges of the shared
-// dataset, serving them over the cluster RPC layer with a per-shard result
-// cache, and a scatter client that fans fragments out to shard workers
-// with replica failover and hedging.
+// dataset, serving them over the cluster RPC layer, and a scatter client
+// that fans fragments out to shard workers with replica failover and
+// hedging. A worker answers every fragment it is sent by evaluating it;
+// it keeps only the two-phase handoff (Executor).
 //
 // Every shard worker opens the same dataset directory (the paper's
 // parallel-filesystem deployment), so the shard map assigns work rather
@@ -10,7 +11,7 @@
 // any fragment. On a fleet every fragment is one shard's row range, the
 // phases of a histogram included, so what a worker keeps in memory
 // follows its rows: the first ranged fragment on a step makes its range
-// the step's resident index window (Executor.RunCached).
+// the step's resident index window (Executor.Run).
 package shard
 
 import (

@@ -40,7 +40,7 @@ type costRunner struct {
 
 func (r *costRunner) RunFragment(ctx context.Context, _ int, f plan.Fragment) (*plan.FragmentResult, error) {
 	var c obs.Cost
-	res, _, err := r.ex.RunCached(obs.WithCost(ctx, &c), f)
+	res, err := r.ex.Run(obs.WithCost(ctx, &c), f)
 	r.mu.Lock()
 	r.frags = append(r.frags, fragCost{op: f.Op, cost: c.Snapshot()})
 	r.mu.Unlock()
@@ -238,8 +238,8 @@ func TestExactWorkAcrossShardSplits(t *testing.T) {
 }
 
 // TestSharedSelection: the two phases of a histogram, and a select over
-// the same range, share one FragSelect cache entry — and an evicted
-// entry is recomputed, not an error.
+// the same range, share one stored FragSelect — and an evicted entry is
+// recomputed, not an error.
 func TestSharedSelection(t *testing.T) {
 	ex := testExecutor(t)
 	rows := plan.RowRange{Lo: 1000, Hi: 2200}
@@ -251,34 +251,34 @@ func TestSharedSelection(t *testing.T) {
 	sel.Op = plan.FragSelect
 
 	ctx := context.Background()
-	if _, err := runFragment(ctx, ex, minmax); err != nil {
+	if _, err := ex.Run(ctx, minmax); err != nil {
 		t.Fatal(err)
 	}
-	// The shared selection is not a requested fragment: only the
-	// requested ones move the hit, miss and evaluation counters.
-	counters := func(evals, misses, hits uint64) {
+	// Every requested fragment is an evaluation; the shared selection is
+	// not one of them, but it and the column phase 1 gathered are kept.
+	counters := func(evals uint64, entries int) {
 		t.Helper()
-		s := ex.Stats()
-		if s.Evals != evals || s.CacheMisses != misses || s.CacheHits != hits {
-			t.Fatalf("evals/misses/hits = %d/%d/%d, want %d/%d/%d",
-				s.Evals, s.CacheMisses, s.CacheHits, evals, misses, hits)
+		if s := ex.Stats(); s.Evals != evals || s.CacheEntries != entries {
+			t.Fatalf("evals/entries = %d/%d, want %d/%d", s.Evals, s.CacheEntries, evals, entries)
 		}
 	}
-	counters(1, 1, 0)
-	if _, ok := ex.Peek(sel); !ok {
-		t.Fatal("phase 1 did not leave its selection in the fragment cache")
-	}
+	counters(1, 2)
 	var c obs.Cost
-	if _, err := runFragment(obs.WithCost(ctx, &c), ex, hist); err != nil {
+	if _, err := ex.Run(obs.WithCost(ctx, &c), hist); err != nil {
 		t.Fatal(err)
 	}
-	counters(2, 2, 1)
+	counters(2, 3) // phase 2 gathered px beside phase 1's x
 	if s := c.Snapshot(); s.CandidateChecks != 0 || s.BitmapOps != 0 || s.ValuesRead == 0 {
 		t.Fatalf("phase 2 cost %+v: want gathers only", s)
 	}
-	got, hit, err := ex.RunCached(ctx, sel)
-	if err != nil || !hit {
-		t.Fatalf("session select over the same range: hit=%v err=%v", hit, err)
+	var cs obs.Cost
+	got, err := ex.Run(obs.WithCost(ctx, &cs), sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters(3, 3)
+	if s := cs.Snapshot(); s != (obs.CostSnapshot{}) {
+		t.Fatalf("session select over the same range cost %+v: it did not find phase 1's selection", s)
 	}
 	for _, p := range got.Sel {
 		if p < rows.Lo || p >= rows.Hi {
@@ -286,24 +286,24 @@ func TestSharedSelection(t *testing.T) {
 		}
 	}
 
-	// Without a cache every fragment evaluates its own selection.
+	// Without a handoff store every fragment evaluates its own selection.
 	cold := shard.NewExecutor(0)
 	defer cold.Close()
 	if err := cold.AddDataset("lwfa", testDataDir(t)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := runFragment(ctx, ex, hist)
+	want, err := ex.Run(ctx, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runFragment(ctx, cold, hist)
+	res, err := cold.Run(ctx, hist)
 	if err != nil || !reflect.DeepEqual(res, want) {
-		t.Fatalf("uncached executor: err=%v, answer equal=%v", err, reflect.DeepEqual(res, want))
+		t.Fatalf("executor keeping nothing: err=%v, answer equal=%v", err, reflect.DeepEqual(res, want))
 	}
 }
 
 // shardedCost is costRunner with one executor per shard, as a fleet
-// runs: each shard's fragments share only that shard's fragment cache.
+// runs: each shard's fragments share only that shard's handoff store.
 type shardedCost struct {
 	exs   []*shard.Executor
 	mu    sync.Mutex
@@ -312,7 +312,7 @@ type shardedCost struct {
 
 func (r *shardedCost) RunFragment(ctx context.Context, i int, f plan.Fragment) (*plan.FragmentResult, error) {
 	var c obs.Cost
-	res, _, err := r.exs[i].RunCached(obs.WithCost(ctx, &c), f)
+	res, err := r.exs[i].Run(obs.WithCost(ctx, &c), f)
 	r.mu.Lock()
 	r.frags = append(r.frags, fragCost{op: f.Op, cost: c.Snapshot()})
 	r.mu.Unlock()
@@ -320,11 +320,10 @@ func (r *shardedCost) RunFragment(ctx context.Context, i int, f plan.Fragment) (
 }
 
 // TestHandoffStaysInProbation: a stream of distinct two-phase histograms
-// on 3 shards, over caches whose probation holds a few requests' handoffs
-// but not the stream's, promotes nothing — every shard's protected bytes
-// stay 0 — and still evaluates each selection exactly once: phase 1
-// selects and gathers, and phase 2 reads what it kept, charging no
-// selection work and reading no values.
+// on 3 shards, over handoff stores whose probation holds a few requests'
+// handoffs but not the stream's, cycles probation and still evaluates
+// each selection exactly once: phase 1 selects and gathers, and phase 2
+// reads what it kept, charging no selection work and reading no values.
 func TestHandoffStaysInProbation(t *testing.T) {
 	const shards, n, budget = 3, 24, 256 << 10
 	rows, px := stepColumn(t, 1, "px")
@@ -366,12 +365,12 @@ func TestHandoffStaysInProbation(t *testing.T) {
 	}
 	for i, ex := range r.exs {
 		st := ex.Stats()
-		if st.CacheProtectedBytes != 0 || st.Evals != 2*n || st.CacheHits != 0 {
-			t.Fatalf("shard %d: %+v, want %d evaluations, no hit, nothing protected", i, st, 2*n)
+		if st.Evals != 2*n {
+			t.Fatalf("shard %d: %+v, want %d evaluations", i, st, 2*n)
 		}
-		// Five entries a request (both phases' results, the selection
-		// and two gathered columns): probation cycled.
-		if st.CacheEntries >= 5*n || st.CacheBytes > budget {
+		// Three entries a request (the selection and two gathered
+		// columns), and no phase's result: probation cycled.
+		if st.CacheEntries >= 3*n || st.CacheBytes > budget {
 			t.Fatalf("shard %d: %d entries of %d bytes: probation never cycled", i, st.CacheEntries, st.CacheBytes)
 		}
 	}
@@ -379,9 +378,9 @@ func TestHandoffStaysInProbation(t *testing.T) {
 
 // TestUnconditionalFragmentsKeepNothing: an unconditional histogram
 // without a range — uniform or adaptive — answers on a fleet as in one
-// process, and no fragment of it leaves anything in a shard's fragment
-// cache beside its own result: each phase visits its range's chunks
-// again, which costs less than a column kept. A single-phase histogram,
+// process, and no fragment of it leaves anything in a shard's handoff
+// store: each phase visits its range's chunks again, which costs less
+// than a column kept. A single-phase histogram,
 // its range given, is the same.
 func TestUnconditionalFragmentsKeepNothing(t *testing.T) {
 	const shards = 3
@@ -411,8 +410,8 @@ func TestUnconditionalFragmentsKeepNothing(t *testing.T) {
 			}
 		}
 		for i, ex := range r.exs {
-			if st := ex.Stats(); st.Evals == 0 || uint64(st.CacheEntries) != st.Evals {
-				t.Fatalf("%+v: shard %d left %d cache entries for %d evaluations", spec, i, st.CacheEntries, st.Evals)
+			if st := ex.Stats(); st.Evals == 0 || st.CacheEntries != 0 {
+				t.Fatalf("%+v: shard %d left %d entries after %d evaluations", spec, i, st.CacheEntries, st.Evals)
 			}
 		}
 	}

@@ -16,10 +16,6 @@ import (
 var (
 	metricFragments = obs.Default().Counter("shard_fragments_total",
 		"Plan fragments evaluated by this process's shard executor.")
-	metricFragHits = obs.Default().Counter("shard_frag_cache_hits_total",
-		"Fragment results answered from the shard-local cache.")
-	metricFragMisses = obs.Default().Counter("shard_frag_cache_misses_total",
-		"Fragment requests that had to be evaluated.")
 	metricBudgetShed = obs.Default().Counter("shard_budget_shed_total",
 		"Fragments shed by a shard worker because their deadline budget expired.")
 	metricBudgetSkips = obs.Default().Counter("shard_budget_skips_total",
@@ -31,45 +27,38 @@ var (
 type ExecStats struct {
 	Datasets     int
 	Steps        int    // total steps across datasets
-	Evals        uint64 // fragments evaluated (cache misses that ran)
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheEntries int
-	CacheBytes   int // what the entries are charged in all
-	// CacheProtectedBytes is the part of CacheBytes that a requested
-	// fragment hit since it was stored (plan.Store): about 0 when no
-	// fragment repeats, however many two-phase handoffs pass through.
-	CacheProtectedBytes int
+	Evals        uint64 // requested fragments evaluated
+	CacheEntries int    // two-phase handoff entries kept
+	CacheBytes   int    // what the entries are charged in all
 	// IndexBytes is the in-memory size of the column indexes the open
 	// steps keep decoded: on a shard, each cut to the shard's rows.
 	IndexBytes int
 }
 
-// Executor evaluates plan fragments over locally opened datasets, with a
-// shard-local cache of fragment results keyed by the canonical fragment
-// key. Hot steps — repeated drill-downs over the same fragment — are
-// answered without touching the data at all.
+// Executor evaluates plan fragments over locally opened datasets. It
+// answers no requested fragment from storage: the frontend's result cache
+// already keys and coalesces every client request, so a shard evaluates
+// every fragment it is sent.
 //
-// The cache is a plan.Store, which promotes an entry only on a
-// request-level hit: Peek or RunCached on the requested fragment's key.
-// The two-phase handoff — the selection and the columns gathered at it,
-// read by phase 2 — is an internal read that never promotes, so it lives
-// and dies in probation. A shared selection is evaluated once at a time:
-// fragments that need one already in flight wait for it (selection), so
-// concurrent plans over one FragSelect — a session's views, one plan per
-// variable — charge one evaluation between them. Requested fragments are
-// not coalesced: the frontend's result cache already coalesces identical
-// client requests.
+// What it keeps, in a plan.Store, is the two-phase handoff: a FragSelect's
+// positions and the columns gathered at them, read by the later phases of
+// a conditional histogram and by a session's views over the same brush.
+// These reads never promote, so the handoff lives and dies in probation,
+// an eighth of the budget; an evicted entry is just recomputed. A shared
+// selection is evaluated once at a time: fragments that need one already
+// in flight wait for it (selection), so concurrent fragments over one
+// FragSelect — a session's select and views, one plan per variable —
+// charge one evaluation between them.
 type Executor struct {
 	mu       sync.Mutex
 	datasets map[string]*exDataset
 
-	cache *plan.Store
+	handoff *plan.Store
 
 	flightMu sync.Mutex
 	flights  map[string]*flight // FragSelect keys being evaluated
 
-	evals, hits, misses atomic.Uint64
+	evals atomic.Uint64
 }
 
 type exDataset struct {
@@ -79,15 +68,15 @@ type exDataset struct {
 	steps map[int]*fastquery.Step
 }
 
-// FragCacheBytes is a shard worker's fragment cache budget.
+// FragCacheBytes is a shard worker's handoff store budget.
 const FragCacheBytes = 64 << 20
 
-// NewExecutor creates an executor whose fragment cache holds results up
-// to cacheBytes in total (0 disables caching).
+// NewExecutor creates an executor whose handoff store holds up to
+// cacheBytes in total (0 keeps nothing).
 func NewExecutor(cacheBytes int) *Executor {
 	return &Executor{
 		datasets: map[string]*exDataset{},
-		cache:    plan.NewStore(cacheBytes),
+		handoff:  plan.NewStore(cacheBytes),
 		flights:  map[string]*flight{},
 	}
 }
@@ -129,36 +118,15 @@ func (e *Executor) step(dataset string, t int) (*fastquery.Step, error) {
 	return st, nil
 }
 
-// Peek returns a cached result for the fragment without evaluating
-// anything; the RPC service uses it to answer hot fragments ahead of
-// admission control, mirroring the serve layer's cached-probe bypass.
-func (e *Executor) Peek(f plan.Fragment) (*plan.FragmentResult, bool) {
-	res, ok := fragResult(e.cache.Hit(f.Key()))
-	if ok {
-		e.hits.Add(1)
-		metricFragHits.Inc()
-	}
-	return res, ok
-}
-
-// RunCached evaluates one fragment, answering from the shard-local cache
-// when possible, and reports whether it did, so the explain surface can
-// mark cache-served fragments (which correctly charged zero cost).
-// Cached results are shared and must be treated as read-only; the
-// planner's merge never mutates a partial (it appends the partials'
-// count encodings to the merged answer's own list).
-func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, bool, error) {
-	key := f.Key()
-	if res, ok := fragResult(e.cache.Hit(key)); ok {
-		e.hits.Add(1)
-		metricFragHits.Inc()
-		return res, true, nil
-	}
-	e.misses.Add(1)
-	metricFragMisses.Inc()
+// Run evaluates one requested fragment. A ranged conditional fragment — a
+// FragSelect, or a min/max or histogram reading its values at one — takes
+// its selection from the handoff store or its flight (selection). A
+// FragSelect's result is that stored selection, shared and read-only: the
+// planner's merge copies the positions out of it.
+func (e *Executor) Run(ctx context.Context, f plan.Fragment) (*plan.FragmentResult, error) {
 	st, err := e.step(f.Dataset, f.Step)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if !f.Rows.Whole() {
 		// A shard's ranged fragments all cover its ShardMap.Range of the
@@ -168,26 +136,17 @@ func (e *Executor) RunCached(ctx context.Context, f plan.Fragment) (*plan.Fragme
 	}
 	e.evals.Add(1)
 	metricFragments.Inc()
-	var res *plan.FragmentResult
-	if sf, ok := selectionOf(f); ok {
-		// The phases of a conditional histogram read the same rows, and
-		// each column at them once: the rows are a FragSelect entry, which
-		// a session select over the same range shares too, and phase 1
-		// keeps the columns it gathers at them under the rows' key for the
-		// later phases. None of them promotes these entries; an evicted
-		// entry is just recomputed.
-		var sel *plan.FragmentResult
-		if sel, err = e.selection(ctx, st, sf); err == nil {
-			res, err = evalOver(ctx, st, f, fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.cache, key: sf.Key()}})
-		}
-	} else {
-		res, err = Eval(ctx, st, f)
+	sf, ok := selectionOf(f)
+	if !ok {
+		return Eval(ctx, st, f)
 	}
-	if err != nil {
-		return nil, false, err
+	// Phase 1 keeps the columns it gathers at the selection under the
+	// selection's key, so the later phases read each column once.
+	sel, err := e.selection(ctx, st, sf)
+	if err != nil || f.Op == plan.FragSelect {
+		return sel, err
 	}
-	e.cache.Put(key, res, res.CacheBytes(key))
-	return res, false, nil
+	return evalOver(ctx, st, f, fastquery.Rows{Pos: sel.Sel, Gathered: gathered{c: e.handoff, key: sf.Key()}})
 }
 
 // flight is one evaluation of a shared selection; res is set, before done
@@ -197,17 +156,15 @@ type flight struct {
 	res  *plan.FragmentResult
 }
 
-// selection answers the shared FragSelect sf from the fragment cache or
+// selection answers the shared FragSelect sf from the handoff store or
 // evaluates it there. A fragment that finds sf in flight waits for that
 // evaluation, or for its own ctx, and charges nothing; when the leader
 // failed or was canceled it stored nothing, and the waiter tries again,
-// so it evaluates sf itself unless another flight started first. sf is
-// not a requested fragment, so it moves none of the hit, miss and
-// evaluation counters and promotes nothing.
+// so it evaluates sf itself unless another flight started first.
 func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fragment) (*plan.FragmentResult, error) {
 	key := sf.Key()
 	for {
-		if res, ok := fragResult(e.cache.Get(key)); ok {
+		if res, ok := fragResult(e.handoff.Get(key)); ok {
 			return res, nil
 		}
 		e.flightMu.Lock()
@@ -216,7 +173,7 @@ func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fr
 			// A leader that finished since the lookup above stored its
 			// result before it left flights: look again, or evaluate sf
 			// twice.
-			if res, ok := fragResult(e.cache.Get(key)); ok {
+			if res, ok := fragResult(e.handoff.Get(key)); ok {
 				e.flightMu.Unlock()
 				return res, nil
 			}
@@ -238,8 +195,8 @@ func (e *Executor) selection(ctx context.Context, st *fastquery.Step, sf plan.Fr
 	}
 }
 
-// lead evaluates the selection of flight fl and stores it in the fragment
-// cache, then releases the fragments waiting for it.
+// lead evaluates the selection of flight fl and stores it in the handoff
+// store, then releases the fragments waiting for it.
 func (e *Executor) lead(ctx context.Context, st *fastquery.Step, sf plan.Fragment, key string, fl *flight) (*plan.FragmentResult, error) {
 	defer func() {
 		e.flightMu.Lock()
@@ -251,9 +208,15 @@ func (e *Executor) lead(ctx context.Context, st *fastquery.Step, sf plan.Fragmen
 	if err != nil {
 		return nil, err
 	}
-	e.cache.Put(key, res, res.CacheBytes(key))
+	keepSelection(e.handoff, key, res)
 	fl.res = res
 	return res, nil
+}
+
+// keepSelection stores the selection res under key, charged its positions
+// beside the fixed overhead of an entry.
+func keepSelection(s *plan.Store, key string, res *plan.FragmentResult) {
+	s.Put(key, res, plan.CacheEntryOverhead+len(key)+8*len(res.Sel))
 }
 
 // fragResult is a store lookup's value as a fragment result.
@@ -263,7 +226,7 @@ func fragResult(v any, ok bool) (*plan.FragmentResult, bool) {
 }
 
 // gathered keeps the columns gathered at a conditional fragment's rows,
-// a cached selection's positions, in the fragment cache, each under the
+// a stored selection's positions, in the handoff store, each under the
 // rows' key and the column's name and charged its 8 bytes a value. Like
 // the selection, a column evicted is just read again. An unconditional
 // fragment keeps nothing: each of its passes visits its range's chunks
@@ -287,11 +250,11 @@ func (g gathered) Keep(name string, vals []float64) {
 }
 
 // selectionOf returns the FragSelect fragment naming the rows a ranged
-// conditional min/max or histogram fragment reads its values at: the
-// selection whose positions it gathers at.
+// conditional fragment reads: the selection whose positions a min/max or
+// histogram gathers at, and a FragSelect's own key.
 func selectionOf(f plan.Fragment) (plan.Fragment, bool) {
 	switch f.Op {
-	case plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
+	case plan.FragSelect, plan.FragMinMax, plan.FragHist1D, plan.FragHist2D:
 	default:
 		return plan.Fragment{}, false
 	}
@@ -317,17 +280,14 @@ func (e *Executor) Stats() ExecStats {
 		d.mu.Unlock()
 	}
 	e.mu.Unlock()
-	st := e.cache.Stats()
+	st := e.handoff.Stats()
 	return ExecStats{
-		Datasets:            datasets,
-		Steps:               steps,
-		Evals:               e.evals.Load(),
-		CacheHits:           e.hits.Load(),
-		CacheMisses:         e.misses.Load(),
-		CacheEntries:        st.Entries,
-		CacheBytes:          st.Bytes,
-		CacheProtectedBytes: st.ProtectedBytes,
-		IndexBytes:          indexBytes,
+		Datasets:     datasets,
+		Steps:        steps,
+		Evals:        e.evals.Load(),
+		CacheEntries: st.Entries,
+		CacheBytes:   st.Bytes,
+		IndexBytes:   indexBytes,
 	}
 }
 

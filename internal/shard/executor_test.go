@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/histogram"
 	"repro/internal/plan"
 )
 
@@ -15,32 +13,28 @@ func sel(n int) *plan.FragmentResult {
 	return &plan.FragmentResult{Count: uint64(n), Sel: make([]uint64, n)}
 }
 
-// put stores a fragment result in the fragment cache as the executor
-// does, charged res.CacheBytes.
-func put(c *plan.Store, key string, res *plan.FragmentResult) { c.Put(key, res, res.CacheBytes(key)) }
-
-// get reads a fragment result as an internal read, which promotes nothing.
+// get reads a selection as the executor does, which promotes nothing.
 func get(c *plan.Store, key string) (*plan.FragmentResult, bool) { return fragResult(c.Get(key)) }
 
-// TestFragCacheByteBudget: new results wait in probation, an eighth of
+// TestFragCacheByteBudget: new selections wait in probation, an eighth of
 // the budget, whose least recently used entries go once their summed size
-// passes it; the cache never keeps a result larger than the budget, and
-// re-putting a key replaces its size exactly.
+// passes it; the handoff store never keeps a selection larger than the
+// budget, and re-putting a key replaces its size exactly.
 func TestFragCacheByteBudget(t *testing.T) {
 	// Keys of one byte: an entry of n positions costs size(n).
 	size := func(n int) int { return plan.CacheEntryOverhead + 1 + 8*n }
 	share := size(100) + size(100) + size(50)
-	c := NewExecutor(8 * share).cache
-	put(c, "a", sel(100))
-	put(c, "b", sel(100))
-	put(c, "c", sel(50))
+	c := NewExecutor(8 * share).handoff
+	keepSelection(c, "a", sel(100))
+	keepSelection(c, "b", sel(100))
+	keepSelection(c, "c", sel(50))
 	if st := c.Stats(); st.Entries != 3 || st.Bytes != share {
 		t.Fatalf("filled to probation's share: %+v, want %d bytes", st, share)
 	}
 	if _, ok := get(c, "a"); !ok { // a becomes the most recently used
 		t.Fatal("a missing")
 	}
-	put(c, "d", sel(60)) // size(60) over: b goes, c stays
+	keepSelection(c, "d", sel(60)) // size(60) over: b goes, c stays
 	if _, ok := get(c, "b"); ok {
 		t.Fatal("least recently used entry b survived")
 	}
@@ -54,38 +48,39 @@ func TestFragCacheByteBudget(t *testing.T) {
 	}
 
 	// Re-putting a key charges the new size, not the sum of both.
-	put(c, "c", sel(10))
+	keepSelection(c, "c", sel(10))
 	if st, want := c.Stats(), size(100)+size(10)+size(60); st.Bytes != want {
 		t.Fatalf("after re-put bytes = %d, want %d", st.Bytes, want)
 	}
-	put(c, "c", sel(50))
+	keepSelection(c, "c", sel(50))
 	if st, want := c.Stats(), size(100)+size(50)+size(60); st.Bytes != want || st.Entries != 3 {
 		t.Fatalf("after second re-put %+v, want 3 entries, %d bytes", st, want)
 	}
 
-	// A result larger than the whole budget is not cached and evicts nothing.
-	put(c, "huge", sel(8*share))
+	// A selection larger than the whole budget is not kept and evicts
+	// nothing.
+	keepSelection(c, "huge", sel(8*share))
 	if _, ok := get(c, "huge"); ok || c.Stats().Entries != 3 {
-		t.Fatalf("oversized result cached (%+v)", c.Stats())
+		t.Fatalf("oversized selection kept (%+v)", c.Stats())
 	}
 
-	// A zero budget disables the cache.
-	off := NewExecutor(0).cache
-	put(off, "a", sel(1))
+	// A zero budget keeps nothing.
+	off := NewExecutor(0).handoff
+	keepSelection(off, "a", sel(1))
 	if _, ok := get(off, "a"); ok || off.Stats().Entries != 0 {
-		t.Fatal("disabled cache stored a result")
+		t.Fatal("a zero budget kept a selection")
 	}
 }
 
-// TestFragCacheBoundsCountOnlyEntries: results with no payload, a
-// never-repeating stream of counts, still cost their fixed overhead, so
-// the budget bounds how many the cache holds — none of them hit, so all
-// in probation's eighth of it.
+// TestFragCacheBoundsCountOnlyEntries: selections with no payload, a
+// never-repeating stream of empty ones, still cost their fixed overhead,
+// so the budget bounds how many the handoff store holds — nothing is
+// promoted, so all in probation's eighth of it.
 func TestFragCacheBoundsCountOnlyEntries(t *testing.T) {
 	const budget = 64 << 10
-	c := NewExecutor(budget).cache
+	c := NewExecutor(budget).handoff
 	for i := 0; i < 10000; i++ {
-		put(c, fmt.Sprintf("count\x1fstep=%d\x1fpx > %d && y < %d", i%12, i, i+7), &plan.FragmentResult{Count: uint64(i)})
+		keepSelection(c, fmt.Sprintf("select\x1fstep=%d\x1fpx > %d && y < %d", i%12, i, i+7), sel(0))
 	}
 	st := c.Stats()
 	if most := budget / 8 / plan.CacheEntryOverhead; st.Entries == 0 || st.Entries > most || st.Bytes > budget/8 || st.ProtectedBytes != 0 {
@@ -93,25 +88,17 @@ func TestFragCacheBoundsCountOnlyEntries(t *testing.T) {
 	}
 }
 
-// TestFragCacheChargesRealBytes: a cells-form histogram partial is
-// charged its encoding, not its grid; a column gathered at a cached
-// selection is charged 8 bytes a value beside it; and however entries of
-// both kinds and plain results arrive, the total stays within budget and
-// equals the sum of the resident entries' charges.
+// TestFragCacheChargesRealBytes: a selection is charged 8 bytes a
+// position, and a column gathered at it 8 bytes a value beside it; and
+// however entries of both kinds arrive and are read, the total stays
+// within budget and equals the sum of the resident entries' charges.
 func TestFragCacheChargesRealBytes(t *testing.T) {
-	e := histogram.UniformEdges(0, 1, 256)
-	xs := []float64{0.1, 0.1, 0.2, 0.7, 0.9}
-	h, err := histogram.Partial2DCtx(context.Background(), "x", "y", xs, xs, e, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &plan.FragmentResult{Hist2: h}
 	const budget = 1 << 20
-	c := NewExecutor(budget).cache
-	put(c, "h", res)
-	want := plan.CacheEntryOverhead + 1 + h.CountBytes() + 8*2*257
-	if got := c.Stats().Bytes; got != want || h.CountBytes() > 64 {
-		t.Fatalf("cells-form partial charged %d bytes (counts %d), want %d", got, h.CountBytes(), want)
+	c := NewExecutor(budget).handoff
+	keepSelection(c, "sel", sel(1000))
+	want := plan.CacheEntryOverhead + len("sel") + 8*1000
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("selection charged %d bytes, want %d", got, want)
 	}
 
 	g := gathered{c: c, key: "sel"}
@@ -129,38 +116,35 @@ func TestFragCacheChargesRealBytes(t *testing.T) {
 		t.Fatal("a column never gathered was found")
 	}
 	if _, ok := get(c, key); ok {
-		t.Fatal("a gathered column read back as a fragment result")
+		t.Fatal("a gathered column read back as a selection")
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	keys := map[string]bool{"h": true, key: true}
+	keys := map[string]bool{"sel": true, key: true}
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprint(rng.Intn(300))
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
-			put(c, k, sel(rng.Intn(20000)))
+			keepSelection(c, k, sel(rng.Intn(20000)))
 			keys[k] = true
 		case 1:
 			g := gathered{c: c, key: k}
 			g.Keep("x", make([]float64, rng.Intn(40000)))
 			keys[g.entry("x")] = true
-		case 2:
-			put(c, k, res)
-			keys[k] = true
 		default:
-			c.Hit(k) // a requested fragment's hit promotes it
+			get(c, k) // a later phase's read moves it within probation
 		}
 		sum := 0
 		for k := range keys {
 			switch v, _ := c.Get(k); v := v.(type) {
 			case *plan.FragmentResult:
-				sum += v.CacheBytes(k)
+				sum += plan.CacheEntryOverhead + len(k) + 8*len(v.Sel)
 			case []float64:
 				sum += plan.CacheEntryOverhead + len(k) + 8*cap(v)
 			}
 		}
-		if st := c.Stats(); st.Bytes > budget || st.Bytes != sum {
-			t.Fatalf("after %d operations: %d bytes charged, entries sum to %d, budget %d", i+1, st.Bytes, sum, budget)
+		if st := c.Stats(); st.Bytes > budget || st.Bytes != sum || st.ProtectedBytes != 0 {
+			t.Fatalf("after %d operations: %+v; entries sum to %d, budget %d, none protected", i+1, st, sum, budget)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 func TestCorruptReplyFailsOver(t *testing.T) {
 	f := plan.Fragment{Op: plan.FragMinMax, Dataset: "lwfa", Step: 0, Rows: plan.RowRange{Lo: 0, Hi: 1000},
 		Backend: fastquery.Scan, Vars: []string{"px"}}
-	want, err := runFragment(context.Background(), testExecutor(t), f)
+	want, err := testExecutor(t).Run(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,11 @@ import (
 )
 
 // TestConcurrentFragmentsShareOneSelection: conditional fragments over one
-// query and row range, run at once on a cold executor — a session's views,
-// one plan per variable — evaluate their shared selection once between
-// them, so the selection work they charge in all is exactly one
-// evaluation's, however the goroutines interleave. Run it with -race.
+// query and row range, run at once on a cold executor — a session's select
+// beside its views, one plan per variable — evaluate their shared
+// selection once between them, requested FragSelects included, so the
+// selection work they charge in all is exactly one evaluation's, however
+// the goroutines interleave. Run it with -race.
 func TestConcurrentFragmentsShareOneSelection(t *testing.T) {
 	const step = 1
 	rows, px := stepColumn(t, step, "px")
@@ -29,7 +30,7 @@ func TestConcurrentFragmentsShareOneSelection(t *testing.T) {
 		sel := base
 		sel.Op = plan.FragSelect
 		var c obs.Cost
-		if _, _, err := testExecutor(t).RunCached(obs.WithCost(context.Background(), &c), sel); err != nil {
+		if _, err := testExecutor(t).Run(obs.WithCost(context.Background(), &c), sel); err != nil {
 			t.Fatal(err)
 		}
 		return c.Snapshot()
@@ -48,11 +49,14 @@ func TestConcurrentFragmentsShareOneSelection(t *testing.T) {
 		for i, v := range vars {
 			f := base
 			f.Op, f.Vars = plan.FragMinMax, []string{v}
+			if i%4 == 3 { // two of the eight are the requested select
+				f.Op, f.Vars = plan.FragSelect, nil
+			}
 			wg.Add(1)
 			go func(f plan.Fragment, c *obs.Cost) {
 				defer wg.Done()
 				<-start
-				if _, err := runFragment(obs.WithCost(context.Background(), c), ex, f); err != nil {
+				if _, err := ex.Run(obs.WithCost(context.Background(), c), f); err != nil {
 					errs <- err
 				}
 			}(f, &costs[i])
@@ -100,7 +104,7 @@ func TestSelectionWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var err error
-	go func() { _, err = runFragment(ctx, ex, f); close(done) }()
+	go func() { _, err = ex.Run(ctx, f); close(done) }()
 	waiting(done)
 	cancel()
 	<-done
@@ -113,7 +117,7 @@ func TestSelectionWaiter(t *testing.T) {
 	var c obs.Cost
 	var res *plan.FragmentResult
 	done = make(chan struct{})
-	go func() { res, err = runFragment(obs.WithCost(context.Background(), &c), ex, f); close(done) }()
+	go func() { res, err = ex.Run(obs.WithCost(context.Background(), &c), f); close(done) }()
 	waiting(done)
 	end()
 	<-done

@@ -282,8 +282,8 @@ func FuzzPlanSplits(f *testing.F) {
 			q.Backend = b
 			var want string
 			for _, shards := range []int{1, 2, 3, 5, 7} {
-				// A fresh executor per split, so no fragment cache
-				// carries an answer from one topology to the next.
+				// A fresh executor per split, so no stored selection
+				// carries from one topology to the next.
 				ex := shard.NewExecutor(shard.FragCacheBytes)
 				if err := ex.AddDataset("fuzz", dir); err != nil {
 					t.Fatal(err)

@@ -2,7 +2,8 @@
 // scatter over any shard split must materialize byte-identical sorted
 // positions to the single-process plan, the particle-ID membership
 // predicate built from those positions must count identically across
-// splits, and selection fragments are cached like any other.
+// splits, and a selection fragment is the handoff a histogram over the
+// same brush reads.
 package shard_test
 
 import (
@@ -12,12 +13,14 @@ import (
 	"testing"
 
 	"repro/internal/fastquery"
+	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
 
 // execSelect runs one OpSelect through the planner over the given shard
-// count, on a fresh executor so fragment caches cannot leak between
+// count, on a fresh executor so stored selections cannot leak between
 // topologies.
 func execSelect(t *testing.T, shards int, q string, backend fastquery.Backend, step int) *plan.DenseResult {
 	t.Helper()
@@ -119,27 +122,49 @@ func TestTrackedIDSetIdentity(t *testing.T) {
 	}
 }
 
-// TestSelectFragmentsCached: a FragSelect result (a session selection's
-// positions) is served from the fragment cache on repeat, like any other
-// fragment.
-func TestSelectFragmentsCached(t *testing.T) {
+// TestSelectFragmentsHandoff: a requested FragSelect (a session select
+// on a fleet) is stored as the two-phase handoff, under the key a ranged
+// conditional histogram over the same rows reads its positions at: that
+// histogram then charges gathers only, and the select asked again is
+// found there and charges nothing.
+func TestSelectFragmentsHandoff(t *testing.T) {
 	ex := testExecutor(t)
 	f := plan.Fragment{
 		Op: plan.FragSelect, Dataset: "lwfa", Step: 0,
 		Rows:  plan.RowRange{Lo: 0, Hi: 500},
 		Query: canonical(t, "px > 0"), Backend: fastquery.FastBit,
 	}
-	res, hit, err := ex.RunCached(context.Background(), f)
+	ctx := context.Background()
+	res, err := ex.Run(ctx, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || len(res.Sel) == 0 {
-		t.Fatalf("first run: hit=%v sel=%d", hit, len(res.Sel))
+	if len(res.Sel) == 0 {
+		t.Fatal("the selection is empty; the property would be vacuous")
 	}
-	if _, ok := ex.Peek(f); !ok {
-		t.Fatal("selection fragment not cached after RunCached")
+	if st := ex.Stats(); st.Evals != 1 || st.CacheEntries != 1 {
+		t.Fatalf("after the select: %+v, want 1 evaluation and 1 stored selection", st)
 	}
-	if _, hit, err = ex.RunCached(context.Background(), f); err != nil || !hit {
-		t.Fatalf("second run should hit the fragment cache: hit=%v err=%v", hit, err)
+
+	hist := f
+	hist.Op, hist.Spec2 = plan.FragHist2D, histogram.NewSpec2D("x", "px", 8, 8).WithXRange(-1, 1).WithYRange(-1, 1)
+	var c obs.Cost
+	if _, err := ex.Run(obs.WithCost(ctx, &c), hist); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.CandidateChecks != 0 || s.BitmapOps != 0 || s.ValuesRead == 0 {
+		t.Fatalf("histogram over the selected rows cost %+v: want gathers only", s)
+	}
+
+	var ca obs.Cost
+	again, err := ex.Run(obs.WithCost(ctx, &ca), f)
+	if err != nil || !reflect.DeepEqual(again, res) {
+		t.Fatalf("select asked again: err=%v, same answer=%v", err, reflect.DeepEqual(again, res))
+	}
+	if s := ca.Snapshot(); s != (obs.CostSnapshot{}) {
+		t.Fatalf("select asked again cost %+v: its stored selection was not found", s)
+	}
+	if st := ex.Stats(); st.Evals != 3 {
+		t.Fatalf("%d evaluations counted, want 3: every requested fragment runs", st.Evals)
 	}
 }

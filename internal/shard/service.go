@@ -34,7 +34,7 @@ type ExecArgs struct {
 	// burning capacity on an answer nobody can wait for.
 	BudgetMS int64
 	// Profile asks the worker to attach a per-fragment execution profile
-	// (resource costs, admission wait, cache disposition) to the reply,
+	// (resource costs, admission wait, budget disposition) to the reply,
 	// for the frontend's explain surface.
 	Profile bool
 }
@@ -47,8 +47,9 @@ type ExecReply struct {
 	Result *plan.FragmentResult
 	Trace  *obs.SpanData // shard-side span tree when TraceID was set
 	// Prof is the fragment execution profile when Profile was requested.
-	// It rides the reply, never the cacheable Result, so a cache-served
-	// fragment correctly reports zero cost.
+	// It rides the reply, never the Result: a FragSelect's Result is the
+	// stored selection later fragments share, and must not carry this
+	// evaluation's cost to them.
 	Prof *plan.FragProfile
 }
 
@@ -93,9 +94,9 @@ func finishTrace(tr *obs.Trace, slot **obs.SpanData) {
 	*slot = tr.Data()
 }
 
-// Exec evaluates one fragment. A cached result is returned before
-// admission control — a map lookup needs no gate slot. Panics are turned
-// into errors so a poisoned fragment cannot take the whole worker down.
+// Exec evaluates one fragment under the worker's admission gate and the
+// fragment's deadline budget. Panics are turned into errors so a poisoned
+// fragment cannot take the whole worker down.
 func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -104,24 +105,6 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 	}()
 	ctx, tr := shardTrace(args.TraceID, "shard:"+args.Frag.Op.String())
 	defer finishTrace(tr, &reply.Trace)
-	prof := func() *plan.FragProfile {
-		if !args.Profile {
-			return nil
-		}
-		fp := plan.NewFragProfile(0, args.Frag) // the client fills in the shard
-		fp.BudgetMS = args.BudgetMS
-		return &fp
-	}
-	if res, ok := s.ex.Peek(args.Frag); ok {
-		// A cached answer costs a map lookup; serve it even on a spent
-		// budget — it is faster than explaining the shed.
-		reply.Result = res
-		if fp := prof(); fp != nil {
-			fp.Cached, fp.CacheSource = true, "fragment"
-			reply.Prof = fp
-		}
-		return nil
-	}
 	if args.BudgetMS < 0 {
 		metricBudgetShed.Inc()
 		return fastquery.Exhaustedf("shard: fragment arrived with budget already spent (%dms)", args.BudgetMS)
@@ -131,7 +114,12 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(args.BudgetMS)*time.Millisecond)
 		defer cancel()
 	}
-	fp := prof()
+	var fp *plan.FragProfile
+	if args.Profile {
+		p := plan.NewFragProfile(0, args.Frag) // the client fills in the shard
+		p.BudgetMS = args.BudgetMS
+		fp = &p
+	}
 	if s.admit != nil {
 		waitStart := time.Now()
 		release, aerr := s.admit(ctx)
@@ -154,12 +142,9 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		ctx = obs.WithCost(ctx, cost)
 	}
 	evalStart := time.Now()
-	res, cached, err := s.ex.RunCached(ctx, args.Frag)
+	res, err := s.ex.Run(ctx, args.Frag)
 	if fp != nil {
 		fp.Done(cost.Snapshot(), time.Since(evalStart), err)
-		if cached {
-			fp.Cached, fp.CacheSource = true, "fragment"
-		}
 		reply.Prof = fp
 	}
 	if err != nil {
@@ -213,8 +198,8 @@ func NewServer(svc *Service) (*cluster.Server, error) {
 }
 
 // StartLocalShards starts n in-process shard workers over the given
-// datasets (name -> directory), one replica each, each with a fragment
-// cache of cacheBytes, and returns the per-shard address groups plus an
+// datasets (name -> directory), one replica each, each with a handoff
+// store of cacheBytes, and returns the per-shard address groups plus an
 // idempotent shutdown, for tests and the benchmark harness.
 func StartLocalShards(n int, datasets map[string]string, cacheBytes int) (shards [][]string, shutdown func(), err error) {
 	var servers []*cluster.Server

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fastbit"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/scan"
@@ -80,12 +81,6 @@ func testExecutor(t *testing.T) *shard.Executor {
 	return ex
 }
 
-// runFragment evaluates f on ex as the shard service does.
-func runFragment(ctx context.Context, ex *shard.Executor, f plan.Fragment) (*plan.FragmentResult, error) {
-	res, _, err := ex.RunCached(ctx, f)
-	return res, err
-}
-
 // execRunner adapts an Executor into a plan.Runner: every "shard" is the
 // same local executor, so results differ from single-process evaluation
 // only through the planner's scatter/merge — exactly what these tests
@@ -93,7 +88,7 @@ func runFragment(ctx context.Context, ex *shard.Executor, f plan.Fragment) (*pla
 type execRunner struct{ ex *shard.Executor }
 
 func (r execRunner) RunFragment(ctx context.Context, _ int, f plan.Fragment) (*plan.FragmentResult, error) {
-	return runFragment(ctx, r.ex, f)
+	return r.ex.Run(ctx, f)
 }
 
 // canonical parses and canonicalizes query text the way the serve layer
@@ -185,8 +180,8 @@ func TestScatterIdentity(t *testing.T) {
 					q := tc.q
 					q.Dataset, q.Step = "lwfa", step
 
-					// Fresh executor per topology so the fragment cache
-					// cannot leak results between shard splits.
+					// Fresh executor per topology so a stored selection
+					// cannot leak between shard splits.
 					base := testExecutor(t)
 					src, err := fastquery.Open(testDataDir(t))
 					if err != nil {
@@ -290,37 +285,44 @@ func TestAdaptiveEqualWeight(t *testing.T) {
 	}
 }
 
-func TestExecutorCache(t *testing.T) {
-	ex := testExecutor(t)
-	f := plan.Fragment{
-		Op: plan.FragCount, Dataset: "lwfa", Step: 0,
-		Rows: plan.RowRange{Lo: 0, Hi: 100}, Backend: fastquery.Scan,
+// TestRequestedFragmentsNotStored: a shard answers no requested fragment
+// from storage. A conditional count or an unconditional histogram leaves
+// nothing in the handoff store, and asked again it is evaluated again,
+// charging its work again, to the same answer.
+func TestRequestedFragmentsNotStored(t *testing.T) {
+	rows := plan.RowRange{Lo: 100, Hi: 5000}
+	frags := []plan.Fragment{
+		{Op: plan.FragCount, Dataset: "lwfa", Step: 0, Rows: rows,
+			Query: canonical(t, "px > 0"), Backend: fastquery.FastBit},
+		{Op: plan.FragHist2D, Dataset: "lwfa", Step: 0, Rows: rows, Backend: fastquery.FastBit,
+			Spec2: histogram.NewSpec2D("x", "px", 8, 8).WithXRange(-1, 1).WithYRange(-1, 1)},
 	}
-	ctx := context.Background()
-	first, err := runFragment(ctx, ex, f)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range frags {
+		ex := testExecutor(t)
+		var answers []*plan.FragmentResult
+		for i := 0; i < 2; i++ {
+			var c obs.Cost
+			res, err := ex.Run(obs.WithCost(context.Background(), &c), f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Snapshot(); s == (obs.CostSnapshot{}) {
+				t.Fatalf("%v run %d charged nothing: answered from storage", f.Op, i+1)
+			}
+			answers = append(answers, res)
+		}
+		if !reflect.DeepEqual(answers[0], answers[1]) {
+			t.Fatalf("%v: a repeat answers differently", f.Op)
+		}
+		if st := ex.Stats(); st.Evals != 2 || st.CacheEntries != 0 || st.CacheBytes != 0 {
+			t.Fatalf("%v: %+v, want 2 evaluations and nothing stored", f.Op, st)
+		}
 	}
-	if _, ok := ex.Peek(f); !ok {
-		t.Fatal("fragment not cached after Run")
-	}
-	second, err := runFragment(ctx, ex, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatal("cached Run did not return the shared result")
-	}
-	st := ex.Stats()
-	if st.CacheHits < 2 || st.Evals != 1 {
-		t.Fatalf("stats = %+v, want >=2 hits and 1 eval", st)
-	}
-
 }
 
 func TestUnknownDatasetFatal(t *testing.T) {
 	ex := testExecutor(t)
-	_, err := runFragment(context.Background(), ex, plan.Fragment{
+	_, err := ex.Run(context.Background(), plan.Fragment{
 		Op: plan.FragCount, Dataset: "nope", Backend: fastquery.Scan,
 	})
 	if err == nil || !fastquery.IsFatal(err) {

@@ -56,7 +56,7 @@ for metric in \
   scan_rows_total scan_seconds_bucket \
   cluster_rpc_calls_total cluster_unhealthy_workers cluster_hedges_total \
   serve_scatter_total serve_scatter_fragments_total serve_partial_total \
-  shard_fragments_total shard_frag_cache_hits_total shard_frag_cache_misses_total; do
+  shard_fragments_total; do
   grep -q "^$metric" "$OUT" || fail "missing required metric $metric"
 done
 
