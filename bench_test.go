@@ -206,6 +206,21 @@ func BenchmarkFig13IDQuery(b *testing.B) {
 
 // --- Figs. 14/15: parallel histogram computation ----------------------------
 
+// benchMakespan times every step's task one after another, as the
+// figures' scaling model does, and reports the virtual completion time on
+// `workers` nodes under the paper's strided assignment.
+func benchMakespan(b *testing.B, workers int, tasks func() []cluster.Task) {
+	var span time.Duration
+	for i := 0; i < b.N; i++ {
+		results, err := cluster.RunSerial(tasks(), cluster.IOModel{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		span += cluster.Makespan(results, cluster.Strided(len(results), workers))
+	}
+	b.ReportMetric(float64(span)/float64(b.N)/float64(time.Millisecond), "makespan-ms")
+}
+
 func BenchmarkFig14ParallelHistograms(b *testing.B) {
 	dir := benchDataset(b)
 	src, err := fastquery.Open(dir)
@@ -254,11 +269,7 @@ func BenchmarkFig14ParallelHistograms(b *testing.B) {
 		{"CustomCond", cond, fastquery.Scan},
 	} {
 		b.Run(fmt.Sprintf("%s/workers=%d", variant.name, workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.Run(makeTasks(variant.cond, variant.backend), workers, cluster.IOModel{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchMakespan(b, workers, func() []cluster.Task { return makeTasks(variant.cond, variant.backend) })
 		})
 	}
 }
@@ -314,11 +325,7 @@ func BenchmarkFig16ParallelTracking(b *testing.B) {
 		{"Custom", fastquery.Scan},
 	} {
 		b.Run(fmt.Sprintf("%s/ids=%d/workers=%d", variant.name, len(ids), workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.Run(makeTasks(variant.backend), workers, cluster.IOModel{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchMakespan(b, workers, func() []cluster.Task { return makeTasks(variant.backend) })
 		})
 	}
 }

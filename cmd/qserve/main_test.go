@@ -14,6 +14,7 @@ import (
 	"repro/internal/fastbit"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/session"
 	"repro/internal/shard"
 )
 
@@ -99,7 +100,7 @@ func TestFlaglessDefaults(t *testing.T) {
 	if obs.NewTrace("", "default") == nil {
 		t.Error("tracing and latency histograms are off by default")
 	}
-	if got := cluster.NewRetryBudget(frontendPool.RetryBudgetRatio, frontendPool.RetryBudgetBurst).Tokens(); got != 20 {
+	if got := cluster.NewRetryBudget(frontendPool.RetryBudgetRatio).Tokens(); got != 20 {
 		t.Errorf("retry budget burst = %v tokens, want 20", got)
 	}
 	// The HTTP server must outlast serve's 30s execution deadline.
@@ -185,6 +186,45 @@ func TestFlagBudget(t *testing.T) {
 		"hedge ingest-workers limit-mode live profile-cpu profile-dir replicas role rpc-addr shards slo")
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestConfigSurface: the exported fields of every serving-tier config
+// struct, and the flight recorder's parameters. A knob added or removed
+// shows up here as a diff. PoolConfig.Breaker is the BreakerConfig row,
+// not a value of its own: 41 settable values in all.
+func TestConfigSurface(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want string
+	}{
+		{reflect.TypeOf(cluster.PoolConfig{}),
+			"CallTimeout MaxRetries BackoffBase BackoffMax ProbeInterval Breaker RetryBudgetRatio RetryBudget"},
+		{reflect.TypeOf(cluster.BreakerConfig{}), "Enabled Cooldown"},
+		{reflect.TypeOf(serve.Config{}),
+			"CacheBytes Concurrency QueueDepth QueueTimeout ExecTimeout SlowThreshold Logger " +
+				"LimitMode SLO Brownout BurnFast BurnSlow BurnCooldown ProfileDir ProfileCPU"},
+		{reflect.TypeOf(serve.GateConfig{}), "Limit QueueDepth QueueTimeout Mode SLO"},
+		{reflect.TypeOf(session.Config{}), "MaxBytes Now"},
+		{reflect.TypeOf(serve.LiveConfig{}), "IngestWorkers CatalogPoll IndexVars Index"},
+		{reflect.TypeOf(obs.BurnConfig{}), "Fast Slow Cooldown OnBreach"},
+		{reflect.TypeOf(obs.NewFlightRecorder), "string time.Duration"},
+	} {
+		var got []string
+		if tc.typ.Kind() == reflect.Func {
+			for i := 0; i < tc.typ.NumIn(); i++ {
+				got = append(got, tc.typ.In(i).String())
+			}
+		} else {
+			for i := 0; i < tc.typ.NumField(); i++ {
+				if f := tc.typ.Field(i); f.IsExported() {
+					got = append(got, f.Name)
+				}
+			}
+		}
+		if want := strings.Fields(tc.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v\n got %v\nwant %v", tc.typ, got, want)
+		}
 	}
 }
 

@@ -42,65 +42,38 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
+// The breaker's trip and recovery rules.
+const (
+	breakerConsecutiveFailures = 5   // trip after this many failures in a row
+	breakerFailureRate         = 0.5 // or when the windowed failure rate reaches this
+	breakerWindow              = 20  // rolling outcome window size
+	breakerMinSamples          = 10  // outcomes required before the rate can trip
+	breakerHalfOpenProbes      = 1   // concurrent requests admitted half-open
+)
+
 // BreakerConfig tunes one worker's circuit breaker. The zero value
 // (Enabled false) disables breakers entirely.
 type BreakerConfig struct {
-	Enabled             bool
-	ConsecutiveFailures int           // trip after this many consecutive failures (default 5)
-	FailureRate         float64       // trip when the windowed failure rate reaches this (default 0.5)
-	Window              int           // rolling outcome window size (default 20)
-	MinSamples          int           // outcomes required before the rate can trip (default 10)
-	Cooldown            time.Duration // open → half-open delay (default 1s)
-	HalfOpenProbes      int           // concurrent requests admitted half-open (default 1)
+	Enabled  bool
+	Cooldown time.Duration // open → half-open delay (default 1s)
 }
 
 // DefaultBreakerConfig returns the production breaker settings.
 func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		Enabled:             true,
-		ConsecutiveFailures: 5,
-		FailureRate:         0.5,
-		Window:              20,
-		MinSamples:          10,
-		Cooldown:            time.Second,
-		HalfOpenProbes:      1,
-	}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.ConsecutiveFailures <= 0 {
-		c.ConsecutiveFailures = d.ConsecutiveFailures
-	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = d.FailureRate
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = d.MinSamples
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = d.HalfOpenProbes
-	}
-	return c
+	return BreakerConfig{Enabled: true, Cooldown: time.Second}
 }
 
 // Breaker is a closed/open/half-open circuit breaker for one worker.
 // Callers must pair every admitted request (Allow returning true) with
 // exactly one outcome call: Success, Failure, or Drop.
 type Breaker struct {
-	cfg   BreakerConfig
-	gauge *obs.Gauge // cluster_breaker_state{worker=...}
+	cooldown time.Duration
+	gauge    *obs.Gauge // cluster_breaker_state{worker=...}
 
 	mu       sync.Mutex
 	state    BreakerState
-	consec   int    // consecutive failures while closed
-	win      []bool // rolling outcome ring; true = failure
+	consec   int                 // consecutive failures while closed
+	win      [breakerWindow]bool // rolling outcome ring; true = failure
 	widx     int
 	wlen     int
 	wfails   int
@@ -109,15 +82,17 @@ type Breaker struct {
 }
 
 func newBreaker(addr string, cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	b := &Breaker{cfg: cfg, gauge: breakerStateFor(addr), win: make([]bool, cfg.Window)}
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = DefaultBreakerConfig().Cooldown
+	}
+	b := &Breaker{cooldown: cfg.Cooldown, gauge: breakerStateFor(addr)}
 	b.gauge.Set(float64(BreakerClosed))
 	return b
 }
 
 // Allow reports whether a request may proceed. In the open state it
 // transitions to half-open once the cooldown has elapsed; in half-open it
-// admits up to HalfOpenProbes concurrent probes. Allow is nil-safe.
+// admits up to breakerHalfOpenProbes concurrent probes. Allow is nil-safe.
 func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
@@ -128,14 +103,14 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if time.Since(b.openedAt) < b.cfg.Cooldown {
+		if time.Since(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.setState(BreakerHalfOpen)
 		b.probes = 1
 		return true
 	default: // BreakerHalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= breakerHalfOpenProbes {
 			return false
 		}
 		b.probes++
@@ -163,7 +138,7 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed outcome. While closed it trips the circuit on
-// ConsecutiveFailures in a row or on the windowed failure rate; a failed
+// breakerConsecutiveFailures in a row or on the windowed failure rate; a failed
 // half-open probe re-opens the circuit for another cooldown.
 func (b *Breaker) Failure() {
 	if b == nil {
@@ -179,8 +154,8 @@ func (b *Breaker) Failure() {
 		if b.wlen > 0 {
 			rate = float64(b.wfails) / float64(b.wlen)
 		}
-		if b.consec >= b.cfg.ConsecutiveFailures ||
-			(b.wlen >= b.cfg.MinSamples && rate >= b.cfg.FailureRate) {
+		if b.consec >= breakerConsecutiveFailures ||
+			(b.wlen >= breakerMinSamples && rate >= breakerFailureRate) {
 			b.trip()
 		}
 	case BreakerHalfOpen:
@@ -266,17 +241,9 @@ func (b *Breaker) release() {
 	}
 }
 
-// setState moves the state machine and keeps the gauges honest. Caller
+// setState moves the state machine and its per-worker gauge. Caller
 // holds b.mu.
 func (b *Breaker) setState(s BreakerState) {
-	if b.state == s {
-		return
-	}
-	if s == BreakerOpen {
-		metricBreakerOpen.Add(1)
-	} else if b.state == BreakerOpen {
-		metricBreakerOpen.Add(-1)
-	}
 	b.state = s
 	b.gauge.Set(float64(s))
 }

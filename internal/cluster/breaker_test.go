@@ -8,32 +8,31 @@ import (
 )
 
 func testBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		Enabled:             true,
-		ConsecutiveFailures: 3,
-		FailureRate:         0.5,
-		Window:              8,
-		MinSamples:          4,
-		Cooldown:            20 * time.Millisecond,
-		HalfOpenProbes:      1,
+	return BreakerConfig{Enabled: true, Cooldown: 20 * time.Millisecond}
+}
+
+// trip opens b with breakerConsecutiveFailures failures in a row.
+func trip(b *Breaker) {
+	for i := 0; i < breakerConsecutiveFailures; i++ {
+		b.Failure()
 	}
 }
 
 func TestBreakerConsecutiveTrip(t *testing.T) {
 	b := newBreaker("w0", testBreakerConfig())
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerConsecutiveFailures-1; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker refused request %d", i)
 		}
 		b.Failure()
 	}
 	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", b.State())
+		t.Fatalf("state after %d failures = %v, want closed", breakerConsecutiveFailures-1, b.State())
 	}
 	b.Allow()
 	b.Failure()
 	if b.State() != BreakerOpen {
-		t.Fatalf("state after 3 consecutive failures = %v, want open", b.State())
+		t.Fatalf("state after %d consecutive failures = %v, want open", breakerConsecutiveFailures, b.State())
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a request before cooldown")
@@ -42,17 +41,19 @@ func TestBreakerConsecutiveTrip(t *testing.T) {
 
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	b := newBreaker("w0", testBreakerConfig())
-	// Alternate failures and successes: consecutive count never reaches 3
-	// and the windowed rate stays at 50% with MinSamples satisfied — the
-	// rate trip fires instead, proving both paths are live.
-	b.Failure()
-	b.Success()
-	b.Failure()
+	// Alternate failures and successes: the consecutive count never
+	// passes 1, and once the window holds breakerMinSamples outcomes at a
+	// 50% failure rate the rate trip fires instead, proving both paths
+	// are live.
+	for i := 0; i < 4; i++ {
+		b.Failure()
+		b.Success()
+	}
 	b.Success()
 	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed before MinSamples", b.State())
+		t.Fatalf("state = %v, want closed before breakerMinSamples", b.State())
 	}
-	b.Failure() // 5 samples, 3 fails: rate 0.6 >= 0.5 → trip
+	b.Failure() // 10 samples, 5 fails: rate 0.5 >= 0.5 → trip
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v, want open on failure-rate trip", b.State())
 	}
@@ -60,9 +61,7 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	b := newBreaker("w0", testBreakerConfig())
-	for i := 0; i < 3; i++ {
-		b.Failure()
-	}
+	trip(b)
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
@@ -85,9 +84,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b := newBreaker("w0", testBreakerConfig())
-	for i := 0; i < 3; i++ {
-		b.Failure()
-	}
+	trip(b)
 	time.Sleep(25 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("no half-open probe admitted")
@@ -108,9 +105,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 
 func TestBreakerDropReleasesProbeSlot(t *testing.T) {
 	b := newBreaker("w0", testBreakerConfig())
-	for i := 0; i < 3; i++ {
-		b.Failure()
-	}
+	trip(b)
 	time.Sleep(25 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("no half-open probe admitted")
@@ -139,10 +134,12 @@ func TestBreakerNilSafe(t *testing.T) {
 }
 
 func TestRetryBudget(t *testing.T) {
-	b := NewRetryBudget(0.5, 2)
+	b := NewRetryBudget(0.5)
 	// Starts full.
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("fresh budget refused its burst")
+	for i := 0; i < retryBudgetBurst; i++ {
+		if !b.Spend() {
+			t.Fatalf("fresh budget refused token %d of its burst", i)
+		}
 	}
 	if b.Spend() {
 		t.Fatal("empty budget granted a token")
@@ -160,8 +157,8 @@ func TestRetryBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Success()
 	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("tokens after overfill = %v, want burst cap 2", got)
+	if got := b.Tokens(); got != retryBudgetBurst {
+		t.Fatalf("tokens after overfill = %v, want burst cap %d", got, retryBudgetBurst)
 	}
 	var nilB *RetryBudget
 	if !nilB.Spend() {
@@ -188,7 +185,7 @@ func TestPoolBreakerSkipsDeadReplica(t *testing.T) {
 	kill[0]()
 	// Trip the primary's breaker with consecutive failures. Calls still
 	// succeed by failing over to the live replica.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerConsecutiveFailures; i++ {
 		// Health-based candidate ordering would skip the dead primary after
 		// the first failure; force it healthy so the breaker sees each one.
 		p.Callers()[0].SetHealthy(true)
@@ -204,13 +201,12 @@ func TestPoolBreakerSkipsDeadReplica(t *testing.T) {
 	// With the breaker open the dead replica is skipped without an RPC
 	// attempt: the call count against it must not move.
 	p.Callers()[0].SetHealthy(true)
-	before := p.Stats()
+	before := metricRPCCalls.Load()
 	var reply PingReply
 	if err := p.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 0); err != nil {
 		t.Fatal(err)
 	}
-	after := p.Stats()
-	if got := after.Calls - before.Calls; got != 1 {
+	if got := metricRPCCalls.Load() - before; got != 1 {
 		t.Fatalf("attempts with open breaker = %d, want 1 (replica only)", got)
 	}
 }
@@ -230,9 +226,7 @@ func TestPoolAllBreakersOpenFailsFast(t *testing.T) {
 	defer p.Close()
 
 	for _, c := range p.Callers() {
-		for i := 0; i < 3; i++ {
-			c.Breaker().Failure()
-		}
+		trip(c.Breaker())
 	}
 	start := time.Now()
 	var reply PingReply
@@ -252,7 +246,10 @@ func TestPoolRetryBudgetStopsFailover(t *testing.T) {
 	addrs, kill := startKillableWorkers(t, 2)
 	cfg := callOnConfig()
 	cfg.MaxRetries = 0
-	cfg.RetryBudget = NewRetryBudget(0, 1) // one token, never refilled
+	cfg.RetryBudget = NewRetryBudget(0) // never refilled
+	for i := 0; i < retryBudgetBurst-1; i++ {
+		cfg.RetryBudget.Spend() // leave one token
+	}
 	p, err := DialConfig(addrs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -267,12 +264,11 @@ func TestPoolRetryBudgetStopsFailover(t *testing.T) {
 	}
 	// Budget empty: the second call may not fail over.
 	p.Callers()[0].SetHealthy(true)
-	before := p.Stats()
+	before := metricFailovers.Load()
 	if err := p.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 0); err == nil {
 		t.Fatal("call succeeded despite empty retry budget")
 	}
-	after := p.Stats()
-	if got := after.Failovers - before.Failovers; got != 0 {
+	if got := metricFailovers.Load() - before; got != 0 {
 		t.Fatalf("failovers with empty budget = %d, want 0", got)
 	}
 }

@@ -100,17 +100,8 @@ func (c *Caller) breakerRecord(err error, ctxDone bool) {
 func (c *Caller) Healthy() bool { return c.healthy.Load() }
 
 // SetHealthy records the worker's health, e.g. after a failed call or a
-// successful probe. Health transitions move the process-wide
-// cluster_unhealthy_workers gauge.
-func (c *Caller) SetHealthy(v bool) {
-	if old := c.healthy.Swap(v); old != v {
-		if v {
-			metricUnhealthy.Add(-1)
-		} else {
-			metricUnhealthy.Add(1)
-		}
-	}
-}
+// successful probe.
+func (c *Caller) SetHealthy(v bool) { c.healthy.Store(v) }
 
 // Connect dials eagerly, verifying the worker is reachable.
 func (c *Caller) Connect() error {
@@ -330,11 +321,8 @@ type lockedRand struct {
 	r  *rand.Rand
 }
 
-func newLockedRand(seed int64) *lockedRand {
-	if seed == 0 {
-		seed = 1
-	}
-	return &lockedRand{r: rand.New(rand.NewSource(seed))}
+func newLockedRand() *lockedRand {
+	return &lockedRand{r: rand.New(rand.NewSource(1))}
 }
 
 func (l *lockedRand) Int63n(n int64) int64 {

@@ -18,7 +18,7 @@ import (
 
 // CallOn makes one RPC with the pool's resilience machinery: the primary
 // (by index, ring order) is tried first, then the remaining healthy
-// workers per MaxFailovers. With hedge > 0 and more than one candidate,
+// workers. With hedge > 0 and more than one candidate,
 // attempts are raced: each additional replica is launched when the stagger
 // elapses (or immediately when an attempt fails), and the first success
 // wins. Replies of losing attempts are discarded — each attempt decodes
@@ -50,13 +50,12 @@ func (p *Pool) CallOn(ctx context.Context, primary int, method string, args, rep
 		wctx, wsp := obs.StartSpan(ctx, "rpc-worker")
 		wsp.SetAttr("worker", c.Addr())
 		if k > 0 {
-			p.ctr.failovers.Add(1)
 			metricFailovers.Inc()
 			wsp.SetAttr("failover", "true")
 		}
 		cs, err := c.CallWithStatsCtx(wctx, method, args, reply)
 		attempted++
-		p.account(cs)
+		account(cs)
 		if err != nil {
 			wsp.SetAttr("error", err.Error())
 		}
@@ -83,13 +82,8 @@ func (p *Pool) CallOn(ctx context.Context, primary int, method string, args, rep
 	return lastErr
 }
 
-// account folds one attempt's CallStats into the pool counters and the
-// process-wide metrics.
-func (p *Pool) account(cs CallStats) {
-	p.ctr.calls.Add(int64(cs.Attempts))
-	p.ctr.retries.Add(int64(cs.Attempts - 1))
-	p.ctr.timeouts.Add(int64(cs.Timeouts))
-	p.ctr.reconnects.Add(int64(cs.Reconnects))
+// account folds one attempt's CallStats into the process-wide metrics.
+func account(cs CallStats) {
 	metricRPCCalls.Add(uint64(cs.Attempts))
 	if cs.Attempts > 1 {
 		metricRetries.Add(uint64(cs.Attempts - 1))
@@ -120,7 +114,7 @@ func (p *Pool) callHedged(ctx context.Context, cands []*Caller, method string, a
 			}
 			r := reflect.New(reflect.TypeOf(reply).Elem()).Interface()
 			cs, err := c.CallWithStatsCtx(wctx, method, args, r)
-			p.account(cs)
+			account(cs)
 			if err != nil {
 				wsp.SetAttr("error", err.Error())
 			}
@@ -165,7 +159,6 @@ func (p *Pool) callHedged(ctx context.Context, cands []*Caller, method string, a
 		select {
 		case <-timer.C:
 			if launchNext() {
-				p.ctr.hedges.Add(1)
 				metricHedges.Inc()
 				timer.Reset(hedge)
 			}
@@ -185,7 +178,6 @@ func (p *Pool) callHedged(ctx context.Context, cands []*Caller, method string, a
 			if launchNext() {
 				// A failed attempt frees its slot to the next replica
 				// immediately; no need to wait out the stagger.
-				p.ctr.failovers.Add(1)
 				metricFailovers.Inc()
 			}
 		case <-ctx.Done():

@@ -122,6 +122,7 @@ func TestCallOnFailover(t *testing.T) {
 	defer p.Close()
 
 	kill[1]()
+	before := metricFailovers.Load()
 	var reply PingReply
 	if err := p.CallOn(context.Background(), 1, "Worker.Ping", &PingArgs{}, &reply, 0); err != nil {
 		t.Fatalf("failover call: %v", err)
@@ -129,8 +130,8 @@ func TestCallOnFailover(t *testing.T) {
 	if !reply.OK {
 		t.Fatal("failover reply not OK")
 	}
-	if st := p.Stats(); st.Failovers == 0 {
-		t.Fatalf("stats = %+v, want failovers > 0", st)
+	if metricFailovers.Load() == before {
+		t.Fatal("no failover counted")
 	}
 }
 
@@ -148,6 +149,7 @@ func TestCallOnHedged(t *testing.T) {
 	}
 	defer p.Close()
 
+	before := metricHedges.Load()
 	start := time.Now()
 	var reply PingReply
 	if err := p.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 10*time.Millisecond); err != nil {
@@ -156,8 +158,8 @@ func TestCallOnHedged(t *testing.T) {
 	if !reply.OK {
 		t.Fatal("hedged reply not OK")
 	}
-	if st := p.Stats(); st.Hedges == 0 {
-		t.Fatalf("stats = %+v, want hedges > 0", st)
+	if metricHedges.Load() == before {
+		t.Fatal("no hedge counted")
 	}
 	// The hedge, not the slow primary, must have answered: well under
 	// the primary's injected per-op latency.
@@ -207,7 +209,7 @@ func TestCallOnHedgedLoserCancelled(t *testing.T) {
 		}
 	}
 	base := runtime.NumGoroutine()
-	before := p.Stats()
+	before := metricHedges.Load()
 
 	start := time.Now()
 	var reply PingReply
@@ -220,7 +222,7 @@ func TestCallOnHedgedLoserCancelled(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("hedged call took %v — the slow primary answered", elapsed)
 	}
-	if d := p.Stats().Hedges - before.Hedges; d != 1 {
+	if d := metricHedges.Load() - before; d != 1 {
 		t.Fatalf("hedges delta = %d, want exactly 1 (no double count)", d)
 	}
 	// The loser must exit promptly once the winner's cancel fires, not

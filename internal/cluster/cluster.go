@@ -4,15 +4,11 @@
 // timesteps independently (there is no inter-node communication in either
 // algorithm), and the job finishes when the slowest node finishes.
 //
-// Two execution modes are provided:
-//
-//   - Real execution: tasks run concurrently on a bounded worker pool and
-//     each task's wall time is measured.
-//   - Virtual strong scaling: given measured per-task durations, the
-//     completion time for ANY node count is the makespan of the static
-//     assignment — max over nodes of the sum of that node's task times.
-//     This evaluates 1..100-node scaling faithfully on a laptop, because
-//     the modelled machine's nodes are independent.
+// Tasks run one after another (RunSerial), each timed; virtual strong
+// scaling then gives the completion time for ANY node count as the
+// makespan of the static assignment — max over nodes of the sum of that
+// node's task times. This evaluates 1..100-node scaling faithfully on a
+// laptop, because the modelled machine's nodes are independent.
 //
 // An optional I/O cost model adds per-task disk time (bytes/bandwidth +
 // seeks·latency), standing in for the Lustre filesystem the paper's runs
@@ -27,8 +23,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -107,45 +101,6 @@ func Blocked(nTasks, nodes int) Assignment {
 		}
 	}
 	return a
-}
-
-// Run executes all tasks on a fixed pool of `workers` goroutines (0
-// selects GOMAXPROCS) and returns per-task results indexed like tasks —
-// the pool bounds goroutine count, not just concurrent execution. Task
-// errors are recorded per task, not returned; Err aggregates the first one.
-func Run(tasks []Task, workers int, model IOModel) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	results := make([]Result, len(tasks))
-	if len(tasks) == 0 {
-		return results, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runOne(tasks[i], model)
-			}
-		}()
-	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i := range results {
-		if results[i].Err != nil {
-			return results, fmt.Errorf("cluster: task %d (step %d): %w", i, results[i].Step, results[i].Err)
-		}
-	}
-	return results, nil
 }
 
 // RunSerial executes all tasks one after another on the calling goroutine,

@@ -87,23 +87,17 @@ func makeTasks(n int, d time.Duration) []Task {
 	return tasks
 }
 
-func TestRunAndRunSerial(t *testing.T) {
-	tasks := makeTasks(6, time.Millisecond)
-	for _, run := range []func() ([]Result, error){
-		func() ([]Result, error) { return Run(tasks, 3, IOModel{}) },
-		func() ([]Result, error) { return RunSerial(tasks, IOModel{}) },
-	} {
-		results, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 6 {
-			t.Fatalf("results = %d", len(results))
-		}
-		for i, r := range results {
-			if r.Step != i || r.Wall <= 0 || r.BytesRead != 1000 {
-				t.Fatalf("result %d = %+v", i, r)
-			}
+func TestRunSerial(t *testing.T) {
+	results, err := RunSerial(makeTasks(6, time.Millisecond), IOModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 6 {
+		t.Fatalf("results = %d", len(results))
+	}
+	for i, r := range results {
+		if r.Step != i || r.Wall <= 0 || r.BytesRead != 1000 {
+			t.Fatalf("result %d = %+v", i, r)
 		}
 	}
 }
@@ -112,9 +106,6 @@ func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	tasks := makeTasks(3, 0)
 	tasks[1].Run = func() (uint64, int, error) { return 0, 0, boom }
-	if _, err := Run(tasks, 2, IOModel{}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
 	if _, err := RunSerial(tasks, IOModel{}); !errors.Is(err, boom) {
 		t.Fatalf("serial err = %v", err)
 	}

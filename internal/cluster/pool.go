@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,26 +14,23 @@ import (
 // Worker.Ping probe revives it.
 
 // PoolConfig tunes the pool's resilience machinery. The zero value means:
-// no timeouts, no retries, no failover, no probing — plain net/rpc.
+// no timeouts, no retries, no probing. A failed call always fails over to
+// every other healthy worker.
 type PoolConfig struct {
 	CallTimeout   time.Duration // per-attempt deadline; 0 waits forever
 	MaxRetries    int           // per-worker retries after the first attempt
 	BackoffBase   time.Duration // first retry delay (default 10ms when retrying)
 	BackoffMax    time.Duration // retry delay cap (default 1s when retrying)
-	MaxFailovers  int           // other workers to try per call: -1 = all, 0 = none
 	ProbeInterval time.Duration // unhealthy-worker ping period; 0 disables probing
-	Seed          int64         // backoff-jitter RNG seed (0 behaves as 1)
 
 	// Breaker enables per-worker circuit breakers (zero value: disabled).
 	Breaker BreakerConfig
 	// RetryBudgetRatio > 0 enables the retry budget: tokens refilled per
 	// successful call, spent by each retry, failover and hedge.
 	RetryBudgetRatio float64
-	// RetryBudgetBurst caps the retry-budget bucket (default 20).
-	RetryBudgetBurst int
 	// RetryBudget, when set, is shared with other pools (the frontend
 	// shares one bucket across every shard pool, making the budget truly
-	// global); it overrides RetryBudgetRatio/Burst.
+	// global); it overrides RetryBudgetRatio.
 	RetryBudget *RetryBudget
 }
 
@@ -45,26 +41,8 @@ func DefaultPoolConfig() PoolConfig {
 		MaxRetries:    2,
 		BackoffBase:   10 * time.Millisecond,
 		BackoffMax:    500 * time.Millisecond,
-		MaxFailovers:  -1,
 		ProbeInterval: 200 * time.Millisecond,
-		Seed:          1,
 	}
-}
-
-// PoolStats is a cumulative snapshot of the pool's resilience counters.
-type PoolStats struct {
-	Calls      int64 // RPC attempts made
-	Retries    int64 // attempts beyond the first, per worker
-	Timeouts   int64 // attempts abandoned on deadline
-	Reconnects int64 // re-dials of previously working connections
-	Failovers  int64 // calls moved to another worker
-	Hedges     int64 // extra staggered attempts raced against slow replicas
-	Probes     int64 // health pings sent to unhealthy workers
-	Recoveries int64 // workers probed back to health
-}
-
-type poolCounters struct {
-	calls, retries, timeouts, reconnects, failovers, hedges, probes, recoveries atomic.Int64
 }
 
 // Pool is a client-side connection pool over a set of worker addresses.
@@ -72,7 +50,6 @@ type Pool struct {
 	cfg     PoolConfig
 	callers []*Caller
 	budget  *RetryBudget // shared retry budget; nil = unlimited
-	ctr     poolCounters
 
 	closeOnce sync.Once
 	stopProbe chan struct{}
@@ -87,9 +64,9 @@ func DialConfig(addrs []string, cfg PoolConfig) (*Pool, error) {
 	p := &Pool{cfg: cfg, stopProbe: make(chan struct{})}
 	p.budget = cfg.RetryBudget
 	if p.budget == nil && cfg.RetryBudgetRatio > 0 {
-		p.budget = NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
+		p.budget = NewRetryBudget(cfg.RetryBudgetRatio)
 	}
-	rng := newLockedRand(cfg.Seed)
+	rng := newLockedRand()
 	ccfg := CallerConfig{
 		Timeout:     cfg.CallTimeout,
 		MaxRetries:  cfg.MaxRetries,
@@ -111,13 +88,20 @@ func DialConfig(addrs []string, cfg PoolConfig) (*Pool, error) {
 	if cfg.ProbeInterval > 0 {
 		go p.probeLoop()
 	}
+	openPools.Lock()
+	openPools.m[p] = struct{}{}
+	openPools.Unlock()
 	return p, nil
 }
 
-// Close closes all client connections and stops health probing. Close is
-// idempotent and safe to call concurrently.
+// Close closes all client connections and stops health probing; its
+// workers leave the process-wide worker gauges. Close is idempotent and
+// safe to call concurrently.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
+		openPools.Lock()
+		delete(openPools.m, p)
+		openPools.Unlock()
 		close(p.stopProbe)
 		for _, c := range p.callers {
 			c.Close()
@@ -143,20 +127,6 @@ func (p *Pool) HealthyNodes() int {
 	return n
 }
 
-// Stats returns a snapshot of the cumulative resilience counters.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Calls:      p.ctr.calls.Load(),
-		Retries:    p.ctr.retries.Load(),
-		Timeouts:   p.ctr.timeouts.Load(),
-		Reconnects: p.ctr.reconnects.Load(),
-		Failovers:  p.ctr.failovers.Load(),
-		Hedges:     p.ctr.hedges.Load(),
-		Probes:     p.ctr.probes.Load(),
-		Recoveries: p.ctr.recoveries.Load(),
-	}
-}
-
 // probeLoop pings unhealthy or breaker-open workers until the pool
 // closes, restoring them to the failover rotation — and force-closing
 // their breakers — when they answer.
@@ -172,11 +142,9 @@ func (p *Pool) probeLoop() {
 				if c.Healthy() && c.BreakerState() == BreakerClosed {
 					continue
 				}
-				p.ctr.probes.Add(1)
 				metricProbes.Inc()
 				if err := c.Probe(); err == nil {
 					if !c.Healthy() {
-						p.ctr.recoveries.Add(1)
 						metricRecoveries.Inc()
 					}
 					c.SetHealthy(true)
@@ -187,20 +155,12 @@ func (p *Pool) probeLoop() {
 	}
 }
 
-// candidates returns the workers to try for a call, primary first, then
-// healthy workers in ring order, truncated per MaxFailovers. If every
-// worker is unhealthy the primary is tried anyway — better a last-ditch
-// attempt than certain failure.
+// candidates returns the workers to try for a call: the primary first,
+// then every other healthy worker in ring order. If every worker is
+// unhealthy the primary is tried anyway — better a last-ditch attempt
+// than certain failure.
 func (p *Pool) candidates(primary int) []*Caller {
 	n := len(p.callers)
-	maxFo := p.cfg.MaxFailovers
-	if maxFo < 0 || maxFo > n-1 {
-		maxFo = n - 1
-	}
-	if maxFo == 0 {
-		// Failover disabled: the call lives or dies with its primary.
-		return []*Caller{p.callers[primary]}
-	}
 	cands := make([]*Caller, 0, n)
 	for off := 0; off < n; off++ {
 		c := p.callers[(primary+off)%n]
@@ -210,9 +170,6 @@ func (p *Pool) candidates(primary int) []*Caller {
 	}
 	if len(cands) == 0 {
 		cands = append(cands, p.callers[primary])
-	}
-	if len(cands) > maxFo+1 {
-		cands = cands[:maxFo+1]
 	}
 	return cands
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster/faultnet"
+	"repro/internal/obs"
 )
 
 // faultyCluster starts three workers: worker 0 clean, worker 1 behind a
@@ -78,9 +78,7 @@ func TestFaultyCallOnFailover(t *testing.T) {
 		MaxRetries:    3,
 		BackoffBase:   2 * time.Millisecond,
 		BackoffMax:    30 * time.Millisecond,
-		MaxFailovers:  -1,
 		ProbeInterval: 50 * time.Millisecond,
-		Seed:          1,
 	}
 	pool, err := DialConfig(addrs, cfg)
 	if err != nil {
@@ -88,6 +86,7 @@ func TestFaultyCallOnFailover(t *testing.T) {
 	}
 	defer pool.Close()
 
+	before := metricFailovers.Load()
 	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
 	defer kill.Stop()
 	for i, err := range echoAll(t, context.Background(), pool, 20) {
@@ -95,51 +94,11 @@ func TestFaultyCallOnFailover(t *testing.T) {
 			t.Fatalf("call %d failed despite failover: %v", i, err)
 		}
 	}
-	if st := pool.Stats(); st.Failovers == 0 {
-		t.Fatalf("expected failovers after killing a worker mid-call; stats = %+v", st)
+	if metricFailovers.Load() == before {
+		t.Fatal("expected failovers after killing a worker mid-call")
 	}
 	if !victim.Stats().Killed {
 		t.Fatal("victim was never killed")
-	}
-}
-
-// TestFaultyCallOnNoFailover runs the same scenario with failover
-// disabled: calls whose primary is the dead worker must fail with an
-// error, every other call must still answer correctly.
-func TestFaultyCallOnNoFailover(t *testing.T) {
-	addrs, victim := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
-
-	cfg := PoolConfig{
-		CallTimeout:  500 * time.Millisecond,
-		MaxRetries:   2,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		MaxFailovers: 0, // no failover: the dead worker's calls must fail
-		Seed:         1,
-	}
-	pool, err := DialConfig(addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
-	defer kill.Stop()
-	failed := 0
-	for i, err := range echoAll(t, context.Background(), pool, 21) {
-		if err == nil {
-			continue
-		}
-		if i%3 == 0 {
-			t.Fatalf("call %d, homed on the clean worker, failed: %v", i, err)
-		}
-		failed++
-	}
-	if failed == 0 || failed >= 21 {
-		t.Fatalf("unexpected failure shape: %d/21 failed", failed)
-	}
-	if st := pool.Stats(); st.Failovers != 0 {
-		t.Fatalf("failovers = %d with MaxFailovers=0", st.Failovers)
 	}
 }
 
@@ -154,13 +113,14 @@ func TestCallOnFatalNotRetried(t *testing.T) {
 	}
 	defer pool.Close()
 
+	calls, retries, failovers := metricRPCCalls.Load(), metricRetries.Load(), metricFailovers.Load()
 	var reply EchoReply
 	err = pool.CallOn(context.Background(), 0, "Echo.Echo", &EchoArgs{Fatal: true}, &reply, 0)
 	if err == nil {
 		t.Fatal("fatal echo returned nil error")
 	}
-	if st := pool.Stats(); st.Retries != 0 || st.Failovers != 0 || st.Calls != 1 {
-		t.Fatalf("fatal call was retried or failed over: %+v", st)
+	if c, r, f := metricRPCCalls.Load()-calls, metricRetries.Load()-retries, metricFailovers.Load()-failovers; c != 1 || r != 0 || f != 0 {
+		t.Fatalf("fatal call was retried or failed over: %d calls, %d retries, %d failovers", c, r, f)
 	}
 	if pool.HealthyNodes() != 2 {
 		t.Fatal("a fatal reply marked its worker unhealthy")
@@ -195,6 +155,48 @@ func TestDialNeverStartedWorker(t *testing.T) {
 	}
 	if _, err := DialConfig(nil, DefaultPoolConfig()); err == nil {
 		t.Fatal("empty address list accepted")
+	}
+}
+
+// gaugeValue reads an unlabeled process-wide gauge as a scrape would.
+func gaugeValue(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, m := range obs.Default().Snapshot() {
+		if m.Name == name && len(m.Labels) == 0 {
+			return m.Value
+		}
+	}
+	t.Fatalf("no series %s", name)
+	return 0
+}
+
+// TestPoolCloseReleasesGauges: a closed pool's workers leave the
+// process-wide worker gauges — a dead worker no longer reads as
+// unhealthy, a tripped breaker no longer as open.
+func TestPoolCloseReleasesGauges(t *testing.T) {
+	addrs, kill := startKillableWorkers(t, 2)
+	unhealthy, open := gaugeValue(t, "cluster_unhealthy_workers"), gaugeValue(t, "cluster_breaker_open")
+	cfg := callOnConfig()
+	cfg.Breaker = testBreakerConfig()
+	cfg.Breaker.Cooldown = time.Hour
+	p, err := DialConfig(addrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	kill[0]()
+	var reply PingReply
+	if err := p.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 0); err != nil {
+		t.Fatalf("failover call: %v", err)
+	}
+	trip(p.Callers()[1].Breaker())
+	if u, o := gaugeValue(t, "cluster_unhealthy_workers"), gaugeValue(t, "cluster_breaker_open"); u != unhealthy+1 || o != open+1 {
+		t.Fatalf("open pool: unhealthy %v, breakers open %v; want %v, %v", u, o, unhealthy+1, open+1)
+	}
+	p.Close()
+	if u, o := gaugeValue(t, "cluster_unhealthy_workers"), gaugeValue(t, "cluster_breaker_open"); u != unhealthy || o != open {
+		t.Fatalf("closed pool: unhealthy %v, breakers open %v; want %v, %v", u, o, unhealthy, open)
 	}
 }
 
@@ -236,6 +238,7 @@ func TestProbeRecoversWorker(t *testing.T) {
 	}
 	defer pool.Close()
 
+	probes, recoveries := metricProbes.Load(), metricRecoveries.Load()
 	pool.Callers()[0].SetHealthy(false)
 	if pool.HealthyNodes() != 1 {
 		t.Fatalf("healthy = %d", pool.HealthyNodes())
@@ -243,13 +246,12 @@ func TestProbeRecoversWorker(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for pool.HealthyNodes() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never probed back to health: stats = %+v", pool.Stats())
+			t.Fatal("worker never probed back to health")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	st := pool.Stats()
-	if st.Probes == 0 || st.Recoveries == 0 {
-		t.Fatalf("probe counters not recorded: %+v", st)
+	if metricProbes.Load() == probes || metricRecoveries.Load() == recoveries {
+		t.Fatal("probe counters not recorded")
 	}
 }
 
@@ -274,7 +276,7 @@ func TestCallerTimeout(t *testing.T) {
 		MaxRetries:  1,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
-	}, newLockedRand(1))
+	}, newLockedRand())
 	defer c.Close()
 	var reply PingReply
 	cs, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &reply)
@@ -287,7 +289,7 @@ func TestCallerTimeout(t *testing.T) {
 }
 
 func TestCallerClosed(t *testing.T) {
-	c := newCaller("127.0.0.1:1", CallerConfig{}, newLockedRand(1))
+	c := newCaller("127.0.0.1:1", CallerConfig{}, newLockedRand())
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,32 +298,5 @@ func TestCallerClosed(t *testing.T) {
 	}
 	if _, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &PingReply{}); !errors.Is(err, ErrCallerClosed) {
 		t.Fatalf("err = %v, want ErrCallerClosed", err)
-	}
-}
-
-func TestRunBoundsGoroutines(t *testing.T) {
-	release := make(chan struct{})
-	tasks := make([]Task, 64)
-	for i := range tasks {
-		tasks[i] = Task{Step: i, Run: func() (uint64, int, error) {
-			<-release
-			return 0, 0, nil
-		}}
-	}
-	before := runtime.NumGoroutine()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := Run(tasks, 4, IOModel{}); err != nil {
-			t.Error(err)
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	during := runtime.NumGoroutine()
-	close(release)
-	<-done
-	// A fixed worker pool spawns ~workers+1 goroutines, not one per task.
-	if during-before > 16 {
-		t.Fatalf("Run spawned %d goroutines for 64 tasks with 4 workers", during-before)
 	}
 }

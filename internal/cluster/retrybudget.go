@@ -16,18 +16,16 @@ import "sync"
 type RetryBudget struct {
 	mu     sync.Mutex
 	ratio  float64 // tokens added per successful call
-	burst  float64 // token cap
 	tokens float64
 }
 
+// retryBudgetBurst caps a retry budget's bucket, which starts full.
+const retryBudgetBurst = 20
+
 // NewRetryBudget builds a bucket that starts full: each success refills
-// ratio tokens up to burst, each extra attempt spends one. burst <= 0
-// defaults to 20.
-func NewRetryBudget(ratio float64, burst int) *RetryBudget {
-	if burst <= 0 {
-		burst = 20
-	}
-	b := &RetryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
+// ratio tokens up to retryBudgetBurst, each extra attempt spends one.
+func NewRetryBudget(ratio float64) *RetryBudget {
+	b := &RetryBudget{ratio: ratio, tokens: retryBudgetBurst}
 	metricRetryBudgetTokens.Set(b.tokens)
 	return b
 }
@@ -39,8 +37,8 @@ func (b *RetryBudget) Success() {
 	}
 	b.mu.Lock()
 	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	if b.tokens > retryBudgetBurst {
+		b.tokens = retryBudgetBurst
 	}
 	metricRetryBudgetTokens.Set(b.tokens)
 	b.mu.Unlock()

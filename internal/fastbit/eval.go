@@ -130,7 +130,6 @@ func (ev *Evaluator) evalWindow(ctx context.Context, e query.Expr, lo, hi uint64
 	statsBefore := ev.Stats
 	s, err := ev.evalSet(ctx, e, lo, hi)
 	metricEvalSeconds.ObserveSince(start)
-	metricEvals.Inc()
 	metricEvalRows.Add(hi - lo)
 	checks := ev.Stats.CandidateChecks - statsBefore.CandidateChecks
 	metricCandidateChecks.Add(checks)

@@ -151,7 +151,6 @@ func (ls *LazyStep) load(name string, lo, hi uint64, c *obs.Cost) (*Index, error
 	if lo > 0 || hi < ls.dir.n {
 		ix = ix.cut(lo, hi)
 	}
-	metricIndexLoads.Inc()
 	metricIndexLoadSeconds.ObserveSince(start)
 	c.AddIndexBytes(uint64(len(blob)))
 	c.AddIndexLoads(1)
@@ -204,7 +203,6 @@ func (ls *LazyStep) IDIndex() (*IDIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	metricIndexLoads.Inc()
 	metricIndexLoadSeconds.ObserveSince(start)
 	ls.idIdx = id
 	return id, nil

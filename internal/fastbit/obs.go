@@ -10,12 +10,8 @@ import (
 var (
 	metricEvalRows = obs.Default().Counter("fastbit_eval_rows_total",
 		"Records inside the row windows of index-assisted query evaluations.")
-	metricEvals = obs.Default().Counter("fastbit_evals_total",
-		"Index-assisted query evaluations performed.")
 	metricCandidateChecks = obs.Default().Counter("fastbit_candidate_checks_total",
 		"Raw-data candidate checks performed for boundary bins.")
-	metricIndexLoads = obs.Default().Counter("fastbit_index_loads_total",
-		"Index sections loaded from disk (cache misses).")
 	metricIndexLoadSeconds = obs.Default().Histogram("fastbit_index_load_seconds",
 		"Wall time loading one index section from disk.", nil)
 	metricEvalSeconds = obs.Default().Histogram("fastbit_eval_seconds",

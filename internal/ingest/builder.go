@@ -100,6 +100,11 @@ func (b *Builder) Start() {
 // by the next Start (possibly after a restart).
 func (b *Builder) Stop() {
 	b.mu.Lock()
+	if !b.stopped {
+		// Waiting steps leave the backlog gauge with their builder; the
+		// ones being built leave it as their workers finish.
+		metricIndexBacklog.Add(-float64(len(b.pending)))
+	}
 	b.stopped = true
 	b.cond.Broadcast()
 	b.mu.Unlock()
@@ -117,7 +122,7 @@ func (b *Builder) Enqueue(step int) {
 	b.queued[step] = true
 	b.pending = append(b.pending, step)
 	sort.Ints(b.pending)
-	metricIndexBacklog.Set(float64(len(b.pending)))
+	metricIndexBacklog.Add(1)
 	b.cond.Signal()
 }
 
@@ -146,7 +151,6 @@ func (b *Builder) next() (int, bool) {
 	}
 	t := b.pending[0]
 	b.pending = b.pending[1:]
-	metricIndexBacklog.Set(float64(len(b.pending)))
 	return t, true
 }
 
@@ -160,6 +164,7 @@ func (b *Builder) worker() {
 		b.building.Add(1)
 		b.buildWithRetry(t)
 		b.building.Add(-1)
+		metricIndexBacklog.Add(-1)
 		// The step stays marked until its build is over: an Enqueue(t)
 		// arriving mid-build must not hand t to a second worker, which
 		// would publish the sidecar and fire OnPublished twice.
@@ -207,7 +212,6 @@ func (b *Builder) buildWithRetry(t int) {
 		size, err := b.BuildStep(t)
 		if err == nil {
 			b.built.Add(1)
-			metricIndexBuilt.Inc()
 			metricIndexSeconds.Observe(time.Since(start).Seconds())
 			if b.cfg.Logger != nil {
 				b.cfg.Logger.Info("index published", "step", t, "bytes", size, "attempt", attempt)

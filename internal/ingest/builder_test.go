@@ -241,3 +241,54 @@ func TestBuilderStopLeavesPending(t *testing.T) {
 		t.Fatalf("pending after stop = %v", p)
 	}
 }
+
+// TestBacklogGaugeSumsBuilders: ingest_index_backlog is the sum of every
+// running builder's Backlog — steps in a build included — and a stopped
+// builder's steps leave it.
+func TestBacklogGaugeSumsBuilders(t *testing.T) {
+	start := metricIndexBacklog.Load()
+
+	// Builder a: step 0 held in its build by the publish hook, steps 1
+	// and 2 waiting behind it.
+	catA, w := newLive(t)
+	for i := 0; i < 3; i++ {
+		if _, _, err := w.AppendStep(mkColumns(i, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inFlight := make(chan struct{}, 3)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	a := NewBuilder(catA, BuilderConfig{OnPublished: func(int) {
+		inFlight <- struct{}{}
+		<-release
+	}})
+	a.Start()
+	defer a.Stop()
+	defer unblock() // a failing run must not leave Stop waiting on the hook
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("step 0 never reached OnPublished")
+	}
+
+	// Builder b: never started, two steps waiting.
+	catB, _ := newLive(t)
+	b := NewBuilder(catB, BuilderConfig{})
+	defer b.Stop()
+	b.Enqueue(0)
+	b.Enqueue(1)
+
+	if a.Backlog() != 3 || b.Backlog() != 2 {
+		t.Fatalf("backlogs %d, %d; want 3, 2", a.Backlog(), b.Backlog())
+	}
+	if got, want := metricIndexBacklog.Load(), start+float64(a.Backlog()+b.Backlog()); got != want {
+		t.Fatalf("ingest_index_backlog = %v, want %v", got, want)
+	}
+	unblock()
+	a.Stop()
+	b.Stop()
+	if got := metricIndexBacklog.Load(); got != start {
+		t.Fatalf("ingest_index_backlog after both Stop = %v, want %v", got, start)
+	}
+}

@@ -12,14 +12,12 @@ var (
 		"Rows committed through the live ingestion path.")
 	metricBytesCommitted = obs.Default().Counter("ingest_bytes_total",
 		"Data bytes committed through the live ingestion path.")
-	metricIndexBuilt = obs.Default().Counter("ingest_index_built_total",
-		"Sidecar indexes published by the background builder pool.")
 	metricIndexRetries = obs.Default().Counter("ingest_index_retries_total",
 		"Index build attempts that failed transiently and were retried.")
 	metricIndexFailures = obs.Default().Counter("ingest_index_failures_total",
 		"Index builds that failed permanently (fatal or retries exhausted).")
 	metricIndexBacklog = obs.Default().Gauge("ingest_index_backlog",
-		"Committed steps currently waiting for an index build worker.")
+		"Committed steps waiting for or in an index build, summed over every running builder.")
 	metricIndexSeconds = obs.Default().Histogram("ingest_index_build_seconds",
 		"Wall time of one successful index build and publish.", nil)
 )

@@ -11,22 +11,23 @@ type BurnWindow struct {
 	Dur  time.Duration // lookback
 }
 
+// The burn-rate rule. burnBudget is the tolerated bad-request fraction
+// (the error budget); burn rate is badFraction / burnBudget, so a burn of
+// 1.0 means the service is consuming budget exactly as fast as it
+// accrues. A breach needs both windows at or above burnThreshold.
+const (
+	burnBudget    = 0.05
+	burnThreshold = 1.0
+)
+
 // BurnConfig configures a multi-window SLO burn-rate monitor.
 type BurnConfig struct {
-	// Budget is the tolerated bad-request fraction (the error budget);
-	// <= 0 defaults to 0.05. Burn rate is badFraction / Budget, so a
-	// burn of 1.0 means the service is consuming budget exactly as fast
-	// as it accrues.
-	Budget float64
 	// Fast and Slow are the two evaluation windows. A breach requires
-	// the burn rate over BOTH windows to reach Threshold — the classic
-	// multi-window rule: the slow window proves it is not a blip, the
-	// fast window proves it is still happening. Zero durations default
-	// to 5m / 1h.
+	// the burn rate over BOTH windows to reach burnThreshold — the
+	// classic multi-window rule: the slow window proves it is not a blip,
+	// the fast window proves it is still happening. Zero durations
+	// default to 5m / 1h.
 	Fast, Slow time.Duration
-	// Threshold is the burn rate at which both windows must sit for a
-	// breach; <= 0 defaults to 1.
-	Threshold float64
 	// Cooldown is the minimum gap between breach firings; <= 0 defaults
 	// to the slow window, so one incident triggers one capture.
 	Cooldown time.Duration
@@ -68,12 +69,12 @@ func (w *burnSum) drop(b *burnBucket) {
 	w.bad -= b.bad
 }
 
-func (w *burnSum) rate(budget float64) float64 {
+func (w *burnSum) rate() float64 {
 	total := w.good + w.bad
 	if total == 0 {
 		return 0
 	}
-	return float64(w.bad) / float64(total) / budget
+	return float64(w.bad) / float64(total) / burnBudget
 }
 
 // BurnMonitor tracks SLO burn rate over multiple lookback windows from a
@@ -96,9 +97,6 @@ type BurnMonitor struct {
 
 // NewBurnMonitor creates a burn-rate monitor.
 func NewBurnMonitor(cfg BurnConfig) *BurnMonitor {
-	if cfg.Budget <= 0 {
-		cfg.Budget = 0.05
-	}
 	if cfg.Fast <= 0 {
 		cfg.Fast = 5 * time.Minute
 	}
@@ -107,9 +105,6 @@ func NewBurnMonitor(cfg BurnConfig) *BurnMonitor {
 	}
 	if cfg.Slow < cfg.Fast {
 		cfg.Slow = cfg.Fast
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 1
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = cfg.Slow
@@ -151,9 +146,9 @@ func (m *BurnMonitor) Record(good bool) {
 	}
 	m.fast.record(good)
 	m.slow.record(good)
-	fast = m.fast.rate(m.cfg.Budget)
-	slow = m.slow.rate(m.cfg.Budget)
-	breaching := fast >= m.cfg.Threshold && slow >= m.cfg.Threshold
+	fast = m.fast.rate()
+	slow = m.slow.rate()
+	breaching := fast >= burnThreshold && slow >= burnThreshold
 	if breaching {
 		if !m.firing && now.Sub(m.lastFire) >= m.cfg.Cooldown {
 			m.firing = true
@@ -205,7 +200,7 @@ func (m *BurnMonitor) rate(w *burnSum) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.advanceLocked(m.cfg.nowFn().Unix())
-	return w.rate(m.cfg.Budget)
+	return w.rate()
 }
 
 // FastRate returns the burn rate over the fast window.

@@ -17,24 +17,22 @@ func TestBurnMonitorMultiWindowBreach(t *testing.T) {
 	now := time.Unix(1000, 0)
 	fires := 0
 	m := NewBurnMonitor(BurnConfig{
-		Budget:    0.1,
-		Fast:      10 * time.Second,
-		Slow:      60 * time.Second,
-		Threshold: 1,
-		Cooldown:  30 * time.Second,
-		OnBreach:  func(fast, slow float64) { fires++ },
-		nowFn:     func() time.Time { return now },
+		Fast:     10 * time.Second,
+		Slow:     60 * time.Second,
+		Cooldown: 30 * time.Second,
+		OnBreach: func(fast, slow float64) { fires++ },
+		nowFn:    func() time.Time { return now },
 	})
 
 	// All-good traffic burns nothing.
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 19; i++ {
 		m.Record(true)
 	}
 	if r := m.FastRate(); r != 0 {
 		t.Fatalf("fast rate after good traffic = %v, want 0", r)
 	}
 
-	// The 10th request is bad: 10% bad over a 10% budget is a burn rate
+	// The 20th request is bad: 5% bad over a 5% budget is a burn rate
 	// of exactly 1.0 in both windows, the breach edge.
 	m.Record(false)
 	if fires != 1 || m.Breaches() != 1 {
@@ -52,16 +50,17 @@ func TestBurnMonitorMultiWindowBreach(t *testing.T) {
 
 	// Recovery traffic drops the fast burn below threshold and rearms.
 	now = now.Add(5 * time.Second)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 40; i++ {
 		m.Record(true)
 	}
 	if r := m.FastRate(); r >= 1 {
 		t.Fatalf("fast rate after recovery = %v, want < 1", r)
 	}
 
-	// Past the cooldown, a fresh burst must breach again. Two bads: the
-	// first sits inside the cooldown-free fast window but the slow window
-	// still remembers the good recovery traffic.
+	// Past the cooldown, a fresh burst must breach again. Two bads: after
+	// the first the fast window is all bad but the slow window, which
+	// still remembers the good recovery traffic, reads 3/62 bad; the
+	// second takes it to 4/63, over the 5% budget.
 	now = now.Add(27 * time.Second)
 	m.Record(false)
 	m.Record(false)
@@ -77,12 +76,10 @@ func TestBurnMonitorSlowWindowGate(t *testing.T) {
 	now := time.Unix(2000, 0)
 	fires := 0
 	m := NewBurnMonitor(BurnConfig{
-		Budget:    0.1,
-		Fast:      5 * time.Second,
-		Slow:      60 * time.Second,
-		Threshold: 1,
-		OnBreach:  func(fast, slow float64) { fires++ },
-		nowFn:     func() time.Time { return now },
+		Fast:     5 * time.Second,
+		Slow:     60 * time.Second,
+		OnBreach: func(fast, slow float64) { fires++ },
+		nowFn:    func() time.Time { return now },
 	})
 	// A long good history dilutes the slow window.
 	for i := 0; i < 200; i++ {
@@ -116,8 +113,7 @@ func TestBurnMonitorNilSafe(t *testing.T) {
 // tagged by second, and a window's rate a scan of the whole ring for the
 // seconds it covers.
 type scanBurn struct {
-	ring   []burnBucket
-	budget float64
+	ring []burnBucket
 }
 
 func (o *scanBurn) record(now time.Time, good bool) {
@@ -145,7 +141,7 @@ func (o *scanBurn) rate(now time.Time, window time.Duration) float64 {
 	if good+bad == 0 {
 		return 0
 	}
-	return float64(bad) / float64(good+bad) / o.budget
+	return float64(bad) / float64(good+bad) / burnBudget
 }
 
 // TestBurnMonitorMatchesScan drives the running totals and the scan
@@ -160,12 +156,12 @@ func TestBurnMonitorMatchesScan(t *testing.T) {
 		now := time.Unix(1_000_000+rng.Int63n(1000), 0)
 		var fires, refFires int
 		m := NewBurnMonitor(BurnConfig{
-			Budget: 0.1, Fast: time.Duration(fastS) * time.Second, Slow: time.Duration(slowS) * time.Second,
-			Threshold: 1, Cooldown: 7 * time.Second,
+			Fast: time.Duration(fastS) * time.Second, Slow: time.Duration(slowS) * time.Second,
+			Cooldown: 7 * time.Second,
 			OnBreach: func(fast, slow float64) { fires++ },
 			nowFn:    func() time.Time { return now },
 		})
-		ref := &scanBurn{ring: make([]burnBucket, slowS+1), budget: 0.1}
+		ref := &scanBurn{ring: make([]burnBucket, slowS+1)}
 		var lastFire time.Time
 		firing := false
 		var breaches uint64
@@ -214,23 +210,23 @@ func BenchmarkBurnRecord(b *testing.B) {
 }
 
 // TestFlightRecorderCaptureSpool: a capture writes the full evidence set
-// into a fresh directory, and the spool trims to the configured bound.
+// into a fresh directory, and the spool keeps the 8 most recent.
 func TestFlightRecorderCaptureSpool(t *testing.T) {
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(dir, 2, 10*time.Millisecond)
+	fr, err := NewFlightRecorder(dir, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := NewSlowLog(4)
 	slow.Add(SlowEntry{TraceID: "t1", Endpoint: "query", DurationMS: 500, Status: 200})
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 9; i++ {
 		if !fr.CaptureSync("test-breach", slow, map[string]any{"fast_burn": 2.5}) {
 			t.Fatalf("capture %d refused", i)
 		}
 	}
-	if fr.Captures() != 3 {
-		t.Fatalf("Captures() = %d, want 3", fr.Captures())
+	if fr.Captures() != 9 {
+		t.Fatalf("Captures() = %d, want 9", fr.Captures())
 	}
 
 	last := fr.LastCaptureDir()
@@ -259,7 +255,7 @@ func TestFlightRecorderCaptureSpool(t *testing.T) {
 		t.Errorf("slow.json missing the ring entry:\n%s", sj)
 	}
 
-	// Spool bound: 3 captures, max 2 kept.
+	// Spool bound: 9 captures, 8 kept.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -270,8 +266,8 @@ func TestFlightRecorderCaptureSpool(t *testing.T) {
 			kept++
 		}
 	}
-	if kept != 2 {
-		t.Fatalf("spool kept %d captures, want 2", kept)
+	if kept != 8 {
+		t.Fatalf("spool kept %d captures, want 8", kept)
 	}
 }
 
@@ -285,7 +281,7 @@ func TestFlightRecorderNilAndErrors(t *testing.T) {
 	if fr.Captures() != 0 || fr.Dropped() != 0 || fr.LastCaptureDir() != "" {
 		t.Fatal("nil recorder reported state")
 	}
-	if _, err := NewFlightRecorder("", 4, time.Second); err == nil {
+	if _, err := NewFlightRecorder("", time.Second); err == nil {
 		t.Fatal("empty dir accepted")
 	}
 }
@@ -294,15 +290,15 @@ func TestFlightRecorderNilAndErrors(t *testing.T) {
 // qserve runs with, since no flag sets them.
 func TestComponentDefaults(t *testing.T) {
 	b := NewBurnMonitor(BurnConfig{}).cfg
-	if b.Budget != 0.05 || b.Threshold != 1 || b.Fast != 5*time.Minute || b.Slow != time.Hour || b.Cooldown != time.Hour {
+	if b.Fast != 5*time.Minute || b.Slow != time.Hour || b.Cooldown != time.Hour {
 		t.Errorf("burn monitor defaults: %+v", b)
 	}
-	fr, err := NewFlightRecorder(t.TempDir(), 0, 0)
+	fr, err := NewFlightRecorder(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.max != 8 || fr.cpuDur != 2*time.Second {
-		t.Errorf("flight recorder defaults: %d captures, %v cpu", fr.max, fr.cpuDur)
+	if fr.cpuDur != 2*time.Second {
+		t.Errorf("flight recorder default: %v cpu", fr.cpuDur)
 	}
 	if l := NewSlowLog(0); l.max != 128 {
 		t.Errorf("slow log default = %d entries, want 128", l.max)

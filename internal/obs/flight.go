@@ -22,11 +22,10 @@ import (
 //
 // Captures are single-flight: a breach that fires while a capture is
 // already running is dropped (the running capture covers the incident).
-// The spool keeps the most recent MaxCaptures directories; older ones
+// The spool keeps the flightCaptures most recent directories; older ones
 // are removed after each successful capture.
 type FlightRecorder struct {
 	dir    string
-	max    int
 	cpuDur time.Duration
 
 	busy     atomic.Bool
@@ -38,23 +37,23 @@ type FlightRecorder struct {
 	last atomic.Value
 }
 
+// flightCaptures is how many capture directories the spool keeps.
+const flightCaptures = 8
+
 // NewFlightRecorder creates a recorder spooling into dir, keeping the
-// maxCaptures most recent capture directories (<= 0 defaults to 8).
-// cpuDur is how long the CPU profile samples (<= 0 defaults to 2s).
-func NewFlightRecorder(dir string, maxCaptures int, cpuDur time.Duration) (*FlightRecorder, error) {
+// flightCaptures most recent capture directories. cpuDur is how long the
+// CPU profile samples (<= 0 defaults to 2s).
+func NewFlightRecorder(dir string, cpuDur time.Duration) (*FlightRecorder, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("obs: flight recorder needs a directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: flight recorder: %w", err)
 	}
-	if maxCaptures <= 0 {
-		maxCaptures = 8
-	}
 	if cpuDur <= 0 {
 		cpuDur = 2 * time.Second
 	}
-	return &FlightRecorder{dir: dir, max: maxCaptures, cpuDur: cpuDur}, nil
+	return &FlightRecorder{dir: dir, cpuDur: cpuDur}, nil
 }
 
 // Captures returns how many captures completed.
@@ -205,7 +204,7 @@ func (fr *FlightRecorder) trim() {
 		}
 	}
 	sort.Strings(names)
-	for len(names) > fr.max {
+	for len(names) > flightCaptures {
 		os.RemoveAll(filepath.Join(fr.dir, names[0]))
 		names = names[1:]
 	}

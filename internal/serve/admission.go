@@ -60,10 +60,8 @@ func (m LimitMode) String() string {
 // GateConfig configures an adaptive admission gate.
 type GateConfig struct {
 	// Limit is the initial (and, for LimitFixed, permanent) concurrency
-	// limit; < 1 is clamped to 1.
+	// limit; < 1 is clamped to 1. Adaptive growth stops at 8× Limit.
 	Limit int
-	// MaxLimit caps adaptive growth; 0 defaults to 8× Limit.
-	MaxLimit int
 	// QueueDepth bounds the wait queue; < 0 is clamped to 0. Priority
 	// classes see shrinking shares of it: drill and probe the full depth,
 	// sweep half, ingest a quarter.
@@ -76,10 +74,10 @@ type GateConfig struct {
 	// SLO is the latency target the adaptive modes steer the windowed p95
 	// toward; 0 defaults to 250ms.
 	SLO time.Duration
-	// AdjustEvery is the minimum interval between limit adjustments;
-	// 0 defaults to 250ms.
-	AdjustEvery time.Duration
 }
+
+// adjustEvery is the minimum interval between limit adjustments.
+const adjustEvery = 250 * time.Millisecond
 
 // GateStats is a snapshot of admission-control counters.
 type GateStats struct {
@@ -122,14 +120,13 @@ type waiter struct {
 // Sustained pressure arms brownout, which the HTTP layer uses to answer
 // eligible histogram requests from degraded paths instead of shedding.
 type Gate struct {
-	mu          sync.Mutex
-	limit       int
-	maxLimit    int
-	queueDepth  int
-	timeout     time.Duration
-	mode        LimitMode
-	slo         time.Duration
-	adjustEvery time.Duration
+	mu         sync.Mutex
+	limit      int
+	maxLimit   int
+	queueDepth int
+	timeout    time.Duration
+	mode       LimitMode
+	slo        time.Duration
 
 	inflight int
 	queue    *list.List // of *waiter, FIFO
@@ -167,33 +164,23 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.Limit < 1 {
 		cfg.Limit = 1
 	}
-	if cfg.MaxLimit <= 0 {
-		cfg.MaxLimit = 8 * cfg.Limit
-	}
-	if cfg.MaxLimit < cfg.Limit {
-		cfg.MaxLimit = cfg.Limit
-	}
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
 	}
 	if cfg.SLO <= 0 {
 		cfg.SLO = 250 * time.Millisecond
 	}
-	if cfg.AdjustEvery <= 0 {
-		cfg.AdjustEvery = 250 * time.Millisecond
-	}
 	g := &Gate{
-		limit:       cfg.Limit,
-		maxLimit:    cfg.MaxLimit,
-		queueDepth:  cfg.QueueDepth,
-		timeout:     cfg.QueueTimeout,
-		mode:        cfg.Mode,
-		slo:         cfg.SLO,
-		adjustEvery: cfg.AdjustEvery,
-		queue:       list.New(),
-		window:      obs.NewWindow(256),
-		drain:       obs.NewEWMA(0.2),
-		nowFn:       time.Now,
+		limit:      cfg.Limit,
+		maxLimit:   8 * cfg.Limit,
+		queueDepth: cfg.QueueDepth,
+		timeout:    cfg.QueueTimeout,
+		mode:       cfg.Mode,
+		slo:        cfg.SLO,
+		queue:      list.New(),
+		window:     obs.NewWindow(256),
+		drain:      obs.NewEWMA(0.2),
+		nowFn:      time.Now,
 	}
 	g.lastAdjust = g.nowFn()
 	return g
@@ -351,7 +338,7 @@ func (g *Gate) Admit(ctx context.Context, class Class) (release func(), err erro
 
 // adjustLocked runs the limit controller at most once per adjustEvery.
 func (g *Gate) adjustLocked(now time.Time) {
-	if now.Sub(g.lastAdjust) < g.adjustEvery {
+	if now.Sub(g.lastAdjust) < adjustEvery {
 		return
 	}
 	g.lastAdjust = now

@@ -302,8 +302,8 @@ func churn(g *Gate, lat time.Duration) error {
 func TestGateAIMDGrowsWhenSaturatedAndHealthy(t *testing.T) {
 	clk := newFakeClock()
 	g := clockedGate(GateConfig{
-		Limit: 2, MaxLimit: 8, QueueDepth: 4, QueueTimeout: time.Minute,
-		Mode: LimitAIMD, SLO: 100 * time.Millisecond, AdjustEvery: 100 * time.Millisecond,
+		Limit: 2, QueueDepth: 4, QueueTimeout: time.Minute,
+		Mode: LimitAIMD, SLO: 100 * time.Millisecond,
 	}, clk)
 	for i := 0; i < 5; i++ {
 		// Healthy latencies, well under SLO.
@@ -315,7 +315,7 @@ func TestGateAIMDGrowsWhenSaturatedAndHealthy(t *testing.T) {
 		g.mu.Lock()
 		g.saturated = true
 		g.mu.Unlock()
-		clk.Advance(150 * time.Millisecond) // cross the adjustment interval
+		clk.Advance(adjustEvery + 50*time.Millisecond) // cross the adjustment interval
 		if err := churn(g, 10*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -331,15 +331,15 @@ func TestGateAIMDGrowsWhenSaturatedAndHealthy(t *testing.T) {
 func TestGateAIMDBacksOffOnSLOBreach(t *testing.T) {
 	clk := newFakeClock()
 	g := clockedGate(GateConfig{
-		Limit: 8, MaxLimit: 16, QueueDepth: 4, QueueTimeout: time.Minute,
-		Mode: LimitAIMD, SLO: 50 * time.Millisecond, AdjustEvery: 100 * time.Millisecond,
+		Limit: 8, QueueDepth: 4, QueueTimeout: time.Minute,
+		Mode: LimitAIMD, SLO: 50 * time.Millisecond,
 	}, clk)
 	// Latencies far over the SLO for two windows: multiplicative backoff.
 	for i := 0; i < 2; i++ {
 		if err := churn(g, 500*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		clk.Advance(150 * time.Millisecond)
+		clk.Advance(adjustEvery + 50*time.Millisecond)
 		if err := churn(g, 500*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestGateFixedModeNeverMoves(t *testing.T) {
 	clk := newFakeClock()
 	g := clockedGate(GateConfig{
 		Limit: 3, QueueDepth: 2, QueueTimeout: time.Minute,
-		Mode: LimitFixed, SLO: time.Millisecond, AdjustEvery: 50 * time.Millisecond,
+		Mode: LimitFixed, SLO: time.Millisecond,
 	}, clk)
 	for i := 0; i < 10; i++ {
 		if err := churn(g, time.Second); err != nil { // massively over SLO
@@ -373,7 +373,7 @@ func TestGateBrownoutArmsAfterSustainedPressure(t *testing.T) {
 	clk := newFakeClock()
 	g := clockedGate(GateConfig{
 		Limit: 1, QueueDepth: 2, QueueTimeout: time.Minute,
-		Mode: LimitAIMD, SLO: 10 * time.Millisecond, AdjustEvery: 50 * time.Millisecond,
+		Mode: LimitAIMD, SLO: 10 * time.Millisecond,
 	}, clk)
 	if g.BrownoutActive() {
 		t.Fatal("brownout armed at rest")
@@ -383,7 +383,7 @@ func TestGateBrownoutArmsAfterSustainedPressure(t *testing.T) {
 		if err := churn(g, 500*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		clk.Advance(60 * time.Millisecond)
+		clk.Advance(adjustEvery + 10*time.Millisecond)
 		if err := churn(g, 500*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestGateBrownoutArmsAfterSustainedPressure(t *testing.T) {
 	}
 	// Healthy windows disarm it.
 	for i := 0; i < 3; i++ {
-		clk.Advance(60 * time.Millisecond)
+		clk.Advance(adjustEvery + 10*time.Millisecond)
 		if err := churn(g, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -428,9 +428,7 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 			clk := newFakeClock()
 			g := clockedGate(GateConfig{
 				Limit: 1, QueueDepth: 16, QueueTimeout: time.Minute,
-				// A long adjustment interval keeps the limiter quiet so only
-				// the drain EWMA moves.
-				Mode: LimitFixed, AdjustEvery: time.Hour,
+				Mode: LimitFixed,
 			}, clk)
 			for i := 0; i < c.releases; i++ {
 				if err := g.Acquire(context.Background(), ClassDrill); err != nil {

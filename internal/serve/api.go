@@ -205,7 +205,7 @@ type StatsBody struct {
 	// and the background builder's counters.
 	Ingest map[string]IngestStats `json:"ingest,omitempty"`
 	// Sharding is present on a scatter-gather frontend: the fleet-wide
-	// aggregate plus each shard's executor snapshot and pool counters.
+	// aggregate plus each shard's executor snapshot and replica states.
 	Sharding *ShardingStats `json:"sharding,omitempty"`
 	// Sessions is the analysis-session store's state: live sessions,
 	// stored selection bytes, refinement reuse and eviction counters.

@@ -396,14 +396,12 @@ func TestFederatedMetrics(t *testing.T) {
 func TestBurnBreachFlightCapture(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := testServer(t, Config{
-		SLO:             time.Nanosecond, // every request burns budget
-		BurnFast:        time.Second,
-		BurnSlow:        time.Second,
-		BurnThreshold:   1,
-		BurnCooldown:    time.Hour, // one capture per test
-		ProfileDir:      dir,
-		ProfileCaptures: 4,
-		ProfileCPU:      50 * time.Millisecond,
+		SLO:          time.Nanosecond, // every request burns budget
+		BurnFast:     time.Second,
+		BurnSlow:     time.Second,
+		BurnCooldown: time.Hour, // one capture per test
+		ProfileDir:   dir,
+		ProfileCPU:   50 * time.Millisecond,
 	})
 	for i := 0; i < 3; i++ {
 		p := fmt.Sprintf("/v1/query?q=%s", url.QueryEscape(fmt.Sprintf("px > 0.000%d", i+1)))

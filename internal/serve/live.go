@@ -34,9 +34,6 @@ type LiveConfig struct {
 	IndexVars []string
 	// Index holds the bitmap index build parameters.
 	Index fastbit.IndexOptions
-	// BuildRetries bounds index build attempts per step; 0 uses the
-	// builder default (5).
-	BuildRetries int
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
@@ -114,11 +111,10 @@ func (s *Server) AddLiveDataset(name, dir string, lc LiveConfig) error {
 	}
 	d.live = live
 	live.builder = ingest.NewBuilder(cat, ingest.BuilderConfig{
-		Workers:     lc.IngestWorkers,
-		MaxAttempts: lc.BuildRetries,
-		IndexVars:   lc.IndexVars,
-		Index:       lc.Index,
-		Logger:      s.cfg.Logger,
+		Workers:   lc.IngestWorkers,
+		IndexVars: lc.IndexVars,
+		Index:     lc.Index,
+		Logger:    s.cfg.Logger,
 		// Both hooks refresh the snapshot: a publish bumps the step's
 		// generation (upgrading it to fastbit and rotating its cache keys),
 		// a permanent failure records the cause for /v1/steps.

@@ -69,9 +69,6 @@ type Config struct {
 	// SLO is the latency target the adaptive limiter steers the windowed
 	// p95 toward. 0 means the gate default (250ms).
 	SLO time.Duration
-	// AdjustEvery is the limiter's minimum adjustment interval. 0 means
-	// the gate default (250ms).
-	AdjustEvery time.Duration
 	// Brownout enables degraded histogram answers (coarser cached
 	// resolution, or index-only approximation) under sustained pressure,
 	// instead of shedding.
@@ -81,20 +78,14 @@ type Config struct {
 	// monitor, which counts a request "bad" when it returns a 5xx or takes
 	// longer than SLO. Zero means the monitor defaults (5m / 1h).
 	BurnFast, BurnSlow time.Duration
-	// BurnThreshold is the burn rate both windows must reach to fire a
-	// breach (0 means 1.0 — consuming budget exactly as fast as it
-	// accrues).
-	BurnThreshold float64
 	// BurnCooldown is the minimum gap between breach firings (0 means
 	// the slow window).
 	BurnCooldown time.Duration
 
 	// ProfileDir, when set, arms the flight recorder: each SLO burn-rate
 	// breach captures CPU + heap profiles and the slow-query ring into a
-	// bounded spool of capture directories under this path.
+	// spool of the 8 most recent capture directories under this path.
 	ProfileDir string
-	// ProfileCaptures bounds the capture spool (0 means 8).
-	ProfileCaptures int
 	// ProfileCPU is the CPU-profile sampling window per capture (0 means
 	// 2s).
 	ProfileCPU time.Duration
@@ -294,7 +285,6 @@ func (c Config) GateConfig() GateConfig {
 		QueueTimeout: c.QueueTimeout,
 		Mode:         mode,
 		SLO:          c.SLO,
-		AdjustEvery:  c.AdjustEvery,
 	}
 }
 
@@ -347,7 +337,7 @@ func New(cfg Config) *Server {
 		s.slo = 250 * time.Millisecond
 	}
 	if cfg.ProfileDir != "" {
-		fr, err := obs.NewFlightRecorder(cfg.ProfileDir, cfg.ProfileCaptures, cfg.ProfileCPU)
+		fr, err := obs.NewFlightRecorder(cfg.ProfileDir, cfg.ProfileCPU)
 		if err != nil {
 			s.logger.Error("flight recorder disabled", "error", err.Error())
 		} else {
@@ -355,10 +345,9 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.burn = obs.NewBurnMonitor(obs.BurnConfig{
-		Fast:      cfg.BurnFast,
-		Slow:      cfg.BurnSlow,
-		Threshold: cfg.BurnThreshold,
-		Cooldown:  cfg.BurnCooldown,
+		Fast:     cfg.BurnFast,
+		Slow:     cfg.BurnSlow,
+		Cooldown: cfg.BurnCooldown,
 		OnBreach: func(fast, slow float64) {
 			s.logger.Error("SLO burn-rate breach",
 				"fast_burn", fmt.Sprintf("%.2f", fast),

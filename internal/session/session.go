@@ -38,27 +38,24 @@ import (
 // bound: no eviction sequence could make it fit.
 var ErrTooLarge = errors.New("session: selection exceeds the session-store byte bound")
 
+// A Manager evicts sessions idle longer than sessionTTL, and the least
+// recently used ones beyond maxSessions.
+const (
+	sessionTTL  = 15 * time.Minute
+	maxSessions = 64
+)
+
 // Config parameterises a Manager. Zero values take the documented
-// defaults; negative values disable the corresponding bound.
+// defaults.
 type Config struct {
-	// TTL evicts sessions idle longer than this. 0 means 15m.
-	TTL time.Duration
-	// MaxSessions bounds the session count (LRU-evicted). 0 means 64.
-	MaxSessions int
 	// MaxBytes bounds the total stored selection bytes across sessions
-	// (LRU-evicted). 0 means 64 MiB.
+	// (LRU-evicted). 0 means 64 MiB; negative disables the bound.
 	MaxBytes int64
 	// Now is the clock; nil means time.Now. Tests inject a fake.
 	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.TTL == 0 {
-		c.TTL = 15 * time.Minute
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 64
-	}
 	if c.MaxBytes == 0 {
 		c.MaxBytes = 64 << 20
 	}
@@ -232,11 +229,8 @@ func (m *Manager) dropLocked(id string) {
 // sweepLocked applies the TTL bound. keep is exempt (the session being
 // actively used can never be idle).
 func (m *Manager) sweepLocked(now time.Time, keep string) {
-	if m.cfg.TTL < 0 {
-		return
-	}
 	for id, s := range m.sessions {
-		if id != keep && now.Sub(s.lastUsed) > m.cfg.TTL {
+		if id != keep && now.Sub(s.lastUsed) > sessionTTL {
 			m.dropLocked(id)
 			m.evictTTL++
 		}
@@ -255,13 +249,11 @@ func (m *Manager) evictLocked(keep string) {
 		}
 		return false
 	}
-	if m.cfg.MaxSessions > 0 {
-		for len(m.sessions) > m.cfg.MaxSessions {
-			if !evictOne() {
-				break
-			}
-			m.evictCount++
+	for len(m.sessions) > maxSessions {
+		if !evictOne() {
+			break
 		}
+		m.evictCount++
 	}
 	if m.cfg.MaxBytes > 0 {
 		for m.bytes > m.cfg.MaxBytes {

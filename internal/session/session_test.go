@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -57,15 +58,15 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestTTLEviction(t *testing.T) {
 	c := newClock()
-	m := NewManager(Config{TTL: time.Minute, Now: c.now})
+	m := NewManager(Config{Now: c.now})
 	if err := m.Put("old", sel("a", 10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	c.advance(30 * time.Second)
+	c.advance(10 * time.Minute)
 	if err := m.Put("young", sel("a", 10, 2)); err != nil {
 		t.Fatal(err)
 	}
-	c.advance(45 * time.Second) // old idle 75s > TTL; young idle 45s
+	c.advance(6 * time.Minute) // old idle 16m > sessionTTL; young idle 6m
 	st := m.Stats()
 	if st.Active != 1 || st.TTLEvictions != 1 {
 		t.Fatalf("expected exactly the idle session evicted, got %+v", st)
@@ -80,21 +81,23 @@ func TestTTLEviction(t *testing.T) {
 
 func TestCountEvictionLRU(t *testing.T) {
 	c := newClock()
-	m := NewManager(Config{MaxSessions: 2, Now: c.now})
-	for _, id := range []string{"a", "b", "c"} {
+	m := NewManager(Config{Now: c.now})
+	ids := make([]string, maxSessions+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d", i)
 		c.advance(time.Second)
-		if err := m.Put(id, sel("s", 10, 1)); err != nil {
+		if err := m.Put(ids[i], sel("s", 10, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := m.Stats()
-	if st.Active != 2 || st.CountEvictions != 1 {
+	if st.Active != maxSessions || st.CountEvictions != 1 {
 		t.Fatalf("count bound not enforced: %+v", st)
 	}
-	if _, ok := m.Get("a"); ok {
+	if _, ok := m.Get(ids[0]); ok {
 		t.Fatal("least recently used session survived count eviction")
 	}
-	for _, id := range []string{"b", "c"} {
+	for _, id := range ids[1:] {
 		if _, ok := m.Get(id); !ok {
 			t.Fatalf("recently used session %q evicted", id)
 		}
@@ -230,7 +233,7 @@ func TestCreateAssignsUniqueIDs(t *testing.T) {
 // qserve runs with, since no flag sets them.
 func TestConfigDefaults(t *testing.T) {
 	d := Config{}.withDefaults()
-	if d.TTL != 15*time.Minute || d.MaxSessions != 64 || d.MaxBytes != 64<<20 {
-		t.Fatalf("zero-value defaults: TTL %v, %d sessions, %d bytes", d.TTL, d.MaxSessions, d.MaxBytes)
+	if sessionTTL != 15*time.Minute || maxSessions != 64 || d.MaxBytes != 64<<20 {
+		t.Fatalf("defaults: TTL %v, %d sessions, %d bytes", sessionTTL, maxSessions, d.MaxBytes)
 	}
 }

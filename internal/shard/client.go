@@ -38,7 +38,7 @@ func DialShards(shards [][]string, cfg cluster.PoolConfig, hedge time.Duration) 
 		return nil, fmt.Errorf("shard: no shards")
 	}
 	if cfg.RetryBudget == nil && cfg.RetryBudgetRatio > 0 {
-		cfg.RetryBudget = cluster.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
+		cfg.RetryBudget = cluster.NewRetryBudget(cfg.RetryBudgetRatio)
 	}
 	c := &Client{hedge: hedge}
 	for i, addrs := range shards {
@@ -140,18 +140,17 @@ type ReplicaStatus struct {
 
 // ShardStatus is one shard's view in a fleet stats snapshot.
 type ShardStatus struct {
-	Shard        int               `json:"shard"`
-	Replicas     int               `json:"replicas"`
-	Healthy      int               `json:"healthy"`
-	Err          string            `json:"err,omitempty"` // stats RPC failure
-	Stats        ExecStats         `json:"stats"`
-	Pool         cluster.PoolStats `json:"pool"`
-	ReplicaState []ReplicaStatus   `json:"replica_state,omitempty"`
+	Shard        int             `json:"shard"`
+	Replicas     int             `json:"replicas"`
+	Healthy      int             `json:"healthy"`
+	Err          string          `json:"err,omitempty"` // stats RPC failure
+	Stats        ExecStats       `json:"stats"`
+	ReplicaState []ReplicaStatus `json:"replica_state,omitempty"`
 }
 
 // Stats gathers every shard's executor snapshot plus the frontend-side
-// pool counters and per-replica breaker states, the client-side ones
-// taken before the poll.
+// replica health and breaker states, the client-side ones taken before
+// the poll.
 func (c *Client) Stats(ctx context.Context, timeout time.Duration) []ShardStatus {
 	out := make([]ShardStatus, len(c.pools))
 	for i, p := range c.pools {
@@ -159,7 +158,6 @@ func (c *Client) Stats(ctx context.Context, timeout time.Duration) []ShardStatus
 			Shard:        i,
 			Replicas:     p.Nodes(),
 			Healthy:      p.HealthyNodes(),
-			Pool:         p.Stats(),
 			ReplicaState: replicaStates(p),
 		}
 	}

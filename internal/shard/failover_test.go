@@ -19,8 +19,8 @@ import (
 // TestCorruptReplyFailsOver: a reply corrupted where no field check can
 // see it — one bit of a min/max bound — is refused at decode like a
 // dropped connection. The call fails over to the shard's other replica,
-// which answers exactly; the corrupting replica's breaker records the
-// failure; and shard_reply_corrupt_total counts the refusal.
+// which answers exactly; the corrupting replica is marked unhealthy; and
+// shard_reply_corrupt_total counts the refusal.
 func TestCorruptReplyFailsOver(t *testing.T) {
 	f := plan.Fragment{Op: plan.FragMinMax, Dataset: "lwfa", Step: 0, Rows: plan.RowRange{Lo: 0, Hi: 1000},
 		Backend: fastquery.Scan, Vars: []string{"px"}}
@@ -47,11 +47,7 @@ func TestCorruptReplyFailsOver(t *testing.T) {
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, l.Addr().String())
 	}
-	c, err := shard.DialShards([][]string{addrs}, cluster.PoolConfig{
-		CallTimeout:  10 * time.Second,
-		MaxFailovers: -1,
-		Breaker:      cluster.BreakerConfig{Enabled: true, ConsecutiveFailures: 1, Cooldown: time.Hour},
-	}, 0)
+	c, err := shard.DialShards([][]string{addrs}, cluster.PoolConfig{CallTimeout: 10 * time.Second}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +64,8 @@ func TestCorruptReplyFailsOver(t *testing.T) {
 		math.Float64bits(got.MinMax[0].Hi) != math.Float64bits(want.MinMax[0].Hi) {
 		t.Fatalf("answer %+v, want %+v", got.MinMax, want.MinMax)
 	}
-	if st := c.ReplicaStates()[0]; st[0].Breaker != "open" || st[1].Breaker != "closed" {
-		t.Fatalf("breakers %+v: want replica 0 open on its failure, replica 1 closed", st)
+	if st := c.ReplicaStates()[0]; st[0].Healthy || !st[1].Healthy {
+		t.Fatalf("replicas %+v: want replica 0 unhealthy on its failure, replica 1 healthy", st)
 	}
 	if corrupt.Load() == before {
 		t.Fatal("shard_reply_corrupt_total did not count the refused reply")
